@@ -6,10 +6,7 @@
 //	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-search dfs|bfs|covnew|rand|interleave] [-budget [-cover N]] [-json FILE]
 //	overify-bench -scaling [-prog wc] [-n 5] [-timeout 60s]
 //	overify-bench -search all [-n 3] [-timeout 5s] [-json BENCH_strategies.json]
-//	overify-bench -solver [-json BENCH_solver.json]
-//	overify-bench -verdicts [-n 3] [-j workers] [-json BENCH_verdicts.json]
-//	overify-bench -daemon [-n 3] [-json BENCH_daemon.json]
-//	overify-bench -distributed [-n 4] [-prog wc,cksum] [-json BENCH_distributed.json]
+//	overify-bench -slicing [-n 3] [-timeout 3s] [-prog cksum] [-json BENCH_slicing.json]
 //	overify-bench -tune [-tune-budget 64] [-seed S] [-prog wc-c,tr] [-j workers] [-best-out FILE] [-json BENCH_autotune.json]
 //	overify-bench -all
 //
@@ -22,24 +19,11 @@
 // target), and -figure4 -json records the study machine-readably.
 // -passes overrides every level's pass pipeline for Table 1/Figure 4;
 // -j also parallelizes the pass manager (and, in the Table 1/Figure 4
-// drivers, compiles whole modules in parallel). -solver runs the
-// solver microbenchmarks over a captured corpus query stream — the
-// before/after sections of BENCH_solver.json are its -json output
-// across solver changes. -verdicts runs the warm-vs-cold verdict-store
-// sweep: the full corpus verified twice per level against one
-// content-addressed store, asserting the warm pass reproduces every
-// cold report byte-identically. Output is the text rendering recorded
-// in EXPERIMENTS.md.
+// drivers, compiles whole modules in parallel). Output is the text
+// rendering recorded in EXPERIMENTS.md.
 //
-// -distributed runs the distributed-frontier sweep: each corpus
-// program verified serially, then split across in-process worker
-// clusters of size 1/2/4 over the daemon's distExplore frames, cold
-// and warm, asserting every merged report renders byte-identical
-// (modulo schedule-dependent bug witness bytes) to the serial
-// baseline. It also records the solver portfolio's fixed-order vs
-// racing assignment counters on the hard groups (cksum as control,
-// basename as the stalling case) — counters, not wall clock, so the
-// comparison reproduces on any machine.
+// The daemon, cluster, verdict-store and solver measurements live in
+// the ledger: `go run ./benchmark -workload served_mix|cluster_split|solver_hard`.
 //
 // -tune runs the pass-ordering autotuner: one hill-climbing schedule
 // search per program (comma-separated -prog restricts the set), each
@@ -63,18 +47,17 @@ import (
 	"overify/internal/symex"
 )
 
-// loadPassSpec resolves a -passes argument: the spelling @FILE reads
-// the spec text from FILE (the -best-out replay path), anything else is
-// the spec itself.
-func loadPassSpec(arg string) (string, error) {
-	if !strings.HasPrefix(arg, "@") {
-		return arg, nil
+// emit prints one study's text rendering and, when jsonPath is set,
+// writes the study's machine-readable form there.
+func emit(text, jsonPath string, toJSON func() ([]byte, error)) {
+	fmt.Println(text)
+	if jsonPath == "" {
+		return
 	}
-	data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(string(data)), nil
+	data, err := toJSON()
+	check(err)
+	check(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
+	fmt.Printf("(wrote %s)\n", jsonPath)
 }
 
 func main() {
@@ -95,10 +78,6 @@ func main() {
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
 	budget := flag.Bool("budget", false, "add per-strategy time-to-coverage columns to Figure 4")
 	coverTarget := flag.Int("cover", 0, "block-coverage target for -budget (0 = each cell's full coverage)")
-	solverBench := flag.Bool("solver", false, "run the solver microbenchmarks on a captured corpus query stream")
-	verdictSweep := flag.Bool("verdicts", false, "run the warm-vs-cold verdict-store sweep over the corpus")
-	daemonSweep := flag.Bool("daemon", false, "run the warm-vs-cold daemon sweep: cold CLI path vs repeat requests against one warm in-process server")
-	distSweep := flag.Bool("distributed", false, "run the distributed-frontier sweep: serial baseline vs worker clusters of 1/2/4, plus the solver-portfolio comparison on hard groups")
 	slicingSweep := flag.Bool("slicing", false, "run the verification-aware slicing study: baseline vs sliced exploration per program x level")
 	tuneSweep := flag.Bool("tune", false, "run the pass-ordering autotuner: search schedules that beat -OVERIFY on verify work units")
 	tuneBudget := flag.Int("tune-budget", 64, "candidate evaluations per program for -tune")
@@ -107,7 +86,7 @@ func main() {
 
 	var pipeSpec *pipeline.PipelineSpec
 	if *passSpec != "" {
-		text, err := loadPassSpec(*passSpec)
+		text, err := pipeline.LoadSpecArg(*passSpec)
 		check(err)
 		spec, err := pipeline.ParsePipeline(text)
 		check(err)
@@ -131,73 +110,9 @@ func main() {
 		}
 		rows, err := bench.StrategyCompare(opts)
 		check(err)
-		fmt.Println(bench.RenderStrategyCompare(rows, opts))
-		if *jsonPath != "" {
-			data, err := bench.StrategyCompareJSON(rows, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
-	}
-
-	if *solverBench {
-		results, err := bench.SolverBench()
-		check(err)
-		fmt.Println(bench.RenderSolverBench(results))
-		if *jsonPath != "" {
-			data, err := bench.SolverBenchJSON(results)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
-	}
-
-	if *verdictSweep {
-		opts := bench.VerdictSweepOptions{InputBytes: *n, Workers: *workers}
-		if *prog != "" {
-			opts.Programs = []string{*prog}
-		}
-		rows, err := bench.VerdictSweep(opts)
-		check(err)
-		fmt.Println(bench.RenderVerdictSweep(rows, opts))
-		if *jsonPath != "" {
-			data, err := bench.VerdictSweepJSON(rows, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
-	}
-
-	if *daemonSweep {
-		opts := bench.DaemonSweepOptions{InputBytes: *n}
-		if *prog != "" {
-			opts.Programs = []string{*prog}
-		}
-		rows, err := bench.DaemonSweep(opts)
-		check(err)
-		fmt.Println(bench.RenderDaemonSweep(rows, opts))
-		if *jsonPath != "" {
-			data, err := bench.DaemonSweepJSON(rows, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
-	}
-
-	if *distSweep {
-		opts := bench.DistributedSweepOptions{InputBytes: *n}
-		if *prog != "" {
-			opts.Programs = strings.Split(*prog, ",")
-		}
-		res, err := bench.DistributedSweep(opts)
-		check(err)
-		fmt.Println(bench.RenderDistributedSweep(res, opts))
-		if *jsonPath != "" {
-			data, err := bench.DistributedSweepJSON(res, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
+		emit(bench.RenderStrategyCompare(rows, opts), *jsonPath, func() ([]byte, error) {
+			return bench.StrategyCompareJSON(rows, opts)
+		})
 	}
 
 	if *slicingSweep {
@@ -207,13 +122,9 @@ func main() {
 		}
 		rows, err := bench.SliceSweep(opts)
 		check(err)
-		fmt.Println(bench.RenderSliceSweep(rows, opts))
-		if *jsonPath != "" {
-			data, err := bench.SliceSweepJSON(rows, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
+		emit(bench.RenderSliceSweep(rows, opts), *jsonPath, func() ([]byte, error) {
+			return bench.SliceSweepJSON(rows, opts)
+		})
 	}
 
 	if *tuneSweep {
@@ -226,13 +137,9 @@ func main() {
 		}
 		rows, err := bench.TuneSweep(opts)
 		check(err)
-		fmt.Println(bench.RenderTuneSweep(rows, opts))
-		if *jsonPath != "" {
-			data, err := bench.TuneSweepJSON(rows, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
-		}
+		emit(bench.RenderTuneSweep(rows, opts), *jsonPath, func() ([]byte, error) {
+			return bench.TuneSweepJSON(rows, opts)
+		})
 		if *bestOut != "" && len(rows) > 0 {
 			check(os.WriteFile(*bestOut, []byte(rows[0].BestSpec+"\n"), 0o644))
 			fmt.Printf("(wrote %s — replay with: symbex -passes @%s -prog %s)\n",
@@ -241,7 +148,7 @@ func main() {
 	}
 
 	if !(*t1 || *t2 || *t3 || *f4 || *scaling || *all) {
-		if strategies || *solverBench || *verdictSweep || *daemonSweep || *distSweep || *slicingSweep || *tuneSweep {
+		if strategies || *slicingSweep || *tuneSweep {
 			return
 		}
 		flag.Usage()
@@ -280,14 +187,13 @@ func main() {
 		start := time.Now()
 		rows, summary, err := bench.Figure4(opts)
 		check(err)
-		fmt.Println(bench.RenderFigure4(rows, summary, opts))
-		fmt.Printf("(figure 4 harness wall time: %s)\n", time.Since(start).Round(time.Millisecond))
-		if *jsonPath != "" && !strategies {
-			data, err := bench.Figure4JSON(rows, summary, opts)
-			check(err)
-			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-			fmt.Printf("(wrote %s)\n", *jsonPath)
+		path := *jsonPath
+		if strategies {
+			path = "" // -search all already claimed -json
 		}
+		text := fmt.Sprintf("%s\n(figure 4 harness wall time: %s)",
+			bench.RenderFigure4(rows, summary, opts), time.Since(start).Round(time.Millisecond))
+		emit(text, path, func() ([]byte, error) { return bench.Figure4JSON(rows, summary, opts) })
 	}
 	if *scaling {
 		opts := bench.ScalingOptions{Program: *prog, InputBytes: *n, Timeout: *timeout, Strategy: strat, Seed: *seed}

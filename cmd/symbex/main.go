@@ -46,10 +46,8 @@ import (
 	"time"
 
 	"overify/internal/core"
-	"overify/internal/coreutils"
 	"overify/internal/daemon"
 	"overify/internal/dist"
-	"overify/internal/ir"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
@@ -80,25 +78,25 @@ func main() {
 	watchCount := flag.Int("watch-count", 0, "with -watch: exit after this many verifies, with a failing exit code if the final one found bugs (0 = watch forever)")
 	flag.Parse()
 
-	lvl, err := pipeline.ParseLevel(*level)
-	if err != nil {
-		fatal(err)
+	job := core.Job{
+		Level: *level, Entry: *entry,
+		InputBytes: *n, TimeoutMS: timeout.Milliseconds(),
+		Search: *search, Seed: *seed, Cover: *coverTarget, Workers: *workers,
+		Slice: *sliceFlag, Checks: *checkSpec,
+		Portfolio: *portfolio, PortfolioStall: *portfolioStall,
+		SplitStates: *splitStates,
 	}
-	var name, src, file string
+	var file string
 	switch {
 	case *progName != "":
-		p, ok := coreutils.Get(*progName)
-		if !ok {
-			fatal(fmt.Errorf("unknown corpus program %q", *progName))
-		}
-		name, src = p.Name, p.Src
+		job.Prog = *progName
 	case flag.NArg() == 1:
 		file = flag.Arg(0)
 		data, err := os.ReadFile(file)
 		if err != nil {
 			fatal(err)
 		}
-		name, src = file, string(data)
+		job.Name, job.Source = file, string(data)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: symbex [-O level] [-n bytes] file.c | -prog name")
 		os.Exit(2)
@@ -109,32 +107,19 @@ func main() {
 	if *watchCount != 0 && !*watchFlag {
 		fatal(fmt.Errorf("-watch-count only makes sense with -watch"))
 	}
-
-	var pipeSpec *pipeline.PipelineSpec
-	if *passSpec != "" {
-		if strings.HasPrefix(*passSpec, "@") {
-			// @FILE: load the spec text from a file — the replay path for
-			// overify-bench -tune -best-out winners.
-			data, err := os.ReadFile(strings.TrimPrefix(*passSpec, "@"))
-			if err != nil {
-				fatal(err)
-			}
-			*passSpec = strings.TrimSpace(string(data))
-		}
-		spec, err := pipeline.ParsePipeline(*passSpec)
-		if err != nil {
-			fatal(err)
-		}
-		pipeSpec = &spec
+	var err error
+	if job.Passes, err = pipeline.LoadSpecArg(*passSpec); err != nil {
+		fatal(err)
 	}
-	strat, err := symex.ParseSearch(*search)
+	// Resolving up front rejects a bad flag before any daemon is dialed,
+	// whichever shape runs the job. From here on the job carries its
+	// source text: a daemon or worker need not bundle the same corpus.
+	resolved, err := job.Resolve()
 	if err != nil {
 		fatal(err)
 	}
-	checks, err := ir.ParseCheckSet(*checkSpec)
-	if err != nil {
-		fatal(err)
-	}
+	name := resolved.Name
+	job.Prog, job.Name, job.Source = "", name, resolved.Source
 
 	if *clusterAddrs != "" {
 		// Coordinator mode: split the frontier here, farm shards to the
@@ -144,6 +129,8 @@ func main() {
 			fatal(fmt.Errorf("-cluster and -daemon are mutually exclusive"))
 		case *watchFlag:
 			fatal(fmt.Errorf("-cluster does not compose with -watch"))
+		case *coverTarget != 0:
+			fatal(fmt.Errorf("-cluster does not compose with -cover: a block-coverage target is per-process"))
 		}
 		var clients []*daemon.Client
 		for _, addr := range strings.Split(*clusterAddrs, ",") {
@@ -154,16 +141,7 @@ func main() {
 			defer client.Close()
 			clients = append(clients, client)
 		}
-		res, err := dist.Verify(clients, dist.Options{
-			Name: name, Source: src,
-			Level: *level, Passes: *passSpec,
-			Slice: *sliceFlag, Checks: *checkSpec,
-			Entry: *entry, InputBytes: *n,
-			SplitStates: *splitStates,
-			Search:      *search, Seed: *seed, Workers: *workers,
-			TimeoutMS: timeout.Milliseconds(),
-			Portfolio: *portfolio, PortfolioStall: *portfolioStall,
-		})
+		res, err := dist.Verify(clients, job)
 		if err != nil {
 			fatal(err)
 		}
@@ -182,6 +160,15 @@ func main() {
 		return
 	}
 
+	// failed reports one run's error: fatal for a one-shot run, a logged
+	// failed iteration under -watch.
+	failed := func(err error) bool {
+		if !*watchFlag {
+			fatal(err)
+		}
+		fmt.Fprintln(os.Stderr, "symbex:", err)
+		return false
+	}
 	var run func(src string) bool
 	if *daemonAddr != "" {
 		if *normalized {
@@ -194,20 +181,10 @@ func main() {
 		}
 		defer client.Close()
 		run = func(src string) bool {
-			reply, err := client.Verify(&daemon.VerifyRequest{
-				Name: name, Source: src,
-				Level: *level, Passes: *passSpec, Entry: *entry,
-				InputBytes: *n, TimeoutMS: timeout.Milliseconds(),
-				Search: *search, Seed: *seed, Cover: *coverTarget,
-				Workers: *workers,
-				Slice:   *sliceFlag, Checks: *checkSpec,
-			})
+			job.Source = src
+			reply, err := client.Verify(&job)
 			if err != nil {
-				if *watchFlag {
-					fmt.Fprintln(os.Stderr, "symbex:", err)
-					return false
-				}
-				fatal(err)
+				return failed(err)
 			}
 			reportDaemon(client.ServerName, reply, *n)
 			return len(reply.Bugs) == 0
@@ -220,47 +197,29 @@ func main() {
 				fatal(err)
 			}
 		}
-		opts := core.VerifyOptions{InputBytes: *n, Verdicts: store, Checks: checks}
-		opts.Engine.Timeout = *timeout
-		opts.Engine.Workers = *workers
-		opts.Engine.Strategy = strat
-		opts.Engine.Seed = *seed
-		opts.Engine.CoverTarget = *coverTarget
-		opts.Engine.Solver.Portfolio = *portfolio
-		opts.Engine.Solver.PortfolioStall = *portfolioStall
+		opts := resolved.Verify
+		opts.Verdicts = store
 		run = func(src string) bool {
-			cfg := pipeline.LevelConfig(lvl)
-			cfg.Jobs = *workers
-			cfg.Pipeline = pipeSpec
-			cfg.Slice = *sliceFlag
-			cfg.SliceChecks = checks
-			c, err := core.CompileWithConfig(name, src, cfg, core.DefaultLibc(lvl))
+			resolved.Source = src
+			c, err := resolved.Compile()
 			if err != nil {
-				if *watchFlag {
-					fmt.Fprintln(os.Stderr, "symbex:", err)
-					return false
-				}
-				fatal(err)
+				return failed(err)
 			}
-			rep, err := c.Verify(*entry, opts)
+			rep, err := c.Verify(resolved.Entry, opts)
 			if err != nil {
-				if *watchFlag {
-					fmt.Fprintln(os.Stderr, "symbex:", err)
-					return false
-				}
-				fatal(err)
+				return failed(err)
 			}
 			if *normalized {
 				fmt.Print(dist.NormalizedRender(rep))
 			} else {
-				report(name, lvl, *n, c, rep, store)
+				report(name, c.Level, *n, c, rep, store)
 			}
 			return len(rep.Bugs) == 0
 		}
 	}
 
 	if !*watchFlag {
-		if !run(src) {
+		if !run(job.Source) {
 			os.Exit(1)
 		}
 		return
@@ -348,12 +307,18 @@ func reportCluster(name, level string, n int, res *dist.Result) {
 			s.SolverStats.PortfolioRaces, s.SolverStats.PortfolioWins)
 	}
 	fmt.Println()
-	if len(res.Report.Bugs) == 0 {
-		fmt.Printf("  bugs:           none — all %d paths verified\n", s.Paths)
+	printBugs(res.Report)
+}
+
+// printBugs prints a report's verdict: clean, or each bug with its
+// reproducing input.
+func printBugs(rep *symex.Report) {
+	if len(rep.Bugs) == 0 {
+		fmt.Printf("  bugs:           none — all %d paths verified\n", rep.Stats.Paths)
 		return
 	}
-	fmt.Printf("  bugs:           %d\n", len(res.Report.Bugs))
-	for _, b := range res.Report.Bugs {
+	fmt.Printf("  bugs:           %d\n", len(rep.Bugs))
+	for _, b := range rep.Bugs {
 		fmt.Printf("    [%s] %s\n", b.Kind, b.Msg)
 		if b.Input != nil {
 			fmt.Printf("      reproducing input: %q\n", string(b.Input))
@@ -405,17 +370,7 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 			fmt.Printf("  verdicts:       miss — outcome stored in %s (%d entries)\n", store.Dir(), store.Len())
 		}
 	}
-	if len(rep.Bugs) == 0 {
-		fmt.Printf("  bugs:           none — all %d paths verified\n", s.Paths)
-	} else {
-		fmt.Printf("  bugs:           %d\n", len(rep.Bugs))
-		for _, b := range rep.Bugs {
-			fmt.Printf("    [%s] %s\n", b.Kind, b.Msg)
-			if b.Input != nil {
-				fmt.Printf("      reproducing input: %q\n", string(b.Input))
-			}
-		}
-	}
+	printBugs(rep)
 }
 
 func fatal(err error) {

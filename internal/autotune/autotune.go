@@ -184,7 +184,7 @@ func Tune(opts Options) (*Result, error) {
 	// done, so completion order cannot influence the search.
 	evalBatch := func(specs []pipeline.PipelineSpec) []*Candidate {
 		out := make([]*Candidate, len(specs))
-		parallelDo(len(specs), o.Jobs, func(i int) {
+		pipeline.ParallelDo(len(specs), o.Jobs, func(i int) {
 			out[i] = evaluate(specs[i], ec)
 		})
 		res.Candidates = append(res.Candidates, out...)

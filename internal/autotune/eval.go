@@ -3,10 +3,8 @@ package autotune
 import (
 	"fmt"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"overify/internal/core"
@@ -117,32 +115,31 @@ func evaluate(spec pipeline.PipelineSpec, ec evalConfig) *Candidate {
 		cand.Rejected = "compile-budget"
 		return cand
 	}
-	m, err := pipeline.MeasureVerify(c.Mod, pipeline.VerifySpec{
-		Entry:          "umain",
-		InputBytes:     ec.inputBytes,
-		Timeout:        ec.timeout,
-		MaxInstrs:      ec.maxInstrs,
-		MaxAssignments: ec.maxAssigns,
-	})
+	vo := core.VerifyOptions{InputBytes: ec.inputBytes}
+	vo.Engine.Timeout = ec.timeout
+	vo.Engine.MaxInstrs = ec.maxInstrs
+	vo.Engine.MaxAssignments = ec.maxAssigns
+	rep, err := c.Verify("umain", vo)
 	if err != nil {
 		cand.Rejected = "verify: " + err.Error()
 		return cand
 	}
-	cand.Assignments = m.Assignments
-	cand.Instrs = m.Instrs
-	cand.Work = m.Assignments + m.Instrs
-	cand.Paths = m.Paths
-	cand.Queries = m.Queries
-	cand.Bugs = m.Bugs
-	cand.VerifyWall = m.Elapsed
-	cand.report = m.Report
-	if m.TimedOut || m.Truncated > 0 {
+	st := &rep.Stats
+	cand.Assignments = st.SolverStats.Assignments
+	cand.Instrs = st.Instrs
+	cand.Work = cand.Assignments + cand.Instrs
+	cand.Paths = st.TotalPaths()
+	cand.Queries = st.SolverStats.Queries
+	cand.Bugs = len(rep.Bugs)
+	cand.VerifyWall = st.Elapsed
+	cand.report = rep
+	if st.TimedOut || st.TruncatedPaths > 0 {
 		// An incomplete exploration has no trustworthy bug set and no
 		// comparable work count.
 		cand.Rejected = "verify-budget"
 		return cand
 	}
-	if ec.gate && bugKeys(m.Report) != ec.baseBugs {
+	if ec.gate && bugKeys(rep) != ec.baseBugs {
 		cand.Rejected = "parity"
 		return cand
 	}
@@ -173,31 +170,3 @@ func bugKeys(rep *symex.Report) string {
 
 // BugKeys exposes the parity normalization for tests.
 func BugKeys(rep *symex.Report) string { return bugKeys(rep) }
-
-// parallelDo runs f(0..n-1) on up to jobs goroutines (serial when jobs
-// <= 1), the same index-addressed fan-out the bench drivers use: the
-// caller's result slots keep deterministic order regardless of
-// completion order.
-func parallelDo(n, jobs int, f func(i int)) {
-	if jobs < 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-}

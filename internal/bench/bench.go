@@ -12,9 +12,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"overify/internal/core"
@@ -24,35 +22,6 @@ import (
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 )
-
-// parallelDo runs f(0..n-1) on up to jobs goroutines (serially when
-// jobs <= 1). The experiment drivers use it to compile whole modules in
-// parallel — per-program parallelism above the pass manager's
-// per-function kind — writing results into index-addressed slots so the
-// output order stays deterministic regardless of completion order.
-func parallelDo(n, jobs int, f func(i int)) {
-	if jobs < 0 {
-		jobs = runtime.NumCPU() // -1 = one job per CPU, like the other -j consumers
-	}
-	if jobs <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-}
 
 // WcSource is Listing 1 from the paper: the word-count function whose
 // classification helpers come from the linked libc.

@@ -9,7 +9,6 @@ import (
 
 	"overify/internal/core"
 	"overify/internal/coreutils"
-	"overify/internal/ir"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 )
@@ -139,7 +138,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 	nl := len(Figure4Levels)
 	compiled := make([]*core.Compiled, len(programs)*nl)
 	cerrs := make([]error, len(programs)*nl)
-	parallelDo(len(programs)*nl, opts.Workers, func(i int) {
+	pipeline.ParallelDo(len(programs)*nl, opts.Workers, func(i int) {
 		p, level := programs[i/nl], Figure4Levels[i%nl]
 		compiled[i], cerrs[i] = CompileAtOpts(p.Name, p.Src, level, CompileOpts{Pipeline: opts.Pipeline, Jobs: opts.Workers})
 	})
@@ -157,10 +156,10 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 				continue
 			}
 			cell.Compile = c.Result.CompileTime
-			eng := symex.NewEngine(c.Mod, symex.Options{Timeout: opts.Timeout, Workers: opts.Workers, Strategy: opts.Strategy, Seed: opts.Seed})
-			buf := eng.SymbolicBuffer("input", opts.InputBytes, true)
-			length := eng.IntArg(ir.I32, uint64(opts.InputBytes))
-			rep, err := eng.Run("umain", []symex.SymVal{buf, length}, nil)
+			rep, err := c.Verify("umain", core.VerifyOptions{
+				InputBytes: opts.InputBytes,
+				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers, Strategy: opts.Strategy, Seed: opts.Seed},
+			})
 			if err != nil {
 				cell.Err = err.Error()
 				continue
@@ -172,7 +171,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 			cell.TimedOut = rep.Stats.TimedOut
 			cell.Bugs = len(rep.Bugs)
 			if opts.Budget {
-				budgetCells(c.Mod, cell, rep.Stats.CoveredBlocks, opts)
+				budgetCells(c, cell, rep.Stats.CoveredBlocks, opts)
 			}
 		}
 		rows = append(rows, row)
@@ -185,7 +184,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 // with CoverTarget set, so the columns compare how fast the orderings
 // reach coverage — the regime where search strategy actually matters
 // (exhaustive runs do identical work by the conformance theorem).
-func budgetCells(mod *ir.Module, cell *Figure4Cell, fullCoverage int, opts Figure4Options) {
+func budgetCells(c *core.Compiled, cell *Figure4Cell, fullCoverage int, opts Figure4Options) {
 	target := opts.CoverTarget
 	if target <= 0 {
 		target = fullCoverage
@@ -196,16 +195,16 @@ func budgetCells(mod *ir.Module, cell *Figure4Cell, fullCoverage int, opts Figur
 	}
 	cell.Budget = make(map[string]*Figure4Budget, len(strategies))
 	for _, strat := range strategies {
-		eng := symex.NewEngine(mod, symex.Options{
-			Timeout:     opts.Timeout,
-			Workers:     opts.Workers,
-			Strategy:    strat,
-			Seed:        opts.Seed,
-			CoverTarget: target,
+		rep, err := c.Verify("umain", core.VerifyOptions{
+			InputBytes: opts.InputBytes,
+			Engine: symex.Options{
+				Timeout:     opts.Timeout,
+				Workers:     opts.Workers,
+				Strategy:    strat,
+				Seed:        opts.Seed,
+				CoverTarget: target,
+			},
 		})
-		buf := eng.SymbolicBuffer("input", opts.InputBytes, true)
-		length := eng.IntArg(ir.I32, uint64(opts.InputBytes))
-		rep, err := eng.Run("umain", []symex.SymVal{buf, length}, nil)
 		if err != nil {
 			continue
 		}

@@ -98,29 +98,30 @@ func Scaling(opts ScalingOptions) ([]ScalingRow, error) {
 			return nil, fmt.Errorf("scaling %s at %s: %w", p.Name, level, err)
 		}
 		row := ScalingRow{Level: level, CompileTime: c.Result.CompileTime}
-		spec := pipeline.VerifySpec{
-			InputBytes: opts.InputBytes,
-			Timeout:    opts.Timeout,
-			Strategy:   opts.Strategy,
-			Seed:       opts.Seed,
-		}
-		ms, err := pipeline.MeasureVerifyScaling(c.Mod, spec, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("scaling %s at %s: %w", p.Name, level, err)
-		}
 		var base time.Duration
-		for i, m := range ms {
+		for i, workers := range opts.Workers {
+			rep, err := c.Verify("umain", core.VerifyOptions{
+				InputBytes: opts.InputBytes,
+				Engine: symex.Options{
+					Timeout: opts.Timeout, Workers: workers,
+					Strategy: opts.Strategy, Seed: opts.Seed,
+				},
+			})
+			if err != nil {
+				return nil, fmt.Errorf("scaling %s at %s: %w", p.Name, level, err)
+			}
+			st := &rep.Stats
 			cell := ScalingCell{
-				Workers:  m.Workers,
-				Elapsed:  m.Elapsed,
-				Paths:    m.Paths,
-				TimedOut: m.TimedOut,
+				Workers:  st.Workers,
+				Elapsed:  st.Elapsed,
+				Paths:    st.TotalPaths(),
+				TimedOut: st.TimedOut,
 			}
 			if i == 0 {
-				base = m.Elapsed
+				base = st.Elapsed
 			}
-			if m.Elapsed > 0 && base > 0 {
-				cell.Speedup = float64(base) / float64(m.Elapsed)
+			if st.Elapsed > 0 && base > 0 {
+				cell.Speedup = float64(base) / float64(st.Elapsed)
 			}
 			row.Cells = append(row.Cells, cell)
 		}

@@ -98,25 +98,26 @@ func StrategyCompare(opts StrategyCompareOptions) ([]StrategyRow, error) {
 			}
 			for _, strat := range opts.Strategies {
 				cell := StrategyCell{Strategy: strat.String()}
-				m, err := pipeline.MeasureVerify(c.Mod, pipeline.VerifySpec{
+				rep, err := c.Verify("umain", core.VerifyOptions{
 					InputBytes: opts.InputBytes,
-					Timeout:    opts.Timeout,
-					Workers:    opts.Workers,
-					Strategy:   strat,
-					Seed:       opts.Seed,
+					Engine: symex.Options{
+						Timeout: opts.Timeout, Workers: opts.Workers,
+						Strategy: strat, Seed: opts.Seed,
+					},
 				})
 				if err != nil {
 					cell.Err = err.Error()
 					row.Cells = append(row.Cells, cell)
 					continue
 				}
-				cell.VerifyMs = durMs(m.Elapsed)
-				cell.Paths = m.Paths
-				cell.States = m.States
-				cell.Instrs = m.Instrs
-				cell.Covered = m.Covered
-				cell.Bugs = m.Bugs
-				cell.TimedOut = m.TimedOut
+				st := &rep.Stats
+				cell.VerifyMs = durMs(st.Elapsed)
+				cell.Paths = st.TotalPaths()
+				cell.States = st.StatesExplored
+				cell.Instrs = st.Instrs
+				cell.Covered = st.CoveredBlocks
+				cell.Bugs = len(rep.Bugs)
+				cell.TimedOut = st.TimedOut
 				row.Cells = append(row.Cells, cell)
 			}
 			rows = append(rows, row)

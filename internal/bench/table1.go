@@ -72,7 +72,7 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 
 	compiled := make([]*core.Compiled, len(opts.Levels))
 	errs := make([]error, len(opts.Levels))
-	parallelDo(len(opts.Levels), opts.Workers, func(i int) {
+	pipeline.ParallelDo(len(opts.Levels), opts.Workers, func(i int) {
 		compiled[i], errs[i] = CompileAtOpts("wc", WcSource, opts.Levels[i], CompileOpts{Pipeline: opts.Pipeline, Jobs: opts.Workers})
 	})
 

@@ -53,9 +53,9 @@ func CompileSource(name, src string, level pipeline.Level, lk libc.Kind) (*Compi
 	return CompileWithConfig(name, src, cfg, lk)
 }
 
-// CompileWithConfig is CompileSource with an explicit pipeline config
-// (custom cost models, checks toggles, per-pass verification).
-func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Compiled, error) {
+// lower parses src and the libc variant and lowers both into one
+// unoptimized module.
+func lower(name, src string, lk libc.Kind) (*ir.Module, error) {
 	progFile, err := lang.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
@@ -67,6 +67,16 @@ func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Co
 	mod, err := frontend.LowerFiles(name, libFile, progFile)
 	if err != nil {
 		return nil, fmt.Errorf("lower %s: %w", name, err)
+	}
+	return mod, nil
+}
+
+// CompileWithConfig is CompileSource with an explicit pipeline config
+// (custom cost models, checks toggles, per-pass verification).
+func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Compiled, error) {
+	mod, err := lower(name, src, lk)
+	if err != nil {
+		return nil, err
 	}
 	res, err := pipeline.Optimize(mod, cfg)
 	if err != nil {
@@ -83,17 +93,9 @@ func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Co
 // CompileWithPasses compiles src + libc and then runs an explicit pass
 // list under the given cost model (used by the Table 2 ablation).
 func CompileWithPasses(name, src string, lk libc.Kind, cost passes.CostModel, seq []passes.Pass) (*Compiled, error) {
-	progFile, err := lang.Parse(src)
+	mod, err := lower(name, src, lk)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", name, err)
-	}
-	libFile, err := libc.Parse(lk)
-	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", lk, err)
-	}
-	mod, err := frontend.LowerFiles(name, libFile, progFile)
-	if err != nil {
-		return nil, fmt.Errorf("lower %s: %w", name, err)
+		return nil, err
 	}
 	res, err := pipeline.OptimizeWithPasses(mod, cost, seq)
 	if err != nil {
@@ -228,9 +230,7 @@ func (c *Compiled) Verify(fn string, opts VerifyOptions) (*symex.Report, error) 
 		}
 	}
 	eng := symex.NewEngine(c.Mod, opts.Engine)
-	buf := eng.SymbolicBuffer("input", opts.InputBytes, true)
-	length := eng.IntArg(ir.I32, uint64(opts.InputBytes))
-	rep, err := eng.Run(fn, []symex.SymVal{buf, length}, nil)
+	rep, err := eng.Run(fn, eng.InputArgs(opts.InputBytes), nil)
 	if err == nil && keyed && verdicts.Cacheable(rep) {
 		// Best-effort: a failed write only loses warmth.
 		_ = opts.Verdicts.Put(key, verdicts.FromReport(key, c.Name, fn, c.Level.String(), rep))

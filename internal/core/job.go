@@ -1,0 +1,171 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"overify/internal/coreutils"
+	"overify/internal/ir"
+	"overify/internal/libc"
+	"overify/internal/pipeline"
+	"overify/internal/solver"
+	"overify/internal/symex"
+)
+
+// Job is one verification request as written: which program, compiled
+// how, explored how. It is the single description every shape of run
+// shares — `symbex` builds one from its flags and hands the same value
+// to the in-process run, the daemon client or the cluster coordinator;
+// daemon.VerifyRequest and dist.Options are aliases of it, and its
+// JSON form is the protocol-v3 verify body. Exactly one of Source
+// (with Name) or Prog (a bundled corpus program) must be set; every
+// other field may be left zero. Resolve is the one place the fields
+// are defaulted and parsed.
+type Job struct {
+	Name   string `json:"name,omitempty"`   // display name for Source
+	Source string `json:"source,omitempty"` // MiniC source text
+	Prog   string `json:"prog,omitempty"`   // corpus program name
+
+	Level  string `json:"level,omitempty"`  // optimization level (default -OVERIFY)
+	Passes string `json:"passes,omitempty"` // explicit pass pipeline (disables verdict caching)
+	Entry  string `json:"entry,omitempty"`  // entry function (default umain)
+
+	InputBytes int    `json:"inputBytes,omitempty"` // symbolic input size (default 4)
+	TimeoutMS  int64  `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
+	MaxInstrs  int64  `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
+	Search     string `json:"search,omitempty"`     // exploration order (default dfs)
+	Seed       int64  `json:"seed,omitempty"`
+	Cover      int    `json:"cover,omitempty"`   // CoverTarget (0 = off); per-process, so not for clusters
+	Workers    int    `json:"workers,omitempty"` // engine workers and pass-manager jobs (0/1 serial, -1 = one per CPU)
+
+	// Slice enables verification-aware slicing: the pipeline deletes
+	// whatever no kept check can observe before exploration.
+	Slice bool `json:"slice,omitempty"`
+	// Checks restricts verification (and, with Slice, the slicing
+	// closure) to a comma-separated subset of check names — see
+	// ir.ParseCheckSet. Empty or "all" keeps every check.
+	Checks string `json:"checks,omitempty"`
+
+	// NoVerdicts bypasses the verdict store for this job (the
+	// exploration still warms and reads the solver cache). Benchmarks
+	// use it to isolate the solver-cache layer.
+	NoVerdicts bool `json:"noVerdicts,omitempty"`
+
+	// Portfolio/PortfolioStall configure the solver portfolio (0 =
+	// fixed-order solving).
+	Portfolio      int   `json:"portfolio,omitempty"`
+	PortfolioStall int64 `json:"portfolioStall,omitempty"`
+
+	// SplitStates is how many pending states a cluster coordinator's
+	// breadth-first prefix aims for before sharding (default 8 per
+	// worker). It never travels: only the coordinator reads it.
+	SplitStates int `json:"-"`
+}
+
+// Resolved is a Job as resolved: every default applied and every
+// string parsed into what the compiler and the engine take.
+type Resolved struct {
+	Name   string // display name (the corpus program's, or "<source>" when none was given)
+	Source string // MiniC text to compile
+	Entry  string
+	Libc   libc.Kind
+	Config pipeline.Config
+
+	// Verify is the engine configuration. Callers that own warm state
+	// (expression builder, solver cache, tapes, verdict store) inject it
+	// here before running.
+	Verify VerifyOptions
+}
+
+// Resolve decides how the job's fields become a module and an engine
+// configuration. Every runner goes through it, so a coordinator and
+// its workers — or a CLI and its daemon — given the same fields
+// compile the same module by construction (the state codec names IR
+// by position and decodes garbage otherwise).
+func (j Job) Resolve() (*Resolved, error) {
+	r := &Resolved{Name: j.Name, Source: j.Source, Entry: j.Entry}
+	switch {
+	case j.Prog != "" && j.Source != "":
+		return nil, fmt.Errorf("request carries both source and corpus program %q", j.Prog)
+	case j.Prog != "":
+		p, ok := coreutils.Get(j.Prog)
+		if !ok {
+			return nil, fmt.Errorf("unknown corpus program %q", j.Prog)
+		}
+		r.Name, r.Source = p.Name, p.Src
+	case j.Source == "":
+		return nil, fmt.Errorf("request carries neither source nor a corpus program")
+	case j.Name == "":
+		r.Name = "<source>"
+	}
+	if r.Entry == "" {
+		r.Entry = "umain"
+	}
+
+	level := j.Level
+	if level == "" {
+		level = "-OVERIFY"
+	}
+	lvl, err := pipeline.ParseLevel(level)
+	if err != nil {
+		return nil, err
+	}
+	checks, err := ir.ParseCheckSet(j.Checks)
+	if err != nil {
+		return nil, err
+	}
+	strat, err := symex.ParseSearch(j.Search)
+	if err != nil {
+		return nil, err
+	}
+	r.Libc = DefaultLibc(lvl)
+	r.Config = pipeline.LevelConfig(lvl)
+	r.Config.Jobs = j.Workers
+	r.Config.Slice = j.Slice
+	r.Config.SliceChecks = checks
+	if j.Passes != "" {
+		spec, err := pipeline.ParsePipeline(j.Passes)
+		if err != nil {
+			return nil, err
+		}
+		r.Config.Pipeline = &spec
+	}
+
+	vo := VerifyOptions{InputBytes: j.InputBytes}
+	vo.Engine.Timeout = time.Duration(j.TimeoutMS) * time.Millisecond
+	vo.Engine.MaxInstrs = j.MaxInstrs
+	vo.Engine.Strategy = strat
+	vo.Engine.Seed = j.Seed
+	vo.Engine.CoverTarget = j.Cover
+	vo.Engine.Workers = j.Workers
+	vo.Engine.Checks = checks
+	vo.Engine.Solver.Portfolio = j.Portfolio
+	vo.Engine.Solver.PortfolioStall = j.PortfolioStall
+	r.Verify = vo.normalized()
+	return r, nil
+}
+
+// Compile compiles the resolved program.
+func (r *Resolved) Compile() (*Compiled, error) {
+	return CompileWithConfig(r.Name, r.Source, r.Config, r.Libc)
+}
+
+// CompileKey identifies the module Compile produces, for module
+// caches: it covers everything that shapes the module — name, source
+// text, level, explicit pipeline, the level-implied libc and the
+// slicing configuration.
+func (r *Resolved) CompileKey() string {
+	passes, sliceKey := "", ""
+	if r.Config.Pipeline != nil {
+		passes = r.Config.Pipeline.String()
+	}
+	if r.Config.Slice {
+		sliceKey = "slice:" + r.Config.SliceChecks.String()
+	}
+	h := solver.NewHasher()
+	for _, part := range []string{r.Name, r.Source, r.Config.Level.String(), passes, r.Libc.String(), sliceKey} {
+		h.WriteString(part)
+		h.WriteString("\x00")
+	}
+	return h.Sum().Hex()
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 
+	"overify/internal/core"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
 )
@@ -91,38 +92,8 @@ type ErrorBody struct {
 }
 
 // VerifyRequest asks the daemon to compile and symbolically verify one
-// program. Exactly one of Source (with Name) or Prog (a bundled corpus
-// program) must be set.
-type VerifyRequest struct {
-	Name   string `json:"name,omitempty"`   // display name for Source
-	Source string `json:"source,omitempty"` // MiniC source text
-	Prog   string `json:"prog,omitempty"`   // corpus program name
-
-	Level  string `json:"level,omitempty"`  // optimization level (default -OVERIFY)
-	Passes string `json:"passes,omitempty"` // explicit pass pipeline (disables verdict caching)
-	Entry  string `json:"entry,omitempty"`  // entry function (default umain)
-
-	InputBytes int    `json:"inputBytes,omitempty"` // symbolic input size (default 4)
-	TimeoutMS  int64  `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
-	MaxInstrs  int64  `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
-	Search     string `json:"search,omitempty"`     // exploration order (default dfs)
-	Seed       int64  `json:"seed,omitempty"`
-	Cover      int    `json:"cover,omitempty"`   // CoverTarget (0 = off)
-	Workers    int    `json:"workers,omitempty"` // engine workers (default 1: the daemon parallelizes across requests)
-
-	// Slice enables verification-aware slicing: the pipeline deletes
-	// whatever no kept check can observe before exploration.
-	Slice bool `json:"slice,omitempty"`
-	// Checks restricts verification (and, with Slice, the slicing
-	// closure) to a comma-separated subset of check names — see
-	// ir.ParseCheckSet. Empty or "all" keeps every check.
-	Checks string `json:"checks,omitempty"`
-
-	// NoVerdicts bypasses the verdict store for this request (the
-	// exploration still warms and reads the solver cache). Benchmarks
-	// use it to isolate the solver-cache layer.
-	NoVerdicts bool `json:"noVerdicts,omitempty"`
-}
+// program: the verify body is a core.Job, field for field.
+type VerifyRequest = core.Job
 
 // BugReport is one merged bug in a VerifyReply.
 type BugReport struct {
@@ -178,18 +149,30 @@ type DistExploreRequest struct {
 	Slice  bool   `json:"slice,omitempty"`
 	Checks string `json:"checks,omitempty"`
 
-	Search    string `json:"search,omitempty"`  // exploration order (default dfs)
+	Search    string `json:"search,omitempty"` // exploration order (default dfs)
 	Seed      int64  `json:"seed,omitempty"`
 	Workers   int    `json:"workers,omitempty"` // engine workers inside this daemon
 	TimeoutMS int64  `json:"timeoutMs,omitempty"`
 	MaxInstrs int64  `json:"maxInstrs,omitempty"`
 
 	// Portfolio/PortfolioStall configure the solver portfolio for this
-	// shard (0 = fixed-order solving, the historical behavior).
+	// shard (0 = fixed-order solving).
 	Portfolio      int   `json:"portfolio,omitempty"`
 	PortfolioStall int64 `json:"portfolioStall,omitempty"`
 
 	States []byte `json:"states"` // Engine.EncodeStates frame
+}
+
+// Job is the verification job this shard belongs to, resolved by the
+// worker exactly as the coordinator resolved its own.
+func (r *DistExploreRequest) Job() core.Job {
+	return core.Job{
+		Name: r.Name, Source: r.Source, Prog: r.Prog,
+		Level: r.Level, Passes: r.Passes, Slice: r.Slice, Checks: r.Checks,
+		Search: r.Search, Seed: r.Seed, Workers: r.Workers,
+		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
+		Portfolio: r.Portfolio, PortfolioStall: r.PortfolioStall,
+	}
 }
 
 // DistExploreReply reports one drained shard. Stats and Bugs are the
@@ -246,6 +229,11 @@ type CompileRequest struct {
 	// IR requests the optimized module listing in the reply (the
 	// "explain what the pipeline did" mode).
 	IR bool `json:"ir,omitempty"`
+}
+
+// Job is the request's compile identity as a job.
+func (r *CompileRequest) Job() core.Job {
+	return core.Job{Name: r.Name, Source: r.Source, Prog: r.Prog, Level: r.Level, Passes: r.Passes}
 }
 
 // CompileReply reports one compile.

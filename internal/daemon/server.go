@@ -16,10 +16,7 @@ import (
 	"time"
 
 	"overify/internal/core"
-	"overify/internal/coreutils"
 	"overify/internal/expr"
-	"overify/internal/ir"
-	"overify/internal/pipeline"
 	"overify/internal/solver"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
@@ -351,45 +348,29 @@ func (s *Server) runJob(c *conn, p *Packet) {
 
 	switch p.Kind {
 	case KindVerify:
-		var req VerifyRequest
-		if err := decode(p.Body, &req); err != nil {
-			c.replyErr(p.ID, false, "verify: bad request body: %v", err)
-			return
-		}
-		reply, err := s.Verify(&req)
-		if err != nil {
-			c.replyErr(p.ID, false, "verify: %v", err)
-			return
-		}
-		s.served.Add(1)
-		c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
+		serve(c, p, s.Verify)
 	case KindCompile:
-		var req CompileRequest
-		if err := decode(p.Body, &req); err != nil {
-			c.replyErr(p.ID, false, "compile: bad request body: %v", err)
-			return
-		}
-		reply, err := s.Compile(&req)
-		if err != nil {
-			c.replyErr(p.ID, false, "compile: %v", err)
-			return
-		}
-		s.served.Add(1)
-		c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
+		serve(c, p, s.Compile)
 	case KindDistExplore:
-		var req DistExploreRequest
-		if err := decode(p.Body, &req); err != nil {
-			c.replyErr(p.ID, false, "distExplore: bad request body: %v", err)
-			return
-		}
-		reply, err := s.DistExplore(&req)
-		if err != nil {
-			c.replyErr(p.ID, false, "distExplore: %v", err)
-			return
-		}
-		s.served.Add(1)
-		c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
+		serve(c, p, s.DistExplore)
 	}
+}
+
+// serve decodes one job request, runs it and answers with its reply or
+// its error; the error names the request kind ("verify: ...").
+func serve[Req, Reply any](c *conn, p *Packet, run func(*Req) (*Reply, error)) {
+	var req Req
+	if err := decode(p.Body, &req); err != nil {
+		c.replyErr(p.ID, false, "%s: bad request body: %v", p.Kind, err)
+		return
+	}
+	reply, err := run(&req)
+	if err != nil {
+		c.replyErr(p.ID, false, "%s: %v", p.Kind, err)
+		return
+	}
+	c.s.served.Add(1)
+	c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
 }
 
 // verdictFrame answers one verdictGet/verdictPut inline.
@@ -424,66 +405,14 @@ func (s *Server) verdictFrame(c *conn, p *Packet) {
 	}
 }
 
-// resolveSource maps the request's source/prog convention onto (name,
-// source text).
-func resolveSource(name, source, prog string) (string, string, error) {
-	switch {
-	case prog != "" && source != "":
-		return "", "", fmt.Errorf("request carries both source and corpus program %q", prog)
-	case prog != "":
-		p, ok := coreutils.Get(prog)
-		if !ok {
-			return "", "", fmt.Errorf("unknown corpus program %q", prog)
-		}
-		return p.Name, p.Src, nil
-	case source != "":
-		if name == "" {
-			name = "<source>"
-		}
-		return name, source, nil
-	default:
-		return "", "", fmt.Errorf("request carries neither source nor a corpus program")
-	}
-}
-
-// compileFor compiles (or serves from the module cache) one request's
-// program. The cache key covers everything that shapes the module:
-// source text, level, explicit pipeline, the level-implied libc, and
-// the slicing configuration.
-func (s *Server) compileFor(name, src, level, passes string, jobs int, slice bool, checks ir.CheckSet) (*core.Compiled, bool, error) {
-	lvl, err := pipeline.ParseLevel(levelOrDefault(level))
-	if err != nil {
-		return nil, false, err
-	}
-	var pipeSpec *pipeline.PipelineSpec
-	if passes != "" {
-		spec, err := pipeline.ParsePipeline(passes)
-		if err != nil {
-			return nil, false, err
-		}
-		pipeSpec = &spec
-	}
-	lk := core.DefaultLibc(lvl)
-
-	sliceKey := ""
-	if slice {
-		sliceKey = "slice:" + checks.String()
-	}
-	h := solver.NewHasher()
-	for _, part := range []string{name, src, lvl.String(), passes, lk.String(), sliceKey} {
-		h.WriteString(part)
-		h.WriteString("\x00")
-	}
-	key := h.Sum().Hex()
+// compile compiles one resolved job's program, or serves it from the
+// module cache.
+func (s *Server) compile(r *core.Resolved) (*core.Compiled, bool, error) {
+	key := r.CompileKey()
 	if c, ok := s.compiles.get(key); ok {
 		return c, true, nil
 	}
-	cfg := pipeline.LevelConfig(lvl)
-	cfg.Jobs = jobs
-	cfg.Pipeline = pipeSpec
-	cfg.Slice = slice
-	cfg.SliceChecks = checks
-	c, err := core.CompileWithConfig(name, src, cfg, lk)
+	c, err := r.Compile()
 	if err != nil {
 		return nil, false, err
 	}
@@ -491,55 +420,38 @@ func (s *Server) compileFor(name, src, level, passes string, jobs int, slice boo
 	return c, false, nil
 }
 
-func levelOrDefault(level string) string {
-	if level == "" {
-		return "-OVERIFY"
-	}
-	return level
+// warm injects one generation's warm state into a resolved engine
+// configuration.
+func (g *generation) warm(opts symex.Options) symex.Options {
+	opts.Builder = g.builder
+	opts.Cache = g.cache
+	opts.Tapes = g.tapes
+	return opts
 }
 
 // Verify executes one verify request against the warm state. It is
-// exported (and used directly by the in-process bench harness) but the
-// normal entry is a KindVerify packet.
+// exported (and used directly by in-process harnesses) but the normal
+// entry is a KindVerify packet.
 func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
-	name, src, err := resolveSource(req.Name, req.Source, req.Prog)
+	r, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	entry := req.Entry
-	if entry == "" {
-		entry = "umain"
-	}
-	strat, err := symex.ParseSearch(searchOrDefault(req.Search))
-	if err != nil {
-		return nil, err
-	}
-	checks, err := ir.ParseCheckSet(req.Checks)
-	if err != nil {
-		return nil, err
-	}
+	name, entry := r.Name, r.Entry
 
 	compileStart := time.Now()
-	c, compileHit, err := s.compileFor(name, src, req.Level, req.Passes, req.Workers, req.Slice, checks)
+	c, compileHit, err := s.compile(r)
 	if err != nil {
 		return nil, err
 	}
 	compileMS := float64(time.Since(compileStart)) / float64(time.Millisecond)
 
 	gen := s.currentGen()
-	opts := core.VerifyOptions{InputBytes: req.InputBytes, Checks: checks}
+	opts := r.Verify
+	opts.Engine = gen.warm(opts.Engine)
 	if !req.NoVerdicts {
 		opts.Verdicts = s.cfg.Verdicts
 	}
-	opts.Engine.Timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	opts.Engine.MaxInstrs = req.MaxInstrs
-	opts.Engine.Strategy = strat
-	opts.Engine.Seed = req.Seed
-	opts.Engine.CoverTarget = req.Cover
-	opts.Engine.Workers = req.Workers
-	opts.Engine.Builder = gen.builder
-	opts.Engine.Cache = gen.cache
-	opts.Engine.Tapes = gen.tapes
 
 	// Shared verdict cache: adopt a remote hit into the local store so
 	// the verify below is served warm; remember the key when the remote
@@ -599,52 +511,23 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 	return reply, nil
 }
 
-func searchOrDefault(s string) string {
-	if s == "" {
-		return "dfs"
-	}
-	return s
-}
-
 // DistExplore drains one encoded frontier shard: compile (or cache-hit)
 // the coordinator's exact module, decode the states against this
 // generation's builder, run them to exhaustion, and report the
 // schedule-invariant outcome. Exported for the in-process harnesses;
 // the normal entry is a KindDistExplore packet.
 func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error) {
-	name, src, err := resolveSource(req.Name, req.Source, req.Prog)
+	r, err := req.Job().Resolve()
 	if err != nil {
 		return nil, err
 	}
-	strat, err := symex.ParseSearch(searchOrDefault(req.Search))
-	if err != nil {
-		return nil, err
-	}
-	checks, err := ir.ParseCheckSet(req.Checks)
-	if err != nil {
-		return nil, err
-	}
-	c, compileHit, err := s.compileFor(name, src, req.Level, req.Passes, req.Workers, req.Slice, checks)
+	c, compileHit, err := s.compile(r)
 	if err != nil {
 		return nil, err
 	}
 
 	gen := s.currentGen()
-	opts := symex.Options{
-		Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
-		MaxInstrs: req.MaxInstrs,
-		Strategy:  strat,
-		Seed:      req.Seed,
-		Workers:   req.Workers,
-		Builder:   gen.builder,
-		Cache:     gen.cache,
-		Tapes:     gen.tapes,
-		Checks:    checks,
-	}
-	opts.Solver.Portfolio = req.Portfolio
-	opts.Solver.PortfolioStall = req.PortfolioStall
-
-	eng := symex.NewEngine(c.Mod, opts)
+	eng := symex.NewEngine(c.Mod, gen.warm(r.Verify.Engine))
 	states, err := eng.DecodeStates(req.States)
 	if err != nil {
 		return nil, fmt.Errorf("decode shard: %w", err)
@@ -664,17 +547,17 @@ func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error)
 
 // Compile executes one compile-only request.
 func (s *Server) Compile(req *CompileRequest) (*CompileReply, error) {
-	name, src, err := resolveSource(req.Name, req.Source, req.Prog)
+	r, err := req.Job().Resolve()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	c, hit, err := s.compileFor(name, src, req.Level, req.Passes, 0, false, ir.AllChecks)
+	c, hit, err := s.compile(r)
 	if err != nil {
 		return nil, err
 	}
 	reply := &CompileReply{
-		Name:            name,
+		Name:            r.Name,
 		Level:           c.Level.String(),
 		CompileMS:       float64(time.Since(start)) / float64(time.Millisecond),
 		PassInvocations: int64(c.Result.PassInvocations),
@@ -707,15 +590,19 @@ func (s *Server) Preload(glob string) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("preload %s: %w", path, err)
 		}
-		c, _, err := s.compileFor(path, string(data), "", "", 0, false, ir.AllChecks)
+		r, err := core.Job{Name: path, Source: string(data)}.Resolve()
+		if err != nil {
+			return n, fmt.Errorf("preload %s: %w", path, err)
+		}
+		c, _, err := s.compile(r)
 		if err != nil {
 			return n, fmt.Errorf("preload %s: %w", path, err)
 		}
 		if s.cfg.Verdicts != nil {
-			// Probing with default verify options mirrors what a plain
+			// Probing with the job's defaults mirrors what a plain
 			// verify request would ask; a stored outcome is now a warm
 			// in-memory hit for the first client.
-			if key, ok := c.VerdictKey("umain", core.VerifyOptions{}); ok {
+			if key, ok := c.VerdictKey(r.Entry, r.Verify); ok {
 				_, _ = s.cfg.Verdicts.Get(key)
 			}
 		}

@@ -22,48 +22,16 @@ import (
 	"sync"
 
 	"overify/internal/core"
-	"overify/internal/coreutils"
 	"overify/internal/daemon"
-	"overify/internal/ir"
-	"overify/internal/pipeline"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
 )
 
-// Options configures one distributed verification. The compile
-// identity fields must reach every worker verbatim — the state codec
+// Options is the job to distribute. The coordinator forwards its
+// compile identity fields to every worker verbatim — the state codec
 // names IR by position, so coordinator and workers must compile the
-// exact same module.
-type Options struct {
-	Name   string // display name for Source
-	Source string // MiniC source text (exclusive with Prog)
-	Prog   string // corpus program name
-
-	Level  string // optimization level (default -OVERIFY)
-	Passes string // explicit pipeline (must match workers)
-	Slice  bool
-	Checks string
-
-	Entry      string // entry function (default umain)
-	InputBytes int    // symbolic input size (default 4)
-
-	// SplitStates is how many pending states the coordinator's
-	// breadth-first prefix aims for before sharding (default 8 per
-	// worker). Small programs may exhaust during the split; the
-	// degenerate one-process run is still a valid cluster run.
-	SplitStates int
-
-	Search    string
-	Seed      int64
-	Workers   int // engine workers inside each worker daemon
-	TimeoutMS int64
-	MaxInstrs int64
-
-	// Portfolio/PortfolioStall enable the solver portfolio on workers
-	// and on the coordinator's split phase (0 = fixed-order).
-	Portfolio      int
-	PortfolioStall int64
-}
+// exact same module, which resolving the same fields guarantees.
+type Options = core.Job
 
 // Result is one distributed verification's outcome plus cluster-shape
 // provenance.
@@ -76,49 +44,19 @@ type Result struct {
 	Cluster     int // workers offered shards
 }
 
-// resolveSource mirrors the daemon's source/prog convention.
-func resolveSource(name, source, prog string) (string, string, error) {
-	switch {
-	case prog != "" && source != "":
-		return "", "", fmt.Errorf("dist: both source and corpus program %q given", prog)
-	case prog != "":
-		p, ok := coreutils.Get(prog)
-		if !ok {
-			return "", "", fmt.Errorf("dist: unknown corpus program %q", prog)
-		}
-		return p.Name, p.Src, nil
-	case source != "":
-		if name == "" {
-			name = "<source>"
-		}
-		return name, source, nil
-	default:
-		return "", "", fmt.Errorf("dist: neither source nor a corpus program given")
+// shardRequest is what a worker is sent: the job's compile identity
+// and engine fields with the program resolved to source text (a worker
+// need not bundle the same corpus), plus one encoded frontier shard.
+func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExploreRequest {
+	return &daemon.DistExploreRequest{
+		Name: r.Name, Source: r.Source,
+		Level: o.Level, Passes: o.Passes,
+		Slice: o.Slice, Checks: o.Checks,
+		Search: o.Search, Seed: o.Seed, Workers: o.Workers,
+		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
+		Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,
+		States: states,
 	}
-}
-
-// compileLocal compiles the coordinator's copy of the module with the
-// exact configuration workers derive from the same request fields.
-func compileLocal(name, src string, o Options, checks ir.CheckSet) (*core.Compiled, error) {
-	level := o.Level
-	if level == "" {
-		level = "-OVERIFY"
-	}
-	lvl, err := pipeline.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	cfg := pipeline.LevelConfig(lvl)
-	if o.Passes != "" {
-		spec, err := pipeline.ParsePipeline(o.Passes)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Pipeline = &spec
-	}
-	cfg.Slice = o.Slice
-	cfg.SliceChecks = checks
-	return core.CompileWithConfig(name, src, cfg, core.DefaultLibc(lvl))
 }
 
 // Verify runs one distributed verification across the given worker
@@ -128,48 +66,24 @@ func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("dist: no worker clients")
 	}
-	name, src, err := resolveSource(o.Name, o.Source, o.Prog)
+	if o.Cover != 0 {
+		return nil, fmt.Errorf("dist: a block-coverage target is per-process and has no cluster meaning")
+	}
+	r, err := o.Resolve()
 	if err != nil {
 		return nil, err
-	}
-	checks, err := ir.ParseCheckSet(o.Checks)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := symex.ParseSearch(searchOrDefault(o.Search))
-	if err != nil {
-		return nil, err
-	}
-	entry := o.Entry
-	if entry == "" {
-		entry = "umain"
-	}
-	n := o.InputBytes
-	if n <= 0 {
-		n = 4
 	}
 	want := o.SplitStates
 	if want <= 0 {
 		want = 8 * len(clients)
 	}
 
-	c, err := compileLocal(name, src, o, checks)
+	c, err := r.Compile()
 	if err != nil {
 		return nil, err
 	}
-	engOpts := symex.Options{
-		Strategy:  strat,
-		Seed:      o.Seed,
-		MaxInstrs: o.MaxInstrs,
-		Checks:    checks,
-	}
-	engOpts.Solver.Portfolio = o.Portfolio
-	engOpts.Solver.PortfolioStall = o.PortfolioStall
-	eng := symex.NewEngine(c.Mod, engOpts)
-	buf := eng.SymbolicBuffer("input", n, true)
-	length := eng.IntArg(ir.I32, uint64(n))
-
-	states, err := eng.Split(entry, []symex.SymVal{buf, length}, nil, want)
+	eng := symex.NewEngine(c.Mod, r.Verify.Engine)
+	states, err := eng.Split(r.Entry, eng.InputArgs(r.Verify.InputBytes), nil, want)
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +118,7 @@ func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 			return nil, fmt.Errorf("dist: encode shard for worker %d: %w", w, err)
 		}
 		sent++
-		req := &daemon.DistExploreRequest{
-			Name: name, Source: src,
-			Level: o.Level, Passes: o.Passes,
-			Slice: o.Slice, Checks: o.Checks,
-			Search: o.Search, Seed: o.Seed, Workers: o.Workers,
-			TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
-			Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,
-			States: data,
-		}
+		req := shardRequest(o, r, data)
 		wg.Add(1)
 		go func(w int, nStates int, req *daemon.DistExploreRequest) {
 			defer wg.Done()
@@ -256,13 +162,6 @@ func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 		ShardsSent:  sent,
 		Cluster:     len(clients),
 	}, nil
-}
-
-func searchOrDefault(s string) string {
-	if s == "" {
-		return "dfs"
-	}
-	return s
 }
 
 // NormalizedRender is the conformance rendering: verdicts.Render with

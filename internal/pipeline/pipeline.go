@@ -9,6 +9,8 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"overify/internal/ir"
@@ -363,4 +365,35 @@ func (res *Result) finish(m *ir.Module, cx *passes.Context, metrics *passes.RunM
 	res.SkippedFuncRuns = metrics.Skipped
 	res.PassTimings = metrics.Passes
 	res.Analysis = cx.AnalysisStats()
+}
+
+// ParallelDo runs f(0..n-1) on up to jobs goroutines (serially when
+// jobs <= 1; negative jobs = one per CPU, the Config.Jobs convention).
+// The experiment drivers and the autotuner use it to compile whole
+// modules in parallel — per-program parallelism above the pass
+// manager's per-function kind — writing results into index-addressed
+// slots so the output order stays deterministic regardless of
+// completion order.
+func ParallelDo(n, jobs int, f func(i int)) {
+	if jobs < 0 {
+		jobs = runtime.NumCPU()
+	}
+	if jobs <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	sem := make(chan struct{}, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -233,4 +234,20 @@ func (s PipelineSpec) Build() ([]passes.Pass, error) {
 		seq = append(seq, passes.Fixpoint(rounds, body...))
 	}
 	return seq, nil
+}
+
+// LoadSpecArg resolves a -passes command-line argument: the spelling
+// @FILE reads the spec text from FILE (the replay path for
+// `overify-bench -tune -best-out` winners), anything else is the spec
+// itself. Only the CLIs call it — a spec arriving in a request is never
+// treated as a file name.
+func LoadSpecArg(arg string) (string, error) {
+	if !strings.HasPrefix(arg, "@") {
+		return arg, nil
+	}
+	data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
+	if err != nil {
+		return "", err
+	}
+	return strings.TrimSpace(string(data)), nil
 }

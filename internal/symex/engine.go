@@ -272,6 +272,14 @@ func (e *Engine) SymbolicBuffer(name string, n int, nulTerminated bool) SymVal {
 	return SymVal{IsPtr: true, Obj: obj, Off: e.B.Const(64, 0)}
 }
 
+// InputArgs builds the arguments of the corpus entry convention
+// `int f(unsigned char *input, int len)`: an n-byte symbolic
+// NUL-terminated buffer named "input" and its concrete length — the
+// KLEE coreutils setup of §4.
+func (e *Engine) InputArgs(n int) []SymVal {
+	return []SymVal{e.SymbolicBuffer("input", n, true), e.IntArg(ir.I32, uint64(n))}
+}
+
 // SymbolicInt creates a fresh symbolic value of the given integer type,
 // backed by an 8-bit input variable zero-extended as needed (the solver
 // works over byte domains).

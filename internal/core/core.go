@@ -53,8 +53,9 @@ func CompileSource(name, src string, level pipeline.Level, lk libc.Kind) (*Compi
 	return CompileWithConfig(name, src, cfg, lk)
 }
 
-// lower parses src and the libc variant and lowers both into one
-// unoptimized module.
+// lower parses src and lowers it, linked against the libc variant, into
+// one unoptimized module. libc.Parse hands back the process-wide archive
+// AST, so only the members src references are lowered.
 func lower(name, src string, lk libc.Kind) (*ir.Module, error) {
 	progFile, err := lang.Parse(src)
 	if err != nil {

@@ -14,12 +14,25 @@ import (
 
 // LowerFiles lowers one or more parsed files (e.g. a libc file and a
 // program file) into a single IR module. Functions may be declared in one
-// file and defined in another.
+// file and defined in another; every declaration of a name, in any file,
+// must have the same signature.
+//
+// Files link the way objects and archives do. A plain file is lowered in
+// full. Of a file marked lang.File.Archive, only the functions in the
+// call closure of the plain files' functions are lowered and added to the
+// module, in their source order; the rest leave no trace. A plain file's
+// definition of a name wins over an archive member of that name, which is
+// then not linked. Two definitions of one name in plain files are an
+// error. Globals are kept from every file.
 func LowerFiles(name string, files ...*lang.File) (*ir.Module, error) {
 	lw := &lowerer{
 		mod:     ir.NewModule(name),
 		funcs:   make(map[string]*funcInfo),
 		strings: make(map[string]*ir.Global),
+	}
+	unlinked, err := resolve(files)
+	if err != nil {
+		return nil, err
 	}
 	// Phase 1: globals and function signatures.
 	for _, f := range files {
@@ -29,7 +42,7 @@ func LowerFiles(name string, files ...*lang.File) (*ir.Module, error) {
 			}
 		}
 		for _, fn := range f.Funcs {
-			if err := lw.declareFunc(fn); err != nil {
+			if err := lw.declareFunc(fn, !unlinked[fn]); err != nil {
 				return nil, err
 			}
 		}
@@ -37,7 +50,7 @@ func LowerFiles(name string, files ...*lang.File) (*ir.Module, error) {
 	// Phase 2: bodies.
 	for _, f := range files {
 		for _, fn := range f.Funcs {
-			if fn.Body == nil {
+			if fn.Body == nil || unlinked[fn] {
 				continue
 			}
 			if err := lw.lowerFuncBody(fn); err != nil {
@@ -47,15 +60,78 @@ func LowerFiles(name string, files ...*lang.File) (*ir.Module, error) {
 	}
 	// Any remaining declarations without bodies are an error: the module
 	// must be self-contained for verification.
-	for name, fi := range lw.funcs {
-		if fi.irFunc.IsDeclaration() {
-			return nil, fmt.Errorf("%s: function %s declared but never defined", fi.pos, name)
+	for _, f := range lw.mod.Funcs {
+		if f.IsDeclaration() {
+			return nil, fmt.Errorf("%s: function %s declared but never defined", lw.funcs[f.Name].pos, f.Name)
 		}
 	}
 	if err := ir.VerifyModule(lw.mod); err != nil {
 		return nil, err
 	}
 	return lw.mod, nil
+}
+
+// resolve is the link step: it picks the one definition each name gets
+// and returns the archive declarations that stay out of the module.
+func resolve(files []*lang.File) (unlinked map[*lang.FuncDecl]bool, err error) {
+	defs := make(map[string]*lang.FuncDecl)
+	for _, f := range files {
+		for _, fn := range f.Funcs {
+			if f.Archive || fn.Body == nil {
+				continue
+			}
+			if prev := defs[fn.Name]; prev != nil {
+				return nil, errAt(fn.Pos, "duplicate definition of %s (first defined at %s)", fn.Name, prev.Pos)
+			}
+			defs[fn.Name] = fn
+		}
+	}
+	for _, f := range files {
+		if !f.Archive {
+			continue
+		}
+		for _, fn := range f.Funcs {
+			if fn.Body != nil && defs[fn.Name] == nil {
+				defs[fn.Name] = fn
+			}
+		}
+	}
+	// The call closure of everything the plain files name.
+	needed := make(map[string]bool)
+	var work []string
+	need := func(name string) {
+		if !needed[name] {
+			needed[name] = true
+			work = append(work, name)
+		}
+	}
+	for _, f := range files {
+		if !f.Archive {
+			for _, fn := range f.Funcs {
+				need(fn.Name)
+			}
+		}
+	}
+	for len(work) > 0 {
+		def := defs[work[len(work)-1]]
+		work = work[:len(work)-1]
+		if def != nil {
+			for _, callee := range def.Calls {
+				need(callee)
+			}
+		}
+	}
+	unlinked = make(map[*lang.FuncDecl]bool)
+	for _, f := range files {
+		if f.Archive {
+			for _, fn := range f.Funcs {
+				if !needed[fn.Name] || (fn.Body != nil && defs[fn.Name] != fn) {
+					unlinked[fn] = true
+				}
+			}
+		}
+	}
+	return unlinked, nil
 }
 
 // Lower parses and lowers a single source string; a convenience used
@@ -68,7 +144,10 @@ func Lower(name, src string) (*ir.Module, error) {
 	return LowerFiles(name, f)
 }
 
+// funcInfo is what the lowerer knows about a function name. Only sig is
+// set while every declaration seen so far is an unlinked archive member.
 type funcInfo struct {
+	sig    ir.FuncType
 	irFunc *ir.Function
 	ret    *lang.CType
 	params []*lang.CType
@@ -200,7 +279,9 @@ func constEval(e lang.Expr) (uint64, error) {
 	return 0, errAt(e.Position(), "initializer is not a constant expression")
 }
 
-func (lw *lowerer) declareFunc(fd *lang.FuncDecl) error {
+// declareFunc checks fd's signature against earlier declarations of the
+// name and, if fd is linked, makes sure the module has the function.
+func (lw *lowerer) declareFunc(fd *lang.FuncDecl, linked bool) error {
 	var ptypes []ir.Type
 	var ctypes []*lang.CType
 	var names []string
@@ -211,16 +292,18 @@ func (lw *lowerer) declareFunc(fd *lang.FuncDecl) error {
 		names = append(names, p.Name)
 	}
 	sig := ir.FuncType{Ret: irType(fd.Ret), Params: ptypes}
-	if old, ok := lw.funcs[fd.Name]; ok {
+	fi := lw.funcs[fd.Name]
+	if fi == nil {
+		fi = &funcInfo{sig: sig}
+		lw.funcs[fd.Name] = fi
+	} else if !ir.SameType(fi.sig, sig) {
 		// Re-declaration must match.
-		if !ir.SameType(old.irFunc.Sig, sig) {
-			return errAt(fd.Pos, "conflicting declarations of %s", fd.Name)
-		}
-		return nil
+		return errAt(fd.Pos, "conflicting declarations of %s", fd.Name)
 	}
-	f := ir.NewFunction(fd.Name, sig, names...)
-	lw.mod.AddFunc(f)
-	lw.funcs[fd.Name] = &funcInfo{irFunc: f, ret: fd.Ret, params: ctypes, pos: fd.Pos}
+	if linked && fi.irFunc == nil {
+		fi.irFunc = lw.mod.AddFunc(ir.NewFunction(fd.Name, sig, names...))
+		fi.ret, fi.params, fi.pos = fd.Ret, ctypes, fd.Pos
+	}
 	return nil
 }
 

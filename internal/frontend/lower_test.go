@@ -1,11 +1,13 @@
 package frontend_test
 
 import (
+	"strings"
 	"testing"
 
 	"overify/internal/frontend"
 	"overify/internal/interp"
 	"overify/internal/ir"
+	"overify/internal/lang"
 )
 
 // wcSrc is Listing 1 from the paper, with the libc calls defined inline.
@@ -84,5 +86,74 @@ func TestLowerVerifies(t *testing.T) {
 	}
 	if mod.Func("wc") == nil || mod.Func("isspace") == nil {
 		t.Fatal("missing functions in module")
+	}
+}
+
+// funcNames lists a module's functions in module order.
+func funcNames(m *ir.Module) string {
+	var names []string
+	for _, f := range m.Funcs {
+		names = append(names, f.Name)
+	}
+	return strings.Join(names, " ")
+}
+
+// TestArchiveLinksOnlyTheCallClosure pins the link rule on a toy archive:
+// members reached from the plain file are lowered, in archive order;
+// the rest leave no function behind; globals always stay; a plain
+// definition of a member's name replaces the member, also for the
+// members that call it.
+func TestArchiveLinksOnlyTheCallClosure(t *testing.T) {
+	parse := func(src string, archive bool) *lang.File {
+		f, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Archive = archive
+		return f
+	}
+	const lib = `
+int G;
+int unused(int x) { return leaf(x) + 1; }
+int leaf(int x) { return x + G; }
+int mid(int x) { return leaf(x) * 2; }
+int top(int x) { return mid(x) + mid(x); }
+int lonely(void);
+`
+	cases := []struct{ prog, want string }{
+		{"int main_(int x) { return top(x); }", "leaf mid top main_"},
+		{"int main_(int x) { return leaf(x); }", "leaf main_"},
+		{"int main_(int x) { return x; }", "main_"},
+		{"int mid(int x) { return 7; } int main_(int x) { return top(x); }", "top mid main_"},
+	}
+	for _, tc := range cases {
+		mod, err := frontend.LowerFiles("t", parse(lib, true), parse(tc.prog, false))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.prog, err)
+		}
+		if got := funcNames(mod); got != tc.want {
+			t.Errorf("%s: linked %q, want %q", tc.prog, got, tc.want)
+		}
+		if mod.Global("G") == nil {
+			t.Errorf("%s: archive global dropped", tc.prog)
+		}
+	}
+	// The same file, not marked, is lowered in full.
+	if _, err := frontend.LowerFiles("t", parse(lib, false)); err == nil || !strings.Contains(err.Error(), "lonely declared but never defined") {
+		t.Errorf("plain lowering of the library: %v, want the undefined prototype reported", err)
+	}
+	// Program-first order links the same set.
+	mod, err := frontend.LowerFiles("t", parse(cases[0].prog, false), parse(lib, true))
+	if err != nil || funcNames(mod) != "main_ leaf mid top" {
+		t.Errorf("program before archive: %q, %v", funcNames(mod), err)
+	}
+	// The override's body is the one that runs.
+	mod, err = frontend.LowerFiles("t", parse(lib, true), parse(cases[3].prog, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret, err := interp.NewMachine(mod, interp.Options{}).Call("main_", interp.IntVal(ir.I32, 1))
+	if err != nil || ret.Bits != 14 {
+		t.Errorf("main_(1) with mid overridden = %d, %v; want 14", ret.Bits, err)
 	}
 }

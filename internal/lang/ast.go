@@ -319,6 +319,11 @@ type FuncDecl struct {
 	Params []*VarDecl
 	Body   *BlockStmt // nil for a declaration
 	Pos    Pos
+
+	// Calls names every function Body calls, in source order (a name
+	// repeats if it is called twice). The parser records it so a linker
+	// can follow the call graph without walking statements.
+	Calls []string
 }
 
 // GlobalDecl is a file-scope variable, optionally const with an
@@ -335,4 +340,10 @@ type GlobalDecl struct {
 type File struct {
 	Funcs   []*FuncDecl
 	Globals []*GlobalDecl
+
+	// Archive marks the file as a library in the linker's sense — a .a,
+	// not a .o: frontend.LowerFiles links only the functions that the
+	// other files reference. It is a property of the input, set by
+	// whoever produced the file (libc.Parse), never by an option.
+	Archive bool
 }

@@ -216,3 +216,25 @@ func TestParserErrorPositions(t *testing.T) {
 		t.Errorf("error %q should point at line 2", err)
 	}
 }
+
+// TestFuncDeclCalls: the parser records each body's callee names, nested
+// calls and calls in nested blocks included, and none for a prototype.
+func TestFuncDeclCalls(t *testing.T) {
+	f, err := Parse(`
+int g(int x);
+int f(int x) {
+	if (a(b(x))) { while (c()) { x = x + a(1); } }
+	return x;
+}
+int h(void) { return 0; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"g": "", "f": "a b c a", "h": ""}
+	for _, fn := range f.Funcs {
+		if got := strings.Join(fn.Calls, " "); got != want[fn.Name] {
+			t.Errorf("%s calls %q, want %q", fn.Name, got, want[fn.Name])
+		}
+	}
+}

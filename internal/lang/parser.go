@@ -4,8 +4,9 @@ import "fmt"
 
 // Parser is a recursive-descent parser for MiniC.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	calls []string // callee names seen in the function body being parsed
 }
 
 // Parse parses a MiniC translation unit.
@@ -196,11 +197,12 @@ func (p *Parser) parseFuncRest(ret *CType, name Token) (*FuncDecl, error) {
 	if p.accept(Semi) {
 		return fn, nil // declaration only
 	}
+	p.calls = nil
 	body, err := p.parseBlock()
 	if err != nil {
 		return nil, err
 	}
-	fn.Body = body
+	fn.Body, fn.Calls = body, p.calls
 	return fn, nil
 }
 
@@ -669,6 +671,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			}
 			p.next()
 			call := &Call{exprBase: exprBase{Pos: t.Pos}, Name: id.Name}
+			p.calls = append(p.calls, id.Name)
 			if !p.at(RParen) {
 				for {
 					a, err := p.parseAssignExpr()

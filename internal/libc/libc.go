@@ -17,6 +17,7 @@ package libc
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"overify/internal/lang"
 )
@@ -390,9 +391,31 @@ func Source(kind Kind) string {
 	return uclibcSrc
 }
 
-// Parse parses a library variant (cached).
+// Parse returns a library variant as an archive: the AST is parsed once
+// per process and shared, read-only, by every caller (the lowerer does
+// not write to it), and it is marked lang.File.Archive, so
+// frontend.LowerFiles links only the members a program references and a
+// program's own definition of a member's name wins. To lower a whole
+// variant, as the contract tests do, use lang.Parse(Source(kind)).
 func Parse(kind Kind) (*lang.File, error) {
-	return lang.Parse(Source(kind))
+	if kind == Verified {
+		return parseVerified()
+	}
+	return parseUclibc()
+}
+
+var (
+	parseUclibc   = sync.OnceValues(func() (*lang.File, error) { return parseArchive(uclibcSrc) })
+	parseVerified = sync.OnceValues(func() (*lang.File, error) { return parseArchive(verifiedSrc) })
+)
+
+func parseArchive(src string) (*lang.File, error) {
+	f, err := lang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	f.Archive = true
+	return f, nil
 }
 
 // FunctionNames lists the public functions both variants provide, for

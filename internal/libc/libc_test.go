@@ -11,12 +11,14 @@ import (
 	"overify/internal/libc"
 )
 
-// machineFor builds an interpreter over one libc variant plus an
-// optional driver source.
+// machineFor builds an interpreter over one whole libc variant plus an
+// optional driver source. The variant is parsed as a plain file, not as
+// the archive libc.Parse returns: the contract tests call members no
+// program references.
 func machineFor(t *testing.T, kind libc.Kind, extra string) *interp.Machine {
 	t.Helper()
 	files := []*lang.File{}
-	lf, err := libc.Parse(kind)
+	lf, err := lang.Parse(libc.Source(kind))
 	if err != nil {
 		t.Fatalf("parse %s: %v", kind, err)
 	}
@@ -246,7 +248,7 @@ func TestVerifiedPreconditions(t *testing.T) {
 
 func TestFunctionNamesExist(t *testing.T) {
 	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
-		lf, err := libc.Parse(kind)
+		lf, err := lang.Parse(libc.Source(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,6 +260,31 @@ func TestFunctionNamesExist(t *testing.T) {
 			if mod.Func(name) == nil {
 				t.Errorf("%s: missing %s", kind, name)
 			}
+		}
+	}
+}
+
+// TestParseIsOneSharedArchive: Parse hands every caller the same AST,
+// marked as an archive, so nothing is linked until a program asks.
+func TestParseIsOneSharedArchive(t *testing.T) {
+	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
+		a, err := libc.Parse(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := libc.Parse(kind)
+		if a != b || !a.Archive {
+			t.Fatalf("%s: Parse returned %p then %p, Archive=%v; want one shared archive", kind, a, b, a.Archive)
+		}
+		mod, err := frontend.LowerFiles("t", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mod.Funcs) != 0 {
+			t.Errorf("%s: an archive with no program linked %d functions", kind, len(mod.Funcs))
+		}
+		if mod.Global("OUT") == nil {
+			t.Errorf("%s: archive globals must be kept", kind)
 		}
 	}
 }

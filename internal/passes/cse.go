@@ -1,11 +1,6 @@
 package passes
 
-import (
-	"fmt"
-	"strings"
-
-	"overify/internal/ir"
-)
+import "overify/internal/ir"
 
 // CSE performs dominator-scoped common-subexpression elimination on pure
 // instructions. Repeated subexpressions cost a symbolic executor twice:
@@ -40,12 +35,12 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 
 	// Scoped hash table: each dominator-tree scope layers its definitions
 	// over the parent's.
-	type scope map[string]*ir.Instr
+	type scope map[cseKey]*ir.Instr
 	var walk func(b *ir.Block, avail []scope)
 	walk = func(b *ir.Block, avail []scope) {
 		local := make(scope)
 		avail = append(avail, local)
-		lookup := func(k string) *ir.Instr {
+		lookup := func(k cseKey) *ir.Instr {
 			for i := len(avail) - 1; i >= 0; i-- {
 				if in, ok := avail[i][k]; ok {
 					return in
@@ -55,9 +50,9 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 		}
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			k, ok := cseKey(in)
+			k, ok := cseKeyOf(in)
 			if !ok && memSafe && in.Op == ir.OpLoad {
-				k, ok = "load|"+in.Typ.String()+"|"+operandKey(in.Args[0]), true
+				k, ok = cseKey{op: ir.OpLoad, typ: in.Typ, args: [3]cseOperand{operandKey(in.Args[0])}}, true
 			}
 			if !ok {
 				kept = append(kept, in)
@@ -84,41 +79,67 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 	return changed
 }
 
-// cseKey builds a structural key for a pure instruction; ok is false for
-// instructions that must not be deduplicated.
-func cseKey(in *ir.Instr) (string, bool) {
-	if !isPure(in) || in.Op == ir.OpPhi {
-		return "", false
-	}
-	var sb strings.Builder
-	op := in.Op
-	args := in.Args
-	// Canonical operand order for commutative operations.
-	if op.IsCommutative() && len(args) == 2 {
-		if operandKey(args[1]) < operandKey(args[0]) {
-			args = []ir.Value{args[1], args[0]}
-		}
-	}
-	fmt.Fprintf(&sb, "%d|%s|", int(op), in.Typ)
-	for _, a := range args {
-		sb.WriteString(operandKey(a))
-		sb.WriteByte(',')
-	}
-	return sb.String(), true
+// cseKey is the structural identity of a pure instruction: two
+// instructions with equal keys compute the same value. IR types are
+// value types, so the struct is comparable and hashes without rendering
+// anything to text.
+type cseKey struct {
+	op   ir.Op
+	typ  ir.Type
+	args [3]cseOperand // pure instructions have at most three operands
 }
 
-func operandKey(v ir.Value) string {
+// cseOperand identifies an operand without rendering it: constants by
+// width and value (they are allocated per use), globals by pointer (one
+// object per module), parameters by position, instructions by SSA number.
+type cseOperand struct {
+	class int        // 0 constant, 1 null, 2 global, 3 parameter, 4 instruction
+	n     uint64     // constant value, parameter position or SSA number
+	bits  int        // constants: width
+	g     *ir.Global // globals
+}
+
+// less is a total order over the distinct operands one well-typed
+// instruction can have; it only has to be the same for (a, b) and (b, a).
+func (a cseOperand) less(b cseOperand) bool {
+	switch {
+	case a.class != b.class:
+		return a.class < b.class
+	case a.g != nil:
+		return a.g.Name < b.g.Name
+	}
+	return a.n < b.n
+}
+
+// cseKeyOf builds the key of a pure instruction; ok is false for
+// instructions that must not be deduplicated.
+func cseKeyOf(in *ir.Instr) (k cseKey, ok bool) {
+	if !isPure(in) || in.Op == ir.OpPhi {
+		return k, false
+	}
+	k.op, k.typ = in.Op, in.Typ
+	for i, a := range in.Args {
+		k.args[i] = operandKey(a)
+	}
+	// Canonical operand order for commutative operations.
+	if in.Op.IsCommutative() && len(in.Args) == 2 && k.args[1].less(k.args[0]) {
+		k.args[0], k.args[1] = k.args[1], k.args[0]
+	}
+	return k, true
+}
+
+func operandKey(v ir.Value) cseOperand {
 	switch x := v.(type) {
 	case *ir.Const:
-		return fmt.Sprintf("c%s:%d", x.Typ, x.Val)
+		return cseOperand{class: 0, n: x.Val, bits: x.Typ.Bits}
 	case *ir.Null:
-		return "null:" + x.Typ.String()
+		return cseOperand{class: 1}
 	case *ir.Global:
-		return "@" + x.Name
+		return cseOperand{class: 2, g: x}
 	case *ir.Param:
-		return "p" + x.Nam
+		return cseOperand{class: 3, n: uint64(x.Idx)}
 	case *ir.Instr:
-		return fmt.Sprintf("t%d", x.ID)
+		return cseOperand{class: 4, n: uint64(x.ID)}
 	}
-	return fmt.Sprintf("?%p", v)
+	panic("cse: unknown operand kind " + v.Ref())
 }

@@ -256,8 +256,15 @@ type covnewStrategy struct {
 	gen   atomic.Uint64
 }
 
+// covItem carries a snapshot of the two state fields the heap reads —
+// the next block and the fork depth — taken at Insert. A queued state
+// does not run, so under covnew alone the snapshot is the state; under
+// interleave a copy outlives delivery from the DFS side, and scoring or
+// ordering it through st would read a state a worker is stepping.
 type covItem struct {
 	st    *State
+	blk   *ir.Block // st's next block at Insert; nil if it had no frame
+	forks int       // st.Forks at Insert
 	score int
 	gen   uint64 // coverage generation the score was computed at
 	seq   uint64 // insertion order, tie-break
@@ -272,8 +279,8 @@ func covBefore(a, b *covItem) bool {
 	if a.score != b.score {
 		return a.score > b.score
 	}
-	if a.st.Forks != b.st.Forks {
-		return a.st.Forks > b.st.Forks
+	if a.forks != b.forks {
+		return a.forks > b.forks
 	}
 	return a.seq > b.seq
 }
@@ -296,14 +303,13 @@ func (c *covnewStrategy) Len(shard int) int { return len(c.heaps[shard]) }
 
 func (c *covnewStrategy) NotifyCovered(*ir.Block) { c.gen.Add(1) }
 
-// score counts the uncovered blocks one step from the state: its own
-// next block weighs double (executing the state covers it for sure),
+// score counts the uncovered blocks one step from a state about to run
+// b: b itself weighs double (executing the state covers it for sure),
 // each uncovered successor adds one.
-func (c *covnewStrategy) score(st *State) int {
-	if len(st.Frames) == 0 {
+func (c *covnewStrategy) score(b *ir.Block) int {
+	if b == nil {
 		return 0
 	}
-	b := st.top().Block
 	s := 0
 	if !c.cov.covered(b) {
 		s += 2
@@ -320,7 +326,12 @@ func (c *covnewStrategy) Insert(shard int, states []*State) {
 	gen := c.gen.Load()
 	for _, st := range states {
 		c.seq++
-		heap.Push(&c.heaps[shard], &covItem{st: st, score: c.score(st), gen: gen, seq: c.seq})
+		it := &covItem{st: st, forks: st.Forks, gen: gen, seq: c.seq}
+		if len(st.Frames) > 0 {
+			it.blk = st.top().Block
+		}
+		it.score = c.score(it.blk)
+		heap.Push(&c.heaps[shard], it)
 	}
 }
 
@@ -333,7 +344,7 @@ func (c *covnewStrategy) pop(shard int) *State {
 		if it.gen == gen {
 			return it.st
 		}
-		if s := c.score(it.st); s < it.score {
+		if s := c.score(it.blk); s < it.score {
 			it.score, it.gen = s, gen
 			heap.Push(h, it)
 			continue

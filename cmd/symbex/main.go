@@ -54,6 +54,16 @@ import (
 	"overify/internal/watch"
 )
 
+// jobTimeoutMS converts the -timeout flag to the job's millisecond
+// field. The field's zero means "no budget", so a positive budget below
+// one millisecond rounds up to 1 ms instead of truncating to none.
+func jobTimeoutMS(d time.Duration) int64 {
+	if d > 0 && d < time.Millisecond {
+		return 1
+	}
+	return d.Milliseconds()
+}
+
 func main() {
 	level := flag.String("O", "-OVERIFY", "optimization level")
 	passSpec := flag.String("passes", "", "explicit pass pipeline, e.g. mem2reg,fixpoint(ifconvert,simplify,cse,simplifycfg,dce)")
@@ -80,7 +90,7 @@ func main() {
 
 	job := core.Job{
 		Level: *level, Entry: *entry,
-		InputBytes: *n, TimeoutMS: timeout.Milliseconds(),
+		InputBytes: *n, TimeoutMS: jobTimeoutMS(*timeout),
 		Search: *search, Seed: *seed, Cover: *coverTarget, Workers: *workers,
 		Slice: *sliceFlag, Checks: *checkSpec,
 		Portfolio: *portfolio, PortfolioStall: *portfolioStall,

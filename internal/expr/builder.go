@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,8 +24,8 @@ import (
 // t_verify measurements pay no concurrency tax.
 type Builder struct {
 	concurrent bool
-	plain      map[string]*Expr // single-goroutine interning
-	shared     sync.Map         // concurrent interning: string -> *Expr
+	plain      map[internKey]*Expr // single-goroutine interning
+	shared     sync.Map            // concurrent interning: internKey -> *Expr
 	nextID     atomic.Int64
 	// nextVarOrd assigns each distinct variable a dense builder-local
 	// ordinal — the bit position in every node's interned VarSet. A
@@ -42,7 +41,7 @@ type Builder struct {
 
 // NewBuilder returns an empty builder for single-goroutine use.
 func NewBuilder() *Builder {
-	return &Builder{plain: make(map[string]*Expr)}
+	return &Builder{plain: make(map[internKey]*Expr)}
 }
 
 // NewConcurrentBuilder returns an empty builder safe for concurrent
@@ -57,7 +56,28 @@ func (b *Builder) NodesBuilt() int64 { return b.nodesBuilt.Load() }
 // CacheHits returns the number of interning hits (structural sharing).
 func (b *Builder) CacheHits() int64 { return b.cacheHits.Load() }
 
-func (b *Builder) intern(key string, mk func() *Expr) *Expr {
+// internKey is the structural identity of a node: kind, operator, width
+// and the constant's value or the operands' ids. It is a comparable
+// struct, so a lookup hashes a few words instead of rendering them to
+// text; only a variable's name and a read's table contents ride in the
+// string.
+type internKey struct {
+	kind Kind
+	op   ir.Op
+	bits int
+	n    [3]uint64 // KConst: n[0] is the value; otherwise the operands' ids
+	s    string    // KVar: the name; KRead: the table cells, fixed width
+}
+
+func argKey(kind Kind, op ir.Op, bits int, args ...*Expr) internKey {
+	k := internKey{kind: kind, op: op, bits: bits}
+	for i, a := range args {
+		k.n[i] = uint64(a.id)
+	}
+	return k
+}
+
+func (b *Builder) intern(key internKey, mk func() *Expr) *Expr {
 	if !b.concurrent {
 		if e, ok := b.plain[key]; ok {
 			b.cacheHits.Add(1)
@@ -88,7 +108,7 @@ func (b *Builder) intern(key string, mk func() *Expr) *Expr {
 // Const builds a constant of the given width.
 func (b *Builder) Const(bits int, v uint64) *Expr {
 	v = ir.Mask(bits, v)
-	key := "c" + strconv.Itoa(bits) + ":" + strconv.FormatUint(v, 10)
+	key := internKey{kind: KConst, bits: bits, n: [3]uint64{v}}
 	return b.intern(key, func() *Expr {
 		return &Expr{Kind: KConst, Bits: bits, Val: v, vset: emptyVarSet}
 	})
@@ -110,20 +130,11 @@ func (b *Builder) Bool(v bool) *Expr {
 
 // Var builds (or returns) the node for a symbolic variable.
 func (b *Builder) Var(v *Var) *Expr {
-	key := "v" + v.Name
+	key := internKey{kind: KVar, s: v.Name}
 	return b.intern(key, func() *Expr {
 		ord := int32(b.nextVarOrd.Add(1) - 1)
 		return &Expr{Kind: KVar, Bits: v.Bits, V: v, vset: singletonVarSet(v, ord)}
 	})
-}
-
-func argKey(args ...*Expr) string {
-	var sb strings.Builder
-	for _, a := range args {
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatInt(a.id, 10))
-	}
-	return sb.String()
 }
 
 // Bin builds a binary arithmetic/bitwise node with on-the-fly folding.
@@ -156,8 +167,7 @@ func (b *Builder) Bin(op ir.Op, x, y *Expr) *Expr {
 	if e := simplifyBin(b, op, x, y); e != nil {
 		return e
 	}
-	key := "b" + strconv.Itoa(int(op)) + ":" + strconv.Itoa(bits) + argKey(x, y)
-	return b.intern(key, func() *Expr {
+	return b.intern(argKey(KBin, op, bits, x, y), func() *Expr {
 		args := []*Expr{x, y}
 		return &Expr{Kind: KBin, Bits: bits, Op: op, Args: args, vset: unionArgSets(args)}
 	})
@@ -313,8 +323,7 @@ func (b *Builder) Cmp(op ir.Op, x, y *Expr) *Expr {
 			}
 		}
 	}
-	key := "p" + strconv.Itoa(int(op)) + ":" + strconv.Itoa(x.Bits) + argKey(x, y)
-	return b.intern(key, func() *Expr {
+	return b.intern(argKey(KCmp, op, x.Bits, x, y), func() *Expr {
 		args := []*Expr{x, y}
 		return &Expr{Kind: KCmp, Bits: 1, Op: op, Args: args, vset: unionArgSets(args)}
 	})
@@ -359,8 +368,7 @@ func (b *Builder) Select(c, t, f *Expr) *Expr {
 			return b.Bin(ir.OpOr, b.Not(c), t)
 		}
 	}
-	key := "s" + strconv.Itoa(t.Bits) + argKey(c, t, f)
-	return b.intern(key, func() *Expr {
+	return b.intern(argKey(KSelect, 0, t.Bits, c, t, f), func() *Expr {
 		args := []*Expr{c, t, f}
 		return &Expr{Kind: KSelect, Bits: t.Bits, Args: args, vset: unionArgSets(args)}
 	})
@@ -403,8 +411,7 @@ func (b *Builder) Cast(op ir.Op, x *Expr, toBits int) *Expr {
 				b.Cast(op, x.Args[1], toBits), b.Cast(op, x.Args[2], toBits))
 		}
 	}
-	key := "x" + strconv.Itoa(int(op)) + ":" + strconv.Itoa(toBits) + argKey(x)
-	return b.intern(key, func() *Expr {
+	return b.intern(argKey(KCast, op, toBits, x), func() *Expr {
 		args := []*Expr{x}
 		return &Expr{Kind: KCast, Bits: toBits, Op: op, Args: args, vset: unionArgSets(args)}
 	})
@@ -422,15 +429,18 @@ func (b *Builder) Read(table []uint64, bits int, idx *Expr) *Expr {
 		return b.Const(bits, 0)
 	}
 	// Key on table contents: different snapshots intern separately.
-	var sb strings.Builder
-	sb.WriteByte('r')
-	sb.WriteString(strconv.Itoa(bits))
+	// Cells are masked to bits, so (bits+7)/8 bytes hold each.
+	width := (bits + 7) / 8
+	var cells strings.Builder
+	cells.Grow(len(table) * width)
 	for _, v := range table {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.FormatUint(v, 36))
+		for i := 0; i < width; i++ {
+			cells.WriteByte(byte(v >> (8 * i)))
+		}
 	}
-	sb.WriteString(argKey(idx))
-	return b.intern(sb.String(), func() *Expr {
+	key := argKey(KRead, 0, bits, idx)
+	key.s = cells.String()
+	return b.intern(key, func() *Expr {
 		args := []*Expr{idx}
 		return &Expr{Kind: KRead, Bits: bits, Args: args, Table: table, vset: unionArgSets(args)}
 	})

@@ -16,8 +16,8 @@ func Eval(e *Expr, asn map[*Var]uint64) uint64 {
 // variables read as zero, matching Eval) without per-call allocation:
 // the memo map is reused across calls and invalidated in O(1) by a
 // generation stamp when the assignment is rebound. The solver's
-// model-reuse checks run every recent model over every query through
-// one of these.
+// model-reuse probe evaluates the constraints a branch added under each
+// recent model through one of these.
 type Evaluator struct {
 	asn  map[*Var]uint64
 	memo map[*Expr]stampedVal
@@ -95,9 +95,11 @@ type PartialResult struct {
 }
 
 // PartialEvaluator evaluates expressions under a mutable partial
-// assignment without per-call allocation: results are memoized with a
-// generation stamp, and Reset (after any assignment change) invalidates
-// the memo in O(1).
+// assignment — variables present in Asn are fixed, others unknown, and
+// known short-circuits (x*0, and-with-false, or-with-true, select with
+// a known condition) are applied — without per-call allocation: results
+// are memoized with a generation stamp, and Reset (after any assignment
+// change) invalidates the memo in O(1).
 type PartialEvaluator struct {
 	Asn  map[*Var]uint64
 	memo map[*Expr]stampedResult
@@ -203,104 +205,6 @@ func (pe *PartialEvaluator) eval(e *Expr) PartialResult {
 		return unknown
 	case KRead:
 		a := pe.Eval(e.Args[0])
-		if a.Known {
-			if a.Val < uint64(len(e.Table)) {
-				return PartialResult{Known: true, Val: e.Table[a.Val]}
-			}
-			return PartialResult{Known: true, Val: 0}
-		}
-		return unknown
-	}
-	return unknown
-}
-
-// EvalPartial evaluates e under a partial assignment: variables present
-// in asn are fixed, others unknown. Known short-circuits (x*0, and-with-
-// false, or-with-true, select with known condition) are applied, which
-// is what gives the solver its pruning power.
-func EvalPartial(e *Expr, asn map[*Var]uint64, memo map[*Expr]PartialResult) PartialResult {
-	if v, ok := memo[e]; ok {
-		return v
-	}
-	res := evalPartial(e, asn, memo)
-	if res.Known {
-		res.Val = ir.Mask(e.Bits, res.Val)
-	}
-	memo[e] = res
-	return res
-}
-
-func evalPartial(e *Expr, asn map[*Var]uint64, memo map[*Expr]PartialResult) PartialResult {
-	unknown := PartialResult{}
-	switch e.Kind {
-	case KConst:
-		return PartialResult{Known: true, Val: e.Val}
-	case KVar:
-		if v, ok := asn[e.V]; ok {
-			return PartialResult{Known: true, Val: ir.Mask(e.Bits, v)}
-		}
-		return unknown
-	case KBin:
-		a := EvalPartial(e.Args[0], asn, memo)
-		b := EvalPartial(e.Args[1], asn, memo)
-		if a.Known && b.Known {
-			r, ok := ir.EvalBin(e.Op, e.Bits, a.Val, b.Val)
-			if !ok {
-				r = 0
-			}
-			return PartialResult{Known: true, Val: r}
-		}
-		// Short-circuits with one known side.
-		switch e.Op {
-		case ir.OpAnd:
-			if (a.Known && a.Val == 0) || (b.Known && b.Val == 0) {
-				return PartialResult{Known: true, Val: 0}
-			}
-		case ir.OpOr:
-			ones := ir.Mask(e.Bits, ^uint64(0))
-			if (a.Known && a.Val == ones) || (b.Known && b.Val == ones) {
-				return PartialResult{Known: true, Val: ones}
-			}
-		case ir.OpMul:
-			if (a.Known && a.Val == 0) || (b.Known && b.Val == 0) {
-				return PartialResult{Known: true, Val: 0}
-			}
-		}
-		return unknown
-	case KCmp:
-		a := EvalPartial(e.Args[0], asn, memo)
-		b := EvalPartial(e.Args[1], asn, memo)
-		if a.Known && b.Known {
-			if ir.EvalCmp(e.Op, e.Args[0].Bits, a.Val, b.Val) {
-				return PartialResult{Known: true, Val: 1}
-			}
-			return PartialResult{Known: true, Val: 0}
-		}
-		return unknown
-	case KSelect:
-		c := EvalPartial(e.Args[0], asn, memo)
-		if c.Known {
-			if c.Val != 0 {
-				return EvalPartial(e.Args[1], asn, memo)
-			}
-			return EvalPartial(e.Args[2], asn, memo)
-		}
-		// Unknown condition, but if both arms agree and are known, the
-		// result is known anyway.
-		t := EvalPartial(e.Args[1], asn, memo)
-		f := EvalPartial(e.Args[2], asn, memo)
-		if t.Known && f.Known && t.Val == f.Val {
-			return t
-		}
-		return unknown
-	case KCast:
-		a := EvalPartial(e.Args[0], asn, memo)
-		if a.Known {
-			return PartialResult{Known: true, Val: ir.EvalCast(e.Op, e.Args[0].Bits, e.Bits, a.Val)}
-		}
-		return unknown
-	case KRead:
-		a := EvalPartial(e.Args[0], asn, memo)
 		if a.Known {
 			if a.Val < uint64(len(e.Table)) {
 				return PartialResult{Known: true, Val: e.Table[a.Val]}

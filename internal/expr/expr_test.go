@@ -199,3 +199,77 @@ func TestEvalMatchesIRSemantics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInternKeysDistinguish: interning is structural identity, no more
+// and no less, in both builder modes. Terms that differ only in kind,
+// operator, width, operand order (where order matters), constant value
+// or table contents are distinct nodes; building any of them again
+// returns the same pointer.
+func TestInternKeysDistinguish(t *testing.T) {
+	table := func(cells ...uint64) []uint64 { return cells }
+	for _, mode := range []struct {
+		name string
+		mk   func() *Builder
+	}{{"plain", NewBuilder}, {"concurrent", NewConcurrentBuilder}} {
+		t.Run(mode.name, func(t *testing.T) {
+			b := mode.mk()
+			vx, vy := &Var{Name: "x", Bits: 8}, &Var{Name: "y", Bits: 8, Idx: 1}
+			x, y := b.Var(vx), b.Var(vy)
+			c := b.Cmp(ir.OpULt, x, y)
+			idx := b.Cast(ir.OpZExt, x, 64)
+			terms := []struct {
+				name  string
+				build func() *Expr
+			}{
+				{"var x", func() *Expr { return b.Var(vx) }},
+				{"var y", func() *Expr { return b.Var(vy) }},
+				{"const 5:i8", func() *Expr { return b.Const(8, 5) }},
+				{"const 6:i8 (value)", func() *Expr { return b.Const(8, 6) }},
+				{"const 5:i16 (width)", func() *Expr { return b.Const(16, 5) }},
+				// A constant whose value is an operand's id, at a cast's width.
+				{"const id(x):i16 (kind)", func() *Expr { return b.Const(16, uint64(x.ID())) }},
+				{"x - y", func() *Expr { return b.Bin(ir.OpSub, x, y) }},
+				{"y - x (operand order)", func() *Expr { return b.Bin(ir.OpSub, y, x) }},
+				{"x udiv y (op)", func() *Expr { return b.Bin(ir.OpUDiv, x, y) }},
+				{"bin ult x y (kind)", func() *Expr { return b.Bin(ir.OpULt, x, y) }},
+				{"x ult y", func() *Expr { return b.Cmp(ir.OpULt, x, y) }},
+				{"y ult x (operand order)", func() *Expr { return b.Cmp(ir.OpULt, y, x) }},
+				{"x slt y (op)", func() *Expr { return b.Cmp(ir.OpSLt, x, y) }},
+				{"zext x 16", func() *Expr { return b.Cast(ir.OpZExt, x, 16) }},
+				{"sext x 16 (op)", func() *Expr { return b.Cast(ir.OpSExt, x, 16) }},
+				{"zext x 32 (width)", func() *Expr { return b.Cast(ir.OpZExt, x, 32) }},
+				{"ite c x y", func() *Expr { return b.Select(c, x, y) }},
+				{"ite c y x (operand order)", func() *Expr { return b.Select(c, y, x) }},
+				{"read [1 2 3]", func() *Expr { return b.Read(table(1, 2, 3), 8, idx) }},
+				{"read [1 2 4] (table content)", func() *Expr { return b.Read(table(1, 2, 4), 8, idx) }},
+				{"read [1 2] (table length)", func() *Expr { return b.Read(table(1, 2), 8, idx) }},
+				{"read [1 2 3 0] (table length)", func() *Expr { return b.Read(table(1, 2, 3, 0), 8, idx) }},
+				{"read [1 2 3]:i16 (width)", func() *Expr { return b.Read(table(1, 2, 3), 16, idx) }},
+				{"read [0x0201 3]:i16 (cell boundaries)", func() *Expr { return b.Read(table(0x0201, 3), 16, idx) }},
+				{"read [1 2 3] at y (operand)", func() *Expr { return b.Read(table(1, 2, 3), 8, b.Cast(ir.OpZExt, y, 64)) }},
+			}
+			first := make([]*Expr, len(terms))
+			for i, tm := range terms {
+				first[i] = tm.build()
+				for j := 0; j < i; j++ {
+					if first[j] == first[i] {
+						t.Errorf("%q and %q are one node", terms[j].name, tm.name)
+					}
+				}
+			}
+			built := b.NodesBuilt()
+			for i, tm := range terms {
+				if tm.build() != first[i] {
+					t.Errorf("%q built twice is two nodes", tm.name)
+				}
+			}
+			if b.NodesBuilt() != built {
+				t.Errorf("rebuilding equal terms interned %d new nodes", b.NodesBuilt()-built)
+			}
+			// Commutative operands are canonicalized before keying.
+			if b.Bin(ir.OpAdd, x, y) != b.Bin(ir.OpAdd, y, x) {
+				t.Error("x+y and y+x are two nodes")
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"testing"
 
 	"overify/internal/expr"
@@ -141,5 +142,30 @@ func BenchmarkSearchTape(b *testing.B) {
 		if err != nil || !sat {
 			b.Fatalf("sat=%v err=%v", sat, err)
 		}
+	}
+}
+
+// BenchmarkBranchReuse prices what a conditional branch pays the reuse
+// probe at depth k: a warm k-constraint condition (reuseChain: eight
+// models in the history, every one satisfying all of it) is extended by
+// a sibling pair the way the engine does it — PrefetchParts, then
+// SatPartition on each side. On one side only the last model satisfies
+// the branch constraint, so all eight are probed; on the other the
+// first does. ns/op must not depend on k, and the only allocations are
+// the two Extends'.
+func BenchmarkBranchReuse(b *testing.B) {
+	for _, k := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			bld, s, chain, y := reuseChain(b, k)
+			a := bld.Cmp(ir.OpEq, y, bld.Const(8, 7))
+			notA := bld.Not(a)
+			p := PartitionOf(chain)
+			branchOff(b, s, p, a, notA) // warm: p's memo learns the eight models
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				branchOff(b, s, p, a, notA)
+			}
+		})
 	}
 }

@@ -82,10 +82,90 @@ func mergeGroups(gs []*Group, c *expr.Expr) *Group {
 // the whole condition, and forked states share it by pointer
 // (partitions are immutable; Extend returns a new one).
 //
+// Besides the groups a partition carries its extension history (hist):
+// which constraint Extend appended to which earlier condition, and per
+// condition a small memo of which recent models satisfy it. That is
+// what makes the solver's model-reuse probe incremental — a model
+// satisfies P.Extend(c) iff it satisfies P and c — see
+// Solver.modelSatisfies.
+//
 // A nil *Partition is the empty path condition.
 type Partition struct {
 	groups []*Group
-	unsat  bool // a constant-false constraint was appended
+	hist   *reuseNode
+}
+
+// unsatPartition is the partition of every condition that holds a
+// constant-false constraint.
+var unsatPartition = &Partition{}
+
+// reuseNode is one step of a partition's extension history: the
+// condition "parent's condition and c". Nodes are linked instead of
+// partitions so that a live state keeps only this lean chain of its
+// ancestors reachable, never their groups. parent and c are immutable;
+// memo is the only field written after construction, atomically,
+// because forked states on different workers — whose solvers hold
+// different recent models — share the chain.
+type reuseNode struct {
+	parent *reuseNode
+	c      *expr.Expr
+	// memo packs what is known about recent models against this node's
+	// condition into one word, so that a concurrent reader always sees
+	// a consistent set of facts: a window base (a model serial) above
+	// memoWindow "verdict known" bits above memoWindow "satisfies"
+	// bits, bit i of each for the model with serial base+i. It is a
+	// memo and nothing more: a fact about (condition, model) never
+	// changes, recording one may push others out of the window, and
+	// racing writers may lose each other's facts but can only ever
+	// publish true ones.
+	memo atomic.Uint64
+}
+
+const (
+	// memoWindow is how many consecutive model serials one memo word
+	// covers: the default ModelHistory. A longer history stays correct
+	// and re-evaluates the models that fall outside the window.
+	memoWindow = 8
+	memoBits   = 2 * memoWindow
+	memoMask   = 1<<memoWindow - 1
+	// serialMask is the serial space a window base has room for.
+	// Serial arithmetic wraps in it; a condition would have to stay
+	// live across 2^48 remembered models to confuse two of them.
+	serialMask = 1<<(64-memoBits) - 1
+)
+
+// lookup reports whether the model with the given serial satisfies the
+// node's condition, if the memo knows.
+func (n *reuseNode) lookup(serial uint64) (sat, known bool) {
+	w := n.memo.Load()
+	off := (serial - w>>memoBits) & serialMask
+	if off >= memoWindow {
+		return false, false
+	}
+	return w>>off&1 != 0, w>>(memoWindow+off)&1 != 0
+}
+
+// record memoizes whether the model with the given serial satisfies
+// the node's condition, sliding the window just far enough to hold the
+// serial (facts about serials left outside are forgotten).
+func (n *reuseNode) record(serial uint64, sat bool) {
+	w := n.memo.Load()
+	base, known, sats := w>>memoBits, w>>memoWindow&memoMask, w&memoMask
+	off := (serial - base) & serialMask
+	switch {
+	case off < memoWindow:
+	case off <= serialMask/2: // above the window: serial becomes its top
+		up := off - (memoWindow - 1)
+		base, known, sats, off = base+up, known>>up, sats>>up, memoWindow-1
+	default: // below the window: serial becomes its base
+		down := (base - serial) & serialMask
+		base, known, sats, off = serial, known<<down&memoMask, sats<<down&memoMask, 0
+	}
+	known |= 1 << off
+	if sat {
+		sats |= 1 << off
+	}
+	n.memo.Store(base&serialMask<<memoBits | known<<memoWindow | sats)
 }
 
 // Groups returns the partition's groups. The slice is shared and must
@@ -101,11 +181,11 @@ func (p *Partition) Groups() []*Group {
 // constraints (trivially sat) or a constant-false constraint
 // (trivially unsat).
 func (p *Partition) Trivial() (sat, trivial bool) {
-	if p == nil || (len(p.groups) == 0 && !p.unsat) {
-		return true, true
-	}
-	if p.unsat {
+	if p == unsatPartition {
 		return false, true
+	}
+	if p == nil || len(p.groups) == 0 {
+		return true, true
 	}
 	return false, false
 }
@@ -127,20 +207,21 @@ func (p *Partition) Len() int {
 // decided verdicts ride along), and only the groups whose variables
 // intersect c's are merged. Constant-true constraints return the
 // receiver as is; a duplicate of a constraint already in its group
-// does too.
+// does too. Every other extension records itself — c, linked to the
+// receiver's history — so that what recent models were found to do
+// with the receiver's condition is inherited by the result and only c
+// is left to evaluate.
 func (p *Partition) Extend(c *expr.Expr) *Partition {
-	if c.IsTrue() {
-		return p
-	}
-	if p != nil && p.unsat {
+	if c.IsTrue() || p == unsatPartition {
 		return p
 	}
 	if c.IsFalse() {
-		return &Partition{unsat: true}
+		return unsatPartition
 	}
 	var groups []*Group
+	var hist *reuseNode
 	if p != nil {
-		groups = p.groups
+		groups, hist = p.groups, p.hist
 	}
 	vs := c.VarSet()
 	var touched []*Group
@@ -156,7 +237,7 @@ func (p *Partition) Extend(c *expr.Expr) *Partition {
 	if len(touched) == 1 && touched[0].contains(c.ID()) {
 		return p
 	}
-	np := &Partition{groups: make([]*Group, 0, len(groups)+1)}
+	np := &Partition{groups: make([]*Group, 0, len(groups)+1), hist: &reuseNode{parent: hist, c: c}}
 	if first < 0 {
 		// Independent of everything so far: a fresh group at the end
 		// (mirroring first-constraint order).

@@ -21,6 +21,10 @@ var (
 	capturedWcErr error
 )
 
+// The package-internal memo tests replay the same stream; only this
+// external package may import what captures it.
+func init() { solver.CapturedWcQueries = wcQueries }
+
 func wcQueries(tb testing.TB) [][]*expr.Expr {
 	tb.Helper()
 	captureOnce.Do(func() {

@@ -8,7 +8,9 @@
 // solved by backtracking search over per-byte domains with forward
 // checking, and results are cached per group (KLEE's counterexample
 // cache). Model reuse is attempted before any search: if a recently
-// produced model satisfies the whole query, no search happens at all.
+// produced model satisfies the whole query, no search happens at all —
+// and since the query is its parent condition plus one constraint, only
+// that constraint is evaluated (modelSatisfies).
 //
 // The per-query constant factors are engineered away: variable sets are
 // interned on expression nodes at construction (expr.VarSet), the
@@ -20,6 +22,7 @@ package solver
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"overify/internal/expr"
@@ -110,6 +113,21 @@ type cacheEntry struct {
 	model map[*expr.Var]uint64
 }
 
+// recentModel is a remembered model: a private copy, never written
+// again, under a process-unique serial that partition memos key on.
+type recentModel struct {
+	serial uint64
+	model  map[*expr.Var]uint64
+}
+
+// modelSerials is the process-wide source of model serials. A solver
+// draws a block at a time, so its own recent models stay consecutive
+// (one memo word covers a window of consecutive serials) no matter how
+// many other solvers are remembering models meanwhile.
+var modelSerials atomic.Uint64
+
+const serialBlock = 1024
+
 // Solver decides queries and caches results. Not safe for concurrent
 // use; create one per engine worker. Solvers may share a Cache (see
 // NewWithCache) — the cache layer is concurrency-safe, the search and
@@ -121,9 +139,16 @@ type Solver struct {
 	Stats     Stats
 	l1        map[Fingerprint]cacheEntry
 	cache     *Cache
-	recent    []map[*expr.Var]uint64
+	recent    []recentModel
 	reuseEval *expr.Evaluator
-	deadline  time.Time
+	// reuseEvals counts the constraints modelSatisfies evaluated (test
+	// instrumentation: the probe must stay O(1) per model per branch).
+	reuseEvals int64
+	// serial is the last model serial handed out; pending is
+	// modelSatisfies' scratch.
+	serial   uint64
+	pending  []*reuseNode
+	deadline time.Time
 	// tapes, when set, shares compiled tapes across searches (and across
 	// the solvers of one engine run) keyed by group fingerprint.
 	tapes *TapeCache
@@ -269,7 +294,7 @@ func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) 
 		if s.modelSatisfies(p, m) {
 			s.Stats.ModelReuseHits++
 			s.Stats.Sat++
-			return true, m, nil
+			return true, m.model, nil
 		}
 	}
 
@@ -289,43 +314,76 @@ func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) 
 		}
 	}
 	s.Stats.Sat++
-	s.remember(model)
+	s.remember(p, model)
 	return true, model, nil
 }
 
 // modelSatisfies reports whether the model satisfies every constraint
-// of the partition, through the allocation-free reusable evaluator
-// (missing variables read as zero, like expr.Eval).
-func (s *Solver) modelSatisfies(p *Partition, model map[*expr.Var]uint64) bool {
-	s.reuseEval.Bind(model)
-	for _, g := range p.groups {
-		for _, c := range g.cs {
-			if s.reuseEval.Eval(c) == 0 {
-				return false
-			}
+// of the partition (missing variables read as zero, like expr.Eval).
+//
+// It is incremental on the partition's extension history. A model
+// satisfies P.Extend(c) iff it satisfies P and c; remembered models
+// are never written again and partitions are immutable, so a verdict
+// about (condition, model) is a fact that can be memoized on the
+// condition for every state and worker sharing it, and "does not
+// satisfy" is inherited by every extension. The probe climbs the
+// history to the nearest condition that knows the model — for a branch
+// off a probed state, the parent — then evaluates only the constraints
+// below it, recording each verdict on the way down. A model is born
+// known to the condition it was found for and to everything that
+// condition extends (remember). The one case that still evaluates the
+// whole condition is a model no ancestor knows — one pushed out of the
+// memo windows, or probed against a history it shares no ancestor with
+// (PartitionOf's from-scratch chain: the slice API, a state decoded
+// from a shard): the climb ends at the empty condition, which every
+// model satisfies, and the descent is the from-scratch walk, done once
+// for every condition on the path.
+func (s *Solver) modelSatisfies(p *Partition, m recentModel) bool {
+	sat := true
+	pending := s.pending[:0]
+	for n := p.hist; n != nil; n = n.parent {
+		if v, known := n.lookup(m.serial); known {
+			sat = v
+			break
 		}
+		pending = append(pending, n)
 	}
-	return true
+	s.reuseEval.Bind(m.model)
+	for i := len(pending) - 1; i >= 0; i-- {
+		n := pending[i]
+		if sat {
+			s.reuseEvals++
+			sat = s.reuseEval.Eval(n.c) != 0
+		}
+		n.record(m.serial, sat)
+	}
+	clear(pending)
+	s.pending = pending[:0]
+	return sat
 }
 
-// satisfies is the slice form of the model check (tests use it).
-func satisfies(constraints []*expr.Expr, model map[*expr.Var]uint64) bool {
-	for _, c := range constraints {
-		if expr.Eval(c, model) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Solver) remember(model map[*expr.Var]uint64) {
+// remember copies the model just found for p into the history. The
+// model is the union of satisfying assignments of p's groups, so it
+// satisfies p and every condition p extends; the memo is told so
+// without evaluating anything, on the grounds the engine already
+// reports the model as p's witness on.
+func (s *Solver) remember(p *Partition, model map[*expr.Var]uint64) {
 	m := make(map[*expr.Var]uint64, len(model))
 	for k, v := range model {
 		m[k] = v
 	}
-	s.recent = append(s.recent, m)
+	if s.serial%serialBlock == 0 {
+		s.serial = modelSerials.Add(serialBlock) - serialBlock
+	}
+	s.serial++
+	s.recent = append(s.recent, recentModel{serial: s.serial, model: m})
 	if len(s.recent) > s.opts.ModelHistory {
-		s.recent = s.recent[1:]
+		// Drop the oldest in place (oldest first is the probe order), so
+		// the next append reuses the array.
+		s.recent = s.recent[:copy(s.recent, s.recent[1:])]
+	}
+	for n := p.hist; n != nil; n = n.parent {
+		n.record(s.serial, true)
 	}
 }
 

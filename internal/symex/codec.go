@@ -3,6 +3,7 @@ package symex
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -74,7 +75,6 @@ type encoder struct {
 	nodes   map[*expr.Expr]int
 	objs    map[*MemObject]int
 	objList []*MemObject
-	instrIx map[*ir.Function]map[*ir.Instr][2]int
 	err     error
 }
 
@@ -83,10 +83,9 @@ type encoder struct {
 // the decoding engine concretizes bug inputs identically.
 func (e *Engine) EncodeStates(states []*State) ([]byte, error) {
 	enc := &encoder{
-		vars:    make(map[*expr.Var]int),
-		nodes:   make(map[*expr.Expr]int),
-		objs:    make(map[*MemObject]int),
-		instrIx: make(map[*ir.Function]map[*ir.Instr][2]int),
+		vars:  make(map[*expr.Var]int),
+		nodes: make(map[*expr.Expr]int),
+		objs:  make(map[*MemObject]int),
 	}
 	for _, v := range e.inputVars {
 		enc.vars[v] = len(enc.varList)
@@ -126,11 +125,11 @@ func (e *Engine) EncodeStates(states []*State) ([]byte, error) {
 		} else {
 			enc.w.b(0)
 		}
-		enc.w.u(uint64(len(o.Cells)))
+		enc.w.u(uint64(o.Count)) // cell count: always Count, and the decoder insists
 	}
 	for _, o := range enc.objList {
-		for _, c := range o.Cells {
-			enc.emitSymVal(c)
+		for i := int64(0); i < o.Count; i++ {
+			enc.emitSymVal(o.Cell(i))
 		}
 	}
 
@@ -159,8 +158,7 @@ func (enc *encoder) collect(states []*State) []*expr.Expr {
 			enc.visitObj(st.Globals[g])
 		}
 		for _, f := range st.Frames {
-			for _, k := range sortedLocalKeys(enc, f) {
-				sv := f.Locals[k]
+			for _, sv := range f.Regs {
 				enc.visitSymVal(sv)
 			}
 		}
@@ -214,8 +212,8 @@ func (enc *encoder) visitObj(o *MemObject) {
 	}
 	enc.objs[o] = len(enc.objList)
 	enc.objList = append(enc.objList, o)
-	for _, c := range o.Cells {
-		enc.visitSymVal(c)
+	for i := int64(0); i < o.Count; i++ {
+		enc.visitSymVal(o.Cell(i))
 	}
 }
 
@@ -330,37 +328,47 @@ func (enc *encoder) emitFrame(st *State, f *Frame) {
 	} else {
 		// The awaiting call instruction lives in the *caller's* function;
 		// the decoder resolves it against the previous frame.
-		bi, ii, ok := enc.instrIndex(f.Caller)
-		if !ok {
+		blk := f.Caller.Blk
+		ii := slices.Index(blk.Instrs, f.Caller)
+		if ii < 0 {
 			enc.fail(fmt.Errorf("symex: codec: caller instruction not found in %s", f.Fn.Name))
-			return
 		}
 		enc.w.b(1)
-		enc.w.u(uint64(bi))
+		enc.w.u(uint64(blockIndex(blk.Fn, blk, enc)))
 		enc.w.u(uint64(ii))
 	}
 
-	keys := sortedLocalKeys(enc, f)
-	enc.w.u(uint64(len(keys)))
-	for _, k := range keys {
-		switch k := k.(type) {
-		case *ir.Param:
-			enc.w.b(0)
-			enc.w.u(uint64(k.Idx))
-		case *ir.Instr:
-			bi, ii, ok := enc.instrIndex(k)
-			if !ok {
-				enc.fail(fmt.Errorf("symex: codec: local key instruction not in %s", f.Fn.Name))
-				return
-			}
-			enc.w.b(1)
-			enc.w.u(uint64(bi))
-			enc.w.u(uint64(ii))
-		default:
-			enc.fail(fmt.Errorf("symex: codec: unencodable local key %T", k))
-			return
+	// Assigned registers, keyed on the wire by param index or (block,
+	// index): register order is that order, so one walk of the function
+	// beside the register file writes them sorted.
+	assigned := 0
+	for _, sv := range f.Regs {
+		if sv.defined() {
+			assigned++
 		}
-		enc.emitSymVal(f.Locals[k])
+	}
+	enc.w.u(uint64(assigned))
+	for i := range f.Fn.Params {
+		if sv := f.Regs[i]; sv.defined() {
+			enc.w.b(0)
+			enc.w.u(uint64(i))
+			enc.emitSymVal(sv)
+		}
+	}
+	slot := len(f.Fn.Params)
+	for bi, b := range f.Fn.Blocks {
+		for ii, in := range b.Instrs {
+			if ir.SameType(in.Typ, ir.Void) {
+				continue
+			}
+			if sv := f.Regs[slot]; sv.defined() {
+				enc.w.b(1)
+				enc.w.u(uint64(bi))
+				enc.w.u(uint64(ii))
+				enc.emitSymVal(sv)
+			}
+			slot++
+		}
 	}
 }
 
@@ -368,24 +376,6 @@ func (enc *encoder) fail(err error) {
 	if enc.err == nil {
 		enc.err = err
 	}
-}
-
-// instrIndex locates in within its owning function, via a lazily built
-// per-function index.
-func (enc *encoder) instrIndex(in *ir.Instr) (block, idx int, ok bool) {
-	fn := in.Blk.Fn
-	ix := enc.instrIx[fn]
-	if ix == nil {
-		ix = make(map[*ir.Instr][2]int)
-		for bi, b := range fn.Blocks {
-			for ii, x := range b.Instrs {
-				ix[x] = [2]int{bi, ii}
-			}
-		}
-		enc.instrIx[fn] = ix
-	}
-	pos, ok := ix[in]
-	return pos[0], pos[1], ok
 }
 
 func blockIndex(fn *ir.Function, b *ir.Block, enc *encoder) int {
@@ -407,38 +397,6 @@ func sortedGlobals(m map[*ir.Global]*MemObject) []*ir.Global {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// sortedLocalKeys orders a frame's locals deterministically: params by
-// position, then instructions by (block, index).
-func sortedLocalKeys(enc *encoder, f *Frame) []ir.Value {
-	keys := make([]ir.Value, 0, len(f.Locals))
-	for k := range f.Locals {
-		keys = append(keys, k)
-	}
-	rank := func(v ir.Value) (int, int, int) {
-		switch v := v.(type) {
-		case *ir.Param:
-			return 0, v.Idx, 0
-		case *ir.Instr:
-			bi, ii, _ := enc.instrIndex(v)
-			return 1, bi, ii
-		default:
-			return 2, 0, 0
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a0, a1, a2 := rank(keys[i])
-		b0, b1, b2 := rank(keys[j])
-		if a0 != b0 {
-			return a0 < b0
-		}
-		if a1 != b1 {
-			return a1 < b1
-		}
-		return a2 < b2
-	})
-	return keys
 }
 
 // ---------------------------------------------------------------------
@@ -778,7 +736,7 @@ func (d *decoder) readObjects() error {
 	d.objs = make([]*MemObject, n)
 	// Phase one: allocate every object from its header so cell pointers
 	// can reference any object (aliasing, cycles, forward references).
-	cells := make([]int, n)
+	cells := make([][]SymVal, n)
 	for i := 0; i < n; i++ {
 		name, err := d.r.s()
 		if err != nil {
@@ -800,23 +758,19 @@ func (d *decoder) readObjects() error {
 		if err != nil {
 			return err
 		}
-		d.objs[i] = &MemObject{
-			Name:     name,
-			Elem:     elem,
-			Count:    int64(count),
-			ReadOnly: ro == 1,
-			Cells:    make([]SymVal, nc),
+		if count != uint64(nc) {
+			// Bounds checks trust Count; it must be the cells there are.
+			return fmt.Errorf("symex: codec: object %q has count %d but %d cells", name, count, nc)
 		}
-		cells[i] = nc
+		cells[i] = make([]SymVal, nc)
+		d.objs[i] = newObject(name, elem, ro == 1, cells[i])
 	}
-	// Phase two: fill the cells.
+	// Phase two: fill the cells (the pages alias them).
 	for i := 0; i < n; i++ {
-		for j := 0; j < cells[i]; j++ {
-			sv, err := d.readSymVal()
-			if err != nil {
+		for j := range cells[i] {
+			if cells[i][j], err = d.readSymVal(); err != nil {
 				return err
 			}
-			d.objs[i].Cells[j] = sv
 		}
 	}
 	return nil
@@ -954,7 +908,8 @@ func (d *decoder) readFrame(outer []*Frame) (*Frame, error) {
 	if bi >= uint64(len(fn.Blocks)) {
 		return nil, fmt.Errorf("symex: codec: block %d of %d in %s", bi, len(fn.Blocks), fnName)
 	}
-	f := &Frame{Fn: fn, Block: fn.Blocks[bi], Locals: make(map[ir.Value]SymVal)}
+	f := d.e.newFrame(fn, nil)
+	f.Block = fn.Blocks[bi]
 	pi, err := d.r.u()
 	if err != nil {
 		return nil, err
@@ -999,7 +954,7 @@ func (d *decoder) readFrame(outer []*Frame) (*Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		var key ir.Value
+		var slot int
 		switch tag {
 		case 0:
 			pidx, err := d.r.u()
@@ -1009,13 +964,16 @@ func (d *decoder) readFrame(outer []*Frame) (*Frame, error) {
 			if pidx >= uint64(len(fn.Params)) {
 				return nil, fmt.Errorf("symex: codec: param %d of %d in %s", pidx, len(fn.Params), fnName)
 			}
-			key = fn.Params[pidx]
+			slot = int(pidx)
 		case 1:
 			in, err := d.readInstrRef(fn)
 			if err != nil {
 				return nil, err
 			}
-			key = in
+			if ir.SameType(in.Typ, ir.Void) {
+				return nil, fmt.Errorf("symex: codec: local keyed by void instruction in %s", fnName)
+			}
+			slot = f.lay.index(in)
 		default:
 			return nil, fmt.Errorf("symex: codec: unknown local key tag %d", tag)
 		}
@@ -1023,7 +981,7 @@ func (d *decoder) readFrame(outer []*Frame) (*Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Locals[key] = sv
+		f.Regs[slot] = sv
 	}
 	return f, nil
 }

@@ -2,13 +2,16 @@ package symex_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"overify/internal/core"
 	"overify/internal/coreutils"
 	"overify/internal/expr"
+	"overify/internal/frontend"
 	"overify/internal/ir"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
@@ -195,7 +198,7 @@ func TestStateCodecSingleWalk(t *testing.T) {
 }
 
 // countReachableNodes replicates the encoder's reachability (PC, frame
-// locals, global objects, cells) with an independent walker.
+// registers, global objects, cells) with an independent walker.
 func countReachableNodes(states []*symex.State) int {
 	seenE := make(map[*expr.Expr]bool)
 	seenO := make(map[*symex.MemObject]bool)
@@ -226,8 +229,8 @@ func countReachableNodes(states []*symex.State) int {
 			return
 		}
 		seenO[o] = true
-		for _, c := range o.Cells {
-			walkV(c)
+		for i := int64(0); i < o.Count; i++ {
+			walkV(o.Cell(i))
 		}
 	}
 	for _, st := range states {
@@ -238,7 +241,7 @@ func countReachableNodes(states []*symex.State) int {
 			walkO(o)
 		}
 		for _, f := range st.Frames {
-			for _, v := range f.Locals {
+			for _, v := range f.Regs {
 				walkV(v)
 			}
 		}
@@ -293,6 +296,42 @@ func TestStateCodecCorruptedFrames(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x41
 		_, _ = fresh().DecodeStates(mut) // must not panic
+	}
+}
+
+// TestStateCodecCountBeyondCells is the corrupted frame bit flips at a
+// stride do not find: an object header is two varints, the Count every
+// load and store is bounds-checked against and the number of cells that
+// follow, and a frame whose Count is the larger used to decode cleanly
+// and then index past the cells in a worker goroutine — which takes the
+// whole process, a worker daemon, down.
+func TestStateCodecCountBeyondCells(t *testing.T) {
+	mod, err := frontend.Lower("t", `
+int umain(unsigned char *input, int len) {
+	if (input[0] == 'a') { return (int)input[len + 5]; }
+	return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := symex.NewEngine(mod, symex.Options{})
+	states, err := eng.Split("umain", eng.InputArgs(3), nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := eng.EncodeStates(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each state's input object header: name, element type i8, Count 4,
+	// writable, 4 cells. Count becomes 100.
+	bad := bytes.ReplaceAll(blob, []byte("\x05input\x00\x08\x04\x00\x04"), []byte("\x05input\x00\x08\x64\x00\x04"))
+	if bytes.Equal(bad, blob) {
+		t.Fatalf("no input object header in the frame")
+	}
+	_, err = symex.NewEngine(mod, symex.Options{}).DecodeStates(bad)
+	if err == nil || !strings.Contains(err.Error(), "symex: codec:") {
+		t.Errorf("frame with Count 100 over 4 cells: err = %v, want a symex: codec: error", err)
 	}
 }
 
@@ -376,5 +415,57 @@ func TestMergeBugsDeterministicOrder(t *testing.T) {
 		return m1.Bugs[i].Kind < m1.Bugs[j].Kind
 	}) {
 		t.Fatalf("merged bugs unsorted: %+v", m1.Bugs)
+	}
+}
+
+// TestStateCodecGoldenV1 pins the wire format: "OVSX" version 1 frames
+// are what worker daemons of other builds decode, so a change to the
+// state representation must not move a byte. The sizes and digests were
+// measured at a38fe6b, when registers were a map the encoder sorted and
+// cells one slice per object.
+func TestStateCodecGoldenV1(t *testing.T) {
+	for _, g := range []struct {
+		prog   string
+		level  pipeline.Level
+		size   int
+		sha256 string
+	}{
+		{"wc", pipeline.O0, 4743, "015339f5180ad4e90f4f85497e948d6dda1ceedecdedf668612db90d7e15cfaf"},
+		{"od-x", pipeline.O0, 5304, "6a289870d1235a25c8e2ff7b0d7c1f1207c92f92a827909378e1b57060c65f01"},
+		{"od-x", pipeline.OVerify, 3510, "18cec41a7f3fa6e8036e9371ffc1541179dde92784c880ad3e12014427645ebf"},
+	} {
+		label := fmt.Sprintf("%s@%s", g.prog, g.level)
+		p, _ := coreutils.Get(g.prog)
+		compile := func() *core.Compiled {
+			c, err := core.CompileProgram(p, g.level)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return c
+		}
+		eng, args := newVerifyEngine(compile(), 3, symex.Options{})
+		states, err := eng.Split("umain", args, nil, 6)
+		if err != nil {
+			t.Fatalf("%s: split: %v", label, err)
+		}
+		blob, err := eng.EncodeStates(states)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", label, err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != g.size || sum != g.sha256 {
+			t.Errorf("%s: frame is %d bytes, sha256 %s; pinned %d bytes, %s", label, len(blob), sum, g.size, g.sha256)
+		}
+		fresh := symex.NewEngine(compile().Mod, symex.Options{})
+		decoded, err := fresh.DecodeStates(blob)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
+		}
+		again, err := fresh.EncodeStates(decoded)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", label, err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Errorf("%s: Encode(Decode(frame)) differs from frame (%d vs %d bytes)", label, len(again), len(blob))
+		}
 	}
 }

@@ -168,8 +168,9 @@ type Engine struct {
 	opts Options
 
 	cache     *solver.Cache // shared across all workers' solvers
-	cov       *coverage     // block-coverage map, fed by exec
-	inputVars []*expr.Var   // ordered; used to concretize bug inputs
+	layouts   map[*ir.Function]*frameLayout
+	cov       *coverage   // block-coverage map, fed by exec
+	inputVars []*expr.Var // ordered; used to concretize bug inputs
 	deadline  time.Time
 
 	// Split-phase residue: solver work and bugs accumulated by Split's
@@ -218,30 +219,41 @@ func NewEngine(mod *ir.Module, opts Options) *Engine {
 	if cache == nil {
 		cache = solver.NewCache()
 	}
-	return &Engine{
-		Mod:   mod,
-		B:     b,
-		cache: cache,
-		cov:   newCoverage(),
-		opts:  opts,
+	e := &Engine{
+		Mod:     mod,
+		B:       b,
+		cache:   cache,
+		layouts: make(map[*ir.Function]*frameLayout, len(mod.Funcs)),
+		cov:     newCoverage(),
+		opts:    opts,
 	}
+	for _, fn := range mod.Funcs {
+		e.layouts[fn] = newFrameLayout(fn)
+	}
+	return e
+}
+
+// newFrame builds fn's activation record, entered from caller, with
+// every register unassigned.
+func (e *Engine) newFrame(fn *ir.Function, caller *ir.Instr) *Frame {
+	lay := e.layouts[fn]
+	return &Frame{Fn: fn, Block: fn.Entry(), Regs: make([]SymVal, len(lay.allocas)), Caller: caller, lay: lay}
 }
 
 // NewState builds the initial state with fresh global storage.
 func (e *Engine) NewState() *State {
 	st := &State{ID: 0, Globals: make(map[*ir.Global]*MemObject)}
 	for _, g := range e.Mod.Globals {
-		obj := &MemObject{Name: "@" + g.Name, Elem: g.Elem, Count: g.Count, ReadOnly: g.ReadOnly}
-		obj.Cells = make([]SymVal, g.Count)
+		cells := make([]SymVal, g.Count)
 		bits := g.Elem.(ir.IntType).Bits
-		for i := range obj.Cells {
+		for i := range cells {
 			var v uint64
 			if i < len(g.Init) {
 				v = g.Init[i]
 			}
-			obj.Cells[i] = SymVal{E: e.B.Const(bits, v)}
+			cells[i] = SymVal{E: e.B.Const(bits, v)}
 		}
-		st.Globals[g] = obj
+		st.Globals[g] = newObject("@"+g.Name, g.Elem, g.ReadOnly, cells)
 	}
 	return st
 }
@@ -255,8 +267,7 @@ func (e *Engine) SymbolicBuffer(name string, n int, nulTerminated bool) SymVal {
 	if nulTerminated {
 		count++
 	}
-	obj := &MemObject{Name: name, Elem: ir.I8, Count: int64(count)}
-	obj.Cells = make([]SymVal, count)
+	cells := make([]SymVal, count)
 	for i := 0; i < n; i++ {
 		v := &expr.Var{Name: fmt.Sprintf("%s[%d]", name, i), Bits: 8, Idx: len(e.inputVars)}
 		node := e.B.Var(v)
@@ -264,12 +275,12 @@ func (e *Engine) SymbolicBuffer(name string, n int, nulTerminated bool) SymVal {
 		// builder shared across runs the name may already be interned,
 		// and solver models are keyed by the canonical pointer.
 		e.inputVars = append(e.inputVars, node.V)
-		obj.Cells[i] = SymVal{E: node}
+		cells[i] = SymVal{E: node}
 	}
 	if nulTerminated {
-		obj.Cells[n] = SymVal{E: e.B.Const(8, 0)}
+		cells[n] = SymVal{E: e.B.Const(8, 0)}
 	}
-	return SymVal{IsPtr: true, Obj: obj, Off: e.B.Const(64, 0)}
+	return SymVal{IsPtr: true, Obj: newObject(name, ir.I8, false, cells), Off: e.B.Const(64, 0)}
 }
 
 // InputArgs builds the arguments of the corpus entry convention
@@ -300,12 +311,11 @@ func (e *Engine) IntArg(t ir.IntType, v uint64) SymVal {
 
 // ConcreteBuffer creates an object holding concrete bytes.
 func (e *Engine) ConcreteBuffer(name string, data []byte) SymVal {
-	obj := &MemObject{Name: name, Elem: ir.I8, Count: int64(len(data))}
-	obj.Cells = make([]SymVal, len(data))
+	cells := make([]SymVal, len(data))
 	for i, c := range data {
-		obj.Cells[i] = SymVal{E: e.B.Const(8, uint64(c))}
+		cells[i] = SymVal{E: e.B.Const(8, uint64(c))}
 	}
-	return SymVal{IsPtr: true, Obj: obj, Off: e.B.Const(64, 0)}
+	return SymVal{IsPtr: true, Obj: newObject(name, ir.I8, false, cells), Off: e.B.Const(64, 0)}
 }
 
 // Run explores fn(args) exhaustively from the given initial state (pass
@@ -337,10 +347,8 @@ func (e *Engine) initialState(fnName string, args []SymVal, init *State) (*State
 	if init == nil {
 		init = e.NewState()
 	}
-	frame := &Frame{Fn: fn, Block: fn.Entry(), Locals: make(map[ir.Value]SymVal)}
-	for i, p := range fn.Params {
-		frame.Locals[p] = args[i]
-	}
+	frame := e.newFrame(fn, nil)
+	copy(frame.Regs, args)
 	init.Frames = append(init.Frames, frame)
 	return init, nil
 }

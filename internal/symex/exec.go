@@ -87,7 +87,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			}
 			caller := st.top()
 			if f.Caller != nil && !ir.SameType(f.Caller.Typ, ir.Void) {
-				caller.Locals[f.Caller] = rv
+				*caller.reg(f.Caller) = rv
 			}
 			continue
 
@@ -103,15 +103,11 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				w.e.truncated.Add(1)
 				return false, nil
 			}
-			args := make([]SymVal, len(in.Args))
+			nf := w.e.newFrame(callee, in)
 			for i := range in.Args {
-				args[i] = w.ev(st, f, in.Args[i])
+				nf.Regs[i] = w.ev(st, f, in.Args[i])
 			}
 			f.Idx++ // resume after the call on return
-			nf := &Frame{Fn: callee, Block: callee.Entry(), Locals: make(map[ir.Value]SymVal, 16), Caller: in}
-			for i, p := range callee.Params {
-				nf.Locals[p] = args[i]
-			}
 			st.Frames = append(st.Frames, nf)
 			continue
 
@@ -182,7 +178,7 @@ func (w *worker) jump(st *State, f *Frame, target *ir.Block) {
 			w.countInstr()
 		}
 		for i, phi := range phis {
-			f.Locals[phi] = vals[i]
+			*f.reg(phi) = vals[i]
 		}
 	}
 	f.Prev = f.Block
@@ -192,6 +188,7 @@ func (w *worker) jump(st *State, f *Frame, target *ir.Block) {
 
 // ev resolves an operand to a symbolic value.
 func (w *worker) ev(st *State, f *Frame, v ir.Value) SymVal {
+	var sv SymVal
 	switch x := v.(type) {
 	case *ir.Const:
 		return SymVal{E: w.B.Const(x.Typ.Bits, x.Val)}
@@ -199,13 +196,15 @@ func (w *worker) ev(st *State, f *Frame, v ir.Value) SymVal {
 		return SymVal{IsPtr: true, Off: w.B.Const(64, 0)}
 	case *ir.Global:
 		return SymVal{IsPtr: true, Obj: st.Globals[x], Off: w.B.Const(64, 0)}
-	default:
-		sv, ok := f.Locals[v]
-		if !ok {
-			panic(fmt.Sprintf("symex: use of undefined value %s in %s", v.Ref(), st.Where()))
-		}
-		return sv
+	case *ir.Param:
+		sv = f.Regs[x.Idx]
+	case *ir.Instr:
+		sv = *f.reg(x)
 	}
+	if !sv.defined() {
+		panic(fmt.Sprintf("symex: use of undefined value %s in %s", v.Ref(), st.Where()))
+	}
+	return sv
 }
 
 // endWithBug concretizes the current path condition into a reproducing
@@ -230,7 +229,7 @@ const (
 func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*State) {
 	set := func(v SymVal) {
 		if !ir.SameType(in.Typ, ir.Void) {
-			f.Locals[in] = v
+			*f.reg(in) = v
 		}
 	}
 
@@ -309,9 +308,7 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			set(t)
 			f.Idx++
 			other.addPC(notC)
-			if !ir.SameType(in.Typ, ir.Void) {
-				of.Locals[in] = w.ev(other, of, in.Args[2])
-			}
+			*of.reg(in) = w.ev(other, of, in.Args[2])
 			of.Idx++
 			return execFork, []*State{other, st}
 		case satT:
@@ -331,22 +328,17 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 		return execOK, nil
 
 	case ir.OpAlloca:
-		obj := &MemObject{
-			Name:  fmt.Sprintf("%s.%s", f.Fn.Name, in.Ref()),
-			Elem:  in.Allocated,
-			Count: in.Count,
-		}
-		obj.Cells = make([]SymVal, in.Count)
 		var zero SymVal
-		if pt, ok := in.Allocated.(ir.PtrType); ok {
-			_ = pt
+		if _, ok := in.Allocated.(ir.PtrType); ok {
 			zero = SymVal{IsPtr: true, Off: w.B.Const(64, 0)}
 		} else {
 			zero = SymVal{E: w.B.Const(in.Allocated.(ir.IntType).Bits, 0)}
 		}
-		for i := range obj.Cells {
-			obj.Cells[i] = zero
+		cells := make([]SymVal, in.Count)
+		for i := range cells {
+			cells[i] = zero
 		}
+		obj := newObject(f.lay.allocas[f.lay.index(in)], in.Allocated, false, cells)
 		set(SymVal{IsPtr: true, Obj: obj, Off: w.B.Const(64, 0)})
 		return execOK, nil
 
@@ -459,15 +451,19 @@ func (w *worker) loadCell(st *State, obj *MemObject, off *expr.Expr) (SymVal, ex
 				fmt.Sprintf("load %s[%d] (size %d) in %s", obj.Name, int64(oc), obj.Count, st.Where()))
 			return SymVal{}, execEnd
 		}
-		return obj.Cells[oc], execOK
+		return obj.Cell(int64(oc)), execOK
 	}
 	if !w.boundsCheck(st, obj, off, "load") {
 		return SymVal{}, execEnd
 	}
+	if t := obj.table.Load(); t != nil { // cell widths agree; the scan below also ends on the last
+		return SymVal{E: w.B.Read(*t, obj.Cell(obj.Count-1).E.Bits, off)}, execOK
+	}
 	// All cells must be integers for a symbolic read.
 	bits := 0
 	allConst := true
-	for _, c := range obj.Cells {
+	for i := int64(0); i < obj.Count; i++ {
+		c := obj.Cell(i)
 		if c.IsPtr {
 			w.endWithBug(st, BugPtrDomain,
 				"symbolic index into pointer-holding object "+obj.Name)
@@ -480,17 +476,21 @@ func (w *worker) loadCell(st *State, obj *MemObject, off *expr.Expr) (SymVal, ex
 	}
 	if allConst {
 		table := make([]uint64, obj.Count)
-		for i, c := range obj.Cells {
-			v, _ := c.E.IsConst()
-			table[i] = v
+		for i := range table {
+			table[i], _ = obj.Cell(int64(i)).E.IsConst()
+		}
+		if obj.ReadOnly {
+			// Never written and shared by every state and worker: build
+			// the table once. Racing builders publish equal tables.
+			obj.table.Store(&table)
 		}
 		return SymVal{E: w.B.Read(table, bits, off)}, execOK
 	}
 	// ite chain over the (small) object.
-	acc := obj.Cells[obj.Count-1].E
+	acc := obj.Cell(obj.Count - 1).E
 	for i := obj.Count - 2; i >= 0; i-- {
 		hit := w.B.Cmp(ir.OpEq, off, w.B.Const(64, uint64(i)))
-		acc = w.B.Select(hit, obj.Cells[i].E, acc)
+		acc = w.B.Select(hit, obj.Cell(i).E, acc)
 	}
 	return SymVal{E: acc}, execOK
 }
@@ -503,7 +503,7 @@ func (w *worker) storeCell(st *State, obj *MemObject, off *expr.Expr, v SymVal) 
 				fmt.Sprintf("store %s[%d] (size %d) in %s", obj.Name, int64(oc), obj.Count, st.Where()))
 			return execEnd, nil
 		}
-		obj.Cells[oc] = v
+		obj.setCell(int64(oc), v)
 		return execOK, nil
 	}
 	if !w.boundsCheck(st, obj, off, "store") {
@@ -515,14 +515,14 @@ func (w *worker) storeCell(st *State, obj *MemObject, off *expr.Expr, v SymVal) 
 		return execEnd, nil
 	}
 	for i := int64(0); i < obj.Count; i++ {
-		old := obj.Cells[i]
+		old := obj.Cell(i)
 		if old.IsPtr {
 			w.endWithBug(st, BugPtrDomain,
 				"symbolic-offset store into pointer-holding object "+obj.Name)
 			return execEnd, nil
 		}
 		hit := w.B.Cmp(ir.OpEq, off, w.B.Const(64, uint64(i)))
-		obj.Cells[i] = SymVal{E: w.B.Select(hit, v.E, old.E)}
+		obj.setCell(i, SymVal{E: w.B.Select(hit, v.E, old.E)})
 	}
 	return execOK, nil
 }

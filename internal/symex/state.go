@@ -9,6 +9,7 @@ package symex
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"overify/internal/expr"
 	"overify/internal/ir"
@@ -24,13 +25,140 @@ type SymVal struct {
 	Off   *expr.Expr // element offset, 64-bit
 }
 
-// MemObject is a memory object whose cells hold symbolic values.
+// defined reports whether v was ever assigned: the zero SymVal is what
+// an unwritten register holds.
+func (v SymVal) defined() bool { return v.IsPtr || v.E != nil }
+
+// pageCells is the copy-on-write granule of a memory object's cells.
+const pageCells = 16
+
+// page is one run of up to pageCells cells. own says the cells are this
+// object's private copy; it means nothing while the object's page list
+// is itself shared.
+type page struct {
+	cells []SymVal
+	own   bool
+}
+
+// MemObject is a memory object whose cells hold symbolic values. The
+// header is per state — pointer comparison and reachability work on
+// header identity — while the cells of an integer-element object are
+// shared across forks page by page until one side writes.
 type MemObject struct {
 	Name     string
 	Elem     ir.Type
 	Count    int64
-	Cells    []SymVal
 	ReadOnly bool // never written: shared across states without cloning
+	shared   bool // pages is also another state's list: copy it before writing
+	pages    []page
+
+	// fwd is this object's copy in the state forked as fwdID. The state
+	// that owns the object is held by one worker at a time, so clone
+	// stamps it unsynchronized; read-only objects are never forwarded.
+	fwd   *MemObject
+	fwdID int64
+
+	// table memoizes a read-only object's constant cells for symbolic-
+	// offset loads; every state and worker shares the object, hence atomic.
+	table atomic.Pointer[[]uint64]
+}
+
+// newObject builds an object over cells, which it takes ownership of.
+func newObject(name string, elem ir.Type, readOnly bool, cells []SymVal) *MemObject {
+	return &MemObject{Name: name, Elem: elem, Count: int64(len(cells)), ReadOnly: readOnly, pages: paginate(cells)}
+}
+
+// paginate cuts cells into owned pages without copying them.
+func paginate(cells []SymVal) []page {
+	pages := make([]page, (len(cells)+pageCells-1)/pageCells)
+	for k := range pages {
+		hi := min((k+1)*pageCells, len(cells))
+		pages[k] = page{cells: cells[k*pageCells : hi : hi], own: true}
+	}
+	return pages
+}
+
+// Cell returns cell i.
+func (o *MemObject) Cell(i int64) SymVal { return o.pages[i/pageCells].cells[i%pageCells] }
+
+// setCell writes cell i, first copying the page list if a fork shares
+// it and then the one page the write lands on.
+func (o *MemObject) setCell(i int64, v SymVal) {
+	if o.shared {
+		o.pages = append([]page(nil), o.pages...)
+		for k := range o.pages {
+			o.pages[k].own = false
+		}
+		o.shared = false
+	}
+	p := &o.pages[i/pageCells]
+	if !p.own {
+		p.cells, p.own = append([]SymVal(nil), p.cells...), true
+	}
+	p.cells[i%pageCells] = v
+}
+
+// forkTo returns o's counterpart in the state being forked as id,
+// creating it on first sight. Integer cells are shared with the copy;
+// pointer cells name per-state objects, so a pointer-holding object is
+// copied eagerly with its cells remapped.
+func (o *MemObject) forkTo(id int64) *MemObject {
+	if o == nil || o.ReadOnly {
+		return o
+	}
+	if o.fwd != nil && o.fwdID == id {
+		return o.fwd
+	}
+	n := &MemObject{Name: o.Name, Elem: o.Elem, Count: o.Count}
+	o.fwd, o.fwdID = n, id
+	if _, ptrs := o.Elem.(ir.PtrType); !ptrs {
+		o.shared, n.shared, n.pages = true, true, o.pages
+		return n
+	}
+	cells := make([]SymVal, 0, o.Count)
+	for _, p := range o.pages {
+		for _, c := range p.cells {
+			c.Obj = c.Obj.forkTo(id)
+			cells = append(cells, c)
+		}
+	}
+	n.pages = paginate(cells)
+	return n
+}
+
+// frameLayout is a function's register numbering, computed once per
+// engine: params by Idx, then value-producing instructions in (block,
+// index) order — the order the state codec has always written them in.
+type frameLayout struct {
+	slot    []int32  // by Instr.ID: register index + 1; 0 for void instructions
+	allocas []string // one per register: an alloca's object name, "" for anything else
+}
+
+// index is the register index of a value-producing instruction.
+func (lay *frameLayout) index(in *ir.Instr) int { return int(lay.slot[in.ID]) - 1 }
+
+func newFrameLayout(fn *ir.Function) *frameLayout {
+	lay := &frameLayout{allocas: make([]string, len(fn.Params), len(fn.Params)+fn.NumInstrs())}
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if ir.SameType(in.Typ, ir.Void) {
+				continue
+			}
+			if in.ID >= len(lay.slot) {
+				lay.slot = append(lay.slot, make([]int32, in.ID+1-len(lay.slot))...)
+			}
+			if lay.slot[in.ID] != 0 {
+				panic(fmt.Sprintf("symex: SSA id %s names two instructions in %s", in.Ref(), fn.Name))
+			}
+			name := ""
+			if in.Op == ir.OpAlloca {
+				name = fn.Name + "." + in.Ref()
+			}
+			lay.allocas = append(lay.allocas, name)
+			lay.slot[in.ID] = int32(len(lay.allocas))
+		}
+	}
+	return lay
 }
 
 // Frame is one activation record.
@@ -39,9 +167,13 @@ type Frame struct {
 	Block  *ir.Block
 	Prev   *ir.Block // predecessor block, for phi evaluation
 	Idx    int       // index of the next instruction in Block
-	Locals map[ir.Value]SymVal
+	Regs   []SymVal  // register file in layout order; the zero SymVal is "not yet assigned"
 	Caller *ir.Instr // call instruction awaiting the return value
+	lay    *frameLayout
 }
+
+// reg returns the register an instruction's result lives in.
+func (f *Frame) reg(in *ir.Instr) *SymVal { return &f.Regs[f.lay.index(in)] }
 
 // State is one execution path in progress.
 type State struct {
@@ -83,47 +215,31 @@ func (st *State) addPCPart(c *expr.Expr, p *solver.Partition) {
 	st.Part = p
 }
 
-// clone deep-copies the state's mutable parts. Read-only objects and all
-// expression nodes are shared (expressions are immutable).
+// clone forks the state: the child gets its own object headers (for
+// every object still reachable from a global, a register or a pointer
+// cell), register files and path condition; integer cells, read-only
+// objects, the partition and all expression nodes are shared.
 func (st *State) clone(nextID int64) *State {
 	ns := &State{
 		ID:      nextID,
 		PC:      append([]*expr.Expr(nil), st.PC...),
 		Part:    st.Part, // immutable; shared across forks
 		Globals: make(map[*ir.Global]*MemObject, len(st.Globals)),
+		Frames:  make([]*Frame, len(st.Frames)),
 		Forks:   st.Forks + 1,
 	}
-	objMap := make(map[*MemObject]*MemObject)
-	var cloneObj func(o *MemObject) *MemObject
-	cloneObj = func(o *MemObject) *MemObject {
-		if o == nil {
-			return nil
-		}
-		if o.ReadOnly {
-			return o
-		}
-		if n, ok := objMap[o]; ok {
-			return n
-		}
-		n := &MemObject{Name: o.Name, Elem: o.Elem, Count: o.Count, ReadOnly: o.ReadOnly}
-		objMap[o] = n
-		n.Cells = make([]SymVal, len(o.Cells))
-		for i, c := range o.Cells {
-			n.Cells[i] = SymVal{IsPtr: c.IsPtr, E: c.E, Obj: cloneObj(c.Obj), Off: c.Off}
-		}
-		return n
-	}
 	for g, o := range st.Globals {
-		ns.Globals[g] = cloneObj(o)
+		ns.Globals[g] = o.forkTo(nextID)
 	}
-	ns.Frames = make([]*Frame, len(st.Frames))
 	for i, f := range st.Frames {
-		nf := &Frame{Fn: f.Fn, Block: f.Block, Prev: f.Prev, Idx: f.Idx, Caller: f.Caller}
-		nf.Locals = make(map[ir.Value]SymVal, len(f.Locals))
-		for k, v := range f.Locals {
-			nf.Locals[k] = SymVal{IsPtr: v.IsPtr, E: v.E, Obj: cloneObj(v.Obj), Off: v.Off}
+		nf := *f
+		nf.Regs = append([]SymVal(nil), f.Regs...)
+		for j := range nf.Regs {
+			if o := nf.Regs[j].Obj; o != nil {
+				nf.Regs[j].Obj = o.forkTo(nextID)
+			}
 		}
-		ns.Frames[i] = nf
+		ns.Frames[i] = &nf
 	}
 	return ns
 }

@@ -3,17 +3,14 @@
 //	overify-bench -table1 [-n 10] [-words 50000] [-j workers] [-passes spec]
 //	overify-bench -table2 [-n 3]
 //	overify-bench -table3
-//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-search dfs|bfs|covnew|rand|interleave] [-budget [-cover N]] [-json FILE]
+//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-search dfs|bfs|covnew] [-budget [-cover N]] [-json FILE]
 //	overify-bench -scaling [-prog wc] [-n 5] [-timeout 60s]
-//	overify-bench -search all [-n 3] [-timeout 5s] [-json BENCH_strategies.json]
 //	overify-bench -slicing [-n 3] [-timeout 3s] [-prog cksum] [-json BENCH_slicing.json]
 //	overify-bench -tune [-tune-budget 64] [-seed S] [-prog wc-c,tr] [-j workers] [-best-out FILE] [-json BENCH_autotune.json]
 //	overify-bench -all
 //
-// -search all runs the strategy comparison (per-strategy t_verify and
-// states-explored for every corpus program at -O0 and -O2); any single
-// strategy name instead selects the exploration order for the other
-// experiments. -budget extends Figure 4 with per-strategy
+// -search selects the exploration order for Table 1, Figure 4 and the
+// scaling study. -budget extends Figure 4 with per-strategy
 // time-to-coverage columns (each strategy under the timeout with
 // CoverTarget set; -cover overrides the per-cell full-coverage
 // target), and -figure4 -json records the study machine-readably.
@@ -69,12 +66,12 @@ func main() {
 	all := flag.Bool("all", false, "run everything")
 	n := flag.Int("n", 0, "symbolic input bytes (0 = per-experiment default)")
 	words := flag.Int("words", 0, "t_run word count for Table 1")
-	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 / scaling / strategy verification")
+	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 / scaling / slicing / tune verification")
 	workers := flag.Int("j", 0, "symbolic-execution workers for Table 1 / Figure 4 (0/1 serial, -1 = NumCPU)")
 	prog := flag.String("prog", "", "corpus target for the scaling study (default wc)")
-	search := flag.String("search", "", "search strategy (dfs, bfs, covnew, rand, interleave) — or 'all' to run the strategy comparison")
-	seed := flag.Int64("seed", 0, "random-path seed")
-	jsonPath := flag.String("json", "", "write the strategy comparison (or, with -figure4, the figure 4 study) as JSON to this path")
+	search := flag.String("search", "", "search strategy (dfs, bfs, covnew)")
+	seed := flag.Int64("seed", 0, "autotuner search seed for -tune")
+	jsonPath := flag.String("json", "", "write the -slicing, -tune or -figure4 study as JSON to this path")
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
 	budget := flag.Bool("budget", false, "add per-strategy time-to-coverage columns to Figure 4")
 	coverTarget := flag.Int("cover", 0, "block-coverage target for -budget (0 = each cell's full coverage)")
@@ -93,27 +90,8 @@ func main() {
 		pipeSpec = &spec
 	}
 
-	strategies := *search == "all"
-	var strat symex.SearchKind
-	if !strategies && *search != "" {
-		var err error
-		strat, err = symex.ParseSearch(*search)
-		check(err)
-	}
-
-	if strategies {
-		opts := bench.StrategyCompareOptions{
-			InputBytes: *n, Timeout: *timeout, Workers: *workers, Seed: *seed,
-		}
-		if *prog != "" {
-			opts.Programs = []string{*prog}
-		}
-		rows, err := bench.StrategyCompare(opts)
-		check(err)
-		emit(bench.RenderStrategyCompare(rows, opts), *jsonPath, func() ([]byte, error) {
-			return bench.StrategyCompareJSON(rows, opts)
-		})
-	}
+	strat, err := symex.ParseSearch(*search)
+	check(err)
 
 	if *slicingSweep {
 		opts := bench.SliceSweepOptions{InputBytes: *n, Timeout: *timeout}
@@ -148,7 +126,7 @@ func main() {
 	}
 
 	if !(*t1 || *t2 || *t3 || *f4 || *scaling || *all) {
-		if strategies || *slicingSweep || *tuneSweep {
+		if *slicingSweep || *tuneSweep {
 			return
 		}
 		flag.Usage()
@@ -159,7 +137,7 @@ func main() {
 	}
 
 	if *t1 {
-		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Strategy: strat, Seed: *seed, Pipeline: pipeSpec}
+		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Strategy: strat, Pipeline: pipeSpec}
 		rows, err := bench.Table1(opts)
 		check(err)
 		fmt.Println(bench.RenderTable1(rows, opts))
@@ -178,7 +156,7 @@ func main() {
 	if *f4 {
 		opts := bench.Figure4Options{
 			InputBytes: *n, Timeout: *timeout, Workers: *workers,
-			Strategy: strat, Seed: *seed, Pipeline: pipeSpec,
+			Strategy: strat, Pipeline: pipeSpec,
 			Budget: *budget, CoverTarget: *coverTarget,
 		}
 		if *prog != "" {
@@ -187,16 +165,12 @@ func main() {
 		start := time.Now()
 		rows, summary, err := bench.Figure4(opts)
 		check(err)
-		path := *jsonPath
-		if strategies {
-			path = "" // -search all already claimed -json
-		}
 		text := fmt.Sprintf("%s\n(figure 4 harness wall time: %s)",
 			bench.RenderFigure4(rows, summary, opts), time.Since(start).Round(time.Millisecond))
-		emit(text, path, func() ([]byte, error) { return bench.Figure4JSON(rows, summary, opts) })
+		emit(text, *jsonPath, func() ([]byte, error) { return bench.Figure4JSON(rows, summary, opts) })
 	}
 	if *scaling {
-		opts := bench.ScalingOptions{Program: *prog, InputBytes: *n, Timeout: *timeout, Strategy: strat, Seed: *seed}
+		opts := bench.ScalingOptions{Program: *prog, InputBytes: *n, Timeout: *timeout, Strategy: strat}
 		rows, err := bench.Scaling(opts)
 		check(err)
 		fmt.Println(bench.RenderScaling(rows, opts))

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] [-search dfs|bfs|covnew|rand|interleave] [-seed s] [-cover blocks] [-j workers] file.c
+//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] [-search dfs|bfs|covnew] [-cover blocks] [-j workers] file.c
 //	symbex [-O level] [-n bytes] [-j workers] -prog tr
 //	symbex -check div-by-zero,bounds -slice file.c
 //	symbex -daemon /tmp/overifyd.sock file.c
@@ -69,8 +69,7 @@ func main() {
 	passSpec := flag.String("passes", "", "explicit pass pipeline, e.g. mem2reg,fixpoint(ifconvert,simplify,cse,simplifycfg,dce)")
 	n := flag.Int("n", 4, "symbolic input bytes (the paper uses 2-10)")
 	timeout := flag.Duration("timeout", 60*time.Second, "exploration budget")
-	search := flag.String("search", "dfs", "exploration order: dfs, bfs, covnew, rand or interleave")
-	seed := flag.Int64("seed", 0, "random-path seed (0 = fixed default)")
+	search := flag.String("search", "dfs", "exploration order: dfs, bfs or covnew")
 	coverTarget := flag.Int("cover", 0, "stop once this many basic blocks are covered (0 = off)")
 	workers := flag.Int("j", 1, "exploration workers (-1 = one per CPU)")
 	progName := flag.String("prog", "", "verify a bundled corpus program")
@@ -91,7 +90,7 @@ func main() {
 	job := core.Job{
 		Level: *level, Entry: *entry,
 		InputBytes: *n, TimeoutMS: jobTimeoutMS(*timeout),
-		Search: *search, Seed: *seed, Cover: *coverTarget, Workers: *workers,
+		Search: *search, Cover: *coverTarget, Workers: *workers,
 		Slice: *sliceFlag, Checks: *checkSpec,
 		Portfolio: *portfolio, PortfolioStall: *portfolioStall,
 		SplitStates: *splitStates,

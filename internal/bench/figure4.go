@@ -24,8 +24,6 @@ type Figure4Options struct {
 	Workers int
 	// Strategy is the exploration order (default DFS).
 	Strategy symex.SearchKind
-	// Seed feeds the random-path strategy.
-	Seed int64
 	// Programs restricts the corpus (default: all).
 	Programs []string
 	// Pipeline overrides every level's pass sequence (-passes=).
@@ -158,7 +156,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 			cell.Compile = c.Result.CompileTime
 			rep, err := c.Verify("umain", core.VerifyOptions{
 				InputBytes: opts.InputBytes,
-				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers, Strategy: opts.Strategy, Seed: opts.Seed},
+				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers, Strategy: opts.Strategy},
 			})
 			if err != nil {
 				cell.Err = err.Error()
@@ -201,7 +199,6 @@ func budgetCells(c *core.Compiled, cell *Figure4Cell, fullCoverage int, opts Fig
 				Timeout:     opts.Timeout,
 				Workers:     opts.Workers,
 				Strategy:    strat,
-				Seed:        opts.Seed,
 				CoverTarget: target,
 			},
 		})

@@ -30,8 +30,6 @@ type ScalingOptions struct {
 	Levels []pipeline.Level
 	// Strategy is the exploration order (default DFS).
 	Strategy symex.SearchKind
-	// Seed feeds the random-path strategy.
-	Seed int64
 }
 
 // ScalingCell is one (level, workers) measurement.
@@ -104,7 +102,7 @@ func Scaling(opts ScalingOptions) ([]ScalingRow, error) {
 				InputBytes: opts.InputBytes,
 				Engine: symex.Options{
 					Timeout: opts.Timeout, Workers: workers,
-					Strategy: opts.Strategy, Seed: opts.Seed,
+					Strategy: opts.Strategy,
 				},
 			})
 			if err != nil {

@@ -26,8 +26,6 @@ type Table1Options struct {
 	Workers int
 	// Strategy is the exploration order (default DFS).
 	Strategy symex.SearchKind
-	// Seed feeds the random-path strategy.
-	Seed int64
 	// Levels to measure (default: O0, O2, O3, OVerify — the paper's
 	// columns).
 	Levels []pipeline.Level
@@ -84,7 +82,7 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 		c := compiled[i]
 		row := Table1Row{Level: level, CompileTime: c.Result.CompileTime}
 
-		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout, Workers: opts.Workers, Strategy: opts.Strategy, Seed: opts.Seed})
+		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout, Workers: opts.Workers, Strategy: opts.Strategy})
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: verify: %w", level, err)
 		}

@@ -158,7 +158,7 @@ func readOut(m *interp.Machine) []byte {
 type VerifyOptions struct {
 	// InputBytes is the symbolic input size (the paper uses 2–10).
 	InputBytes int
-	// Engine options (timeouts, limits, search strategy + seed,
+	// Engine options (timeouts, limits, search strategy,
 	// CoverTarget, workers). Use symex.ParseSearch to map a flag
 	// spelling onto Engine.Strategy.
 	Engine symex.Options
@@ -188,7 +188,7 @@ func (opts VerifyOptions) normalized() VerifyOptions {
 }
 
 // verifyDesc renders the outcome-relevant verify configuration for the
-// content key. Strategy, seed and worker count are deliberately absent:
+// content key. Strategy and worker count are deliberately absent:
 // the conformance suites pin merged reports as schedule-invariant, so
 // they cannot change a stored outcome. Budgets and limits can, so they
 // are in.

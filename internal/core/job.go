@@ -17,7 +17,7 @@ import (
 // shares — `symbex` builds one from its flags and hands the same value
 // to the in-process run, the daemon client or the cluster coordinator;
 // daemon.VerifyRequest and dist.Options are aliases of it, and its
-// JSON form is the protocol-v3 verify body. Exactly one of Source
+// JSON form is the protocol-v4 verify body. Exactly one of Source
 // (with Name) or Prog (a bundled corpus program) must be set; every
 // other field may be left zero. Resolve is the one place the fields
 // are defaulted and parsed.
@@ -34,9 +34,8 @@ type Job struct {
 	TimeoutMS  int64  `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
 	MaxInstrs  int64  `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
 	Search     string `json:"search,omitempty"`     // exploration order (default dfs)
-	Seed       int64  `json:"seed,omitempty"`
-	Cover      int    `json:"cover,omitempty"`   // CoverTarget (0 = off); per-process, so not for clusters
-	Workers    int    `json:"workers,omitempty"` // engine workers and pass-manager jobs (0/1 serial, -1 = one per CPU)
+	Cover      int    `json:"cover,omitempty"`      // CoverTarget (0 = off); per-process, so not for clusters
+	Workers    int    `json:"workers,omitempty"`    // engine workers and pass-manager jobs (0/1 serial, -1 = one per CPU)
 
 	// Slice enables verification-aware slicing: the pipeline deletes
 	// whatever no kept check can observe before exploration.
@@ -72,8 +71,7 @@ type Resolved struct {
 	Config pipeline.Config
 
 	// Verify is the engine configuration. Callers that own warm state
-	// (expression builder, solver cache, tapes, verdict store) inject it
-	// here before running.
+	// (symex.Warm, verdict store) inject it here before running.
 	Verify VerifyOptions
 }
 
@@ -135,7 +133,6 @@ func (j Job) Resolve() (*Resolved, error) {
 	vo.Engine.Timeout = time.Duration(j.TimeoutMS) * time.Millisecond
 	vo.Engine.MaxInstrs = j.MaxInstrs
 	vo.Engine.Strategy = strat
-	vo.Engine.Seed = j.Seed
 	vo.Engine.CoverTarget = j.Cover
 	vo.Engine.Workers = j.Workers
 	vo.Engine.Checks = checks

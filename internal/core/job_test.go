@@ -50,7 +50,7 @@ func TestJobResolveDefaults(t *testing.T) {
 func TestJobResolveFields(t *testing.T) {
 	r, err := core.Job{
 		Name: "t.c", Source: trivialSrc, Level: "-O3", Passes: "mem2reg,dce", Entry: "f",
-		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99, Search: "covnew", Seed: 5, Cover: 3, Workers: 2,
+		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99, Search: "covnew", Cover: 3, Workers: 2,
 		Slice: true, Checks: "div-by-zero", Portfolio: 4, PortfolioStall: 64,
 	}.Resolve()
 	if err != nil {
@@ -60,7 +60,7 @@ func TestJobResolveFields(t *testing.T) {
 	e := r.Verify.Engine
 	if r.Name != "t.c" || r.Entry != "f" || r.Verify.InputBytes != 7 ||
 		e.Timeout != 1500*time.Millisecond || e.MaxInstrs != 99 || e.Strategy != symex.CovNew ||
-		e.Seed != 5 || e.CoverTarget != 3 || e.Workers != 2 || e.Checks != divOnly ||
+		e.CoverTarget != 3 || e.Workers != 2 || e.Checks != divOnly ||
 		e.Solver.Portfolio != 4 || e.Solver.PortfolioStall != 64 {
 		t.Errorf("engine configuration lost a field: %+v (entry %q, name %q)", r.Verify, r.Entry, r.Name)
 	}
@@ -84,6 +84,7 @@ func TestJobResolveRejects(t *testing.T) {
 		{"prog", core.Job{Prog: "no-such-program"}, `unknown corpus program "no-such-program"`},
 		{"level", core.Job{Prog: "wc", Level: "-O9"}, "unknown optimization level"},
 		{"search", core.Job{Prog: "wc", Search: "sideways"}, "unknown search strategy"},
+		{"retired search", core.Job{Prog: "wc", Search: "interleave"}, "unknown search strategy"},
 		{"check", core.Job{Prog: "wc", Checks: "div-by-zero,nonsense"}, "unknown check kind"},
 		{"pass", core.Job{Prog: "wc", Passes: "mem2reg,nosuchpass"}, "nosuchpass"},
 		{"pass syntax", core.Job{Prog: "wc", Passes: "fixpoint(dce"}, "fixpoint"},

@@ -527,37 +527,6 @@ func shortSocketPath(t *testing.T) string {
 	return dir + "/d.sock"
 }
 
-// TestWarmTapeReuse: with the solver's verdict cache squeezed to one
-// slot per stripe, a warm repeat verify re-searches groups it has seen
-// before — and must find their compiled tapes in the generation's tape
-// cache instead of re-flattening the constraint DAGs.
-func TestWarmTapeReuse(t *testing.T) {
-	_, c := pipeServer(t, Config{
-		SolverCacheCap: 64, // 1 slot per stripe: evictions force re-searches
-	})
-	req := &VerifyRequest{Prog: "basename", InputBytes: 3, NoVerdicts: true}
-	cold, err := c.Verify(req)
-	if err != nil {
-		t.Fatalf("cold verify: %v", err)
-	}
-	warm, err := c.Verify(req)
-	if err != nil {
-		t.Fatalf("warm verify: %v", err)
-	}
-	if warm.Render != cold.Render {
-		t.Error("warm render diverged from cold")
-	}
-	if warm.Generation != cold.Generation {
-		t.Fatalf("generation rotated mid-test (%d -> %d); tape reuse is generation-scoped", cold.Generation, warm.Generation)
-	}
-	if warm.TapeReuses == 0 {
-		t.Errorf("warm run reused no tapes (searches %d)", warm.SolverSearches)
-	}
-	if warm.SolverSearches < warm.TapeReuses {
-		t.Errorf("accounting: %d searches < %d tape reuses", warm.SolverSearches, warm.TapeReuses)
-	}
-}
-
 // TestPreloadWarmsModuleCache: a preloaded source's first client
 // request must hit the module cache — the compile happened before the
 // daemon accepted the connection.

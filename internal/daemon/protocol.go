@@ -39,7 +39,8 @@ import (
 //	2: VerifyRequest gains slice/checks, VerifyReply gains tapeReuses.
 //	3: distExplore/verdictGet/verdictPut frames for the distributed
 //	   frontier and the shared verdict cache service.
-const ProtocolVersion = 3
+//	4: requests lose seed, VerifyReply loses tapeReuses.
+const ProtocolVersion = 4
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -125,8 +126,7 @@ type VerifyReply struct {
 	CompileCacheHit bool  `json:"compileCacheHit,omitempty"`
 	SolverQueries   int64 `json:"solverQueries"`
 	SolverWarmHits  int64 `json:"solverWarmHits"` // cache + partition + model-reuse hits (group-level; can exceed queries)
-	SolverSearches  int64 `json:"solverSearches"` // fresh searches actually run (compiles + tape reuses); queries - searches were answered warm
-	TapeReuses      int64 `json:"tapeReuses"`     // searches that reused a generation-cached compiled tape
+	SolverSearches  int64 `json:"solverSearches"` // fresh searches actually run; queries - searches were answered warm
 	Generation      int64 `json:"generation"`     // builder/cache generation that served the run
 
 	CompileMS float64 `json:"compileMs"`
@@ -149,8 +149,7 @@ type DistExploreRequest struct {
 	Slice  bool   `json:"slice,omitempty"`
 	Checks string `json:"checks,omitempty"`
 
-	Search    string `json:"search,omitempty"` // exploration order (default dfs)
-	Seed      int64  `json:"seed,omitempty"`
+	Search    string `json:"search,omitempty"`  // exploration order (default dfs)
 	Workers   int    `json:"workers,omitempty"` // engine workers inside this daemon
 	TimeoutMS int64  `json:"timeoutMs,omitempty"`
 	MaxInstrs int64  `json:"maxInstrs,omitempty"`
@@ -169,7 +168,7 @@ func (r *DistExploreRequest) Job() core.Job {
 	return core.Job{
 		Name: r.Name, Source: r.Source, Prog: r.Prog,
 		Level: r.Level, Passes: r.Passes, Slice: r.Slice, Checks: r.Checks,
-		Search: r.Search, Seed: r.Seed, Workers: r.Workers,
+		Search: r.Search, Workers: r.Workers,
 		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
 		Portfolio: r.Portfolio, PortfolioStall: r.PortfolioStall,
 	}

@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"overify/internal/core"
-	"overify/internal/expr"
-	"overify/internal/solver"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
 )
@@ -44,12 +42,11 @@ type Config struct {
 	// value for an unbounded cache).
 	SolverCacheCap int
 	// BuilderCap rotates the shared expression builder (and with it the
-	// solver cache, whose keys are builder-local node ids) once the DAG
-	// exceeds this many nodes (default 4M; negative = never rotate).
-	// Rotation is the DAG's eviction policy: the old generation stays
-	// alive for its in-flight runs and is garbage-collected when they
-	// finish. Requests never observe a torn generation — each run pins
-	// one (builder, cache) pair for its whole lifetime.
+	// solver cache) once the DAG exceeds this many nodes (default 4M;
+	// negative = never rotate). Rotation is the DAG's eviction policy:
+	// the old generation stays alive for its in-flight runs and is
+	// garbage-collected when they finish. Requests never observe a torn
+	// generation — each run pins one symex.Warm for its whole lifetime.
 	BuilderCap int64
 
 	// Verdicts, when non-nil, is the shared verdict store. Nil disables
@@ -101,18 +98,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// generation is one (builder, solver cache) epoch. The two rotate
-// together because cache keys are fingerprints of builder-local node
-// ids — entries from one builder are meaningless (and dangerous) under
-// another.
+// generation is one numbered epoch of warm state.
 type generation struct {
-	id      int64
-	builder *expr.Builder
-	cache   *solver.Cache
-	// tapes shares compiled constraint tapes across the generation's
-	// runs; like the cache it is keyed by builder-local fingerprints, so
-	// it rotates with the builder.
-	tapes *solver.TapeCache
+	id int64
+	*symex.Warm
 }
 
 // Server is the long-lived verification service. One Server holds all
@@ -157,12 +146,7 @@ func NewServer(cfg Config) *Server {
 		drainCh:  make(chan struct{}),
 		conns:    make(map[io.Closer]struct{}),
 	}
-	s.gen = &generation{
-		id:      1,
-		builder: expr.NewConcurrentBuilder(),
-		cache:   solver.NewCacheWithCap(cfg.SolverCacheCap),
-		tapes:   solver.NewTapeCache(0),
-	}
+	s.gen = &generation{1, symex.NewWarm(cfg.SolverCacheCap)}
 	return s
 }
 
@@ -171,13 +155,8 @@ func NewServer(cfg Config) *Server {
 func (s *Server) currentGen() *generation {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
-	if s.cfg.BuilderCap > 0 && s.gen.builder.NodesBuilt() > s.cfg.BuilderCap {
-		s.gen = &generation{
-			id:      s.gen.id + 1,
-			builder: expr.NewConcurrentBuilder(),
-			cache:   solver.NewCacheWithCap(s.cfg.SolverCacheCap),
-			tapes:   solver.NewTapeCache(0),
-		}
+	if s.cfg.BuilderCap > 0 && s.gen.Builder.NodesBuilt() > s.cfg.BuilderCap {
+		s.gen = &generation{s.gen.id + 1, symex.NewWarm(s.cfg.SolverCacheCap)}
 		s.rotations.Add(1)
 	}
 	return s.gen
@@ -420,15 +399,6 @@ func (s *Server) compile(r *core.Resolved) (*core.Compiled, bool, error) {
 	return c, false, nil
 }
 
-// warm injects one generation's warm state into a resolved engine
-// configuration.
-func (g *generation) warm(opts symex.Options) symex.Options {
-	opts.Builder = g.builder
-	opts.Cache = g.cache
-	opts.Tapes = g.tapes
-	return opts
-}
-
 // Verify executes one verify request against the warm state. It is
 // exported (and used directly by in-process harnesses) but the normal
 // entry is a KindVerify packet.
@@ -448,7 +418,7 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 
 	gen := s.currentGen()
 	opts := r.Verify
-	opts.Engine = gen.warm(opts.Engine)
+	opts.Engine.Warm = gen.Warm
 	if !req.NoVerdicts {
 		opts.Verdicts = s.cfg.Verdicts
 	}
@@ -496,8 +466,7 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 		SolverWarmHits: rep.Stats.SolverStats.CacheHits +
 			rep.Stats.SolverStats.PartitionHits +
 			rep.Stats.SolverStats.ModelReuseHits,
-		SolverSearches: rep.Stats.SolverStats.TapeCompiles + rep.Stats.SolverStats.TapeReuses,
-		TapeReuses:     rep.Stats.SolverStats.TapeReuses,
+		SolverSearches: rep.Stats.SolverStats.TapeCompiles,
 		Generation:     gen.id,
 		CompileMS:      compileMS,
 		VerifyMS:       verifyMS,
@@ -527,7 +496,8 @@ func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error)
 	}
 
 	gen := s.currentGen()
-	eng := symex.NewEngine(c.Mod, gen.warm(r.Verify.Engine))
+	r.Verify.Engine.Warm = gen.Warm
+	eng := symex.NewEngine(c.Mod, r.Verify.Engine)
 	states, err := eng.DecodeStates(req.States)
 	if err != nil {
 		return nil, fmt.Errorf("decode shard: %w", err)
@@ -624,12 +594,12 @@ func (s *Server) statsReply() *StatsReply {
 	r.Jobs.Rejected = s.rejected.Load()
 	r.Jobs.MaxJobs = s.cfg.MaxJobs
 
-	r.Builder.Nodes = gen.builder.NodesBuilt()
-	r.Builder.Hits = gen.builder.CacheHits()
+	r.Builder.Nodes = gen.Builder.NodesBuilt()
+	r.Builder.Hits = gen.Builder.CacheHits()
 	r.Builder.Cap = s.cfg.BuilderCap
 	r.Builder.Rotation = s.rotations.Load()
 
-	snap := gen.cache.Snapshot()
+	snap := gen.Cache.Snapshot()
 	r.SolverCache.Entries = snap.Entries
 	r.SolverCache.Hits = snap.Hits
 	r.SolverCache.Misses = snap.Misses

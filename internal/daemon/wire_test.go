@@ -11,16 +11,17 @@ import (
 const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
 
 // Request bodies as the protocol-v3 structs encoded them before the
-// verify body became a core.Job (captured from that commit). A daemon
-// must keep decoding what deployed clients send.
+// verify body became a core.Job (captured from that commit), re-cut for
+// v4: the seed key is gone, and distExplore names a search order that
+// still exists.
 const (
-	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"search":"bfs","seed":7,"cover":9,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
+	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"search":"bfs","cover":9,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
 	goldenVerifyProg  = `{"prog":"wc"}`
-	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","search":"rand","seed":7,"workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"portfolioStall":2048,"states":"T1ZTWA=="}`
+	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","search":"covnew","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"portfolioStall":2048,"states":"T1ZTWA=="}`
 	goldenCompile     = `{"prog":"wc","level":"-O3","passes":"mem2reg","ir":true}`
 )
 
-// TestWireGoldenRequestsDecode: each v3 request body decodes to the
+// TestWireGoldenRequestsDecode: each golden request body decodes to the
 // job its sender meant.
 func TestWireGoldenRequestsDecode(t *testing.T) {
 	var v VerifyRequest
@@ -29,7 +30,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Entry: "umain",
-		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000, Search: "bfs", Seed: 7, Cover: 9, Workers: 2,
+		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000, Search: "bfs", Cover: 9, Workers: 2,
 		Slice: true, Checks: "div-by-zero,bounds", NoVerdicts: true,
 	}); v != want {
 		t.Errorf("verify body decoded to\n%+v, want\n%+v", v, want)
@@ -49,7 +50,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Slice: true, Checks: "div-by-zero",
-		Search: "rand", Seed: 7, Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
+		Search: "covnew", Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
 		Portfolio: 4, PortfolioStall: 2048,
 	}); d.Job() != want {
 		t.Errorf("distExplore body decoded to job\n%+v, want\n%+v", d.Job(), want)
@@ -68,9 +69,9 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 }
 
 // TestWireJobKeysAreV3: a fully populated job encodes under exactly the
-// key names the v3 verify and distExplore bodies already used for
-// those fields, so a v3 daemon reads every field it knows and ignores
-// the rest; the coordinator-only SplitStates never travels.
+// key names the golden verify and distExplore bodies use (v3's, less
+// seed since v4) — no key is added or renamed by accident; the
+// coordinator-only SplitStates never travels.
 func TestWireJobKeysAreV3(t *testing.T) {
 	v3 := map[string]bool{}
 	for _, golden := range []string{goldenVerify, goldenVerifyProg, goldenDistExplore} {
@@ -104,12 +105,12 @@ func TestWireJobKeysAreV3(t *testing.T) {
 	}
 	for k := range got {
 		if !v3[k] {
-			t.Errorf("job encodes key %q, which no v3 request body used", k)
+			t.Errorf("job encodes key %q, which no golden request body uses", k)
 		}
 	}
 	for k := range v3 {
 		if _, ok := got[k]; !ok {
-			t.Errorf("v3 key %q is not encoded by a fully populated job", k)
+			t.Errorf("golden key %q is not encoded by a fully populated job", k)
 		}
 	}
 }

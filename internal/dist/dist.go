@@ -52,7 +52,7 @@ func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExplor
 		Name: r.Name, Source: r.Source,
 		Level: o.Level, Passes: o.Passes,
 		Slice: o.Slice, Checks: o.Checks,
-		Search: o.Search, Seed: o.Seed, Workers: o.Workers,
+		Search: o.Search, Workers: o.Workers,
 		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
 		Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,
 		States: states,

@@ -148,8 +148,8 @@ func BenchmarkSearchTape(b *testing.B) {
 // BenchmarkBranchReuse prices what a conditional branch pays the reuse
 // probe at depth k: a warm k-constraint condition (reuseChain: eight
 // models in the history, every one satisfying all of it) is extended by
-// a sibling pair the way the engine does it — PrefetchParts, then
-// SatPartition on each side. On one side only the last model satisfies
+// a sibling pair the way the engine does it — SatPartition on each
+// side. On one side only the last model satisfies
 // the branch constraint, so all eight are probed; on the other the
 // first does. ns/op must not depend on k, and the only allocations are
 // the two Extends'.

@@ -26,6 +26,7 @@ type cacheShard struct {
 	// the next candidate; a swept entry with its used bit set is given
 	// a second chance (bit cleared, re-enqueued), otherwise it is
 	// evicted. The prefix before hand is compacted away periodically.
+	// An unbounded cache never sweeps, so it keeps no ring at all.
 	ring []Fingerprint
 	hand int
 }
@@ -35,9 +36,8 @@ type cacheShard struct {
 // search state is not concurrency-safe) but layers one Cache under all
 // of them, so a group decided by any worker is a hit for every other.
 // Keys are group fingerprints (sorted hash-consed expression ids mixed
-// into a fixed-size comparable value), which is why all workers must
-// share one expr.Builder — and why a daemon sharing one Cache across
-// runs must also share one builder across those runs.
+// into a fixed-size comparable value), so a Cache belongs to the one
+// expr.Builder that numbered those nodes (symex.Warm pairs the two).
 //
 // A Cache is safe for concurrent use.
 //
@@ -94,43 +94,6 @@ func (c *Cache) shard(fp Fingerprint) *cacheShard {
 	return &c.shards[shardIdx(fp)]
 }
 
-// getBatch looks up many keys in one striped-lock round trip: keys are
-// grouped by shard and each touched shard's read lock is taken exactly
-// once, instead of once per key. The symbolic-execution engine batches
-// the two sibling queries of a conditional branch (pc+cond, pc+!cond)
-// through here via Solver.PrefetchParts.
-//
-// Only hits are counted here: a batched hit satisfies the caller for
-// good (the solver's L1 absorbs it), while a batched miss is re-probed
-// by the per-group get() on the solve path, which counts it — counting
-// both would double every miss in the snapshot.
-func (c *Cache) getBatch(fps []Fingerprint) map[Fingerprint]cacheEntry {
-	if len(fps) == 0 {
-		return nil
-	}
-	byShard := make(map[uint32][]Fingerprint)
-	for _, fp := range fps {
-		idx := shardIdx(fp)
-		byShard[idx] = append(byShard[idx], fp)
-	}
-	found := make(map[Fingerprint]cacheEntry, len(fps))
-	var hits int64
-	for idx, ks := range byShard {
-		sh := &c.shards[idx]
-		sh.mu.RLock()
-		for _, fp := range ks {
-			if s, ok := sh.m[fp]; ok {
-				s.used.Store(true)
-				found[fp] = s.e
-				hits++
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	c.hits.Add(hits)
-	return found
-}
-
 // get looks up a previously decided group.
 func (c *Cache) get(fp Fingerprint) (cacheEntry, bool) {
 	sh := c.shard(fp)
@@ -158,9 +121,9 @@ func (c *Cache) put(fp Fingerprint, e cacheEntry) {
 	sh.mu.Lock()
 	if _, dup := sh.m[fp]; !dup {
 		sh.m[fp] = &cacheSlot{e: e}
-		sh.ring = append(sh.ring, fp)
 		c.entries.Add(1)
 		if c.shardCap > 0 {
+			sh.ring = append(sh.ring, fp)
 			c.evictLocked(sh)
 		}
 	}

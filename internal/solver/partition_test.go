@@ -128,7 +128,7 @@ func TestPartitionVerdictReuse(t *testing.T) {
 }
 
 // TestNoDagWalksOnQueryPath: the per-query path — partitioning,
-// prefetch, search — must consume the interned variable sets; a fresh
+// search — must consume the interned variable sets; a fresh
 // DAG walk anywhere shows up on the expr walk counter.
 func TestNoDagWalksOnQueryPath(t *testing.T) {
 	b := expr.NewBuilder()
@@ -145,7 +145,6 @@ func TestNoDagWalksOnQueryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Prefetch(pc, pc[:len(pc)-1])
 	if _, _, err := s.Sat(pc); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func BenchmarkSat(b *testing.B) {
 }
 
 // BenchmarkSatHot replays the stream through one long-lived solver, the
-// repeat-hit regime (model reuse + partition verdicts + L1) a deep DFS
+// repeat-hit regime (model reuse + partition verdicts + cache hits) a deep DFS
 // run spends most of its queries in.
 func BenchmarkSatHot(b *testing.B) {
 	qs := wcQueries(b)

@@ -177,7 +177,6 @@ func TestReuseMemoMatchesScratch(t *testing.T) {
 					mp := paths[rng.Intn(len(paths))]
 					c := randomExtension(b, vs, rng, mp)
 					sides := []memoPath{mp.extend(c), mp.extend(b.Not(c))}
-					s.PrefetchParts(sides[0].last(), sides[1].last())
 					for _, side := range sides {
 						sat, err := checkedSat(s, side)
 						if err != nil {
@@ -231,7 +230,6 @@ func TestReuseMemoSharedAcrossSolvers(t *testing.T) {
 			for i := range shared.pc {
 				prefix := memoPath{pc: shared.pc[: i+1 : i+1], parts: shared.parts[: i+1 : i+1]}
 				sides := []memoPath{prefix.extend(private[g][2*i]), prefix.extend(private[g][2*i+1])}
-				s.PrefetchParts(sides[0].last(), sides[1].last())
 				for _, mp := range append(sides, prefix) {
 					if _, err := checkedSat(s, mp); err != nil {
 						t.Errorf("solver %d, shared depth %d: %v", g, i+1, err)
@@ -273,9 +271,7 @@ func reuseChain(tb testing.TB, k int) (b *expr.Builder, s *Solver, chain []*expr
 // branchOff decides the sibling pair (p ∧ a, p ∧ ¬a) the way the
 // engine's conditional branch does.
 func branchOff(tb testing.TB, s *Solver, p *Partition, a, notA *expr.Expr) {
-	pa, pb := p.Extend(a), p.Extend(notA)
-	s.PrefetchParts(pa, pb)
-	for _, q := range []*Partition{pa, pb} {
+	for _, q := range []*Partition{p.Extend(a), p.Extend(notA)} {
 		if sat, _, err := s.SatPartition(q); err != nil || !sat {
 			tb.Fatalf("sat=%v err=%v", sat, err)
 		}

@@ -60,7 +60,7 @@ type Options struct {
 // Stats counts solver work across a run; t_verify is dominated by these.
 type Stats struct {
 	Queries        int64
-	CacheHits      int64 // group verdicts answered by the L1 or shared cache
+	CacheHits      int64 // group verdicts answered by the shared cache
 	PartitionHits  int64 // group verdicts reused off the carried partition (no cache probe)
 	ModelReuseHits int64
 	Sat            int64
@@ -69,7 +69,11 @@ type Stats struct {
 	Nodes          int64 // backtracking nodes explored
 	Assignments    int64 // candidate values tried (probes + bindings), the budget currency
 	TapeCompiles   int64 // groups compiled to evaluation tapes (searches run)
-	TapeReuses     int64 // searches that reused a cached tape instead of compiling
+	// TapeReuses is never incremented: the tape cache it counted is
+	// gone. It stays declared only because benchmark/cold.go, which a
+	// non-benchmark PR may not edit, reads it; the next benchmark PR
+	// drops it together with the solver.tape_reuses metric.
+	TapeReuses     int64
 	TapeSlots      int64 // total slots across compiled tapes
 	PortfolioRaces int64 // groups that stalled past PortfolioStall and entered a race
 	PortfolioWins  int64 // races a non-default configuration answered first
@@ -89,7 +93,6 @@ func (s *Stats) Add(o Stats) {
 	s.Nodes += o.Nodes
 	s.Assignments += o.Assignments
 	s.TapeCompiles += o.TapeCompiles
-	s.TapeReuses += o.TapeReuses
 	s.TapeSlots += o.TapeSlots
 	s.PortfolioRaces += o.PortfolioRaces
 	s.PortfolioWins += o.PortfolioWins
@@ -131,13 +134,10 @@ const serialBlock = 1024
 // Solver decides queries and caches results. Not safe for concurrent
 // use; create one per engine worker. Solvers may share a Cache (see
 // NewWithCache) — the cache layer is concurrency-safe, the search and
-// model-reuse state is not. A private unsynchronized L1 map sits in
-// front of the shared cache so repeat hits (the common case under DFS
-// exploration) never touch a lock.
+// model-reuse state is not.
 type Solver struct {
 	opts      Options
 	Stats     Stats
-	l1        map[Fingerprint]cacheEntry
 	cache     *Cache
 	recent    []recentModel
 	reuseEval *expr.Evaluator
@@ -149,17 +149,10 @@ type Solver struct {
 	serial   uint64
 	pending  []*reuseNode
 	deadline time.Time
-	// tapes, when set, shares compiled tapes across searches (and across
-	// the solvers of one engine run) keyed by group fingerprint.
-	tapes *TapeCache
 	// scratch is the compile/evaluation buffer set reused across this
 	// solver's searches (solvers are single-goroutine).
 	scratch tapeScratch
 }
-
-// SetTapeCache attaches a shared compiled-tape cache. Call before
-// solving; the cache layer is concurrency-safe.
-func (s *Solver) SetTapeCache(tc *TapeCache) { s.tapes = tc }
 
 // New returns a solver with the given options and a private cache.
 func New(opts Options) *Solver {
@@ -184,79 +177,16 @@ func NewWithCache(opts Options, cache *Cache) *Solver {
 	}
 	return &Solver{
 		opts:      opts,
-		l1:        make(map[Fingerprint]cacheEntry),
 		cache:     cache,
 		reuseEval: expr.NewEvaluator(),
 	}
 }
-
-// SharedCache returns the cache this solver decides into.
-func (s *Solver) SharedCache() *Cache { return s.cache }
 
 // SetDeadline makes every subsequent query fail with ErrBudget once the
 // wall clock passes t (zero disables). The symbolic-execution engine
 // forwards its own deadline here so a single hard query cannot outlive
 // the exploration budget.
 func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
-
-// Prefetch warms the private L1 with the shared-cache entries for every
-// independent group of the given queries, in one batched striped-lock
-// round trip. It is the slice-based convenience form of PrefetchParts.
-func (s *Solver) Prefetch(queries ...[]*expr.Expr) {
-	parts := make([]*Partition, len(queries))
-	for i, q := range queries {
-		parts[i] = PartitionOf(q)
-	}
-	s.PrefetchParts(parts...)
-}
-
-// PrefetchParts warms the private L1 with the shared-cache entries for
-// every undecided group of the given partitions, in one batched
-// striped-lock round trip (Cache.getBatch). The symbolic executor calls
-// it with the two sibling partitions of a conditional branch before
-// deciding them, so the true and false sides cost one shared-cache
-// visit instead of two. Partitions that decide trivially, that a recent
-// model already satisfies, or whose groups carry verdicts contribute no
-// keys — Sat answers those without ever consulting the cache.
-func (s *Solver) PrefetchParts(parts ...*Partition) {
-	// With carried partitions the undecided set is tiny (usually just
-	// the one or two groups the branch condition touched), so dedup is
-	// a linear scan — no per-call map.
-	var fps []Fingerprint
-	for _, p := range parts {
-		if _, trivial := p.Trivial(); trivial {
-			continue
-		}
-		reused := false
-		for _, m := range s.recent {
-			if s.modelSatisfies(p, m) {
-				reused = true
-				break
-			}
-		}
-		if reused {
-			continue
-		}
-	groups:
-		for _, g := range p.groups {
-			if g.verdict.Load() != nil {
-				continue
-			}
-			for _, fp := range fps {
-				if fp == g.fp {
-					continue groups
-				}
-			}
-			if _, ok := s.l1[g.fp]; ok {
-				continue
-			}
-			fps = append(fps, g.fp)
-		}
-	}
-	for fp, e := range s.cache.getBatch(fps) {
-		s.l1[fp] = e
-	}
-}
 
 // Sat reports whether the conjunction of the constraints is satisfiable,
 // and if so returns a model (an assignment of every mentioned variable).
@@ -268,8 +198,8 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, map[*expr.Var]uint64, erro
 
 // SatPartition decides a pre-partitioned query. Groups whose verdict was
 // already decided while the partition was carried forward are reused
-// without a cache probe; the remaining groups go through L1 → shared
-// cache → compiled search.
+// without a cache probe; the remaining groups go through the shared
+// cache, then compiled search (solveGroup).
 func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) {
 	s.Stats.Queries++
 
@@ -387,18 +317,14 @@ func (s *Solver) remember(p *Partition, model map[*expr.Var]uint64) {
 	}
 }
 
+// solveGroup is the whole lookup story for one group: the verdict
+// carried on the partition, then the one shared cache, then search.
 func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 	if e := g.verdict.Load(); e != nil {
 		s.Stats.PartitionHits++
 		return e.sat, e.model, nil
 	}
-	if e, ok := s.l1[g.fp]; ok {
-		s.Stats.CacheHits++
-		g.verdict.Store(&e)
-		return e.sat, e.model, nil
-	}
 	if e, ok := s.cache.get(g.fp); ok {
-		s.l1[g.fp] = e
 		s.Stats.CacheHits++
 		g.verdict.Store(&e)
 		return e.sat, e.model, nil
@@ -410,7 +336,6 @@ func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 	// Cached models are shared across workers; they are never mutated
 	// after insertion (Sat only reads them, remember copies).
 	entry := cacheEntry{sat: sat, model: model}
-	s.l1[g.fp] = entry
 	s.cache.put(g.fp, entry)
 	g.verdict.Store(&entry)
 	return sat, model, nil
@@ -452,20 +377,9 @@ func (s *Solver) search(g *Group) (bool, map[*expr.Var]uint64, error) {
 			return false, nil, errTooWide
 		}
 	}
-	var t *tape
-	if s.tapes != nil {
-		t = s.tapes.get(g.fp)
-	}
-	if t != nil {
-		s.Stats.TapeReuses++
-	} else {
-		t = s.scratch.compile(g)
-		s.Stats.TapeCompiles++
-		s.Stats.TapeSlots += int64(len(t.ops))
-		if s.tapes != nil {
-			s.tapes.put(g.fp, t)
-		}
-	}
+	t := s.scratch.compile(g)
+	s.Stats.TapeCompiles++
+	s.Stats.TapeSlots += int64(len(t.ops))
 	if len(t.vars) > s.Stats.MaxGroupVars {
 		s.Stats.MaxGroupVars = len(t.vars)
 	}

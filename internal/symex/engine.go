@@ -30,9 +30,6 @@ type Options struct {
 	// differ in how fast they reach coverage — and so in t_verify when
 	// a budget (MaxPaths, CoverTarget, Timeout) is in play.
 	Strategy SearchKind
-	// Seed fixes the random-path PRNGs (0 = a fixed default); same
-	// seed, same serial exploration order.
-	Seed int64
 	// CoverTarget stops exploration once this many distinct basic
 	// blocks have been executed (0 = off). This is the "time to
 	// coverage" budget coverage-guided search optimizes for.
@@ -43,31 +40,34 @@ type Options struct {
 	// builder and one solver cache but hold private solvers and private
 	// frontier shards (work-stealing keeps them busy).
 	Workers int
-	// Builder, when non-nil, is the expression builder this run interns
-	// through instead of a fresh one. The verification daemon passes a
-	// process-wide concurrent builder here so the hash-consed DAG stays
-	// warm across requests — and so node ids, the solver cache's keys,
-	// remain canonical across every run sharing Cache below. A shared
-	// builder must be concurrent-safe (expr.NewConcurrentBuilder)
-	// whenever it can be used by more than one goroutine.
-	Builder *expr.Builder
-	// Cache, when non-nil, is the solver query cache the run's workers
-	// decide into, instead of a fresh per-run cache. Sharing it across
-	// runs requires sharing Builder too: fingerprints are built from
-	// builder-local node ids, so entries are only meaningful to runs on
-	// the same builder.
-	Cache *solver.Cache
-	// Tapes, when non-nil, memoizes compiled constraint tapes by group
-	// fingerprint across this run's workers (and, in the daemon, across
-	// every run in a builder generation). Same sharing rule as Cache:
-	// fingerprints are builder-local.
-	Tapes *solver.TapeCache
+	// Warm, when non-nil, is the state this run shares with other runs
+	// instead of building its own; nil runs cold.
+	Warm *Warm
 	// Checks restricts which OpCheck kinds the run reports (the
 	// per-property verify mode); the zero value keeps all of them.
 	// Skipped checks neither report bugs nor constrain the path — the
 	// path continues as if the check were absent, exactly matching a
 	// program sliced for the same subset.
 	Checks ir.CheckSet
+}
+
+// Warm is what a long-lived process keeps between runs: the hash-consed
+// expression DAG and the solver's decided groups. It is one value
+// because the two are only meaningful together — a cache's keys are
+// fingerprints of builder-local node ids, so a Cache consulted under
+// any Builder but the one that filled it answers wrongly, not slowly.
+// Build both with NewWarm and retire both together. The builder is the
+// concurrent kind: every run and every worker sharing a Warm interns
+// through it.
+type Warm struct {
+	Builder *expr.Builder
+	Cache   *solver.Cache
+}
+
+// NewWarm returns empty warm state whose cache holds at most cacheCap
+// decided groups (0 = unbounded).
+func NewWarm(cacheCap int) *Warm {
+	return &Warm{Builder: expr.NewConcurrentBuilder(), Cache: solver.NewCacheWithCap(cacheCap)}
 }
 
 // effectiveWorkers resolves the Workers option to a concrete count.
@@ -205,24 +205,20 @@ func NewEngine(mod *ir.Module, opts Options) *Engine {
 	if opts.MaxStates == 0 {
 		opts.MaxStates = 1_000_000
 	}
-	// A serial run gets the unsynchronized builder: the per-expression
-	// interning path is too hot to pay a concurrency tax for one worker.
-	// An injected builder (daemon warm path) is taken as-is.
-	b := opts.Builder
-	if b == nil {
-		b = expr.NewBuilder()
+	// A cold serial run gets the unsynchronized builder: the
+	// per-expression interning path is too hot to pay a concurrency tax
+	// for one worker.
+	warm := opts.Warm
+	if warm == nil {
+		warm = &Warm{Builder: expr.NewBuilder(), Cache: solver.NewCache()}
 		if opts.effectiveWorkers() > 1 {
-			b = expr.NewConcurrentBuilder()
+			warm.Builder = expr.NewConcurrentBuilder()
 		}
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = solver.NewCache()
 	}
 	e := &Engine{
 		Mod:     mod,
-		B:       b,
-		cache:   cache,
+		B:       warm.Builder,
+		cache:   warm.Cache,
 		layouts: make(map[*ir.Function]*frameLayout, len(mod.Funcs)),
 		cov:     newCoverage(),
 		opts:    opts,
@@ -371,27 +367,14 @@ func (e *Engine) RunStates(states []*State) *Report {
 	e.armDeadline()
 
 	n := e.opts.effectiveWorkers()
-	strat := newStrategy(e.opts.Strategy, n, e.opts.Seed, e.cov)
+	strat := newStrategy(e.opts.Strategy, n, e.cov)
 	fr := newFrontier(n, strat, e.opts.MaxStates)
 	fr.put(0, states)
 
 	workers := make([]*worker, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		w := &worker{
-			e:     e,
-			id:    i,
-			B:     e.B,
-			fr:    fr,
-			strat: strat,
-			sol:   solver.NewWithCache(e.opts.Solver, e.cache),
-		}
-		if e.opts.Tapes != nil {
-			w.sol.SetTapeCache(e.opts.Tapes)
-		}
-		if !e.deadline.IsZero() {
-			w.sol.SetDeadline(e.deadline)
-		}
+		w := e.newWorker(i, fr, strat)
 		workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -405,23 +388,9 @@ func (e *Engine) RunStates(states []*State) *Report {
 	// stopping worker drained).
 	e.truncated.Add(fr.drain())
 
-	stats := Stats{
-		Paths:          e.paths.Load(),
-		ErrorPaths:     e.errorPaths.Load(),
-		TruncatedPaths: e.truncated.Load(),
-		Forks:          e.forks.Load(),
-		Instrs:         e.instrs.Load(),
-		ChecksSkipped:  e.checksSkipped.Load(),
-		StatesExplored: e.explored.Load(),
-		CoveredBlocks:  int(e.cov.count()),
-		MaxLiveStates:  fr.maxLive,
-		Workers:        n,
-		Strategy:       strat.Name(),
-		SharedCache:    e.cache.Snapshot(),
-		Elapsed:        time.Since(start),
-		TimedOut:       e.timedOut.Load(),
-	}
-	stats.SolverStats.Add(e.splitStats)
+	stats := e.snapshot()
+	stats.MaxLiveStates = fr.maxLive
+	stats.Elapsed = time.Since(start)
 	bugs := append([]Bug(nil), e.splitBugs...)
 	for _, w := range workers {
 		stats.SolverStats.Add(w.sol.Stats)
@@ -445,19 +414,7 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 		return nil, err
 	}
 	e.armDeadline()
-	w := &worker{
-		e:     e,
-		id:    0,
-		B:     e.B,
-		strat: newStrategy(e.opts.Strategy, 1, e.opts.Seed, e.cov),
-		sol:   solver.NewWithCache(e.opts.Solver, e.cache),
-	}
-	if e.opts.Tapes != nil {
-		w.sol.SetTapeCache(e.opts.Tapes)
-	}
-	if !e.deadline.IsZero() {
-		w.sol.SetDeadline(e.deadline)
-	}
+	w := e.newWorker(0, nil, newStrategy(e.opts.Strategy, 1, e.cov))
 	queue := []*State{st}
 	for len(queue) > 0 && len(queue) < want {
 		cur := queue[0]
@@ -494,7 +451,14 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 // equals a serial run because every path is finished exactly once,
 // either here or remotely.
 func (e *Engine) PartialReport() *Report {
-	stats := Stats{
+	return &Report{Stats: e.snapshot(), Bugs: mergeBugs(append([]Bug(nil), e.splitBugs...))}
+}
+
+// snapshot reads the engine-wide counters into a Stats; SolverStats
+// starts from the split-phase residue, for the caller to add its
+// workers' solvers to.
+func (e *Engine) snapshot() Stats {
+	return Stats{
 		Paths:          e.paths.Load(),
 		ErrorPaths:     e.errorPaths.Load(),
 		TruncatedPaths: e.truncated.Load(),
@@ -509,7 +473,14 @@ func (e *Engine) PartialReport() *Report {
 		SharedCache:    e.cache.Snapshot(),
 		TimedOut:       e.timedOut.Load(),
 	}
-	return &Report{Stats: stats, Bugs: mergeBugs(append([]Bug(nil), e.splitBugs...))}
+}
+
+// newWorker builds one exploration worker: a private solver over the
+// shared cache, bound to the run's deadline. Call after armDeadline.
+func (e *Engine) newWorker(id int, fr *frontier, strat Strategy) *worker {
+	w := &worker{e: e, id: id, B: e.B, fr: fr, strat: strat, sol: solver.NewWithCache(e.opts.Solver, e.cache)}
+	w.sol.SetDeadline(e.deadline) // zero = none
+	return w
 }
 
 // CoveredBlockNames returns the sorted "function/block" names of every

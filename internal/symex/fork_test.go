@@ -16,7 +16,6 @@ import (
 	"overify/internal/lang"
 	"overify/internal/libc"
 	"overify/internal/pipeline"
-	"overify/internal/solver"
 )
 
 // lowerAt compiles src (no libc) at level.
@@ -34,7 +33,7 @@ func lowerAt(tb testing.TB, src string, level pipeline.Level) *ir.Module {
 
 // testWorker is a worker outside any pool, the way Split builds one.
 func testWorker(e *Engine) *worker {
-	return &worker{e: e, B: e.B, strat: newStrategy(DFS, 1, 0, e.cov), sol: solver.NewWithCache(e.opts.Solver, e.cache)}
+	return e.newWorker(0, nil, newStrategy(DFS, 1, e.cov))
 }
 
 // reachable lists st's memory objects in a fixed order (globals by

@@ -4,7 +4,7 @@ import "testing"
 
 // testFrontier builds a frontier over a fresh strategy of the given kind.
 func testFrontier(workers int, kind SearchKind, maxStates int) *frontier {
-	return newFrontier(workers, newStrategy(kind, workers, 0, newCoverage()), maxStates)
+	return newFrontier(workers, newStrategy(kind, workers, newCoverage()), maxStates)
 }
 
 func never() bool { return false }

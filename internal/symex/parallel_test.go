@@ -138,6 +138,33 @@ func TestParallelSharedSolverCache(t *testing.T) {
 	}
 }
 
+// TestOneLookupPerGroup: a group's verdict is looked up in one place.
+// On a serial cold run every group without a carried verdict costs
+// exactly one shared-cache lookup, every hit there is a CacheHit, and
+// every miss exactly one search — no second map in front of the cache
+// answers (or hides) anything.
+func TestOneLookupPerGroup(t *testing.T) {
+	for _, tc := range []struct {
+		prog string
+		n    int
+	}{{"wc", 6}, {"tail", 3}} {
+		p, ok := coreutils.Get(tc.prog)
+		if !ok {
+			t.Fatalf("no %s program", tc.prog)
+		}
+		st := verifyProg(t, p, pipeline.O0, tc.n, 1).Stats
+		if st.SolverStats.CacheHits == 0 || st.SolverStats.TapeCompiles == 0 {
+			t.Fatalf("%s: vacuous run: %+v", tc.prog, st.SolverStats)
+		}
+		if st.SharedCache.Hits != st.SolverStats.CacheHits {
+			t.Errorf("%s: shared cache counted %d hits, the solver %d cache hits", tc.prog, st.SharedCache.Hits, st.SolverStats.CacheHits)
+		}
+		if st.SharedCache.Misses != st.SolverStats.TapeCompiles {
+			t.Errorf("%s: shared cache counted %d misses, the solver ran %d searches", tc.prog, st.SharedCache.Misses, st.SolverStats.TapeCompiles)
+		}
+	}
+}
+
 // TestParallelMaxPathsTruncation: global limits must stop a worker pool
 // and report the truncation, same contract as the serial engine.
 func TestParallelMaxPathsTruncation(t *testing.T) {

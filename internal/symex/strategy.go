@@ -24,8 +24,6 @@ import (
 // for the first time. Implementations must keep it lock-free (the
 // built-in ones bump an atomic generation counter at most).
 type Strategy interface {
-	// Name is the flag spelling ("dfs", "bfs", "covnew", "rand").
-	Name() string
 	// Insert adds forked states to the shard's pool.
 	Insert(shard int, states []*State)
 	// Select removes and returns the shard's best state, or nil.
@@ -49,19 +47,14 @@ type SearchKind int
 // The built-in exploration strategies. DFS keeps the solver's caches
 // hot (children share their parent's constraint prefix) and is the
 // default; BFS finds shallow bugs first; CovNew weights states by the
-// uncovered blocks their next step can reach (KLEE's --search=covnew);
-// RandPath picks uniformly from the pending pool under a fixed seed;
-// Interleave round-robins CovNew and DFS picks (KLEE's interleaved
-// searcher), pairing coverage-seeking jumps with cache-hot deep dives.
+// uncovered blocks their next step can reach (KLEE's --search=covnew).
 const (
 	DFS SearchKind = iota
 	BFS
 	CovNew
-	RandPath
-	Interleave
 )
 
-var searchNames = [...]string{"dfs", "bfs", "covnew", "rand", "interleave"}
+var searchNames = [...]string{"dfs", "bfs", "covnew"}
 
 // String returns the flag spelling, e.g. "covnew".
 func (k SearchKind) String() string {
@@ -80,62 +73,34 @@ func ParseSearch(s string) (SearchKind, error) {
 		return BFS, nil
 	case "covnew", "cov-new", "coverage":
 		return CovNew, nil
-	case "rand", "random", "random-path":
-		return RandPath, nil
-	case "interleave", "covnew+dfs", "interleaved":
-		return Interleave, nil
 	}
-	return DFS, fmt.Errorf("symex: unknown search strategy %q (want dfs, bfs, covnew, rand or interleave)", s)
+	return DFS, fmt.Errorf("symex: unknown search strategy %q (want dfs, bfs or covnew)", s)
 }
 
 // Strategies lists every built-in kind, in flag order.
 func Strategies() []SearchKind {
-	return []SearchKind{DFS, BFS, CovNew, RandPath, Interleave}
+	return []SearchKind{DFS, BFS, CovNew}
 }
 
 // newStrategy builds the shard containers for one engine run. cov is
-// the engine's coverage map (only covnew reads it); seed feeds the
-// random-path PRNGs (0 picks a fixed default so runs stay reproducible).
-func newStrategy(kind SearchKind, shards int, seed int64, cov *coverage) Strategy {
+// the engine's coverage map (only covnew reads it).
+func newStrategy(kind SearchKind, shards int, cov *coverage) Strategy {
 	switch kind {
 	case BFS:
-		return &listStrategy{name: "bfs", fifo: true, shards: make([][]*State, shards)}
+		return &listStrategy{fifo: true, shards: make([][]*State, shards)}
 	case CovNew:
 		return &covnewStrategy{cov: cov, heaps: make([]covHeap, shards)}
-	case RandPath:
-		s := &randStrategy{shards: make([][]*State, shards), rngs: make([]uint64, shards)}
-		if seed == 0 {
-			seed = 1
-		}
-		for i := range s.rngs {
-			// Distinct nonzero xorshift state per shard, derived from the
-			// seed with a splitmix-style spread.
-			s.rngs[i] = (uint64(seed) + uint64(i)*0x9E3779B97F4A7C15) | 1
-		}
-		return s
-	case Interleave:
-		return &interleaveStrategy{
-			subs: [2]Strategy{
-				newStrategy(CovNew, shards, seed, cov),
-				newStrategy(DFS, shards, seed, cov),
-			},
-			turn: make([]uint8, shards),
-			live: make([]int, shards),
-			ref:  make(map[*State]*ilRef),
-		}
 	default:
-		return &listStrategy{name: "dfs", shards: make([][]*State, shards)}
+		return &listStrategy{shards: make([][]*State, shards)}
 	}
 }
 
 // listStrategy is the slice-backed stack/queue shared by DFS and BFS.
 type listStrategy struct {
-	name   string
 	fifo   bool // select from the front (BFS) instead of the back (DFS)
 	shards [][]*State
 }
 
-func (l *listStrategy) Name() string            { return l.name }
 func (l *listStrategy) Len(shard int) int       { return len(l.shards[shard]) }
 func (l *listStrategy) NotifyCovered(*ir.Block) {}
 
@@ -185,59 +150,6 @@ func (l *listStrategy) Evict() *State {
 	return st
 }
 
-// randStrategy picks uniformly among a shard's pending states with a
-// per-shard xorshift64 PRNG, so the exploration order is a deterministic
-// function of (seed, shard) — same seed, same serial exploration order.
-type randStrategy struct {
-	shards [][]*State
-	rngs   []uint64
-}
-
-func (r *randStrategy) Name() string            { return "rand" }
-func (r *randStrategy) Len(shard int) int       { return len(r.shards[shard]) }
-func (r *randStrategy) NotifyCovered(*ir.Block) {}
-
-func (r *randStrategy) Insert(shard int, states []*State) {
-	r.shards[shard] = append(r.shards[shard], states...)
-}
-
-func (r *randStrategy) next(shard int) uint64 {
-	x := r.rngs[shard]
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.rngs[shard] = x
-	return x
-}
-
-// pick removes a seeded-random element, filling the hole with the last
-// element (order within the pool carries no meaning for random-path).
-func (r *randStrategy) pick(shard int) *State {
-	own := r.shards[shard]
-	if len(own) == 0 {
-		return nil
-	}
-	j := int(r.next(shard) % uint64(len(own)))
-	st := own[j]
-	own[j] = own[len(own)-1]
-	r.shards[shard] = own[:len(own)-1]
-	return st
-}
-
-func (r *randStrategy) Select(shard int) *State { return r.pick(shard) }
-
-// Steal draws from the victim's PRNG too: the thief gets a random path,
-// not systematically the pool's first slot.
-func (r *randStrategy) Steal(shard int) *State { return r.pick(shard) }
-
-func (r *randStrategy) Evict() *State {
-	big := fullest(func(i int) int { return len(r.shards[i]) }, len(r.shards))
-	if big < 0 {
-		return nil
-	}
-	return r.pick(big)
-}
-
 // covnewStrategy is the coverage-weighted picker: states whose next
 // block (or its successors) are uncovered score higher, steering
 // workers toward unexplored territory instead of re-walking hot paths.
@@ -257,10 +169,8 @@ type covnewStrategy struct {
 }
 
 // covItem carries a snapshot of the two state fields the heap reads —
-// the next block and the fork depth — taken at Insert. A queued state
-// does not run, so under covnew alone the snapshot is the state; under
-// interleave a copy outlives delivery from the DFS side, and scoring or
-// ordering it through st would read a state a worker is stepping.
+// the next block and the fork depth — taken at Insert, so scoring and
+// ordering never reach through st.
 type covItem struct {
 	st    *State
 	blk   *ir.Block // st's next block at Insert; nil if it had no frame
@@ -298,7 +208,6 @@ func (h *covHeap) Pop() any {
 	return it
 }
 
-func (c *covnewStrategy) Name() string      { return "covnew" }
 func (c *covnewStrategy) Len(shard int) int { return len(c.heaps[shard]) }
 
 func (c *covnewStrategy) NotifyCovered(*ir.Block) { c.gen.Add(1) }
@@ -377,121 +286,6 @@ func (c *covnewStrategy) Evict() *State {
 		}
 	}
 	return heap.Remove(&c.heaps[big], worst).(*covItem).st
-}
-
-// interleaveStrategy is KLEE's interleaved searcher over the covnew
-// and dfs orderings: per shard, picks alternate between the
-// coverage-weighted heap (jump to unexplored territory) and the DFS
-// stack (deep dives with hot solver prefixes).
-//
-// Every inserted state lives in both sub-strategies; ref tracks how
-// many copies remain, whether the state is still pending delivery, and
-// which shard holds it. Popping a pending state from one side delivers
-// it and marks the remaining copies stale; stale copies are dropped
-// lazily when they surface later. Because the engine re-publishes the
-// *same* State pointer after partial execution, an Insert may find
-// leftover stale copies from the previous cycle — they stack onto the
-// copy count and drain the same way. The conservation law the fuzz
-// suite enforces (no state lost, duplicated or fabricated) holds
-// because each insertion flips pending exactly once, and Len reports
-// pending states only.
-//
-// All mutators run under the frontier lock like every other strategy;
-// NotifyCovered stays lock-free by forwarding to covnew's atomic
-// generation bump.
-type interleaveStrategy struct {
-	subs [2]Strategy // covnew, dfs
-	turn []uint8     // per-shard round-robin cursor
-	live []int       // per-shard pending-state count
-	ref  map[*State]*ilRef
-}
-
-type ilRef struct {
-	copies  int  // copies still sitting inside the two subs
-	pending bool // not yet delivered since its last Insert
-	shard   int
-}
-
-func (il *interleaveStrategy) Name() string              { return "interleave" }
-func (il *interleaveStrategy) Len(shard int) int         { return il.live[shard] }
-func (il *interleaveStrategy) NotifyCovered(b *ir.Block) { il.subs[0].NotifyCovered(b) }
-
-func (il *interleaveStrategy) Insert(shard int, states []*State) {
-	for _, st := range states {
-		if r := il.ref[st]; r != nil {
-			// Re-inserted while stale copies of its previous cycle are
-			// still queued: stack the new pair on top.
-			r.copies += 2
-			r.pending = true
-			r.shard = shard
-		} else {
-			il.ref[st] = &ilRef{copies: 2, pending: true, shard: shard}
-		}
-	}
-	il.subs[0].Insert(shard, states)
-	il.subs[1].Insert(shard, states)
-	il.live[shard] += len(states)
-}
-
-// take delivers st if it is still pending, dropping stale copies as
-// they surface; reports whether the caller got a live state.
-func (il *interleaveStrategy) take(st *State) bool {
-	r := il.ref[st]
-	r.copies--
-	delivered := r.pending
-	if delivered {
-		r.pending = false
-		il.live[r.shard]--
-	}
-	if r.copies == 0 {
-		delete(il.ref, st)
-	}
-	return delivered
-}
-
-// pop draws from one sub-strategy, skipping stale copies.
-func (il *interleaveStrategy) pop(sub Strategy, shard int) *State {
-	for {
-		st := sub.Select(shard)
-		if st == nil {
-			return nil
-		}
-		if il.take(st) {
-			return st
-		}
-	}
-}
-
-func (il *interleaveStrategy) Select(shard int) *State {
-	first := il.subs[il.turn[shard]%2]
-	second := il.subs[(il.turn[shard]+1)%2]
-	il.turn[shard]++
-	if st := il.pop(first, shard); st != nil {
-		return st
-	}
-	return il.pop(second, shard)
-}
-
-// Steal follows the victim shard's own round-robin order, so stealing
-// removes exactly the state the victim would have run next.
-func (il *interleaveStrategy) Steal(shard int) *State { return il.Select(shard) }
-
-// Evict drops the DFS side's choice (the shallowest state of its
-// fullest shard), skipping stale copies; covnew is only consulted when
-// the DFS stacks hold nothing live.
-func (il *interleaveStrategy) Evict() *State {
-	for _, sub := range []Strategy{il.subs[1], il.subs[0]} {
-		for {
-			st := sub.Evict()
-			if st == nil {
-				break
-			}
-			if il.take(st) {
-				return st
-			}
-		}
-	}
-	return nil
 }
 
 // fullest returns the index with the largest non-zero length, or -1.

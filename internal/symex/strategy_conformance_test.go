@@ -37,9 +37,9 @@ func conformanceCorpus(t *testing.T) []coreutils.Program {
 }
 
 // verifyStrat compiles a corpus program and explores it with the given
-// strategy, worker count and seed.
+// strategy and worker count.
 func verifyStrat(t *testing.T, p coreutils.Program, level pipeline.Level,
-	n, workers int, strat symex.SearchKind, seed int64) *symex.Report {
+	n, workers int, strat symex.SearchKind) *symex.Report {
 	t.Helper()
 	c, err := core.CompileProgram(p, level)
 	if err != nil {
@@ -48,7 +48,6 @@ func verifyStrat(t *testing.T, p coreutils.Program, level pipeline.Level,
 	opts := core.VerifyOptions{InputBytes: n}
 	opts.Engine.Workers = workers
 	opts.Engine.Strategy = strat
-	opts.Engine.Seed = seed
 	rep, err := c.Verify("umain", opts)
 	if err != nil {
 		t.Fatalf("%s at %s: verify: %v", p.Name, level, err)
@@ -65,14 +64,14 @@ func TestStrategyConformance(t *testing.T) {
 	programs := conformanceCorpus(t)
 	baseline := make(map[string]*symex.Report, len(programs))
 	for _, p := range programs {
-		baseline[p.Name] = verifyStrat(t, p, pipeline.OVerify, 3, 1, symex.DFS, 0)
+		baseline[p.Name] = verifyStrat(t, p, pipeline.OVerify, 3, 1, symex.DFS)
 	}
 	for _, strat := range symex.Strategies() {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, p := range programs {
-					rep := verifyStrat(t, p, pipeline.OVerify, 3, workers, strat, 42)
+					rep := verifyStrat(t, p, pipeline.OVerify, 3, workers, strat)
 					base := baseline[p.Name]
 					tag := fmt.Sprintf("%s w=%d", p.Name, workers)
 					if rep.Stats.Paths != base.Stats.Paths {
@@ -131,8 +130,8 @@ func TestSolverConformanceAcrossLevels(t *testing.T) {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
 			for _, p := range programs {
-				base := verifyStrat(t, p, level, 3, 1, symex.DFS, 0)
-				rep := verifyStrat(t, p, level, 3, 4, symex.DFS, 0)
+				base := verifyStrat(t, p, level, 3, 1, symex.DFS)
+				rep := verifyStrat(t, p, level, 3, 4, symex.DFS)
 				tag := fmt.Sprintf("%s %s", p.Name, level)
 				if rep.Stats.Paths != base.Stats.Paths || rep.Stats.ErrorPaths != base.Stats.ErrorPaths {
 					t.Errorf("%s: paths %d/%d != baseline %d/%d", tag,
@@ -239,25 +238,5 @@ func TestCovnewCoverageEffortAtMostDFS(t *testing.T) {
 	}
 	if !strictlyBetter {
 		t.Error("covnew never reached coverage in strictly fewer states than dfs")
-	}
-}
-
-// TestRandSeedDeterminism: at one worker the random-path strategy is a
-// pure function of the seed — two runs with the same seed report
-// identical stats; the pop-order identity itself is asserted white-box
-// in the symex package.
-func TestRandSeedDeterminism(t *testing.T) {
-	p, ok := coreutils.Get("wc")
-	if !ok {
-		t.Fatal("no wc program")
-	}
-	a := verifyStrat(t, p, pipeline.O0, 3, 1, symex.RandPath, 1234)
-	b := verifyStrat(t, p, pipeline.O0, 3, 1, symex.RandPath, 1234)
-	if a.Stats.Paths != b.Stats.Paths || a.Stats.Instrs != b.Stats.Instrs ||
-		a.Stats.StatesExplored != b.Stats.StatesExplored {
-		t.Errorf("same-seed runs diverged: %+v vs %+v", a.Stats, b.Stats)
-	}
-	if fmt.Sprint(bugKeys(a)) != fmt.Sprint(bugKeys(b)) {
-		t.Errorf("same-seed bug reports diverged")
 	}
 }

@@ -36,7 +36,7 @@ func FuzzStrategyOps(f *testing.F) {
 		blocks := fuzzBlocks()
 		for _, kind := range Strategies() {
 			cov := newCoverage()
-			strat := newStrategy(kind, shards, 99, cov)
+			strat := newStrategy(kind, shards, cov)
 
 			// The exec-side writer: covers blocks and notifies, racing
 			// the (mutex-serialized, as in the real frontier) mutators.
@@ -131,7 +131,7 @@ func FuzzCovnewHeapInvariant(f *testing.F) {
 		const shards = 2
 		blocks := fuzzBlocks()
 		cov := newCoverage()
-		strat := newStrategy(CovNew, shards, 0, cov).(*covnewStrategy)
+		strat := newStrategy(CovNew, shards, cov).(*covnewStrategy)
 		nextID := int64(0)
 		for _, op := range ops {
 			shard := int(op>>4) % shards

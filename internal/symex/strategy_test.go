@@ -1,7 +1,6 @@
 package symex
 
 import (
-	"fmt"
 	"testing"
 
 	"overify/internal/ir"
@@ -38,7 +37,7 @@ func TestStealFollowsStrategyOrder(t *testing.T) {
 	cov := newCoverage()
 	cov.cover(hot)
 
-	strat := newStrategy(CovNew, 2, 0, cov)
+	strat := newStrategy(CovNew, 2, cov)
 	f := newFrontier(2, strat, 0)
 	// Shard 0: two already-covered ("hot") states first, the state
 	// opening uncovered territory last — slot 0 is the wrong answer.
@@ -57,7 +56,7 @@ func TestCovnewPrefersUncovered(t *testing.T) {
 	a := &ir.Block{Name: "a"}
 	b := &ir.Block{Name: "b"}
 	cov := newCoverage()
-	strat := newStrategy(CovNew, 1, 0, cov)
+	strat := newStrategy(CovNew, 1, cov)
 
 	strat.Insert(0, []*State{mkState(1, a), mkState(2, b)})
 	cov.cover(a) // a's state goes stale...
@@ -74,37 +73,6 @@ func TestCovnewPrefersUncovered(t *testing.T) {
 	}
 }
 
-// TestRandSameSeedSameOrder: the random-path pop order is a pure
-// function of the seed — same seed, identical order; different seed,
-// (virtually certainly) a different one. At one worker the pop order
-// IS the exploration order, which is the reproducibility contract the
-// -seed flag promises.
-func TestRandSameSeedSameOrder(t *testing.T) {
-	order := func(seed int64) []int64 {
-		strat := newStrategy(RandPath, 1, seed, newCoverage())
-		states := make([]*State, 32)
-		for i := range states {
-			states[i] = &State{ID: int64(i + 1)}
-		}
-		strat.Insert(0, states)
-		var ids []int64
-		for st := strat.Select(0); st != nil; st = strat.Select(0) {
-			ids = append(ids, st.ID)
-		}
-		if len(ids) != len(states) {
-			t.Fatalf("popped %d states, inserted %d", len(ids), len(states))
-		}
-		return ids
-	}
-	a, b := order(42), order(42)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Errorf("same seed, different order:\n  %v\n  %v", a, b)
-	}
-	if c := order(7); fmt.Sprint(a) == fmt.Sprint(c) {
-		t.Errorf("seeds 42 and 7 produced the identical 32-state order")
-	}
-}
-
 // TestStrategyEvict: eviction removes exactly one state from the
 // fullest shard for every strategy, and covnew evicts its
 // worst-scoring state, not its best.
@@ -114,7 +82,7 @@ func TestStrategyEvict(t *testing.T) {
 	for _, kind := range Strategies() {
 		cov := newCoverage()
 		cov.cover(hot)
-		strat := newStrategy(kind, 2, 0, cov)
+		strat := newStrategy(kind, 2, cov)
 		strat.Insert(0, []*State{mkState(1, hot)})
 		strat.Insert(1, []*State{mkState(2, cold), mkState(3, hot), mkState(4, hot)})
 		ev := strat.Evict()
@@ -129,54 +97,6 @@ func TestStrategyEvict(t *testing.T) {
 		}
 		if kind == CovNew && ev.ID == 2 {
 			t.Errorf("covnew evicted the uncovered-block state (its best)")
-		}
-	}
-}
-
-// TestInterleaveRoundRobin: picks alternate covnew, dfs, covnew, ...
-// per shard, with stale copies (the other ordering's view of an
-// already-delivered state) skipped silently.
-func TestInterleaveRoundRobin(t *testing.T) {
-	hot := &ir.Block{Name: "hot"}
-	cold := &ir.Block{Name: "cold"}
-	cov := newCoverage()
-	cov.cover(hot)
-	strat := newStrategy(Interleave, 1, 0, cov)
-	// Two covered-block states inserted first, the uncovered one last:
-	// dfs order favors 3 (deepest), covnew order also favors 3 (score);
-	// after 3 is gone the two orderings disagree — dfs wants 2 (top of
-	// stack), covnew wants the freshest insert, also 2, then both drain
-	// to 1.
-	strat.Insert(0, []*State{mkState(1, hot), mkState(2, hot), mkState(3, cold)})
-	var got []int64
-	for st := strat.Select(0); st != nil; st = strat.Select(0) {
-		got = append(got, st.ID)
-	}
-	if fmt.Sprint(got) != fmt.Sprint([]int64{3, 2, 1}) {
-		t.Errorf("pop order %v, want [3 2 1]", got)
-	}
-	if strat.Len(0) != 0 {
-		t.Errorf("Len = %d after drain", strat.Len(0))
-	}
-}
-
-// TestInterleaveReinsert: the engine republishes the same *State after
-// a partial run; the strategy must deliver it exactly once per insert
-// even while stale copies of the previous cycle are still queued.
-func TestInterleaveReinsert(t *testing.T) {
-	b := &ir.Block{Name: "b"}
-	strat := newStrategy(Interleave, 1, 0, newCoverage())
-	st := mkState(1, b)
-	for cycle := 0; cycle < 3; cycle++ {
-		strat.Insert(0, []*State{st})
-		if got := strat.Select(0); got != st {
-			t.Fatalf("cycle %d: Select = %v, want the reinserted state", cycle, got)
-		}
-		if got := strat.Select(0); got != nil {
-			t.Fatalf("cycle %d: duplicate delivery of %v", cycle, got)
-		}
-		if strat.Len(0) != 0 {
-			t.Fatalf("cycle %d: Len = %d, want 0", cycle, strat.Len(0))
 		}
 	}
 }

@@ -4,17 +4,15 @@ import (
 	"reflect"
 	"testing"
 
-	"overify/internal/expr"
 	"overify/internal/frontend"
 	"overify/internal/ir"
 	"overify/internal/pipeline"
-	"overify/internal/solver"
 	"overify/internal/symex"
 )
 
-// runShared explores src with an injected builder + solver cache (the
-// daemon's warm path) and returns the report.
-func runShared(t *testing.T, src, fn string, n int, b *expr.Builder, c *solver.Cache) *symex.Report {
+// runShared explores src over injected warm state (the daemon's warm
+// path) and returns the report.
+func runShared(t *testing.T, src, fn string, n int, w *symex.Warm) *symex.Report {
 	t.Helper()
 	mod, err := frontend.Lower("t", src)
 	if err != nil {
@@ -23,8 +21,7 @@ func runShared(t *testing.T, src, fn string, n int, b *expr.Builder, c *solver.C
 	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.O0); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	opts := symex.Options{Builder: b, Cache: c}
-	eng := symex.NewEngine(mod, opts)
+	eng := symex.NewEngine(mod, symex.Options{Warm: w})
 	buf := eng.SymbolicBuffer("input", n, true)
 	rep, err := eng.Run(fn, []symex.SymVal{buf, eng.IntArg(ir.I32, uint64(n))}, nil)
 	if err != nil {
@@ -50,11 +47,10 @@ int f(unsigned char *in, int n) {
 // solver cache must produce identical reports, with the second run
 // answering (almost) every query from warm state instead of searching.
 func TestSharedBuilderCacheWarmRun(t *testing.T) {
-	b := expr.NewConcurrentBuilder()
-	c := solver.NewCache()
+	w := symex.NewWarm(0)
 
-	cold := runShared(t, warmSrc, "f", 4, b, c)
-	warm := runShared(t, warmSrc, "f", 4, b, c)
+	cold := runShared(t, warmSrc, "f", 4, w)
+	warm := runShared(t, warmSrc, "f", 4, w)
 
 	if !reflect.DeepEqual(cold.Bugs, warm.Bugs) {
 		t.Errorf("warm run changed the bug report:\ncold: %+v\nwarm: %+v", cold.Bugs, warm.Bugs)
@@ -73,7 +69,7 @@ func TestSharedBuilderCacheWarmRun(t *testing.T) {
 			100*ratio, ws.Queries, ws.CacheHits, ws.PartitionHits, ws.ModelReuseHits)
 	}
 	// Sanity: the cold run really did populate the shared cache.
-	if snap := c.Snapshot(); snap.Entries == 0 {
+	if snap := w.Cache.Snapshot(); snap.Entries == 0 {
 		t.Error("shared cache is empty after a cold run")
 	}
 }
@@ -83,17 +79,16 @@ func TestSharedBuilderCacheWarmRun(t *testing.T) {
 // consing keeps node ids canonical, so distinct constraints can never
 // collide on a fingerprint built from them.
 func TestSharedBuilderDistinctPrograms(t *testing.T) {
-	b := expr.NewConcurrentBuilder()
-	c := solver.NewCache()
+	w := symex.NewWarm(0)
 
 	other := `
 int g(unsigned char *in, int n) {
 	if (in[0] == 'z') { return 10 / (in[1] - in[1]); }
 	return 0;
 }`
-	baseline := runShared(t, warmSrc, "f", 4, expr.NewConcurrentBuilder(), solver.NewCache())
-	runShared(t, other, "g", 4, b, c) // warms the shared state with different content
-	mixed := runShared(t, warmSrc, "f", 4, b, c)
+	baseline := runShared(t, warmSrc, "f", 4, symex.NewWarm(0))
+	runShared(t, other, "g", 4, w) // warms the shared state with different content
+	mixed := runShared(t, warmSrc, "f", 4, w)
 
 	if !reflect.DeepEqual(baseline.Bugs, mixed.Bugs) {
 		t.Errorf("shared state across programs changed the bug report:\nisolated: %+v\nshared: %+v",

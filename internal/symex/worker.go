@@ -196,14 +196,10 @@ func (w *worker) satTri(st *State, extra *expr.Expr) (satResult, map[*expr.Var]u
 // satTriPair decides the two sibling queries of a conditional branch
 // (pc+a, pc+b with b = !a) and returns the extended partitions so the
 // branch can carry them forward (group verdicts decided here ride
-// along to the forked states). The queries share every path-condition
-// group and differ in one, so both shared-cache lookups go through one
-// batched striped-lock round trip (Solver.PrefetchParts) instead of
-// two.
+// along to the forked states).
 func (w *worker) satTriPair(st *State, a, b *expr.Expr) (resA, resB satResult, pa, pb *solver.Partition) {
 	pa = st.Part.Extend(a)
 	pb = st.Part.Extend(b)
-	w.sol.PrefetchParts(pa, pb)
 	resA, _ = w.satP(pa)
 	resB, _ = w.satP(pb)
 	return resA, resB, pa, pb

@@ -138,9 +138,9 @@ func BenchmarkSearchTape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sat, _, err := s.search(grp[0])
-		if err != nil || !sat {
-			b.Fatalf("sat=%v err=%v", sat, err)
+		e, err := s.search(grp[0])
+		if err != nil || !e.sat {
+			b.Fatalf("sat=%v err=%v", e.sat, err)
 		}
 	}
 }
@@ -168,4 +168,45 @@ func BenchmarkBranchReuse(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkExtendSingleVar prices the searches behind a loop over one
+// input byte: a 12-deep branch tree on the byte, explored cold (a fresh
+// solver and cache per iteration) the way the engine does — at each
+// depth both sides of a branch are decided, one side is a leaf and the
+// other carries on. Even depths exclude the model just found, so the
+// continuing side is searched with its parent decided; odd depths bound
+// the byte from above, which model reuse answers, leaving the parent of
+// the next search undecided. assignments/op is the search cost proper:
+// without a carried solution set every search starts from 256 values
+// and re-filters by every constraint on the path.
+func BenchmarkExtendSingleVar(b *testing.B) {
+	bld := expr.NewBuilder()
+	x := bld.Var(benchVars(1)[0])
+	var branch, other []*expr.Expr
+	for d := 0; d < 12; d++ {
+		c := bld.Cmp(ir.OpULt, x, bld.Const(8, uint64(250-d)))
+		if d%2 == 0 {
+			c = bld.Cmp(ir.OpNe, x, bld.Const(8, uint64(d/2)))
+		}
+		branch, other = append(branch, c), append(other, bld.Not(c))
+	}
+	var assigns int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(Options{})
+		var p *Partition
+		for d := range branch {
+			if _, _, err := s.SatPartition(p.Extend(other[d])); err != nil {
+				b.Fatal(err)
+			}
+			p = p.Extend(branch[d])
+			if sat, _, err := s.SatPartition(p); err != nil || !sat {
+				b.Fatalf("depth %d: sat=%v err=%v", d, sat, err)
+			}
+		}
+		assigns += s.Stats.Assignments
+	}
+	b.ReportMetric(float64(assigns)/float64(b.N), "assignments/op")
 }

@@ -11,8 +11,11 @@ import (
 const cacheShards = 64
 
 // cacheSlot wraps a resident entry with its clock reference bit. The
-// bit is set on every hit (atomically, under the shard read lock) and
-// gives the entry a second chance when the eviction hand passes it.
+// bit is set atomically on every hit and gives the entry a second
+// chance when the eviction hand passes it. The entry is written once,
+// before the slot is published, and handed out by pointer: a hit
+// allocates nothing, and a group's carried verdict is the cache's own
+// entry.
 type cacheSlot struct {
 	e    cacheEntry
 	used atomic.Bool
@@ -94,40 +97,58 @@ func (c *Cache) shard(fp Fingerprint) *cacheShard {
 	return &c.shards[shardIdx(fp)]
 }
 
-// get looks up a previously decided group.
-func (c *Cache) get(fp Fingerprint) (cacheEntry, bool) {
+// slot returns the resident slot under fp, or nil.
+func (c *Cache) slot(fp Fingerprint) *cacheSlot {
 	sh := c.shard(fp)
 	sh.mu.RLock()
-	s, ok := sh.m[fp]
-	var e cacheEntry
-	if ok {
-		s.used.Store(true)
-		e = s.e
-	}
+	s := sh.m[fp]
 	sh.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return e, ok
+	return s
 }
 
-// put records a decided group. First writer wins; a concurrent
-// duplicate decision of the same group is identical anyway. In a
-// bounded cache the insert may evict the stripe's coldest entries.
-func (c *Cache) put(fp Fingerprint, e cacheEntry) {
+// get looks up a previously decided group. The entry returned is the
+// resident one, shared and never written again.
+func (c *Cache) get(fp Fingerprint) (*cacheEntry, bool) {
+	s := c.slot(fp)
+	if s == nil {
+		c.misses.Add(1)
+		return nil, false
+	}
+	s.used.Store(true)
+	c.hits.Add(1)
+	return &s.e, true
+}
+
+// peek is get for a reader that is not deciding the group under fp — a
+// search looking for a carried set among a group's prefixes: it counts
+// neither a hit nor a miss, so those stay one per group looked up to be
+// decided, and it leaves the reference bit alone.
+func (c *Cache) peek(fp Fingerprint) *cacheEntry {
+	if s := c.slot(fp); s != nil {
+		return &s.e
+	}
+	return nil
+}
+
+// put records a decided group and returns the resident entry. First
+// writer wins; a concurrent duplicate decision of the same group is
+// identical anyway. In a bounded cache the insert may evict the stripe's
+// coldest entries.
+func (c *Cache) put(fp Fingerprint, e cacheEntry) *cacheEntry {
 	sh := c.shard(fp)
 	sh.mu.Lock()
-	if _, dup := sh.m[fp]; !dup {
-		sh.m[fp] = &cacheSlot{e: e}
-		c.entries.Add(1)
-		if c.shardCap > 0 {
-			sh.ring = append(sh.ring, fp)
-			c.evictLocked(sh)
-		}
+	defer sh.mu.Unlock()
+	if s, dup := sh.m[fp]; dup {
+		return &s.e
 	}
-	sh.mu.Unlock()
+	s := &cacheSlot{e: e}
+	sh.m[fp] = s
+	c.entries.Add(1)
+	if c.shardCap > 0 {
+		sh.ring = append(sh.ring, fp)
+		c.evictLocked(sh)
+	}
+	return &s.e
 }
 
 // evictLocked runs the clock hand until the stripe fits its cap. Each

@@ -74,13 +74,16 @@ type tapeScratch struct {
 // fresh buffers (tests and the fuzz target use this entry point; the
 // solver goes through its scratch).
 func compileGroup(g *Group) *tape {
-	return (&tapeScratch{}).compile(g)
+	return (&tapeScratch{}).compile(g.vs, g.cs)
 }
 
-// compile flattens the group's constraint DAG into the scratch's tape.
-func (sc *tapeScratch) compile(g *Group) *tape {
+// compile flattens the DAG of the constraints cs — a group's, or the
+// ones a seeded search still has to filter by — into the scratch's
+// tape. vs is the group's variable set, which holds every variable cs
+// mentions.
+func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	t := &sc.t
-	t.vars = append(t.vars[:0], g.vs.Vars()...)
+	t.vars = append(t.vars[:0], vs.Vars()...)
 	vars := t.vars
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
 	// Var index by linear scan: groups have at most a handful of
@@ -139,7 +142,7 @@ func (sc *tapeScratch) compile(g *Group) *tape {
 		slotOf[e] = slot
 		return slot
 	}
-	for _, c := range g.cs {
+	for _, c := range cs {
 		t.roots = append(t.roots, emit(c))
 	}
 
@@ -182,18 +185,18 @@ func (sc *tapeScratch) compile(g *Group) *tape {
 		}
 	}
 
-	if cap(sc.cmaskBacking) < len(g.cs)*nwords {
-		sc.cmaskBacking = make([]uint64, len(g.cs)*nwords)
+	if cap(sc.cmaskBacking) < len(cs)*nwords {
+		sc.cmaskBacking = make([]uint64, len(cs)*nwords)
 	}
-	cmaskBacking := sc.cmaskBacking[:len(g.cs)*nwords]
+	cmaskBacking := sc.cmaskBacking[:len(cs)*nwords]
 	for i := range cmaskBacking {
 		cmaskBacking[i] = 0
 	}
-	if cap(t.cmasks) < len(g.cs) {
-		t.cmasks = make([][]uint64, len(g.cs))
+	if cap(t.cmasks) < len(cs) {
+		t.cmasks = make([][]uint64, len(cs))
 	}
-	t.cmasks = t.cmasks[:len(g.cs)]
-	for i, c := range g.cs {
+	t.cmasks = t.cmasks[:len(cs)]
+	for i, c := range cs {
 		mask := cmaskBacking[i*nwords : (i+1)*nwords]
 		for _, v := range c.VarSet().Vars() {
 			vi := varIdx(v)
@@ -206,18 +209,18 @@ func (sc *tapeScratch) compile(g *Group) *tape {
 	// operands always sit at smaller slot indices, so one descending pass
 	// closes the reachable set.
 	swords := (len(t.ops) + 63) / 64
-	if cap(sc.csubBacking) < len(g.cs)*swords {
-		sc.csubBacking = make([]uint64, len(g.cs)*swords)
+	if cap(sc.csubBacking) < len(cs)*swords {
+		sc.csubBacking = make([]uint64, len(cs)*swords)
 	}
-	csubBacking := sc.csubBacking[:len(g.cs)*swords]
+	csubBacking := sc.csubBacking[:len(cs)*swords]
 	for i := range csubBacking {
 		csubBacking[i] = 0
 	}
-	if cap(t.csub) < len(g.cs) {
-		t.csub = make([][]uint64, len(g.cs))
+	if cap(t.csub) < len(cs) {
+		t.csub = make([][]uint64, len(cs))
 	}
-	t.csub = t.csub[:len(g.cs)]
-	for ci := range g.cs {
+	t.csub = t.csub[:len(cs)]
+	for ci := range cs {
 		sub := csubBacking[ci*swords : (ci+1)*swords]
 		r := t.roots[ci]
 		sub[r>>6] |= 1 << uint(r&63)

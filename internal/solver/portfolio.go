@@ -66,7 +66,9 @@ func portfolioConfig(i int) searchConfig {
 
 // searchPortfolio runs the stall probe and then the budget-doubling
 // rotation over the K configured members. domains has already been
-// propagated; each attempt gets a private copy (filtering mutates it).
+// propagated; each attempt gets a private copy (filtering mutates it),
+// and the attempt that finds a model leaves its filtered domains in
+// domains, as a lone searchTape would.
 func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var]uint64, error) {
 	stall := s.opts.PortfolioStall
 	if stall <= 0 {
@@ -75,13 +77,17 @@ func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var
 	if stall > s.opts.MaxWork {
 		stall = s.opts.MaxWork
 	}
-	fresh := func() []domain {
+	attempt := func(cfg searchConfig, budget int64) (bool, map[*expr.Var]uint64, error) {
 		d := make([]domain, len(domains))
 		copy(d, domains)
-		return d
+		sat, model, err := s.searchTape(t, d, cfg, budget)
+		if sat {
+			copy(domains, d)
+		}
+		return sat, model, err
 	}
 
-	sat, model, err := s.searchTape(t, fresh(), searchConfig{}, stall)
+	sat, model, err := attempt(searchConfig{}, stall)
 	if err != ErrBudget {
 		return sat, model, err
 	}
@@ -93,7 +99,7 @@ func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var
 			budget = s.opts.MaxWork
 		}
 		for ci := 0; ci < s.opts.Portfolio; ci++ {
-			sat, model, err := s.searchTape(t, fresh(), portfolioConfig(ci), budget)
+			sat, model, err := attempt(portfolioConfig(ci), budget)
 			if err == ErrBudget {
 				continue
 			}

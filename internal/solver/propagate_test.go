@@ -110,12 +110,18 @@ func bufAt(b *expr.Builder, vs []*expr.Var, idx *expr.Expr) *expr.Expr {
 // exhaustive enumeration of all 65536 assignments. This is the guard
 // against propagation over-pruning (wrong unsat) that the conformance
 // suites cannot provide, since those only compare the solver with
-// itself across schedules.
+// itself across schedules. Each input is solved twice: whole, from
+// scratch; and prefix by prefix on one solver carrying the partition,
+// the way the engine grows a path condition — so searches seeded from a
+// carried solution set (Solver.carriedSet) answer to enumeration too.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{6, 2, 3, 1, 4, 4, 2, 9, 3, 0, 5, 5})
 	f.Add([]byte{4, 4, 3, 3, 2, 2, 3, 5, 4, 0})
 	f.Add([]byte{2, 8, 3, 4, 0, 1, 2, 0, 3, 2, 4, 7, 5, 0})
+	// 90 < a, 110 <= a, 132 <= a: each excludes the model of the one
+	// before, so the second and third prefixes are seeded searches.
+	f.Add([]byte{1, 9, 3, 2, 0, 0, 1, 10, 3, 3, 0, 0, 1, 11, 3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := expr.NewBuilder()
 		vs := vars(2)
@@ -123,28 +129,53 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		if len(cs) == 0 {
 			return
 		}
-		s := New(Options{})
-		got, model, err := s.Sat(cs)
-		if err != nil {
-			return // budget exhaustion makes no verdict claim
-		}
-		if got && !satisfies(cs, model) {
-			t.Fatalf("model %v does not satisfy query", model)
-		}
-		want := false
+		// satUpTo is the longest prefix of cs some assignment satisfies:
+		// cs[:k] is satisfiable exactly when k <= satUpTo.
+		satUpTo := 0
 		asn := make(map[*expr.Var]uint64, 2)
+		ev := expr.NewEvaluator()
 	brute:
 		for a := uint64(0); a < 256; a++ {
 			for c := uint64(0); c < 256; c++ {
 				asn[vs[0]], asn[vs[1]] = a, c
-				if satisfies(cs, asn) {
-					want = true
-					break brute
+				ev.Bind(asn)
+				k := 0
+				for k < len(cs) && ev.Eval(cs[k]) != 0 {
+					k++
+				}
+				if k > satUpTo {
+					if satUpTo = k; k == len(cs) {
+						break brute
+					}
 				}
 			}
 		}
-		if got != want {
-			t.Fatalf("solver says sat=%v, brute force says %v for %v", got, want, cs)
+
+		s := New(Options{})
+		got, model, err := s.Sat(cs)
+		if err == nil { // budget exhaustion makes no verdict claim
+			if got && !satisfies(cs, model) {
+				t.Fatalf("model %v does not satisfy query", model)
+			}
+			if want := satUpTo == len(cs); got != want {
+				t.Fatalf("solver says sat=%v, brute force says %v for %v", got, want, cs)
+			}
+		}
+
+		chain := New(Options{})
+		var p *Partition
+		for k, c := range cs {
+			p = p.Extend(c)
+			got, model, err := chain.SatPartition(p)
+			if err != nil {
+				continue
+			}
+			if got && !satisfies(cs[:k+1], model) {
+				t.Fatalf("prefix %d: model %v does not satisfy it", k+1, model)
+			}
+			if want := k+1 <= satUpTo; got != want {
+				t.Fatalf("prefix %d: chained solver says sat=%v, brute force says %v for %v", k+1, got, want, cs[:k+1])
+			}
 		}
 	})
 }

@@ -12,6 +12,22 @@
 // and since the query is its parent condition plus one constraint, only
 // that constraint is evaluated (modelSatisfies).
 //
+// The search pays for the constraints a branch added too, where that is
+// exact: for a satisfiable group over one variable the unary filter
+// leaves the group's whole solution set in the byte's domain, and the
+// decided entry stores it (256 bits beside {sat, model}, on the
+// partition's carried verdict and in the shared cache alike). A later
+// single-variable group looks up the prefixes of its own constraint
+// list in the cache, longest first, and from the first one that holds a
+// set filters only the constraints after it, starting from that set
+// (Solver.carriedSet, Solver.search). The prefix and not the parent,
+// because model reuse answers most branch sides without deciding their
+// groups, so the parent is usually undecided while an ancestor a few
+// constraints back is not. No propagation on that path: the filter over
+// the surviving values is already exact, and value-set propagation over
+// a narrow domain costs more than it saves. Same verdict, same model,
+// same stored set as the from-scratch search; fewer assignments.
+//
 // The per-query constant factors are engineered away: variable sets are
 // interned on expression nodes at construction (expr.VarSet), the
 // independence partition is carried incrementally across a growing path
@@ -22,6 +38,8 @@ package solver
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,6 +57,15 @@ type Options struct {
 	// depend on how constraints are evaluated — an evaluator that
 	// charges differently per probe (the legacy memoized tree walk vs
 	// the compiled tape) cannot flip a decided group to ErrBudget.
+	//
+	// A single-variable group searched from a carried solution set
+	// (Solver.carriedSet) is charged for the values in that set once per
+	// constraint after the prefix, plus one — at most 257 when the prefix
+	// is the parent, against 256 per constraint from scratch — so under
+	// any budget that admits the from-scratch search of a byte it cannot
+	// fail on MaxWork. The charge is not always lower: that path does
+	// not propagate, so the few such queries propagation used to close
+	// without trying a value now pay the filter over the set.
 	MaxWork int64
 	// ModelHistory is how many recent models are tried for reuse
 	// (default 8).
@@ -111,9 +138,14 @@ var CaptureQuery func(q []*expr.Expr)
 
 var errTooWide = errors.New("solver: variable wider than 8 bits")
 
+// cacheEntry is a group's decided verdict. For a satisfiable group over
+// one variable it also holds the group's exact solution set — what the
+// unary filter left of the byte's domain — which is what a later search
+// of an extension of the group starts from (Solver.carriedSet).
 type cacheEntry struct {
 	sat   bool
 	model map[*expr.Var]uint64
+	set   domain // single-variable sat groups only; zero otherwise
 }
 
 // recentModel is a remembered model: a private copy, never written
@@ -152,6 +184,8 @@ type Solver struct {
 	// scratch is the compile/evaluation buffer set reused across this
 	// solver's searches (solvers are single-goroutine).
 	scratch tapeScratch
+	// prefixIDs is carriedSet's sorted-id buffer.
+	prefixIDs []int64
 }
 
 // New returns a solver with the given options and a private cache.
@@ -326,19 +360,19 @@ func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 	}
 	if e, ok := s.cache.get(g.fp); ok {
 		s.Stats.CacheHits++
-		g.verdict.Store(&e)
+		g.verdict.Store(e)
 		return e.sat, e.model, nil
 	}
-	sat, model, err := s.search(g)
+	found, err := s.search(g)
 	if err != nil {
 		return false, nil, err
 	}
-	// Cached models are shared across workers; they are never mutated
-	// after insertion (Sat only reads them, remember copies).
-	entry := cacheEntry{sat: sat, model: model}
-	s.cache.put(g.fp, entry)
-	g.verdict.Store(&entry)
-	return sat, model, nil
+	// Cached entries are shared across workers and with the partition;
+	// they are never mutated after insertion (Sat only reads the model,
+	// remember copies it).
+	e := s.cache.put(g.fp, found)
+	g.verdict.Store(e)
+	return e.sat, e.model, nil
 }
 
 // domain is the candidate-value set of one 8-bit variable.
@@ -346,9 +380,12 @@ type domain [4]uint64
 
 func fullDomain(bits int) domain {
 	var d domain
-	n := 1 << uint(bits)
-	for i := 0; i < n; i++ {
-		d[i/64] |= 1 << uint(i%64)
+	for w, n := 0, 1<<uint(bits); n > 0; w, n = w+1, n-64 {
+		if n >= 64 {
+			d[w] = ^uint64(0)
+		} else {
+			d[w] = 1<<uint(n) - 1
+		}
 	}
 	return d
 }
@@ -357,13 +394,7 @@ func (d *domain) has(v uint64) bool { return d[v/64]&(1<<(v%64)) != 0 }
 func (d *domain) clear(v uint64)    { d[v/64] &^= 1 << (v % 64) }
 
 func (d *domain) count() int {
-	n := 0
-	for _, w := range d {
-		for x := w; x != 0; x &= x - 1 {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(d[0]) + bits.OnesCount64(d[1]) + bits.OnesCount64(d[2]) + bits.OnesCount64(d[3])
 }
 
 // search runs backtracking with forward checking over the group,
@@ -371,13 +402,33 @@ func (d *domain) count() int {
 // configured, a group that stalls past the stall budget is raced across
 // diverse configurations (portfolio.go); otherwise the default
 // configuration runs alone with the full work budget.
-func (s *Solver) search(g *Group) (bool, map[*expr.Var]uint64, error) {
-	for _, v := range g.vs.Vars() {
+//
+// A group over one variable for which carriedSet finds a start is not
+// searched from scratch: only the constraints after the prefix are
+// compiled, and the unary filter runs them over the prefix's solution
+// set instead of the full domain. Every value of that set already
+// satisfies the prefix, so what the filter leaves is exactly the group's
+// solution set — the set the from-scratch search ends with — and the
+// model, its first value in the default order, is the same one. That
+// path does not propagate (the filter is already exact, and value-set
+// propagation over a domain narrower than vsetCap tracks real sets
+// through every slot instead of widening to top) and runs the default
+// configuration before any portfolio race: its cost does not depend on
+// the value order.
+func (s *Solver) search(g *Group) (cacheEntry, error) {
+	vars := g.vs.Vars()
+	for _, v := range vars {
 		if v.Bits > 8 {
-			return false, nil, errTooWide
+			return cacheEntry{}, errTooWide
 		}
 	}
-	t := s.scratch.compile(g)
+	var k int // constraints already accounted for by seed
+	var seed domain
+	if len(vars) == 1 {
+		k, seed = s.carriedSet(g)
+	}
+
+	t := s.scratch.compile(g.vs, g.cs[k:])
 	s.Stats.TapeCompiles++
 	s.Stats.TapeSlots += int64(len(t.ops))
 	if len(t.vars) > s.Stats.MaxGroupVars {
@@ -385,21 +436,62 @@ func (s *Solver) search(g *Group) (bool, map[*expr.Var]uint64, error) {
 	}
 
 	domains := make([]domain, len(t.vars))
-	for i, v := range t.vars {
-		domains[i] = fullDomain(v.Bits)
+	var e cacheEntry
+	var err error
+	if k > 0 {
+		domains[0] = seed
+		e.sat, e.model, err = s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
+	} else {
+		for i, v := range t.vars {
+			domains[i] = fullDomain(v.Bits)
+		}
+		// Value-set propagation first: it can prove the group unsat or
+		// collapse domains without trying a single assignment, and its
+		// cost is a function of the tape, not of the search tree
+		// (propagate.go).
+		if !propagateDomains(t, domains) {
+			return cacheEntry{}, nil
+		}
+		if s.opts.Portfolio > 1 {
+			e.sat, e.model, err = s.searchPortfolio(t, domains)
+		} else {
+			e.sat, e.model, err = s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
+		}
 	}
+	if err != nil {
+		return cacheEntry{}, err
+	}
+	if e.sat && len(vars) == 1 {
+		// Every constraint mentions only this variable, so the initial
+		// unary filter probed each against every surviving value: what
+		// is left is the solution set, not an approximation of it.
+		e.set = domains[0]
+	}
+	return e, nil
+}
 
-	// Value-set propagation first: it can prove the group unsat or
-	// collapse domains without trying a single assignment, and its cost
-	// is a function of the tape, not of the search tree (propagate.go).
-	if !propagateDomains(t, domains) {
-		return false, nil, nil
+// carriedSet finds where the search of a single-variable group can
+// start: the longest proper prefix of the group's constraints whose
+// solution set the shared cache holds, as (prefix length, set); 0 when
+// there is none. A group over one variable only ever grows by Extend
+// appending to it, so its prefixes are the canonical groups of the path
+// condition's ancestors — but nothing rests on that: the solution set of
+// any subset of the constraints contains the group's. The prefix is
+// searched for, not the parent alone, because model reuse answers one
+// side of most branches without deciding its group: the nearest decided
+// ancestor is usually a few constraints back. The lookups are peeks, so
+// the cache's hits and misses stay one per group looked up to be decided.
+func (s *Solver) carriedSet(g *Group) (int, domain) {
+	ids := append(s.prefixIDs[:0], g.ids...)
+	s.prefixIDs = ids // Delete shrinks in place: the buffer stays this one
+	for k := len(g.cs) - 1; k >= 1; k-- {
+		i, _ := slices.BinarySearch(ids, g.cs[k].ID())
+		ids = slices.Delete(ids, i, i+1)
+		if e := s.cache.peek(fingerprintIDs(ids)); e != nil && e.set != (domain{}) {
+			return k, e.set
+		}
 	}
-
-	if s.opts.Portfolio > 1 {
-		return s.searchPortfolio(t, domains)
-	}
-	return s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
+	return 0, domain{}
 }
 
 // searchTape is one backtracking attempt over a compiled tape: the
@@ -416,12 +508,21 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	// a group gets is independent of how constraints are evaluated.
 	var nodes, assigns int64
 	defer func() { s.Stats.Assignments += assigns }()
+	// The clock is read on the first check and then whenever another
+	// 1024 assignments have been tried since the last reading. (Checks
+	// run once per filtered constraint and per DFS node, between which
+	// assigns jumps by up to 256: testing it for a multiple of 1024
+	// would almost never fire.)
+	polled := int64(-1024)
 	checkBudget := func() error {
 		if nodes > s.opts.MaxNodes || assigns > maxAssigns {
 			return ErrBudget
 		}
-		if !s.deadline.IsZero() && assigns&1023 == 0 && time.Now().After(s.deadline) {
-			return ErrBudget
+		if !s.deadline.IsZero() && assigns-polled >= 1024 {
+			polled = assigns
+			if time.Now().After(s.deadline) {
+				return ErrBudget
+			}
 		}
 		return nil
 	}

@@ -174,8 +174,12 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model map[*expr.
 	w.bugs = append(w.bugs, bug)
 }
 
-// sat asks the solver for pc + extra. Unknown (budget exhaustion) is
-// mapped to "assume feasible", which keeps exploration sound; call
+// sat asks the solver for pc + extra and folds the three-valued answer
+// to two: unknown (budget exhaustion) reads as feasible here. That is
+// this function's mapping only, not a property of exploration: at a
+// conditional branch (exec.go, OpCondBr) a side that comes back unknown
+// while its sibling is satYes is dropped, not followed, and Failures on
+// the solver stats is the only trace it leaves — ROADMAP item 1. Call
 // sites that *report bugs* must use satTri and skip reporting on
 // unknown.
 func (w *worker) sat(st *State, extra *expr.Expr) (bool, map[*expr.Var]uint64) {

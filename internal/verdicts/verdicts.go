@@ -151,9 +151,12 @@ type Entry struct {
 // persist: every path ran to completion and, when a wall-clock budget
 // was in play, no solver query failed (a deadline-induced ErrBudget
 // depends on machine speed, not content; assignment-budget failures
-// without a deadline are deterministic but conservatively rejected too
-// — a failure means some branch was assumed feasible, and keeping the
-// store failure-free keeps every stored verdict exact).
+// without a deadline are deterministic but rejected too — a failure
+// means the engine could not decide some query, and a branch side it
+// could not decide while the sibling was feasible was dropped
+// unexplored (exec.go, OpCondBr; ROADMAP item 1), so the report may
+// cover fewer paths than the program has. Keeping the store
+// failure-free keeps every stored verdict exact).
 func Cacheable(rep *symex.Report) bool {
 	return rep != nil &&
 		!rep.Stats.TimedOut &&

@@ -3,14 +3,11 @@
 //	overify-bench -table1 [-n 10] [-words 50000] [-j workers] [-passes spec]
 //	overify-bench -table2 [-n 3]
 //	overify-bench -table3
-//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-search dfs|bfs|covnew] [-budget [-cover N]] [-json FILE]
-//	overify-bench -scaling [-prog wc] [-n 5] [-timeout 60s]
-//	overify-bench -slicing [-n 3] [-timeout 3s] [-prog cksum] [-json BENCH_slicing.json]
-//	overify-bench -tune [-tune-budget 64] [-seed S] [-prog wc-c,tr] [-j workers] [-best-out FILE] [-json BENCH_autotune.json]
+//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-prog wc] [-search dfs|bfs|covnew] [-budget [-cover N]] [-json FILE]
 //	overify-bench -all
 //
-// -search selects the exploration order for Table 1, Figure 4 and the
-// scaling study. -budget extends Figure 4 with per-strategy
+// -search selects the exploration order for Table 1 and Figure 4.
+// -budget extends Figure 4 with per-strategy
 // time-to-coverage columns (each strategy under the timeout with
 // CoverTarget set; -cover overrides the per-cell full-coverage
 // target), and -figure4 -json records the study machine-readably.
@@ -21,22 +18,16 @@
 //
 // The daemon, cluster, verdict-store and solver measurements live in
 // the ledger: `go run ./benchmark -workload served_mix|cluster_split|solver_hard`.
+// Slicing is `symbex -slice`; worker scaling is `symbex -j N`.
 //
-// -tune runs the pass-ordering autotuner: one hill-climbing schedule
-// search per program (comma-separated -prog restricts the set), each
-// candidate gated on bug parity against the stock -OVERIFY baseline
-// and ranked by deterministic verify work units. -tune-budget caps
-// candidate evaluations per program, -seed fixes the search
-// trajectory, and -best-out writes the first program's winning spec to
-// a file replayable via `symbex -passes @FILE`. Everywhere a -passes
-// spec is accepted, the spelling @FILE loads the spec from that file.
+// Everywhere a -passes spec is accepted, the spelling @FILE loads the
+// spec from that file.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"overify/internal/bench"
@@ -44,41 +35,22 @@ import (
 	"overify/internal/symex"
 )
 
-// emit prints one study's text rendering and, when jsonPath is set,
-// writes the study's machine-readable form there.
-func emit(text, jsonPath string, toJSON func() ([]byte, error)) {
-	fmt.Println(text)
-	if jsonPath == "" {
-		return
-	}
-	data, err := toJSON()
-	check(err)
-	check(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-	fmt.Printf("(wrote %s)\n", jsonPath)
-}
-
 func main() {
 	t1 := flag.Bool("table1", false, "run the wc micro-benchmark (Table 1)")
 	t2 := flag.Bool("table2", false, "run the per-transformation ablation (Table 2)")
 	t3 := flag.Bool("table3", false, "run the corpus pass statistics (Table 3)")
 	f4 := flag.Bool("figure4", false, "run the corpus verification study (Figure 4)")
-	scaling := flag.Bool("scaling", false, "run the worker-scaling study (1..N workers per level)")
 	all := flag.Bool("all", false, "run everything")
 	n := flag.Int("n", 0, "symbolic input bytes (0 = per-experiment default)")
 	words := flag.Int("words", 0, "t_run word count for Table 1")
-	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 / scaling / slicing / tune verification")
+	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 verification")
 	workers := flag.Int("j", 0, "symbolic-execution workers for Table 1 / Figure 4 (0/1 serial, -1 = NumCPU)")
-	prog := flag.String("prog", "", "corpus target for the scaling study (default wc)")
+	prog := flag.String("prog", "", "restrict Figure 4 to one corpus program")
 	search := flag.String("search", "", "search strategy (dfs, bfs, covnew)")
-	seed := flag.Int64("seed", 0, "autotuner search seed for -tune")
-	jsonPath := flag.String("json", "", "write the -slicing, -tune or -figure4 study as JSON to this path")
+	jsonPath := flag.String("json", "", "write the -figure4 study as JSON to this path")
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
 	budget := flag.Bool("budget", false, "add per-strategy time-to-coverage columns to Figure 4")
 	coverTarget := flag.Int("cover", 0, "block-coverage target for -budget (0 = each cell's full coverage)")
-	slicingSweep := flag.Bool("slicing", false, "run the verification-aware slicing study: baseline vs sliced exploration per program x level")
-	tuneSweep := flag.Bool("tune", false, "run the pass-ordering autotuner: search schedules that beat -OVERIFY on verify work units")
-	tuneBudget := flag.Int("tune-budget", 64, "candidate evaluations per program for -tune")
-	bestOut := flag.String("best-out", "", "with -tune: write the first program's winning spec to this file (replay with symbex -passes @FILE)")
 	flag.Parse()
 
 	var pipeSpec *pipeline.PipelineSpec
@@ -93,47 +65,12 @@ func main() {
 	strat, err := symex.ParseSearch(*search)
 	check(err)
 
-	if *slicingSweep {
-		opts := bench.SliceSweepOptions{InputBytes: *n, Timeout: *timeout}
-		if *prog != "" {
-			opts.Programs = []string{*prog}
-		}
-		rows, err := bench.SliceSweep(opts)
-		check(err)
-		emit(bench.RenderSliceSweep(rows, opts), *jsonPath, func() ([]byte, error) {
-			return bench.SliceSweepJSON(rows, opts)
-		})
-	}
-
-	if *tuneSweep {
-		opts := bench.TuneSweepOptions{
-			InputBytes: *n, Budget: *tuneBudget, Seed: *seed,
-			Timeout: *timeout, Jobs: *workers,
-		}
-		if *prog != "" {
-			opts.Programs = strings.Split(*prog, ",")
-		}
-		rows, err := bench.TuneSweep(opts)
-		check(err)
-		emit(bench.RenderTuneSweep(rows, opts), *jsonPath, func() ([]byte, error) {
-			return bench.TuneSweepJSON(rows, opts)
-		})
-		if *bestOut != "" && len(rows) > 0 {
-			check(os.WriteFile(*bestOut, []byte(rows[0].BestSpec+"\n"), 0o644))
-			fmt.Printf("(wrote %s — replay with: symbex -passes @%s -prog %s)\n",
-				*bestOut, *bestOut, rows[0].Program)
-		}
-	}
-
-	if !(*t1 || *t2 || *t3 || *f4 || *scaling || *all) {
-		if *slicingSweep || *tuneSweep {
-			return
-		}
+	if !(*t1 || *t2 || *t3 || *f4 || *all) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *all {
-		*t1, *t2, *t3, *f4, *scaling = true, true, true, true, true
+		*t1, *t2, *t3, *f4 = true, true, true, true
 	}
 
 	if *t1 {
@@ -165,15 +102,14 @@ func main() {
 		start := time.Now()
 		rows, summary, err := bench.Figure4(opts)
 		check(err)
-		text := fmt.Sprintf("%s\n(figure 4 harness wall time: %s)",
+		fmt.Printf("%s\n(figure 4 harness wall time: %s)\n",
 			bench.RenderFigure4(rows, summary, opts), time.Since(start).Round(time.Millisecond))
-		emit(text, *jsonPath, func() ([]byte, error) { return bench.Figure4JSON(rows, summary, opts) })
-	}
-	if *scaling {
-		opts := bench.ScalingOptions{Program: *prog, InputBytes: *n, Timeout: *timeout, Strategy: strat}
-		rows, err := bench.Scaling(opts)
-		check(err)
-		fmt.Println(bench.RenderScaling(rows, opts))
+		if *jsonPath != "" {
+			data, err := bench.Figure4JSON(rows, summary, opts)
+			check(err)
+			check(os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
+			fmt.Printf("(wrote %s)\n", *jsonPath)
+		}
 	}
 }
 

@@ -111,9 +111,6 @@ func CompileAtWithLibc(name, src string, level pipeline.Level, lk libc.Kind) (*c
 }
 
 // fmtDur renders a duration in the paper's milliseconds-style.
-// durMs converts a duration to float milliseconds for the JSON artifacts.
-func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
-
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000.0)
 }

@@ -162,11 +162,6 @@ type VerifyOptions struct {
 	// CoverTarget, workers). Use symex.ParseSearch to map a flag
 	// spelling onto Engine.Strategy.
 	Engine symex.Options
-	// Checks restricts verification to a subset of check kinds (the
-	// zero value keeps them all). Skipped checks neither report bugs
-	// nor constrain paths; native traps (division, memory) still do.
-	// Copied onto Engine.Checks before running.
-	Checks ir.CheckSet
 	// Verdicts, when non-nil, is consulted before exploring: if the
 	// store holds an outcome for this exact content key (reachable IR +
 	// pipeline + verify config) the stored merged report is returned
@@ -175,14 +170,11 @@ type VerifyOptions struct {
 	Verdicts *verdicts.Store
 }
 
-// normalized applies defaults and folds Checks into the engine options,
-// so the content key and the run agree on the effective configuration.
+// normalized applies the input-size default, so the content key and the
+// run agree on the effective configuration.
 func (opts VerifyOptions) normalized() VerifyOptions {
 	if opts.InputBytes <= 0 {
 		opts.InputBytes = 4
-	}
-	if opts.Checks != ir.AllChecks {
-		opts.Engine.Checks = opts.Checks
 	}
 	return opts
 }

@@ -8,6 +8,7 @@ import (
 	"overify/internal/coreutils"
 	"overify/internal/libc"
 	"overify/internal/pipeline"
+	"overify/internal/symex"
 )
 
 var allLevels = []pipeline.Level{
@@ -134,5 +135,43 @@ func TestBudgetAccountingRegression(t *testing.T) {
 		if len(rep.Bugs) != 0 {
 			t.Errorf("%s: unexpected bugs: %v", level, rep.Bugs)
 		}
+	}
+}
+
+// TestMaxAssignmentsStopsDeterministically: the solver-assignment
+// budget is the deterministic stand-in for a wall-clock timeout (the
+// ledger's budget on every cold workload), so a serial run must stop at
+// the same query every time it is given the same job.
+func TestMaxAssignmentsStopsDeterministically(t *testing.T) {
+	p, ok := coreutils.Get("basename")
+	if !ok {
+		t.Fatal("basename not in corpus")
+	}
+	c, err := core.CompileProgram(p, pipeline.OVerify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(max int64) symex.Stats {
+		opts := core.VerifyOptions{InputBytes: 4}
+		opts.Engine.MaxAssignments = max
+		rep, err := c.Verify("umain", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Stats
+	}
+	a, b := run(4096), run(4096)
+	if !a.TimedOut || a.SolverStats.Assignments < 4096 {
+		t.Fatalf("budget did not engage: timedOut=%v after %d assignments", a.TimedOut, a.SolverStats.Assignments)
+	}
+	if a.SolverStats.Assignments != b.SolverStats.Assignments || a.Instrs != b.Instrs ||
+		a.TotalPaths() != b.TotalPaths() || a.SolverStats.Queries != b.SolverStats.Queries {
+		t.Errorf("budget stop diverged between identical runs:\n  a: assigns=%d instrs=%d paths=%d queries=%d\n  b: assigns=%d instrs=%d paths=%d queries=%d",
+			a.SolverStats.Assignments, a.Instrs, a.TotalPaths(), a.SolverStats.Queries,
+			b.SolverStats.Assignments, b.Instrs, b.TotalPaths(), b.SolverStats.Queries)
+	}
+	if full := run(0); full.TimedOut || full.TruncatedPaths > 0 || full.SolverStats.Queries <= a.SolverStats.Queries {
+		t.Errorf("uncapped run did not complete past the cap: timedOut=%v truncated=%d queries=%d (capped %d)",
+			full.TimedOut, full.TruncatedPaths, full.SolverStats.Queries, a.SolverStats.Queries)
 	}
 }

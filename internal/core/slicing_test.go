@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"overify/internal/core"
+	"overify/internal/coreutils"
 	"overify/internal/ir"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
@@ -53,8 +54,17 @@ func bugSet(rep *symex.Report) []string {
 }
 
 // verifyAt compiles name/src at level (optionally sliced) and verifies
-// it on n symbolic bytes with the given kept-check subset.
+// it on n symbolic bytes with the given kept-check subset. Each
+// exploration is budgeted so the sweeps stay minutes, not hours: a
+// truncated run opts out of the parity comparison (the caller checks),
+// it never fails it.
 func verifyAt(t *testing.T, name, src string, level pipeline.Level, slice bool, checks ir.CheckSet, n int) *symex.Report {
+	t.Helper()
+	return verifyCapped(t, name, src, level, slice, checks, n, 150_000)
+}
+
+// verifyCapped is verifyAt under an explicit instruction cap.
+func verifyCapped(t *testing.T, name, src string, level pipeline.Level, slice bool, checks ir.CheckSet, n int, maxInstrs int64) *symex.Report {
 	t.Helper()
 	cfg := pipeline.LevelConfig(level)
 	cfg.Slice = slice
@@ -63,11 +73,9 @@ func verifyAt(t *testing.T, name, src string, level pipeline.Level, slice bool, 
 	if err != nil {
 		t.Fatalf("%s at %s (slice=%v): compile: %v", name, level, slice, err)
 	}
-	opts := core.VerifyOptions{InputBytes: n, Checks: checks}
-	// Budget each exploration so the sweep stays minutes, not hours: a
-	// truncated run opts out of the parity comparison (the caller
-	// checks), it never fails it.
-	opts.Engine.MaxInstrs = 150_000
+	opts := core.VerifyOptions{InputBytes: n}
+	opts.Engine.Checks = checks
+	opts.Engine.MaxInstrs = maxInstrs
 	rep, err := c.Verify("umain", opts)
 	if err != nil {
 		t.Fatalf("%s at %s (slice=%v): verify: %v", name, level, slice, err)
@@ -125,6 +133,38 @@ func TestSliceBugParityCorpus(t *testing.T) {
 	}
 	if strictlyFewerInstrs == 0 {
 		t.Error("slicing never reduced the instruction count anywhere in the sweep")
+	}
+}
+
+// TestSliceSettlesCksum is the slicer's headline, counted rather than
+// timed: cksum's bit loop explodes at -O0 until the slice removes the
+// CRC arithmetic no check depends on, and at -OVERIFY — where
+// if-conversion has already ended the explosion — the slice still
+// executes strictly fewer instructions.
+func TestSliceSettlesCksum(t *testing.T) {
+	p, ok := coreutils.Get("cksum")
+	if !ok {
+		t.Fatal("cksum not in corpus")
+	}
+	// corpus_sweep's instruction cap, at its n.
+	base := verifyCapped(t, p.Name, p.Src, pipeline.O0, false, ir.AllChecks, 3, 100_000)
+	sliced := verifyCapped(t, p.Name, p.Src, pipeline.O0, true, ir.AllChecks, 3, 100_000)
+	if !truncated(base) {
+		t.Errorf("-O0 baseline settled inside the cap (%d paths, %d instrs): the cell no longer shows what slicing buys",
+			base.Stats.Paths, base.Stats.Instrs)
+	}
+	if truncated(sliced) || sliced.Stats.Paths != 4 || sliced.Stats.Instrs > 1000 {
+		t.Errorf("-O0 sliced: truncated=%v paths=%d instrs=%d, want a complete run of 4 paths in a few hundred instructions",
+			truncated(sliced), sliced.Stats.Paths, sliced.Stats.Instrs)
+	}
+	if bb, sb := bugSet(base), bugSet(sliced); strings.Join(bb, "\n") != strings.Join(sb, "\n") {
+		t.Errorf("-O0 bug sets differ\nbaseline: %v\nsliced:   %v", bb, sb)
+	}
+	base = verifyAt(t, p.Name, p.Src, pipeline.OVerify, false, ir.AllChecks, 4)
+	sliced = verifyAt(t, p.Name, p.Src, pipeline.OVerify, true, ir.AllChecks, 4)
+	if truncated(base) || truncated(sliced) || sliced.Stats.Instrs >= base.Stats.Instrs {
+		t.Errorf("-OVERIFY: sliced executed %d instructions, baseline %d — want strictly fewer, both complete",
+			sliced.Stats.Instrs, base.Stats.Instrs)
 	}
 }
 

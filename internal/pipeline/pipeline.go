@@ -369,11 +369,10 @@ func (res *Result) finish(m *ir.Module, cx *passes.Context, metrics *passes.RunM
 
 // ParallelDo runs f(0..n-1) on up to jobs goroutines (serially when
 // jobs <= 1; negative jobs = one per CPU, the Config.Jobs convention).
-// The experiment drivers and the autotuner use it to compile whole
-// modules in parallel — per-program parallelism above the pass
-// manager's per-function kind — writing results into index-addressed
-// slots so the output order stays deterministic regardless of
-// completion order.
+// The Table 1 and Figure 4 drivers use it to compile whole modules in
+// parallel — per-program parallelism above the pass manager's
+// per-function kind — writing results into index-addressed slots so
+// the output order stays deterministic regardless of completion order.
 func ParallelDo(n, jobs int, f func(i int)) {
 	if jobs < 0 {
 		jobs = runtime.NumCPU()

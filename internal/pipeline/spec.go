@@ -173,11 +173,10 @@ func isSliceStage(st Stage) bool {
 // withSliceChecks resolves the effective kept-check subset of the
 // spec's slice/loopsummary stages and canonicalizes: every such stage
 // is annotated with the effective set, so the rendered spec — the
-// verdict key's pipeline field and the autotuner's fingerprint — fully
-// determines the slice configuration. Annotated stages win over the
-// fallback (the legacy Config.SliceChecks field); stages that disagree
-// with each other are an error, since the relevance analysis is
-// computed once per module.
+// verdict key's pipeline field — fully determines the slice
+// configuration. Annotated stages win over the fallback (the legacy
+// Config.SliceChecks field); stages that disagree with each other are
+// an error, since the relevance analysis is computed once per module.
 func (s PipelineSpec) withSliceChecks(fallback ir.CheckSet) (PipelineSpec, ir.CheckSet, error) {
 	eff := ir.AllChecks
 	found := false
@@ -237,17 +236,23 @@ func (s PipelineSpec) Build() ([]passes.Pass, error) {
 }
 
 // LoadSpecArg resolves a -passes command-line argument: the spelling
-// @FILE reads the spec text from FILE (the replay path for
-// `overify-bench -tune -best-out` winners), anything else is the spec
-// itself. Only the CLIs call it — a spec arriving in a request is never
-// treated as a file name.
+// @FILE reads the spec text from FILE (a schedule kept as data and
+// replayed), anything else is the spec itself. A file holding no spec
+// is an error: callers read "" as "no -passes given" and would run the
+// stock level under the file's name. Only the CLIs call it — a spec
+// arriving in a request is never treated as a file name.
 func LoadSpecArg(arg string) (string, error) {
-	if !strings.HasPrefix(arg, "@") {
+	file, ok := strings.CutPrefix(arg, "@")
+	if !ok {
 		return arg, nil
 	}
-	data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
+	data, err := os.ReadFile(file)
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimSpace(string(data)), nil
+	text := strings.TrimSpace(string(data))
+	if text == "" {
+		return "", fmt.Errorf("pipeline: spec file %s is empty", file)
+	}
+	return text, nil
 }

@@ -8,9 +8,9 @@ import (
 // FuzzPipelineSpecRoundTrip pins the -passes= grammar's round-trip
 // property: any accepted input renders to a canonical string that
 // reparses to the same spec and re-renders byte-identically. The
-// autotuner's fingerprint memo and the verdict store's pipeline field
-// both key on the rendered string, so a render/parse disagreement
-// would silently split or merge cache entries.
+// verdict store's pipeline field keys on the rendered string, so a
+// render/parse disagreement would silently split or merge cache
+// entries.
 func FuzzPipelineSpecRoundTrip(f *testing.F) {
 	f.Add("mem2reg")
 	f.Add("mem2reg,simplify,cse,simplifycfg,dce")

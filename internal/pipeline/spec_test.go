@@ -1,6 +1,8 @@
 package pipeline_test
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,6 +106,50 @@ func TestParsedPipelineCompiles(t *testing.T) {
 	for _, want := range []string{"mem2reg", "ifconvert", "dce"} {
 		if !strings.Contains(strings.Join(names, ","), want) {
 			t.Errorf("pass %s missing from timings %v", want, names)
+		}
+	}
+}
+
+// TestLoadSpecArg: a -passes argument is the spec itself unless it is
+// spelled @FILE, and a file that holds no spec is an error — "" is what
+// every caller reads as "no -passes given", so a truncated file would
+// otherwise verify the stock level under the user's schedule's name.
+func TestLoadSpecArg(t *testing.T) {
+	// Stock -OVERIFY's straight-line prefix with the slicer placed
+	// after instrumentation: the schedule PR 9's search kept finding.
+	const sliced = "mem2reg,simplify,cse,simplifycfg,dce,checks,annotate,slice,simplify,simplifycfg"
+	if got, err := pipeline.LoadSpecArg(sliced); err != nil || got != sliced {
+		t.Errorf("plain spec: got %q, %v", got, err)
+	}
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return "@" + path
+	}
+	text, err := pipeline.LoadSpecArg(write("ok.spec", sliced+"\n"))
+	if err != nil || text != sliced {
+		t.Fatalf("@file: got %q, %v", text, err)
+	}
+	spec, err := pipeline.ParsePipeline(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.String() != sliced {
+		t.Errorf("loaded spec renders as %q", spec.String())
+	}
+	if _, err := spec.Build(); err != nil {
+		t.Errorf("loaded spec does not build: %v", err)
+	}
+	if _, err := pipeline.LoadSpecArg("@" + filepath.Join(dir, "missing.spec")); err == nil {
+		t.Error("missing file accepted")
+	}
+	for _, body := range []string{"", " \n\t\n"} {
+		arg := write("empty.spec", body)
+		if got, err := pipeline.LoadSpecArg(arg); err == nil || !strings.Contains(err.Error(), "empty.spec") {
+			t.Errorf("empty file %q: got %q, %v — want an error naming the file", body, got, err)
 		}
 	}
 }

@@ -115,22 +115,32 @@ func BenchmarkPartitionExtend(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchTape measures one backtracking solve of a coupled
-// multi-var group (the constraint evaluator's hot loop), bypassing the
-// caches.
-func BenchmarkSearchTape(b *testing.B) {
-	bld := expr.NewBuilder()
+// coupledGroup builds one group over three bytes that the search has to
+// backtrack through: x + y + z == sum, x < y, z not a space — and then
+// extra more constraints, each a few slots of its own, that every model
+// of the first three satisfies.
+func coupledGroup(bld *expr.Builder, sum uint64, extra int) []*expr.Expr {
 	vs := benchVars(3)
 	x := bld.Cast(ir.OpZExt, bld.Var(vs[0]), 32)
 	y := bld.Cast(ir.OpZExt, bld.Var(vs[1]), 32)
 	z := bld.Cast(ir.OpZExt, bld.Var(vs[2]), 32)
-	table := classTable()
 	g := []*expr.Expr{
-		bld.Cmp(ir.OpEq, bld.Bin(ir.OpAdd, bld.Bin(ir.OpAdd, x, y), z), bld.Const(32, 420)),
+		bld.Cmp(ir.OpEq, bld.Bin(ir.OpAdd, bld.Bin(ir.OpAdd, x, y), z), bld.Const(32, sum)),
 		bld.Cmp(ir.OpULt, x, y),
-		bld.Cmp(ir.OpEq, bld.Read(table, 8, bld.Cast(ir.OpZExt, bld.Var(vs[2]), 64)), bld.Const(8, 0)),
+		bld.Cmp(ir.OpEq, bld.Read(classTable(), 8, bld.Cast(ir.OpZExt, bld.Var(vs[2]), 64)), bld.Const(8, 0)),
 	}
-	grp := PartitionOf(g).Groups()
+	for i := 0; i < extra; i++ {
+		k := bld.Const(32, uint64(i+1))
+		g = append(g, bld.Cmp(ir.OpULt, bld.Bin(ir.OpAdd, bld.Bin(ir.OpMul, x, k), y), bld.Const(32, 256*uint64(i+2))))
+	}
+	return g
+}
+
+// BenchmarkSearchTape measures one backtracking solve of a coupled
+// multi-var group (the constraint evaluator's hot loop), bypassing the
+// caches.
+func BenchmarkSearchTape(b *testing.B) {
+	grp := PartitionOf(coupledGroup(expr.NewBuilder(), 420, 0)).Groups()
 	if len(grp) != 1 {
 		b.Fatalf("want one group, got %d", len(grp))
 	}

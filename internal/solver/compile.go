@@ -14,7 +14,10 @@ import (
 // recursion, no map[*Expr] memo, no per-node generation checks. Each
 // variable carries a watch list (the topo-ordered slots depending on
 // it), so assigning or retracting one variable re-evaluates exactly the
-// sub-tape that can change.
+// sub-tape that can change. That is the search's one evaluator for
+// commits (tapeState.recompute); the unary filter, which asks about every
+// value of one byte at once, has the other (tapeState.filterColumn,
+// column.go).
 //
 // A tape's slices alias its tapeScratch and are valid only until the
 // scratch compiles the next group.
@@ -27,11 +30,10 @@ type tape struct {
 	// used for the only-unassigned-variable test in unary filtering.
 	cmasks [][]uint64
 	// csub is the per-constraint slot bitmask (slot-index words): the
-	// sub-DAG reachable from the constraint's root. Unary-filter probes
-	// re-evaluate only watch[vi] ∩ csub[ci] — the slots of the one
-	// constraint being filtered — mirroring what the pre-tape evaluator
-	// paid per probe (one constraint tree, not the variable's whole
-	// watch list).
+	// sub-DAG reachable from the constraint's root. It is what the unary
+	// filter's column list is cut from — watch[vi] ∩ csub[ci], the slots
+	// of the one constraint being filtered that the open byte reaches —
+	// and what bounds a propagation sweep to one constraint.
 	csub   [][]uint64
 	nwords int
 }
@@ -65,9 +67,7 @@ type tapeScratch struct {
 	assigned []bool
 	avals    []uint64
 	amask    []uint64
-	ovKnown  []bool
-	ovVal    []uint64
-	ovStamp  []uint64
+	col      columnScratch
 }
 
 // compileGroup flattens the group's constraint DAG into a tape using
@@ -148,13 +148,8 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 
 	// Watch lists carved out of one exact-size backing array: count
 	// per-var dependents, then fill in emission (= topo) order.
-	if cap(sc.counts) < len(vars) {
-		sc.counts = make([]int32, len(vars))
-	}
-	counts := sc.counts[:len(vars)]
-	for i := range counts {
-		counts[i] = 0
-	}
+	sc.counts = zeroed(sc.counts, len(vars))
+	counts := sc.counts
 	total := int32(0)
 	for s := 0; s < len(t.ops); s++ {
 		for vi := range vars {
@@ -185,13 +180,8 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 		}
 	}
 
-	if cap(sc.cmaskBacking) < len(cs)*nwords {
-		sc.cmaskBacking = make([]uint64, len(cs)*nwords)
-	}
-	cmaskBacking := sc.cmaskBacking[:len(cs)*nwords]
-	for i := range cmaskBacking {
-		cmaskBacking[i] = 0
-	}
+	sc.cmaskBacking = zeroed(sc.cmaskBacking, len(cs)*nwords)
+	cmaskBacking := sc.cmaskBacking
 	if cap(t.cmasks) < len(cs) {
 		t.cmasks = make([][]uint64, len(cs))
 	}
@@ -209,13 +199,8 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	// operands always sit at smaller slot indices, so one descending pass
 	// closes the reachable set.
 	swords := (len(t.ops) + 63) / 64
-	if cap(sc.csubBacking) < len(cs)*swords {
-		sc.csubBacking = make([]uint64, len(cs)*swords)
-	}
-	csubBacking := sc.csubBacking[:len(cs)*swords]
-	for i := range csubBacking {
-		csubBacking[i] = 0
-	}
+	sc.csubBacking = zeroed(sc.csubBacking, len(cs)*swords)
+	csubBacking := sc.csubBacking
 	if cap(t.csub) < len(cs) {
 		t.csub = make([][]uint64, len(cs))
 	}
@@ -248,25 +233,17 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 // slot results (known flag + value) plus the current assignment. Its
 // semantics match expr.PartialEvaluator exactly (including the known-
 // side short circuits), which the differential fuzz target asserts.
+// There is no what-if shadow of it: a question about values not
+// committed is a column evaluation (filterColumn), which reads known and
+// val and writes neither.
 type tapeState struct {
 	t        *tape
 	known    []bool
 	val      []uint64
 	assigned []bool
 	avals    []uint64
-	amask    []uint64 // assigned-variable bitmask (var-index words)
-	work     int64    // slot evaluations (a cost statistic, not the budget)
-
-	// Probe overlay: epoch-stamped shadow results for what-if queries
-	// (probe) that never touch the committed known/val arrays, so a
-	// candidate value can be tested against one constraint without the
-	// assign/recompute-everything/unassign/recompute-everything round
-	// trip. A slot's overlay entry is valid only when its stamp equals
-	// the current epoch.
-	ovKnown []bool
-	ovVal   []uint64
-	ovStamp []uint64
-	epoch   uint64
+	amask    []uint64       // assigned-variable bitmask (var-index words)
+	col      *columnScratch // filterColumn's buffers
 }
 
 // newTapeState builds evaluation state with fresh buffers (tests and
@@ -278,34 +255,12 @@ func newTapeState(t *tape) *tapeState {
 // tapeStateFrom builds evaluation state over the scratch's buffers and
 // runs the initial full evaluation pass.
 func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
-	grow := func(b []bool, n int) []bool {
-		if cap(b) < n {
-			return make([]bool, n)
-		}
-		b = b[:n]
-		for i := range b {
-			b[i] = false
-		}
-		return b
-	}
-	growU := func(u []uint64, n int) []uint64 {
-		if cap(u) < n {
-			return make([]uint64, n)
-		}
-		u = u[:n]
-		for i := range u {
-			u[i] = 0
-		}
-		return u
-	}
-	sc.known = grow(sc.known, len(t.ops))
-	sc.val = growU(sc.val, len(t.ops))
-	sc.assigned = grow(sc.assigned, len(t.vars))
-	sc.avals = growU(sc.avals, len(t.vars))
-	sc.amask = growU(sc.amask, t.nwords)
-	sc.ovKnown = grow(sc.ovKnown, len(t.ops))
-	sc.ovVal = growU(sc.ovVal, len(t.ops))
-	sc.ovStamp = growU(sc.ovStamp, len(t.ops))
+	sc.known = zeroed(sc.known, len(t.ops))
+	sc.val = zeroed(sc.val, len(t.ops))
+	sc.assigned = zeroed(sc.assigned, len(t.vars))
+	sc.avals = zeroed(sc.avals, len(t.vars))
+	sc.amask = zeroed(sc.amask, t.nwords)
+	sc.col.off, sc.col.list = zeroed(sc.col.off, len(t.ops)), sc.col.list[:0]
 	ts := &tapeState{
 		t:        t,
 		known:    sc.known,
@@ -313,14 +268,22 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 		assigned: sc.assigned,
 		avals:    sc.avals,
 		amask:    sc.amask,
-		ovKnown:  sc.ovKnown,
-		ovVal:    sc.ovVal,
-		ovStamp:  sc.ovStamp,
+		col:      &sc.col,
 	}
 	for s := range t.ops {
 		ts.recompute(int32(s))
 	}
 	return ts
+}
+
+// zeroed returns b as n zero elements, reallocating only to grow.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // assign binds var vi and re-evaluates its watched sub-tape.
@@ -364,7 +327,6 @@ func (ts *tapeState) unassignedIn(ci int, vi int32) (n int, hasVi bool) {
 
 // recompute re-evaluates one slot from its operands' current results.
 func (ts *tapeState) recompute(s int32) {
-	ts.work++
 	op := &ts.t.ops[s]
 	var known bool
 	var val uint64
@@ -439,124 +401,4 @@ func (ts *tapeState) recompute(s int32) {
 	}
 	ts.known[s] = known
 	ts.val[s] = val
-}
-
-// probe answers "what would constraint ci evaluate to if unassigned var
-// vi held val?" without committing the assignment. Only the slots of
-// ci's sub-DAG that depend on vi (watch[vi] ∩ csub[ci], in topo order)
-// are re-evaluated, into the overlay; everything else reads its
-// committed result. Equivalent to assign(vi, val); root(ci);
-// unassign(vi), at the cost of one constraint instead of the variable's
-// whole watch list twice — the unary filter runs 256 probes per
-// (constraint, variable) pair, so this is the search's hot path.
-func (ts *tapeState) probe(ci int, vi int32, val uint64) (known bool, r uint64) {
-	ts.epoch++
-	sub := ts.t.csub[ci]
-	for _, s := range ts.t.watch[vi] {
-		if sub[s>>6]&(1<<uint(s&63)) == 0 {
-			continue
-		}
-		ts.recomputeOv(s, vi, val)
-	}
-	root := ts.t.roots[ci]
-	if ts.ovStamp[root] == ts.epoch {
-		return ts.ovKnown[root], ts.ovVal[root]
-	}
-	return ts.known[root], ts.val[root]
-}
-
-// recomputeOv is recompute into the overlay: operands read their
-// overlay result when stamped this epoch (they depend on the probed
-// variable and were just re-evaluated — watch lists are topo-ordered)
-// and their committed result otherwise, and the probed variable's slot
-// evaluates to the probe value. The semantics switch must mirror
-// recompute exactly; the differential fuzz target asserts it.
-func (ts *tapeState) recomputeOv(s, pvi int32, pval uint64) {
-	ts.work++
-	op := &ts.t.ops[s]
-	get := func(a int32) (bool, uint64) {
-		if ts.ovStamp[a] == ts.epoch {
-			return ts.ovKnown[a], ts.ovVal[a]
-		}
-		return ts.known[a], ts.val[a]
-	}
-	var known bool
-	var val uint64
-	switch op.kind {
-	case expr.KConst:
-		known, val = true, op.val
-	case expr.KVar:
-		if op.vi == pvi {
-			known, val = true, pval
-		} else if ts.assigned[op.vi] {
-			known, val = true, ts.avals[op.vi]
-		}
-	case expr.KBin:
-		ak, av := get(op.a0)
-		bk, bv := get(op.a1)
-		switch {
-		case ak && bk:
-			r, ok := ir.EvalBin(op.op, int(op.bits), av, bv)
-			if !ok {
-				r = 0
-			}
-			known, val = true, r
-		default:
-			switch op.op {
-			case ir.OpAnd:
-				if (ak && av == 0) || (bk && bv == 0) {
-					known, val = true, 0
-				}
-			case ir.OpOr:
-				ones := ir.Mask(int(op.bits), ^uint64(0))
-				if (ak && av == ones) || (bk && bv == ones) {
-					known, val = true, ones
-				}
-			case ir.OpMul:
-				if (ak && av == 0) || (bk && bv == 0) {
-					known, val = true, 0
-				}
-			}
-		}
-	case expr.KCmp:
-		ak, av := get(op.a0)
-		bk, bv := get(op.a1)
-		if ak && bk {
-			known = true
-			if ir.EvalCmp(op.op, int(ts.t.ops[op.a0].bits), av, bv) {
-				val = 1
-			}
-		}
-	case expr.KSelect:
-		ck, cv := get(op.a0)
-		tk, tv := get(op.a1)
-		fk, fv := get(op.a2)
-		if ck {
-			if cv != 0 {
-				known, val = tk, tv
-			} else {
-				known, val = fk, fv
-			}
-		} else if tk && fk && tv == fv {
-			known, val = true, tv
-		}
-	case expr.KCast:
-		if ak, av := get(op.a0); ak {
-			known = true
-			val = ir.EvalCast(op.op, int(ts.t.ops[op.a0].bits), int(op.bits), av)
-		}
-	case expr.KRead:
-		if ak, av := get(op.a0); ak {
-			known = true
-			if av < uint64(len(op.table)) {
-				val = op.table[av]
-			}
-		}
-	}
-	if known {
-		val = ir.Mask(int(op.bits), val)
-	}
-	ts.ovKnown[s] = known
-	ts.ovVal[s] = val
-	ts.ovStamp[s] = ts.epoch
 }

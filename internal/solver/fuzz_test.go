@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -68,8 +69,10 @@ func buildFuzzDAG(b *expr.Builder, vs []*expr.Var, data []byte) []*expr.Expr {
 // constraint evaluator: on random expression DAGs and assignments, the
 // tape must agree with expr.Eval under full assignments and with
 // expr.PartialEvaluator (known-ness AND value) under partial ones,
-// including after retractions. Two goroutines share one compiled tape
-// to assert the tape itself is immutable (meaningful under -race).
+// including after retractions; and the unary filter's column kernel
+// must agree with the tape's committed path (checkFilterColumn). Two
+// goroutines share one compiled tape to assert the tape itself is
+// immutable (meaningful under -race).
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(0x0f), uint64(12345))
 	f.Add([]byte{6, 2, 3, 1, 4, 4, 2, 9, 3, 0, 5, 5}, byte(0x03), uint64(999))
@@ -107,25 +110,11 @@ func FuzzCompiledEval(f *testing.F) {
 								worker, ci, known, val, want.Known, want.Val, c)
 						}
 					}
-					// Probe differential: the non-committing probe the
-					// unary filter uses must agree exactly with the
-					// assign/evaluate/retract cycle it replaced.
-					for ci := range g.Constraints() {
-						for vi, v := range tp.vars {
-							if _, ok := asn[v]; ok {
-								continue
-							}
-							val := (seed >> uint(5*vi+7)) & 0xff
-							pk, pv := ts.probe(ci, int32(vi), val)
-							ts.assign(int32(vi), val)
-							k, rv := ts.root(ci)
-							ts.unassign(int32(vi))
-							if pk != k || (k && pv != rv) {
-								t.Errorf("worker %d probe: constraint %d var %d=%d probe=(%v,%d) committed=(%v,%d)",
-									worker, ci, vi, val, pk, pv, k, rv)
-							}
-						}
-					}
+					// Kernel differential: wherever this assignment leaves
+					// a constraint one open variable, the unary filter's
+					// column evaluation must agree, slot by slot and value
+					// by value, with the assign/evaluate/retract cycle.
+					checkFilterColumn(t, ts, fullDomain(8), fmt.Sprintf("worker %d", worker))
 					// Complete the assignment: tape must agree with Eval.
 					for vi, v := range tp.vars {
 						if _, ok := asn[v]; !ok {

@@ -68,7 +68,10 @@ func portfolioConfig(i int) searchConfig {
 // rotation over the K configured members. domains has already been
 // propagated; each attempt gets a private copy (filtering mutates it),
 // and the attempt that finds a model leaves its filtered domains in
-// domains, as a lone searchTape would.
+// domains, as a lone searchTape would. Only running out of assignments
+// (or nodes) is a stall: an attempt the wall-clock deadline ended
+// (errDeadline) ends the query there — no race is counted for it and no
+// further attempt rebuilds the tape state just to read the same clock.
 func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var]uint64, error) {
 	stall := s.opts.PortfolioStall
 	if stall <= 0 {

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"overify/internal/expr"
 	"overify/internal/ir"
@@ -135,5 +137,23 @@ func TestPortfolioUnsatGroup(t *testing.T) {
 	}
 	if sat {
 		t.Fatalf("sat=true for contradictory group")
+	}
+}
+
+// TestPortfolioDeadlineIsNotAStall: an attempt that ended on the
+// wall-clock deadline must end the query, not start a race. With the
+// deadline already past, the stall probe is the one attempt made — it
+// compiles the one tape and tries nothing — and PortfolioRaces, a pure
+// function of the group, does not learn what time it is.
+func TestPortfolioDeadlineIsNotAStall(t *testing.T) {
+	s := New(Options{Portfolio: 4, PortfolioStall: 1024})
+	s.SetDeadline(time.Now().Add(-time.Second))
+	sat, _, err := s.Sat(hardGroup(expr.NewBuilder()))
+	if !errors.Is(err, ErrBudget) || sat {
+		t.Fatalf("past the deadline: sat=%v err=%v, want ErrBudget", sat, err)
+	}
+	want := Stats{Queries: 1, Failures: 1, TapeCompiles: 1, TapeSlots: s.Stats.TapeSlots, MaxGroupVars: 2}
+	if s.Stats != want {
+		t.Fatalf("stats %+v, want %+v (no race, no assignment, no node)", s.Stats, want)
 	}
 }

@@ -1,8 +1,6 @@
 package solver
 
 import (
-	"math/bits"
-
 	"overify/internal/expr"
 	"overify/internal/ir"
 )
@@ -40,6 +38,13 @@ import (
 // verdicts stay evaluator- and schedule-independent; its cost is
 // bounded by rounds × tape size × vsetPairCap, independent of how many
 // assignments the search would have tried.
+//
+// The storage is the solver's (Solver.prop, beside its tapeScratch): set
+// headers and variable enumerations are reused from search to search,
+// and a set's values live in a vsetCap-word array carved from one arena
+// the first time the set holds anything (most slots widen to top or are
+// never demanded of, and never take one). A run resets the arena, not
+// frees it: a second run over a tape no larger allocates nothing.
 
 const (
 	// vsetCap is the widening threshold: a slot tracking more than this
@@ -64,15 +69,35 @@ const (
 // vset is a small finite value set, or top (every value possible).
 type vset struct {
 	top  bool
-	vals []uint64 // deduped, unordered, len ≤ vsetCap
+	vals []uint64 // deduped, unordered, len ≤ vsetCap; nil or vsetCap words of an arena
 }
 
-func (s *vset) reset() {
-	s.top = true
-	s.vals = s.vals[:0]
+// vsetArena hands out the vsetCap-word arrays sets keep their values in.
+type vsetArena struct {
+	buf    []uint64
+	carved int // words handed out since the last reset, over every block
 }
 
-func (s *vset) add(v uint64) {
+func (a *vsetArena) carve() []uint64 {
+	if len(a.buf)+vsetCap > cap(a.buf) {
+		a.buf = make([]uint64, 0, 2*cap(a.buf)+8*vsetCap) // sets carved so far keep the old block
+	}
+	n := len(a.buf)
+	a.buf = a.buf[:n+vsetCap]
+	a.carved += vsetCap
+	return a.buf[n : n : n+vsetCap]
+}
+
+// settle ends a run: an arena the run outgrew becomes one block as large
+// as everything the run carved, so a run of the same size never grows it.
+func (a *vsetArena) settle() {
+	if a.carved > cap(a.buf) {
+		a.buf = make([]uint64, 0, a.carved)
+	}
+	a.buf, a.carved = a.buf[:0], 0
+}
+
+func (s *vset) add(v uint64, a *vsetArena) {
 	if s.top {
 		return
 	}
@@ -85,6 +110,9 @@ func (s *vset) add(v uint64) {
 		s.top = true
 		s.vals = s.vals[:0]
 		return
+	}
+	if s.vals == nil {
+		s.vals = a.carve()
 	}
 	s.vals = append(s.vals, v)
 }
@@ -105,12 +133,15 @@ func (s *vset) empty() bool { return !s.top && len(s.vals) == 0 }
 
 // intersect keeps only the values of s that d also allows, reporting
 // whether anything was removed.
-func (s *vset) intersect(d *vset) bool {
+func (s *vset) intersect(d *vset, a *vsetArena) bool {
 	if d.top {
 		return false
 	}
 	if s.top {
 		s.top = false
+		if s.vals == nil && len(d.vals) > 0 {
+			s.vals = a.carve()
+		}
 		s.vals = append(s.vals[:0], d.vals...)
 		return true
 	}
@@ -125,16 +156,27 @@ func (s *vset) intersect(d *vset) bool {
 	return shrunk
 }
 
-// propagator holds the per-search propagation state.
+// propagator holds the propagation state: t, domains, changed and unsat
+// are one run's, the rest is storage kept from run to run.
 type propagator struct {
-	t        *tape
-	domains  []domain
-	fwd      []vset
-	dem      []vset
-	varIter  [][]uint64
-	rangeBuf []uint64
-	changed  bool
-	unsat    bool
+	t       *tape
+	domains []domain
+	fwd     []vset
+	dem     []vset
+	varIter [][]uint64
+	arena   vsetArena
+	tmp     [vsetCap]uint64 // backs the one temporary set alive at a time
+	changed bool
+	unsat   bool
+}
+
+// byteRange[:n] enumerates a narrow slot's full range, every value below n.
+var byteRange [vsetRangeCap]uint64
+
+func init() {
+	for i := range byteRange {
+		byteRange[i] = uint64(i)
+	}
 }
 
 // concreteSlot evaluates one slot from concrete operand values,
@@ -173,8 +215,10 @@ func (p *propagator) concreteSlot(s int32, a, b, c uint64) uint64 {
 // iterable returns a finite enumeration of slot s's feasible values,
 // or nil when only top is known: the forward set when finite, the
 // variable's current domain for variable slots, and the full range for
-// narrow slots. Callers that hold enumerations across calls must copy:
-// the full-range case reuses one buffer.
+// narrow slots. The enumeration is a view of storage nothing writes
+// while a demand is worked out — a forward set, a variable's enumeration
+// for this round, or the immutable byteRange — so callers hold several
+// at once without copying.
 func (p *propagator) iterable(s int32) []uint64 {
 	if f := &p.fwd[s]; !f.top {
 		return f.vals
@@ -187,12 +231,7 @@ func (p *propagator) iterable(s int32) []uint64 {
 	// shift: 1<<64 wraps to 0 and would enumerate nothing).
 	if op.bits > 0 && op.bits < 64 {
 		if n := uint64(1) << uint(op.bits); n <= vsetRangeCap {
-			full := p.rangeBuf[:0]
-			for v := uint64(0); v < n; v++ {
-				full = append(full, v)
-			}
-			p.rangeBuf = full
-			return full
+			return byteRange[:n]
 		}
 	}
 	return nil
@@ -207,14 +246,14 @@ func (p *propagator) forward(s int32) {
 	f.vals = f.vals[:0]
 	switch op.kind {
 	case expr.KConst:
-		f.add(ir.Mask(int(op.bits), op.val))
+		f.add(ir.Mask(int(op.bits), op.val), &p.arena)
 	case expr.KVar:
 		iv := p.varIter[op.vi]
 		if len(iv) > vsetCap {
 			f.top = true
 		} else {
 			for _, v := range iv {
-				f.add(v)
+				f.add(v, &p.arena)
 			}
 		}
 	default:
@@ -233,7 +272,7 @@ func (p *propagator) forward(s int32) {
 			for _, va := range ia {
 				for _, vb := range ib {
 					for _, vc := range ic {
-						f.add(p.concreteSlot(s, va, vb, vc))
+						f.add(p.concreteSlot(s, va, vb, vc), &p.arena)
 						if f.top {
 							break
 						}
@@ -242,7 +281,7 @@ func (p *propagator) forward(s int32) {
 			}
 		}
 	}
-	f.intersect(&p.dem[s])
+	f.intersect(&p.dem[s], &p.arena)
 	if f.empty() {
 		p.unsat = true
 	}
@@ -250,8 +289,8 @@ func (p *propagator) forward(s int32) {
 
 var one = []uint64{0}
 
-// opIter is iterable without the full-range fallback buffer (safe to
-// hold across the nested forward enumeration).
+// opIter is iterable without the full-range fallback: forward widens a
+// slot to top rather than enumerate an operand's whole range.
 func (p *propagator) opIter(s int32) []uint64 {
 	if f := &p.fwd[s]; !f.top {
 		return f.vals
@@ -273,11 +312,10 @@ func (p *propagator) demand(s int32, which int) {
 	if target < 0 {
 		return
 	}
-	it := p.iterable(target)
-	if it == nil {
+	tvals := p.iterable(target)
+	if tvals == nil {
 		return
 	}
-	tvals := append([]uint64(nil), it...)
 	others := [3][]uint64{one, one, one}
 	product := len(tvals)
 	for i, o := range ops3 {
@@ -288,12 +326,15 @@ func (p *propagator) demand(s int32, which int) {
 		if ov == nil {
 			return
 		}
-		others[i] = append([]uint64(nil), ov...)
+		others[i] = ov
 		product *= len(ov)
 	}
 	if product > vsetPairCap {
 		return
 	}
+	// The target's position enumerates the one value under test.
+	var held [1]uint64
+	others[which] = held[:]
 	// Variable targets are pruned in their domain bitset directly: a
 	// domain holds up to 256 values, so routing the kept set through a
 	// vset would widen exclusion demands like "anything but 0" to top
@@ -302,7 +343,7 @@ func (p *propagator) demand(s int32, which int) {
 	if top.kind == expr.KVar {
 		var keep domain
 		for _, tv := range tvals {
-			if p.supported(s, tv, which, &others) {
+			if held[0] = tv; p.supported(s, &others) {
 				keep[tv/64] |= 1 << (tv % 64)
 			}
 		}
@@ -318,13 +359,13 @@ func (p *propagator) demand(s int32, which int) {
 		}
 		return
 	}
-	var dm vset
+	dm := vset{vals: p.tmp[:0]}
 	for _, tv := range tvals {
-		if p.supported(s, tv, which, &others) {
-			dm.add(tv)
+		if held[0] = tv; p.supported(s, &others) {
+			dm.add(tv, &p.arena)
 		}
 	}
-	if p.dem[target].intersect(&dm) {
+	if p.dem[target].intersect(&dm, &p.arena) {
 		p.changed = true
 	}
 	if p.dem[target].empty() {
@@ -332,14 +373,14 @@ func (p *propagator) demand(s int32, which int) {
 	}
 }
 
-// supported reports whether some combination of the other operands'
-// feasible values makes slot s evaluate into dem[s] with the target
-// operand (position which) held at tv.
-func (p *propagator) supported(s int32, tv uint64, which int, others *[3][]uint64) bool {
+// supported reports whether some combination of the operands' values —
+// the feasible ones of the others, the one held for the target — makes
+// slot s evaluate into dem[s].
+func (p *propagator) supported(s int32, its *[3][]uint64) bool {
 	ds := &p.dem[s]
-	for _, v0 := range pickOperand(others[0], tv, which == 0) {
-		for _, v1 := range pickOperand(others[1], tv, which == 1) {
-			for _, v2 := range pickOperand(others[2], tv, which == 2) {
+	for _, v0 := range its[0] {
+		for _, v1 := range its[1] {
+			for _, v2 := range its[2] {
 				if ds.has(p.concreteSlot(s, v0, v1, v2)) {
 					return true
 				}
@@ -347,14 +388,6 @@ func (p *propagator) supported(s int32, tv uint64, which int, others *[3][]uint6
 		}
 	}
 	return false
-}
-
-// pickOperand substitutes the target value into its operand position.
-func pickOperand(vals []uint64, tv uint64, isTarget bool) []uint64 {
-	if isTarget {
-		return []uint64{tv}
-	}
-	return vals
 }
 
 // constraintPass runs one forward + backward sweep over constraint
@@ -377,19 +410,19 @@ func (p *propagator) constraintPass(ci int) {
 	// The root must evaluate non-zero: intersect its demand with its
 	// feasible non-zero values (or {1} for 1-bit roots).
 	rd := &p.dem[root]
-	var want vset
+	want := vset{vals: p.tmp[:0]}
 	if rf := &p.fwd[root]; !rf.top {
 		for _, v := range rf.vals {
 			if v != 0 {
-				want.add(v)
+				want.add(v, &p.arena)
 			}
 		}
 	} else if t.ops[root].bits == 1 {
-		want.add(1)
+		want.add(1, &p.arena)
 	} else {
 		want.top = true
 	}
-	if rd.intersect(&want) {
+	if rd.intersect(&want, &p.arena) {
 		p.changed = true
 	}
 	if rd.empty() {
@@ -458,7 +491,7 @@ func (p *propagator) demandSelectBranch(s int32) {
 	if p.t.ops[branch].kind == expr.KConst {
 		return
 	}
-	if p.dem[branch].intersect(&p.dem[s]) {
+	if p.dem[branch].intersect(&p.dem[s], &p.arena) {
 		p.changed = true
 	}
 	if p.dem[branch].empty() {
@@ -490,33 +523,32 @@ func (p *propagator) pruneDomains() {
 	}
 }
 
-// propagateDomains runs value-set propagation over the group's tape,
-// pruning the search domains in place. It returns false when the group
-// is proven unsatisfiable outright.
+// propagateDomains runs value-set propagation over the group's tape
+// with fresh storage (tests; the solver reuses its own via Solver.prop).
 func propagateDomains(t *tape, domains []domain) bool {
+	return new(propagator).run(t, domains)
+}
+
+// run prunes the search domains in place over the group's tape. It
+// returns false when the group is proven unsatisfiable outright.
+func (p *propagator) run(t *tape, domains []domain) bool {
+	p.t, p.domains, p.unsat = t, domains, false
+	defer p.arena.settle()
 	nslots := len(t.ops)
-	p := &propagator{
-		t:       t,
-		domains: domains,
-		fwd:     make([]vset, nslots),
-		dem:     make([]vset, nslots),
-		varIter: make([][]uint64, len(t.vars)),
+	if cap(p.fwd) < nslots {
+		n := max(nslots, 2*cap(p.fwd))
+		p.fwd, p.dem = make([]vset, n), make([]vset, n)
 	}
+	p.fwd, p.dem = p.fwd[:nslots], p.dem[:nslots]
 	for i := range p.dem {
-		p.dem[i].reset()
+		p.fwd[i], p.dem[i] = vset{}, vset{top: true}
+	}
+	for len(p.varIter) < len(t.vars) {
+		p.varIter = append(p.varIter, make([]uint64, 0, maxValues))
 	}
 	for round := 0; round < propMaxRounds; round++ {
 		for vi := range t.vars {
-			vals := p.varIter[vi][:0]
-			d := &domains[vi]
-			for w, word := range d {
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					vals = append(vals, uint64(w*64+b))
-					word &= word - 1
-				}
-			}
-			p.varIter[vi] = vals
+			p.varIter[vi] = domains[vi].appendValues(p.varIter[vi][:0])
 		}
 		p.changed = false
 		for ci := range t.roots {

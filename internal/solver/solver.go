@@ -33,7 +33,11 @@
 // independence partition is carried incrementally across a growing path
 // condition (Partition), groups are keyed by fixed-size fingerprints
 // instead of strings, and the backtracking search runs each group as a
-// compiled flat tape (compile.go) rather than a memoized tree walk.
+// compiled flat tape (compile.go) rather than a memoized tree walk: one
+// scalar evaluator for the values it commits, one column evaluator for
+// the unary filter, which asks about every value of a byte at once
+// (column.go). Tape, columns, propagation sets and DFS stacks are the
+// solver's own scratch: a warm solver's search allocates what it returns.
 package solver
 
 import (
@@ -138,6 +142,11 @@ var CaptureQuery func(q []*expr.Expr)
 
 var errTooWide = errors.New("solver: variable wider than 8 bits")
 
+// errDeadline is an attempt that ended on the wall-clock deadline, not on
+// a budget: search reports it as ErrBudget, the portfolio tells the two
+// apart (a stall starts a race, a deadline ends the query).
+var errDeadline = errors.New("solver: deadline passed")
+
 // cacheEntry is a group's decided verdict. For a satisfiable group over
 // one variable it also holds the group's exact solution set — what the
 // unary filter left of the byte's domain — which is what a later search
@@ -182,8 +191,13 @@ type Solver struct {
 	pending  []*reuseNode
 	deadline time.Time
 	// scratch is the compile/evaluation buffer set reused across this
-	// solver's searches (solvers are single-goroutine).
+	// solver's searches (solvers are single-goroutine); prop is value-set
+	// propagation's storage and rest/saved the DFS's per-depth stacks, on
+	// the same terms.
 	scratch tapeScratch
+	prop    propagator
+	rest    []int32
+	saved   []domain
 	// prefixIDs is carriedSet's sorted-id buffer.
 	prefixIDs []int64
 }
@@ -378,6 +392,9 @@ func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 // domain is the candidate-value set of one 8-bit variable.
 type domain [4]uint64
 
+// maxValues is how many values a domain can hold.
+const maxValues = len(domain{}) * 64
+
 func fullDomain(bits int) domain {
 	var d domain
 	for w, n := 0, 1<<uint(bits); n > 0; w, n = w+1, n-64 {
@@ -392,6 +409,16 @@ func fullDomain(bits int) domain {
 
 func (d *domain) has(v uint64) bool { return d[v/64]&(1<<(v%64)) != 0 }
 func (d *domain) clear(v uint64)    { d[v/64] &^= 1 << (v % 64) }
+
+// appendValues appends the domain's values to dst in ascending order.
+func (d *domain) appendValues(dst []uint64) []uint64 {
+	for w, word := range d {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint64(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
 
 func (d *domain) count() int {
 	return bits.OnesCount64(d[0]) + bits.OnesCount64(d[1]) + bits.OnesCount64(d[2]) + bits.OnesCount64(d[3])
@@ -449,7 +476,7 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 		// collapse domains without trying a single assignment, and its
 		// cost is a function of the tape, not of the search tree
 		// (propagate.go).
-		if !propagateDomains(t, domains) {
+		if !s.prop.run(t, domains) {
 			return cacheEntry{}, nil
 		}
 		if s.opts.Portfolio > 1 {
@@ -457,6 +484,9 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 		} else {
 			e.sat, e.model, err = s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
 		}
+	}
+	if err == errDeadline {
+		err = ErrBudget
 	}
 	if err != nil {
 		return cacheEntry{}, err
@@ -521,7 +551,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 		if !s.deadline.IsZero() && assigns-polled >= 1024 {
 			polled = assigns
 			if time.Now().After(s.deadline) {
-				return ErrBudget
+				return errDeadline
 			}
 		}
 		return nil
@@ -532,7 +562,6 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	// only unassigned variable. Returns false if a domain empties.
 	filterUnary := func(vi int32) (bool, error) {
 		d := &domains[vi]
-		bits := vars[vi].Bits
 		for ci := 0; ci < nc; ci++ {
 			if err := checkBudget(); err != nil {
 				return false, err
@@ -541,16 +570,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 			if un != 1 || !hasV {
 				continue
 			}
-			for val := uint64(0); val < uint64(1)<<uint(bits); val++ {
-				if !d.has(val) {
-					continue
-				}
-				assigns++
-				known, r := ts.probe(ci, vi, val)
-				if known && r == 0 {
-					d.clear(val)
-				}
-			}
+			assigns += int64(ts.filterColumn(ci, vi, d))
 			if d.count() == 0 {
 				return false, nil
 			}
@@ -579,6 +599,13 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 		return true
 	}
 
+	// A DFS node at depth k keeps the variables below its choice in row
+	// k+1 of s.rest (row 0 is the root's list) and the domains it restores
+	// between sibling values in row k of s.saved.
+	nv := len(vars)
+	if cap(s.rest) < (nv+1)*nv {
+		s.rest, s.saved = make([]int32, (nv+1)*nv), make([]domain, nv*nv)
+	}
 	var dfs func(remaining []int32) (bool, error)
 	dfs = func(remaining []int32) (bool, error) {
 		nodes++
@@ -599,9 +626,10 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 			}
 		}
 		vi := remaining[best]
-		rest := make([]int32, 0, len(remaining)-1)
-		rest = append(rest, remaining[:best]...)
+		depth := nv - len(remaining)
+		rest := append(s.rest[(depth+1)*nv:][:0], remaining[:best]...)
 		rest = append(rest, remaining[best+1:]...)
+		saved := s.saved[depth*nv:][:len(rest)]
 
 		d := domains[vi] // snapshot: restored by value semantics
 		n := uint64(1) << uint(vars[vi].Bits)
@@ -614,7 +642,6 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 			ts.assign(vi, val)
 			if allHold() {
 				// Forward-check: refilter domains of remaining vars.
-				saved := make([]domain, len(rest))
 				for i, rv := range rest {
 					saved[i] = domains[rv]
 				}
@@ -648,7 +675,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	}
 
 	// Initial unary filtering pass.
-	order := make([]int32, len(vars))
+	order := s.rest[:nv]
 	for i := range order {
 		order[i] = int32(i)
 	}

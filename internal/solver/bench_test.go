@@ -136,6 +136,76 @@ func coupledGroup(bld *expr.Builder, sum uint64, extra int) []*expr.Expr {
 	return g
 }
 
+// cksumGroup builds the group cksum -O0 re-searches at every extension:
+// three non-NUL tests and, per byte, the eight steps of the CRC-16 bit
+// loop, each a branch on the top bit taken the way the input "crc" takes
+// it — 27 constraints over three bytes, each a few slots on top of one
+// shared chain, so a propagation sweep of the k-th re-forwards the k-1
+// steps before it.
+func cksumGroup(bld *expr.Builder) []*expr.Expr {
+	vs := benchVars(3)
+	crc, want := bld.Const(32, 0), uint64(0)
+	var cs []*expr.Expr
+	for i, ch := range []byte("crc") {
+		x := bld.Var(vs[i])
+		cs = append(cs, bld.Cmp(ir.OpNe, x, bld.Const(8, 0)))
+		crc = bld.Bin(ir.OpXor, crc, bld.Bin(ir.OpShl, bld.Cast(ir.OpZExt, x, 32), bld.Const(32, 8)))
+		want ^= uint64(ch) << 8
+		for k := 0; k < 8; k++ {
+			hi := bld.Cmp(ir.OpNe, bld.Bin(ir.OpAnd, crc, bld.Const(32, 0x8000)), bld.Const(32, 0))
+			crc = bld.Bin(ir.OpShl, crc, bld.Const(32, 1))
+			if want&0x8000 != 0 {
+				cs = append(cs, hi)
+				crc = bld.Bin(ir.OpXor, crc, bld.Const(32, 0x1021))
+				want = want<<1 ^ 0x1021
+			} else {
+				cs = append(cs, bld.Not(hi))
+				want <<= 1
+			}
+			crc, want = bld.Bin(ir.OpAnd, crc, bld.Const(32, 0xFFFF)), want&0xFFFF
+		}
+	}
+	return cs
+}
+
+// BenchmarkPropagate measures one value-set propagation run from full
+// domains on a warm propagator: basename's last-slash group, where sets
+// stay finite and demands prune, and cksum's bit loop, where most
+// forward steps repeat. A warm run allocates nothing.
+func BenchmarkPropagate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cs   []*expr.Expr
+	}{
+		{"lastslash", lastSlashPrune(expr.NewBuilder(), vars(3))},
+		{"cksum", cksumGroup(expr.NewBuilder())},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			grp := PartitionOf(bc.cs).Groups()
+			if len(grp) != 1 {
+				b.Fatalf("want one group, got %d", len(grp))
+			}
+			tp := compileGroup(grp[0])
+			doms := make([]domain, len(tp.vars))
+			var p propagator
+			run := func() {
+				for vi, v := range tp.vars {
+					doms[vi] = fullDomain(v.Bits)
+				}
+				if !p.run(tp, doms) {
+					b.Fatal("propagation refuted a satisfiable group")
+				}
+			}
+			run() // warm: the storage a run of this size needs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
 // BenchmarkSearchTape measures one backtracking solve of a coupled
 // multi-var group (the constraint evaluator's hot loop), bypassing the
 // caches.

@@ -226,47 +226,170 @@ func TestFilterColumnMatchesCommitted(t *testing.T) {
 	})
 
 	t.Run("fuzzdag", func(t *testing.T) {
-		rng := uint64(0x243f6a8885a308d3)
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		dags := 2000
-		if testing.Short() {
-			dags = 200
-		}
-		for i := 0; i < dags; i++ {
-			data := make([]byte, 8+next()%40)
-			for j := range data {
-				data[j] = byte(next())
-			}
-			b := expr.NewBuilder()
-			cs := buildFuzzDAG(b, vars(4), data)
-			if len(cs) == 0 {
-				continue
-			}
-			for gi, g := range PartitionOf(cs).Groups() {
-				checkFilterColumnAllSubsets(t, compileGroup(g), next(), fmt.Sprintf("dag %d group %d", i, gi))
-			}
-		}
+		fuzzDAGGroups(func(tp *tape, seed uint64, label string) {
+			checkFilterColumnAllSubsets(t, tp, seed, label)
+		})
 	})
 
 	t.Run("wc", func(t *testing.T) {
-		if CapturedWcQueries == nil {
-			t.Skip("no captured stream (external test package not linked)")
+		wcGroups(t, func(tp *tape, seed uint64, label string) {
+			checkFilterColumnAllSubsets(t, tp, seed, label)
+		})
+	})
+}
+
+// TestSkippedFilterIsNoOp holds the forward check's skip rule to its
+// claim: once the DFS binds vi, a constraint unary in a remaining byte
+// that does not mention vi has already filtered that byte under the same
+// assignment, so filtering by it again removes nothing. The walk is
+// searchTape's — propagation, the initial filter, smallest domain first,
+// ascending values, the skip rule — except that it does not stop at a
+// model, and it binds at most maxBinds values a group. Wherever the rule
+// skips a filter, the filter runs on a copy of the domain, which must
+// come back unchanged.
+func TestSkippedFilterIsNoOp(t *testing.T) {
+	const maxBinds = 1000
+	skipped := 0
+	check := func(t *testing.T, tp *tape, label string) {
+		domains := make([]domain, len(tp.vars))
+		for vi, v := range tp.vars {
+			domains[vi] = fullDomain(v.Bits)
 		}
-		seen := make(map[Fingerprint]bool)
-		defer func() { t.Logf("%d distinct groups", len(seen)) }()
-		for qi, q := range CapturedWcQueries(t) {
-			for _, g := range PartitionOf(q).Groups() {
-				if seen[g.fp] {
+		if !propagateDomains(tp, domains) {
+			return
+		}
+		ts := newTapeState(tp)
+		filter := func(vi, bound int32) bool {
+			d := &domains[vi]
+			for ci := range tp.roots {
+				if un, has := ts.unassignedIn(ci, vi); un != 1 || !has {
 					continue
 				}
-				seen[g.fp] = true
-				checkFilterColumnAllSubsets(t, compileGroup(g), uint64(qi)*0x9e3779b97f4a7c15+1, fmt.Sprintf("wc query %d", qi))
+				if bound >= 0 && !tp.mentions(ci, bound) {
+					skipped++
+					if c := *d; ts.filterColumn(ci, vi, &c) > 0 && c != *d {
+						t.Errorf("%s: after binding var %d, constraint %d still filters var %d: %x → %x", label, bound, ci, vi, *d, c)
+					}
+					continue
+				}
+				if ts.filterColumn(ci, vi, d); d.count() == 0 {
+					return false
+				}
+			}
+			return true
+		}
+		for vi := range tp.vars {
+			if !filter(int32(vi), -1) {
+				return
 			}
 		}
+		binds := 0
+		var walk func(remaining []int32)
+		walk = func(remaining []int32) {
+			best := 0
+			for i, rv := range remaining {
+				if domains[rv].count() < domains[remaining[best]].count() {
+					best = i
+				}
+			}
+			vi := remaining[best]
+			rest := append(slices.Clone(remaining[:best]), remaining[best+1:]...)
+			saved := slices.Clone(domains)
+			for _, val := range domains[vi].appendValues(nil) {
+				if binds++; binds > maxBinds {
+					break
+				}
+				ts.assign(vi, val)
+				held := true
+				for ci := range tp.roots {
+					if k, r := ts.root(ci); k && r == 0 {
+						held = false
+					}
+				}
+				if !held {
+					continue
+				}
+				alive := true
+				for _, rv := range rest {
+					if alive = filter(rv, vi); !alive {
+						break
+					}
+				}
+				if alive && len(rest) > 0 {
+					walk(rest)
+				}
+				copy(domains, saved)
+			}
+			ts.unassign(vi)
+		}
+		all := make([]int32, len(tp.vars))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		walk(all)
+	}
+	t.Run("lastslash", func(t *testing.T) {
+		for i, tp := range lastSlashGroups() {
+			check(t, tp, fmt.Sprintf("group %d", i))
+		}
 	})
+	t.Run("fuzzdag", func(t *testing.T) {
+		fuzzDAGGroups(func(tp *tape, _ uint64, label string) { check(t, tp, label) })
+	})
+	t.Run("wc", func(t *testing.T) {
+		wcGroups(t, func(tp *tape, _ uint64, label string) { check(t, tp, label) })
+	})
+	t.Logf("%d skipped filters checked", skipped)
+	if skipped == 0 {
+		t.Error("the skip rule never fired: the groups no longer exercise it")
+	}
+}
+
+// fuzzDAGGroups calls fn on each group of 2,000 DAGs from buildFuzzDAG
+// over four variables (200 under -short), the same stream on every run,
+// with a seed for fn's own choices.
+func fuzzDAGGroups(fn func(tp *tape, seed uint64, label string)) {
+	rng := uint64(0x243f6a8885a308d3)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	dags := 2000
+	if testing.Short() {
+		dags = 200
+	}
+	for i := 0; i < dags; i++ {
+		data := make([]byte, 8+next()%40)
+		for j := range data {
+			data[j] = byte(next())
+		}
+		cs := buildFuzzDAG(expr.NewBuilder(), vars(4), data)
+		if len(cs) == 0 {
+			continue
+		}
+		for gi, g := range PartitionOf(cs).Groups() {
+			fn(compileGroup(g), next(), fmt.Sprintf("dag %d group %d", i, gi))
+		}
+	}
+}
+
+// wcGroups calls fn on each distinct group of the query stream captured
+// from wc, and skips t when the stream is not linked in.
+func wcGroups(t *testing.T, fn func(tp *tape, seed uint64, label string)) {
+	if CapturedWcQueries == nil {
+		t.Skip("no captured stream (external test package not linked)")
+	}
+	seen := make(map[Fingerprint]bool)
+	defer func() { t.Logf("%d distinct groups", len(seen)) }()
+	for qi, q := range CapturedWcQueries(t) {
+		for _, g := range PartitionOf(q).Groups() {
+			if seen[g.fp] {
+				continue
+			}
+			seen[g.fp] = true
+			fn(compileGroup(g), uint64(qi)*0x9e3779b97f4a7c15+1, fmt.Sprintf("wc query %d", qi))
+		}
+	}
 }

@@ -325,6 +325,11 @@ func (ts *tapeState) unassignedIn(ci int, vi int32) (n int, hasVi bool) {
 	return n, hasVi
 }
 
+// mentions reports whether constraint ci mentions variable vi.
+func (t *tape) mentions(ci int, vi int32) bool {
+	return t.cmasks[ci][vi/64]&(1<<uint(vi%64)) != 0
+}
+
 // recompute re-evaluates one slot from its operands' current results.
 func (ts *tapeState) recompute(s int32) {
 	op := &ts.t.ops[s]

@@ -39,6 +39,20 @@ import (
 // bounded by rounds × tape size × vsetPairCap, independent of how many
 // assignments the search would have tried.
 //
+// Most of those steps would repeat themselves: a slot shared by many
+// constraints is swept once per constraint per round, and its inputs
+// have usually not moved since the last sweep. So a run keeps a clock
+// and stamps when each slot's forward set, each slot's demand set and
+// each variable's enumeration last changed, and a slot's forward and
+// demand steps are skipped when none of their inputs changed since they
+// last ran (settled). That is exact: forward is a pure function of its
+// operands' sets, its demand and the variable enumerations, and demand
+// only intersects — idempotent — into sets and domains that only shrink.
+// Because every set only shrinks within a run, a set the same size as
+// before is the same set, so comparing sizes detects every change.
+// TestPropagateStampsMatchFullSweep holds the gated run to the ungated
+// sweep.
+//
 // The storage is the solver's (Solver.prop, beside its tapeScratch): set
 // headers and variable enumerations are reused from search to search,
 // and a set's values live in a vsetCap-word array carved from one arena
@@ -156,18 +170,66 @@ func (s *vset) intersect(d *vset, a *vsetArena) bool {
 	return shrunk
 }
 
-// propagator holds the propagation state: t, domains, changed and unsat
-// are one run's, the rest is storage kept from run to run.
+// propagator holds the propagation state: t, domains, the stamps, changed
+// and unsat are one run's, the rest is storage kept from run to run.
 type propagator struct {
 	t       *tape
 	domains []domain
 	fwd     []vset
 	dem     []vset
+	at      []slotStamps
+	varAt   []uint32 // per variable: when varIter last changed
+	clock   uint32   // ticks once per change; 0 before a run's first
 	varIter [][]uint64
 	arena   vsetArena
 	tmp     [vsetCap]uint64 // backs the one temporary set alive at a time
 	changed bool
 	unsat   bool
+}
+
+// slotStamps are one slot's clock readings in the current run: when its
+// forward and demand sets last changed, and when its forward and demand
+// steps last ran (0: not yet).
+type slotStamps struct {
+	fwd, dem       uint32
+	fwdRan, demRan uint32
+}
+
+func (p *propagator) tick() uint32 {
+	p.clock++
+	return p.clock
+}
+
+// settled reports whether none of slot s's inputs changed since ran, the
+// clock reading when its forward or its demand step last ran: its own
+// demand, its operands' forward sets, a variable slot's enumeration.
+// Both steps read the same inputs (demand reads the operands through
+// iterable, which is the forward set or — a variable's, when top — the
+// enumeration, whose change forward stamps on the variable's slot).
+func (p *propagator) settled(s int32, ran uint32) bool {
+	at := p.at
+	if ran == 0 || at[s].dem > ran {
+		return false
+	}
+	switch op := &p.t.ops[s]; op.kind {
+	case expr.KConst:
+		return true
+	case expr.KVar:
+		return p.varAt[op.vi] <= ran
+	default:
+		return at[op.a0].fwd <= ran && (op.a1 < 0 || at[op.a1].fwd <= ran) && (op.a2 < 0 || at[op.a2].fwd <= ran)
+	}
+}
+
+// narrow intersects dem[s] with d, stamping and flagging a change.
+func (p *propagator) narrow(s int32, d *vset) {
+	if p.dem[s].intersect(d, &p.arena) {
+		p.changed = true
+		p.at[s].dem = p.tick()
+	}
+	if p.dem[s].empty() {
+		p.unsat = true
+	}
 }
 
 // byteRange[:n] enumerates a narrow slot's full range, every value below n.
@@ -242,6 +304,7 @@ func (p *propagator) iterable(s int32) []uint64 {
 func (p *propagator) forward(s int32) {
 	op := &p.t.ops[s]
 	f := &p.fwd[s]
+	wasTop, wasLen := f.top, len(f.vals)
 	f.top = false
 	f.vals = f.vals[:0]
 	switch op.kind {
@@ -282,6 +345,12 @@ func (p *propagator) forward(s int32) {
 		}
 	}
 	f.intersect(&p.dem[s], &p.arena)
+	// A variable's slot is stamped whenever it runs: what it reads is the
+	// variable's enumeration, which can shrink under a set that stays top.
+	if f.top != wasTop || len(f.vals) != wasLen || op.kind == expr.KVar {
+		p.at[s].fwd = p.tick()
+	}
+	p.at[s].fwdRan = p.clock
 	if f.empty() {
 		p.unsat = true
 	}
@@ -365,12 +434,7 @@ func (p *propagator) demand(s int32, which int) {
 			dm.add(tv, &p.arena)
 		}
 	}
-	if p.dem[target].intersect(&dm, &p.arena) {
-		p.changed = true
-	}
-	if p.dem[target].empty() {
-		p.unsat = true
-	}
+	p.narrow(target, &dm)
 }
 
 // supported reports whether some combination of the operands' values —
@@ -398,7 +462,7 @@ func (p *propagator) constraintPass(ci int) {
 	root := t.roots[ci]
 
 	for s := int32(0); s <= root; s++ {
-		if sub[s>>6]&(1<<uint(s&63)) == 0 {
+		if sub[s>>6]&(1<<uint(s&63)) == 0 || p.settled(s, p.at[s].fwdRan) {
 			continue
 		}
 		p.forward(s)
@@ -406,27 +470,7 @@ func (p *propagator) constraintPass(ci int) {
 			return
 		}
 	}
-
-	// The root must evaluate non-zero: intersect its demand with its
-	// feasible non-zero values (or {1} for 1-bit roots).
-	rd := &p.dem[root]
-	want := vset{vals: p.tmp[:0]}
-	if rf := &p.fwd[root]; !rf.top {
-		for _, v := range rf.vals {
-			if v != 0 {
-				want.add(v, &p.arena)
-			}
-		}
-	} else if t.ops[root].bits == 1 {
-		want.add(1, &p.arena)
-	} else {
-		want.top = true
-	}
-	if rd.intersect(&want, &p.arena) {
-		p.changed = true
-	}
-	if rd.empty() {
-		p.unsat = true
+	if p.demandRoot(root); p.unsat {
 		return
 	}
 
@@ -442,7 +486,7 @@ func (p *propagator) constraintPass(ci int) {
 			continue
 		}
 		op := &t.ops[s]
-		if op.kind == expr.KVar || op.kind == expr.KConst {
+		if op.kind == expr.KVar || op.kind == expr.KConst || p.settled(s, p.at[s].demRan) {
 			continue
 		}
 		if op.kind == expr.KSelect {
@@ -457,7 +501,29 @@ func (p *propagator) constraintPass(ci int) {
 				return
 			}
 		}
+		// Stamped after the steps: what they change — their operands'
+		// demands, variable domains — is none of their own inputs.
+		p.at[s].demRan = p.clock
 	}
+}
+
+// demandRoot demands that a constraint's root evaluate non-zero:
+// intersect its demand with its feasible non-zero values (or {1} for
+// 1-bit roots).
+func (p *propagator) demandRoot(root int32) {
+	want := vset{vals: p.tmp[:0]}
+	if rf := &p.fwd[root]; !rf.top {
+		for _, v := range rf.vals {
+			if v != 0 {
+				want.add(v, &p.arena)
+			}
+		}
+	} else if p.t.ops[root].bits == 1 {
+		want.add(1, &p.arena)
+	} else {
+		want.top = true
+	}
+	p.narrow(root, &want)
 }
 
 // demandSelectBranch handles the select case the generic enumeration
@@ -491,12 +557,7 @@ func (p *propagator) demandSelectBranch(s int32) {
 	if p.t.ops[branch].kind == expr.KConst {
 		return
 	}
-	if p.dem[branch].intersect(&p.dem[s], &p.arena) {
-		p.changed = true
-	}
-	if p.dem[branch].empty() {
-		p.unsat = true
-	}
+	p.narrow(branch, &p.dem[s])
 }
 
 // pruneDomains applies accumulated variable demands to the domains.
@@ -532,33 +593,17 @@ func propagateDomains(t *tape, domains []domain) bool {
 // run prunes the search domains in place over the group's tape. It
 // returns false when the group is proven unsatisfiable outright.
 func (p *propagator) run(t *tape, domains []domain) bool {
-	p.t, p.domains, p.unsat = t, domains, false
+	p.reset(t, domains)
 	defer p.arena.settle()
-	nslots := len(t.ops)
-	if cap(p.fwd) < nslots {
-		n := max(nslots, 2*cap(p.fwd))
-		p.fwd, p.dem = make([]vset, n), make([]vset, n)
-	}
-	p.fwd, p.dem = p.fwd[:nslots], p.dem[:nslots]
-	for i := range p.dem {
-		p.fwd[i], p.dem[i] = vset{}, vset{top: true}
-	}
-	for len(p.varIter) < len(t.vars) {
-		p.varIter = append(p.varIter, make([]uint64, 0, maxValues))
-	}
 	for round := 0; round < propMaxRounds; round++ {
-		for vi := range t.vars {
-			p.varIter[vi] = domains[vi].appendValues(p.varIter[vi][:0])
-		}
+		p.enumerate()
 		p.changed = false
 		for ci := range t.roots {
-			p.constraintPass(ci)
-			if p.unsat {
+			if p.constraintPass(ci); p.unsat {
 				return false
 			}
 		}
-		p.pruneDomains()
-		if p.unsat {
+		if p.pruneDomains(); p.unsat {
 			return false
 		}
 		if !p.changed {
@@ -566,4 +611,37 @@ func (p *propagator) run(t *tape, domains []domain) bool {
 		}
 	}
 	return true
+}
+
+// reset starts a run over t: every forward set empty, every demand top,
+// every stamp 0, over storage kept from earlier runs.
+func (p *propagator) reset(t *tape, domains []domain) {
+	p.t, p.domains, p.unsat = t, domains, false
+	nslots := len(t.ops)
+	if cap(p.fwd) < nslots {
+		n := max(nslots, 2*cap(p.fwd))
+		p.fwd, p.dem, p.at = make([]vset, n), make([]vset, n), make([]slotStamps, n)
+	}
+	p.fwd, p.dem, p.at = p.fwd[:nslots], p.dem[:nslots], p.at[:nslots]
+	for i := range p.dem {
+		p.fwd[i], p.dem[i] = vset{}, vset{top: true}
+	}
+	for len(p.varIter) < len(t.vars) {
+		p.varIter = append(p.varIter, make([]uint64, 0, maxValues))
+		p.varAt = append(p.varAt, 0)
+	}
+	clear(p.at)
+	clear(p.varAt)
+	p.clock = 0
+}
+
+// enumerate starts a round: each variable's enumeration is its domain as
+// the last round left it, stamped where it shrank.
+func (p *propagator) enumerate() {
+	for vi := range p.t.vars {
+		n := len(p.varIter[vi])
+		if p.varIter[vi] = p.domains[vi].appendValues(p.varIter[vi][:0]); len(p.varIter[vi]) != n {
+			p.varAt[vi] = p.tick()
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"overify/internal/expr"
@@ -26,6 +28,52 @@ func uge4(b *expr.Builder, e *expr.Expr) *expr.Expr {
 	return b.Cmp(ir.OpUGe, b.Cast(ir.OpSExt, e, 64), b.Const(64, 4))
 }
 
+// lastSlashUnsat is TestPropagateUnsatIteChain's group.
+func lastSlashUnsat(b *expr.Builder, vs []*expr.Var) []*expr.Expr {
+	ls := lastSlashChain(b, vs)
+	return []*expr.Expr{
+		// ls+2 >= 4, i.e. ls = 2.
+		uge4(b, b.Bin(ir.OpAdd, ls, b.Const(32, 2))),
+		// (ls+1)+1 < 4, i.e. ls <= 1.
+		b.Bin(ir.OpXor, uge4(b, b.Bin(ir.OpAdd, b.Bin(ir.OpAdd, ls, b.Const(32, 1)), b.Const(32, 1))), b.Const(1, 1)),
+	}
+}
+
+// lastSlashCollapse is TestPropagateCollapsesDomain's group, satisfiable
+// only with v0 = '/'.
+func lastSlashCollapse(b *expr.Builder, vs []*expr.Var) []*expr.Expr {
+	ls := lastSlashChain(b, vs)
+	return []*expr.Expr{
+		// Every byte non-zero.
+		b.Cmp(ir.OpNe, b.Var(vs[0]), b.Const(8, 0)),
+		b.Cmp(ir.OpNe, b.Var(vs[1]), b.Const(8, 0)),
+		b.Cmp(ir.OpNe, b.Var(vs[2]), b.Const(8, 0)),
+		// ls+3 < 4 → ls ∈ {-1, 0}.
+		b.Bin(ir.OpXor, uge4(b, b.Bin(ir.OpAdd, ls, b.Const(32, 3))), b.Const(1, 1)),
+		// buf[ls+3] == 0 with buf = (v0,v1,v2,0…): rules out ls = -1
+		// (buf[2] = v2 ≠ 0), leaving ls = 0, i.e. v0 = '/'.
+		b.Bin(ir.OpXor,
+			b.Cmp(ir.OpNe, bufAt(b, vs, b.Bin(ir.OpAdd, ls, b.Const(32, 3))), b.Const(8, 0)),
+			b.Const(1, 1)),
+	}
+}
+
+// lastSlashPrune is lastSlashCollapse with only v2 tested: forward sets
+// stay finite, and the demands prune v0's domain to '/' without proving
+// anything unsat.
+func lastSlashPrune(b *expr.Builder, vs []*expr.Var) []*expr.Expr {
+	return lastSlashCollapse(b, vs)[2:]
+}
+
+// lastSlashGroups are the three groups above, each compiled.
+func lastSlashGroups() []*tape {
+	var out []*tape
+	for _, build := range []func(*expr.Builder, []*expr.Var) []*expr.Expr{lastSlashUnsat, lastSlashCollapse, lastSlashPrune} {
+		out = append(out, compileGroup(PartitionOf(build(expr.NewBuilder(), vars(3))).Groups()[0]))
+	}
+	return out
+}
+
 // TestPropagateUnsatIteChain pins the pathological basename group to
 // unsat, decided by value-set propagation alone. The two constraints
 // force ls = 2 and ls ≤ 1 through *syntactically different* sub-DAGs
@@ -35,13 +83,7 @@ func uge4(b *expr.Builder, e *expr.Expr) *expr.Expr {
 func TestPropagateUnsatIteChain(t *testing.T) {
 	b := expr.NewBuilder()
 	vs := vars(3)
-	ls := lastSlashChain(b, vs)
-	cs := []*expr.Expr{
-		// ls+2 >= 4, i.e. ls = 2.
-		uge4(b, b.Bin(ir.OpAdd, ls, b.Const(32, 2))),
-		// (ls+1)+1 < 4, i.e. ls <= 1.
-		b.Bin(ir.OpXor, uge4(b, b.Bin(ir.OpAdd, b.Bin(ir.OpAdd, ls, b.Const(32, 1)), b.Const(32, 1))), b.Const(1, 1)),
-	}
+	cs := lastSlashUnsat(b, vs)
 	s := New(Options{})
 	got, _, err := s.Sat(cs)
 	if err != nil {
@@ -62,20 +104,7 @@ func TestPropagateUnsatIteChain(t *testing.T) {
 func TestPropagateCollapsesDomain(t *testing.T) {
 	b := expr.NewBuilder()
 	vs := vars(3)
-	ls := lastSlashChain(b, vs)
-	cs := []*expr.Expr{
-		// Every byte non-zero.
-		b.Cmp(ir.OpNe, b.Var(vs[0]), b.Const(8, 0)),
-		b.Cmp(ir.OpNe, b.Var(vs[1]), b.Const(8, 0)),
-		b.Cmp(ir.OpNe, b.Var(vs[2]), b.Const(8, 0)),
-		// ls+3 < 4 → ls ∈ {-1, 0}.
-		b.Bin(ir.OpXor, uge4(b, b.Bin(ir.OpAdd, ls, b.Const(32, 3))), b.Const(1, 1)),
-		// buf[ls+3] == 0 with buf = (v0,v1,v2,0…): rules out ls = -1
-		// (buf[2] = v2 ≠ 0), leaving ls = 0, i.e. v0 = '/'.
-		b.Bin(ir.OpXor,
-			b.Cmp(ir.OpNe, bufAt(b, vs, b.Bin(ir.OpAdd, ls, b.Const(32, 3))), b.Const(8, 0)),
-			b.Const(1, 1)),
-	}
+	cs := lastSlashCollapse(b, vs)
 	s := New(Options{})
 	got, model, err := s.Sat(cs)
 	if err != nil {
@@ -89,6 +118,143 @@ func TestPropagateCollapsesDomain(t *testing.T) {
 	}
 	if s.Stats.Assignments > 10_000 {
 		t.Errorf("search tried %d assignments, want < 10000 (propagation must prune first)", s.Stats.Assignments)
+	}
+}
+
+// runUngated is the sweep the stamps answer to, the parent's (34f27ee):
+// every round runs every forward and demand step of every constraint,
+// none skipped. The steps themselves are run's, so what this holds run
+// to is the gating alone.
+func (p *propagator) runUngated(t *tape, domains []domain) bool {
+	p.reset(t, domains)
+	defer p.arena.settle()
+	for round := 0; round < propMaxRounds; round++ {
+		p.enumerate()
+		p.changed = false
+		for ci := range t.roots {
+			if p.constraintPassUngated(ci); p.unsat {
+				return false
+			}
+		}
+		if p.pruneDomains(); p.unsat {
+			return false
+		}
+		if !p.changed {
+			break
+		}
+	}
+	return true
+}
+
+func (p *propagator) constraintPassUngated(ci int) {
+	sub, root := p.t.csub[ci], p.t.roots[ci]
+	for s := int32(0); s <= root; s++ {
+		if sub[s>>6]&(1<<uint(s&63)) == 0 {
+			continue
+		}
+		if p.forward(s); p.unsat {
+			return
+		}
+	}
+	if p.demandRoot(root); p.unsat {
+		return
+	}
+	for s := root; s >= 0; s-- {
+		if sub[s>>6]&(1<<uint(s&63)) == 0 || p.dem[s].top {
+			continue
+		}
+		op := &p.t.ops[s]
+		if op.kind == expr.KVar || op.kind == expr.KConst {
+			continue
+		}
+		if op.kind == expr.KSelect {
+			if p.demandSelectBranch(s); p.unsat {
+				return
+			}
+		}
+		for which := 0; which < 3; which++ {
+			if p.demand(s, which); p.unsat {
+				return
+			}
+		}
+	}
+}
+
+// sameSet reports whether two value sets hold the same values.
+func sameSet(a, b *vset) bool {
+	if a.top || b.top {
+		return a.top == b.top
+	}
+	if len(a.vals) != len(b.vals) {
+		return false
+	}
+	for _, v := range a.vals {
+		if !b.has(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropagateStampsMatchFullSweep holds the stamp-gated run to the
+// ungated sweep: the same verdict, the same pruned domains and the same
+// forward and demand sets in every slot, over the fuzz DAG groups,
+// basename's last-slash groups and the wc stream's — from full domains,
+// what the search propagates, and from a sparse domain per variable,
+// where forward sets stay finite and rounds repeat. One gated propagator
+// serves every run, so no stamp may leak from one run into the next.
+func TestPropagateStampsMatchFullSweep(t *testing.T) {
+	var gated propagator
+	var runs, refuted, pruned int
+	check := func(t *testing.T, tp *tape, seed uint64, label string) {
+		for _, sparse := range []bool{false, true} {
+			start := make([]domain, len(tp.vars))
+			for vi, v := range tp.vars {
+				start[vi] = fullDomain(v.Bits)
+				if sparse {
+					for w := range start[vi] {
+						seed = seed*6364136223846793005 + 1442695040888963407
+						start[vi][w] &= seed & (seed >> 13) & (seed >> 29) & (seed >> 41)
+					}
+					start[vi][0] |= 1
+				}
+			}
+			got, want := slices.Clone(start), slices.Clone(start)
+			ref := new(propagator)
+			ok, wantOK := gated.run(tp, got), ref.runUngated(tp, want)
+			if ok != wantOK || !slices.Equal(got, want) {
+				t.Errorf("%s sparse=%v: stamped run %v %x, ungated sweep %v %x", label, sparse, ok, got, wantOK, want)
+				continue
+			}
+			for s := range tp.ops {
+				if !sameSet(&gated.fwd[s], &ref.fwd[s]) || !sameSet(&gated.dem[s], &ref.dem[s]) {
+					t.Errorf("%s sparse=%v: slot %d: stamped fwd %v dem %v, ungated fwd %v dem %v",
+						label, sparse, s, gated.fwd[s], gated.dem[s], ref.fwd[s], ref.dem[s])
+					break
+				}
+			}
+			runs++
+			if !ok {
+				refuted++
+			} else if !slices.Equal(got, start) {
+				pruned++
+			}
+		}
+	}
+	t.Run("lastslash", func(t *testing.T) {
+		for i, tp := range lastSlashGroups() {
+			check(t, tp, uint64(i), fmt.Sprintf("group %d", i))
+		}
+	})
+	t.Run("fuzzdag", func(t *testing.T) {
+		fuzzDAGGroups(func(tp *tape, seed uint64, label string) { check(t, tp, seed, label) })
+	})
+	t.Run("wc", func(t *testing.T) {
+		wcGroups(t, func(tp *tape, seed uint64, label string) { check(t, tp, seed, label) })
+	})
+	t.Logf("%d runs: %d refuted, %d pruned a domain", runs, refuted, pruned)
+	if refuted == 0 || pruned == 0 {
+		t.Errorf("no run refuted (%d) or pruned (%d): the groups no longer exercise propagation", refuted, pruned)
 	}
 }
 

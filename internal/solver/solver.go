@@ -38,6 +38,15 @@
 // the unary filter, which asks about every value of a byte at once
 // (column.go). Tape, columns, propagation sets and DFS stacks are the
 // solver's own scratch: a warm solver's search allocates what it returns.
+//
+// The search also skips the evaluations whose answer it already has,
+// each skip exact: value-set propagation re-runs a slot's step only when one
+// of its inputs changed since the step last ran (stamps, propagate.go);
+// sibling values are assigned over one another, one watch-list walk
+// each; and the forward check after binding a byte skips the
+// constraints that do not mention it, which an ancestor node filtered by
+// under the same assignment. Verdicts, models and counters are those of
+// the search that evaluates everything.
 package solver
 
 import (
@@ -55,8 +64,11 @@ type Options struct {
 	// MaxNodes bounds backtracking nodes per query (default 65,536).
 	MaxNodes int64
 	// MaxWork bounds assignments tried per query (default 8,000,000):
-	// every candidate value probed by the unary filter and every value
-	// bound by the backtracking search counts one unit. Assignments are
+	// every value bound by the backtracking search counts one unit, and
+	// the unary filter counts one per value of the forward-checked domain
+	// per constraint it checks — whether that constraint is evaluated or,
+	// not mentioning the variable just bound, known to hold already
+	// (searchTape skips evaluating it, not paying for it). Assignments are
 	// a pure function of the search tree, so a group's verdict does not
 	// depend on how constraints are evaluated — an evaluator that
 	// charges differently per probe (the legacy memoized tree walk vs
@@ -560,7 +572,15 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	nc := len(t.roots)
 	// filterUnary prunes the domain of v using constraints where v is the
 	// only unassigned variable. Returns false if a domain empties.
-	filterUnary := func(vi int32) (bool, error) {
+	//
+	// bound is the variable the DFS just bound, -1 in the initial pass. A
+	// constraint that does not mention it was unary in v under this same
+	// assignment at the node that bound its last other variable (or in
+	// the initial pass), which filtered v's domain by it, and the domain
+	// has only shrunk since: the filter would remove nothing
+	// (TestSkippedFilterIsNoOp), so it is not evaluated — but it is
+	// charged, so Assignments stay a function of the search tree.
+	filterUnary := func(vi, bound int32) (bool, error) {
 		d := &domains[vi]
 		for ci := 0; ci < nc; ci++ {
 			if err := checkBudget(); err != nil {
@@ -568,6 +588,10 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 			}
 			un, hasV := ts.unassignedIn(ci, vi)
 			if un != 1 || !hasV {
+				continue
+			}
+			if bound >= 0 && !t.mentions(ci, bound) {
+				assigns += int64(d.count())
 				continue
 			}
 			assigns += int64(ts.filterColumn(ci, vi, d))
@@ -639,6 +663,9 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 				continue
 			}
 			assigns++
+			// Each sibling value is assigned over the last: assign
+			// re-evaluates all of vi's watch list, which is all a retract
+			// in between would have touched. One unassign after the loop.
 			ts.assign(vi, val)
 			if allHold() {
 				// Forward-check: refilter domains of remaining vars.
@@ -647,7 +674,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 				}
 				alive := true
 				for _, rv := range rest {
-					ok, err := filterUnary(rv)
+					ok, err := filterUnary(rv, vi)
 					if err != nil {
 						return false, err
 					}
@@ -669,8 +696,8 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 					domains[rv] = saved[i]
 				}
 			}
-			ts.unassign(vi)
 		}
+		ts.unassign(vi)
 		return false, nil
 	}
 
@@ -680,7 +707,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 		order[i] = int32(i)
 	}
 	for _, vi := range order {
-		ok, err := filterUnary(vi)
+		ok, err := filterUnary(vi, -1)
 		if err != nil {
 			return false, nil, err
 		}

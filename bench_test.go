@@ -216,6 +216,7 @@ func BenchmarkCompileCorpus(b *testing.B) {
 	for _, level := range []pipeline.Level{pipeline.O0, pipeline.O3, pipeline.OVerify} {
 		b.Run(level.String(), func(b *testing.B) {
 			progs := overify.Corpus()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := progs[i%len(progs)]

@@ -222,26 +222,6 @@ func (c *Client) VerdictPut(key verdicts.Key, e *verdicts.Entry) (bool, error) {
 	return reply.Stored, nil
 }
 
-// RemoteStore adapts a client's verdict frames to the store shape the
-// verification layers expect: Get/Put over the wire, errors swallowed
-// into misses (a dead cache peer must never fail a verify).
-type RemoteStore struct{ C *Client }
-
-// Get probes the remote cache; transport errors read as misses.
-func (r *RemoteStore) Get(k verdicts.Key) (*verdicts.Entry, bool) {
-	e, ok, err := r.C.VerdictGet(k)
-	if err != nil {
-		return nil, false
-	}
-	return e, ok
-}
-
-// Put publishes best-effort.
-func (r *RemoteStore) Put(k verdicts.Key, e *verdicts.Entry) error {
-	_, err := r.C.VerdictPut(k, e)
-	return err
-}
-
 // Stats fetches the daemon's counter snapshot.
 func (c *Client) Stats() (*StatsReply, error) {
 	var reply StatsReply

@@ -1,32 +1,53 @@
 package ir
 
 // DomTree holds immediate-dominator information for a function's CFG,
-// computed with the Cooper–Harvey–Kennedy iterative algorithm.
+// computed with the Cooper–Harvey–Kennedy iterative algorithm. Its
+// tables are slices indexed by block number; a block the function had
+// not numbered when the tree was built reads as unreachable.
 type DomTree struct {
 	fn    *Function
-	idom  map[*Block]*Block
-	order map[*Block]int // reverse postorder index; unreachable blocks absent
+	idom  []*Block // by block number; nil: unreachable
+	order []int32  // by block number: reverse postorder index + 1; 0: unreachable
 	rpo   []*Block
 }
 
 // ReversePostorder returns the function's reachable blocks in reverse
 // postorder (entry first).
 func ReversePostorder(f *Function) []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var post []*Block
-	var visit func(b *Block)
-	visit = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			visit(s)
-		}
-		post = append(post, b)
+	return reversePostorder(f, make([]bool, f.numBlocks()))
+}
+
+// reversePostorder is ReversePostorder with the caller's visited set,
+// indexed by block number and all false. The walk is an explicit-stack
+// DFS that appends a block after its last successor, exactly as the
+// recursive definition does.
+func reversePostorder(f *Function, seen []bool) []*Block {
+	e := f.Entry()
+	if e == nil {
+		return nil
 	}
-	if e := f.Entry(); e != nil {
-		visit(e)
+	post := make([]*Block, 0, len(f.Blocks))
+	type frame struct {
+		b    *Block
+		next int // index of the next successor to visit
+	}
+	stack := make([]frame, 0, len(f.Blocks))
+	seen[e.num] = true
+	stack = append(stack, frame{b: e})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		succs := top.b.Succs()
+		if top.next == len(succs) {
+			post = append(post, top.b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := succs[top.next]
+		top.next++
+		if s.Fn == f && !seen[s.num] { // a foreign block: VerifyModule reports it
+			seen[s.num] = true
+			stack = append(stack, frame{b: s})
+		}
 	}
 	// Reverse in place.
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
@@ -35,23 +56,25 @@ func ReversePostorder(f *Function) []*Block {
 	return post
 }
 
-// ComputeDom builds the dominator tree of f's reachable CFG.
+// ComputeDom builds the dominator tree of f's reachable CFG. Its cost in
+// allocations does not depend on the function's size.
 func ComputeDom(f *Function) *DomTree {
+	n := f.numBlocks()
 	dt := &DomTree{
 		fn:    f,
-		idom:  make(map[*Block]*Block),
-		order: make(map[*Block]int),
+		idom:  make([]*Block, n),
+		order: make([]int32, n),
 	}
-	dt.rpo = ReversePostorder(f)
+	dt.rpo = reversePostorder(f, make([]bool, n))
 	for i, b := range dt.rpo {
-		dt.order[b] = i
+		dt.order[b.num] = int32(i + 1)
 	}
 	entry := f.Entry()
 	if entry == nil {
 		return dt
 	}
 	preds := f.Preds()
-	dt.idom[entry] = entry
+	dt.idom[entry.num] = entry
 	for changed := true; changed; {
 		changed = false
 		for _, b := range dt.rpo {
@@ -59,8 +82,8 @@ func ComputeDom(f *Function) *DomTree {
 				continue
 			}
 			var newIdom *Block
-			for _, p := range preds[b] {
-				if dt.idom[p] == nil {
+			for _, p := range preds.Of(b) {
+				if dt.Idom(p) == nil {
 					continue // not yet processed or unreachable
 				}
 				if newIdom == nil {
@@ -69,8 +92,8 @@ func ComputeDom(f *Function) *DomTree {
 					newIdom = dt.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && dt.idom[b] != newIdom {
-				dt.idom[b] = newIdom
+			if newIdom != nil && dt.idom[b.num] != newIdom {
+				dt.idom[b.num] = newIdom
 				changed = true
 			}
 		}
@@ -80,11 +103,11 @@ func ComputeDom(f *Function) *DomTree {
 
 func (dt *DomTree) intersect(a, b *Block) *Block {
 	for a != b {
-		for dt.order[a] > dt.order[b] {
-			a = dt.idom[a]
+		for dt.order[a.num] > dt.order[b.num] {
+			a = dt.idom[a.num]
 		}
-		for dt.order[b] > dt.order[a] {
-			b = dt.idom[b]
+		for dt.order[b.num] > dt.order[a.num] {
+			b = dt.idom[b.num]
 		}
 	}
 	return a
@@ -92,12 +115,16 @@ func (dt *DomTree) intersect(a, b *Block) *Block {
 
 // Idom returns the immediate dominator of b (entry's idom is entry itself);
 // nil for unreachable blocks.
-func (dt *DomTree) Idom(b *Block) *Block { return dt.idom[b] }
+func (dt *DomTree) Idom(b *Block) *Block {
+	if int(b.num) >= len(dt.idom) {
+		return nil
+	}
+	return dt.idom[b.num]
+}
 
 // Reachable reports whether b is reachable from the entry.
 func (dt *DomTree) Reachable(b *Block) bool {
-	_, ok := dt.order[b]
-	return ok
+	return int(b.num) < len(dt.order) && dt.order[b.num] != 0
 }
 
 // Dominates reports whether a dominates b (reflexively).
@@ -109,7 +136,7 @@ func (dt *DomTree) Dominates(a, b *Block) bool {
 		if a == b {
 			return true
 		}
-		next := dt.idom[b]
+		next := dt.idom[b.num]
 		if next == nil || next == b {
 			return false
 		}
@@ -120,47 +147,42 @@ func (dt *DomTree) Dominates(a, b *Block) bool {
 // RPO returns the blocks in reverse postorder.
 func (dt *DomTree) RPO() []*Block { return dt.rpo }
 
-// Children returns the dominator-tree children of each block.
-func (dt *DomTree) Children() map[*Block][]*Block {
-	ch := make(map[*Block][]*Block)
-	for _, b := range dt.rpo {
-		if b == dt.fn.Entry() {
-			continue
-		}
-		id := dt.idom[b]
-		if id != nil {
-			ch[id] = append(ch[id], b)
-		}
+// Children returns the dominator-tree children of every reachable
+// block, each list in reverse postorder.
+func (dt *DomTree) Children() BlockTable {
+	pairs := make([]blockPair, 0, len(dt.rpo))
+	for _, b := range dt.rpo[min(1, len(dt.rpo)):] { // the entry has no parent
+		pairs = append(pairs, blockPair{dt.idom[b.num], b})
 	}
-	return ch
+	return tableOf(len(dt.order), pairs)
 }
 
 // DominanceFrontiers computes the dominance frontier of every reachable
 // block (Cytron et al.), used for pruned-SSA phi placement in mem2reg.
-func (dt *DomTree) DominanceFrontiers() map[*Block][]*Block {
-	df := make(map[*Block][]*Block)
+// Each frontier lists its blocks in the order the walk reaches them.
+func (dt *DomTree) DominanceFrontiers() BlockTable {
+	var pairs []blockPair
+	// last[n] is the join block most recently added to the frontier of
+	// the block numbered n. Joins are visited one at a time, so that is
+	// the only duplicate a frontier can meet.
+	last := make([]*Block, len(dt.order))
 	preds := dt.fn.Preds()
 	for _, b := range dt.rpo {
-		if len(preds[b]) < 2 {
+		ps := preds.Of(b)
+		if len(ps) < 2 {
 			continue
 		}
-		for _, p := range preds[b] {
+		for _, p := range ps {
 			if !dt.Reachable(p) {
 				continue
 			}
 			runner := p
-			for runner != dt.idom[b] {
-				found := false
-				for _, x := range df[runner] {
-					if x == b {
-						found = true
-						break
-					}
+			for runner != dt.idom[b.num] {
+				if last[runner.num] != b {
+					last[runner.num] = b
+					pairs = append(pairs, blockPair{runner, b})
 				}
-				if !found {
-					df[runner] = append(df[runner], b)
-				}
-				next := dt.idom[runner]
+				next := dt.idom[runner.num]
 				if next == nil || next == runner {
 					break
 				}
@@ -168,7 +190,7 @@ func (dt *DomTree) DominanceFrontiers() map[*Block][]*Block {
 			}
 		}
 	}
-	return df
+	return tableOf(len(dt.order), pairs)
 }
 
 // InstrDominates reports whether def is available at the point of use.

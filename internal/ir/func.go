@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Block is a basic block: a straight-line sequence of instructions ending
 // in exactly one terminator.
@@ -8,6 +11,13 @@ type Block struct {
 	Name   string
 	Fn     *Function
 	Instrs []*Instr
+
+	// num is the block's number within Fn, handed out by NewBlock and
+	// AdoptBlock (the only ways a block joins a function) and never
+	// changed. Numbers start at 1 and are sparse once blocks are
+	// removed; 0 marks a block no function numbered. The CFG tables
+	// (PredTable, DomTree, PostDomTree) are slices indexed by it.
+	num int32
 }
 
 // Term returns the block's terminator, or nil if the block is still open.
@@ -101,8 +111,8 @@ type Function struct {
 	Blocks []*Block
 	Mod    *Module
 
-	nextID    int // SSA register counter
-	nextBlock int // block name counter
+	nextID    int   // SSA register counter
+	nextBlock int32 // block name and number counter
 }
 
 // NewFunction creates an empty function with the given signature. Parameter
@@ -133,17 +143,18 @@ func (f *Function) NewBlock(hint string) *Block {
 		hint = "bb"
 	}
 	f.nextBlock++
-	b := &Block{Name: fmt.Sprintf("%s%d", hint, f.nextBlock), Fn: f}
+	b := &Block{Name: hint + strconv.Itoa(int(f.nextBlock)), Fn: f, num: f.nextBlock}
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
 
 // AdoptBlock appends an externally built block (used by cloning) and gives
-// it a fresh unique name.
+// it a fresh unique name and number.
 func (f *Function) AdoptBlock(b *Block) {
 	f.nextBlock++
-	b.Name = fmt.Sprintf("%s.%d", b.Name, f.nextBlock)
+	b.Name = b.Name + "." + strconv.Itoa(int(f.nextBlock))
 	b.Fn = f
+	b.num = f.nextBlock
 	f.Blocks = append(f.Blocks, b)
 }
 
@@ -157,6 +168,29 @@ func (f *Function) RemoveBlock(b *Block) {
 	}
 }
 
+// RemoveBlocks deletes every block in dead from the function in one
+// pass, keeping the order of the rest. Like RemoveBlock it does not fix
+// up edges.
+func (f *Function) RemoveBlocks(dead []*Block) {
+	if len(dead) == 0 {
+		return
+	}
+	gone := make([]bool, f.numBlocks())
+	for _, b := range dead {
+		if b.Fn == f {
+			gone[b.num] = true
+		}
+	}
+	kept := f.Blocks[:0]
+	for _, b := range f.Blocks {
+		if !gone[b.num] {
+			kept = append(kept, b)
+		}
+	}
+	clear(f.Blocks[len(kept):])
+	f.Blocks = kept
+}
+
 // ClaimID assigns a fresh SSA id to in (used when building instructions
 // outside a block, e.g. during cloning).
 func (f *Function) ClaimID(in *Instr) {
@@ -164,18 +198,99 @@ func (f *Function) ClaimID(in *Instr) {
 	in.ID = f.nextID
 }
 
-// Preds returns the predecessor map of the current CFG.
-func (f *Function) Preds() map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		preds[b] = nil
+// MaxID returns the largest SSA id handed out in f so far; every
+// instruction of f has an id in [1, MaxID()].
+func (f *Function) MaxID() int { return f.nextID }
+
+// numBlocks bounds the block numbers of f: every block f numbered so far
+// has a number below it.
+func (f *Function) numBlocks() int { return int(f.nextBlock) + 1 }
+
+// BlockTable maps each block of one function to a list of blocks, in
+// CSR layout: the list of the block numbered n is flat[off[n]:off[n+1]].
+// It costs two allocations however many blocks there are, where a map
+// from block to list cost one per entry and per list. A block numbered
+// after the table was built has no entry.
+type BlockTable struct {
+	off  []int32
+	flat []*Block
+}
+
+// PredTable is a function's predecessor lists at the moment Preds built
+// them, each in f.Blocks order with one entry per edge. Like the map it
+// replaced it is a snapshot: a CFG edit does not update it, and a block
+// created afterwards has no predecessors in it.
+type PredTable = BlockTable
+
+// Of returns b's list. The slice is capped at its length, so a caller's
+// append cannot write into a neighbour's list.
+func (t BlockTable) Of(b *Block) []*Block {
+	n := int(b.num)
+	if n+1 >= len(t.off) {
+		return nil
 	}
+	lo, hi := t.off[n], t.off[n+1]
+	if lo == hi {
+		return nil
+	}
+	return t.flat[lo:hi:hi]
+}
+
+// blockPair is one entry of a BlockTable under construction: to joins
+// the list of from.
+type blockPair struct{ from, to *Block }
+
+// tableOf lays pairs out as a BlockTable over block numbers below n,
+// keeping each list in the order its pairs were given.
+func tableOf(n int, pairs []blockPair) BlockTable {
+	off := make([]int32, n+1)
+	for _, p := range pairs {
+		off[p.from.num+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	flat := make([]*Block, len(pairs))
+	for _, p := range pairs {
+		flat[off[p.from.num]] = p.to
+		off[p.from.num]++
+	}
+	// Each start has advanced to the next list's start; shift back.
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return BlockTable{off: off, flat: flat}
+}
+
+// Preds returns the predecessor table of the current CFG. It walks the
+// edges twice (count, then fill) instead of collecting pairs, so it
+// allocates only the table.
+func (f *Function) Preds() PredTable {
+	n := f.numBlocks()
+	off := make([]int32, n+1)
+	edges := 0
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
+			if s.Fn == f { // else foreign: VerifyModule reports it
+				off[s.num+1]++
+				edges++
+			}
 		}
 	}
-	return preds
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	flat := make([]*Block, edges)
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if s.Fn == f {
+				flat[off[s.num]] = b
+				off[s.num]++
+			}
+		}
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return PredTable{off: off, flat: flat}
 }
 
 // NumInstrs returns the instruction count across all blocks.

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op identifies an instruction opcode.
 type Op int
@@ -191,7 +194,7 @@ type Instr struct {
 func (in *Instr) Type() Type { return in.Typ }
 
 // Ref returns the SSA register spelling "%tN".
-func (in *Instr) Ref() string { return fmt.Sprintf("%%t%d", in.ID) }
+func (in *Instr) Ref() string { return "%t" + strconv.Itoa(in.ID) }
 
 // IsTerminator reports whether this instruction ends its block.
 func (in *Instr) IsTerminator() bool { return in.Op.IsTerminator() }

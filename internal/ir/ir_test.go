@@ -92,8 +92,8 @@ func TestDominators(t *testing.T) {
 		t.Error("branch arms must not dominate the join")
 	}
 	df := dt.DominanceFrontiers()
-	if len(df[thenB]) != 1 || df[thenB][0] != join {
-		t.Errorf("DF(then) = %v, want [join]", df[thenB])
+	if fr := df.Of(thenB); len(fr) != 1 || fr[0] != join {
+		t.Errorf("DF(then) = %v, want [join]", fr)
 	}
 }
 

@@ -54,7 +54,7 @@ func (l *Loop) BlocksInRPO(dt *DomTree) []*Block {
 	for b := range l.Blocks {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return dt.order[out[i]] < dt.order[out[j]] })
+	sort.Slice(out, func(i, j int) bool { return dt.order[out[i].num] < dt.order[out[j].num] })
 	return out
 }
 
@@ -87,7 +87,7 @@ func FindLoops(f *Function, dt *DomTree) []*Loop {
 					continue
 				}
 				l.Blocks[x] = true
-				for _, p := range preds[x] {
+				for _, p := range preds.Of(x) {
 					if dt.Reachable(p) {
 						stack = append(stack, p)
 					}
@@ -139,16 +139,16 @@ func FindLoops(f *Function, dt *DomTree) []*Loop {
 		if loops[i].Depth != loops[j].Depth {
 			return loops[i].Depth < loops[j].Depth
 		}
-		return dt.order[loops[i].Header] < dt.order[loops[j].Header]
+		return dt.order[loops[i].Header.num] < dt.order[loops[j].Header.num]
 	})
 	return loops
 }
 
 // Preheader returns the unique predecessor of the header outside the loop
 // whose only successor is the header; nil if there is none.
-func (l *Loop) Preheader(preds map[*Block][]*Block) *Block {
+func (l *Loop) Preheader(preds PredTable) *Block {
 	var outside []*Block
-	for _, p := range preds[l.Header] {
+	for _, p := range preds.Of(l.Header) {
 		if !l.Blocks[p] {
 			outside = append(outside, p)
 		}

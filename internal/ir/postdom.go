@@ -8,19 +8,23 @@ package ir
 // postdominator and are reported by HasExit as false — clients that
 // delete control flow must treat them conservatively.
 type PostDomTree struct {
-	fn    *Function
-	exit  *Block            // virtual exit sentinel, never part of the function
-	ipdom map[*Block]*Block // nil entry: block cannot reach an exit
-	order map[*Block]int    // reverse postorder index on the reverse CFG
+	fn   *Function
+	exit *Block // virtual exit sentinel, never part of the function
+	// ipdom and order are indexed by block number, the virtual exit at
+	// 0 (it is never numbered). A nil ipdom: the block cannot reach an
+	// exit. An order is the reverse-CFG RPO index + 1; 0: unreached.
+	ipdom []*Block
+	order []int32
 }
 
 // ComputePostDom builds the postdominator tree of f.
 func ComputePostDom(f *Function) *PostDomTree {
+	n := f.numBlocks()
 	pt := &PostDomTree{
 		fn:    f,
 		exit:  &Block{Name: "<virtual-exit>"},
-		ipdom: make(map[*Block]*Block),
-		order: make(map[*Block]int),
+		ipdom: make([]*Block, n),
+		order: make([]int32, n),
 	}
 	preds := f.Preds() // real preds = reverse-CFG succs
 
@@ -33,15 +37,15 @@ func ComputePostDom(f *Function) *PostDomTree {
 
 	// Postorder on the reverse CFG from the virtual exit; reversing it
 	// gives the RPO the CHK iteration wants (virtual exit first).
-	seen := make(map[*Block]bool, len(f.Blocks))
+	seen := make([]bool, n)
 	var post []*Block
 	var visit func(b *Block)
 	visit = func(b *Block) {
-		if seen[b] {
+		if seen[b.num] {
 			return
 		}
-		seen[b] = true
-		for _, p := range preds[b] {
+		seen[b.num] = true
+		for _, p := range preds.Of(b) {
 			visit(p)
 		}
 		post = append(post, b)
@@ -55,10 +59,10 @@ func ComputePostDom(f *Function) *PostDomTree {
 		rpo[len(post)-1-i] = b
 	}
 	for i, b := range rpo {
-		pt.order[b] = i
+		pt.order[b.num] = int32(i + 1)
 	}
 
-	pt.ipdom[pt.exit] = pt.exit
+	pt.ipdom[0] = pt.exit
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
@@ -69,7 +73,7 @@ func ComputePostDom(f *Function) *PostDomTree {
 			// virtual exit when b itself exits the function.
 			var newIpdom *Block
 			consider := func(s *Block) {
-				if pt.ipdom[s] == nil {
+				if pt.ipdom[s.num] == nil {
 					return
 				}
 				if newIpdom == nil {
@@ -82,10 +86,12 @@ func ComputePostDom(f *Function) *PostDomTree {
 				consider(pt.exit)
 			}
 			for _, s := range b.Succs() {
-				consider(s)
+				if s.Fn == f { // a foreign block reaches no exit of f
+					consider(s)
+				}
 			}
-			if newIpdom != nil && pt.ipdom[b] != newIpdom {
-				pt.ipdom[b] = newIpdom
+			if newIpdom != nil && pt.ipdom[b.num] != newIpdom {
+				pt.ipdom[b.num] = newIpdom
 				changed = true
 			}
 		}
@@ -95,21 +101,30 @@ func ComputePostDom(f *Function) *PostDomTree {
 
 func (pt *PostDomTree) intersect(a, b *Block) *Block {
 	for a != b {
-		for pt.order[a] > pt.order[b] {
-			a = pt.ipdom[a]
+		for pt.order[a.num] > pt.order[b.num] {
+			a = pt.ipdom[a.num]
 		}
-		for pt.order[b] > pt.order[a] {
-			b = pt.ipdom[b]
+		for pt.order[b.num] > pt.order[a.num] {
+			b = pt.ipdom[b.num]
 		}
 	}
 	return a
+}
+
+// get returns b's immediate postdominator slot: nil when b cannot reach
+// an exit or was numbered after the tree was built.
+func (pt *PostDomTree) get(b *Block) *Block {
+	if b.num == 0 || int(b.num) >= len(pt.ipdom) {
+		return nil
+	}
+	return pt.ipdom[b.num]
 }
 
 // Ipdom returns b's immediate postdominator, or nil when it is the
 // virtual exit (b exits the function directly) or b cannot reach an
 // exit at all (distinguish with HasExit).
 func (pt *PostDomTree) Ipdom(b *Block) *Block {
-	ip := pt.ipdom[b]
+	ip := pt.get(b)
 	if ip == pt.exit {
 		return nil
 	}
@@ -117,19 +132,19 @@ func (pt *PostDomTree) Ipdom(b *Block) *Block {
 }
 
 // HasExit reports whether some ret/unreachable block is reachable from b.
-func (pt *PostDomTree) HasExit(b *Block) bool { return pt.ipdom[b] != nil }
+func (pt *PostDomTree) HasExit(b *Block) bool { return pt.get(b) != nil }
 
 // PostDominates reports whether a postdominates b (reflexively). False
 // when either block cannot reach an exit.
 func (pt *PostDomTree) PostDominates(a, b *Block) bool {
-	if pt.ipdom[a] == nil || pt.ipdom[b] == nil {
+	if pt.get(a) == nil || pt.get(b) == nil {
 		return false
 	}
 	for {
 		if a == b {
 			return true
 		}
-		next := pt.ipdom[b]
+		next := pt.ipdom[b.num]
 		if next == b || next == nil {
 			return false
 		}

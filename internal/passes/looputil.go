@@ -18,7 +18,7 @@ func ensurePreheader(cx *Context, f *ir.Function, l *ir.Loop) *ir.Block {
 		return ph
 	}
 	var outside []*ir.Block
-	for _, p := range preds[l.Header] {
+	for _, p := range preds.Of(l.Header) {
 		if !l.Blocks[p] {
 			outside = append(outside, p)
 		}
@@ -94,7 +94,7 @@ func lcssa(f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 		froms[e.To] = append(froms[e.To], e.From)
 	}
 	for to := range froms {
-		for _, p := range preds[to] {
+		for _, p := range preds.Of(to) {
 			if !l.Blocks[p] {
 				return false
 			}
@@ -139,7 +139,7 @@ func lcssa(f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 				f.ClaimID(phi)
 				phi.Blk = to
 				to.Instrs = append([]*ir.Instr{phi}, to.Instrs...)
-				for _, p := range preds[to] {
+				for _, p := range preds.Of(to) {
 					phi.SetPhiIncoming(p, def)
 				}
 				phiAt[to] = phi
@@ -164,7 +164,7 @@ func lcssa(f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 				}
 				// The phi's operands read def at the end of each exit
 				// predecessor, so def must dominate them all.
-				for _, p := range preds[chosen] {
+				for _, p := range preds.Of(chosen) {
 					if !dt.Dominates(def.Blk, p) {
 						return false
 					}

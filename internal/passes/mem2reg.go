@@ -53,7 +53,7 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, fr := range df[b] {
+			for _, fr := range df.Of(b) {
 				if placed[fr] {
 					continue
 				}
@@ -135,7 +135,7 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 				}
 			}
 		}
-		for _, c := range children[b] {
+		for _, c := range children.Of(b) {
 			// Each child gets its own copy of the current-definition map.
 			childCur := make(map[*ir.Instr]ir.Value, len(cur))
 			for k, v := range cur {

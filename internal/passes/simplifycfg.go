@@ -74,7 +74,7 @@ func removeSinglePredPhis(f *ir.Function) int {
 	preds := f.Preds()
 	n := 0
 	for _, b := range f.Blocks {
-		if len(preds[b]) != 1 {
+		if len(preds.Of(b)) != 1 {
 			continue
 		}
 		for _, phi := range b.Phis() {
@@ -89,23 +89,27 @@ func removeSinglePredPhis(f *ir.Function) int {
 }
 
 // mergeStraightLine splices a block into its unique predecessor when that
-// predecessor jumps to it unconditionally.
+// predecessor jumps to it unconditionally. One predecessor table serves
+// the whole sweep: a splice hands c's out-edges to b, which changes no
+// surviving block's predecessor count, and only b's terminator changes,
+// so b is examined again at once. The sweep therefore merges exactly
+// what restarting after every merge did, in the same order, and drops
+// the merged blocks in one compaction.
 func mergeStraightLine(f *ir.Function, cx *Context) int {
-	n := 0
-	for {
-		preds := f.Preds()
-		merged := false
-		for _, b := range f.Blocks {
-			t := b.Term()
+	preds := f.Preds()
+	var merged []*ir.Block
+	for _, b := range f.Blocks {
+		for {
+			t := b.Term() // nil for a block merged earlier in the sweep
 			if t == nil || t.Op != ir.OpBr {
-				continue
+				break
 			}
 			c := t.Succs[0]
-			if c == b || c == f.Entry() || len(preds[c]) != 1 {
-				continue
+			if c == b || c == f.Entry() || len(preds.Of(c)) != 1 {
+				break
 			}
 			if len(c.Phis()) > 0 {
-				continue // removeSinglePredPhis will clear these first
+				break // removeSinglePredPhis will clear these first
 			}
 			// Splice: drop b's br, append c's instructions.
 			b.Instrs = b.Instrs[:len(b.Instrs)-1]
@@ -124,16 +128,12 @@ func mergeStraightLine(f *ir.Function, cx *Context) int {
 				}
 			}
 			c.Instrs = nil
-			f.RemoveBlock(c)
-			cx.Stats.BlocksMerged++
-			n++
-			merged = true
-			break // CFG changed; recompute preds
-		}
-		if !merged {
-			return n
+			merged = append(merged, c)
 		}
 	}
+	f.RemoveBlocks(merged)
+	cx.Stats.BlocksMerged += len(merged)
+	return len(merged)
 }
 
 // forwardEmptyBlocks redirects edges through blocks that contain only an
@@ -159,7 +159,7 @@ func forwardEmptyBlocks(f *ir.Function) int {
 			// b's phi contribution along. Skip preds that already branch
 			// to dst with a conflicting phi value.
 			ok := true
-			for _, p := range preds[b] {
+			for _, p := range preds.Of(b) {
 				alreadyPred := false
 				for _, s := range p.Succs() {
 					if s == dst {
@@ -176,19 +176,19 @@ func forwardEmptyBlocks(f *ir.Function) int {
 					}
 				}
 			}
-			if !ok || len(preds[b]) == 0 {
+			if !ok || len(preds.Of(b)) == 0 {
 				continue
 			}
 			for _, phi := range dst.Phis() {
 				vb := phi.PhiIncoming(b)
 				phi.RemovePhiIncoming(b)
-				for _, p := range preds[b] {
+				for _, p := range preds.Of(b) {
 					if phi.PhiIncoming(p) == nil {
 						phi.SetPhiIncoming(p, vb)
 					}
 				}
 			}
-			for _, p := range preds[b] {
+			for _, p := range preds.Of(b) {
 				pt := p.Term()
 				for i, s := range pt.Succs {
 					if s == b {

@@ -83,7 +83,7 @@ func constTripCount(f *ir.Function, l *ir.Loop) (int64, bool) {
 		// A preheader is created during peeling; for counting purposes,
 		// find the unique outside predecessor if there is one.
 		var outside []*ir.Block
-		for _, p := range preds[l.Header] {
+		for _, p := range preds.Of(l.Header) {
 			if !l.Blocks[p] {
 				outside = append(outside, p)
 			}

@@ -107,7 +107,7 @@ func KeyFor(mod *ir.Module, entry string, context ...string) (Key, bool) {
 		h.WriteString("\n")
 	}
 	for _, f := range funcs {
-		h.WriteString(f.String())
+		f.WriteText(h) // the bytes of f.String(), never built as a string
 		h.WriteString("\n")
 	}
 	return Key(h.Sum().Hex()), true

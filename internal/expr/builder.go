@@ -37,6 +37,29 @@ type Builder struct {
 	nodesBuilt atomic.Int64
 	// cacheHits counts interning hits (structural sharing).
 	cacheHits atomic.Int64
+
+	// small holds the interned 1-, 8-, 32- and 64-bit constants below
+	// smallConsts, filled as Const first interns each: the constants the
+	// engine builds on nearly every instruction skip the interning map.
+	small [4][smallConsts]atomic.Pointer[Expr]
+}
+
+// smallConsts bounds the values Builder.small holds per width.
+const smallConsts = 256
+
+// smallWidth is the row of Builder.small for a width, or -1.
+func smallWidth(bits int) int {
+	switch bits {
+	case 1:
+		return 0
+	case 8:
+		return 1
+	case 32:
+		return 2
+	case 64:
+		return 3
+	}
+	return -1
 }
 
 // NewBuilder returns an empty builder for single-goroutine use.
@@ -106,12 +129,26 @@ func (b *Builder) intern(key internKey, mk func() *Expr) *Expr {
 }
 
 // Const builds a constant of the given width.
+// A table hit is the node intern returned for the same constant, and is
+// counted as the interning hit it stands for.
 func (b *Builder) Const(bits int, v uint64) *Expr {
 	v = ir.Mask(bits, v)
+	var slot *atomic.Pointer[Expr]
+	if row := smallWidth(bits); row >= 0 && v < smallConsts {
+		slot = &b.small[row][v]
+		if e := slot.Load(); e != nil {
+			b.cacheHits.Add(1)
+			return e
+		}
+	}
 	key := internKey{kind: KConst, bits: bits, n: [3]uint64{v}}
-	return b.intern(key, func() *Expr {
+	e := b.intern(key, func() *Expr {
 		return &Expr{Kind: KConst, Bits: bits, Val: v, vset: emptyVarSet}
 	})
+	if slot != nil {
+		slot.Store(e)
+	}
+	return e
 }
 
 // True is the 1-bit constant 1.

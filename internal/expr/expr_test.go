@@ -273,3 +273,47 @@ func TestInternKeysDistinguish(t *testing.T) {
 		})
 	}
 }
+
+// TestSmallConstTable: a constant the small table answers is the node
+// interning built for it, and the builder's counters read as if every
+// call had gone through the interning map — one miss per distinct
+// constant, one hit per repeat — whether or not the table covers the
+// width and the value.
+func TestSmallConstTable(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		mk   func() *Builder
+	}{{"plain", NewBuilder}, {"concurrent", NewConcurrentBuilder}} {
+		t.Run(mode.name, func(t *testing.T) {
+			b := mode.mk()
+			type key struct {
+				bits int
+				v    uint64
+			}
+			first := make(map[key]*Expr)
+			calls := 0
+			for round := 0; round < 3; round++ {
+				for _, bits := range []int{1, 8, 16, 32, 64} {
+					for _, v := range []uint64{0, 1, 2, 255, 256, 1 << 40} {
+						e := b.Const(bits, v)
+						calls++
+						k := key{bits, ir.Mask(bits, v)}
+						if e.Bits != bits || e.Val != k.v {
+							t.Fatalf("Const(%d, %d) = %d:i%d", bits, v, e.Val, e.Bits)
+						}
+						if prev, ok := first[k]; ok && prev != e {
+							t.Fatalf("Const(%d, %d) returned a second node", bits, v)
+						}
+						first[k] = e
+					}
+				}
+			}
+			if got, want := b.NodesBuilt(), int64(len(first)); got != want {
+				t.Errorf("nodes built %d, want one per distinct constant, %d", got, want)
+			}
+			if got, want := b.CacheHits(), int64(calls-len(first)); got != want {
+				t.Errorf("cache hits %d, want one per repeat, %d", got, want)
+			}
+		})
+	}
+}

@@ -309,3 +309,68 @@ func TestReuseProbeIsIncremental(t *testing.T) {
 		t.Errorf("history changed size: %d", len(s.recent))
 	}
 }
+
+// TestRememberedModelsKeepTheirAnswers is the model contract: the map
+// SatPartition returns is the one the history keeps (remember takes it,
+// it does not copy it), so nothing may write it afterwards — not the
+// caller, and not a later query. Over random branching explorations,
+// every fresh model must be the map the history stored, and at the end
+// every model handed out must still satisfy the condition it was found
+// for, and every model still in the history the condition it was
+// remembered for.
+func TestRememberedModelsKeepTheirAnswers(t *testing.T) {
+	type found struct {
+		pc    []*expr.Expr
+		model map[*expr.Var]uint64
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 8; trial++ {
+		b := expr.NewBuilder()
+		vs := vars(4)
+		s := New(Options{})
+		var handed []found
+		stored := make(map[uint64]found) // by model serial
+		paths := []memoPath{{}}
+		for step := 0; step < 60; step++ {
+			mp := paths[rng.Intn(len(paths))]
+			c := randomExtension(b, vs, rng, mp)
+			for _, side := range []memoPath{mp.extend(c), mp.extend(b.Not(c))} {
+				hits, serial := s.Stats.ModelReuseHits, s.serial
+				sat, model, err := s.SatPartition(side.last())
+				if err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+				if !sat {
+					continue
+				}
+				handed = append(handed, found{side.pc, model})
+				if s.serial != serial {
+					last := s.recent[len(s.recent)-1]
+					if !sameMap(last.model, model) {
+						t.Fatalf("trial %d step %d: the history holds a copy of the returned model", trial, step)
+					}
+					stored[last.serial] = found{side.pc, model}
+				} else if _, trivial := side.last().Trivial(); !trivial && s.Stats.ModelReuseHits == hits {
+					t.Fatalf("trial %d step %d: a sat answer neither reused nor remembered a model", trial, step)
+				}
+				if len(side.pc) < 16 {
+					paths = append(paths, side)
+				}
+			}
+		}
+		for i, f := range handed {
+			if !satisfies(f.pc, f.model) {
+				t.Fatalf("trial %d: model %d no longer satisfies the condition it answered: %v", trial, i, f.model)
+			}
+		}
+		for _, m := range s.recent {
+			f, ok := stored[m.serial]
+			if !ok || !sameMap(f.model, m.model) {
+				t.Fatalf("trial %d: history model %d is not a map a query returned", trial, m.serial)
+			}
+			if !satisfies(f.pc, m.model) {
+				t.Fatalf("trial %d: history model %d no longer satisfies the condition it was remembered for", trial, m.serial)
+			}
+		}
+	}
+}

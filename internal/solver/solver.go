@@ -251,7 +251,8 @@ func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
 // Sat reports whether the conjunction of the constraints is satisfiable,
 // and if so returns a model (an assignment of every mentioned variable).
 // Callers with a growing path condition should carry a Partition and use
-// SatPartition instead; Sat re-partitions from scratch.
+// SatPartition instead; Sat re-partitions from scratch. The model is
+// read-only, as SatPartition's is.
 func (s *Solver) Sat(constraints []*expr.Expr) (bool, map[*expr.Var]uint64, error) {
 	return s.SatPartition(PartitionOf(constraints))
 }
@@ -260,6 +261,10 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, map[*expr.Var]uint64, erro
 // already decided while the partition was carried forward are reused
 // without a cache probe; the remaining groups go through the shared
 // cache, then compiled search (solveGroup).
+//
+// A returned model is shared with the solver's reuse history — a later
+// query may hand the same map out again, and the memo holds verdicts
+// about its contents — so callers must only read it, never write it.
 func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) {
 	s.Stats.Queries++
 
@@ -352,21 +357,19 @@ func (s *Solver) modelSatisfies(p *Partition, m recentModel) bool {
 	return sat
 }
 
-// remember copies the model just found for p into the history. The
+// remember puts the model just found for p into the history, taking
+// ownership of it: SatPartition built the map for this query alone and
+// hands it to its caller read-only, so it is stored, not copied. The
 // model is the union of satisfying assignments of p's groups, so it
 // satisfies p and every condition p extends; the memo is told so
 // without evaluating anything, on the grounds the engine already
 // reports the model as p's witness on.
 func (s *Solver) remember(p *Partition, model map[*expr.Var]uint64) {
-	m := make(map[*expr.Var]uint64, len(model))
-	for k, v := range model {
-		m[k] = v
-	}
 	if s.serial%serialBlock == 0 {
 		s.serial = modelSerials.Add(serialBlock) - serialBlock
 	}
 	s.serial++
-	s.recent = append(s.recent, recentModel{serial: s.serial, model: m})
+	s.recent = append(s.recent, recentModel{serial: s.serial, model: model})
 	if len(s.recent) > s.opts.ModelHistory {
 		// Drop the oldest in place (oldest first is the probe order), so
 		// the next append reuses the array.
@@ -394,8 +397,8 @@ func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 		return false, nil, err
 	}
 	// Cached entries are shared across workers and with the partition;
-	// they are never mutated after insertion (Sat only reads the model,
-	// remember copies it).
+	// they are never mutated after insertion (SatPartition copies a
+	// group's model into the query's own map and only reads this one).
 	e := s.cache.put(g.fp, found)
 	g.verdict.Store(e)
 	return e.sat, e.model, nil

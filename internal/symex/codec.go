@@ -28,7 +28,10 @@ import (
 // references cross the wire by stable identity: functions and globals
 // by name, blocks by index, instructions by (block, index) — the
 // receiving process compiled the same module, so the shapes match.
-// Carried partitions are not serialized: group fingerprints are
+// A value is a tag plus references: an integer names its node; a
+// pointer names its object (0 for null: the shared nullObj is never a
+// table entry) and its offset node, which it must have. Carried
+// partitions are not serialized: group fingerprints are
 // builder-local, so the decoder rebuilds each state's partition from
 // its re-interned path condition.
 //
@@ -197,14 +200,11 @@ func (enc *encoder) visitExpr(x *expr.Expr) {
 
 func (enc *encoder) visitSymVal(v SymVal) {
 	enc.visitExpr(v.E)
-	enc.visitExpr(v.Off)
-	if v.Obj != nil {
-		enc.visitObj(v.Obj)
-	}
+	enc.visitObj(v.Obj)
 }
 
 func (enc *encoder) visitObj(o *MemObject) {
-	if o == nil {
+	if o == nil || o == nullObj {
 		return
 	}
 	if _, ok := enc.objs[o]; ok {
@@ -266,31 +266,25 @@ func (enc *encoder) emitType(t ir.Type) {
 	}
 }
 
+// emitSymVal writes a value. A pointer is its object reference (table
+// index+1, 0 for null) and its offset's node reference (index+1; never
+// 0, and the decoder rejects a 0 there).
 func (enc *encoder) emitSymVal(v SymVal) {
 	switch {
-	case v.IsPtr:
+	case v.Obj != nil:
 		enc.w.b(svPtr)
-		if v.Obj == nil {
+		if v.Obj == nullObj {
 			enc.w.u(0)
 		} else {
 			enc.w.u(uint64(enc.objs[v.Obj]) + 1)
 		}
-		enc.emitExprRef(v.Off)
+		enc.w.u(uint64(enc.nodes[v.E]) + 1)
 	case v.E != nil:
 		enc.w.b(svInt)
 		enc.w.u(uint64(enc.nodes[v.E]))
 	default:
 		enc.w.b(svAbsent)
 	}
-}
-
-// emitExprRef writes an optional expression reference (index+1, 0=nil).
-func (enc *encoder) emitExprRef(x *expr.Expr) {
-	if x == nil {
-		enc.w.u(0)
-		return
-	}
-	enc.w.u(uint64(enc.nodes[x]) + 1)
 }
 
 func (enc *encoder) emitState(st *State) {
@@ -795,34 +789,32 @@ func (d *decoder) readSymVal() (SymVal, error) {
 		if err != nil {
 			return SymVal{}, err
 		}
-		var obj *MemObject
+		obj := nullObj
 		if oi != 0 {
 			if oi-1 >= uint64(len(d.objs)) {
 				return SymVal{}, fmt.Errorf("symex: codec: object ref %d of %d", oi-1, len(d.objs))
 			}
 			obj = d.objs[oi-1]
 		}
-		off, err := d.exprRef()
+		i, err := d.r.u()
 		if err != nil {
 			return SymVal{}, err
 		}
-		return SymVal{IsPtr: true, Obj: obj, Off: off}, nil
+		if i == 0 {
+			// Every GEP, load and store reads the offset: a pointer without
+			// one would fault in the worker that explores the state.
+			return SymVal{}, fmt.Errorf("symex: codec: pointer without offset at %d", d.r.pos)
+		}
+		if i-1 >= uint64(len(d.nodes)) {
+			return SymVal{}, fmt.Errorf("symex: codec: node ref %d of %d", i-1, len(d.nodes))
+		}
+		off := d.nodes[i-1]
+		if off.Bits != 64 {
+			return SymVal{}, fmt.Errorf("symex: codec: pointer offset of %d bits at %d", off.Bits, d.r.pos)
+		}
+		return SymVal{E: off, Obj: obj}, nil
 	}
 	return SymVal{}, fmt.Errorf("symex: codec: unknown symval tag %d", tag)
-}
-
-func (d *decoder) exprRef() (*expr.Expr, error) {
-	i, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if i == 0 {
-		return nil, nil
-	}
-	if i-1 >= uint64(len(d.nodes)) {
-		return nil, fmt.Errorf("symex: codec: node ref %d of %d", i-1, len(d.nodes))
-	}
-	return d.nodes[i-1], nil
 }
 
 func (d *decoder) readState() (*State, error) {

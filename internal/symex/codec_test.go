@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -208,9 +209,6 @@ func countReachableNodes(states []*symex.State) int {
 		if v.E != nil {
 			walkE(v.E)
 		}
-		if v.Off != nil {
-			walkE(v.Off)
-		}
 		if v.Obj != nil {
 			walkO(v.Obj)
 		}
@@ -335,6 +333,47 @@ int umain(unsigned char *input, int len) {
 	}
 }
 
+// TestStateCodecPointerWithoutOffset: a pointer value on the wire is an
+// object reference and an offset node reference, index+1. An offset
+// reference of 0 names no node; such a frame used to decode into a
+// pointer with a nil offset, which passed every check until the worker
+// exploring the state built its first GEP, load or store on it — a nil
+// dereference in a goroutine with nothing to recover it.
+func TestStateCodecPointerWithoutOffset(t *testing.T) {
+	mod, err := frontend.Lower("t", `
+int umain(unsigned char *input, int len) {
+	if (input[0] == 'a') { return (int)input[1]; }
+	return (int)input[2];
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.O1); err != nil { // the pointer stays in its register
+		t.Fatal(err)
+	}
+	eng := symex.NewEngine(mod, symex.Options{})
+	states, err := eng.Split("umain", eng.InputArgs(3), nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := eng.EncodeStates(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// umain's registers lead with param 0, the input pointer: key tag 0,
+	// index 0, then the value — tag svPtr (2), object ref, offset ref —
+	// and param 1, the length: key 0, index 1, tag svInt (1).
+	param0 := regexp.MustCompile("\x00\x00\x02([\x01-\x7f])[\x01-\x7f](\x00\x01\x01)")
+	bad := param0.ReplaceAll(blob, []byte("\x00\x00\x02${1}\x00${2}"))
+	if n := len(param0.FindAll(blob, -1)); n != len(states) {
+		t.Fatalf("found the input pointer register %d times in a frame of %d states", n, len(states))
+	}
+	_, err = symex.NewEngine(mod, symex.Options{}).DecodeStates(bad)
+	if err == nil || !strings.Contains(err.Error(), "symex: codec: pointer without offset") {
+		t.Errorf("frame with a pointer without offset: err = %v, want symex: codec: pointer without offset", err)
+	}
+}
+
 // FuzzStateCodecRoundTrip is the differential fuzzer: for a fuzzed
 // (program, input size, split size) the split+ship+merge pipeline must
 // match the serial baseline's invariant counters and bug identities,
@@ -381,8 +420,61 @@ func FuzzStateCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _ = symex.NewEngine(c2.Mod, symex.Options{}).DecodeStates(mut) // must not panic
+		decoded, err := symex.NewEngine(c2.Mod, symex.Options{}).DecodeStates(mut) // must not panic
+		if err == nil {
+			if err := checkDecodedPointers(decoded); err != nil {
+				t.Fatalf("a frame that decodes: %v", err)
+			}
+		}
 	})
+}
+
+// checkDecodedPointers holds decoded states to what exploring them
+// assumes of every pointer, in a register or in a cell: a 64-bit offset,
+// and an object that is null or one of the frame's own, with every cell
+// its Count promises.
+func checkDecodedPointers(states []*symex.State) error {
+	seen := make(map[*symex.MemObject]bool)
+	var walkO func(o *symex.MemObject) error
+	walkV := func(v symex.SymVal) error {
+		if v.Obj == nil {
+			return nil
+		}
+		if v.E == nil || v.E.Bits != 64 {
+			return fmt.Errorf("pointer into %s with offset %v", v.Obj.Name, v.E)
+		}
+		if v.Obj == symex.NullObj {
+			return nil
+		}
+		return walkO(v.Obj)
+	}
+	walkO = func(o *symex.MemObject) error {
+		if seen[o] {
+			return nil
+		}
+		seen[o] = true
+		for i := int64(0); i < o.Count; i++ {
+			if err := walkV(o.Cell(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, st := range states {
+		for _, o := range st.Globals {
+			if err := walkO(o); err != nil {
+				return err
+			}
+		}
+		for _, f := range st.Frames {
+			for _, v := range f.Regs {
+				if err := walkV(v); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestSplitExhaustsSmallPrograms: when the requested shard count

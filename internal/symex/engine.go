@@ -276,7 +276,7 @@ func (e *Engine) SymbolicBuffer(name string, n int, nulTerminated bool) SymVal {
 	if nulTerminated {
 		cells[n] = SymVal{E: e.B.Const(8, 0)}
 	}
-	return SymVal{IsPtr: true, Obj: newObject(name, ir.I8, false, cells), Off: e.B.Const(64, 0)}
+	return SymVal{E: e.B.Const(64, 0), Obj: newObject(name, ir.I8, false, cells)}
 }
 
 // InputArgs builds the arguments of the corpus entry convention
@@ -311,7 +311,7 @@ func (e *Engine) ConcreteBuffer(name string, data []byte) SymVal {
 	for i, c := range data {
 		cells[i] = SymVal{E: e.B.Const(8, uint64(c))}
 	}
-	return SymVal{IsPtr: true, Obj: newObject(name, ir.I8, false, cells), Off: e.B.Const(64, 0)}
+	return SymVal{E: e.B.Const(64, 0), Obj: newObject(name, ir.I8, false, cells)}
 }
 
 // Run explores fn(args) exhaustively from the given initial state (pass

@@ -167,19 +167,21 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 func (w *worker) jump(st *State, f *Frame, target *ir.Block) {
 	phis := target.Phis()
 	if len(phis) > 0 {
-		vals := make([]SymVal, len(phis))
-		for i, phi := range phis {
+		vals := w.phiVals[:0]
+		for _, phi := range phis {
 			v := phi.PhiIncoming(f.Block)
 			if v == nil {
 				panic(fmt.Sprintf("symex: phi %s in %s has no edge from %s",
 					phi.Ref(), target.Name, f.Block.Name))
 			}
-			vals[i] = w.ev(st, f, v)
+			vals = append(vals, w.ev(st, f, v))
 			w.countInstr()
 		}
 		for i, phi := range phis {
 			*f.reg(phi) = vals[i]
 		}
+		clear(vals) // the scratch must not keep a finished state's objects alive
+		w.phiVals = vals[:0]
 	}
 	f.Prev = f.Block
 	f.Block = target
@@ -193,9 +195,9 @@ func (w *worker) ev(st *State, f *Frame, v ir.Value) SymVal {
 	case *ir.Const:
 		return SymVal{E: w.B.Const(x.Typ.Bits, x.Val)}
 	case *ir.Null:
-		return SymVal{IsPtr: true, Off: w.B.Const(64, 0)}
+		return SymVal{E: w.B.Const(64, 0), Obj: nullObj}
 	case *ir.Global:
-		return SymVal{IsPtr: true, Obj: st.Globals[x], Off: w.B.Const(64, 0)}
+		return SymVal{E: w.B.Const(64, 0), Obj: st.Globals[x]}
 	case *ir.Param:
 		sv = f.Regs[x.Idx]
 	case *ir.Instr:
@@ -267,7 +269,7 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 	case in.Op.IsCmp():
 		a := w.ev(st, f, in.Args[0])
 		b := w.ev(st, f, in.Args[1])
-		if a.IsPtr || b.IsPtr {
+		if a.Obj != nil || b.Obj != nil {
 			return w.cmpPointers(st, in, a, b, set)
 		}
 		set(SymVal{E: w.B.Cmp(in.Op, a.E, b.E)})
@@ -287,14 +289,14 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			}
 			return execOK, nil
 		}
-		if !t.IsPtr && !fv.IsPtr {
+		if t.Obj == nil && fv.Obj == nil {
 			set(SymVal{E: w.B.Select(c.E, t.E, fv.E)})
 			return execOK, nil
 		}
 		// Pointer select: merge offsets when the object agrees, else
 		// fork on the condition.
 		if t.Obj == fv.Obj {
-			set(SymVal{IsPtr: true, Obj: t.Obj, Off: w.B.Select(c.E, t.Off, fv.Off)})
+			set(SymVal{E: w.B.Select(c.E, t.E, fv.E), Obj: t.Obj})
 			return execOK, nil
 		}
 		notC := w.B.Not(c.E)
@@ -330,7 +332,7 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 	case ir.OpAlloca:
 		var zero SymVal
 		if _, ok := in.Allocated.(ir.PtrType); ok {
-			zero = SymVal{IsPtr: true, Off: w.B.Const(64, 0)}
+			zero = SymVal{E: w.B.Const(64, 0), Obj: nullObj}
 		} else {
 			zero = SymVal{E: w.B.Const(in.Allocated.(ir.IntType).Bits, 0)}
 		}
@@ -339,17 +341,17 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			cells[i] = zero
 		}
 		obj := newObject(f.lay.allocas[f.lay.index(in)], in.Allocated, false, cells)
-		set(SymVal{IsPtr: true, Obj: obj, Off: w.B.Const(64, 0)})
+		set(SymVal{E: w.B.Const(64, 0), Obj: obj})
 		return execOK, nil
 
 	case ir.OpGEP:
 		p := w.ev(st, f, in.Args[0])
 		idx := w.ev(st, f, in.Args[1])
-		if p.Obj == nil {
+		if p.nullPtr() {
 			w.endWithBug(st, BugNullDeref, "pointer arithmetic on null in "+st.Where())
 			return execEnd, nil
 		}
-		set(SymVal{IsPtr: true, Obj: p.Obj, Off: w.B.Bin(ir.OpAdd, p.Off, idx.E)})
+		set(SymVal{E: w.B.Bin(ir.OpAdd, p.E, idx.E), Obj: p.Obj})
 		return execOK, nil
 
 	case ir.OpPtrDiff:
@@ -359,20 +361,20 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			w.endWithBug(st, BugPtrDomain, "ptrdiff across objects in "+st.Where())
 			return execEnd, nil
 		}
-		if a.Obj == nil {
+		if a.nullPtr() {
 			set(SymVal{E: w.B.Const(64, 0)})
 			return execOK, nil
 		}
-		set(SymVal{E: w.B.Bin(ir.OpSub, a.Off, b.Off)})
+		set(SymVal{E: w.B.Bin(ir.OpSub, a.E, b.E)})
 		return execOK, nil
 
 	case ir.OpLoad:
 		p := w.ev(st, f, in.Args[0])
-		if p.Obj == nil {
+		if p.nullPtr() {
 			w.endWithBug(st, BugNullDeref, "load from null in "+st.Where())
 			return execEnd, nil
 		}
-		v, res := w.loadCell(st, p.Obj, p.Off)
+		v, res := w.loadCell(st, p.Obj, p.E)
 		if res != execOK {
 			return res, nil
 		}
@@ -382,7 +384,7 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 	case ir.OpStore:
 		v := w.ev(st, f, in.Args[0])
 		p := w.ev(st, f, in.Args[1])
-		if p.Obj == nil {
+		if p.nullPtr() {
 			w.endWithBug(st, BugNullDeref, "store to null in "+st.Where())
 			return execEnd, nil
 		}
@@ -390,11 +392,15 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			w.endWithBug(st, BugStoreConst, "store to read-only "+p.Obj.Name)
 			return execEnd, nil
 		}
-		return w.storeCell(st, p.Obj, p.Off, v)
+		return w.storeCell(st, p.Obj, p.E, v)
 	}
 	panic("symex: cannot execute " + in.Op.String())
 }
 
+// cmpPointers compares two pointers: by object, then by offset within
+// one. Verified IR never mixes a pointer and an integer in a compare
+// (ir/verify.go rejects it), so both operands are pointers and null is
+// the one object nullObj.
 func (w *worker) cmpPointers(st *State, in *ir.Instr, a, b SymVal, set func(SymVal)) (execResult, []*State) {
 	boolConst := func(v bool) {
 		set(SymVal{E: w.B.Bool(v)})
@@ -403,12 +409,12 @@ func (w *worker) cmpPointers(st *State, in *ir.Instr, a, b SymVal, set func(SymV
 	case ir.OpEq, ir.OpNe:
 		eq := in.Op == ir.OpEq
 		switch {
-		case a.Obj == nil && b.Obj == nil:
+		case a.Obj == nullObj && b.Obj == nullObj:
 			boolConst(eq)
 		case a.Obj != b.Obj:
 			boolConst(!eq)
 		default:
-			c := w.B.Cmp(ir.OpEq, a.Off, b.Off)
+			c := w.B.Cmp(ir.OpEq, a.E, b.E)
 			if !eq {
 				c = w.B.Not(c)
 			}
@@ -421,7 +427,7 @@ func (w *worker) cmpPointers(st *State, in *ir.Instr, a, b SymVal, set func(SymV
 		w.endWithBug(st, BugPtrDomain, "relational pointer comparison across objects in "+st.Where())
 		return execEnd, nil
 	}
-	if a.Obj == nil {
+	if a.Obj == nullObj {
 		boolConst(in.Op == ir.OpULe || in.Op == ir.OpUGe)
 		return execOK, nil
 	}
@@ -438,7 +444,7 @@ func (w *worker) cmpPointers(st *State, in *ir.Instr, a, b SymVal, set func(SymV
 	default:
 		op = ir.OpSGe
 	}
-	set(SymVal{E: w.B.Cmp(op, a.Off, b.Off)})
+	set(SymVal{E: w.B.Cmp(op, a.E, b.E)})
 	return execOK, nil
 }
 
@@ -464,7 +470,7 @@ func (w *worker) loadCell(st *State, obj *MemObject, off *expr.Expr) (SymVal, ex
 	allConst := true
 	for i := int64(0); i < obj.Count; i++ {
 		c := obj.Cell(i)
-		if c.IsPtr {
+		if c.Obj != nil {
 			w.endWithBug(st, BugPtrDomain,
 				"symbolic index into pointer-holding object "+obj.Name)
 			return SymVal{}, execEnd
@@ -509,14 +515,14 @@ func (w *worker) storeCell(st *State, obj *MemObject, off *expr.Expr, v SymVal) 
 	if !w.boundsCheck(st, obj, off, "store") {
 		return execEnd, nil
 	}
-	if v.IsPtr {
+	if v.Obj != nil {
 		w.endWithBug(st, BugPtrDomain,
 			"symbolic-offset store of a pointer into "+obj.Name)
 		return execEnd, nil
 	}
 	for i := int64(0); i < obj.Count; i++ {
 		old := obj.Cell(i)
-		if old.IsPtr {
+		if old.Obj != nil {
 			w.endWithBug(st, BugPtrDomain,
 				"symbolic-offset store into pointer-holding object "+obj.Name)
 			return execEnd, nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"overify/internal/coreutils"
 	"overify/internal/expr"
@@ -43,7 +44,7 @@ func reachable(st *State) []*MemObject {
 	var out []*MemObject
 	var visit func(o *MemObject)
 	visit = func(o *MemObject) {
-		if o == nil || slices.Contains(out, o) {
+		if o == nil || o == nullObj || slices.Contains(out, o) {
 			return
 		}
 		out = append(out, o)
@@ -63,12 +64,11 @@ func reachable(st *State) []*MemObject {
 }
 
 // val is a SymVal with its object named by position in the owning
-// state's reachable list: -1 for none, -2 for an object the state
-// cannot reach — a pointer into some other state.
+// state's reachable list: -1 for none (an integer), -2 for an object the
+// state cannot reach — a pointer into some other state — and -3 for null.
 type val struct {
-	isPtr  bool
-	e, off *expr.Expr
-	obj    int
+	e   *expr.Expr
+	obj int
 }
 
 // image is everything a state can observe of its own registers and
@@ -76,8 +76,11 @@ type val struct {
 func image(st *State) (regs [][]val, cells [][]val) {
 	objs := reachable(st)
 	conv := func(v SymVal) val {
-		out := val{isPtr: v.IsPtr, e: v.E, off: v.Off, obj: -1}
-		if v.Obj != nil {
+		out := val{e: v.E, obj: -1}
+		switch {
+		case v.Obj == nullObj:
+			out.obj = -3
+		case v.Obj != nil:
 			if out.obj = slices.Index(objs, v.Obj); out.obj < 0 {
 				out.obj = -2
 			}
@@ -192,8 +195,8 @@ func forkIsolation(w *worker, parent *State, k *expr.Expr) (*State, map[string]b
 				var v SymVal
 				want, n := val{obj: -1}, uint64(1000*side)+uint64(c)
 				if ptrs { // a pointer to the side's own object i, at a telling offset
-					v = SymVal{IsPtr: true, Obj: objs[i], Off: B.Const(64, n)}
-					want.isPtr, want.obj, want.off = true, i, v.Off
+					v = SymVal{E: B.Const(64, n), Obj: objs[i]}
+					want.obj, want.e = i, v.E
 				} else {
 					v.E = B.Const(o.Elem.(ir.IntType).Bits, n)
 					want.e = v.E
@@ -320,6 +323,19 @@ func TestForkCopiesOnePage(t *testing.T) {
 	}
 	if got := st.Globals[out].Cell(3); got.E == v.E {
 		t.Errorf("a fork's store reached the parent")
+	}
+}
+
+// TestStateLayout pins the widths a fork copies per value and per
+// object: a SymVal is two words (every register, cell and phi batch is
+// made of them), and a MemObject header is the page list, the
+// forwarding stamp and a pointer to the descriptor its forks share.
+func TestStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(SymVal{}); got != 16 {
+		t.Errorf("SymVal is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(MemObject{}); got > 64 {
+		t.Errorf("MemObject header is %d bytes, want at most 64", got)
 	}
 }
 

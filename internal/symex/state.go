@@ -16,18 +16,29 @@ import (
 	"overify/internal/solver"
 )
 
-// SymVal is a symbolic runtime value: an integer expression or a pointer
-// (object + symbolic element offset). A nil Obj with IsPtr set is null.
+// SymVal is a symbolic runtime value in two words. An integer is E with
+// Obj nil; a pointer is Obj with E its 64-bit element offset; null is
+// the pointer whose Obj is nullObj. The zero SymVal is an unassigned
+// register.
 type SymVal struct {
-	IsPtr bool
-	E     *expr.Expr // integer value (nil for pointers)
-	Obj   *MemObject
-	Off   *expr.Expr // element offset, 64-bit
+	E   *expr.Expr
+	Obj *MemObject
 }
 
-// defined reports whether v was ever assigned: the zero SymVal is what
-// an unwritten register holds.
-func (v SymVal) defined() bool { return v.IsPtr || v.E != nil }
+// defined reports whether v was ever assigned: every assigned value,
+// integer or pointer, has an expression.
+func (v SymVal) defined() bool { return v.E != nil }
+
+// nullObj is the object every null pointer names. It has no cells, is
+// read-only (so forks share it and never copy it), and is not a memory
+// object of any state: the codec writes it as object reference 0.
+var nullObj = &MemObject{objInfo: &objInfo{Name: "null", ReadOnly: true}}
+
+// nullPtr reports whether v, read where the IR expects a pointer, is
+// null. An integer in that place (only a hand-made frame can put one
+// there) reads as null too, so it ends the path as a reported bug
+// instead of dereferencing nothing.
+func (v SymVal) nullPtr() bool { return v.Obj == nil || v.Obj == nullObj }
 
 // pageCells is the copy-on-write granule of a memory object's cells.
 const pageCells = 16
@@ -40,32 +51,41 @@ type page struct {
 	own   bool
 }
 
-// MemObject is a memory object whose cells hold symbolic values. The
-// header is per state — pointer comparison and reachability work on
-// header identity — while the cells of an integer-element object are
-// shared across forks page by page until one side writes.
-type MemObject struct {
+// objInfo is what never changes about a memory object, shared by every
+// fork of it: the header a fork copies is only the page list and the
+// forwarding stamp.
+type objInfo struct {
 	Name     string
 	Elem     ir.Type
 	Count    int64
 	ReadOnly bool // never written: shared across states without cloning
-	shared   bool // pages is also another state's list: copy it before writing
-	pages    []page
-
-	// fwd is this object's copy in the state forked as fwdID. The state
-	// that owns the object is held by one worker at a time, so clone
-	// stamps it unsynchronized; read-only objects are never forwarded.
-	fwd   *MemObject
-	fwdID int64
 
 	// table memoizes a read-only object's constant cells for symbolic-
 	// offset loads; every state and worker shares the object, hence atomic.
 	table atomic.Pointer[[]uint64]
 }
 
+// MemObject is a memory object whose cells hold symbolic values. The
+// header is per state — pointer comparison and reachability work on
+// header identity — while the descriptor is shared by all forks and the
+// cells of an integer-element object are shared page by page until one
+// side writes.
+type MemObject struct {
+	*objInfo
+	pages []page
+
+	// fwd is this object's copy in the state forked as fwdID. The state
+	// that owns the object is held by one worker at a time, so clone
+	// stamps it unsynchronized; read-only objects are never forwarded.
+	fwd    *MemObject
+	fwdID  int64
+	shared bool // pages is also another state's list: copy it before writing
+}
+
 // newObject builds an object over cells, which it takes ownership of.
 func newObject(name string, elem ir.Type, readOnly bool, cells []SymVal) *MemObject {
-	return &MemObject{Name: name, Elem: elem, Count: int64(len(cells)), ReadOnly: readOnly, pages: paginate(cells)}
+	info := &objInfo{Name: name, Elem: elem, Count: int64(len(cells)), ReadOnly: readOnly}
+	return &MemObject{objInfo: info, pages: paginate(cells)}
 }
 
 // paginate cuts cells into owned pages without copying them.
@@ -109,7 +129,7 @@ func (o *MemObject) forkTo(id int64) *MemObject {
 	if o.fwd != nil && o.fwdID == id {
 		return o.fwd
 	}
-	n := &MemObject{Name: o.Name, Elem: o.Elem, Count: o.Count}
+	n := &MemObject{objInfo: o.objInfo}
 	o.fwd, o.fwdID = n, id
 	if _, ptrs := o.Elem.(ir.PtrType); !ptrs {
 		o.shared, n.shared, n.pages = true, true, o.pages
@@ -217,8 +237,9 @@ func (st *State) addPCPart(c *expr.Expr, p *solver.Partition) {
 
 // clone forks the state: the child gets its own object headers (for
 // every object still reachable from a global, a register or a pointer
-// cell), register files and path condition; integer cells, read-only
-// objects, the partition and all expression nodes are shared.
+// cell), register files and path condition; object descriptors, integer
+// cells, read-only objects, the partition and all expression nodes are
+// shared.
 func (st *State) clone(nextID int64) *State {
 	ns := &State{
 		ID:      nextID,

@@ -31,6 +31,7 @@ type worker struct {
 	localInstrs int64     // not yet flushed to e.instrs
 	lastAssigns int64     // solver assignments already flushed to e.assigns
 	lastBlock   *ir.Block // last block fed to the coverage map
+	phiVals     []SymVal  // jump's batch of phi values, reused per jump
 }
 
 // run is the worker loop: take a state, explore its whole subtree

@@ -2,13 +2,35 @@ package expr
 
 import "overify/internal/ir"
 
+// Binding is one variable's value in a Model.
+type Binding struct {
+	Var *Var
+	Val uint64
+}
+
+// Model is an assignment of values to variables: a flat binding list,
+// each variable at most once, in no particular order. A variable it does
+// not bind reads as zero. The solver's models bind a handful of input
+// bytes, so a lookup is a short scan and a model is one allocation.
+type Model []Binding
+
+// Value returns v's value under the model (zero when unbound).
+func (m Model) Value(v *Var) uint64 {
+	for _, b := range m {
+		if b.Var == v {
+			return b.Val
+		}
+	}
+	return 0
+}
+
 // Eval evaluates e under a complete assignment of its variables, using
 // the shared ir scalar semantics. Missing variables evaluate to zero.
 // One-shot convenience over Evaluator (which amortizes the memo across
 // calls).
-func Eval(e *Expr, asn map[*Var]uint64) uint64 {
+func Eval(e *Expr, m Model) uint64 {
 	ev := NewEvaluator()
-	ev.Bind(asn)
+	ev.Bind(m)
 	return ev.Eval(e)
 }
 
@@ -19,7 +41,7 @@ func Eval(e *Expr, asn map[*Var]uint64) uint64 {
 // model-reuse probe evaluates the constraints a branch added under each
 // recent model through one of these.
 type Evaluator struct {
-	asn  map[*Var]uint64
+	asn  Model
 	memo map[*Expr]stampedVal
 	gen  uint32
 }
@@ -36,8 +58,8 @@ func NewEvaluator() *Evaluator {
 
 // Bind sets the assignment for subsequent Eval calls and invalidates
 // all memoized results.
-func (ev *Evaluator) Bind(asn map[*Var]uint64) {
-	ev.asn = asn
+func (ev *Evaluator) Bind(m Model) {
+	ev.asn = m
 	ev.gen++
 }
 
@@ -52,7 +74,7 @@ func (ev *Evaluator) Eval(e *Expr) uint64 {
 	case KConst:
 		r = e.Val
 	case KVar:
-		r = ir.Mask(e.Bits, ev.asn[e.V])
+		r = ir.Mask(e.Bits, ev.asn.Value(e.V))
 	case KBin:
 		a := ev.Eval(e.Args[0])
 		b := ev.Eval(e.Args[1])

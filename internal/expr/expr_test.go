@@ -108,7 +108,7 @@ func TestSimplifierSoundness(t *testing.T) {
 		for _, v := range vars {
 			asn[v] = uint64(r.Intn(256))
 		}
-		got := Eval(e, asn)
+		got := Eval(e, modelOf(asn))
 		// An independent evaluator: partial evaluation with a full
 		// assignment must agree with Eval.
 		pe := NewPartialEvaluator(asn)
@@ -137,7 +137,7 @@ func TestPartialEvalConservative(t *testing.T) {
 		}
 		// Try several completions; all must agree with the partial value.
 		for k := 0; k < 16; k++ {
-			full := map[*Var]uint64{vars[0]: partial[vars[0]], vars[1]: uint64(r.Intn(256))}
+			full := Model{{Var: vars[0], Val: partial[vars[0]]}, {Var: vars[1], Val: uint64(r.Intn(256))}}
 			if got := Eval(e, full); got != res.Val {
 				t.Fatalf("trial %d: partial said %d but completion gives %d for %s",
 					trial, res.Val, got, e)
@@ -155,7 +155,7 @@ func TestReadNode(t *testing.T) {
 	if e.Kind != KRead {
 		t.Fatalf("kind = %v", e.Kind)
 	}
-	if got := Eval(e, map[*Var]uint64{v: 2}); got != 30 {
+	if got := Eval(e, Model{{Var: v, Val: 2}}); got != 30 {
 		t.Errorf("read[2] = %d", got)
 	}
 	// Constant index folds at build time.
@@ -316,4 +316,14 @@ func TestSmallConstTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// modelOf is the model binding what a partial evaluator's assignment
+// binds.
+func modelOf(asn map[*Var]uint64) Model {
+	m := make(Model, 0, len(asn))
+	for v, val := range asn {
+		m = append(m, Binding{Var: v, Val: val})
+	}
+	return m
 }

@@ -128,10 +128,10 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		b := NewBuilder()
 		e := randomExpr(r, b, vars, 4)
-		asn := map[*Var]uint64{}
+		var asn Model
 		for _, v := range vars {
 			if r.Intn(3) > 0 { // sometimes missing: must read as zero
-				asn[v] = uint64(r.Intn(256))
+				asn = append(asn, Binding{Var: v, Val: uint64(r.Intn(256))})
 			}
 		}
 		ev.Bind(asn)

@@ -21,6 +21,7 @@ func (inlinePass) Preserves() AnalysisSet { return NoAnalyses }
 
 func (inlinePass) Run(m *ir.Module, cx *Context) bool {
 	changed := false
+	recursive := recursiveFuncs(m)
 	rounds := cx.Cost.InlineRounds
 	if rounds <= 0 {
 		rounds = 1
@@ -31,7 +32,7 @@ func (inlinePass) Run(m *ir.Module, cx *Context) bool {
 			if f.IsDeclaration() {
 				continue
 			}
-			if inlineIntoFunc(f, cx) {
+			if inlineIntoFunc(f, cx, recursive) {
 				cx.Invalidate(f, NoAnalyses)
 				any = true
 			}
@@ -44,11 +45,46 @@ func (inlinePass) Run(m *ir.Module, cx *Context) bool {
 	return changed
 }
 
-func inlineIntoFunc(caller *ir.Function, cx *Context) bool {
+// recursiveFuncs returns the defined functions that can reach themselves
+// through direct calls, by direct or by mutual recursion. Such a callee
+// is never inlined: inlining it copies a call round its cycle into the
+// caller, which the next search finds again, until the growth cap stops
+// it. Inlining only ever copies a callee's calls into its caller, so it
+// creates no cycle, and the set holds for the whole run.
+func recursiveFuncs(m *ir.Module) map[*ir.Function]bool {
+	callees := make(map[*ir.Function][]*ir.Function)
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall && !in.Callee.IsDeclaration() {
+					callees[f] = append(callees[f], in.Callee)
+				}
+			}
+		}
+	}
+	recursive := make(map[*ir.Function]bool)
+	for _, f := range m.Funcs {
+		seen := make(map[*ir.Function]bool)
+		work := append([]*ir.Function(nil), callees[f]...)
+		for len(work) > 0 && !recursive[f] {
+			g := work[len(work)-1]
+			work = work[:len(work)-1]
+			if g == f {
+				recursive[f] = true
+			} else if !seen[g] {
+				seen[g] = true
+				work = append(work, callees[g]...)
+			}
+		}
+	}
+	return recursive
+}
+
+func inlineIntoFunc(caller *ir.Function, cx *Context, recursive map[*ir.Function]bool) bool {
 	defer dumpOnPanic("inline", caller)
 	changed := false
 	for {
-		call := findInlinableCall(caller, cx)
+		call := findInlinableCall(caller, cx, recursive)
 		if call == nil {
 			return changed
 		}
@@ -58,7 +94,7 @@ func inlineIntoFunc(caller *ir.Function, cx *Context) bool {
 	}
 }
 
-func findInlinableCall(caller *ir.Function, cx *Context) *ir.Instr {
+func findInlinableCall(caller *ir.Function, cx *Context, recursive map[*ir.Function]bool) *ir.Instr {
 	callerSize := caller.NumInstrs()
 	for _, b := range caller.Blocks {
 		for _, in := range b.Instrs {
@@ -66,7 +102,7 @@ func findInlinableCall(caller *ir.Function, cx *Context) *ir.Instr {
 				continue
 			}
 			callee := in.Callee
-			if callee == caller || callee.IsDeclaration() {
+			if callee.IsDeclaration() || recursive[callee] {
 				continue
 			}
 			size := callee.NumInstrs()

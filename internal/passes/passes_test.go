@@ -343,3 +343,39 @@ func TestPipelineIdempotent(t *testing.T) {
 		t.Errorf("second pipeline run grew the function: %d -> %d", before, after)
 	}
 }
+
+// TestInlineSkipsRecursion: a callee that can reach itself through the
+// call graph is never inlined — neither a self-recursive one nor either
+// of a mutually recursive pair — because inlining it copies a call round
+// its cycle into the caller, and the next search finds that call again,
+// until the growth cap stops it. The non-recursive callee still goes.
+func TestInlineSkipsRecursion(t *testing.T) {
+	src := `
+	int odd(int d);
+	int even(int d) { if (d == 0) { return 1; } return odd(d - 1); }
+	int odd(int d) { if (d == 0) { return 0; } return even(d - 1); }
+	int down(int d) { if (d == 0) { return 0; } return 1 + down(d - 1); }
+	int sq(int x) { return x * x; }
+	int f(int a) { return even(a) + down(a) + sq(a); }`
+	mod, cx := run(t, src, passes.Inline())
+	if cx.Stats.FunctionsInlined != 1 {
+		t.Errorf("inlined %d call sites, want 1 (sq)", cx.Stats.FunctionsInlined)
+	}
+	calls := map[string]int{}
+	for _, b := range mod.Func("f").Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				calls[in.Callee.Name]++
+			}
+		}
+	}
+	if calls["even"] != 1 || calls["down"] != 1 || calls["sq"] != 0 || len(calls) != 2 {
+		t.Errorf("f calls %v, want even and down once each", calls)
+	}
+	if got := exec(t, mod, "f", i32(5)); got != 0+5+25 {
+		t.Errorf("f(5) = %d, want 30", got)
+	}
+	if got := exec(t, mod, "f", i32(4)); got != 1+4+16 {
+		t.Errorf("f(4) = %d, want 21", got)
+	}
+}

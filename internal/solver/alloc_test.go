@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"overify/internal/expr"
+	"overify/internal/ir"
 )
 
 // TestSearchSteadyStateAllocs pins what a search allocates once its
@@ -86,5 +87,60 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("a second propagation run over %d slots allocated %v times, want 0", len(tp.ops), n)
 		}
+	}
+}
+
+// TestBranchQueryAllocs pins what a branch query allocates outside the
+// search. Extending a partition by a constraint that joins one of its
+// groups allocates the new partition, its history node, its group list,
+// the merged group and that group's constraint list — five, however
+// many constraints the group holds: the key is updated, not rebuilt, and
+// no id list is kept or sorted. A query whose groups all carry verdicts
+// but which no remembered model satisfies allocates its model, once.
+func TestBranchQueryAllocs(t *testing.T) {
+	b := expr.NewBuilder()
+	vs := vars(2)
+	x, y := b.Var(vs[0]), b.Var(vs[1])
+	var p *Partition
+	for i := 0; i < 40; i++ {
+		p = p.Extend(b.Cmp(ir.OpNe, x, b.Const(8, uint64(i))))
+	}
+	p = p.Extend(b.Cmp(ir.OpULt, y, b.Const(8, 100)))
+	c := b.Cmp(ir.OpULt, x, b.Const(8, 200))
+	if n := testing.AllocsPerRun(100, func() {
+		if q := p.Extend(c); len(q.Groups()) != 2 || q.Len() != 42 {
+			t.Fatalf("extension has %d groups, %d constraints", len(q.Groups()), q.Len())
+		}
+	}); n != 5 {
+		t.Errorf("a single-group Extend allocated %v times, want 5", n)
+	}
+
+	// Two queries whose groups a warm solver decided, alternated on a
+	// solver remembering one model: each misses the other's model.
+	yc := b.Cmp(ir.OpEq, y, b.Const(8, 9))
+	qs := []*Partition{
+		PartitionOf([]*expr.Expr{b.Cmp(ir.OpEq, x, b.Const(8, 7)), yc}),
+		PartitionOf([]*expr.Expr{b.Cmp(ir.OpEq, x, b.Const(8, 8)), yc}),
+	}
+	warm := New(Options{})
+	for _, q := range qs {
+		if sat, _, err := warm.SatPartition(q); err != nil || !sat {
+			t.Fatalf("sat=%v err=%v", sat, err)
+		}
+	}
+	s := New(Options{ModelHistory: 1})
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		sat, m, err := s.SatPartition(qs[i%2])
+		if err != nil || !sat || len(m) != 2 || m.Value(vs[0]) != uint64(7+i%2) {
+			t.Fatalf("query %d: sat=%v model=%v err=%v", i, sat, m, err)
+		}
+		i++
+	})
+	if s.Stats.ModelReuseHits != 0 || s.Stats.PartitionHits != 2*s.Stats.Queries || s.Stats.TapeCompiles != 0 {
+		t.Fatalf("not a carried-verdict reuse miss: %+v", s.Stats)
+	}
+	if n != 1 {
+		t.Errorf("a reuse-miss query over decided groups allocated %v times, want 1 (the model)", n)
 	}
 }

@@ -81,23 +81,6 @@ func BenchmarkIncrementalPC(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupKey(b *testing.B) {
-	bld := expr.NewBuilder()
-	pc := corpusPC(bld, benchVars(8))
-	groups := PartitionOf(pc).Groups()
-	ids := make([][]int64, len(groups))
-	for i, g := range groups {
-		ids[i] = g.ids
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range ids {
-			_ = fingerprintIDs(g)
-		}
-	}
-}
-
 // BenchmarkPartitionExtend appends one constraint to an already-carried
 // partition — the per-branch incremental cost the engine actually pays.
 func BenchmarkPartitionExtend(b *testing.B) {

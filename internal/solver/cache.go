@@ -38,9 +38,9 @@ type cacheShard struct {
 // symbolic-execution engine gives every worker its own Solver (the
 // search state is not concurrency-safe) but layers one Cache under all
 // of them, so a group decided by any worker is a hit for every other.
-// Keys are group fingerprints (sorted hash-consed expression ids mixed
-// into a fixed-size comparable value), so a Cache belongs to the one
-// expr.Builder that numbered those nodes (symex.Warm pairs the two).
+// Keys are group fingerprints (set hashes of hash-consed expression
+// ids, fingerprint.go), so a Cache belongs to the one expr.Builder that
+// numbered those nodes (symex.Warm pairs the two).
 //
 // A Cache is safe for concurrent use.
 //

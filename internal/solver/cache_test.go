@@ -22,7 +22,7 @@ func TestCacheSharedAcrossSolvers(t *testing.T) {
 	s2 := NewWithCache(Options{}, shared)
 
 	sat, model, err := s1.Sat(q)
-	if err != nil || !sat || model[v] != 42 {
+	if err != nil || !sat || model.Value(v) != 42 {
 		t.Fatalf("s1: sat=%v model=%v err=%v", sat, model, err)
 	}
 	if shared.Snapshot().Entries == 0 {
@@ -31,7 +31,7 @@ func TestCacheSharedAcrossSolvers(t *testing.T) {
 
 	before := shared.Snapshot().Hits
 	sat, model, err = s2.Sat(q)
-	if err != nil || !sat || model[v] != 42 {
+	if err != nil || !sat || model.Value(v) != 42 {
 		t.Fatalf("s2: sat=%v model=%v err=%v", sat, model, err)
 	}
 	if s2.Stats.CacheHits == 0 {
@@ -76,7 +76,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := fingerprintIDs([]int64{int64(i % 97)})
+				key := idKey(int64(i % 97))
 				if _, ok := c.get(key); !ok {
 					c.put(key, cacheEntry{sat: i%2 == 0})
 				}
@@ -100,7 +100,7 @@ func TestCacheUnboundedKeepsNoRing(t *testing.T) {
 	c := NewCache()
 	const n = 4096
 	for i := 0; i < n; i++ {
-		c.put(fingerprintIDs([]int64{int64(i)}), cacheEntry{sat: true})
+		c.put(idKey(int64(i)), cacheEntry{sat: true})
 	}
 	if got := c.Snapshot().Entries; got != n {
 		t.Errorf("Entries = %d, want %d", got, n)

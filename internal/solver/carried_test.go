@@ -53,9 +53,9 @@ func byteConstraints(b *expr.Builder, vs []*expr.Var, rng *rand.Rand, n int) []*
 // of v under which every constraint holds.
 func enumerate(cs []*expr.Expr, v *expr.Var) domain {
 	var d domain
-	asn := map[*expr.Var]uint64{}
+	asn := expr.Model{{Var: v}}
 	for val := uint64(0); val < 256; val++ {
-		asn[v] = val
+		asn[0].Val = val
 		if satisfies(cs, asn) {
 			d[val/64] |= 1 << (val % 64)
 		}
@@ -278,7 +278,7 @@ func TestCarriedDomainIsIncremental(t *testing.T) {
 		p = p.Extend(c)
 		st := s.Stats
 		sat, model, err := s.SatPartition(p)
-		if err != nil || !sat || model[v] != uint64(i+1) {
+		if err != nil || !sat || model.Value(v) != uint64(i+1) {
 			t.Fatalf("step %d: sat=%v model=%v err=%v", i+1, sat, model, err)
 		}
 		if s.Stats.TapeCompiles != st.TapeCompiles+1 {
@@ -331,7 +331,7 @@ func TestDeadlineStopsSearch(t *testing.T) {
 	}
 	s = New(opts)
 	sat, model, err := s.Sat(cs)
-	if err != nil || !sat || model[vs[0]] != 255 || model[vs[1]] != 255 || model[vs[2]] != 255 {
+	if err != nil || !sat || model.Value(vs[0]) != 255 || model.Value(vs[1]) != 255 || model.Value(vs[2]) != 255 {
 		t.Fatalf("without a deadline: sat=%v model=%v err=%v", sat, model, err)
 	}
 	if s.Stats.Assignments != full {

@@ -1,8 +1,9 @@
 package solver
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"overify/internal/expr"
 	"overify/internal/ir"
@@ -85,7 +86,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	t := &sc.t
 	t.vars = append(t.vars[:0], vs.Vars()...)
 	vars := t.vars
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
+	slices.SortFunc(vars, func(a, b *expr.Var) int { return cmp.Compare(a.Name, b.Name) })
 	// Var index by linear scan: groups have at most a handful of
 	// variables, so this beats a map and allocates nothing.
 	varIdx := func(v *expr.Var) int32 {

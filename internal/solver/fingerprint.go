@@ -1,13 +1,54 @@
 package solver
 
-// Fingerprint is a fixed-size comparable group key: the sorted
-// hash-consed node ids of a constraint group mixed into 128 bits.
-// It replaces the old sorted-strconv string keys, so cache lookups
-// neither allocate nor hash variable-length strings; at 128 bits a
-// collision between distinct groups is never expected in practice
-// (about 2^-64 per pair of groups).
+// Fingerprint is a fixed-size comparable group key: an additive set
+// hash of the group's constraints. Each constraint's hash-consed node id
+// is mixed into two 64-bit lanes by two unrelated full-avalanche
+// permutations (idKey), and a group's key is the lane-wise sum, mod
+// 2^64, of its constraints' keys. A sum does not depend on constraint
+// order; merging groups adds their keys, with no id list kept and
+// nothing sorted; and the key of a prefix of a group's constraints is
+// the group's key less the keys of the rest (Solver.carriedSet).
+//
+// Collisions. Hash-consing gives distinct constraints distinct ids, and
+// a group holds each constraint once (Extend drops a duplicate), so two
+// distinct groups share a key only if the keys of the constraints one
+// holds and the other does not sum to the same value in both lanes at
+// once. With the mixed ids behaving as independent uniform values that
+// is about 2^-64 per lane, 2^-128 for a given pair of groups. A sum is
+// no defence against ids chosen to collide (a generalized-birthday
+// search finds subsets with equal sums), but no input chooses ids: they
+// are the builder's own sequence numbers.
 type Fingerprint struct {
 	hi, lo uint64
+}
+
+// idKey is the key of the one-constraint group holding node id: the id
+// through mix64 in one lane and through fmix64 in the other, each offset
+// by a constant so that no id maps to the empty group's zero key.
+func idKey(id int64) Fingerprint {
+	x := uint64(id)
+	return Fingerprint{hi: mix64(x ^ 0x9e3779b97f4a7c15), lo: fmix64(x ^ 0xc2b2ae3d27d4eb4f)}
+}
+
+// plus is the key of the union of two disjoint groups.
+func (f Fingerprint) plus(g Fingerprint) Fingerprint {
+	return Fingerprint{hi: f.hi + g.hi, lo: f.lo + g.lo}
+}
+
+// minus is the key of f's group without g's constraints, which it holds.
+func (f Fingerprint) minus(g Fingerprint) Fingerprint {
+	return Fingerprint{hi: f.hi - g.hi, lo: f.lo - g.lo}
+}
+
+// fmix64 is MurmurHash3's 64-bit finalizer: a second full-avalanche
+// permutation, with constants unrelated to mix64's.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // mix64 is the splitmix64 finalizer, a full-avalanche 64-bit
@@ -40,7 +81,7 @@ func (f Fingerprint) Hex() string {
 }
 
 // Hasher streams arbitrary bytes into a 128-bit Fingerprint with the
-// same mixing the group fingerprints use — the generalization that lets
+// mix64 permutation the group keys use — the generalization that lets
 // content keys cover canonical IR text, pipeline specs and config
 // strings, not just hash-consed node ids. It implements io.Writer and
 // never returns an error.
@@ -51,7 +92,7 @@ type Hasher struct {
 	total  uint64
 }
 
-// NewHasher returns a hasher seeded like fingerprintIDs.
+// NewHasher returns an empty hasher.
 func NewHasher() *Hasher {
 	return &Hasher{hi: 0x9e3779b97f4a7c15, lo: 0xc2b2ae3d27d4eb4f}
 }
@@ -116,18 +157,4 @@ func (h *Hasher) Sum() Fingerprint {
 	// padding or chunk boundaries stay distinct.
 	x := mix64(h.total)
 	return Fingerprint{hi: mix64(hi ^ x), lo: lo*0x100000001b3 + x}
-}
-
-// fingerprintIDs hashes a sorted id list. The list must be canonical
-// (sorted, deduplicated) — Group maintains that invariant — so equal
-// groups map to equal fingerprints regardless of constraint order.
-func fingerprintIDs(ids []int64) Fingerprint {
-	hi := 0x9e3779b97f4a7c15 ^ uint64(len(ids))
-	lo := 0xc2b2ae3d27d4eb4f + uint64(len(ids))
-	for _, id := range ids {
-		x := mix64(uint64(id))
-		hi = mix64(hi ^ x)
-		lo = lo*0x100000001b3 + x
-	}
-	return Fingerprint{hi: hi, lo: lo}
 }

@@ -128,7 +128,7 @@ func FuzzCompiledEval(f *testing.F) {
 						if !known {
 							t.Fatalf("worker %d: fully assigned constraint %d unknown", worker, ci)
 						}
-						if want := expr.Eval(c, asn); val != want {
+						if want := expr.Eval(c, modelOf(asn)); val != want {
 							t.Errorf("worker %d full: constraint %d tape=%d eval=%d for %s",
 								worker, ci, val, want, c)
 						}
@@ -155,4 +155,14 @@ func FuzzCompiledEval(f *testing.F) {
 			wg.Wait()
 		}
 	})
+}
+
+// modelOf is the model binding what a partial evaluator's assignment
+// binds.
+func modelOf(asn map[*expr.Var]uint64) expr.Model {
+	m := make(expr.Model, 0, len(asn))
+	for v, val := range asn {
+		m = append(m, expr.Binding{Var: v, Val: val})
+	}
+	return m
 }

@@ -1,7 +1,7 @@
 package solver
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"overify/internal/expr"
@@ -14,10 +14,9 @@ import (
 // (on any worker) that still holds the group reuses the verdict without
 // even a cache probe.
 type Group struct {
-	cs  []*expr.Expr // constraints in append order (deduplicated)
-	ids []int64      // sorted node ids (canonical identity)
-	vs  *expr.VarSet // union of the constraints' variable sets
-	fp  Fingerprint  // memoized cache key over ids
+	cs []*expr.Expr // constraints in append order, each once
+	vs *expr.VarSet // union of the constraints' variable sets
+	fp Fingerprint  // set hash of the constraints (fingerprint.go)
 
 	// verdict holds the decided entry once any solver has decided the
 	// group. Stores are idempotent: the backtracking search is
@@ -35,42 +34,33 @@ func (g *Group) Constraints() []*expr.Expr { return g.cs }
 // Vars returns the group's variable set.
 func (g *Group) Vars() *expr.VarSet { return g.vs }
 
-// contains reports whether the group already holds the node id.
-func (g *Group) contains(id int64) bool {
-	i := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= id })
-	return i < len(g.ids) && g.ids[i] == id
-}
-
 func newGroup(c *expr.Expr) *Group {
-	g := &Group{cs: []*expr.Expr{c}, ids: []int64{c.ID()}, vs: c.VarSet()}
-	g.fp = fingerprintIDs(g.ids)
-	return g
+	return &Group{cs: []*expr.Expr{c}, vs: c.VarSet(), fp: idKey(c.ID())}
 }
 
-// mergeGroups builds the group holding every constraint of gs plus c
-// (c skipped when already present in one of them).
+// mergeGroups builds the group holding every group of gs that shares a
+// variable with c, and c. c is in none of them: a constraint already in
+// a group touches that group alone, and Extend returns before merging
+// it. The key is the sum of the parts' keys and c's, so no constraint of
+// the parts is read to build it.
 func mergeGroups(gs []*Group, c *expr.Expr) *Group {
+	vs := c.VarSet()
 	n := 1
 	for _, g := range gs {
-		n += len(g.cs)
-	}
-	m := &Group{cs: make([]*expr.Expr, 0, n), ids: make([]int64, 0, n)}
-	dup := false
-	for _, g := range gs {
-		m.cs = append(m.cs, g.cs...)
-		m.ids = append(m.ids, g.ids...)
-		m.vs = expr.MergeVarSets(m.vs, g.vs)
-		if g.contains(c.ID()) {
-			dup = true
+		if g.vs.Intersects(vs) {
+			n += len(g.cs)
 		}
 	}
-	if !dup {
-		m.cs = append(m.cs, c)
-		m.ids = append(m.ids, c.ID())
-		m.vs = expr.MergeVarSets(m.vs, c.VarSet())
+	m := &Group{cs: make([]*expr.Expr, 0, n), fp: idKey(c.ID())}
+	for _, g := range gs {
+		if g.vs.Intersects(vs) {
+			m.cs = append(m.cs, g.cs...)
+			m.vs = expr.MergeVarSets(m.vs, g.vs)
+			m.fp = m.fp.plus(g.fp)
+		}
 	}
-	sort.Slice(m.ids, func(i, j int) bool { return m.ids[i] < m.ids[j] })
-	m.fp = fingerprintIDs(m.ids)
+	m.cs = append(m.cs, c)
+	m.vs = expr.MergeVarSets(m.vs, vs)
 	return m
 }
 
@@ -87,7 +77,8 @@ func mergeGroups(gs []*Group, c *expr.Expr) *Group {
 // condition a small memo of which recent models satisfy it. That is
 // what makes the solver's model-reuse probe incremental — a model
 // satisfies P.Extend(c) iff it satisfies P and c — see
-// Solver.modelSatisfies.
+// Solver.modelSatisfies. The history is also the condition's only list
+// of its constraints (AppendConstraints).
 //
 // A nil *Partition is the empty path condition.
 type Partition struct {
@@ -202,6 +193,25 @@ func (p *Partition) Len() int {
 	return n
 }
 
+// AppendConstraints appends the partition's condition to dst, oldest
+// first, and returns the extended slice: the constraint of every
+// extension that recorded itself, which is each constraint the
+// condition was built from except the constant trues and duplicates
+// Extend dropped. PartitionOf of the list is the same condition. The
+// unsat partition has no history, so it appends nothing: a caller that
+// must tell it from the empty condition checks Trivial.
+func (p *Partition) AppendConstraints(dst []*expr.Expr) []*expr.Expr {
+	if p == nil {
+		return dst
+	}
+	n := len(dst)
+	for h := p.hist; h != nil; h = h.parent {
+		dst = append(dst, h.c)
+	}
+	slices.Reverse(dst[n:])
+	return dst
+}
+
 // Extend returns the partition of the condition with c appended. The
 // receiver is unchanged: untouched groups are shared by pointer (their
 // decided verdicts ride along), and only the groups whose variables
@@ -224,20 +234,19 @@ func (p *Partition) Extend(c *expr.Expr) *Partition {
 		groups, hist = p.groups, p.hist
 	}
 	vs := c.VarSet()
-	var touched []*Group
-	first := -1
+	first, touched := -1, 0
 	for i, g := range groups {
 		if g.vs.Intersects(vs) {
 			if first < 0 {
 				first = i
 			}
-			touched = append(touched, g)
+			touched++
 		}
 	}
-	if len(touched) == 1 && touched[0].contains(c.ID()) {
+	if touched == 1 && slices.Contains(groups[first].cs, c) {
 		return p
 	}
-	np := &Partition{groups: make([]*Group, 0, len(groups)+1), hist: &reuseNode{parent: hist, c: c}}
+	np := &Partition{groups: make([]*Group, 0, len(groups)+1-touched), hist: &reuseNode{parent: hist, c: c}}
 	if first < 0 {
 		// Independent of everything so far: a fresh group at the end
 		// (mirroring first-constraint order).
@@ -245,7 +254,7 @@ func (p *Partition) Extend(c *expr.Expr) *Partition {
 		np.groups = append(np.groups, newGroup(c))
 		return np
 	}
-	merged := mergeGroups(touched, c)
+	merged := mergeGroups(groups[first:], c)
 	for i, g := range groups {
 		switch {
 		case i == first:

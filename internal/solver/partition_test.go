@@ -183,6 +183,29 @@ func TestFingerprintCanonical(t *testing.T) {
 		}
 		seen[fp] = true
 	}
+
+	// The key carriedSet finds for each prefix of a group's constraints,
+	// by subtracting the keys of the constraints after it, is the key of
+	// that prefix partitioned from scratch: the sum of its groups' keys
+	// (one group when the prefix is connected, as the prefixes of a
+	// single-variable group are).
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 50; trial++ {
+		bld := expr.NewBuilder()
+		for _, g := range PartitionOf(randomStream(bld, vars(4), rng, 16)).Groups() {
+			fp := g.Fingerprint()
+			for k := len(g.cs) - 1; k >= 1; k-- {
+				fp = fp.minus(idKey(g.cs[k].ID()))
+				var want Fingerprint
+				for _, pg := range PartitionOf(g.cs[:k]).Groups() {
+					want = want.plus(pg.Fingerprint())
+				}
+				if fp != want {
+					t.Fatalf("trial %d: prefix %d of %v: key by subtraction %v, from scratch %v", trial, k, g.cs, fp, want)
+				}
+			}
+		}
+	}
 }
 
 // TestOptionDefaults pins the documented defaults: the Options comments

@@ -72,7 +72,7 @@ func portfolioConfig(i int) searchConfig {
 // (or nodes) is a stall: an attempt the wall-clock deadline ended
 // (errDeadline) ends the query there — no race is counted for it and no
 // further attempt rebuilds the tape state just to read the same clock.
-func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var]uint64, error) {
+func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, expr.Model, error) {
 	stall := s.opts.PortfolioStall
 	if stall <= 0 {
 		stall = 4096
@@ -80,7 +80,7 @@ func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, map[*expr.Var
 	if stall > s.opts.MaxWork {
 		stall = s.opts.MaxWork
 	}
-	attempt := func(cfg searchConfig, budget int64) (bool, map[*expr.Var]uint64, error) {
+	attempt := func(cfg searchConfig, budget int64) (bool, expr.Model, error) {
 		d := make([]domain, len(domains))
 		copy(d, domains)
 		sat, model, err := s.searchTape(t, d, cfg, budget)

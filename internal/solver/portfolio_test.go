@@ -44,8 +44,8 @@ func TestPortfolioBeatsFixedOrder(t *testing.T) {
 	if err != nil || !psat {
 		t.Fatalf("portfolio: sat=%v err=%v", psat, err)
 	}
-	for _, v := range pmodel {
-		if v != 255 {
+	for _, b := range pmodel {
+		if b.Val != 255 {
 			t.Fatalf("portfolio model: %v (want all-255)", pmodel)
 		}
 	}
@@ -77,8 +77,8 @@ func TestPortfolioDeterministic(t *testing.T) {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}
 		byName := make(map[string]uint64, len(model))
-		for v, val := range model {
-			byName[v.Name] = val
+		for _, b := range model {
+			byName[b.Var.Name] = b.Val
 		}
 		return s.Stats, byName
 	}

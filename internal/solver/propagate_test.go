@@ -113,8 +113,8 @@ func TestPropagateCollapsesDomain(t *testing.T) {
 	if !got {
 		t.Fatal("satisfiable ls query reported unsat")
 	}
-	if model[vs[0]] != 47 {
-		t.Errorf("model v0 = %d, want 47", model[vs[0]])
+	if model.Value(vs[0]) != 47 {
+		t.Errorf("model v0 = %d, want 47", model.Value(vs[0]))
 	}
 	if s.Stats.Assignments > 10_000 {
 		t.Errorf("search tried %d assignments, want < 10000 (propagation must prune first)", s.Stats.Assignments)
@@ -298,12 +298,12 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		// satUpTo is the longest prefix of cs some assignment satisfies:
 		// cs[:k] is satisfiable exactly when k <= satUpTo.
 		satUpTo := 0
-		asn := make(map[*expr.Var]uint64, 2)
+		asn := expr.Model{{Var: vs[0]}, {Var: vs[1]}}
 		ev := expr.NewEvaluator()
 	brute:
 		for a := uint64(0); a < 256; a++ {
 			for c := uint64(0); c < 256; c++ {
-				asn[vs[0]], asn[vs[1]] = a, c
+				asn[0].Val, asn[1].Val = a, c
 				ev.Bind(asn)
 				k := 0
 				for k < len(cs) && ev.Eval(cs[k]) != 0 {

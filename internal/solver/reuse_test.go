@@ -15,7 +15,7 @@ import (
 // slice evaluated under the model by a fresh evaluator, no partition,
 // nothing carried between calls. It is the oracle the incremental reuse
 // probe (Solver.modelSatisfies) is held to.
-func satisfies(constraints []*expr.Expr, model map[*expr.Var]uint64) bool {
+func satisfies(constraints []*expr.Expr, model expr.Model) bool {
 	ev := expr.NewEvaluator()
 	ev.Bind(model)
 	for _, c := range constraints {
@@ -55,18 +55,18 @@ func (mp memoPath) extend(c *expr.Expr) memoPath {
 	}
 }
 
-func sameMap(a, b map[*expr.Var]uint64) bool {
+func sameModel(a, b expr.Model) bool {
 	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
 // checkedSat decides the path's condition on s and holds the solver to
 // the un-memoized loop: a reuse hit happens exactly when some recent
 // model satisfies the condition from scratch, it returns the first such
-// model's own map, and afterwards every memoized verdict on every
+// model itself, not a copy, and afterwards every memoized verdict on every
 // prefix agrees with the oracle.
 func checkedSat(s *Solver, mp memoPath) (bool, error) {
 	p := mp.last()
-	var want map[*expr.Var]uint64
+	var want expr.Model
 	for _, m := range s.recent {
 		if satisfies(mp.pc, m.model) {
 			want = m.model
@@ -86,7 +86,7 @@ func checkedSat(s *Solver, mp memoPath) (bool, error) {
 		if hit != (want != nil) {
 			return false, fmt.Errorf("depth %d: reuse hit = %v, the from-scratch loop says %v", len(mp.pc), hit, want != nil)
 		}
-		if hit && !sameMap(model, want) {
+		if hit && !sameModel(model, want) {
 			return false, fmt.Errorf("depth %d: reuse hit returned a different model than the from-scratch loop", len(mp.pc))
 		}
 	}
@@ -310,18 +310,18 @@ func TestReuseProbeIsIncremental(t *testing.T) {
 	}
 }
 
-// TestRememberedModelsKeepTheirAnswers is the model contract: the map
+// TestRememberedModelsKeepTheirAnswers is the model contract: the model
 // SatPartition returns is the one the history keeps (remember takes it,
 // it does not copy it), so nothing may write it afterwards — not the
 // caller, and not a later query. Over random branching explorations,
-// every fresh model must be the map the history stored, and at the end
+// every fresh model must be the one the history stored, and at the end
 // every model handed out must still satisfy the condition it was found
 // for, and every model still in the history the condition it was
 // remembered for.
 func TestRememberedModelsKeepTheirAnswers(t *testing.T) {
 	type found struct {
 		pc    []*expr.Expr
-		model map[*expr.Var]uint64
+		model expr.Model
 	}
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 8; trial++ {
@@ -346,7 +346,7 @@ func TestRememberedModelsKeepTheirAnswers(t *testing.T) {
 				handed = append(handed, found{side.pc, model})
 				if s.serial != serial {
 					last := s.recent[len(s.recent)-1]
-					if !sameMap(last.model, model) {
+					if !sameModel(last.model, model) {
 						t.Fatalf("trial %d step %d: the history holds a copy of the returned model", trial, step)
 					}
 					stored[last.serial] = found{side.pc, model}
@@ -365,8 +365,8 @@ func TestRememberedModelsKeepTheirAnswers(t *testing.T) {
 		}
 		for _, m := range s.recent {
 			f, ok := stored[m.serial]
-			if !ok || !sameMap(f.model, m.model) {
-				t.Fatalf("trial %d: history model %d is not a map a query returned", trial, m.serial)
+			if !ok || !sameModel(f.model, m.model) {
+				t.Fatalf("trial %d: history model %d is not a model a query returned", trial, m.serial)
 			}
 			if !satisfies(f.pc, m.model) {
 				t.Fatalf("trial %d: history model %d no longer satisfies the condition it was remembered for", trial, m.serial)

@@ -52,7 +52,6 @@ package solver
 import (
 	"errors"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -165,7 +164,7 @@ var errDeadline = errors.New("solver: deadline passed")
 // of an extension of the group starts from (Solver.carriedSet).
 type cacheEntry struct {
 	sat   bool
-	model map[*expr.Var]uint64
+	model expr.Model
 	set   domain // single-variable sat groups only; zero otherwise
 }
 
@@ -173,7 +172,7 @@ type cacheEntry struct {
 // again, under a process-unique serial that partition memos key on.
 type recentModel struct {
 	serial uint64
-	model  map[*expr.Var]uint64
+	model  expr.Model
 }
 
 // modelSerials is the process-wide source of model serials. A solver
@@ -210,8 +209,6 @@ type Solver struct {
 	prop    propagator
 	rest    []int32
 	saved   []domain
-	// prefixIDs is carriedSet's sorted-id buffer.
-	prefixIDs []int64
 }
 
 // New returns a solver with the given options and a private cache.
@@ -253,7 +250,7 @@ func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
 // Callers with a growing path condition should carry a Partition and use
 // SatPartition instead; Sat re-partitions from scratch. The model is
 // read-only, as SatPartition's is.
-func (s *Solver) Sat(constraints []*expr.Expr) (bool, map[*expr.Var]uint64, error) {
+func (s *Solver) Sat(constraints []*expr.Expr) (bool, expr.Model, error) {
 	return s.SatPartition(PartitionOf(constraints))
 }
 
@@ -263,15 +260,17 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, map[*expr.Var]uint64, erro
 // cache, then compiled search (solveGroup).
 //
 // A returned model is shared with the solver's reuse history — a later
-// query may hand the same map out again, and the memo holds verdicts
+// query may hand the same model out again, and the memo holds verdicts
 // about its contents — so callers must only read it, never write it.
-func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) {
+// A sat answer's model is never nil (a trivially satisfiable query's
+// binds nothing), so a nil model means no model was found.
+func (s *Solver) SatPartition(p *Partition) (bool, expr.Model, error) {
 	s.Stats.Queries++
 
 	if sat, trivial := p.Trivial(); trivial {
 		if sat {
 			s.Stats.Sat++
-			return true, map[*expr.Var]uint64{}, nil
+			return true, expr.Model{}, nil
 		}
 		s.Stats.Unsat++
 		return false, nil, nil
@@ -293,7 +292,9 @@ func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) 
 		}
 	}
 
-	model := make(map[*expr.Var]uint64)
+	// Decide every group before building the model, so that an unsat
+	// answer allocates none and a sat one allocates it once, at its size.
+	n := 0
 	for _, g := range p.groups {
 		sat, gm, err := s.solveGroup(g)
 		if err != nil {
@@ -304,9 +305,12 @@ func (s *Solver) SatPartition(p *Partition) (bool, map[*expr.Var]uint64, error) 
 			s.Stats.Unsat++
 			return false, nil, nil
 		}
-		for v, val := range gm {
-			model[v] = val
-		}
+		n += len(gm)
+	}
+	// solveGroup left each group's decided entry on the group.
+	model := make(expr.Model, 0, n)
+	for _, g := range p.groups {
+		model = append(model, g.verdict.Load().model...)
 	}
 	s.Stats.Sat++
 	s.remember(p, model)
@@ -358,13 +362,13 @@ func (s *Solver) modelSatisfies(p *Partition, m recentModel) bool {
 }
 
 // remember puts the model just found for p into the history, taking
-// ownership of it: SatPartition built the map for this query alone and
+// ownership of it: SatPartition built the model for this query alone and
 // hands it to its caller read-only, so it is stored, not copied. The
 // model is the union of satisfying assignments of p's groups, so it
 // satisfies p and every condition p extends; the memo is told so
 // without evaluating anything, on the grounds the engine already
 // reports the model as p's witness on.
-func (s *Solver) remember(p *Partition, model map[*expr.Var]uint64) {
+func (s *Solver) remember(p *Partition, model expr.Model) {
 	if s.serial%serialBlock == 0 {
 		s.serial = modelSerials.Add(serialBlock) - serialBlock
 	}
@@ -382,7 +386,7 @@ func (s *Solver) remember(p *Partition, model map[*expr.Var]uint64) {
 
 // solveGroup is the whole lookup story for one group: the verdict
 // carried on the partition, then the one shared cache, then search.
-func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
+func (s *Solver) solveGroup(g *Group) (bool, expr.Model, error) {
 	if e := g.verdict.Load(); e != nil {
 		s.Stats.PartitionHits++
 		return e.sat, e.model, nil
@@ -398,7 +402,7 @@ func (s *Solver) solveGroup(g *Group) (bool, map[*expr.Var]uint64, error) {
 	}
 	// Cached entries are shared across workers and with the partition;
 	// they are never mutated after insertion (SatPartition copies a
-	// group's model into the query's own map and only reads this one).
+	// group's model into the query's own and only reads this one).
 	e := s.cache.put(g.fp, found)
 	g.verdict.Store(e)
 	return e.sat, e.model, nil
@@ -526,13 +530,13 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 // side of most branches without deciding its group: the nearest decided
 // ancestor is usually a few constraints back. The lookups are peeks, so
 // the cache's hits and misses stay one per group looked up to be decided.
+// A prefix's key is the group's key less the keys of the constraints
+// after it (fingerprint.go), so the walk reads no id list.
 func (s *Solver) carriedSet(g *Group) (int, domain) {
-	ids := append(s.prefixIDs[:0], g.ids...)
-	s.prefixIDs = ids // Delete shrinks in place: the buffer stays this one
+	fp := g.fp
 	for k := len(g.cs) - 1; k >= 1; k-- {
-		i, _ := slices.BinarySearch(ids, g.cs[k].ID())
-		ids = slices.Delete(ids, i, i+1)
-		if e := s.cache.peek(fingerprintIDs(ids)); e != nil && e.set != (domain{}) {
+		fp = fp.minus(idKey(g.cs[k].ID()))
+		if e := s.cache.peek(fp); e != nil && e.set != (domain{}) {
 			return k, e.set
 		}
 	}
@@ -543,7 +547,7 @@ func (s *Solver) carriedSet(g *Group) (int, domain) {
 // given configuration's value order and tie-break, at most maxAssigns
 // assignments. domains is consumed (filtering mutates it); callers
 // re-running attempts must pass a fresh copy.
-func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssigns int64) (bool, map[*expr.Var]uint64, error) {
+func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssigns int64) (bool, expr.Model, error) {
 	vars := t.vars
 	ts := tapeStateFrom(&s.scratch, t)
 	// The budget is counted in assignments tried — one unit per
@@ -725,9 +729,9 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	if !sat {
 		return false, nil, nil
 	}
-	model := make(map[*expr.Var]uint64, len(vars))
+	model := make(expr.Model, len(vars))
 	for i, v := range vars {
-		model[v] = ts.avals[i]
+		model[i] = expr.Binding{Var: v, Val: ts.avals[i]}
 	}
 	return true, model, nil
 }

@@ -26,8 +26,8 @@ func TestSimpleSat(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	if model[v[0]] != 42 {
-		t.Errorf("model = %d, want 42", model[v[0]])
+	if model.Value(v[0]) != 42 {
+		t.Errorf("model = %d, want 42", model.Value(v[0]))
 	}
 }
 
@@ -59,7 +59,7 @@ func TestMultiVar(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	if model[v[0]]+model[v[1]] != 300 || model[v[0]] >= 100 {
+	if model.Value(v[0])+model.Value(v[1]) != 300 || model.Value(v[0]) >= 100 {
 		t.Errorf("bad model: %v", model)
 	}
 }
@@ -92,7 +92,7 @@ func TestIndependenceGroups(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	if model[v[0]] != model[v[1]] || model[v[2]] == model[v[3]] {
+	if model.Value(v[0]) != model.Value(v[1]) || model.Value(v[2]) == model.Value(v[3]) {
 		t.Errorf("bad model %v", model)
 	}
 	groups := independentGroups(cs)
@@ -134,8 +134,8 @@ func TestTableReadConstraint(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	if model[v[0]] != 'x' {
-		t.Errorf("model = %q, want 'x'", model[v[0]])
+	if model.Value(v[0]) != 'x' {
+		t.Errorf("model = %q, want 'x'", model.Value(v[0]))
 	}
 }
 
@@ -175,7 +175,7 @@ func TestRandomConsistency(t *testing.T) {
 		truth := false
 		for a := 0; a < 256 && !truth; a++ {
 			for bb := 0; bb < 256; bb++ {
-				asn := map[*expr.Var]uint64{v[0]: uint64(a), v[1]: uint64(bb)}
+				asn := expr.Model{{Var: v[0], Val: uint64(a)}, {Var: v[1], Val: uint64(bb)}}
 				all := true
 				for _, c := range cs {
 					if expr.Eval(c, asn) == 0 {

@@ -1,15 +1,14 @@
 package symex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"overify/internal/expr"
 	"overify/internal/ir"
-	"overify/internal/solver"
 )
 
 // State wire codec: EncodeStates flattens a batch of frontier states
@@ -84,6 +83,7 @@ type encoder struct {
 	nodes   map[*expr.Expr]int
 	objs    map[objKey]int
 	objList []objKey
+	pc      []*expr.Expr // a state's path condition, oldest first (scratch)
 	err     error
 }
 
@@ -176,7 +176,14 @@ func (e *Engine) EncodeStates(states []*State) ([]byte, error) {
 // order and the decoder needs no second walk.
 func (enc *encoder) collect(states []*State) []*expr.Expr {
 	for _, st := range states {
-		for _, c := range st.PC {
+		if sat, trivial := st.Part.Trivial(); trivial && !sat {
+			// The unsat partition keeps no history: shipped, it would
+			// decode as the empty condition, which every input satisfies.
+			enc.fail(fmt.Errorf("symex: codec: state %d has an unsatisfiable path condition", st.ID))
+			return nil
+		}
+		enc.pc = st.Part.AppendConstraints(enc.pc[:0])
+		for _, c := range enc.pc {
 			enc.visitExpr(c)
 		}
 		for _, n := range enc.e.byName {
@@ -192,7 +199,7 @@ func (enc *encoder) collect(states []*State) []*expr.Expr {
 	for x := range enc.nodes {
 		table = append(table, x)
 	}
-	sort.Slice(table, func(i, j int) bool { return table[i].ID() < table[j].ID() })
+	slices.SortFunc(table, func(a, b *expr.Expr) int { return cmp.Compare(a.ID(), b.ID()) })
 	for i, x := range table {
 		enc.nodes[x] = i
 	}
@@ -313,8 +320,9 @@ func (enc *encoder) emitSymVal(st *State, v SymVal) {
 func (enc *encoder) emitState(st *State) {
 	enc.w.u(uint64(st.ID))
 	enc.w.u(uint64(st.Forks))
-	enc.w.u(uint64(len(st.PC)))
-	for _, c := range st.PC {
+	enc.pc = st.Part.AppendConstraints(enc.pc[:0])
+	enc.w.u(uint64(len(enc.pc)))
+	for _, c := range enc.pc {
 		enc.w.u(uint64(enc.nodes[c]))
 	}
 
@@ -902,18 +910,17 @@ func (d *decoder) readState() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.PC = make([]*expr.Expr, 0, npc)
+	// Group fingerprints are builder-local, so the carried partition is
+	// rebuilt from the re-interned condition rather than shipped.
+	// Decided-verdict reuse restarts cold; correctness and query counts
+	// are unaffected.
 	for i := 0; i < npc; i++ {
 		c, err := d.arg()
 		if err != nil {
 			return nil, err
 		}
-		st.PC = append(st.PC, c)
+		st.Part = st.Part.Extend(c)
 	}
-	// Group fingerprints are builder-local, so the carried partition is
-	// rebuilt here rather than shipped. Decided-verdict reuse restarts
-	// cold; correctness and query counts are unaffected.
-	st.Part = solver.PartitionOf(st.PC)
 
 	ng, err := d.r.count(2)
 	if err != nil {

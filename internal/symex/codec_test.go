@@ -15,6 +15,7 @@ import (
 	"overify/internal/frontend"
 	"overify/internal/ir"
 	"overify/internal/pipeline"
+	"overify/internal/solver"
 	"overify/internal/symex"
 )
 
@@ -232,7 +233,7 @@ func countReachableNodes(eng *symex.Engine, states []*symex.State) int {
 				walkV(st.Cell(o, i))
 			}
 		}
-		for _, c := range st.PC {
+		for _, c := range st.Part.AppendConstraints(nil) {
 			walkE(c)
 		}
 		for _, o := range symex.Globals(eng) {
@@ -593,5 +594,51 @@ func TestStateCodecGoldenV1(t *testing.T) {
 		if !bytes.Equal(again, blob) {
 			t.Errorf("%s: Encode(Decode(frame)) differs from frame (%d vs %d bytes)", label, len(again), len(blob))
 		}
+	}
+}
+
+// TestStateCodecShipsThePartitionHistory: a state's path condition is
+// its partition's history, and that is what the wire carries, so each
+// decoded state's history lists, constraint for constraint, what the
+// encoder read from the sender's. A state whose partition is the
+// unsatisfiable one, which has no history, is refused rather than
+// shipped as the empty condition, which every input satisfies.
+func TestStateCodecShipsThePartitionHistory(t *testing.T) {
+	p, _ := coreutils.Get("wc")
+	compile := func() *core.Compiled {
+		c, err := core.CompileProgram(p, pipeline.O0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	eng, args := newVerifyEngine(compile(), 3, symex.Options{})
+	states, err := eng.Split("umain", args, nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := eng.EncodeStates(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := symex.NewEngine(compile().Mod, symex.Options{}).DecodeStates(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for i, st := range states {
+		sent, got := st.Part.AppendConstraints(nil), decoded[i].Part.AppendConstraints(nil)
+		if fmt.Sprint(got) != fmt.Sprint(sent) {
+			t.Errorf("state %d: decoded condition %v, sent %v", st.ID, got, sent)
+		}
+		longest = max(longest, len(sent))
+	}
+	if longest == 0 {
+		t.Fatal("no split state has a path condition")
+	}
+
+	states[0].Part = solver.PartitionOf([]*expr.Expr{eng.B.Bool(false)})
+	if _, err := eng.EncodeStates(states[:1]); err == nil || !strings.Contains(err.Error(), "unsatisfiable path condition") {
+		t.Errorf("a state with the unsat partition: err = %v, want an unsatisfiable-path-condition error", err)
 	}
 }

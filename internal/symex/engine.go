@@ -2,8 +2,10 @@ package symex
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -237,7 +239,7 @@ func NewEngine(mod *ir.Module, opts Options) *Engine {
 		e.globalNum[g] = int32(n)
 		e.byName = append(e.byName, int32(n))
 	}
-	sort.SliceStable(e.byName, func(i, j int) bool { return mod.Globals[e.byName[i]].Name < mod.Globals[e.byName[j]].Name })
+	slices.SortStableFunc(e.byName, func(a, b int32) int { return cmp.Compare(mod.Globals[a].Name, mod.Globals[b].Name) })
 	return e
 }
 
@@ -580,18 +582,9 @@ func MergeReports(parts ...*Report) *Report {
 // defect site, so the output is reproducible regardless of which worker
 // found which bug first.
 func mergeBugs(bugs []Bug) []Bug {
-	sort.Slice(bugs, func(i, j int) bool {
-		a, b := bugs[i], bugs[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Msg != b.Msg {
-			return a.Msg < b.Msg
-		}
-		if a.Where != b.Where {
-			return a.Where < b.Where
-		}
-		return bytes.Compare(a.Input, b.Input) < 0
+	slices.SortFunc(bugs, func(a, b Bug) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Msg, b.Msg),
+			cmp.Compare(a.Where, b.Where), bytes.Compare(a.Input, b.Input))
 	})
 	out := bugs[:0]
 	for _, b := range bugs {
@@ -624,11 +617,3 @@ const (
 	satYes
 	satUnknown
 )
-
-// modelOrEmpty guards concretization against unknown-model results.
-func modelOrEmpty(m map[*expr.Var]uint64) map[*expr.Var]uint64 {
-	if m == nil {
-		return map[*expr.Var]uint64{}
-	}
-	return m
-}

@@ -37,24 +37,28 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				}
 				continue
 			}
-			notC := w.B.Not(c)
-			resT, resF, pT, pF := w.satTriPair(st, c, notC)
+			// Each side is decided on its extension of the condition, which
+			// the side then carries: the group verdicts decided here ride
+			// along to the forked states.
+			pT, pF := st.Part.Extend(c), st.Part.Extend(w.B.Not(c))
+			resT, _ := w.satP(pT)
+			resF, _ := w.satP(pF)
 			switch {
 			case resT == satYes && resF == satYes:
 				other := w.fork(st)
 				of := other.top()
-				st.addPCPart(c, pT)
+				st.Part = pT
 				w.jump(st, f, in.Succs[0])
-				other.addPCPart(notC, pF)
+				other.Part = pF
 				w.jump(other, of, in.Succs[1])
 				// DFS continues with the last element: st (true side).
 				return false, []*State{other, st}
 			case resT == satYes || (resT == satUnknown && resF == satNo):
 				// True side feasible (or the only possibility).
-				st.addPCPart(c, pT)
+				st.Part = pT
 				w.jump(st, f, in.Succs[0])
 			case resF == satYes || (resF == satUnknown && resT == satNo):
-				st.addPCPart(notC, pF)
+				st.Part = pF
 				w.jump(st, f, in.Succs[1])
 			case resT == satNo && resF == satNo:
 				// Contradictory path condition; the path dies silently.
@@ -64,12 +68,12 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				// fallback). Follow the side a model of the current path
 				// condition takes; no fork, so budget failures cannot
 				// blow up the search.
-				_, model := w.satTri(st, nil)
-				if expr.Eval(c, modelOrEmpty(model)) != 0 {
-					st.addPC(c)
+				_, model := w.satP(st.Part)
+				if expr.Eval(c, model) != 0 {
+					st.Part = pT
 					w.jump(st, f, in.Succs[0])
 				} else {
-					st.addPC(notC)
+					st.Part = pF
 					w.jump(st, f, in.Succs[1])
 				}
 			}
@@ -144,12 +148,12 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			if c.IsFalse() {
 				return w.endWithBug(st, kind, in.Msg)
 			}
-			if res, model := w.satTri(st, w.B.Not(c)); res == satYes {
+			if res, model := w.satP(st.Part.Extend(w.B.Not(c))); res == satYes {
 				w.reportBug(st, kind, in.Msg, model)
 				w.e.errorPaths.Add(1)
 			}
-			if satOK, _ := w.sat(st, c); satOK {
-				st.addPC(c)
+			if ok := st.Part.Extend(c); w.sat(ok) {
+				st.Part = ok
 				f.Idx++
 				continue
 			}
@@ -218,7 +222,7 @@ func (w *worker) ev(st *State, f *Frame, v ir.Value) SymVal {
 // endWithBug concretizes the current path condition into a reproducing
 // input, records the bug, and terminates the path.
 func (w *worker) endWithBug(st *State, kind BugKind, msg string) (bool, []*State) {
-	_, model := w.sat(st, nil)
+	_, model := w.satP(st.Part)
 	w.reportBug(st, kind, msg, model)
 	w.e.errorPaths.Add(1)
 	return false, nil
@@ -257,16 +261,16 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 				}
 			} else {
 				zero := w.B.Cmp(ir.OpEq, d, w.B.Const(bits, 0))
-				if res, model := w.satTri(st, zero); res == satYes {
+				if res, model := w.satP(st.Part.Extend(zero)); res == satYes {
 					w.reportBug(st, BugDivByZero,
 						fmt.Sprintf("%s by zero in %s", in.Op, st.Where()), model)
 					w.e.errorPaths.Add(1)
 				}
-				nz := w.B.Not(zero)
-				if satNZ, _ := w.sat(st, nz); !satNZ {
+				nz := st.Part.Extend(w.B.Not(zero))
+				if !w.sat(nz) {
 					return execEnd, nil // division always traps
 				}
-				st.addPC(nz)
+				st.Part = nz
 			}
 		}
 		set(SymVal{E: w.B.Bin(in.Op, a.E, b.E)})
@@ -305,25 +309,24 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			set(SymVal{E: w.B.Select(c.E, t.E, fv.E), Obj: t.Obj})
 			return execOK, nil
 		}
-		notC := w.B.Not(c.E)
-		satT, _ := w.sat(st, c.E)
-		satF, _ := w.sat(st, notC)
+		pT, pF := st.Part.Extend(c.E), st.Part.Extend(w.B.Not(c.E))
+		satT, satF := w.sat(pT), w.sat(pF)
 		switch {
 		case satT && satF:
 			other := w.fork(st)
 			of := other.top()
-			st.addPC(c.E)
+			st.Part = pT
 			set(t)
 			f.Idx++
-			other.addPC(notC)
+			other.Part = pF
 			*of.reg(in) = w.ev(other, of, in.Args[2])
 			of.Idx++
 			return execFork, []*State{other, st}
 		case satT:
-			st.addPC(c.E)
+			st.Part = pT
 			set(t)
 		case satF:
-			st.addPC(notC)
+			st.Part = pF
 			set(fv)
 		default:
 			return execEnd, nil
@@ -550,15 +553,15 @@ func (w *worker) storeCell(st *State, obj *MemObject, off *expr.Expr, v SymVal) 
 // continue (every offset is out of bounds).
 func (w *worker) boundsCheck(st *State, obj *MemObject, off *expr.Expr, what string) bool {
 	oob := w.B.Cmp(ir.OpUGe, off, w.B.Const(64, uint64(obj.Count)))
-	if res, model := w.satTri(st, oob); res == satYes {
+	if res, model := w.satP(st.Part.Extend(oob)); res == satYes {
 		w.reportBug(st, BugOutOfBounds,
 			fmt.Sprintf("%s %s out of bounds (size %d) in %s", what, obj.Name, obj.Count, st.Where()), model)
 		w.e.errorPaths.Add(1)
 	}
-	inb := w.B.Not(oob)
-	if satIn, _ := w.sat(st, inb); !satIn {
+	inb := st.Part.Extend(w.B.Not(oob))
+	if !w.sat(inb) {
 		return false
 	}
-	st.addPC(inb)
+	st.Part = inb
 	return true
 }

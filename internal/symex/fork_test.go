@@ -400,7 +400,7 @@ func TestForkIsolationAcrossFrames(t *testing.T) {
 // array local 1,000 times between two forks of umain. Every return gives
 // the local's number back, so the table is the same size at the second
 // fork as at the first, and a fork there followed by a store costs what
-// it cost at the first, within a few bytes of path condition.
+// it cost at the first.
 func TestObjectTableBounded(t *testing.T) {
 	src, err := os.ReadFile("testdata/lifetimes.c")
 	if err != nil {

@@ -260,12 +260,14 @@ func (f *Frame) reg(in *ir.Instr) *SymVal { return &f.Regs[f.lay.index(in)] }
 type State struct {
 	ID     int64
 	Frames []*Frame
-	PC     []*expr.Expr // path constraints (conjunction)
-	// Part is the incremental independence partition of PC, kept in
-	// lock step by addPC: the solver extends it in O(groups) per
-	// appended constraint instead of re-partitioning the whole
-	// condition per query, and decided group verdicts ride along.
-	// Partitions are immutable, so forked states share one by pointer.
+	// Part is the path condition as the solver's incremental
+	// independence partition: a branch or check extends it in O(groups)
+	// per appended constraint instead of re-partitioning the whole
+	// condition per query, the group verdicts its queries decided ride
+	// along, and its history lists the constraints themselves, oldest
+	// first (Partition.AppendConstraints), which is what the codec
+	// ships. Partitions are immutable, so forked states share one by
+	// pointer.
 	Part  *solver.Partition
 	Forks int // how many forks led here (path depth in the fork tree)
 
@@ -277,31 +279,9 @@ type State struct {
 // top returns the active frame.
 func (st *State) top() *Frame { return st.Frames[len(st.Frames)-1] }
 
-// addPC appends a constraint to the path condition, extending the
-// carried partition.
-func (st *State) addPC(c *expr.Expr) {
-	if c.IsTrue() {
-		return
-	}
-	st.PC = append(st.PC, c)
-	st.Part = st.Part.Extend(c)
-}
-
-// addPCPart appends a constraint whose extended partition the caller
-// already computed (the condBr sibling queries), so the extension —
-// and the group verdicts it was decided with — is reused instead of
-// recomputed.
-func (st *State) addPCPart(c *expr.Expr, p *solver.Partition) {
-	if c.IsTrue() {
-		return
-	}
-	st.PC = append(st.PC, c)
-	st.Part = p
-}
-
 // clone forks the state onto top, a blank frame of the top frame's
-// function. The child shares everything but the top frame and the
-// path-condition slice: the object table (both sides mark it shared and
+// function. The child shares everything but the top frame: the object
+// table (both sides mark it shared and
 // copy a chunk on first write), the frames below the top
 // (Frame.shares), the object descriptors, read-only objects, the
 // partition and all expression nodes. A pointer names a descriptor and
@@ -318,7 +298,6 @@ func (st *State) clone(nextID int64, top *Frame) *State {
 	return &State{
 		ID:         nextID,
 		Frames:     frames,
-		PC:         append([]*expr.Expr(nil), st.PC...),
 		Part:       st.Part, // immutable; shared across forks
 		Forks:      st.Forks + 1,
 		objs:       st.objs,

@@ -206,7 +206,9 @@ func (w *worker) fork(st *State) *State {
 	return st.clone(w.e.nextState.Add(1), w.frame(st.top().lay))
 }
 
-// reportBug records a defect with a concretized input from the model.
+// reportBug records a defect with a concretized input from the model;
+// with no model (the query that should have found one was undecided) it
+// records none.
 // Deduplication here is per-worker at site granularity (kind, message
 // AND location): every distinct site survives until the cross-worker
 // merge, where mergeBugs collapses to one report per (kind, message)
@@ -214,12 +216,12 @@ func (w *worker) fork(st *State) *State {
 // already here would keep whichever site this worker's schedule
 // reached first — and make the surviving report depend on the worker
 // count.
-func (w *worker) reportBug(st *State, kind BugKind, msg string, model map[*expr.Var]uint64) {
+func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model) {
 	bug := Bug{Kind: kind, Msg: msg, Where: st.Where()}
 	if model != nil {
 		bug.Input = make([]byte, len(w.e.inputVars))
 		for i, v := range w.e.inputVars {
-			bug.Input[i] = byte(model[v])
+			bug.Input[i] = byte(model.Value(v))
 		}
 	}
 	for _, b := range w.bugs {
@@ -230,39 +232,22 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model map[*expr.
 	w.bugs = append(w.bugs, bug)
 }
 
-// sat asks the solver for pc + extra and folds the three-valued answer
-// to two: unknown (budget exhaustion) reads as feasible here. That is
-// this function's mapping only, not a property of exploration: at a
-// conditional branch (exec.go, OpCondBr) a side that comes back unknown
-// while its sibling is satYes is dropped, not followed, and Failures on
-// the solver stats is the only trace it leaves — ROADMAP item 1. Call
-// sites that *report bugs* must use satTri and skip reporting on
-// unknown.
-func (w *worker) sat(st *State, extra *expr.Expr) (bool, map[*expr.Var]uint64) {
-	res, model := w.satTri(st, extra)
-	return res != satNo, model
-}
-
-// satTri is the three-valued feasibility query over the state's
-// carried partition (extended by one constraint, not rebuilt).
-func (w *worker) satTri(st *State, extra *expr.Expr) (satResult, map[*expr.Var]uint64) {
-	p := st.Part
-	if extra != nil {
-		p = p.Extend(extra)
-	}
-	return w.satP(p)
-}
-
-// satTriPair decides the two sibling queries of a conditional branch
-// (pc+a, pc+b with b = !a) and returns the extended partitions so the
-// branch can carry them forward (group verdicts decided here ride
-// along to the forked states).
-func (w *worker) satTriPair(st *State, a, b *expr.Expr) (resA, resB satResult, pa, pb *solver.Partition) {
-	pa = st.Part.Extend(a)
-	pb = st.Part.Extend(b)
-	resA, _ = w.satP(pa)
-	resB, _ = w.satP(pb)
-	return resA, resB, pa, pb
+// sat asks the solver whether p is feasible and folds the three-valued
+// answer to two: unknown (budget exhaustion) reads as feasible here.
+// That is this function's mapping only, not a property of exploration:
+// at a conditional branch (exec.go, OpCondBr) a side that comes back
+// unknown while its sibling is satYes is dropped, not followed, and
+// Failures on the solver stats is the only trace it leaves — ROADMAP
+// item 1. Call sites that *report bugs* must use satP and skip
+// reporting on unknown.
+//
+// p is the state's partition extended by the constraint the caller is
+// about to assume: a caller that goes on to assume it carries p forward
+// (st.Part = p), so each constraint is added with one Extend, and the
+// group verdicts this query decided ride along on the state.
+func (w *worker) sat(p *solver.Partition) bool {
+	res, _ := w.satP(p)
+	return res != satNo
 }
 
 // checkAssignBudget flushes this worker's solver-assignment count into
@@ -288,7 +273,7 @@ func (w *worker) checkAssignBudget() {
 }
 
 // satP maps a partitioned solver query onto the three-valued result.
-func (w *worker) satP(p *solver.Partition) (satResult, map[*expr.Var]uint64) {
+func (w *worker) satP(p *solver.Partition) (satResult, expr.Model) {
 	defer w.checkAssignBudget()
 	ok, model, err := w.sol.SatPartition(p)
 	if err != nil {

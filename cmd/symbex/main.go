@@ -90,7 +90,7 @@ func main() {
 	portfolio := flag.Int("portfolio", 0, "race this many solver configurations once a group stalls, first answer wins (0 = fixed order)")
 	portfolioStall := flag.Int64("portfolio-stall", 0, "assignments a group may burn before the portfolio races (default 4096)")
 	watchFlag := flag.Bool("watch", false, "poll the source file for changes and re-verify on each edit (file input only; implies -verdict-cache unless -daemon)")
-	watchCount := flag.Int("watch-count", 0, "with -watch: exit after this many verifies, with a failing exit code if the final one found bugs (0 = watch forever)")
+	watchCount := flag.Int("watch-count", 0, "with -watch: exit after this many verifies, with the final verify's exit status (0 = watch forever)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
@@ -173,22 +173,23 @@ func main() {
 		} else {
 			reportCluster(name, *level, *n, res)
 		}
-		if len(res.Report.Bugs) > 0 {
-			exit(1)
+		if code := exitCode(res.Report); code != 0 {
+			exit(code)
 		}
 		return
 	}
 
 	// failed reports one run's error: fatal for a one-shot run, a logged
 	// failed iteration under -watch.
-	failed := func(err error) bool {
+	failed := func(err error) int {
 		if !*watchFlag {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "symbex:", err)
-		return false
+		return 1
 	}
-	var run func(src string) bool
+	// run verifies src once and returns the exit code its verdict calls for.
+	var run func(src string) int
 	if *daemonAddr != "" {
 		if *normalized {
 			fatal(fmt.Errorf("-normalized needs the full report; the daemon returns its canonical render (drop -daemon, or use -cluster)"))
@@ -199,14 +200,17 @@ func main() {
 			fatal(err)
 		}
 		defer client.Close()
-		run = func(src string) bool {
+		run = func(src string) int {
 			job.Source = src
 			reply, err := client.Verify(&job)
 			if err != nil {
 				return failed(err)
 			}
 			reportDaemon(client.ServerName, reply, *n)
-			return len(reply.Bugs) == 0
+			if len(reply.Bugs) > 0 {
+				return 1
+			}
+			return 0
 		}
 	} else {
 		var store *verdicts.Store
@@ -218,7 +222,7 @@ func main() {
 		}
 		opts := resolved.Verify
 		opts.Verdicts = store
-		run = func(src string) bool {
+		run = func(src string) int {
 			resolved.Source = src
 			c, err := resolved.Compile()
 			if err != nil {
@@ -233,13 +237,13 @@ func main() {
 			} else {
 				report(name, c.Level, *n, c, rep, store)
 			}
-			return len(rep.Bugs) == 0
+			return exitCode(rep)
 		}
 	}
 
 	if !*watchFlag {
-		if !run(job.Source) {
-			exit(1)
+		if code := run(job.Source); code != 0 {
+			exit(code)
 		}
 		return
 	}
@@ -259,7 +263,6 @@ func main() {
 	fmt.Printf("watching %s (poll %s, %s) — ctrl-c to stop\n", file, watchPoll, where)
 	var last watch.Sig
 	ran := 0
-	ok := true
 	for {
 		sig, err := watch.StatSig(file)
 		if err == nil && sig.Changed(last) {
@@ -269,12 +272,12 @@ func main() {
 				fmt.Fprintln(os.Stderr, "symbex:", err)
 			} else {
 				last = stableSig
-				ok = run(string(data))
+				code := run(string(data))
 				ran++
 				fmt.Println()
 				if *watchCount > 0 && ran >= *watchCount {
-					if !ok {
-						exit(1)
+					if code != 0 {
+						exit(code)
 					}
 					return
 				}
@@ -329,20 +332,40 @@ func reportCluster(name, level string, n int, res *dist.Result) {
 	printBugs(res.Report)
 }
 
-// printBugs prints a report's verdict: clean, or each bug with its
-// reproducing input.
+// printBugs prints a report's verdict: clean, each bug with its
+// reproducing input, and an inconclusive line saying why when some path
+// or query was not decided.
 func printBugs(rep *symex.Report) {
-	if len(rep.Bugs) == 0 {
+	v, why := rep.Verdict()
+	switch {
+	case v == symex.Verified:
 		fmt.Printf("  bugs:           none — all %d paths verified\n", rep.Stats.Paths)
-		return
+	case len(rep.Bugs) == 0:
+		fmt.Printf("  bugs:           none found in %d paths\n", rep.Stats.Paths)
+	default:
+		fmt.Printf("  bugs:           %d\n", len(rep.Bugs))
 	}
-	fmt.Printf("  bugs:           %d\n", len(rep.Bugs))
 	for _, b := range rep.Bugs {
 		fmt.Printf("    [%s] %s\n", b.Kind, b.Msg)
 		if b.Input != nil {
 			fmt.Printf("      reproducing input: %q\n", string(b.Input))
 		}
 	}
+	if v == symex.Inconclusive {
+		fmt.Printf("  inconclusive:   %s\n", strings.Join(why, ", "))
+	}
+}
+
+// exitCode is the exit status a report's verdict calls for: 0
+// verified, 1 bugs, 3 inconclusive.
+func exitCode(rep *symex.Report) int {
+	switch v, _ := rep.Verdict(); v {
+	case symex.Bugs:
+		return 1
+	case symex.Inconclusive:
+		return 3
+	}
+	return 0
 }
 
 func indent(s, pad string) string {

@@ -46,3 +46,29 @@ func TestSubMillisecondTimeoutIsABudget(t *testing.T) {
 			rep.Stats.TimedOut, rep.Stats.Paths, rep.Stats.TruncatedPaths)
 	}
 }
+
+// TestUndecidedRunIsInconclusive: basename at -OVERIFY with 4 bytes
+// leaves one solver query undecided at default flags, so symbex must
+// not print "verified" over it or exit 0. Once the verified libc's
+// basename decides (ROADMAP item 12(b)), this program stops being the
+// example and the test needs another.
+func TestUndecidedRunIsInconclusive(t *testing.T) {
+	r, err := core.Job{Prog: "basename", InputBytes: 4}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Verify(r.Entry, r.Verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.SolverStats.Failures == 0 {
+		t.Fatal("basename -OVERIFY n=4 decides every query now; pick another undecided cell")
+	}
+	if code := exitCode(rep); code != 3 {
+		t.Errorf("exit code %d over %d undecided queries, want 3", code, rep.Stats.SolverStats.Failures)
+	}
+}

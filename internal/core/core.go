@@ -208,18 +208,24 @@ func (c *Compiled) VerdictKey(fn string, opts VerifyOptions) (verdicts.Key, bool
 // SkippedFuncVerifies count the skipped work), and fresh deterministic
 // outcomes are persisted.
 func (c *Compiled) Verify(fn string, opts VerifyOptions) (*symex.Report, error) {
-	opts = opts.normalized()
 	var key verdicts.Key
-	keyed := false
 	if opts.Verdicts != nil {
-		key, keyed = c.VerdictKey(fn, opts)
-		if keyed {
-			if e, ok := opts.Verdicts.Get(key); ok {
-				rep := e.Report()
-				rep.Stats.VerdictCacheHits = 1
-				rep.Stats.SkippedFuncVerifies = 1
-				return rep, nil
-			}
+		key, _ = c.VerdictKey(fn, opts)
+	}
+	return c.VerifyKeyed(fn, opts, key)
+}
+
+// VerifyKeyed is Verify under a verdict key the caller already
+// computed with VerdictKey; an empty key runs uncached.
+func (c *Compiled) VerifyKeyed(fn string, opts VerifyOptions, key verdicts.Key) (*symex.Report, error) {
+	opts = opts.normalized()
+	keyed := key != "" && opts.Verdicts != nil
+	if keyed {
+		if e, ok := opts.Verdicts.Get(key); ok {
+			rep := e.Report()
+			rep.Stats.VerdictCacheHits = 1
+			rep.Stats.SkippedFuncVerifies = 1
+			return rep, nil
 		}
 	}
 	eng := symex.NewEngine(c.Mod, opts.Engine)

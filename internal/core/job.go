@@ -166,3 +166,11 @@ func (r *Resolved) CompileKey() string {
 	}
 	return h.Sum().Hex()
 }
+
+// VerdictTag is the part of the verdict key the job decides and the
+// module does not: the entry and the outcome-relevant verify
+// configuration. Two jobs with one CompileKey and one VerdictTag have
+// one verdict key, so a module cache may remember the key by the tag.
+func (r *Resolved) VerdictTag() string {
+	return r.Entry + "\x00" + verifyDesc(r.Verify.normalized())
+}

@@ -387,15 +387,25 @@ func (s *Server) verdictFrame(c *conn, p *Packet) {
 // compile compiles one resolved job's program, or serves it from the
 // module cache.
 func (s *Server) compile(r *core.Resolved) (*core.Compiled, bool, error) {
-	key := r.CompileKey()
-	if c, ok := s.compiles.get(key); ok {
+	ck := r.CompileKey()
+	c, _ := s.compiles.touch(ck, "")
+	return s.moduleOf(r, ck, c)
+}
+
+// moduleOf returns c, the module r's touched slot held, as a hit; when
+// the slot held none it compiles, counts a miss and offers the module
+// to the cache.
+func (s *Server) moduleOf(r *core.Resolved, ck string, c *core.Compiled) (*core.Compiled, bool, error) {
+	if c != nil {
+		s.compiles.hits.Add(1)
 		return c, true, nil
 	}
+	s.compiles.misses.Add(1)
 	c, err := r.Compile()
 	if err != nil {
 		return nil, false, err
 	}
-	s.compiles.put(key, c)
+	s.compiles.put(ck, c)
 	return c, false, nil
 }
 
@@ -408,55 +418,79 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 		return nil, err
 	}
 	name, entry := r.Name, r.Entry
+	opts := r.Verify
+	tag := ""
+	if !req.NoVerdicts && s.cfg.Verdicts != nil {
+		opts.Verdicts = s.cfg.Verdicts
+		tag = r.VerdictTag()
+	}
 
+	// A repeat is answered from its slot: the verdict key its module
+	// led to last time, while the store still holds the entry. A
+	// compile key always yields the same module, so the key is the one
+	// compiling would find.
 	compileStart := time.Now()
-	c, compileHit, err := s.compile(r)
+	ck := r.CompileKey()
+	c, key := s.compiles.touch(ck, tag)
+	if key != "" {
+		if e, ok := opts.Verdicts.Get(key); ok {
+			s.compiles.hits.Add(1)
+			rep := e.Report()
+			rep.Stats.VerdictCacheHits = 1
+			return verifyReply(r, rep, true, s.currentGen().id, 0, sinceMS(compileStart)), nil
+		}
+	}
+	c, compileHit, err := s.moduleOf(r, ck, c)
 	if err != nil {
 		return nil, err
 	}
-	compileMS := float64(time.Since(compileStart)) / float64(time.Millisecond)
+	if tag != "" && key == "" {
+		if key, _ = c.VerdictKey(entry, opts); key != "" {
+			s.compiles.record(ck, tag, key)
+		}
+	}
+	compileMS := sinceMS(compileStart)
 
 	gen := s.currentGen()
-	opts := r.Verify
 	opts.Engine.Warm = gen.Warm
-	if !req.NoVerdicts {
-		opts.Verdicts = s.cfg.Verdicts
-	}
 
 	// Shared verdict cache: adopt a remote hit into the local store so
-	// the verify below is served warm; remember the key when the remote
-	// missed too, to publish a cold cacheable outcome back. Remote IO is
+	// the verify below is served warm; remember that the remote missed
+	// too, to publish a cold cacheable outcome back. Remote IO is
 	// best-effort — errors degrade to local-only caching.
-	var remoteKey verdicts.Key
-	if !req.NoVerdicts && s.cfg.RemoteVerdicts != nil && s.cfg.Verdicts != nil {
-		if key, ok := c.VerdictKey(entry, opts); ok {
-			if _, hit := s.cfg.Verdicts.Get(key); !hit {
-				if e, found, err := s.cfg.RemoteVerdicts.VerdictGet(key); err == nil && found {
-					_ = s.cfg.Verdicts.Put(key, e)
-				} else if err == nil {
-					remoteKey = key
-				}
+	remoteMissed := false
+	if key != "" && s.cfg.RemoteVerdicts != nil {
+		if _, hit := opts.Verdicts.Get(key); !hit {
+			if e, found, err := s.cfg.RemoteVerdicts.VerdictGet(key); err == nil && found {
+				_ = opts.Verdicts.Put(key, e)
+			} else {
+				remoteMissed = err == nil
 			}
 		}
 	}
 
 	verifyStart := time.Now()
-	rep, err := c.Verify(entry, opts)
+	rep, err := c.VerifyKeyed(entry, opts, key)
 	if err != nil {
 		return nil, err
 	}
-	verifyMS := float64(time.Since(verifyStart)) / float64(time.Millisecond)
+	verifyMS := sinceMS(verifyStart)
 
-	if remoteKey != "" && rep.Stats.VerdictCacheHits == 0 && verdicts.Cacheable(rep) {
-		_, _ = s.cfg.RemoteVerdicts.VerdictPut(remoteKey,
-			verdicts.FromReport(remoteKey, name, entry, c.Level.String(), rep))
+	if remoteMissed && rep.Stats.VerdictCacheHits == 0 && verdicts.Cacheable(rep) {
+		_, _ = s.cfg.RemoteVerdicts.VerdictPut(key,
+			verdicts.FromReport(key, name, entry, c.Level.String(), rep))
 	}
+	return verifyReply(r, rep, compileHit, gen.id, compileMS, verifyMS), nil
+}
 
+// verifyReply builds the reply to a verify, whether its slot answered
+// it or it compiled: the two differ only in CompileMS and VerifyMS.
+func verifyReply(r *core.Resolved, rep *symex.Report, compileHit bool, gen int64, compileMS, verifyMS float64) *VerifyReply {
 	reply := &VerifyReply{
 		Render:          verdicts.Render(rep),
-		Name:            name,
-		Level:           c.Level.String(),
-		Entry:           entry,
+		Name:            r.Name,
+		Level:           r.Config.Level.String(),
+		Entry:           r.Entry,
 		Paths:           rep.Stats.Paths,
 		Instrs:          rep.Stats.Instrs,
 		TimedOut:        rep.Stats.TimedOut,
@@ -467,7 +501,7 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 			rep.Stats.SolverStats.PartitionHits +
 			rep.Stats.SolverStats.ModelReuseHits,
 		SolverSearches: rep.Stats.SolverStats.TapeCompiles,
-		Generation:     gen.id,
+		Generation:     gen,
 		CompileMS:      compileMS,
 		VerifyMS:       verifyMS,
 	}
@@ -477,7 +511,11 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 			Input: append([]byte(nil), b.Input...),
 		})
 	}
-	return reply, nil
+	return reply
+}
+
+func sinceMS(t time.Time) float64 {
+	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
 // DistExplore drains one encoded frontier shard: compile (or cache-hit)
@@ -571,8 +609,10 @@ func (s *Server) Preload(glob string) (int, error) {
 		if s.cfg.Verdicts != nil {
 			// Probing with the job's defaults mirrors what a plain
 			// verify request would ask; a stored outcome is now a warm
-			// in-memory hit for the first client.
+			// in-memory hit for the first client, answered from the
+			// slot without compiling.
 			if key, ok := c.VerdictKey(r.Entry, r.Verify); ok {
+				s.compiles.record(r.CompileKey(), r.VerdictTag(), key)
 				_, _ = s.cfg.Verdicts.Get(key)
 			}
 		}
@@ -631,57 +671,136 @@ func decode(raw []byte, v any) error {
 	return json.Unmarshal(raw, v)
 }
 
-// compileCache is a mutex-guarded LRU of compiled modules. Values are
+// compileCache is a mutex-guarded LRU table of slots, one per compile
+// key. A slot outlives its module: it keeps how often requests touched
+// it and the verdict keys its module led to, so a repeat finds its
+// verdict without compiling. At most cap slots hold a module (values
 // shared by concurrent verifies — a compiled module is read-only after
-// optimization, which the pipeline-equivalence suite relies on too.
+// optimization, which the pipeline-equivalence suite relies on too),
+// and the table holds at most slotsPerModule times as many slots.
 type compileCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // of compileSlot; front = most recent
+	mu    sync.Mutex
+	cap   int // modules; 0 = unbounded
+	mods  int // slots holding a module
+	slots map[string]*list.Element
+	lru   *list.List // of *compileSlot; front = most recently touched
 
 	hits, misses, evictions atomic.Int64
 }
 
+// slotsPerModule bounds the slot table at this multiple of the module
+// cap.
+const slotsPerModule = 16
+
+// maxSlotKeys bounds the verdict keys one slot remembers; a module
+// usually leads to one.
+const maxSlotKeys = 4
+
 type compileSlot struct {
-	key string
-	c   *core.Compiled
+	key     string
+	c       *core.Compiled // nil once evicted
+	touches int64
+	keys    []slotKey
+}
+
+// slotKey is the verdict key a slot's module led to under one
+// core.Resolved.VerdictTag.
+type slotKey struct {
+	tag string
+	key verdicts.Key
 }
 
 func newCompileCache(cap int) *compileCache {
-	return &compileCache{cap: cap, m: make(map[string]*list.Element), lru: list.New()}
+	return &compileCache{cap: cap, slots: make(map[string]*list.Element), lru: list.New()}
 }
 
-func (cc *compileCache) get(key string) (*core.Compiled, bool) {
+// touch counts one request on ck's slot, creating it if needed, and
+// returns its module (nil when not resident) and the verdict key it
+// recorded under tag ("" when none).
+func (cc *compileCache) touch(ck, tag string) (*core.Compiled, verdicts.Key) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if el, ok := cc.m[key]; ok {
+	el, ok := cc.slots[ck]
+	if ok {
 		cc.lru.MoveToFront(el)
-		cc.hits.Add(1)
-		return el.Value.(compileSlot).c, true
+	} else {
+		el = cc.lru.PushFront(&compileSlot{key: ck})
+		cc.slots[ck] = el
+		for cc.cap > 0 && cc.lru.Len() > slotsPerModule*cc.cap {
+			cc.drop(cc.lru.Back())
+		}
 	}
-	cc.misses.Add(1)
-	return nil, false
+	sl := el.Value.(*compileSlot)
+	sl.touches++
+	for _, k := range sl.keys {
+		if k.tag == tag {
+			return sl.c, k.key
+		}
+	}
+	return sl.c, ""
 }
 
-func (cc *compileCache) put(key string, c *core.Compiled) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if el, ok := cc.m[key]; ok { // concurrent compile of the same key: keep the resident one
-		cc.lru.MoveToFront(el)
-		return
-	}
-	cc.m[key] = cc.lru.PushFront(compileSlot{key: key, c: c})
-	for cc.cap > 0 && cc.lru.Len() > cc.cap {
-		el := cc.lru.Back()
-		cc.lru.Remove(el)
-		delete(cc.m, el.Value.(compileSlot).key)
+// drop removes a slot from the table, evicting its module.
+func (cc *compileCache) drop(el *list.Element) {
+	sl := cc.lru.Remove(el).(*compileSlot)
+	delete(cc.slots, sl.key)
+	if sl.c != nil {
+		cc.mods--
 		cc.evictions.Add(1)
 	}
+}
+
+// put offers a freshly compiled module to ck's slot. When the module
+// tier is full it replaces the least recently touched resident module
+// only if its slot has been touched at least as often, so a source
+// seen once does not evict a module in use.
+func (cc *compileCache) put(ck string, c *core.Compiled) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	el, ok := cc.slots[ck]
+	if !ok || el.Value.(*compileSlot).c != nil { // slot gone, or a concurrent compile won
+		return
+	}
+	sl := el.Value.(*compileSlot)
+	if cc.cap > 0 && cc.mods >= cc.cap {
+		victim := cc.lru.Back()
+		for victim.Value.(*compileSlot).c == nil {
+			victim = victim.Prev()
+		}
+		v := victim.Value.(*compileSlot)
+		if v.touches > sl.touches {
+			return
+		}
+		v.c = nil
+		cc.mods--
+		cc.evictions.Add(1)
+	}
+	sl.c = c
+	cc.mods++
+}
+
+// record remembers that ck's module led to verdict key key under tag.
+func (cc *compileCache) record(ck, tag string, key verdicts.Key) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	el, ok := cc.slots[ck]
+	if !ok {
+		return
+	}
+	sl := el.Value.(*compileSlot)
+	for _, k := range sl.keys {
+		if k.tag == tag {
+			return
+		}
+	}
+	if len(sl.keys) == maxSlotKeys {
+		sl.keys = append(sl.keys[:0], sl.keys[1:]...)
+	}
+	sl.keys = append(sl.keys, slotKey{tag, key})
 }
 
 func (cc *compileCache) len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.lru.Len()
+	return cc.mods
 }

@@ -160,6 +160,42 @@ type Report struct {
 	Bugs  []Bug
 }
 
+// Verdict is what a run lets its user conclude.
+type Verdict int
+
+const (
+	Verified     Verdict = iota // every path ran to completion and none failed a check
+	Bugs                        // every path ran to completion and some failed a check
+	Inconclusive                // some path or query was not decided: its bugs, if any, are real, its "none" is not
+)
+
+func (v Verdict) String() string {
+	return [...]string{"verified", "bugs", "inconclusive"}[v]
+}
+
+// Verdict reads the report's verdict and, when it is Inconclusive, why:
+// the run timed out, truncated paths, or left solver queries undecided
+// (an undecided branch side may have been dropped unexplored).
+func (r *Report) Verdict() (Verdict, []string) {
+	var why []string
+	if r.Stats.TimedOut {
+		why = append(why, "timed out")
+	}
+	if n := r.Stats.TruncatedPaths; n > 0 {
+		why = append(why, fmt.Sprintf("truncated paths: %d", n))
+	}
+	if n := r.Stats.SolverStats.Failures; n > 0 {
+		why = append(why, fmt.Sprintf("undecided solver queries: %d", n))
+	}
+	switch {
+	case why != nil:
+		return Inconclusive, why
+	case len(r.Bugs) > 0:
+		return Bugs, nil
+	}
+	return Verified, nil
+}
+
 // Engine symbolically executes one module. One Engine runs one
 // exploration; the per-run shared pieces (expression builder, solver
 // cache, counters) live here, while everything scheduling-dependent

@@ -148,20 +148,20 @@ type Entry struct {
 }
 
 // Cacheable reports whether rep is a deterministic outcome safe to
-// persist: every path ran to completion and, when a wall-clock budget
-// was in play, no solver query failed (a deadline-induced ErrBudget
-// depends on machine speed, not content; assignment-budget failures
-// without a deadline are deterministic but rejected too — a failure
-// means the engine could not decide some query, and a branch side it
-// could not decide while the sibling was feasible was dropped
-// unexplored (exec.go, OpCondBr; ROADMAP item 1), so the report may
-// cover fewer paths than the program has. Keeping the store
-// failure-free keeps every stored verdict exact).
+// persist: its verdict is not inconclusive. A timed-out run depends on
+// machine speed, not content. Assignment-budget failures without a
+// deadline are deterministic but rejected too: a failure means the
+// engine could not decide some query, and a branch side it could not
+// decide while the sibling was feasible was dropped unexplored
+// (exec.go, OpCondBr; ROADMAP item 1), so the report may cover fewer
+// paths than the program has. Keeping the store to decided outcomes
+// keeps every stored verdict exact.
 func Cacheable(rep *symex.Report) bool {
-	return rep != nil &&
-		!rep.Stats.TimedOut &&
-		rep.Stats.TruncatedPaths == 0 &&
-		rep.Stats.SolverStats.Failures == 0
+	if rep == nil {
+		return false
+	}
+	v, _ := rep.Verdict()
+	return v != symex.Inconclusive
 }
 
 // FromReport converts a verify report into its stored form.

@@ -263,6 +263,46 @@ func TestOpenLimitedAdoptsExisting(t *testing.T) {
 	}
 }
 
+// TestReportVerdict: a report is inconclusive whenever it timed out,
+// truncated a path or left a solver query undecided, bugs or not;
+// otherwise it is verified or bugs. Cacheable is exactly "not
+// inconclusive".
+func TestReportVerdict(t *testing.T) {
+	clean := sampleReport()
+	clean.Bugs = nil
+	bugs := sampleReport()
+	timedOut := sampleReport()
+	timedOut.Stats.TimedOut = true
+	truncated := sampleReport()
+	truncated.Stats.TruncatedPaths = 2
+	undecided := sampleReport()
+	undecided.Stats.SolverStats.Failures = 1
+	all := sampleReport()
+	all.Stats.TimedOut, all.Stats.TruncatedPaths, all.Stats.SolverStats.Failures = true, 1, 1
+	cases := []struct {
+		name string
+		rep  *symex.Report
+		want symex.Verdict
+		why  int
+	}{
+		{"clean", clean, symex.Verified, 0},
+		{"bugs", bugs, symex.Bugs, 0},
+		{"timed out", timedOut, symex.Inconclusive, 1},
+		{"truncated", truncated, symex.Inconclusive, 1},
+		{"undecided query", undecided, symex.Inconclusive, 1},
+		{"all three", all, symex.Inconclusive, 3},
+	}
+	for _, c := range cases {
+		got, why := c.rep.Verdict()
+		if got != c.want || len(why) != c.why {
+			t.Errorf("%s: verdict %s with reasons %q, want %s with %d", c.name, got, why, c.want, c.why)
+		}
+		if verdicts.Cacheable(c.rep) != (got != symex.Inconclusive) {
+			t.Errorf("%s: Cacheable disagrees with verdict %s", c.name, got)
+		}
+	}
+}
+
 func TestCacheable(t *testing.T) {
 	rep := sampleReport()
 	if !verdicts.Cacheable(rep) {

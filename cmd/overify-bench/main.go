@@ -3,18 +3,14 @@
 //	overify-bench -table1 [-n 10] [-words 50000] [-j workers] [-passes spec]
 //	overify-bench -table2 [-n 3]
 //	overify-bench -table3
-//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-prog wc] [-search dfs|bfs|covnew] [-budget [-cover N]] [-json FILE]
+//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-prog wc] [-json FILE]
 //	overify-bench -all
 //
-// -search selects the exploration order for Table 1 and Figure 4.
-// -budget extends Figure 4 with per-strategy
-// time-to-coverage columns (each strategy under the timeout with
-// CoverTarget set; -cover overrides the per-cell full-coverage
-// target), and -figure4 -json records the study machine-readably.
-// -passes overrides every level's pass pipeline for Table 1/Figure 4;
-// -j also parallelizes the pass manager (and, in the Table 1/Figure 4
-// drivers, compiles whole modules in parallel). Output is the text
-// rendering recorded in EXPERIMENTS.md.
+// -figure4 -json records the study machine-readably. -passes overrides
+// every level's pass pipeline for Table 1/Figure 4; -j sets the
+// symbolic-execution workers (and, in the Table 1/Figure 4 drivers,
+// compiles whole modules in parallel). Output is the text rendering
+// recorded in EXPERIMENTS.md.
 //
 // The daemon, cluster, verdict-store and solver measurements live in
 // the ledger: `go run ./benchmark -workload served_mix|cluster_split|solver_hard`.
@@ -32,7 +28,6 @@ import (
 
 	"overify/internal/bench"
 	"overify/internal/pipeline"
-	"overify/internal/symex"
 )
 
 func main() {
@@ -46,11 +41,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 verification")
 	workers := flag.Int("j", 0, "symbolic-execution workers for Table 1 / Figure 4 (0/1 serial, -1 = NumCPU)")
 	prog := flag.String("prog", "", "restrict Figure 4 to one corpus program")
-	search := flag.String("search", "", "search strategy (dfs, bfs, covnew)")
 	jsonPath := flag.String("json", "", "write the -figure4 study as JSON to this path")
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
-	budget := flag.Bool("budget", false, "add per-strategy time-to-coverage columns to Figure 4")
-	coverTarget := flag.Int("cover", 0, "block-coverage target for -budget (0 = each cell's full coverage)")
 	flag.Parse()
 
 	var pipeSpec *pipeline.PipelineSpec
@@ -62,9 +54,6 @@ func main() {
 		pipeSpec = &spec
 	}
 
-	strat, err := symex.ParseSearch(*search)
-	check(err)
-
 	if !(*t1 || *t2 || *t3 || *f4 || *all) {
 		flag.Usage()
 		os.Exit(2)
@@ -74,7 +63,7 @@ func main() {
 	}
 
 	if *t1 {
-		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Strategy: strat, Pipeline: pipeSpec}
+		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Pipeline: pipeSpec}
 		rows, err := bench.Table1(opts)
 		check(err)
 		fmt.Println(bench.RenderTable1(rows, opts))
@@ -93,8 +82,7 @@ func main() {
 	if *f4 {
 		opts := bench.Figure4Options{
 			InputBytes: *n, Timeout: *timeout, Workers: *workers,
-			Strategy: strat, Pipeline: pipeSpec,
-			Budget: *budget, CoverTarget: *coverTarget,
+			Pipeline: pipeSpec,
 		}
 		if *prog != "" {
 			opts.Programs = []string{*prog}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] [-search dfs|bfs|covnew] [-cover blocks] [-j workers] file.c
+//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] [-j workers] file.c
 //	symbex [-O level] [-n bytes] [-j workers] -prog tr
 //	symbex -check div-by-zero,bounds -slice file.c
 //	symbex -daemon /tmp/overifyd.sock file.c
@@ -17,8 +17,8 @@
 //
 // -passes overrides the level's pass pipeline with an explicit spec,
 // e.g. "mem2reg,fixpoint:12(ifconvert,simplify,cse,simplifycfg,dce)";
-// the level still supplies the cost model. -j parallelizes both the
-// pass manager's function passes and the symbolic-execution workers.
+// the level still supplies the cost model. -j sets the number of
+// symbolic-execution workers.
 //
 // -daemon turns symbex into a thin client of a running overifyd: the
 // request is shipped over the daemon's socket and served from its warm
@@ -75,8 +75,6 @@ func main() {
 	passSpec := flag.String("passes", "", "explicit pass pipeline, e.g. mem2reg,fixpoint(ifconvert,simplify,cse,simplifycfg,dce)")
 	n := flag.Int("n", 4, "symbolic input bytes (the paper uses 2-10)")
 	timeout := flag.Duration("timeout", 60*time.Second, "exploration budget")
-	search := flag.String("search", "dfs", "exploration order: dfs, bfs or covnew")
-	coverTarget := flag.Int("cover", 0, "stop once this many basic blocks are covered (0 = off)")
 	workers := flag.Int("j", 1, "exploration workers (-1 = one per CPU)")
 	progName := flag.String("prog", "", "verify a bundled corpus program")
 	entry := flag.String("entry", "umain", "entry function (signature: int f(unsigned char*, int))")
@@ -100,8 +98,8 @@ func main() {
 	job := core.Job{
 		Level: *level, Entry: *entry,
 		InputBytes: *n, TimeoutMS: jobTimeoutMS(*timeout),
-		Search: *search, Cover: *coverTarget, Workers: *workers,
-		Slice: *sliceFlag, Checks: *checkSpec,
+		Workers: *workers,
+		Slice:   *sliceFlag, Checks: *checkSpec,
 		Portfolio: *portfolio, PortfolioStall: *portfolioStall,
 		SplitStates: *splitStates,
 	}
@@ -148,8 +146,6 @@ func main() {
 			fatal(fmt.Errorf("-cluster and -daemon are mutually exclusive"))
 		case *watchFlag:
 			fatal(fmt.Errorf("-cluster does not compose with -watch"))
-		case *coverTarget != 0:
-			fatal(fmt.Errorf("-cluster does not compose with -cover: a block-coverage target is per-process"))
 		}
 		var clients []*daemon.Client
 		for _, addr := range strings.Split(*clusterAddrs, ",") {
@@ -391,7 +387,7 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 		fmt.Printf("  verdicts:       cache hit — exploration skipped (%d paths, %d queries reproduced from %s)\n",
 			s.Paths, s.SolverStats.Queries, store.Dir())
 	} else {
-		fmt.Printf("%s at %s, %d symbolic input bytes, %d workers, %s search\n", name, lvl, n, s.Workers, s.Strategy)
+		fmt.Printf("%s at %s, %d symbolic input bytes, %d workers\n", name, lvl, n, s.Workers)
 		fmt.Printf("  compile:        %s  (%d pass invocations, %d skipped, %.0f%% analysis-cache hits)\n",
 			c.Result.CompileTime, c.Result.PassInvocations, c.Result.SkippedFuncRuns,
 			100*c.Result.Analysis.HitRate())

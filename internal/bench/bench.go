@@ -12,7 +12,9 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"overify/internal/core"
@@ -90,18 +92,11 @@ func CompileAt(name, src string, level pipeline.Level) (*core.Compiled, error) {
 	return core.CompileSource(name, src, level, core.DefaultLibc(level))
 }
 
-// CompileOpts are the pass-manager knobs the experiment drivers share:
-// an explicit -passes pipeline and the compile-side worker count.
-type CompileOpts struct {
-	Pipeline *pipeline.PipelineSpec
-	Jobs     int
-}
-
-// CompileAtOpts is CompileAt with pass-manager overrides.
-func CompileAtOpts(name, src string, level pipeline.Level, co CompileOpts) (*core.Compiled, error) {
+// CompileAtPasses is CompileAt with the level's pass sequence replaced
+// by an explicit -passes pipeline (nil keeps the level's).
+func CompileAtPasses(name, src string, level pipeline.Level, passes *pipeline.PipelineSpec) (*core.Compiled, error) {
 	cfg := pipeline.LevelConfig(level)
-	cfg.Pipeline = co.Pipeline
-	cfg.Jobs = co.Jobs
+	cfg.Pipeline = passes
 	return core.CompileWithConfig(name, src, cfg, core.DefaultLibc(level))
 }
 
@@ -127,4 +122,33 @@ func fmtCount(n int64) string {
 		s = s[:len(s)-3]
 	}
 	return s + "," + strings.Join(parts, ",")
+}
+
+// parallelDo runs f(0..n-1) on up to jobs goroutines (serially when
+// jobs <= 1; negative jobs = one per CPU, the -j convention). The
+// Table 1 and Figure 4 drivers use it to compile whole modules in
+// parallel, writing results into index-addressed slots so the output
+// order stays deterministic regardless of completion order.
+func parallelDo(n, jobs int, f func(i int)) {
+	if jobs < 0 {
+		jobs = runtime.NumCPU()
+	}
+	if jobs <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	sem := make(chan struct{}, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
 }

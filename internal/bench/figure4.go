@@ -22,25 +22,10 @@ type Figure4Options struct {
 	Timeout time.Duration
 	// Workers is the symbolic-execution worker count (0/1 serial).
 	Workers int
-	// Strategy is the exploration order (default DFS).
-	Strategy symex.SearchKind
 	// Programs restricts the corpus (default: all).
 	Programs []string
 	// Pipeline overrides every level's pass sequence (-passes=).
 	Pipeline *pipeline.PipelineSpec
-
-	// Budget adds the time-to-coverage study: after each cell's
-	// exhaustive run, every strategy in BudgetStrategies re-explores
-	// under the cell's Timeout with CoverTarget set, measuring how fast
-	// each search order reaches coverage rather than how fast it
-	// exhausts the program.
-	Budget bool
-	// CoverTarget is the block count the budget runs stop at; 0 uses
-	// each cell's own exhaustive coverage (full coverage of that
-	// program at that level).
-	CoverTarget int
-	// BudgetStrategies defaults to every built-in strategy.
-	BudgetStrategies []symex.SearchKind
 }
 
 // Figure4Levels are the three configurations the paper compares.
@@ -56,21 +41,6 @@ type Figure4Cell struct {
 	TimedOut bool
 	Bugs     int
 	Err      string
-
-	// Budget holds the per-strategy time-to-coverage columns (strategy
-	// name -> measurement), present when Figure4Options.Budget is set.
-	Budget map[string]*Figure4Budget `json:",omitempty"`
-}
-
-// Figure4Budget is one strategy's run against a coverage target under
-// the cell's timeout.
-type Figure4Budget struct {
-	Target   int // block-coverage stop condition
-	Covered  int // blocks actually covered when the run stopped
-	States   int64
-	Paths    int64
-	Elapsed  time.Duration
-	TimedOut bool // hit the timeout before the coverage target
 }
 
 // Figure4Row is one program's measurements across levels.
@@ -97,8 +67,8 @@ type Figure4Summary struct {
 }
 
 // normalized fills the option defaults. Figure4, RenderFigure4 and
-// Figure4JSON all normalize, so the rendered and recorded
-// budget/timeout values always match what the runs actually used.
+// Figure4JSON all normalize, so the rendered and recorded input size
+// and timeout always match what the runs actually used.
 func (o Figure4Options) normalized() Figure4Options {
 	if o.InputBytes == 0 {
 		o.InputBytes = 4
@@ -136,9 +106,9 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 	nl := len(Figure4Levels)
 	compiled := make([]*core.Compiled, len(programs)*nl)
 	cerrs := make([]error, len(programs)*nl)
-	pipeline.ParallelDo(len(programs)*nl, opts.Workers, func(i int) {
+	parallelDo(len(programs)*nl, opts.Workers, func(i int) {
 		p, level := programs[i/nl], Figure4Levels[i%nl]
-		compiled[i], cerrs[i] = CompileAtOpts(p.Name, p.Src, level, CompileOpts{Pipeline: opts.Pipeline, Jobs: opts.Workers})
+		compiled[i], cerrs[i] = CompileAtPasses(p.Name, p.Src, level, opts.Pipeline)
 	})
 
 	// Phase 2: verify serially, in the deterministic study order.
@@ -156,7 +126,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 			cell.Compile = c.Result.CompileTime
 			rep, err := c.Verify("umain", core.VerifyOptions{
 				InputBytes: opts.InputBytes,
-				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers, Strategy: opts.Strategy},
+				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers},
 			})
 			if err != nil {
 				cell.Err = err.Error()
@@ -168,52 +138,10 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 			cell.Instrs = rep.Stats.Instrs
 			cell.TimedOut = rep.Stats.TimedOut
 			cell.Bugs = len(rep.Bugs)
-			if opts.Budget {
-				budgetCells(c, cell, rep.Stats.CoveredBlocks, opts)
-			}
 		}
 		rows = append(rows, row)
 	}
 	return rows, summarizeFigure4(rows, opts), nil
-}
-
-// budgetCells runs the per-strategy time-to-coverage study for one
-// (program, level) cell: each strategy explores under the same timeout
-// with CoverTarget set, so the columns compare how fast the orderings
-// reach coverage — the regime where search strategy actually matters
-// (exhaustive runs do identical work by the conformance theorem).
-func budgetCells(c *core.Compiled, cell *Figure4Cell, fullCoverage int, opts Figure4Options) {
-	target := opts.CoverTarget
-	if target <= 0 {
-		target = fullCoverage
-	}
-	strategies := opts.BudgetStrategies
-	if strategies == nil {
-		strategies = symex.Strategies()
-	}
-	cell.Budget = make(map[string]*Figure4Budget, len(strategies))
-	for _, strat := range strategies {
-		rep, err := c.Verify("umain", core.VerifyOptions{
-			InputBytes: opts.InputBytes,
-			Engine: symex.Options{
-				Timeout:     opts.Timeout,
-				Workers:     opts.Workers,
-				Strategy:    strat,
-				CoverTarget: target,
-			},
-		})
-		if err != nil {
-			continue
-		}
-		cell.Budget[strat.String()] = &Figure4Budget{
-			Target:   target,
-			Covered:  rep.Stats.CoveredBlocks,
-			States:   rep.Stats.StatesExplored,
-			Paths:    rep.Stats.TotalPaths(),
-			Elapsed:  rep.Stats.Elapsed,
-			TimedOut: rep.Stats.TimedOut || rep.Stats.CoveredBlocks < target,
-		}
-	}
 }
 
 func summarizeFigure4(rows []Figure4Row, opts Figure4Options) *Figure4Summary {
@@ -310,8 +238,6 @@ func RenderFigure4(rows []Figure4Row, s *Figure4Summary, opts Figure4Options) st
 			row.Program, cellStr(o0), cellStr(o3), cellStr(ov), bar)
 	}
 
-	renderFigure4Budget(&sb, sorted, opts)
-
 	fmt.Fprintf(&sb, "\nSummary over %d programs:\n", s.Programs)
 	fmt.Fprintf(&sb, "  total time: -O0 %s, -O3 %s, -OSYMBEX %s\n",
 		s.TotalO0.Round(time.Millisecond), s.TotalO3.Round(time.Millisecond),
@@ -325,62 +251,8 @@ func RenderFigure4(rows []Figure4Row, s *Figure4Summary, opts Figure4Options) st
 	return sb.String()
 }
 
-// renderFigure4Budget draws the per-strategy time-to-coverage columns
-// when the budget study ran: states explored (and wall time) until the
-// coverage target, ">" marking runs that hit the timeout first.
-func renderFigure4Budget(sb *strings.Builder, rows []Figure4Row, opts Figure4Options) {
-	strategies := opts.BudgetStrategies
-	if strategies == nil {
-		strategies = symex.Strategies()
-	}
-	any := false
-	for _, row := range rows {
-		for _, cell := range row.Cells {
-			if len(cell.Budget) > 0 {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return
-	}
-	fmt.Fprintf(sb, "\nTime to coverage (states until target, wall ms; timeout %s):\n", opts.Timeout)
-	fmt.Fprintf(sb, "%-10s %-9s %7s", "program", "level", "target")
-	for _, strat := range strategies {
-		fmt.Fprintf(sb, " %16s", strat)
-	}
-	sb.WriteByte('\n')
-	for _, row := range rows {
-		for _, level := range Figure4Levels {
-			cell := row.Cells[level]
-			if cell == nil || len(cell.Budget) == 0 {
-				continue
-			}
-			target := 0
-			for _, b := range cell.Budget {
-				target = b.Target
-			}
-			fmt.Fprintf(sb, "%-10s %-9s %7d", row.Program, level, target)
-			for _, strat := range strategies {
-				b := cell.Budget[strat.String()]
-				if b == nil {
-					fmt.Fprintf(sb, " %16s", "err")
-					continue
-				}
-				mark := ""
-				if b.TimedOut {
-					mark = ">"
-				}
-				fmt.Fprintf(sb, " %16s", fmt.Sprintf("%s%d(%sms)", mark, b.States, fmtDur(b.Elapsed)))
-			}
-			sb.WriteByte('\n')
-		}
-	}
-}
-
 // Figure4JSON renders the study (rows, summary, options) as JSON — the
-// machine-readable record overify-bench -figure4 -json writes, with
-// the budget columns included when they ran.
+// machine-readable record overify-bench -figure4 -json writes.
 func Figure4JSON(rows []Figure4Row, s *Figure4Summary, opts Figure4Options) ([]byte, error) {
 	opts = opts.normalized()
 	type cellJSON struct {
@@ -392,20 +264,16 @@ func Figure4JSON(rows []Figure4Row, s *Figure4Summary, opts Figure4Options) ([]b
 		Cells   []cellJSON
 	}
 	out := struct {
-		InputBytes  int
-		TimeoutMs   float64
-		Workers     int
-		Budget      bool
-		CoverTarget int
-		Rows        []rowJSON
-		Summary     *Figure4Summary
+		InputBytes int
+		TimeoutMs  float64
+		Workers    int
+		Rows       []rowJSON
+		Summary    *Figure4Summary
 	}{
-		InputBytes:  opts.InputBytes,
-		TimeoutMs:   float64(opts.Timeout.Microseconds()) / 1000,
-		Workers:     opts.Workers,
-		Budget:      opts.Budget,
-		CoverTarget: opts.CoverTarget,
-		Summary:     s,
+		InputBytes: opts.InputBytes,
+		TimeoutMs:  float64(opts.Timeout.Microseconds()) / 1000,
+		Workers:    opts.Workers,
+		Summary:    s,
 	}
 	for _, row := range rows {
 		rj := rowJSON{Program: row.Program}

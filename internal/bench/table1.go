@@ -24,8 +24,6 @@ type Table1Options struct {
 	VerifyTimeout time.Duration
 	// Workers is the symbolic-execution worker count (0/1 serial).
 	Workers int
-	// Strategy is the exploration order (default DFS).
-	Strategy symex.SearchKind
 	// Levels to measure (default: O0, O2, O3, OVerify — the paper's
 	// columns).
 	Levels []pipeline.Level
@@ -70,8 +68,8 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 
 	compiled := make([]*core.Compiled, len(opts.Levels))
 	errs := make([]error, len(opts.Levels))
-	pipeline.ParallelDo(len(opts.Levels), opts.Workers, func(i int) {
-		compiled[i], errs[i] = CompileAtOpts("wc", WcSource, opts.Levels[i], CompileOpts{Pipeline: opts.Pipeline, Jobs: opts.Workers})
+	parallelDo(len(opts.Levels), opts.Workers, func(i int) {
+		compiled[i], errs[i] = CompileAtPasses("wc", WcSource, opts.Levels[i], opts.Pipeline)
 	})
 
 	var rows []Table1Row
@@ -82,7 +80,7 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 		c := compiled[i]
 		row := Table1Row{Level: level, CompileTime: c.Result.CompileTime}
 
-		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout, Workers: opts.Workers, Strategy: opts.Strategy})
+		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout, Workers: opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: verify: %w", level, err)
 		}

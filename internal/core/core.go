@@ -158,9 +158,7 @@ func readOut(m *interp.Machine) []byte {
 type VerifyOptions struct {
 	// InputBytes is the symbolic input size (the paper uses 2–10).
 	InputBytes int
-	// Engine options (timeouts, limits, search strategy,
-	// CoverTarget, workers). Use symex.ParseSearch to map a flag
-	// spelling onto Engine.Strategy.
+	// Engine options (timeouts, limits, workers).
 	Engine symex.Options
 	// Verdicts, when non-nil, is consulted before exploring: if the
 	// store holds an outcome for this exact content key (reachable IR +
@@ -180,14 +178,16 @@ func (opts VerifyOptions) normalized() VerifyOptions {
 }
 
 // verifyDesc renders the outcome-relevant verify configuration for the
-// content key. Strategy and worker count are deliberately absent:
-// the conformance suites pin merged reports as schedule-invariant, so
-// they cannot change a stored outcome. Budgets and limits can, so they
-// are in.
+// content key. The worker count is deliberately absent: the
+// conformance suites pin merged reports as schedule-invariant, so it
+// cannot change a stored outcome. Budgets and limits can, so they are
+// in.
 func verifyDesc(opts VerifyOptions) string {
-	return fmt.Sprintf("entrybytes=%d|maxpaths=%d|maxinstrs=%d|maxstates=%d|cover=%d|maxnodes=%d|maxwork=%d|history=%d|verifychecks=%s",
+	// cover=0 stays in the key, though no coverage target exists any
+	// more, so that stored verdicts and pinned keys remain valid.
+	return fmt.Sprintf("entrybytes=%d|maxpaths=%d|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=%d|maxwork=%d|history=%d|verifychecks=%s",
 		opts.InputBytes, opts.Engine.MaxPaths, opts.Engine.MaxInstrs, opts.Engine.MaxStates,
-		opts.Engine.CoverTarget, opts.Engine.Solver.MaxNodes, opts.Engine.Solver.MaxWork,
+		opts.Engine.Solver.MaxNodes, opts.Engine.Solver.MaxWork,
 		opts.Engine.Solver.ModelHistory, opts.Engine.Checks)
 }
 

@@ -9,7 +9,6 @@ import (
 	"overify/internal/libc"
 	"overify/internal/pipeline"
 	"overify/internal/solver"
-	"overify/internal/symex"
 )
 
 // Job is one verification request as written: which program, compiled
@@ -17,7 +16,7 @@ import (
 // shares — `symbex` builds one from its flags and hands the same value
 // to the in-process run, the daemon client or the cluster coordinator;
 // daemon.VerifyRequest and dist.Options are aliases of it, and its
-// JSON form is the protocol-v4 verify body. Exactly one of Source
+// JSON form is the protocol-v5 verify body. Exactly one of Source
 // (with Name) or Prog (a bundled corpus program) must be set; every
 // other field may be left zero. Resolve is the one place the fields
 // are defaulted and parsed.
@@ -30,12 +29,10 @@ type Job struct {
 	Passes string `json:"passes,omitempty"` // explicit pass pipeline (disables verdict caching)
 	Entry  string `json:"entry,omitempty"`  // entry function (default umain)
 
-	InputBytes int    `json:"inputBytes,omitempty"` // symbolic input size (default 4)
-	TimeoutMS  int64  `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
-	MaxInstrs  int64  `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
-	Search     string `json:"search,omitempty"`     // exploration order (default dfs)
-	Cover      int    `json:"cover,omitempty"`      // CoverTarget (0 = off); per-process, so not for clusters
-	Workers    int    `json:"workers,omitempty"`    // engine workers and pass-manager jobs (0/1 serial, -1 = one per CPU)
+	InputBytes int   `json:"inputBytes,omitempty"` // symbolic input size (default 4)
+	TimeoutMS  int64 `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
+	MaxInstrs  int64 `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
+	Workers    int   `json:"workers,omitempty"`    // exploration workers (0/1 serial, -1 = one per CPU)
 
 	// Slice enables verification-aware slicing: the pipeline deletes
 	// whatever no kept check can observe before exploration.
@@ -112,13 +109,8 @@ func (j Job) Resolve() (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	strat, err := symex.ParseSearch(j.Search)
-	if err != nil {
-		return nil, err
-	}
 	r.Libc = DefaultLibc(lvl)
 	r.Config = pipeline.LevelConfig(lvl)
-	r.Config.Jobs = j.Workers
 	r.Config.Slice = j.Slice
 	r.Config.SliceChecks = checks
 	if j.Passes != "" {
@@ -132,8 +124,6 @@ func (j Job) Resolve() (*Resolved, error) {
 	vo := VerifyOptions{InputBytes: j.InputBytes}
 	vo.Engine.Timeout = time.Duration(j.TimeoutMS) * time.Millisecond
 	vo.Engine.MaxInstrs = j.MaxInstrs
-	vo.Engine.Strategy = strat
-	vo.Engine.CoverTarget = j.Cover
 	vo.Engine.Workers = j.Workers
 	vo.Engine.Checks = checks
 	vo.Engine.Solver.Portfolio = j.Portfolio

@@ -9,14 +9,13 @@ import (
 	"overify/internal/ir"
 	"overify/internal/libc"
 	"overify/internal/pipeline"
-	"overify/internal/symex"
 )
 
 const trivialSrc = `int umain(unsigned char *input, int len) { return 0; }`
 
 // TestJobResolveDefaults: a job that names only its program resolves to
 // the documented defaults — -OVERIFY with its own libc, umain, 4
-// symbolic bytes, dfs, every check, no budgets.
+// symbolic bytes, every check, no budgets.
 func TestJobResolveDefaults(t *testing.T) {
 	r, err := core.Job{Source: trivialSrc}.Resolve()
 	if err != nil {
@@ -31,7 +30,7 @@ func TestJobResolveDefaults(t *testing.T) {
 	if r.Config.Pipeline != nil || r.Config.Slice {
 		t.Errorf("default job overrides the pipeline: %+v", r.Config)
 	}
-	// The zero engine options are dfs over every check with no budgets.
+	// The zero engine options are every check with no budgets.
 	if want := (core.VerifyOptions{InputBytes: 4}); r.Verify != want {
 		t.Errorf("engine configuration %+v, want only InputBytes: 4", r.Verify)
 	}
@@ -50,7 +49,7 @@ func TestJobResolveDefaults(t *testing.T) {
 func TestJobResolveFields(t *testing.T) {
 	r, err := core.Job{
 		Name: "t.c", Source: trivialSrc, Level: "-O3", Passes: "mem2reg,dce", Entry: "f",
-		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99, Search: "covnew", Cover: 3, Workers: 2,
+		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99, Workers: 2,
 		Slice: true, Checks: "div-by-zero", Portfolio: 4, PortfolioStall: 64,
 	}.Resolve()
 	if err != nil {
@@ -59,13 +58,13 @@ func TestJobResolveFields(t *testing.T) {
 	divOnly, _ := ir.ParseCheckSet("div-by-zero")
 	e := r.Verify.Engine
 	if r.Name != "t.c" || r.Entry != "f" || r.Verify.InputBytes != 7 ||
-		e.Timeout != 1500*time.Millisecond || e.MaxInstrs != 99 || e.Strategy != symex.CovNew ||
-		e.CoverTarget != 3 || e.Workers != 2 || e.Checks != divOnly ||
+		e.Timeout != 1500*time.Millisecond || e.MaxInstrs != 99 ||
+		e.Workers != 2 || e.Checks != divOnly ||
 		e.Solver.Portfolio != 4 || e.Solver.PortfolioStall != 64 {
 		t.Errorf("engine configuration lost a field: %+v (entry %q, name %q)", r.Verify, r.Entry, r.Name)
 	}
 	c := r.Config
-	if c.Level != pipeline.O3 || c.Jobs != 2 || !c.Slice || c.SliceChecks != divOnly ||
+	if c.Level != pipeline.O3 || !c.Slice || c.SliceChecks != divOnly ||
 		c.Pipeline == nil || c.Pipeline.String() != "mem2reg,dce" {
 		t.Errorf("pipeline configuration lost a field: %+v", c)
 	}
@@ -83,8 +82,6 @@ func TestJobResolveRejects(t *testing.T) {
 		{"neither", core.Job{Level: "-O0"}, "neither source nor a corpus program"},
 		{"prog", core.Job{Prog: "no-such-program"}, `unknown corpus program "no-such-program"`},
 		{"level", core.Job{Prog: "wc", Level: "-O9"}, "unknown optimization level"},
-		{"search", core.Job{Prog: "wc", Search: "sideways"}, "unknown search strategy"},
-		{"retired search", core.Job{Prog: "wc", Search: "interleave"}, "unknown search strategy"},
 		{"check", core.Job{Prog: "wc", Checks: "div-by-zero,nonsense"}, "unknown check kind"},
 		{"pass", core.Job{Prog: "wc", Passes: "mem2reg,nosuchpass"}, "nosuchpass"},
 		{"pass syntax", core.Job{Prog: "wc", Passes: "fixpoint(dce"}, "fixpoint"},

@@ -40,7 +40,9 @@ import (
 //	3: distExplore/verdictGet/verdictPut frames for the distributed
 //	   frontier and the shared verdict cache service.
 //	4: requests lose seed, VerifyReply loses tapeReuses.
-const ProtocolVersion = 4
+//	5: verify and distExplore lose search and cover, engine stats lose
+//	   strategy.
+const ProtocolVersion = 5
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -149,10 +151,9 @@ type DistExploreRequest struct {
 	Slice  bool   `json:"slice,omitempty"`
 	Checks string `json:"checks,omitempty"`
 
-	Search    string `json:"search,omitempty"`  // exploration order (default dfs)
-	Workers   int    `json:"workers,omitempty"` // engine workers inside this daemon
-	TimeoutMS int64  `json:"timeoutMs,omitempty"`
-	MaxInstrs int64  `json:"maxInstrs,omitempty"`
+	Workers   int   `json:"workers,omitempty"` // engine workers inside this daemon
+	TimeoutMS int64 `json:"timeoutMs,omitempty"`
+	MaxInstrs int64 `json:"maxInstrs,omitempty"`
 
 	// Portfolio/PortfolioStall configure the solver portfolio for this
 	// shard (0 = fixed-order solving).
@@ -168,7 +169,7 @@ func (r *DistExploreRequest) Job() core.Job {
 	return core.Job{
 		Name: r.Name, Source: r.Source, Prog: r.Prog,
 		Level: r.Level, Passes: r.Passes, Slice: r.Slice, Checks: r.Checks,
-		Search: r.Search, Workers: r.Workers,
+		Workers:   r.Workers,
 		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
 		Portfolio: r.Portfolio, PortfolioStall: r.PortfolioStall,
 	}

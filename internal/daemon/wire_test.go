@@ -12,12 +12,12 @@ const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
 
 // Request bodies as the protocol-v3 structs encoded them before the
 // verify body became a core.Job (captured from that commit), re-cut for
-// v4: the seed key is gone, and distExplore names a search order that
-// still exists.
+// v4 (the seed key is gone) and for v5 (the search and cover keys are
+// gone).
 const (
-	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"search":"bfs","cover":9,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
+	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
 	goldenVerifyProg  = `{"prog":"wc"}`
-	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","search":"covnew","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"portfolioStall":2048,"states":"T1ZTWA=="}`
+	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"portfolioStall":2048,"states":"T1ZTWA=="}`
 	goldenCompile     = `{"prog":"wc","level":"-O3","passes":"mem2reg","ir":true}`
 )
 
@@ -30,7 +30,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Entry: "umain",
-		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000, Search: "bfs", Cover: 9, Workers: 2,
+		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000, Workers: 2,
 		Slice: true, Checks: "div-by-zero,bounds", NoVerdicts: true,
 	}); v != want {
 		t.Errorf("verify body decoded to\n%+v, want\n%+v", v, want)
@@ -50,7 +50,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Slice: true, Checks: "div-by-zero",
-		Search: "covnew", Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
+		Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
 		Portfolio: 4, PortfolioStall: 2048,
 	}); d.Job() != want {
 		t.Errorf("distExplore body decoded to job\n%+v, want\n%+v", d.Job(), want)

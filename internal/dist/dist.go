@@ -52,7 +52,7 @@ func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExplor
 		Name: r.Name, Source: r.Source,
 		Level: o.Level, Passes: o.Passes,
 		Slice: o.Slice, Checks: o.Checks,
-		Search: o.Search, Workers: o.Workers,
+		Workers:   o.Workers,
 		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
 		Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,
 		States: states,
@@ -65,9 +65,6 @@ func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExplor
 func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("dist: no worker clients")
-	}
-	if o.Cover != 0 {
-		return nil, fmt.Errorf("dist: a block-coverage target is per-process and has no cluster meaning")
 	}
 	r, err := o.Resolve()
 	if err != nil {

@@ -136,10 +136,4 @@ func TestOneJobThreeShapes(t *testing.T) {
 				res.Report.Stats.TimedOut, res.ShardsSent)
 		}
 	})
-
-	t.Run("cover", func(t *testing.T) {
-		if _, err := dist.Verify(cluster(t, 1), core.Job{Prog: "wc", Cover: 5}); err == nil {
-			t.Errorf("a per-process coverage target was accepted for a cluster run")
-		}
-	})
 }

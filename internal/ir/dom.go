@@ -14,7 +14,7 @@ type DomTree struct {
 // ReversePostorder returns the function's reachable blocks in reverse
 // postorder (entry first).
 func ReversePostorder(f *Function) []*Block {
-	return reversePostorder(f, make([]bool, f.numBlocks()))
+	return reversePostorder(f, make([]bool, f.NumBlocks()))
 }
 
 // reversePostorder is ReversePostorder with the caller's visited set,
@@ -59,7 +59,7 @@ func reversePostorder(f *Function, seen []bool) []*Block {
 // ComputeDom builds the dominator tree of f's reachable CFG. Its cost in
 // allocations does not depend on the function's size.
 func ComputeDom(f *Function) *DomTree {
-	n := f.numBlocks()
+	n := f.NumBlocks()
 	dt := &DomTree{
 		fn:    f,
 		idom:  make([]*Block, n),

@@ -20,6 +20,9 @@ type Block struct {
 	num int32
 }
 
+// Num is the block's number within its function (see num).
+func (b *Block) Num() int { return int(b.num) }
+
 // Term returns the block's terminator, or nil if the block is still open.
 func (b *Block) Term() *Instr {
 	if len(b.Instrs) == 0 {
@@ -175,7 +178,7 @@ func (f *Function) RemoveBlocks(dead []*Block) {
 	if len(dead) == 0 {
 		return
 	}
-	gone := make([]bool, f.numBlocks())
+	gone := make([]bool, f.NumBlocks())
 	for _, b := range dead {
 		if b.Fn == f {
 			gone[b.num] = true
@@ -202,9 +205,9 @@ func (f *Function) ClaimID(in *Instr) {
 // instruction of f has an id in [1, MaxID()].
 func (f *Function) MaxID() int { return f.nextID }
 
-// numBlocks bounds the block numbers of f: every block f numbered so far
+// NumBlocks bounds the block numbers of f: every block f numbered so far
 // has a number below it.
-func (f *Function) numBlocks() int { return int(f.nextBlock) + 1 }
+func (f *Function) NumBlocks() int { return int(f.nextBlock) + 1 }
 
 // BlockTable maps each block of one function to a list of blocks, in
 // CSR layout: the list of the block numbered n is flat[off[n]:off[n+1]].
@@ -265,7 +268,7 @@ func tableOf(n int, pairs []blockPair) BlockTable {
 // edges twice (count, then fill) instead of collecting pairs, so it
 // allocates only the table.
 func (f *Function) Preds() PredTable {
-	n := f.numBlocks()
+	n := f.NumBlocks()
 	off := make([]int32, n+1)
 	edges := 0
 	for _, b := range f.Blocks {

@@ -19,7 +19,7 @@ type PostDomTree struct {
 
 // ComputePostDom builds the postdominator tree of f.
 func ComputePostDom(f *Function) *PostDomTree {
-	n := f.numBlocks()
+	n := f.NumBlocks()
 	pt := &PostDomTree{
 		fn:    f,
 		exit:  &Block{Name: "<virtual-exit>"},

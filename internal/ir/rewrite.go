@@ -95,7 +95,7 @@ func RemoveUnreachable(f *Function) int {
 	if len(f.Blocks) == 0 {
 		return 0
 	}
-	reach := make([]bool, f.numBlocks()) // by block number
+	reach := make([]bool, f.NumBlocks()) // by block number
 	reached := func(b *Block) bool { return b.Fn == f && reach[b.num] }
 	stack := []*Block{f.Entry()}
 	for len(stack) > 0 {

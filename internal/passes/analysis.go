@@ -1,10 +1,6 @@
 package passes
 
-import (
-	"sync"
-
-	"overify/internal/ir"
-)
+import "overify/internal/ir"
 
 // AnalysisSet is a bitset of the per-function analyses the pass manager
 // caches. A pass declares what it keeps valid via Pass.Preserves; the
@@ -73,10 +69,8 @@ func (s AnalysisStats) HitRate() float64 {
 	return float64(s.DomHits+s.LoopHits) / float64(total)
 }
 
-// analysisEntry caches one function's analyses. Entries are touched
-// only by the goroutine currently running passes on that function (the
-// manager never schedules one function on two workers), so no locking
-// is needed; the per-entry counters are merged after the run.
+// analysisEntry caches one function's analyses; the per-entry counters
+// are summed after the run.
 type analysisEntry struct {
 	dom   *ir.DomTree
 	loops []*ir.Loop
@@ -116,12 +110,9 @@ func (cx *Context) Loops(f *ir.Function) []*ir.Loop {
 	return e.loops
 }
 
-// relevanceBox holds the module-wide check-relevance closure. Unlike
-// the per-function entries it is shared by every child Context (the
-// parallel manager's workers all see it), so access is mutex-guarded:
-// any worker that changes its function drops the closure for everyone.
+// relevanceBox holds the module-wide check-relevance closure: a pass
+// that changes any function drops it.
 type relevanceBox struct {
-	mu     sync.Mutex
 	module *ir.Module
 	checks ir.CheckSet
 	rel    *Relevance
@@ -139,8 +130,6 @@ func (cx *Context) Relevance(m *ir.Module) *Relevance {
 		return ComputeRelevance(m, cx.SliceChecks)
 	}
 	box := cx.relevance
-	box.mu.Lock()
-	defer box.mu.Unlock()
 	if box.rel != nil && box.module == m && box.checks == cx.SliceChecks {
 		box.hits++
 		return box.rel
@@ -161,10 +150,8 @@ func (cx *Context) Relevance(m *ir.Module) *Relevance {
 // since loops are derived from it.
 func (cx *Context) Invalidate(f *ir.Function, preserved AnalysisSet) {
 	if cx.relevance != nil && preserved&AnalysisRelevance == 0 {
-		cx.relevance.mu.Lock()
 		cx.relevance.rel = nil
 		cx.relevance.module = nil
-		cx.relevance.mu.Unlock()
 	}
 	e := cx.entry(f)
 	if e == nil {
@@ -202,34 +189,14 @@ func (cx *Context) AnalysisStats() AnalysisStats {
 		total.Add(e.stats)
 	}
 	if cx.relevance != nil {
-		cx.relevance.mu.Lock()
 		total.RelevanceHits += cx.relevance.hits
 		total.RelevanceComputes += cx.relevance.comps
-		cx.relevance.mu.Unlock()
 	}
 	return total
 }
 
-// prime pre-creates cache entries for every defined function so the
-// parallel manager never writes the entry map from two goroutines (the
-// per-entry fields are only touched by the function's current owner).
-func (cx *Context) prime(m *ir.Module) {
-	if cx.analyses == nil {
-		return
-	}
-	for _, f := range m.Funcs {
-		if f.IsDeclaration() {
-			continue
-		}
-		if cx.analyses[f] == nil {
-			cx.analyses[f] = &analysisEntry{}
-		}
-	}
-}
-
-// entry returns f's cache slot, or nil when caching is off. The lazy
-// insert only happens on serial paths (tests building a bare Context
-// then enabling the cache); the manager primes all entries up front.
+// entry returns f's cache slot, created on first use, or nil when
+// caching is off.
 func (cx *Context) entry(f *ir.Function) *analysisEntry {
 	if cx.analyses == nil {
 		return nil

@@ -1,47 +1,28 @@
 package passes
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"overify/internal/ir"
 )
 
 // Manager schedules a pass sequence over a module. It is the layer the
-// pipeline package drives and adds three things over calling Pass.Run
-// in a loop:
+// pipeline package drives and adds two things over calling Pass.Run in
+// a loop:
 //
-//   - analysis caching: it primes the Context's per-function cache and
-//     invalidates, after every changed run, exactly what the pass's
-//     Preserves declaration does not cover;
+//   - analysis caching: after every changed run it invalidates, in the
+//     Context's per-function cache, exactly what the pass's Preserves
+//     declaration does not cover;
 //   - change-driven fixpoints: a Fixpoint over FunctionPasses runs as
 //     a per-function worklist — each function iterates the body until
 //     *it* reports a round with no change and is then skipped, instead
-//     of riding along for every other function's remaining rounds;
-//   - per-function parallelism: FunctionPasses (and whole per-function
-//     fixpoints) run across functions in a bounded worker pool. This
-//     is safe because function passes touch only their function (the
-//     one cross-function pass, Inline, is a module pass and runs
-//     serially), and deterministic because per-function work is
-//     independent and Stats merge in module order.
+//     of riding along for every other function's remaining rounds.
 //
-// The scheduling is equivalence-preserving by construction: a skipped
-// function run is one that would have reported no change (function
-// passes are independent across functions and deterministic), so the
-// cached, change-driven and parallel schedules all emit byte-identical
-// IR and identical Stats to the sequential fresh-analysis baseline —
-// which the pipeline equivalence suite asserts over the whole corpus.
+// A skipped function run is one that would have reported no change
+// (function passes are independent across functions and
+// deterministic), so the schedule emits the same IR and Stats as
+// global rounds over every function would.
 type Manager struct {
-	// Jobs bounds concurrent per-function pass executions; 0 or 1 runs
-	// serially in module order, negative uses one job per CPU (the -j
-	// convention the symbolic-execution engine follows).
-	Jobs int
-	// NoSkip disables function-level change tracking: fixpoints run
-	// global rounds over every function until a whole round reports no
-	// change, reproducing the pre-manager schedule (and its invocation
-	// count — the baseline the worklist is measured against).
-	NoSkip bool
 	// AfterPass, when set, runs after every top-level pass completes
 	// (pipeline.Config.VerifyEachPass re-verifies the IR here). A
 	// non-nil error aborts the run.
@@ -84,7 +65,7 @@ func (rm *RunMetrics) add(name string, t passTally) {
 	})
 }
 
-// passTally is one job's counters for one pass.
+// passTally is one stage's counters for one pass.
 type passTally struct {
 	invocations int
 	changed     int
@@ -95,7 +76,6 @@ type passTally struct {
 // Run executes seq over m, threading cx (cost model, stats, analysis
 // cache) through every pass.
 func (mgr *Manager) Run(m *ir.Module, seq []Pass, cx *Context) (*RunMetrics, error) {
-	cx.prime(m)
 	rm := &RunMetrics{}
 	for _, p := range seq {
 		mgr.runStage(m, p, cx, rm)
@@ -127,12 +107,16 @@ func (mgr *Manager) runStage(m *ir.Module, p Pass, cx *Context, rm *RunMetrics) 
 		// pipelines build one) falls back to module-level rounds.
 	}
 	if fp, ok := p.(FunctionPass); ok {
-		mgr.runFuncStage(m, []FunctionPass{fp}, 1, cx, rm)
+		var t passTally
+		for _, f := range definedFuncs(m) {
+			runTimed(fp, f, cx, &t)
+		}
+		rm.add(p.Name(), t)
 		return
 	}
-	// Module pass (or legacy fallback): serial, on the parent context.
-	// The Run implementations invalidate the analyses they clobber per
-	// function themselves (see the Pass contract).
+	// Module pass (or a fixpoint containing one). The Run
+	// implementations invalidate the analyses they clobber per function
+	// themselves (see the Pass contract).
 	start := time.Now()
 	changed := p.Run(m, cx)
 	t := passTally{invocations: 1, wall: time.Since(start)}
@@ -155,22 +139,19 @@ func functionBody(body []Pass) ([]FunctionPass, bool) {
 	return out, true
 }
 
-// runFixpoint drives a fixpoint stage over function passes.
-func (mgr *Manager) runFixpoint(m *ir.Module, body []FunctionPass, rounds int, cx *Context, rm *RunMetrics) {
-	if mgr.NoSkip {
-		mgr.runFuncStage(m, body, rounds, cx, rm)
-		return
-	}
-	funcs := definedFuncs(m)
-	jobs := make([]*funcJob, len(funcs))
-	mgr.forEach(funcs, cx, func(i int, f *ir.Function, ccx *Context) {
-		job := &funcJob{tallies: make([]passTally, len(body))}
-		jobs[i] = job
-		for round := 0; round < rounds; round++ {
-			job.rounds++
+// runFixpoint drives a fixpoint stage over function passes: each
+// function runs the body until a round changes nothing, or the rounds
+// run out.
+func (mgr *Manager) runFixpoint(m *ir.Module, body []FunctionPass, limit int, cx *Context, rm *RunMetrics) {
+	tallies := make([]passTally, len(body))
+	var rounds []int // per function
+	for _, f := range definedFuncs(m) {
+		n := 0
+		for n < limit {
+			n++
 			any := false
 			for pi, p := range body {
-				if runTimed(p, f, ccx, &job.tallies[pi]) {
+				if runTimed(p, f, cx, &tallies[pi]) {
 					any = true
 				}
 			}
@@ -178,55 +159,22 @@ func (mgr *Manager) runFixpoint(m *ir.Module, body []FunctionPass, rounds int, c
 				break
 			}
 		}
-	})
-	// The legacy schedule runs every function for as many rounds as the
-	// slowest-settling function needed; everything under that high-water
-	// mark is a skipped execution.
-	maxRounds := 0
-	for _, job := range jobs {
-		if job.rounds > maxRounds {
-			maxRounds = job.rounds
-		}
+		rounds = append(rounds, n)
 	}
-	for _, job := range jobs {
-		for pi := range body {
-			job.tallies[pi].skipped += maxRounds - job.rounds
-		}
+	// Global rounds would run every function for as many rounds as the
+	// slowest-settling function needed; everything under that
+	// high-water mark is a skipped execution.
+	maxRounds, skipped := 0, 0
+	for _, n := range rounds {
+		maxRounds = max(maxRounds, n)
 	}
-	mgr.merge(body, funcs, jobs, cx, rm)
-}
-
-// runFuncStage runs body over every function for up to rounds global
-// rounds (rounds == 1 for a plain pass stage), stopping early when a
-// whole round reports no change — the legacy schedule.
-func (mgr *Manager) runFuncStage(m *ir.Module, body []FunctionPass, rounds int, cx *Context, rm *RunMetrics) {
-	funcs := definedFuncs(m)
-	jobs := make([]*funcJob, len(funcs))
-	for i := range jobs {
-		jobs[i] = &funcJob{tallies: make([]passTally, len(body))}
+	for _, n := range rounds {
+		skipped += maxRounds - n
 	}
-	for round := 0; round < rounds; round++ {
-		var anyMu sync.Mutex
-		any := false
-		mgr.forEach(funcs, cx, func(i int, f *ir.Function, ccx *Context) {
-			job := jobs[i]
-			changed := false
-			for pi, p := range body {
-				if runTimed(p, f, ccx, &job.tallies[pi]) {
-					changed = true
-				}
-			}
-			if changed {
-				anyMu.Lock()
-				any = true
-				anyMu.Unlock()
-			}
-		})
-		if !any {
-			break
-		}
+	for pi, p := range body {
+		tallies[pi].skipped = skipped
+		rm.add(p.Name(), tallies[pi])
 	}
-	mgr.merge(body, funcs, jobs, cx, rm)
 }
 
 // runTimed executes one pass on one function, invalidating what the
@@ -241,68 +189,6 @@ func runTimed(p FunctionPass, f *ir.Function, cx *Context, t *passTally) bool {
 		cx.Invalidate(f, p.Preserves())
 	}
 	return changed
-}
-
-// funcJob accumulates one function's per-pass tallies for the
-// deterministic merge.
-type funcJob struct {
-	rounds  int
-	tallies []passTally
-}
-
-// forEach runs work over every function, in module order serially or
-// across a bounded pool when Jobs > 1 (negative Jobs = one per CPU,
-// matching the symbolic-execution engine's -j convention). In parallel
-// mode each function gets a child context (own Stats, shared cost
-// model and analysis cache); serial mode threads the parent context
-// straight through.
-func (mgr *Manager) forEach(funcs []*ir.Function, cx *Context, work func(i int, f *ir.Function, ccx *Context)) {
-	jobs := mgr.Jobs
-	if jobs < 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs <= 1 || len(funcs) <= 1 {
-		for i, f := range funcs {
-			work(i, f, cx)
-		}
-		return
-	}
-	children := make([]*Context, len(funcs))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, f := range funcs {
-		children[i] = cx.child()
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, f *ir.Function) {
-			defer func() { <-sem; wg.Done() }()
-			work(i, f, children[i])
-		}(i, f)
-	}
-	wg.Wait()
-	// Deterministic merge: module order, regardless of completion order.
-	for _, ccx := range children {
-		cx.Stats.Add(ccx.Stats)
-	}
-}
-
-// merge folds the per-function tallies into the run metrics in module
-// order.
-func (mgr *Manager) merge(body []FunctionPass, funcs []*ir.Function, jobs []*funcJob, cx *Context, rm *RunMetrics) {
-	for pi, p := range body {
-		var total passTally
-		for _, job := range jobs {
-			if job == nil {
-				continue
-			}
-			t := job.tallies[pi]
-			total.invocations += t.invocations
-			total.changed += t.changed
-			total.skipped += t.skipped
-			total.wall += t.wall
-		}
-		rm.add(p.Name(), total)
-	}
 }
 
 func definedFuncs(m *ir.Module) []*ir.Function {

@@ -131,8 +131,8 @@ type Context struct {
 	// analyses caches Dom/Loops per function; nil disables caching.
 	// See analysis.go.
 	analyses map[*ir.Function]*analysisEntry
-	// relevance caches the module-wide check-relevance closure; shared
-	// (with a lock) by child contexts. See analysis.go.
+	// relevance caches the module-wide check-relevance closure. See
+	// analysis.go.
 	relevance *relevanceBox
 }
 
@@ -141,19 +141,6 @@ func NewContext(cost CostModel) *Context {
 	cx := &Context{Cost: cost}
 	cx.EnableAnalysisCache()
 	return cx
-}
-
-// child derives a per-function context sharing the parent's cost model
-// and analysis cache but accumulating its own Stats, so the parallel
-// manager can merge function results in deterministic module order.
-func (cx *Context) child() *Context {
-	return &Context{
-		Cost:        cx.Cost,
-		SliceChecks: cx.SliceChecks,
-		SliceEntry:  cx.SliceEntry,
-		analyses:    cx.analyses,
-		relevance:   cx.relevance,
-	}
 }
 
 // Pass transforms a module in place, returning whether anything
@@ -169,9 +156,8 @@ type Pass interface {
 }
 
 // FunctionPass is a Pass that works one function at a time with no
-// cross-function effects. The manager runs FunctionPasses across
-// functions in a bounded worker pool and drives fixpoints over them as
-// a per-function worklist.
+// cross-function effects. The manager drives fixpoints over
+// FunctionPasses as a per-function worklist.
 type FunctionPass interface {
 	Pass
 	RunOnFunc(f *ir.Function, cx *Context) bool

@@ -9,9 +9,8 @@ import (
 // conditional branches no kept instruction is control-dependent on
 // (flattened to unconditional branches — both arms compute nothing
 // observable, so either serves), and whole functions no kept call can
-// reach. It runs as a serial module pass: the relevance closure it
-// consumes is module-wide, so per-function parallelism would race the
-// analysis against mutation.
+// reach. It runs as a module pass: the relevance closure it consumes
+// is module-wide.
 //
 // Soundness contract (pinned by the bug-parity conformance suite):
 // sliced verification reports exactly the baseline's bugs on the kept

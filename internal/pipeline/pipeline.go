@@ -9,8 +9,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"overify/internal/ir"
@@ -132,21 +130,11 @@ type Config struct {
 	// -passes= flag parses into this). nil uses Passes(cfg).
 	Pipeline *PipelineSpec
 
-	// Jobs bounds concurrent per-function pass executions inside the
-	// pass manager; 0 or 1 compiles serially, negative uses one job
-	// per CPU. Threaded from the same -j the symbolic-execution engine
-	// uses.
-	Jobs int
-
-	// NoAnalysisCache disables the per-function Dom/Loops cache —
-	// every pass recomputes fresh, the pre-manager behavior. The
-	// equivalence suite uses this as its baseline.
-	NoAnalysisCache bool
-
-	// NoFuncSkip disables function-level change tracking in fixpoints,
-	// reproducing the pre-manager global-round schedule (and its
-	// invocation count).
-	NoFuncSkip bool
+	// freshAnalyses turns the per-function Dom/Loops cache off, so
+	// every pass recomputes them. Only tests set it (FreshAnalyses in
+	// export_test.go): it is the baseline the cached schedule must
+	// match, which catches a pass whose Preserves is wrong.
+	freshAnalyses bool
 }
 
 // LevelConfig returns the canonical configuration for a level.
@@ -279,10 +267,8 @@ type Result struct {
 }
 
 // Optimize runs the configured pipeline over the module in place,
-// through the pass manager: analyses cached per function (unless
-// cfg.NoAnalysisCache), fixpoints change-driven per function (unless
-// cfg.NoFuncSkip), function passes parallel across functions when
-// cfg.Jobs > 1. All four schedule corners emit byte-identical IR.
+// through the pass manager: analyses cached per function, fixpoints
+// change-driven per function.
 func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 	spec := Passes(cfg)
 	if cfg.Pipeline != nil {
@@ -307,10 +293,10 @@ func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 		SliceChecks: sliceChecks,
 		SliceEntry:  cfg.SliceEntry,
 	}
-	if !cfg.NoAnalysisCache {
+	if !cfg.freshAnalyses {
 		cx.EnableAnalysisCache()
 	}
-	mgr := &passes.Manager{Jobs: cfg.Jobs, NoSkip: cfg.NoFuncSkip}
+	mgr := &passes.Manager{}
 	if cfg.VerifyEachPass {
 		mgr.AfterPass = func(p passes.Pass) error {
 			if err := ir.VerifyModule(m); err != nil {
@@ -365,34 +351,4 @@ func (res *Result) finish(m *ir.Module, cx *passes.Context, metrics *passes.RunM
 	res.SkippedFuncRuns = metrics.Skipped
 	res.PassTimings = metrics.Passes
 	res.Analysis = cx.AnalysisStats()
-}
-
-// ParallelDo runs f(0..n-1) on up to jobs goroutines (serially when
-// jobs <= 1; negative jobs = one per CPU, the Config.Jobs convention).
-// The Table 1 and Figure 4 drivers use it to compile whole modules in
-// parallel — per-program parallelism above the pass manager's
-// per-function kind — writing results into index-addressed slots so
-// the output order stays deterministic regardless of completion order.
-func ParallelDo(n, jobs int, f func(i int)) {
-	if jobs < 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
 }

@@ -1,43 +1,44 @@
 package symex
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"overify/internal/ir"
 )
 
-// coverage is the engine-wide block-coverage map: which basic blocks
-// have had at least one instruction executed by any worker. It is fed
-// by exec (a block is covered when a state begins executing in it, not
-// when a fork merely targets it) and read by the coverage-weighted
-// search strategy, which scores states by how much uncovered territory
-// their next block opens up.
+// coverage is one function's covered-block set: which of its basic
+// blocks have had at least one instruction executed by any worker of
+// one engine. It is a bitset indexed by block number, fed by exec (a
+// block is covered when a state begins executing in it, not when a fork
+// merely targets it). It lives in the engine's frameLayout rather than
+// on ir.Block because one module serves concurrent engines.
 //
-// All methods are safe for concurrent use without external locking:
-// cover uses a lock-free LoadOrStore, and the distinct-block counter is
-// atomic, so the per-instruction hot path never contends on a mutex.
-type coverage struct {
-	blocks sync.Map // *ir.Block -> struct{}
-	n      atomic.Int64
+// cover is lock-free: a plain load answers the common already-covered
+// case, and only a first cover pays for a compare-and-swap.
+type coverage []atomic.Uint64
+
+func newCoverage(fn *ir.Function) coverage {
+	return make(coverage, (fn.NumBlocks()+63)/64)
 }
 
-func newCoverage() *coverage { return &coverage{} }
-
-// cover marks b as executed and reports whether it was newly covered.
-func (c *coverage) cover(b *ir.Block) bool {
-	if _, seen := c.blocks.LoadOrStore(b, struct{}{}); seen {
-		return false
+// cover marks b as executed and reports whether this call covered it
+// first.
+func (c coverage) cover(b *ir.Block) bool {
+	w, bit := &c[b.Num()>>6], uint64(1)<<(b.Num()&63)
+	// A CAS loop, not atomic Or: go1.24.0's amd64 Or intrinsic clobbers
+	// a live register when its result is used.
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
 	}
-	c.n.Add(1)
-	return true
 }
 
 // covered reports whether b has been executed on any path.
-func (c *coverage) covered(b *ir.Block) bool {
-	_, ok := c.blocks.Load(b)
-	return ok
+func (c coverage) covered(b *ir.Block) bool {
+	return c[b.Num()>>6].Load()&(uint64(1)<<(b.Num()&63)) != 0
 }
-
-// count is the number of distinct covered blocks.
-func (c *coverage) count() int64 { return c.n.Load() }

@@ -27,16 +27,7 @@ type Options struct {
 	// run stops at the same query on every machine — a deterministic
 	// work budget where Timeout is a load-dependent one.
 	MaxAssignments int64
-	// Strategy selects the exploration order (see SearchKind). Every
-	// strategy yields the same verdicts on an exhaustive run; they
-	// differ in how fast they reach coverage — and so in t_verify when
-	// a budget (MaxPaths, CoverTarget, Timeout) is in play.
-	Strategy SearchKind
-	// CoverTarget stops exploration once this many distinct basic
-	// blocks have been executed (0 = off). This is the "time to
-	// coverage" budget coverage-guided search optimizes for.
-	CoverTarget int
-	Solver      solver.Options
+	Solver         solver.Options
 	// Workers is the number of exploration workers. 1 (or 0) explores
 	// serially; -1 uses one worker per CPU. Workers share one expression
 	// builder and one solver cache but hold private solvers and private
@@ -137,7 +128,6 @@ type Stats struct {
 	CoveredBlocks  int   // distinct basic blocks executed on some path
 	MaxLiveStates  int
 	Workers        int               // exploration workers used
-	Strategy       string            // search strategy used
 	SolverStats    solver.Stats      // summed over all workers
 	SharedCache    solver.CacheStats // the cross-worker query cache
 	Elapsed        time.Duration
@@ -211,7 +201,6 @@ type Engine struct {
 	globalNum map[*ir.Global]int32 // a global's number
 	byName    []int32              // global numbers in name order, the codec's order
 	buffers   [][]page             // cells of the entry buffers, numbered after the globals
-	cov       *coverage            // block-coverage map, fed by exec
 	inputVars []*expr.Var          // ordered; used to concretize bug inputs
 	deadline  time.Time
 
@@ -235,6 +224,7 @@ type Engine struct {
 	assigns       atomic.Int64 // solver assignments flushed so far (MaxAssignments accounting)
 	checksSkipped atomic.Int64
 	explored      atomic.Int64 // states whose execution began
+	covered       atomic.Int64 // distinct blocks executed (the layouts' coverage bits set)
 	timedOut      atomic.Bool
 	stopped       atomic.Bool // a global limit fired; all workers bail out
 }
@@ -262,7 +252,6 @@ func NewEngine(mod *ir.Module, opts Options) *Engine {
 		B:       warm.Builder,
 		cache:   warm.Cache,
 		layouts: make(map[*ir.Function]*frameLayout, len(mod.Funcs)),
-		cov:     newCoverage(),
 		opts:    opts,
 	}
 	for i, fn := range mod.Funcs {
@@ -440,14 +429,13 @@ func (e *Engine) RunStates(states []*State) *Report {
 	e.armDeadline()
 
 	n := e.opts.effectiveWorkers()
-	strat := newStrategy(e.opts.Strategy, n, e.cov)
-	fr := newFrontier(n, strat, e.opts.MaxStates)
+	fr := newFrontier(n, e.opts.MaxStates)
 	fr.put(0, states)
 
 	workers := make([]*worker, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		w := e.newWorker(i, fr, strat)
+		w := e.newWorker(i, fr)
 		workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -487,7 +475,7 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 		return nil, err
 	}
 	e.armDeadline()
-	w := e.newWorker(0, nil, newStrategy(e.opts.Strategy, 1, e.cov))
+	w := e.newWorker(0, nil)
 	queue := []*State{st}
 	for len(queue) > 0 && len(queue) < want {
 		cur := queue[0]
@@ -540,9 +528,8 @@ func (e *Engine) snapshot() Stats {
 		Instrs:         e.instrs.Load(),
 		ChecksSkipped:  e.checksSkipped.Load(),
 		StatesExplored: e.explored.Load(),
-		CoveredBlocks:  int(e.cov.count()),
+		CoveredBlocks:  int(e.covered.Load()),
 		Workers:        e.opts.effectiveWorkers(),
-		Strategy:       e.opts.Strategy.String(),
 		SolverStats:    e.splitStats,
 		SharedCache:    e.cache.Snapshot(),
 		TimedOut:       e.timedOut.Load(),
@@ -551,24 +538,27 @@ func (e *Engine) snapshot() Stats {
 
 // newWorker builds one exploration worker: a private solver over the
 // shared cache, bound to the run's deadline. Call after armDeadline.
-func (e *Engine) newWorker(id int, fr *frontier, strat Strategy) *worker {
-	w := &worker{e: e, id: id, B: e.B, fr: fr, strat: strat, sol: solver.NewWithCache(e.opts.Solver, e.cache),
+func (e *Engine) newWorker(id int, fr *frontier) *worker {
+	w := &worker{e: e, id: id, B: e.B, fr: fr, sol: solver.NewWithCache(e.opts.Solver, e.cache),
 		free: make([][]*Frame, len(e.Mod.Funcs))}
 	w.sol.SetDeadline(e.deadline) // zero = none
 	return w
 }
 
 // CoveredBlockNames returns the sorted "function/block" names of every
-// covered block. Coverage is process-local state keyed by *ir.Block
-// pointers, so distributed runs union these names across processes to
+// covered block. Coverage is process-local state keyed by block
+// numbers, so distributed runs union these names across processes to
 // recover the serial run's distinct-block count.
 func (e *Engine) CoveredBlockNames() []string {
 	var names []string
-	e.cov.blocks.Range(func(k, _ any) bool {
-		b := k.(*ir.Block)
-		names = append(names, b.Fn.Name+"/"+b.Name)
-		return true
-	})
+	for _, fn := range e.Mod.Funcs {
+		cov := e.layouts[fn].cov
+		for _, b := range fn.Blocks {
+			if cov.covered(b) {
+				names = append(names, fn.Name+"/"+b.Name)
+			}
+		}
+	}
 	sort.Strings(names)
 	return names
 }
@@ -603,9 +593,6 @@ func MergeReports(parts ...*Report) *Report {
 			out.Stats.Elapsed = r.Stats.Elapsed
 		}
 		out.Stats.Workers += r.Stats.Workers
-		if out.Stats.Strategy == "" {
-			out.Stats.Strategy = r.Stats.Strategy
-		}
 		out.Stats.TimedOut = out.Stats.TimedOut || r.Stats.TimedOut
 		bugs = append(bugs, r.Bugs...)
 	}

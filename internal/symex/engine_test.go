@@ -41,21 +41,6 @@ int f(unsigned char *in, int n) {
 	return count;
 }`
 
-// TestDFSandBFSAgree: exploration order must not change the verdicts.
-func TestDFSandBFSAgree(t *testing.T) {
-	dfs := explore(t, branchySrc, "f", 4, symex.Options{Strategy: symex.DFS}, pipeline.O0)
-	bfs := explore(t, branchySrc, "f", 4, symex.Options{Strategy: symex.BFS}, pipeline.O0)
-	if dfs.Stats.Paths != bfs.Stats.Paths {
-		t.Errorf("paths: dfs=%d bfs=%d", dfs.Stats.Paths, bfs.Stats.Paths)
-	}
-	if dfs.Stats.Instrs != bfs.Stats.Instrs {
-		t.Errorf("instrs: dfs=%d bfs=%d", dfs.Stats.Instrs, bfs.Stats.Instrs)
-	}
-	if len(dfs.Bugs) != len(bfs.Bugs) {
-		t.Errorf("bugs: dfs=%d bfs=%d", len(dfs.Bugs), len(bfs.Bugs))
-	}
-}
-
 // TestPathCountExact: each of the n bytes is 0 / 'x' / other, the NUL
 // cuts the string: for n=3 the path count is known exactly.
 func TestPathCountExact(t *testing.T) {

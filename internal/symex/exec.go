@@ -18,7 +18,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			return true, nil
 		}
 		f := st.top()
-		w.coverBlock(f.Block)
+		w.coverBlock(f)
 		in := f.Block.Instrs[f.Idx]
 		w.countInstr()
 

@@ -35,7 +35,7 @@ func lowerAt(tb testing.TB, src string, level pipeline.Level) *ir.Module {
 
 // testWorker is a worker outside any pool, the way Split builds one.
 func testWorker(e *Engine) *worker {
-	return e.newWorker(0, nil, newStrategy(DFS, 1, e.cov))
+	return e.newWorker(0, nil)
 }
 
 // objRef is a memory object as one state holds it: equal across states

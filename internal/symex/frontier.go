@@ -3,24 +3,23 @@ package symex
 import "sync"
 
 // frontier is the sharded set of pending states. Each worker owns one
-// shard; the order within a shard — and what a thief takes from a
-// victim — is delegated to the run's Strategy, so the same
-// work-distribution machinery serves DFS, BFS, coverage-weighted and
-// random-path exploration. A worker whose shard drains steals from the
-// longest other shard, asking the strategy which state to take so
-// stealing never demotes a high-priority state.
+// shard, a stack: the worker pops its newest state, so exploration is
+// depth-first and children run right after the parent whose constraint
+// prefix they share. A worker whose shard drains steals the oldest
+// state of the longest other shard — the shallowest one, the largest
+// unexplored subtree, leaving the victim its hot deep states. On an
+// exhaustive run the order decides nothing but speed: every state is
+// run exactly once, so the verdicts are the same at any worker count.
 //
-// A single mutex guards all shards and strategy calls (except
-// NotifyCovered, which strategies handle lock-free). State transitions
-// (fork, path end) are orders of magnitude rarer than interpreted
-// instructions and solver work, so the lock is cold; what matters for
-// scaling is that each worker keeps its own run between transitions.
+// A single mutex guards all shards. State transitions (fork, path end)
+// are orders of magnitude rarer than interpreted instructions and
+// solver work, so the lock is cold; what matters for scaling is that
+// each worker keeps its own run between transitions.
 type frontier struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	strat     Strategy
-	workers   int
+	shards    [][]*State
 	maxStates int
 
 	queued  int // states sitting in shards
@@ -29,31 +28,75 @@ type frontier struct {
 	done    bool
 }
 
-func newFrontier(workers int, strat Strategy, maxStates int) *frontier {
+func newFrontier(workers int, maxStates int) *frontier {
 	f := &frontier{
-		strat:     strat,
-		workers:   workers,
+		shards:    make([][]*State, workers),
 		maxStates: maxStates,
 	}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
+// pop removes and returns the shard's newest state, or nil.
+func (f *frontier) pop(shard int) *State {
+	own := f.shards[shard]
+	if len(own) == 0 {
+		return nil
+	}
+	st := own[len(own)-1]
+	f.shards[shard] = own[:len(own)-1]
+	return st
+}
+
+// oldest removes and returns the shard's oldest state, or nil: what a
+// thief takes, and what the live-states cap drops.
+func (f *frontier) oldest(shard int) *State {
+	own := f.shards[shard]
+	if len(own) == 0 {
+		return nil
+	}
+	st := own[0]
+	f.shards[shard] = own[1:]
+	return st
+}
+
+// longest returns the index of the longest shard other than skip, or -1
+// if they are all empty.
+func (f *frontier) longest(skip int) int {
+	big, best := -1, 0
+	for i, own := range f.shards {
+		if i != skip && len(own) > best {
+			big, best = i, len(own)
+		}
+	}
+	return big
+}
+
+// evict drops the oldest state of the fullest shard (the live-states
+// cap fired), or returns nil if every shard is empty.
+func (f *frontier) evict() *State {
+	big := f.longest(-1)
+	if big < 0 {
+		return nil
+	}
+	return f.oldest(big)
+}
+
 // put publishes forked states to the worker's shard, returning how many
-// pending states it had to evict (the strategy's least valuable) to
-// stay under maxStates — the caller accounts those as truncated.
+// pending states it had to evict to stay under maxStates — the caller
+// accounts those as truncated.
 func (f *frontier) put(id int, states []*State) (dropped int64) {
 	if len(states) == 0 {
 		return 0
 	}
 	f.mu.Lock()
-	f.strat.Insert(id, states)
+	f.shards[id] = append(f.shards[id], states...)
 	f.queued += len(states)
 	if live := f.queued + f.active; live > f.maxLive {
 		f.maxLive = live
 	}
 	for f.maxStates > 0 && f.queued > f.maxStates {
-		if f.strat.Evict() == nil {
+		if f.evict() == nil {
 			break
 		}
 		f.queued--
@@ -94,23 +137,15 @@ func (f *frontier) take(id int, stopped func() bool) *State {
 	}
 }
 
-// popLocked pops from the worker's own shard, else steals the
-// strategy's choice from the longest other shard.
+// popLocked pops from the worker's own shard, else steals the oldest
+// state of the longest other shard.
 func (f *frontier) popLocked(id int) *State {
-	if st := f.strat.Select(id); st != nil {
-		f.queued--
-		return st
-	}
-	victim, best := -1, 0
-	for i := 0; i < f.workers; i++ {
-		if i != id && f.strat.Len(i) > best {
-			victim, best = i, f.strat.Len(i)
+	st := f.pop(id)
+	if st == nil {
+		if victim := f.longest(id); victim >= 0 {
+			st = f.oldest(victim)
 		}
 	}
-	if victim < 0 {
-		return nil
-	}
-	st := f.strat.Steal(victim)
 	if st != nil {
 		f.queued--
 	}
@@ -134,10 +169,9 @@ func (f *frontier) release() {
 func (f *frontier) drain() int64 {
 	f.mu.Lock()
 	var n int64
-	for i := 0; i < f.workers; i++ {
-		for f.strat.Select(i) != nil {
-			n++
-		}
+	for i, own := range f.shards {
+		n += int64(len(own))
+		f.shards[i] = nil
 	}
 	f.queued -= int(n)
 	f.done = true

@@ -206,13 +206,14 @@ type frameLayout struct {
 	slot    []int32  // by Instr.ID: register index + 1; 0 for void instructions
 	allocas []string // one per register: an alloca's object name, "" for anything else
 	id      int      // the function's index in the module: its workers' free-frame list
+	cov     coverage // the function's blocks this engine has executed
 }
 
 // index is the register index of a value-producing instruction.
 func (lay *frameLayout) index(in *ir.Instr) int { return int(lay.slot[in.ID]) - 1 }
 
 func newFrameLayout(fn *ir.Function) *frameLayout {
-	lay := &frameLayout{allocas: make([]string, len(fn.Params), len(fn.Params)+fn.NumInstrs())}
+	lay := &frameLayout{allocas: make([]string, len(fn.Params), len(fn.Params)+fn.NumInstrs()), cov: newCoverage(fn)}
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if ir.SameType(in.Typ, ir.Void) {

@@ -20,17 +20,16 @@ const instrFlushStride = 1024
 // bug list (merged deterministically after the run), and a local
 // instruction counter batched into the engine totals.
 type worker struct {
-	e     *Engine
-	id    int
-	B     *expr.Builder
-	fr    *frontier
-	strat Strategy
-	sol   *solver.Solver
+	e   *Engine
+	id  int
+	B   *expr.Builder
+	fr  *frontier
+	sol *solver.Solver
 
 	bugs        []Bug
 	localInstrs int64      // not yet flushed to e.instrs
 	lastAssigns int64      // solver assignments already flushed to e.assigns
-	lastBlock   *ir.Block  // last block fed to the coverage map
+	lastBlock   *ir.Block  // last block marked covered
 	phiVals     []SymVal   // jump's batch of phi values, reused per jump
 	free        [][]*Frame // returned frames by function, for the next call to reuse
 }
@@ -103,9 +102,8 @@ func (w *worker) run() {
 }
 
 // explore drives one held state to the end of its path, following the
-// true side of each fork immediately (DFS keeps the constraint prefix
-// hot) and publishing the rest. In BFS mode every continuation goes
-// back to the frontier so shallow states run first.
+// deepest continuation of each fork immediately (depth-first keeps the
+// constraint prefix hot) and publishing the rest for stealing.
 func (w *worker) explore(st *State) {
 	for {
 		stop, forked := w.step(st)
@@ -129,17 +127,8 @@ func (w *worker) explore(st *State) {
 			}
 			return
 		}
-		if w.e.opts.Strategy != DFS {
-			// Every non-DFS strategy fully owns the order: publish all
-			// continuations and let Select pick the next state, so a
-			// worker's inline continuation cannot jump the queue ahead of
-			// a higher-priority pending state.
-			w.e.truncated.Add(w.fr.put(w.id, forked))
-			w.fr.release()
-			return
-		}
-		// DFS: continue with the deepest continuation (step returns it
-		// last), publish the rest for stealing.
+		// Continue with the deepest continuation (step returns it last),
+		// publish the rest for stealing.
 		st = forked[len(forked)-1]
 		w.e.explored.Add(1)
 		w.e.truncated.Add(w.fr.put(w.id, forked[:len(forked)-1]))
@@ -162,21 +151,15 @@ func (w *worker) flushInstrs() {
 	}
 }
 
-// coverBlock feeds the engine's coverage map as execution enters b.
-// The lastBlock memo keeps the per-instruction cost at one pointer
-// compare; first-time covers notify the strategy (covnew rescores
-// lazily off that signal) and check the CoverTarget stop condition.
-func (w *worker) coverBlock(b *ir.Block) {
-	if b == w.lastBlock {
+// coverBlock marks f's block covered as execution enters it. The
+// lastBlock memo keeps the per-instruction cost at one pointer compare.
+func (w *worker) coverBlock(f *Frame) {
+	if f.Block == w.lastBlock {
 		return
 	}
-	w.lastBlock = b
-	if !w.e.cov.cover(b) {
-		return
-	}
-	w.strat.NotifyCovered(b)
-	if t := w.e.opts.CoverTarget; t > 0 && w.e.cov.count() >= int64(t) {
-		w.e.requestStop()
+	w.lastBlock = f.Block
+	if f.lay.cov.cover(f.Block) {
+		w.e.covered.Add(1)
 	}
 }
 

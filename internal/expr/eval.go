@@ -51,9 +51,11 @@ type stampedVal struct {
 	val uint64
 }
 
-// NewEvaluator returns an evaluator with no assignment bound.
+// NewEvaluator returns an evaluator with no assignment bound. The memo
+// starts empty and grows with use: every solver holds one, and most
+// evaluate a few small constraints or none.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{memo: make(map[*Expr]stampedVal, 256), gen: 1}
+	return &Evaluator{memo: make(map[*Expr]stampedVal), gen: 1}
 }
 
 // Bind sets the assignment for subsequent Eval calls and invalidates

@@ -197,8 +197,8 @@ func checkCFGTables(f *ir.Function) error {
 	if err := same("ReversePostorder", ir.ReversePostorder(f), ref.rpo); err != nil {
 		return err
 	}
-	children, refChildren := dt.Children(), ref.children()
-	df, refDF := dt.DominanceFrontiers(), ref.frontiers()
+	children, refChildren := dt.ChildrenInto(ir.BlockTable{}), ref.children()
+	df, refDF := dt.DominanceFrontiersInto(ir.BlockTable{}), ref.frontiers()
 	for _, b := range f.Blocks {
 		if err := same("preds of "+b.Name, preds.Of(b), ref.preds[b]); err != nil {
 			return err
@@ -244,7 +244,9 @@ func checkCFGTables(f *ir.Function) error {
 // TestCFGTablesMatchMaps: after every top-level pass of the -O0+slice
 // and -OVERIFY pipelines over the corpus, every predecessor, dominator,
 // RPO, loop-order and frontier query answers what the map-building
-// references answer, block for block.
+// references answer, block for block. Then one refilled PredTable
+// answers what a fresh Preds does for every function the pipelines
+// left, in ascending and in descending block count.
 func TestCFGTablesMatchMaps(t *testing.T) {
 	o0slice := pipeline.LevelConfig(pipeline.O0)
 	o0slice.Slice = true
@@ -256,6 +258,7 @@ func TestCFGTablesMatchMaps(t *testing.T) {
 	if testing.Short() {
 		progs = progs[:8]
 	}
+	var funcs []*ir.Function // every compiled function, for the refill check
 	for cname, cfg := range cfgs {
 		seq, err := pipeline.Passes(cfg).Build()
 		if err != nil {
@@ -294,6 +297,37 @@ func TestCFGTablesMatchMaps(t *testing.T) {
 			mgr := &passes.Manager{AfterPass: func(ps passes.Pass) error { return check(ps.Name()) }}
 			if _, err := mgr.Run(m, seq, cx); err != nil {
 				t.Fatal(err)
+			}
+			cx.Release()
+			for _, f := range m.Funcs {
+				if !f.IsDeclaration() {
+					funcs = append(funcs, f)
+				}
+			}
+		}
+	}
+	checkRefills(t, funcs)
+}
+
+// checkRefills refills one PredTable with every function's predecessors
+// in ascending and then in descending block count, so a refill follows
+// both a smaller and a larger function, and compares each to a fresh
+// Preds: stale entries of a larger function must never show.
+func checkRefills(t *testing.T, funcs []*ir.Function) {
+	t.Helper()
+	slices.SortStableFunc(funcs, func(a, b *ir.Function) int { return len(a.Blocks) - len(b.Blocks) })
+	descending := slices.Clone(funcs)
+	slices.Reverse(descending)
+	var buf ir.PredTable
+	for pass, order := range [][]*ir.Function{funcs, descending} {
+		for _, f := range order {
+			buf = f.PredsInto(buf)
+			fresh := f.Preds()
+			for _, b := range f.Blocks {
+				if got, want := buf.Of(b), fresh.Of(b); !slices.Equal(got, want) {
+					t.Fatalf("refill %d: @%s (%d blocks) preds of %s = %d blocks, fresh %d",
+						pass, f.Name, len(f.Blocks), b.Name, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -342,21 +376,26 @@ func chain(n int) *ir.Function {
 
 // TestCFGQueriesAllocConstant: building the predecessor table and the
 // dominator tree costs the same number of allocations on a 4-block and
-// on a 400-block function.
+// on a 400-block function, and refilling a warm table costs none.
 func TestCFGQueriesAllocConstant(t *testing.T) {
 	small, large := chain(4), chain(400)
+	var warm ir.PredTable
 	queries := []struct {
 		name string
 		run  func(f *ir.Function)
+		max  float64
 	}{
-		{"Preds", func(f *ir.Function) { f.Preds() }},
-		{"ComputeDom", func(f *ir.Function) { ir.ComputeDom(f) }},
+		{"Preds", func(f *ir.Function) { f.Preds() }, 8},
+		{"ComputeDom", func(f *ir.Function) { ir.ComputeDom(f) }, 8},
+		// The large function runs first, so the small one refills a
+		// table grown past its need.
+		{"PredsInto (warm)", func(f *ir.Function) { warm = f.PredsInto(warm) }, 0},
 	}
 	for _, q := range queries {
-		s := testing.AllocsPerRun(20, func() { q.run(small) })
 		l := testing.AllocsPerRun(20, func() { q.run(large) })
-		if s != l || s > 8 {
-			t.Errorf("%s: %v allocs on 4 blocks, %v on 400; want one small constant", q.name, s, l)
+		s := testing.AllocsPerRun(20, func() { q.run(small) })
+		if s != l || s > q.max {
+			t.Errorf("%s: %v allocs on 4 blocks, %v on 400; want at most %v on both", q.name, s, l, q.max)
 		}
 	}
 }

@@ -14,26 +14,31 @@ type DomTree struct {
 // ReversePostorder returns the function's reachable blocks in reverse
 // postorder (entry first).
 func ReversePostorder(f *Function) []*Block {
-	return reversePostorder(f, make([]bool, f.NumBlocks()))
+	s := cfgPool.Get()
+	defer s.put()
+	return reversePostorder(f, s.visited(f.NumBlocks()), s)
+}
+
+// dfsFrame is one block on reversePostorder's stack.
+type dfsFrame struct {
+	b    *Block
+	next int // index of the next successor to visit
 }
 
 // reversePostorder is ReversePostorder with the caller's visited set,
-// indexed by block number and all false. The walk is an explicit-stack
-// DFS that appends a block after its last successor, exactly as the
-// recursive definition does.
-func reversePostorder(f *Function, seen []bool) []*Block {
+// indexed by block number and all false, and s's DFS stack. The walk
+// is an explicit-stack DFS that appends a block after its last
+// successor, exactly as the recursive definition does. The order it
+// returns is not scratch.
+func reversePostorder(f *Function, seen []bool, s *cfgScratch) []*Block {
 	e := f.Entry()
 	if e == nil {
 		return nil
 	}
 	post := make([]*Block, 0, len(f.Blocks))
-	type frame struct {
-		b    *Block
-		next int // index of the next successor to visit
-	}
-	stack := make([]frame, 0, len(f.Blocks))
+	stack := s.frames[:0]
 	seen[e.num] = true
-	stack = append(stack, frame{b: e})
+	stack = append(stack, dfsFrame{b: e})
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		succs := top.b.Succs()
@@ -42,13 +47,14 @@ func reversePostorder(f *Function, seen []bool) []*Block {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		s := succs[top.next]
+		c := succs[top.next]
 		top.next++
-		if s.Fn == f && !seen[s.num] { // a foreign block: VerifyModule reports it
-			seen[s.num] = true
-			stack = append(stack, frame{b: s})
+		if c.Fn == f && !seen[c.num] { // a foreign block: VerifyModule reports it
+			seen[c.num] = true
+			stack = append(stack, dfsFrame{b: c})
 		}
 	}
+	s.frames = stack
 	// Reverse in place.
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
@@ -57,15 +63,18 @@ func reversePostorder(f *Function, seen []bool) []*Block {
 }
 
 // ComputeDom builds the dominator tree of f's reachable CFG. Its cost in
-// allocations does not depend on the function's size.
+// allocations does not depend on the function's size: the tree's own
+// tables, and nothing else once the pooled scratch has grown.
 func ComputeDom(f *Function) *DomTree {
+	s := cfgPool.Get()
+	defer s.put()
 	n := f.NumBlocks()
 	dt := &DomTree{
 		fn:    f,
 		idom:  make([]*Block, n),
 		order: make([]int32, n),
 	}
-	dt.rpo = reversePostorder(f, make([]bool, n))
+	dt.rpo = reversePostorder(f, s.visited(n), s)
 	for i, b := range dt.rpo {
 		dt.order[b.num] = int32(i + 1)
 	}
@@ -73,7 +82,7 @@ func ComputeDom(f *Function) *DomTree {
 	if entry == nil {
 		return dt
 	}
-	preds := f.Preds()
+	preds := s.predsOf(f)
 	dt.idom[entry.num] = entry
 	for changed := true; changed; {
 		changed = false
@@ -147,26 +156,35 @@ func (dt *DomTree) Dominates(a, b *Block) bool {
 // RPO returns the blocks in reverse postorder.
 func (dt *DomTree) RPO() []*Block { return dt.rpo }
 
-// Children returns the dominator-tree children of every reachable
-// block, each list in reverse postorder.
-func (dt *DomTree) Children() BlockTable {
-	pairs := make([]blockPair, 0, len(dt.rpo))
+// ChildrenInto returns the dominator-tree children of every reachable
+// block, each list in reverse postorder, refilling t (see PredsInto;
+// pass a zero table for a fresh one).
+func (dt *DomTree) ChildrenInto(t BlockTable) BlockTable {
+	s := cfgPool.Get()
+	defer s.put()
+	pairs := s.pairs[:0]
 	for _, b := range dt.rpo[min(1, len(dt.rpo)):] { // the entry has no parent
 		pairs = append(pairs, blockPair{dt.idom[b.num], b})
 	}
-	return tableOf(len(dt.order), pairs)
+	s.pairs = pairs
+	return tableOf(t, len(dt.order), pairs)
 }
 
-// DominanceFrontiers computes the dominance frontier of every reachable
-// block (Cytron et al.), used for pruned-SSA phi placement in mem2reg.
-// Each frontier lists its blocks in the order the walk reaches them.
-func (dt *DomTree) DominanceFrontiers() BlockTable {
-	var pairs []blockPair
+// DominanceFrontiersInto computes the dominance frontier of every
+// reachable block (Cytron et al.), used for pruned-SSA phi placement in
+// mem2reg, refilling t (see PredsInto; pass a zero table for a fresh
+// one). Each frontier lists its blocks in the order the walk reaches
+// them.
+func (dt *DomTree) DominanceFrontiersInto(t BlockTable) BlockTable {
+	s := cfgPool.Get()
+	defer s.put()
+	pairs := s.pairs[:0]
 	// last[n] is the join block most recently added to the frontier of
 	// the block numbered n. Joins are visited one at a time, so that is
 	// the only duplicate a frontier can meet.
-	last := make([]*Block, len(dt.order))
-	preds := dt.fn.Preds()
+	s.byNum = refill(s.byNum, len(dt.order))
+	last := s.byNum
+	preds := s.predsOf(dt.fn)
 	for _, b := range dt.rpo {
 		ps := preds.Of(b)
 		if len(ps) < 2 {
@@ -190,7 +208,8 @@ func (dt *DomTree) DominanceFrontiers() BlockTable {
 			}
 		}
 	}
-	return tableOf(len(dt.order), pairs)
+	s.pairs = pairs
+	return tableOf(t, len(dt.order), pairs)
 }
 
 // InstrDominates reports whether def is available at the point of use.

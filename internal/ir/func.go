@@ -84,16 +84,14 @@ func (b *Block) Remove(in *Instr) {
 	}
 }
 
-// Phis returns the block's leading phi instructions.
+// Phis returns the block's leading phi instructions. The result is the
+// phi prefix of b.Instrs itself, capped at its length, so it costs no
+// allocation and an append to it cannot write into the block. It is
+// read-only: a caller that removes or inserts phis while ranging over
+// it must range over a copy.
 func (b *Block) Phis() []*Instr {
-	var out []*Instr
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
+	k := b.FirstNonPhi()
+	return b.Instrs[:k:k]
 }
 
 // FirstNonPhi returns the index of the first non-phi instruction.
@@ -244,16 +242,17 @@ func (t BlockTable) Of(b *Block) []*Block {
 type blockPair struct{ from, to *Block }
 
 // tableOf lays pairs out as a BlockTable over block numbers below n,
-// keeping each list in the order its pairs were given.
-func tableOf(n int, pairs []blockPair) BlockTable {
-	off := make([]int32, n+1)
+// keeping each list in the order its pairs were given, in t's arrays
+// when they are large enough.
+func tableOf(t BlockTable, n int, pairs []blockPair) BlockTable {
+	off := refill(t.off, n+1)
 	for _, p := range pairs {
 		off[p.from.num+1]++
 	}
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	flat := make([]*Block, len(pairs))
+	flat := resize(t.flat, len(pairs))
 	for _, p := range pairs {
 		flat[off[p.from.num]] = p.to
 		off[p.from.num]++
@@ -264,12 +263,23 @@ func tableOf(n int, pairs []blockPair) BlockTable {
 	return BlockTable{off: off, flat: flat}
 }
 
-// Preds returns the predecessor table of the current CFG. It walks the
-// edges twice (count, then fill) instead of collecting pairs, so it
-// allocates only the table.
-func (f *Function) Preds() PredTable {
-	n := f.NumBlocks()
-	off := make([]int32, n+1)
+// Clear drops every block pointer t's arrays hold, to their capacity,
+// so a table kept for refilling keeps no function's blocks alive. t
+// stays a valid refill buffer.
+func (t BlockTable) Clear() { clear(t.flat[:cap(t.flat)]) }
+
+// Preds returns the predecessor table of the current CFG.
+func (f *Function) Preds() PredTable { return f.PredsInto(PredTable{}) }
+
+// PredsInto is Preds refilling t: the result reuses t's arrays when
+// they are large enough, so a caller that recomputes the table in a
+// loop allocates only when the function outgrows them. The result
+// shares t's arrays, so a table read after a refill of the same buffer
+// reads the new CFG's lists: no caller may hold a table across one. It
+// walks the edges twice (count, then fill) instead of collecting
+// pairs.
+func (f *Function) PredsInto(t PredTable) PredTable {
+	off := refill(t.off, f.NumBlocks()+1)
 	edges := 0
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
@@ -282,7 +292,7 @@ func (f *Function) Preds() PredTable {
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	flat := make([]*Block, edges)
+	flat := resize(t.flat, edges)
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			if s.Fn == f {

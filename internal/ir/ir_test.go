@@ -91,7 +91,7 @@ func TestDominators(t *testing.T) {
 	if dt.Dominates(thenB, join) || dt.Dominates(elseB, join) {
 		t.Error("branch arms must not dominate the join")
 	}
-	df := dt.DominanceFrontiers()
+	df := dt.DominanceFrontiersInto(BlockTable{})
 	if fr := df.Of(thenB); len(fr) != 1 || fr[0] != join {
 		t.Errorf("DF(then) = %v, want [join]", fr)
 	}
@@ -158,20 +158,29 @@ func TestLoopDiscovery(t *testing.T) {
 func TestCloneBlocks(t *testing.T) {
 	m, f := buildLoop()
 	region := []*Block{f.Blocks[1], f.Blocks[2]}
-	blockMap, vm := CloneBlocks(f, region, nil)
-	if len(blockMap) != 2 {
-		t.Fatalf("cloned %d blocks", len(blockMap))
+	var cm CloneMap
+	CloneBlocks(f, region, &cm)
+	if len(f.Blocks) != 6 || cm.Block(f.Blocks[0]) != nil {
+		t.Fatalf("cloned %d blocks", len(f.Blocks)-4)
 	}
 	// Clone internal edges must point at clones.
-	ch := blockMap[f.Blocks[1]]
-	cb := blockMap[f.Blocks[2]]
+	ch := cm.Block(f.Blocks[1])
+	cb := cm.Block(f.Blocks[2])
 	if cb.Term().Succs[0] != ch {
 		t.Error("cloned back edge must target the cloned header")
 	}
 	// The cloned header's branch condition must be the cloned compare.
 	origCond := f.Blocks[1].Instrs[1]
-	if vm.Lookup(origCond) == Value(origCond) {
+	if cm.Lookup(origCond) == Value(origCond) {
 		t.Error("condition was not remapped")
+	}
+	// A refill answers for the new clone only.
+	CloneBlocks(f, region[1:], &cm)
+	if cm.Block(f.Blocks[1]) != nil || cm.Lookup(origCond) != Value(origCond) {
+		t.Error("a refilled CloneMap still answers for the previous clone")
+	}
+	if cm.Block(f.Blocks[2]) == nil {
+		t.Error("the refill did not record its clone")
 	}
 	_ = m
 }

@@ -62,24 +62,29 @@ func (l *Loop) BlocksInRPO(dt *DomTree) []*Block {
 // header are merged. The result is ordered outermost-first and is
 // deterministic.
 func FindLoops(f *Function, dt *DomTree) []*Loop {
-	preds := f.Preds()
-	byHeader := make(map[*Block]*Loop)
-	var headers []*Block
+	s := cfgPool.Get()
+	defer s.put()
+	preds := s.predsOf(f)
+	// byHeader holds each loop found so far under its header's number;
+	// dt.Dominates(h, b) holds only for blocks dt numbered.
+	s.loops = refill(s.loops, len(dt.order))
+	byHeader := s.loops
+	var loops []*Loop // in order of discovery
 
 	for _, b := range dt.RPO() {
-		for _, s := range b.Succs() {
-			if !dt.Dominates(s, b) {
+		for _, h := range b.Succs() {
+			if !dt.Dominates(h, b) {
 				continue // not a back edge
 			}
-			l := byHeader[s]
+			l := byHeader[h.num]
 			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
-				byHeader[s] = l
-				headers = append(headers, s)
+				l = &Loop{Header: h, Blocks: map[*Block]bool{h: true}}
+				byHeader[h.num] = l
+				loops = append(loops, l)
 			}
 			l.Latches = append(l.Latches, b)
 			// Walk backwards from the latch to collect the body.
-			stack := []*Block{b}
+			stack := append(s.blocks[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -93,13 +98,10 @@ func FindLoops(f *Function, dt *DomTree) []*Loop {
 					}
 				}
 			}
+			s.blocks = stack
 		}
 	}
 
-	loops := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		loops = append(loops, byHeader[h])
-	}
 	// Establish nesting: loop A is inside B if B contains A's header and
 	// A != B. Choose the smallest enclosing loop as the parent.
 	for _, a := range loops {

@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // PostDomTree holds immediate-postdominator information for a
 // function's CFG, computed with the same Cooper–Harvey–Kennedy
 // iteration as ComputeDom but over the reverse CFG, rooted at a
@@ -19,6 +21,8 @@ type PostDomTree struct {
 
 // ComputePostDom builds the postdominator tree of f.
 func ComputePostDom(f *Function) *PostDomTree {
+	s := cfgPool.Get()
+	defer s.put()
 	n := f.NumBlocks()
 	pt := &PostDomTree{
 		fn:    f,
@@ -26,19 +30,13 @@ func ComputePostDom(f *Function) *PostDomTree {
 		ipdom: make([]*Block, n),
 		order: make([]int32, n),
 	}
-	preds := f.Preds() // real preds = reverse-CFG succs
+	preds := s.predsOf(f) // real preds = reverse-CFG succs
 
-	var exits []*Block
-	for _, b := range f.Blocks {
-		if t := b.Term(); t != nil && (t.Op == OpRet || t.Op == OpUnreachable) {
-			exits = append(exits, b)
-		}
-	}
-
-	// Postorder on the reverse CFG from the virtual exit; reversing it
-	// gives the RPO the CHK iteration wants (virtual exit first).
-	seen := make([]bool, n)
-	var post []*Block
+	// Postorder on the reverse CFG from the virtual exit, whose reverse-
+	// CFG successors are the exiting blocks in f.Blocks order; reversing
+	// it gives the RPO the CHK iteration wants (virtual exit first).
+	seen := s.visited(n)
+	post := s.blocks[:0]
 	var visit func(b *Block)
 	visit = func(b *Block) {
 		if seen[b.num] {
@@ -50,14 +48,15 @@ func ComputePostDom(f *Function) *PostDomTree {
 		}
 		post = append(post, b)
 	}
-	for _, e := range exits {
-		visit(e)
+	for _, b := range f.Blocks {
+		if t := b.Term(); t != nil && (t.Op == OpRet || t.Op == OpUnreachable) {
+			visit(b)
+		}
 	}
 	post = append(post, pt.exit)
-	rpo := make([]*Block, len(post))
-	for i, b := range post {
-		rpo[len(post)-1-i] = b
-	}
+	s.blocks = post
+	rpo := post
+	slices.Reverse(rpo)
 	for i, b := range rpo {
 		pt.order[b.num] = int32(i + 1)
 	}
@@ -72,22 +71,22 @@ func ComputePostDom(f *Function) *PostDomTree {
 			// Reverse-CFG predecessors of b: its real successors, plus the
 			// virtual exit when b itself exits the function.
 			var newIpdom *Block
-			consider := func(s *Block) {
-				if pt.ipdom[s.num] == nil {
+			consider := func(c *Block) {
+				if pt.ipdom[c.num] == nil {
 					return
 				}
 				if newIpdom == nil {
-					newIpdom = s
+					newIpdom = c
 				} else {
-					newIpdom = pt.intersect(s, newIpdom)
+					newIpdom = pt.intersect(c, newIpdom)
 				}
 			}
 			if t := b.Term(); t != nil && (t.Op == OpRet || t.Op == OpUnreachable) {
 				consider(pt.exit)
 			}
-			for _, s := range b.Succs() {
-				if s.Fn == f { // a foreign block reaches no exit of f
-					consider(s)
+			for _, c := range b.Succs() {
+				if c.Fn == f { // a foreign block reaches no exit of f
+					consider(c)
 				}
 			}
 			if newIpdom != nil && pt.ipdom[b.num] != newIpdom {

@@ -95,9 +95,11 @@ func RemoveUnreachable(f *Function) int {
 	if len(f.Blocks) == 0 {
 		return 0
 	}
-	reach := make([]bool, f.NumBlocks()) // by block number
+	s := cfgPool.Get()
+	defer s.put()
+	reach := s.visited(f.NumBlocks()) // by block number
 	reached := func(b *Block) bool { return b.Fn == f && reach[b.num] }
-	stack := []*Block{f.Entry()}
+	stack := append(s.blocks[:0], f.Entry())
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -107,21 +109,18 @@ func RemoveUnreachable(f *Function) int {
 		reach[b.num] = true
 		stack = append(stack, b.Succs()...)
 	}
-	removed := 0
-	for _, b := range f.Blocks {
-		if !reached(b) {
-			removed++
-		}
-	}
-	if removed == 0 {
-		return 0
-	}
-	kept := make([]*Block, 0, len(f.Blocks)-removed)
+	s.blocks = stack
+	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
 		if reached(b) {
 			kept = append(kept, b)
 		}
 	}
+	removed := len(f.Blocks) - len(kept)
+	if removed == 0 {
+		return 0
+	}
+	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
 	for _, b := range kept {
 		for _, phi := range b.Phis() {

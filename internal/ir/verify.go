@@ -48,11 +48,13 @@ func verifyFunc(f *Function) []string {
 	if f.IsDeclaration() {
 		return nil
 	}
-	inFunc := make(map[*Block]bool, len(f.Blocks))
+	s := cfgPool.Get()
+	defer s.put()
+	inFunc := s.visited(f.NumBlocks()) // by block number, for blocks of f
 	for _, b := range f.Blocks {
-		inFunc[b] = true
+		inFunc[b.num] = true
 	}
-	preds := f.Preds()
+	preds := s.predsOf(f)
 	dt := ComputeDom(f)
 
 	for _, b := range f.Blocks {
@@ -71,9 +73,9 @@ func verifyFunc(f *Function) []string {
 			if in.Blk != b {
 				bad("block %s: instr %s has wrong owner", b.Name, in.Ref())
 			}
-			for _, s := range in.Succs {
-				if !inFunc[s] {
-					bad("block %s: successor %s not in function", b.Name, s.Name)
+			for _, c := range in.Succs {
+				if c.Fn != f || !inFunc[c.num] {
+					bad("block %s: successor %s not in function", b.Name, c.Name)
 				}
 			}
 			p = append(p, verifyInstrTypes(f, b, in)...)

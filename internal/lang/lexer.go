@@ -405,12 +405,19 @@ func (lx *Lexer) lexString(pos Pos) (Token, error) {
 }
 
 // Tokenize lexes the entire input, returning all tokens including EOF.
-func Tokenize(src string) ([]Token, error) {
+func Tokenize(src string) ([]Token, error) { return tokenizeInto(nil, src) }
+
+// tokenizeInto is Tokenize appending to buf[:0], whose array it reuses
+// when it is large enough.
+func tokenizeInto(buf []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
 	// MiniC runs 2 to 3.5 source bytes a token over the corpus and both
 	// libc variants, so one slice of len/2 holds every token without
 	// growing.
-	toks := make([]Token, 0, len(src)/2+1)
+	toks := buf[:0]
+	if n := len(src)/2 + 1; cap(toks) < n {
+		toks = make([]Token, 0, n)
+	}
 	for {
 		t, err := lx.Next()
 		if err != nil {

@@ -1,6 +1,10 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+
+	"overify/internal/freelist"
+)
 
 // Parser is a recursive-descent parser for MiniC.
 type Parser struct {
@@ -9,12 +13,25 @@ type Parser struct {
 	calls []string // callee names seen in the function body being parsed
 }
 
+// tokenBufs holds token buffers between parses. A parse's tokens die
+// with it (the AST copies what it keeps out of them), so the next
+// parse refills the same array instead of allocating one.
+var tokenBufs freelist.List[[]Token]
+
 // Parse parses a MiniC translation unit.
 func Parse(src string) (*File, error) {
-	toks, err := Tokenize(src)
+	buf := tokenBufs.Get()
+	toks, err := tokenizeInto(*buf, src)
 	if err != nil {
-		return nil, err
+		return nil, err // the buffer is dropped with what it was filled with
 	}
+	defer func() {
+		// Only toks was written: the pooled buffer keeps no source
+		// text alive.
+		clear(toks)
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}()
 	p := &Parser{toks: toks}
 	return p.parseFile()
 }

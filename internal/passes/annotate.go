@@ -19,13 +19,18 @@ func fullRange(bits int) ir.Range { return ir.Range{Lo: 0, Hi: ir.Mask(bits, max
 
 func annotateFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("annotate", f)
-	ranges := make(map[ir.Value]ir.Range)
+	// ranges holds each instruction's range found so far by SSA id.
+	s := cx.scratch()
+	s.ranges = byID(s.ranges, f)
+	ranges := s.ranges
 	rangeOf := func(v ir.Value) (ir.Range, bool) {
-		if c, ok := v.(*ir.Const); ok {
-			return ir.Range{Lo: c.Val, Hi: c.Val}, true
+		switch x := v.(type) {
+		case *ir.Const:
+			return ir.Range{Lo: x.Val, Hi: x.Val}, true
+		case *ir.Instr:
+			return ranges[x.ID].r, ranges[x.ID].known
 		}
-		r, ok := ranges[v]
-		return r, ok
+		return ir.Range{}, false
 	}
 
 	changed := false
@@ -42,9 +47,8 @@ func annotateFunc(f *ir.Function, cx *Context) bool {
 				if !ok {
 					continue
 				}
-				old, had := ranges[in]
-				if !had || old != r {
-					ranges[in] = r
+				if old := ranges[in.ID]; !old.known || old.r != r {
+					ranges[in.ID] = knownRange{r, true}
 					changed = true
 				}
 			}
@@ -52,24 +56,29 @@ func annotateFunc(f *ir.Function, cx *Context) bool {
 	}
 
 	n := 0
-	for v, r := range ranges {
-		in, ok := v.(*ir.Instr)
-		if !ok {
-			continue
+	for _, b := range rpo {
+		for _, in := range b.Instrs {
+			kr := ranges[in.ID]
+			if !kr.known || kr.r == fullRange(in.Typ.(ir.IntType).Bits) {
+				continue // nothing learned
+			}
+			if in.Meta == nil {
+				in.Meta = &ir.Meta{}
+			}
+			rr := kr.r
+			in.Meta.Range = &rr
+			n++
 		}
-		full := fullRange(in.Typ.(ir.IntType).Bits)
-		if r == full {
-			continue // nothing learned
-		}
-		if in.Meta == nil {
-			in.Meta = &ir.Meta{}
-		}
-		rr := r
-		in.Meta.Range = &rr
-		n++
 	}
 	cx.Stats.RangesAttached += n
 	return changed && n > 0
+}
+
+// knownRange is one entry of annotate's range table: an instruction's
+// range, if the propagation has derived one.
+type knownRange struct {
+	r     ir.Range
+	known bool
 }
 
 // deriveRange computes a conservative unsigned range for in from its

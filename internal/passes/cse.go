@@ -15,7 +15,9 @@ func CSE() Pass {
 func cseFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("cse", f)
 	dt := cx.Dom(f)
-	children := dt.Children()
+	s := cx.scratch()
+	s.children = dt.ChildrenInto(s.children)
+	children := s.children
 	changed := false
 
 	// When the function contains no stores and no calls (common after
@@ -46,9 +48,11 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 	// enclosing scope holds it, so leaving a block deletes exactly the
 	// keys it inserted; inserted logs those instructions. Their keys can
 	// be recomputed on the way out because an instruction's operands
-	// dominate it, so nothing the subtree replaces is among them.
-	avail := make(map[cseKey]*ir.Instr)
-	var inserted []*ir.Instr
+	// dominate it, so nothing the subtree replaces is among them. The
+	// table is therefore empty when the walk ends, and the compile's
+	// scratch hands the same one to every function.
+	avail := s.cse
+	inserted := s.cseLog[:0]
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
 		mark := len(inserted)
@@ -83,6 +87,7 @@ func cseFunc(f *ir.Function, cx *Context) bool {
 	if e := f.Entry(); e != nil {
 		walk(e)
 	}
+	s.cseLog = inserted
 	return changed
 }
 

@@ -67,7 +67,7 @@ func singlePred(preds ir.PredTable, b *ir.Block, p *ir.Block) bool {
 }
 
 func ifConvertOne(f *ir.Function, cx *Context) bool {
-	preds := f.Preds()
+	preds := cx.preds(f)
 	budget := cx.Cost.SpeculationBudget
 	for _, a := range f.Blocks {
 		t := a.Term()

@@ -88,7 +88,7 @@ func inlineIntoFunc(caller *ir.Function, cx *Context, recursive map[*ir.Function
 		if call == nil {
 			return changed
 		}
-		inlineCall(caller, call)
+		inlineCall(cx, caller, call)
 		cx.Stats.FunctionsInlined++
 		changed = true
 	}
@@ -119,7 +119,7 @@ func findInlinableCall(caller *ir.Function, cx *Context, recursive map[*ir.Funct
 }
 
 // inlineCall splices callee's body in place of the call instruction.
-func inlineCall(caller *ir.Function, call *ir.Instr) {
+func inlineCall(cx *Context, caller *ir.Function, call *ir.Instr) {
 	callee := call.Callee
 	callBlock := call.Blk
 
@@ -151,8 +151,9 @@ func inlineCall(caller *ir.Function, call *ir.Instr) {
 	}
 
 	// Clone the callee body with parameters bound to the arguments.
-	blockMap, vm := ir.CloneFunctionBody(caller, callee, call.Args)
-	entryClone := blockMap[callee.Entry()]
+	cm := &cx.scratch().clones
+	ir.CloneFunctionBody(caller, callee, call.Args, cm)
+	entryClone := cm.Block(callee.Entry())
 
 	// Jump into the inlined body.
 	bd := ir.NewBuilder(caller, callBlock)
@@ -165,7 +166,7 @@ func inlineCall(caller *ir.Function, call *ir.Instr) {
 	}
 	var rets []retEdge
 	for _, ob := range callee.Blocks {
-		nb := blockMap[ob]
+		nb := cm.Block(ob)
 		t := nb.Term()
 		if t == nil || t.Op != ir.OpRet {
 			continue
@@ -179,7 +180,6 @@ func inlineCall(caller *ir.Function, call *ir.Instr) {
 		t.Succs = []*ir.Block{cont}
 		rets = append(rets, retEdge{b: nb, v: rv})
 	}
-	_ = vm
 
 	// Replace uses of the call result.
 	if !ir.SameType(call.Typ, ir.Void) && len(rets) > 0 {

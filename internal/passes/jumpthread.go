@@ -215,7 +215,7 @@ func bDefsEscape(f *ir.Function, b, dest *ir.Block) bool {
 }
 
 func threadSameCondition(f *ir.Function, cx *Context) int {
-	preds := f.Preds()
+	preds := cx.preds(f)
 	dt := cx.Dom(f)
 	domOK := func(v ir.Value, p *ir.Block) bool {
 		in, ok := v.(*ir.Instr)

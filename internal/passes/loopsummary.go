@@ -51,10 +51,10 @@ func summarizeOneLoop(f *ir.Function, cx *Context) bool {
 		if !summarizable(f, l, rel) {
 			continue
 		}
-		if _, ok := constTripCount(f, l); !ok {
+		if _, ok := constTripCount(cx, f, l); !ok {
 			continue // termination not provable; keep the loop
 		}
-		ph := l.Preheader(f.Preds())
+		ph := l.Preheader(cx.preds(f))
 		if ph == nil {
 			continue
 		}

@@ -13,7 +13,7 @@ func ensurePreheader(cx *Context, f *ir.Function, l *ir.Loop) *ir.Block {
 	if l.Header == f.Entry() {
 		return nil
 	}
-	preds := f.Preds()
+	preds := cx.preds(f)
 	if ph := l.Preheader(preds); ph != nil {
 		return ph
 	}
@@ -82,11 +82,11 @@ func loopInvariant(l *ir.Loop, in *ir.Instr) bool {
 // then add new exit edges by extending those phis without breaking
 // dominance. Returns false when the loop's exits are too irregular to
 // close (the caller must then skip the transform).
-func lcssa(f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
+func lcssa(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 	if len(l.Exits) == 0 {
 		return true // no exits, nothing can be used outside
 	}
-	preds := f.Preds()
+	preds := cx.preds(f)
 	// Group exit edges by target and require every predecessor of each
 	// exit target to be a loop block, so a phi there covers all edges.
 	froms := make(map[*ir.Block][]*ir.Block)

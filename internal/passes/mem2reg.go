@@ -18,12 +18,14 @@ func Mem2Reg() Pass {
 
 func mem2regFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("mem2reg", f)
-	allocas := promotableAllocas(f)
+	allocas := promotableAllocas(f, cx)
 	if len(allocas) == 0 {
 		return false
 	}
 	dt := cx.Dom(f)
-	df := dt.DominanceFrontiers()
+	s := cx.scratch()
+	s.frontiers = dt.DominanceFrontiersInto(s.frontiers)
+	df := s.frontiers
 
 	// Phi placement at iterated dominance frontiers of the defs.
 	type phiKey struct {
@@ -72,7 +74,8 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 	}
 
 	// Renaming walk over the dominator tree.
-	children := dt.Children()
+	s.children = dt.ChildrenInto(s.children)
+	children := s.children
 	zero := func(a *ir.Instr) ir.Value {
 		// A load before any store reads the variable's initial storage,
 		// which MiniC defines as zero (unlike C's undef).
@@ -81,39 +84,47 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 		}
 		return ir.ConstInt(a.Allocated.(ir.IntType), 0)
 	}
-	isPromoted := make(map[ir.Value]*ir.Instr, len(allocas))
-	for _, a := range allocas {
-		isPromoted[a] = a
+	isPromoted := make(map[ir.Value]int, len(allocas)) // its index in allocas
+	for i, a := range allocas {
+		isPromoted[a] = i
 	}
 
-	var rename func(b *ir.Block, cur map[*ir.Instr]ir.Value)
-	rename = func(b *ir.Block, cur map[*ir.Instr]ir.Value) {
+	// The current definition of each alloca, by its index (nil: none
+	// yet), is a frame of len(allocas) values in s.defs. Each child
+	// starts from a copy of its parent's frame pushed above it, so the
+	// walk's frames form a stack in one scratch array.
+	k := len(allocas)
+	s.defs = append(s.defs[:0], make([]ir.Value, k)...)
+	var rename func(b *ir.Block, base int)
+	rename = func(b *ir.Block, base int) {
+		cur := func(i int) ir.Value {
+			if v := s.defs[base+i]; v != nil {
+				return v
+			}
+			return zero(allocas[i])
+		}
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpPhi:
 				// A phi we placed defines its alloca.
-				for _, a := range allocas {
+				for i, a := range allocas {
 					if phiFor[phiKey{b, a}] == in {
-						cur[a] = in
+						s.defs[base+i] = in
 						break
 					}
 				}
 				kept = append(kept, in)
 			case ir.OpLoad:
-				if a, ok := isPromoted[in.Args[0]]; ok {
-					v, have := cur[a]
-					if !have {
-						v = zero(a)
-					}
-					ir.ReplaceUses(f, in, v)
+				if i, ok := isPromoted[in.Args[0]]; ok {
+					ir.ReplaceUses(f, in, cur(i))
 					in.Blk = nil
 					continue // drop the load
 				}
 				kept = append(kept, in)
 			case ir.OpStore:
-				if a, ok := isPromoted[in.Args[1]]; ok {
-					cur[a] = in.Args[0]
+				if i, ok := isPromoted[in.Args[1]]; ok {
+					s.defs[base+i] = in.Args[0]
 					in.Blk = nil
 					continue // drop the store
 				}
@@ -124,27 +135,21 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 		}
 		b.Instrs = kept
 		// Fill successor phis along each edge.
-		for _, s := range b.Succs() {
-			for _, a := range allocas {
-				if phi := phiFor[phiKey{s, a}]; phi != nil {
-					v, have := cur[a]
-					if !have {
-						v = zero(a)
-					}
-					phi.SetPhiIncoming(b, v)
+		for _, succ := range b.Succs() {
+			for i, a := range allocas {
+				if phi := phiFor[phiKey{succ, a}]; phi != nil {
+					phi.SetPhiIncoming(b, cur(i))
 				}
 			}
 		}
 		for _, c := range children.Of(b) {
-			// Each child gets its own copy of the current-definition map.
-			childCur := make(map[*ir.Instr]ir.Value, len(cur))
-			for k, v := range cur {
-				childCur[k] = v
-			}
-			rename(c, childCur)
+			top := len(s.defs)
+			s.defs = append(s.defs, s.defs[base:base+k]...)
+			rename(c, top)
+			s.defs = s.defs[:top]
 		}
 	}
-	rename(f.Entry(), make(map[*ir.Instr]ir.Value))
+	rename(f.Entry(), 0)
 
 	// Remove the allocas themselves.
 	for _, a := range allocas {
@@ -158,7 +163,7 @@ func mem2regFunc(f *ir.Function, cx *Context) bool {
 
 // promotableAllocas returns single-cell allocas used only as the pointer
 // operand of loads and stores (the address never escapes).
-func promotableAllocas(f *ir.Function) []*ir.Instr {
+func promotableAllocas(f *ir.Function, cx *Context) []*ir.Instr {
 	var out []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -170,20 +175,23 @@ func promotableAllocas(f *ir.Function) []*ir.Instr {
 	if len(out) == 0 {
 		return nil
 	}
-	escaped := make(map[ir.Value]bool)
+	// escaped is indexed by SSA id: only an instruction can be an alloca.
+	s := cx.scratch()
+	s.escaped = byID(s.escaped, f)
+	escaped := s.escaped
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for i, arg := range in.Args {
 				ok := (in.Op == ir.OpLoad && i == 0) || (in.Op == ir.OpStore && i == 1)
-				if !ok {
-					escaped[arg] = true
+				if a, isInstr := arg.(*ir.Instr); !ok && isInstr {
+					escaped[a.ID] = true
 				}
 			}
 		}
 	}
 	kept := out[:0]
 	for _, a := range out {
-		if !escaped[a] {
+		if !escaped[a.ID] {
 			kept = append(kept, a)
 		}
 	}

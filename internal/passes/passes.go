@@ -134,6 +134,9 @@ type Context struct {
 	// relevance caches the module-wide check-relevance closure. See
 	// analysis.go.
 	relevance *relevanceBox
+	// scr is the compile's pass scratch, nil until a pass first needs
+	// it; Release returns it to its pool. See scratch.go.
+	scr *scratch
 }
 
 // NewContext returns a context with analysis caching enabled.

@@ -1,6 +1,10 @@
 package passes
 
-import "overify/internal/ir"
+import (
+	"slices"
+
+	"overify/internal/ir"
+)
 
 // SimplifyCFG folds branches on constants, merges straight-line block
 // chains, forwards empty blocks, and prunes unreachable code. Control-
@@ -22,9 +26,9 @@ func simplifyCFGFunc(f *ir.Function, cx *Context) bool {
 			cx.Stats.DeadBlocks += r
 			n += r
 		}
-		n += removeSinglePredPhis(f)
+		n += removeSinglePredPhis(f, cx)
 		n += mergeStraightLine(f, cx)
-		n += forwardEmptyBlocks(f)
+		n += forwardEmptyBlocks(f, cx)
 		if n == 0 {
 			break
 		}
@@ -70,14 +74,16 @@ func foldConstBranches(f *ir.Function) int {
 
 // removeSinglePredPhis replaces phis in single-predecessor blocks with
 // their unique incoming value.
-func removeSinglePredPhis(f *ir.Function) int {
-	preds := f.Preds()
+func removeSinglePredPhis(f *ir.Function, cx *Context) int {
+	preds := cx.preds(f)
 	n := 0
 	for _, b := range f.Blocks {
 		if len(preds.Of(b)) != 1 {
 			continue
 		}
-		for _, phi := range b.Phis() {
+		// A copy: the loop removes phis from b.Instrs, which b.Phis()
+		// is the prefix of.
+		for _, phi := range slices.Clone(b.Phis()) {
 			if len(phi.Incoming) == 1 {
 				ir.ReplaceUses(f, phi, phi.Args[0])
 				b.Remove(phi)
@@ -96,7 +102,7 @@ func removeSinglePredPhis(f *ir.Function) int {
 // what restarting after every merge did, in the same order, and drops
 // the merged blocks in one compaction.
 func mergeStraightLine(f *ir.Function, cx *Context) int {
-	preds := f.Preds()
+	preds := cx.preds(f)
 	var merged []*ir.Block
 	for _, b := range f.Blocks {
 		for {
@@ -137,11 +143,12 @@ func mergeStraightLine(f *ir.Function, cx *Context) int {
 }
 
 // forwardEmptyBlocks redirects edges through blocks that contain only an
-// unconditional branch.
-func forwardEmptyBlocks(f *ir.Function) int {
+// unconditional branch. Every forward changes the CFG, so the table is
+// refilled after each one.
+func forwardEmptyBlocks(f *ir.Function, cx *Context) int {
 	n := 0
 	for {
-		preds := f.Preds()
+		preds := cx.preds(f)
 		forwarded := false
 		for _, b := range f.Blocks {
 			if b == f.Entry() || len(b.Instrs) != 1 {

@@ -1,6 +1,10 @@
 package passes
 
-import "overify/internal/ir"
+import (
+	"slices"
+
+	"overify/internal/ir"
+)
 
 // Unroll fully unrolls loops whose trip count is a compile-time constant,
 // by repeatedly peeling the first iteration and letting constant folding
@@ -28,7 +32,7 @@ func unrollFunc(f *ir.Function, cx *Context) bool {
 			if l.Header == f.Entry() {
 				continue
 			}
-			trip, ok := constTripCount(f, l)
+			trip, ok := constTripCount(cx, f, l)
 			if !ok || trip > int64(cx.Cost.UnrollMaxTrip) {
 				continue
 			}
@@ -57,7 +61,7 @@ func unrollFunc(f *ir.Function, cx *Context) bool {
 		// the next round must rediscover dominance and loops.
 		cx.Invalidate(f, NoAnalyses)
 		// Fold the peeled iteration so the next trip count is visible.
-		cxLocal := &Context{Cost: cx.Cost}
+		cxLocal := &Context{Cost: cx.Cost, scr: cx.scratch()}
 		simplifyFunc(f, cxLocal)
 		simplifyCFGFunc(f, cxLocal)
 		dceFunc(f, cxLocal)
@@ -76,8 +80,8 @@ func unrollFunc(f *ir.Function, cx *Context) bool {
 //	latch:  next = iv +/- step(const)
 //
 // and returns how many times the body executes.
-func constTripCount(f *ir.Function, l *ir.Loop) (int64, bool) {
-	preds := f.Preds()
+func constTripCount(cx *Context, f *ir.Function, l *ir.Loop) (int64, bool) {
+	preds := cx.preds(f)
 	ph := l.Preheader(preds)
 	if ph == nil {
 		// A preheader is created during peeling; for counting purposes,
@@ -196,7 +200,7 @@ func swapCmp(op ir.Op) ir.Op {
 // cloned, the preheader enters the clone, and the clone's back edges
 // land on the original header.
 func peelOnce(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
-	if !lcssa(f, l, dt) {
+	if !lcssa(cx, f, l, dt) {
 		return false
 	}
 	ph := ensurePreheader(cx, f, l)
@@ -204,8 +208,9 @@ func peelOnce(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 		return false
 	}
 	region := l.BlocksInRPO(dt)
-	blockMap, vm := ir.CloneBlocks(f, region, nil)
-	cloneHeader := blockMap[l.Header]
+	cm := &cx.scratch().clones
+	ir.CloneBlocks(f, region, cm)
+	cloneHeader := cm.Block(l.Header)
 
 	// Preheader enters the peeled copy.
 	phTerm := ph.Term()
@@ -218,7 +223,7 @@ func peelOnce(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 	// Cloned back edges re-enter the original loop; the original header's
 	// phis switch their initial values to the peeled iteration's results.
 	for _, latch := range l.Latches {
-		cloneLatch := blockMap[latch]
+		cloneLatch := cm.Block(latch)
 		t := cloneLatch.Term()
 		for i, s := range t.Succs {
 			if s == cloneHeader {
@@ -227,7 +232,7 @@ func peelOnce(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 		}
 		for _, phi := range l.Header.Phis() {
 			v := phi.PhiIncoming(latch)
-			phi.SetPhiIncoming(cloneLatch, vm.Lookup(v))
+			phi.SetPhiIncoming(cloneLatch, cm.Lookup(v))
 		}
 	}
 	for _, phi := range l.Header.Phis() {
@@ -235,20 +240,21 @@ func peelOnce(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree) bool {
 	}
 
 	// Exit-block phis gain edges from the peeled copy. This must happen
-	// while vm's phi mappings are still live instructions.
+	// while cm's phi mappings are still live instructions.
 	for _, e := range l.Exits {
-		cloneFrom := blockMap[e.From]
+		cloneFrom := cm.Block(e.From)
 		for _, phi := range e.To.Phis() {
 			v := phi.PhiIncoming(e.From)
 			if v != nil {
-				phi.SetPhiIncoming(cloneFrom, vm.Lookup(v))
+				phi.SetPhiIncoming(cloneFrom, cm.Lookup(v))
 			}
 		}
 	}
 
 	// The peeled header executes exactly once (preds: preheader only), so
-	// its phis collapse to their preheader values.
-	for _, phi := range cloneHeader.Phis() {
+	// its phis collapse to their preheader values. A copy: the loop
+	// removes phis from the block, which Phis() is the prefix of.
+	for _, phi := range slices.Clone(cloneHeader.Phis()) {
 		v := phi.PhiIncoming(ph)
 		ir.ReplaceUses(f, phi, v)
 		cloneHeader.Remove(phi)

@@ -30,7 +30,7 @@ func unswitchFunc(f *ir.Function, cx *Context) bool {
 		cx.Invalidate(f, NoAnalyses)
 		// Clean up the specialized copies before looking again, so the
 		// size estimate for the next round sees the folded loops.
-		cxLocal := &Context{Cost: cx.Cost}
+		cxLocal := &Context{Cost: cx.Cost, scr: cx.scratch()}
 		simplifyFunc(f, cxLocal)
 		simplifyCFGFunc(f, cxLocal)
 		dceFunc(f, cxLocal)
@@ -133,7 +133,7 @@ func hoistInvariantChain(l *ir.Loop, ph *ir.Block, v ir.Value) {
 func doUnswitch(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree, br *ir.Instr) bool {
 	// Loop-closed SSA first: cloning adds exit edges, which is only safe
 	// when outside uses go through exit phis.
-	if !lcssa(f, l, dt) {
+	if !lcssa(cx, f, l, dt) {
 		return false
 	}
 	ph := ensurePreheader(cx, f, l)
@@ -146,15 +146,16 @@ func doUnswitch(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree, br *ir.
 	hoistInvariantChain(l, ph, cond)
 	region := l.BlocksInRPO(dt)
 
-	blockMap, vm := ir.CloneBlocks(f, region, nil)
+	cm := &cx.scratch().clones
+	ir.CloneBlocks(f, region, cm)
 
 	// Exit-block phis gain edges from the cloned exit predecessors.
 	for _, e := range l.Exits {
-		cloneFrom := blockMap[e.From]
+		cloneFrom := cm.Block(e.From)
 		for _, phi := range e.To.Phis() {
 			v := phi.PhiIncoming(e.From)
 			if v != nil {
-				phi.SetPhiIncoming(cloneFrom, vm.Lookup(v))
+				phi.SetPhiIncoming(cloneFrom, cm.Lookup(v))
 			}
 		}
 	}
@@ -163,14 +164,14 @@ func doUnswitch(cx *Context, f *ir.Function, l *ir.Loop, dt *ir.DomTree, br *ir.
 	phTerm := ph.Term()
 	phTerm.Op = ir.OpCondBr
 	phTerm.Args = []ir.Value{cond}
-	phTerm.Succs = []*ir.Block{l.Header, blockMap[l.Header]}
+	phTerm.Succs = []*ir.Block{l.Header, cm.Block(l.Header)}
 
 	// Specialize: in the original loop the condition is true; in the
 	// clone it is false. The unswitched branches then fold.
 	origSet := l.Blocks
-	cloneSet := make(map[*ir.Block]bool, len(blockMap))
-	for _, nb := range blockMap {
-		cloneSet[nb] = true
+	cloneSet := make(map[*ir.Block]bool, len(region))
+	for _, b := range region {
+		cloneSet[cm.Block(b)] = true
 	}
 	replaceUsesInBlocks(origSet, cond, ir.Bool(true))
 	replaceUsesInBlocks(cloneSet, cond, ir.Bool(false))

@@ -293,6 +293,7 @@ func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 		SliceChecks: sliceChecks,
 		SliceEntry:  cfg.SliceEntry,
 	}
+	defer cx.Release()
 	if !cfg.freshAnalyses {
 		cx.EnableAnalysisCache()
 	}
@@ -328,6 +329,7 @@ func OptimizeAtLevel(m *ir.Module, level Level) (*Result, error) {
 func OptimizeWithPasses(m *ir.Module, cost passes.CostModel, seq []passes.Pass) (*Result, error) {
 	start := time.Now()
 	cx := passes.NewContext(cost)
+	defer cx.Release()
 	mgr := &passes.Manager{}
 	res := &Result{InstrsIn: m.NumInstrs()}
 	metrics, err := mgr.Run(m, seq, cx)

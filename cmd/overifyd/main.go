@@ -53,7 +53,7 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 30*time.Second, "how long a request may queue for a job slot before an overloaded rejection")
 	solverCap := flag.Int("solver-cache-cap", 0, "max solver cache entries, clock-evicted (0 = default 1M, negative = unbounded)")
 	builderCap := flag.Int64("builder-cap", 0, "expression DAG node budget before the builder+cache generation rotates (0 = default 4M, negative = never)")
-	compileCap := flag.Int("compile-cache-cap", 0, "max cached compiled modules (0 = default 64, negative = unbounded); the cache remembers up to 16x as many sources' verdict keys, and a new module displaces a resident one only if its source has been requested at least as often")
+	compileCap := flag.Int("compile-cache-cap", 0, "max cached compiled modules (0 = default 64, negative = unbounded); the cache remembers up to 16x as many sources' verdict keys with their verdict entries, so a repeat reads no store file, and a new module displaces a resident one only if its source has been requested at least as often")
 	preload := flag.String("preload", "", "glob of MiniC sources to compile into the module cache before accepting connections")
 	remoteVerdicts := flag.String("remote-verdicts", "", "unix socket of another overifyd serving as a shared verdict cache: local misses probe it, cold cacheable outcomes publish back")
 	flag.Parse()

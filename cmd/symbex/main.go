@@ -169,7 +169,7 @@ func main() {
 		} else {
 			reportCluster(name, *level, *n, res)
 		}
-		if code := exitCode(res.Report); code != 0 {
+		if code := reportExitCode(res.Report); code != 0 {
 			exit(code)
 		}
 		return
@@ -203,10 +203,7 @@ func main() {
 				return failed(err)
 			}
 			reportDaemon(client.ServerName, reply, *n)
-			if len(reply.Bugs) > 0 {
-				return 1
-			}
-			return 0
+			return exitCode(reply.Verdict)
 		}
 	} else {
 		var store *verdicts.Store
@@ -233,7 +230,7 @@ func main() {
 			} else {
 				report(name, c.Level, *n, c, rep, store)
 			}
-			return exitCode(rep)
+			return reportExitCode(rep)
 		}
 	}
 
@@ -306,6 +303,9 @@ func reportDaemon(server string, r *daemon.VerifyReply, n int) {
 	}
 	fmt.Println()
 	fmt.Print(indent(r.Render, "  "))
+	if r.Verdict == symex.Inconclusive.String() {
+		fmt.Printf("  inconclusive:   %s\n", strings.Join(r.Why, ", "))
+	}
 }
 
 // reportCluster prints a merged distributed report: the coordinator
@@ -352,16 +352,23 @@ func printBugs(rep *symex.Report) {
 	}
 }
 
-// exitCode is the exit status a report's verdict calls for: 0
-// verified, 1 bugs, 3 inconclusive.
-func exitCode(rep *symex.Report) int {
-	switch v, _ := rep.Verdict(); v {
-	case symex.Bugs:
+// exitCode is the exit status a verdict, as symex.Verdict.String
+// spells it, calls for: 0 verified, 1 bugs, 3 inconclusive. A verdict
+// it does not know is inconclusive.
+func exitCode(verdict string) int {
+	switch verdict {
+	case symex.Verified.String():
+		return 0
+	case symex.Bugs.String():
 		return 1
-	case symex.Inconclusive:
-		return 3
 	}
-	return 0
+	return 3
+}
+
+// reportExitCode is the exit status rep's verdict calls for.
+func reportExitCode(rep *symex.Report) int {
+	v, _ := rep.Verdict()
+	return exitCode(v.String())
 }
 
 func indent(s, pad string) string {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"overify/internal/core"
+	"overify/internal/daemon"
 )
 
 // TestSubMillisecondTimeoutIsABudget: `-timeout 1us` used to truncate to
@@ -49,11 +51,13 @@ func TestSubMillisecondTimeoutIsABudget(t *testing.T) {
 
 // TestUndecidedRunIsInconclusive: basename at -OVERIFY with 4 bytes
 // leaves one solver query undecided at default flags, so symbex must
-// not print "verified" over it or exit 0. Once the verified libc's
+// not print "verified" over it or exit 0, in process or through a
+// daemon, whose reply carries the verdict. Once the verified libc's
 // basename decides (ROADMAP item 12(b)), this program stops being the
 // example and the test needs another.
 func TestUndecidedRunIsInconclusive(t *testing.T) {
-	r, err := core.Job{Prog: "basename", InputBytes: 4}.Resolve()
+	job := core.Job{Prog: "basename", InputBytes: 4}
+	r, err := job.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,20 @@ func TestUndecidedRunIsInconclusive(t *testing.T) {
 	if rep.Stats.SolverStats.Failures == 0 {
 		t.Fatal("basename -OVERIFY n=4 decides every query now; pick another undecided cell")
 	}
-	if code := exitCode(rep); code != 3 {
+	if code := reportExitCode(rep); code != 3 {
 		t.Errorf("exit code %d over %d undecided queries, want 3", code, rep.Stats.SolverStats.Failures)
+	}
+
+	reply, err := daemon.NewServer(daemon.Config{}).Verify(&job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, why := rep.Verdict()
+	if code := exitCode(reply.Verdict); code != 3 || !reflect.DeepEqual(reply.Why, why) {
+		t.Errorf("daemon reply: verdict %q (exit code %d) because %q, want inconclusive (3) because %q",
+			reply.Verdict, code, reply.Why, why)
+	}
+	if reply.Assignments != rep.Stats.SolverStats.Assignments {
+		t.Errorf("daemon reply: %d assignments, the in-process run tried %d", reply.Assignments, rep.Stats.SolverStats.Assignments)
 	}
 }

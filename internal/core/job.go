@@ -6,6 +6,7 @@ import (
 
 	"overify/internal/coreutils"
 	"overify/internal/ir"
+	"overify/internal/lang"
 	"overify/internal/libc"
 	"overify/internal/pipeline"
 	"overify/internal/solver"
@@ -16,7 +17,7 @@ import (
 // shares — `symbex` builds one from its flags and hands the same value
 // to the in-process run, the daemon client or the cluster coordinator;
 // daemon.VerifyRequest and dist.Options are aliases of it, and its
-// JSON form is the protocol-v5 verify body. Exactly one of Source
+// JSON form is the daemon protocol's verify body. Exactly one of Source
 // (with Name) or Prog (a bundled corpus program) must be set; every
 // other field may be left zero. Resolve is the one place the fields
 // are defaulted and parsed.
@@ -138,9 +139,13 @@ func (r *Resolved) Compile() (*Compiled, error) {
 }
 
 // CompileKey identifies the module Compile produces, for module
-// caches: it covers everything that shapes the module — name, source
-// text, level, explicit pipeline, the level-implied libc and the
-// slicing configuration.
+// caches. It covers what the compiler reads: the name, the level, the
+// explicit pipeline, the level-implied libc, the slicing configuration
+// and the source's token stream (lang.WriteKey) rather than its text,
+// so an edit to comments, whitespace or blank lines keeps the key and
+// any other edit moves it. A source that does not lex keys on its raw
+// text; its compile fails, failed compiles are never cached, and so
+// each such source reports its own error position.
 func (r *Resolved) CompileKey() string {
 	passes, sliceKey := "", ""
 	if r.Config.Pipeline != nil {
@@ -150,12 +155,21 @@ func (r *Resolved) CompileKey() string {
 		sliceKey = "slice:" + r.Config.SliceChecks.String()
 	}
 	h := solver.NewHasher()
-	for _, part := range []string{r.Name, r.Source, r.Config.Level.String(), passes, r.Libc.String(), sliceKey} {
+	for _, part := range []string{r.Name, r.Config.Level.String(), passes, r.Libc.String(), sliceKey} {
 		h.WriteString(part)
 		h.WriteString("\x00")
 	}
+	if err := lang.WriteKey(h, r.Source); err != nil {
+		h.WriteUint64(lexFailed)
+		h.WriteString(r.Source)
+	}
 	return h.Sum().Hex()
 }
+
+// lexFailed marks a compile key taken over raw text. Each token
+// WriteKey writes opens with a word whose low byte is the token's kind,
+// and no kind is 0xff, so the marker never reads as a token.
+const lexFailed = ^uint64(0)
 
 // VerdictTag is the part of the verdict key the job decides and the
 // module does not: the entry and the outcome-relevant verify

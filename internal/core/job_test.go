@@ -96,3 +96,71 @@ func TestJobResolveRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileKeyIgnoresLayout: the compile key covers the source's
+// tokens, not its text. Comment, whitespace and blank-line edits share
+// a key; renaming an identifier, changing a literal's value or spelling,
+// swapping two tokens or moving an assert (its check message carries
+// its position) does not. A source that does not lex still gets a key,
+// its own, and still fails at its own position.
+func TestCompileKeyIgnoresLayout(t *testing.T) {
+	const base = "int umain(unsigned char *input, int len) {\n" +
+		"\tint n = 0;\n" +
+		"\tif (input[0] == 'a') n = n + 3;\n" +
+		"\treturn n;\n" +
+		"}\n"
+	key := func(src string) string {
+		t.Helper()
+		r, err := core.Job{Name: "k.c", Source: src}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.CompileKey()
+	}
+	want := key(base)
+	for name, src := range map[string]string{
+		"line comment":  base + "// edit\n",
+		"block comment": strings.Replace(base, "int n = 0;", "int n = /* zero */ 0;", 1),
+		"whitespace":    strings.ReplaceAll(base, " = ", "  =\t"),
+		"blank lines":   "\n\n" + strings.ReplaceAll(base, "\n", "\n\n"),
+	} {
+		if key(src) != want {
+			t.Errorf("%s moved the compile key", name)
+		}
+	}
+	for name, src := range map[string]string{
+		"renamed identifier": strings.ReplaceAll(base, "n = n", "m = m"),
+		"literal value":      strings.Replace(base, "'a'", "'b'", 1),
+		"literal spelling":   strings.Replace(base, "n + 3", "n + 0x3", 1),
+		"swapped tokens":     strings.Replace(base, "n + 3", "3 + n", 1),
+	} {
+		if key(src) == want {
+			t.Errorf("%s kept the compile key", name)
+		}
+	}
+
+	asserting := strings.Replace(base, "\treturn n;", "\tassert(n < 4);\n\treturn n;", 1)
+	if key(asserting) == key("\n"+asserting) {
+		t.Error("moving an assert to another line kept the compile key")
+	}
+	if key(asserting) != key(asserting+"/* edit */\n") {
+		t.Error("a comment after the last assert moved the compile key")
+	}
+
+	// '@' does not lex: two such sources that differ only in layout
+	// key apart, and each compile reports its own position.
+	bad := strings.Replace(base, "return n;", "return n @ 1;", 1)
+	for i, src := range []string{bad, "\n" + bad} {
+		if key(src) == "" || key(src) == key(bad+"\n") {
+			t.Errorf("unlexable source %d: key %q, or shares the key of another text", i, key(src))
+		}
+		r, err := core.Job{Name: "k.c", Source: src}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Compile()
+		if pos := []string{"4:11", "5:11"}[i]; err == nil || !strings.Contains(err.Error(), pos) {
+			t.Errorf("unlexable source %d: compile error %v, want one at %s", i, err, pos)
+		}
+	}
+}

@@ -42,7 +42,8 @@ import (
 //	4: requests lose seed, VerifyReply loses tapeReuses.
 //	5: verify and distExplore lose search and cover, engine stats lose
 //	   strategy.
-const ProtocolVersion = 5
+//	6: VerifyReply gains verdict, why and assignments.
+const ProtocolVersion = 6
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -110,10 +111,14 @@ type BugReport struct {
 // schedule-invariant byte rendering of the outcome (verdicts.Render):
 // two replies for identical content must carry byte-identical Renders,
 // no matter which caches served them — that is the conformance claim
-// the daemon tests pin. Everything else is advisory (timings, cache
-// provenance) and may differ between runs.
+// the daemon tests pin. Verdict and Why are the report's
+// (symex.Report.Verdict): "verified", "bugs" or "inconclusive", and
+// why an inconclusive run is one. Everything else is advisory
+// (timings, cache provenance, work done) and may differ between runs.
 type VerifyReply struct {
-	Render string `json:"render"`
+	Render  string   `json:"render"`
+	Verdict string   `json:"verdict"`
+	Why     []string `json:"why,omitempty"`
 
 	Name     string      `json:"name"`
 	Level    string      `json:"level"`
@@ -129,6 +134,7 @@ type VerifyReply struct {
 	SolverQueries   int64 `json:"solverQueries"`
 	SolverWarmHits  int64 `json:"solverWarmHits"` // cache + partition + model-reuse hits (group-level; can exceed queries)
 	SolverSearches  int64 `json:"solverSearches"` // fresh searches actually run; queries - searches were answered warm
+	Assignments     int64 `json:"assignments"`    // candidate values the solver tried (0 when the verdict store answered)
 	Generation      int64 `json:"generation"`     // builder/cache generation that served the run
 
 	CompileMS float64 `json:"compileMs"`

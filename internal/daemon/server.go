@@ -384,10 +384,9 @@ func (s *Server) verdictFrame(c *conn, p *Packet) {
 	}
 }
 
-// compile compiles one resolved job's program, or serves it from the
-// module cache.
-func (s *Server) compile(r *core.Resolved) (*core.Compiled, bool, error) {
-	ck := r.CompileKey()
+// compile compiles one resolved job's program, whose compile key is
+// ck, or serves it from the module cache.
+func (s *Server) compile(r *core.Resolved, ck string) (*core.Compiled, bool, error) {
 	c, _ := s.compiles.touch(ck, "")
 	return s.moduleOf(r, ck, c)
 }
@@ -425,28 +424,30 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 		tag = r.VerdictTag()
 	}
 
-	// A repeat is answered from its slot: the verdict key its module
-	// led to last time, while the store still holds the entry. A
-	// compile key always yields the same module, so the key is the one
-	// compiling would find.
+	// A repeat, or an edit that leaves the token stream alone, is
+	// answered from its slot: the verdict key its module led to last
+	// time, while the store still holds the entry. A compile key always
+	// yields the same module, so the key is the one compiling would
+	// find.
 	compileStart := time.Now()
 	ck := r.CompileKey()
-	c, key := s.compiles.touch(ck, tag)
-	if key != "" {
-		if e, ok := opts.Verdicts.Get(key); ok {
+	c, known := s.compiles.touch(ck, tag)
+	if known.key != "" {
+		if e := s.slotEntry(ck, known); e != nil {
 			s.compiles.hits.Add(1)
 			rep := e.Report()
 			rep.Stats.VerdictCacheHits = 1
 			return verifyReply(r, rep, true, s.currentGen().id, 0, sinceMS(compileStart)), nil
 		}
 	}
+	key := known.key
 	c, compileHit, err := s.moduleOf(r, ck, c)
 	if err != nil {
 		return nil, err
 	}
 	if tag != "" && key == "" {
 		if key, _ = c.VerdictKey(entry, opts); key != "" {
-			s.compiles.record(ck, tag, key)
+			s.compiles.record(ck, slotKey{tag: tag, key: key})
 		}
 	}
 	compileMS := sinceMS(compileStart)
@@ -483,11 +484,31 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 	return verifyReply(r, rep, compileHit, gen.id, compileMS, verifyMS), nil
 }
 
+// slotEntry returns the entry a slot's verdict key names, or nil when
+// the store no longer has it. The slot's own decoded copy answers while
+// the store's index still holds the key, with no file read; otherwise
+// the store's file does, and the slot keeps what it decoded.
+func (s *Server) slotEntry(ck string, k slotKey) *verdicts.Entry {
+	if k.entry != nil && s.cfg.Verdicts.Recall(k.key) {
+		return k.entry
+	}
+	e, ok := s.cfg.Verdicts.Get(k.key)
+	if !ok {
+		return nil
+	}
+	k.entry = e
+	s.compiles.record(ck, k)
+	return e
+}
+
 // verifyReply builds the reply to a verify, whether its slot answered
 // it or it compiled: the two differ only in CompileMS and VerifyMS.
 func verifyReply(r *core.Resolved, rep *symex.Report, compileHit bool, gen int64, compileMS, verifyMS float64) *VerifyReply {
+	verdict, why := rep.Verdict()
 	reply := &VerifyReply{
 		Render:          verdicts.Render(rep),
+		Verdict:         verdict.String(),
+		Why:             why,
 		Name:            r.Name,
 		Level:           r.Config.Level.String(),
 		Entry:           r.Entry,
@@ -501,6 +522,7 @@ func verifyReply(r *core.Resolved, rep *symex.Report, compileHit bool, gen int64
 			rep.Stats.SolverStats.PartitionHits +
 			rep.Stats.SolverStats.ModelReuseHits,
 		SolverSearches: rep.Stats.SolverStats.TapeCompiles,
+		Assignments:    rep.Stats.SolverStats.Assignments,
 		Generation:     gen,
 		CompileMS:      compileMS,
 		VerifyMS:       verifyMS,
@@ -528,7 +550,7 @@ func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error)
 	if err != nil {
 		return nil, err
 	}
-	c, compileHit, err := s.compile(r)
+	c, compileHit, err := s.compile(r, r.CompileKey())
 	if err != nil {
 		return nil, err
 	}
@@ -560,7 +582,7 @@ func (s *Server) Compile(req *CompileRequest) (*CompileReply, error) {
 		return nil, err
 	}
 	start := time.Now()
-	c, hit, err := s.compile(r)
+	c, hit, err := s.compile(r, r.CompileKey())
 	if err != nil {
 		return nil, err
 	}
@@ -602,7 +624,8 @@ func (s *Server) Preload(glob string) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("preload %s: %w", path, err)
 		}
-		c, _, err := s.compile(r)
+		ck := r.CompileKey()
+		c, _, err := s.compile(r, ck)
 		if err != nil {
 			return n, fmt.Errorf("preload %s: %w", path, err)
 		}
@@ -610,10 +633,10 @@ func (s *Server) Preload(glob string) (int, error) {
 			// Probing with the job's defaults mirrors what a plain
 			// verify request would ask; a stored outcome is now a warm
 			// in-memory hit for the first client, answered from the
-			// slot without compiling.
+			// slot without compiling or reading the file.
 			if key, ok := c.VerdictKey(r.Entry, r.Verify); ok {
-				s.compiles.record(r.CompileKey(), r.VerdictTag(), key)
-				_, _ = s.cfg.Verdicts.Get(key)
+				e, _ := s.cfg.Verdicts.Get(key)
+				s.compiles.record(ck, slotKey{tag: r.VerdictTag(), key: key, entry: e})
 			}
 		}
 		n++
@@ -673,11 +696,13 @@ func decode(raw []byte, v any) error {
 
 // compileCache is a mutex-guarded LRU table of slots, one per compile
 // key. A slot outlives its module: it keeps how often requests touched
-// it and the verdict keys its module led to, so a repeat finds its
-// verdict without compiling. At most cap slots hold a module (values
-// shared by concurrent verifies — a compiled module is read-only after
-// optimization, which the pipeline-equivalence suite relies on too),
-// and the table holds at most slotsPerModule times as many slots.
+// it and the verdict keys its module led to, each with its decoded
+// entry once the store has been read for it, so a repeat finds its
+// verdict without compiling or reading a file. At most cap slots hold
+// a module (values shared by concurrent verifies — a compiled module is
+// read-only after optimization, which the pipeline-equivalence suite
+// relies on too), and the table holds at most slotsPerModule times as
+// many slots, of at most maxSlotKeys entries each.
 type compileCache struct {
 	mu    sync.Mutex
 	cap   int // modules; 0 = unbounded
@@ -704,10 +729,15 @@ type compileSlot struct {
 }
 
 // slotKey is the verdict key a slot's module led to under one
-// core.Resolved.VerdictTag.
+// core.Resolved.VerdictTag, and the entry the store held for it (nil
+// until the store has been read for the key). An entry is answered from
+// only while the store's index holds its key (Store.Recall), so one the
+// store's cap evicted is not; one another process deleted still is,
+// since eviction costs warmth, never correctness.
 type slotKey struct {
-	tag string
-	key verdicts.Key
+	tag   string
+	key   verdicts.Key
+	entry *verdicts.Entry
 }
 
 func newCompileCache(cap int) *compileCache {
@@ -715,9 +745,9 @@ func newCompileCache(cap int) *compileCache {
 }
 
 // touch counts one request on ck's slot, creating it if needed, and
-// returns its module (nil when not resident) and the verdict key it
-// recorded under tag ("" when none).
-func (cc *compileCache) touch(ck, tag string) (*core.Compiled, verdicts.Key) {
+// returns its module (nil when not resident) and what it recorded under
+// tag (a zero key when nothing).
+func (cc *compileCache) touch(ck, tag string) (*core.Compiled, slotKey) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	el, ok := cc.slots[ck]
@@ -734,10 +764,10 @@ func (cc *compileCache) touch(ck, tag string) (*core.Compiled, verdicts.Key) {
 	sl.touches++
 	for _, k := range sl.keys {
 		if k.tag == tag {
-			return sl.c, k.key
+			return sl.c, k
 		}
 	}
-	return sl.c, ""
+	return sl.c, slotKey{}
 }
 
 // drop removes a slot from the table, evicting its module.
@@ -779,8 +809,9 @@ func (cc *compileCache) put(ck string, c *core.Compiled) {
 	cc.mods++
 }
 
-// record remembers that ck's module led to verdict key key under tag.
-func (cc *compileCache) record(ck, tag string, key verdicts.Key) {
+// record remembers that ck's module led to k.key under k.tag, and
+// k.entry when it is set.
+func (cc *compileCache) record(ck string, k slotKey) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	el, ok := cc.slots[ck]
@@ -788,15 +819,18 @@ func (cc *compileCache) record(ck, tag string, key verdicts.Key) {
 		return
 	}
 	sl := el.Value.(*compileSlot)
-	for _, k := range sl.keys {
-		if k.tag == tag {
+	for i := range sl.keys {
+		if old := &sl.keys[i]; old.tag == k.tag {
+			if old.key == k.key && k.entry != nil {
+				old.entry = k.entry
+			}
 			return
 		}
 	}
 	if len(sl.keys) == maxSlotKeys {
 		sl.keys = append(sl.keys[:0], sl.keys[1:]...)
 	}
-	sl.keys = append(sl.keys, slotKey{tag, key})
+	sl.keys = append(sl.keys, k)
 }
 
 func (cc *compileCache) len() int {

@@ -2,10 +2,13 @@ package daemon
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"overify/internal/coreutils"
 	"overify/internal/verdicts"
 )
 
@@ -76,6 +79,57 @@ func TestSlotAnswersRepeatWithoutCompiling(t *testing.T) {
 	compiled := mustVerify(t, c, req)
 	if got, want := untimed(slot), untimed(compiled); !reflect.DeepEqual(got, want) {
 		t.Errorf("slot answer and compile path differ beyond timings:\nslot:    %+v\ncompile: %+v", got, want)
+	}
+}
+
+// TestCommentEditAnsweredFromSlot: an edit that changes only a comment
+// keeps the source's tokens, so it shares the verified source's slot
+// and is answered from it: no compile, the same render.
+func TestCommentEditAnsweredFromSlot(t *testing.T) {
+	_, c := pipeServer(t, Config{Verdicts: openStore(t, 0)})
+	p, _ := coreutils.Get("basename")
+	req := &VerifyRequest{Name: p.Name, Source: p.Src, InputBytes: 2}
+	cold := mustVerify(t, c, req)
+
+	edit := *req
+	edit.Source += "\n// edit\n"
+	reply := mustVerify(t, c, &edit)
+	if !reply.CompileCacheHit || !reply.VerdictCacheHit || reply.Render != cold.Render {
+		t.Errorf("comment edit: compileHit=%v verdictHit=%v, render equal=%v",
+			reply.CompileCacheHit, reply.VerdictCacheHit, reply.Render == cold.Render)
+	}
+	if _, misses, _ := compileStats(t, c); misses != 1 {
+		t.Errorf("comment edit compiled: %d compile-cache misses, want 1", misses)
+	}
+}
+
+// TestRepeatAnsweredFromSlotMemory: once a slot has answered from the
+// store, it holds the decoded entry and reads no file for a repeat: a
+// repeat after the entry's file turned to garbage still hits, with the
+// same render, and counts the store hit Get would have.
+func TestRepeatAnsweredFromSlotMemory(t *testing.T) {
+	store := openStore(t, 0)
+	_, c := pipeServer(t, Config{Verdicts: store})
+	req := &VerifyRequest{Prog: "basename", InputBytes: 2}
+	cold := mustVerify(t, c, req)
+	if first := mustVerify(t, c, req); !first.VerdictCacheHit {
+		t.Fatal("the first repeat was not answered from the store")
+	}
+	files, err := filepath.Glob(filepath.Join(store.Dir(), "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("store holds %d entries (%v), want 1", len(files), err)
+	}
+	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hits := store.Hits()
+	again := mustVerify(t, c, req)
+	if !again.VerdictCacheHit || !again.CompileCacheHit || again.Render != cold.Render {
+		t.Errorf("repeat over a garbage file: verdictHit=%v compileHit=%v, render equal=%v",
+			again.VerdictCacheHit, again.CompileCacheHit, again.Render == cold.Render)
+	}
+	if store.Hits() != hits+1 {
+		t.Errorf("store hits %d → %d, want one more", hits, store.Hits())
 	}
 }
 

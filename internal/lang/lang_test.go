@@ -60,12 +60,14 @@ func TestLexerLiterals(t *testing.T) {
 }
 
 func TestLexerStrings(t *testing.T) {
-	toks, err := Tokenize(`"hi\tthere\n"`)
+	toks, err := Tokenize(`"hi\tthere\n" "plain" "a\x41b" "\"q" ""`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Str != "hi\tthere\n" {
-		t.Errorf("got %q", toks[0].Str)
+	for i, want := range []string{"hi\tthere\n", "plain", "aAb", `"q`, ""} {
+		if toks[i].Str != want {
+			t.Errorf("string %d: got %q, want %q", i, toks[i].Str, want)
+		}
 	}
 }
 

@@ -377,9 +377,14 @@ func (lx *Lexer) lexChar(pos Pos) (Token, error) {
 	return Token{Kind: CHARLIT, Pos: pos, Val: uint64(v)}, nil
 }
 
+// lexString decodes a string literal. One without escapes is its own
+// decoding, so its Str is a slice of the source and lexing it allocates
+// nothing.
 func (lx *Lexer) lexString(pos Pos) (Token, error) {
 	lx.advance() // opening quote
+	start := lx.off
 	var sb strings.Builder
+	escaped := false
 	for {
 		if lx.off >= len(lx.src) {
 			return Token{}, lx.errf(pos, "unterminated string literal")
@@ -392,6 +397,10 @@ func (lx *Lexer) lexString(pos Pos) (Token, error) {
 			return Token{}, lx.errf(pos, "newline in string literal")
 		}
 		if c == '\\' {
+			if !escaped {
+				sb.WriteString(lx.src[start : lx.off-1])
+				escaped = true
+			}
 			e, err := lx.escape(pos)
 			if err != nil {
 				return Token{}, err
@@ -399,7 +408,12 @@ func (lx *Lexer) lexString(pos Pos) (Token, error) {
 			sb.WriteByte(e)
 			continue
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
+	}
+	if !escaped {
+		return Token{Kind: STRLIT, Pos: pos, Str: lx.src[start : lx.off-1]}, nil
 	}
 	return Token{Kind: STRLIT, Pos: pos, Str: sb.String()}, nil
 }
@@ -426,6 +440,46 @@ func tokenizeInto(buf []Token, src string) ([]Token, error) {
 		toks = append(toks, t)
 		if t.Kind == EOF {
 			return toks, nil
+		}
+	}
+}
+
+// KeyWriter absorbs the stream WriteKey writes; solver.Hasher is one.
+type KeyWriter interface {
+	WriteString(s string)
+	WriteUint64(v uint64)
+}
+
+// WriteKey writes src's token stream to w as the compiler reads it:
+// each token's kind, spelling (Text) and value (Val, or Str for a
+// string literal), and no layout. Comments, whitespace and token
+// positions never reach w, with one exception: an assert's position,
+// which lowering writes into the message of the check it emits. Every
+// string is length-prefixed, so two token streams write the same bytes
+// only when they are the same stream. For a source that does not lex
+// it returns the lexer's error, having written the tokens before it.
+//
+// It lexes in place and allocates nothing for a source whose string
+// literals carry no escapes.
+func WriteKey(w KeyWriter, src string) error {
+	lx := Lexer{src: src, line: 1, col: 1}
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return err
+		}
+		w.WriteUint64(uint64(t.Kind) | uint64(len(t.Text))<<8)
+		w.WriteString(t.Text)
+		switch t.Kind {
+		case EOF:
+			return nil
+		case INTLIT, CHARLIT:
+			w.WriteUint64(t.Val)
+		case STRLIT:
+			w.WriteUint64(uint64(len(t.Str)))
+			w.WriteString(t.Str)
+		case KwAssert:
+			w.WriteUint64(uint64(t.Pos.Line)<<32 | uint64(uint32(t.Pos.Col)))
 		}
 	}
 }

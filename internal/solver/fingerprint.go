@@ -140,6 +140,27 @@ func (h *Hasher) WriteString(s string) {
 	}
 }
 
+// WriteUint64 absorbs v as its 8 little-endian bytes.
+func (h *Hasher) WriteUint64(v uint64) {
+	h.total += 8
+	if h.nbuf == 0 {
+		h.word(v)
+		return
+	}
+	// The k buffered bytes and v's low 8-k complete a word; v's high k
+	// stay buffered.
+	k := uint(h.nbuf)
+	var w uint64
+	for i := uint(0); i < k; i++ {
+		w |= uint64(h.buf[i]) << (8 * i)
+	}
+	h.word(w | v<<(8*k))
+	v >>= 64 - 8*k
+	for i := uint(0); i < k; i++ {
+		h.buf[i] = byte(v >> (8 * i))
+	}
+}
+
 // Sum finalizes the digest over everything written so far. The hasher
 // remains usable; further writes extend the stream.
 func (h *Hasher) Sum() Fingerprint {

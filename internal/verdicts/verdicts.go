@@ -385,6 +385,30 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 	return &e, true
 }
 
+// Recall is Get for a caller that already holds k's decoded entry: it
+// reads no file, and reports whether the recency index still holds k.
+// When it does, it marks k most recently used and counts the hit Get
+// would have counted, so eviction order and the counters read as if
+// the file had been read. When it does not — the store's own cap
+// evicted k, or this process never saw it — it counts nothing, and
+// the caller falls back to Get.
+//
+// An entry another process sharing the directory deleted is still
+// recalled: eviction only costs warmth, never correctness, since the
+// entry the caller holds is the outcome the key names.
+func (s *Store) Recall(k Key) bool {
+	s.mu.Lock()
+	el, ok := s.index[k]
+	if ok {
+		s.lru.MoveToFront(el)
+	}
+	s.mu.Unlock()
+	if ok {
+		s.hits.Add(1)
+	}
+	return ok
+}
+
 // Put persists e under k atomically (temp file + rename), then evicts
 // cold entries if the store is over its cap. Errors are returned but
 // safe to ignore: a failed write only loses warmth.

@@ -196,43 +196,55 @@ func TestStoreConcurrentGetPut(t *testing.T) {
 }
 
 // TestStoreEviction pins the bounded store's LRU-on-Put behavior:
-// exceeding the cap removes the coldest entry (Get refreshes recency),
-// evictions are counted, and evicted keys come back as plain misses.
+// exceeding the cap removes the coldest entry (a Get refreshes recency,
+// and so does a Recall, which reads no file but counts the same hit),
+// evictions are counted, and evicted keys come back as plain misses
+// that Recall does not answer or count.
 func TestStoreEviction(t *testing.T) {
-	store, err := verdicts.OpenLimited(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sampleReport()
-	key := func(i int) verdicts.Key {
-		return verdicts.Key(strings.Repeat("0", 31) + string(rune('a'+i)))
-	}
-	put := func(i int) {
-		t.Helper()
-		if err := store.Put(key(i), verdicts.FromReport(key(i), "prog", "umain", "-O2", rep)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(0)
-	put(1)
-	// Touch key 0 so key 1 is now the coldest.
-	if _, ok := store.Get(key(0)); !ok {
-		t.Fatal("resident entry missed")
-	}
-	put(2) // over cap: evicts key 1
-	if store.Len() != 2 {
-		t.Fatalf("Len = %d after eviction, want 2", store.Len())
-	}
-	if store.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", store.Evictions())
-	}
-	if _, ok := store.Get(key(1)); ok {
-		t.Error("evicted entry still served")
-	}
-	for _, i := range []int{0, 2} {
-		if _, ok := store.Get(key(i)); !ok {
-			t.Errorf("entry %d wrongly evicted", i)
-		}
+	for name, use := range map[string]func(*verdicts.Store, verdicts.Key) bool{
+		"Get":    func(s *verdicts.Store, k verdicts.Key) bool { _, ok := s.Get(k); return ok },
+		"Recall": (*verdicts.Store).Recall,
+	} {
+		t.Run(name, func(t *testing.T) {
+			store, err := verdicts.OpenLimited(t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := sampleReport()
+			key := func(i int) verdicts.Key {
+				return verdicts.Key(strings.Repeat("0", 31) + string(rune('a'+i)))
+			}
+			put := func(i int) {
+				t.Helper()
+				if err := store.Put(key(i), verdicts.FromReport(key(i), "prog", "umain", "-O2", rep)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(0)
+			put(1)
+			// Use key 0 so key 1 is now the coldest.
+			if !use(store, key(0)) || store.Hits() != 1 {
+				t.Fatalf("resident entry missed, or its hit not counted (%d hits)", store.Hits())
+			}
+			put(2) // over cap: evicts key 1
+			if store.Len() != 2 {
+				t.Fatalf("Len = %d after eviction, want 2", store.Len())
+			}
+			if store.Evictions() != 1 {
+				t.Errorf("Evictions = %d, want 1", store.Evictions())
+			}
+			if store.Recall(key(1)) || store.Hits() != 1 {
+				t.Errorf("evicted entry recalled, or counted (%d hits)", store.Hits())
+			}
+			if _, ok := store.Get(key(1)); ok {
+				t.Error("evicted entry still served")
+			}
+			for _, i := range []int{0, 2} {
+				if _, ok := store.Get(key(i)); !ok {
+					t.Errorf("entry %d wrongly evicted", i)
+				}
+			}
+		})
 	}
 }
 

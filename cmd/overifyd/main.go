@@ -11,20 +11,16 @@
 //
 //	overifyd -listen /tmp/overifyd.sock [-verdict-cache DIR] [-max-jobs N]
 //	overifyd -listen /tmp/overifyd.sock -preload 'src/*.c'
-//	overifyd -listen /tmp/w1.sock -verdict-cache /tmp/v1 -remote-verdicts /tmp/cache.sock
 //	overifyd -stdio
 //
 // -preload compiles every source matching the glob into the module
 // cache (and probes the verdict store for each) before the daemon
 // accepts its first connection, so first requests start warm.
 //
-// -remote-verdicts points at another overifyd acting as a cluster-wide
-// verdict cache: a local store miss probes the remote over verdictGet
-// before exploring, and a cold cacheable outcome publishes back over
-// verdictPut — so one worker's verification warms every worker.
-//
-// Clients: `symbex -daemon /tmp/overifyd.sock file.c`, or any speaker
-// of the length-prefixed JSON packet protocol in internal/daemon.
+// Clients: `symbex -daemon /tmp/overifyd.sock file.c`, a cluster
+// coordinator (`symbex -cluster /tmp/w1.sock,/tmp/w2.sock`) using
+// daemons as its workers, or any speaker of the length-prefixed JSON
+// packet protocol in internal/daemon.
 // SIGINT/SIGTERM drain gracefully: in-flight jobs finish, new work is
 // rejected as overloaded, then the process exits.
 package main
@@ -55,7 +51,6 @@ func main() {
 	builderCap := flag.Int64("builder-cap", 0, "expression DAG node budget before the builder+cache generation rotates (0 = default 4M, negative = never)")
 	compileCap := flag.Int("compile-cache-cap", 0, "max cached compiled modules (0 = default 64, negative = unbounded); the cache remembers up to 16x as many sources' verdict keys with their verdict entries, so a repeat reads no store file, and a new module displaces a resident one only if its source has been requested at least as often")
 	preload := flag.String("preload", "", "glob of MiniC sources to compile into the module cache before accepting connections")
-	remoteVerdicts := flag.String("remote-verdicts", "", "unix socket of another overifyd serving as a shared verdict cache: local misses probe it, cold cacheable outcomes publish back")
 	flag.Parse()
 
 	if (*listen == "") == !*stdio {
@@ -77,20 +72,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Verdicts = store
-	}
-	if *remoteVerdicts != "" {
-		// The remote cache rides the same packet protocol; its gets/puts
-		// are best-effort, so a dead cache daemon degrades to cold runs
-		// rather than failing verifies.
-		if cfg.Verdicts == nil {
-			fatal(fmt.Errorf("-remote-verdicts needs -verdict-cache: remote hits are adopted into the local store"))
-		}
-		client, err := daemon.Dial(*remoteVerdicts)
-		if err != nil {
-			fatal(err)
-		}
-		defer client.Close()
-		cfg.RemoteVerdicts = client
 	}
 	s := daemon.NewServer(cfg)
 

@@ -40,6 +40,11 @@
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // whole run (the memory profile samples allocations, for `go tool pprof
 // -sample_index=alloc_space`); without them nothing is written.
+//
+// Exit status: 0 verified, 1 bugs found, 3 inconclusive (timed out,
+// truncated, or a solver query undecided), and 2 when the run itself
+// failed — a usage error, a compile error, a missing entry function, a
+// refused dial — so a failure never reads as a verdict.
 package main
 
 import (
@@ -182,7 +187,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "symbex:", err)
-		return 1
+		return 2
 	}
 	// run verifies src once and returns the exit code its verdict calls for.
 	var run func(src string) int
@@ -418,9 +423,11 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 	printBugs(rep)
 }
 
+// fatal reports an error that stops the run and exits 2, the status of
+// a run that failed.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "symbex:", err)
-	exit(1)
+	exit(2)
 }
 
 // stopProfiles finishes the profiles -cpuprofile and -memprofile asked

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"testing"
 	"time"
@@ -87,5 +91,29 @@ func TestUndecidedRunIsInconclusive(t *testing.T) {
 	}
 	if reply.Assignments != rep.Stats.SolverStats.Assignments {
 		t.Errorf("daemon reply: %d assignments, the in-process run tried %d", reply.Assignments, rep.Stats.SolverStats.Assignments)
+	}
+}
+
+// TestRunErrorExitsTwo: a run that fails — here a missing entry
+// function — exits 2, not 1 ("bugs found"). The test binary re-runs
+// itself with symbex's arguments after "--", and that child runs main.
+func TestRunErrorExitsTwo(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "symbex" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet("symbex", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, args := range [][]string{
+		{"-prog", "wc", "-entry", "nosuch"},
+		{"-prog", "nosuch"},
+		{"-prog", "wc", "-daemon", t.TempDir() + "/none.sock"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestRunErrorExitsTwo$", "--", "symbex"}, args...)...)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("symbex %v: %v, want exit status 2\n%s", args, err, out)
+		}
 	}
 }

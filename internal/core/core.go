@@ -183,10 +183,11 @@ func (opts VerifyOptions) normalized() VerifyOptions {
 // cannot change a stored outcome. Budgets and limits can, so they are
 // in.
 func verifyDesc(opts VerifyOptions) string {
-	// cover=0 stays in the key, though no coverage target exists any
-	// more, so that stored verdicts and pinned keys remain valid.
-	return fmt.Sprintf("entrybytes=%d|maxpaths=%d|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=%d|maxwork=%d|history=%d|verifychecks=%s",
-		opts.InputBytes, opts.Engine.MaxPaths, opts.Engine.MaxInstrs, opts.Engine.MaxStates,
+	// maxpaths=0 and cover=0 stay in the key, though no path cap or
+	// coverage target exists any more, so that stored verdicts and
+	// pinned keys remain valid.
+	return fmt.Sprintf("entrybytes=%d|maxpaths=0|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=%d|maxwork=%d|history=%d|verifychecks=%s",
+		opts.InputBytes, opts.Engine.MaxInstrs, opts.Engine.MaxStates,
 		opts.Engine.Solver.MaxNodes, opts.Engine.Solver.MaxWork,
 		opts.Engine.Solver.ModelHistory, opts.Engine.Checks)
 }

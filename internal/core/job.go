@@ -114,6 +114,7 @@ func (j Job) Resolve() (*Resolved, error) {
 	r.Config = pipeline.LevelConfig(lvl)
 	r.Config.Slice = j.Slice
 	r.Config.SliceChecks = checks
+	r.Config.SliceEntry = r.Entry
 	if j.Passes != "" {
 		spec, err := pipeline.ParsePipeline(j.Passes)
 		if err != nil {
@@ -140,8 +141,10 @@ func (r *Resolved) Compile() (*Compiled, error) {
 
 // CompileKey identifies the module Compile produces, for module
 // caches. It covers what the compiler reads: the name, the level, the
-// explicit pipeline, the level-implied libc, the slicing configuration
-// and the source's token stream (lang.WriteKey) rather than its text,
+// explicit pipeline, the level-implied libc, the slicing configuration,
+// the entry whenever a slice stage may run (-slice or an explicit
+// pipeline), since the slice keeps the entry's call closure, and the
+// source's token stream (lang.WriteKey) rather than its text,
 // so an edit to comments, whitespace or blank lines keeps the key and
 // any other edit moves it. A source that does not lex keys on its raw
 // text; its compile fails, failed compiles are never cached, and so
@@ -153,6 +156,9 @@ func (r *Resolved) CompileKey() string {
 	}
 	if r.Config.Slice {
 		sliceKey = "slice:" + r.Config.SliceChecks.String()
+	}
+	if r.Config.Slice || r.Config.Pipeline != nil {
+		sliceKey += "@" + r.Entry
 	}
 	h := solver.NewHasher()
 	for _, part := range []string{r.Name, r.Config.Level.String(), passes, r.Libc.String(), sliceKey} {

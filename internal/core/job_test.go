@@ -64,9 +64,37 @@ func TestJobResolveFields(t *testing.T) {
 		t.Errorf("engine configuration lost a field: %+v (entry %q, name %q)", r.Verify, r.Entry, r.Name)
 	}
 	c := r.Config
-	if c.Level != pipeline.O3 || !c.Slice || c.SliceChecks != divOnly ||
+	if c.Level != pipeline.O3 || !c.Slice || c.SliceChecks != divOnly || c.SliceEntry != "f" ||
 		c.Pipeline == nil || c.Pipeline.String() != "mem2reg,dce" {
 		t.Errorf("pipeline configuration lost a field: %+v", c)
+	}
+}
+
+// TestCompileKeyCoversSlicedEntry: a slice keeps the entry's call
+// closure, so whenever a slice stage may run — -slice or an explicit
+// pipeline — two entries are two modules; without one they share it.
+func TestCompileKeyCoversSlicedEntry(t *testing.T) {
+	for _, tc := range []struct {
+		job   core.Job
+		apart bool
+	}{
+		{core.Job{Source: trivialSrc}, false},
+		{core.Job{Source: trivialSrc, Slice: true}, true},
+		{core.Job{Source: trivialSrc, Passes: "mem2reg,slice"}, true},
+	} {
+		keys := map[string]bool{}
+		for _, entry := range []string{"", "umain", "f"} {
+			tc.job.Entry = entry
+			r, err := tc.job.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[r.CompileKey()] = true
+		}
+		// "" resolves to umain, so at most two keys.
+		if want := map[bool]int{false: 1, true: 2}[tc.apart]; len(keys) != want {
+			t.Errorf("slice %v, passes %q: %d compile keys over entries \"\", umain and f, want %d", tc.job.Slice, tc.job.Passes, len(keys), want)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"overify/internal/verdicts"
 )
 
 // Client is the thin side of the protocol: it frames requests, demuxes
@@ -201,25 +199,6 @@ func (c *Client) DistExplore(req *DistExploreRequest) (*DistExploreReply, error)
 		return nil, err
 	}
 	return &reply, nil
-}
-
-// VerdictGet probes the daemon's verdict cache service.
-func (c *Client) VerdictGet(key verdicts.Key) (*verdicts.Entry, bool, error) {
-	var reply VerdictGetReply
-	if err := c.call(KindVerdictGet, VerdictGetRequest{Key: key}, &reply); err != nil {
-		return nil, false, err
-	}
-	return reply.Entry, reply.Found && reply.Entry != nil, nil
-}
-
-// VerdictPut publishes an entry into the daemon's verdict cache
-// service. Stored is false when the daemon runs without a store.
-func (c *Client) VerdictPut(key verdicts.Key, e *verdicts.Entry) (bool, error) {
-	var reply VerdictPutReply
-	if err := c.call(KindVerdictPut, VerdictPutRequest{Key: key, Entry: e}, &reply); err != nil {
-		return false, err
-	}
-	return reply.Stored, nil
 }
 
 // Stats fetches the daemon's counter snapshot.

@@ -2,10 +2,12 @@ package daemon
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +182,46 @@ func TestMalformedPacket(t *testing.T) {
 	}
 	if p, err := ReadPacket(clientEnd); err != nil || p.Kind != KindReply {
 		t.Errorf("connection dead after malformed packet: %v %+v", err, p)
+	}
+}
+
+// TestVerdictServiceFramesGone: the verdict cache service's frames are
+// no longer part of the protocol. A verdictGet (a v6 client's probe,
+// even one sent to a store-backed daemon) is an unknown kind, answered
+// with an error, and the same connection then serves a verify.
+func TestVerdictServiceFramesGone(t *testing.T) {
+	store, err := verdicts.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Verdicts: store})
+	clientEnd, serverEnd := net.Pipe()
+	go s.ServeConn(serverEnd)
+	defer clientEnd.Close()
+
+	if err := WritePacket(clientEnd, &Packet{ID: 1, Kind: KindHello, Body: body(Hello{Version: ProtocolVersion})}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := ReadPacket(clientEnd); err != nil || p.Kind != KindHello {
+		t.Fatalf("handshake failed: %v %+v", err, p)
+	}
+	if err := WritePacket(clientEnd, &Packet{ID: 2, Kind: "verdictGet", Body: json.RawMessage(`{"key":"00"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadPacket(clientEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	if p.Kind != KindError || p.ID != 2 || decode(p.Body, &eb) != nil || !strings.Contains(eb.Message, "unknown request kind") {
+		t.Fatalf("verdictGet answered with kind=%q id=%d body %s, want an unknown-kind error", p.Kind, p.ID, p.Body)
+	}
+	if err := WritePacket(clientEnd, &Packet{ID: 3, Kind: KindVerify, Body: body(VerifyRequest{Prog: "basename", InputBytes: 2})}); err != nil {
+		t.Fatal(err)
+	}
+	var reply VerifyReply
+	if p, err := ReadPacket(clientEnd); err != nil || p.Kind != KindReply || p.ID != 3 || decode(p.Body, &reply) != nil || reply.Render == "" {
+		t.Errorf("connection did not serve a verify after the verdictGet: %v %+v", err, p)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 
 	"overify/internal/core"
 	"overify/internal/symex"
-	"overify/internal/verdicts"
 )
 
 // ProtocolVersion gates the handshake: client and server must agree
@@ -37,13 +36,15 @@ import (
 //
 //	1: initial protocol (verify/compile/stats).
 //	2: VerifyRequest gains slice/checks, VerifyReply gains tapeReuses.
-//	3: distExplore/verdictGet/verdictPut frames for the distributed
-//	   frontier and the shared verdict cache service.
+//	3: distExplore frames for the distributed frontier, and two frames
+//	   for a shared verdict cache service.
 //	4: requests lose seed, VerifyReply loses tapeReuses.
 //	5: verify and distExplore lose search and cover, engine stats lose
 //	   strategy.
 //	6: VerifyReply gains verdict, why and assignments.
-const ProtocolVersion = 6
+//	7: the verdict cache service's two frames are gone; distExplore
+//	   gains entry.
+const ProtocolVersion = 7
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -64,11 +65,8 @@ const (
 	// symex state codec, and offers the shards to worker daemons as
 	// distExplore requests; workers drain their shard to exhaustion and
 	// reply with schedule-invariant counters plus the bugs and covered
-	// blocks they saw. verdictGet/verdictPut expose the worker's verdict
-	// store over the same connection so a cluster shares one cache.
+	// blocks they saw.
 	KindDistExplore = "distExplore" // client request: drain an encoded frontier shard
-	KindVerdictGet  = "verdictGet"  // client request: probe the shared verdict cache
-	KindVerdictPut  = "verdictPut"  // client request: publish into the shared verdict cache
 )
 
 // Packet is the wire unit. Body holds the kind-specific payload,
@@ -142,11 +140,12 @@ type VerifyReply struct {
 }
 
 // DistExploreRequest ships one frontier shard to a worker daemon. The
-// compile identity fields (source/prog, level, passes, slice, checks)
-// must match the coordinator's compile exactly — the state codec names
-// functions, blocks, and instructions by position, so a divergent
-// module would decode garbage (and be rejected by the codec's bounds
-// checks, not silently accepted). States is the symex state-codec
+// compile identity fields (source/prog, level, passes, slice, checks,
+// and the entry, which decides what a slice keeps) must match the
+// coordinator's compile exactly — the state codec names functions,
+// blocks, and instructions by position, so a divergent module would
+// decode garbage (and be rejected by the codec's bounds checks, not
+// silently accepted). States is the symex state-codec
 // frame produced by Engine.EncodeStates; JSON transports it as base64.
 type DistExploreRequest struct {
 	Name   string `json:"name,omitempty"`
@@ -156,6 +155,7 @@ type DistExploreRequest struct {
 	Passes string `json:"passes,omitempty"`
 	Slice  bool   `json:"slice,omitempty"`
 	Checks string `json:"checks,omitempty"`
+	Entry  string `json:"entry,omitempty"`
 
 	Workers   int   `json:"workers,omitempty"` // engine workers inside this daemon
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
@@ -175,6 +175,7 @@ func (r *DistExploreRequest) Job() core.Job {
 	return core.Job{
 		Name: r.Name, Source: r.Source, Prog: r.Prog,
 		Level: r.Level, Passes: r.Passes, Slice: r.Slice, Checks: r.Checks,
+		Entry:     r.Entry,
 		Workers:   r.Workers,
 		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
 		Portfolio: r.Portfolio, PortfolioStall: r.PortfolioStall,
@@ -195,33 +196,6 @@ type DistExploreReply struct {
 	Generation      int64   `json:"generation"`
 	CompileCacheHit bool    `json:"compileCacheHit,omitempty"`
 	ExploreMS       float64 `json:"exploreMs"`
-}
-
-// VerdictGetRequest probes the daemon's verdict store; the shared
-// verdict cache service lets every worker in a cluster reuse any
-// worker's published outcome.
-type VerdictGetRequest struct {
-	Key verdicts.Key `json:"key"`
-}
-
-// VerdictGetReply answers a probe. Entry is nil when Found is false.
-type VerdictGetReply struct {
-	Found bool            `json:"found"`
-	Entry *verdicts.Entry `json:"entry,omitempty"`
-}
-
-// VerdictPutRequest publishes an entry into the daemon's verdict
-// store.
-type VerdictPutRequest struct {
-	Key   verdicts.Key    `json:"key"`
-	Entry *verdicts.Entry `json:"entry"`
-}
-
-// VerdictPutReply acknowledges a publish. Stored is false when the
-// daemon runs without a verdict store (the put is a no-op, not an
-// error — caching is best-effort everywhere else too).
-type VerdictPutReply struct {
-	Stored bool `json:"stored"`
 }
 
 // CompileRequest asks the daemon to compile only. Same source/prog

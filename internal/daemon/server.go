@@ -53,14 +53,6 @@ type Config struct {
 	// verdict caching daemon-wide.
 	Verdicts *verdicts.Store
 
-	// RemoteVerdicts, when non-nil, is a connection to another daemon's
-	// verdict cache service (verdictGet/verdictPut frames): before a
-	// verify runs cold, the remote cache is probed and a hit is adopted
-	// into the local store; a cold cacheable outcome is published back.
-	// This is how a worker cluster shares one verdict cache. Remote IO
-	// is best-effort — a dead peer degrades to local-only caching.
-	RemoteVerdicts *Client
-
 	// CompileCacheCap bounds the compiled-module cache (default 64
 	// modules; negative = unbounded). A hit skips parse + lower +
 	// optimize and keeps the per-function analysis results with it.
@@ -280,11 +272,6 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 		switch p.Kind {
 		case KindStats:
 			c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(s.statsReply())})
-		case KindVerdictGet, KindVerdictPut:
-			// Cache traffic answers inline, outside admission control: a
-			// worker mid-explore probing the shared verdict cache must
-			// never queue behind the very explore jobs it is serving.
-			s.verdictFrame(c, p)
 		case KindVerify, KindCompile, KindDistExplore:
 			jobs.Add(1)
 			go func(p *Packet) {
@@ -352,38 +339,6 @@ func serve[Req, Reply any](c *conn, p *Packet, run func(*Req) (*Reply, error)) {
 	c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
 }
 
-// verdictFrame answers one verdictGet/verdictPut inline.
-func (s *Server) verdictFrame(c *conn, p *Packet) {
-	switch p.Kind {
-	case KindVerdictGet:
-		var req VerdictGetRequest
-		if err := decode(p.Body, &req); err != nil {
-			c.replyErr(p.ID, false, "verdictGet: bad request body: %v", err)
-			return
-		}
-		reply := &VerdictGetReply{}
-		if s.cfg.Verdicts != nil {
-			reply.Entry, reply.Found = s.cfg.Verdicts.Get(req.Key)
-		}
-		c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
-	case KindVerdictPut:
-		var req VerdictPutRequest
-		if err := decode(p.Body, &req); err != nil {
-			c.replyErr(p.ID, false, "verdictPut: bad request body: %v", err)
-			return
-		}
-		reply := &VerdictPutReply{}
-		if s.cfg.Verdicts != nil && req.Entry != nil && req.Key != "" {
-			if err := s.cfg.Verdicts.Put(req.Key, req.Entry); err != nil {
-				c.replyErr(p.ID, false, "verdictPut: %v", err)
-				return
-			}
-			reply.Stored = true
-		}
-		c.reply(&Packet{ID: p.ID, Kind: KindReply, Body: body(reply)})
-	}
-}
-
 // compile compiles one resolved job's program, whose compile key is
 // ck, or serves it from the module cache.
 func (s *Server) compile(r *core.Resolved, ck string) (*core.Compiled, bool, error) {
@@ -416,7 +371,6 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, entry := r.Name, r.Entry
 	opts := r.Verify
 	tag := ""
 	if !req.NoVerdicts && s.cfg.Verdicts != nil {
@@ -446,7 +400,7 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 		return nil, err
 	}
 	if tag != "" && key == "" {
-		if key, _ = c.VerdictKey(entry, opts); key != "" {
+		if key, _ = c.VerdictKey(r.Entry, opts); key != "" {
 			s.compiles.record(ck, slotKey{tag: tag, key: key})
 		}
 	}
@@ -455,32 +409,12 @@ func (s *Server) Verify(req *VerifyRequest) (*VerifyReply, error) {
 	gen := s.currentGen()
 	opts.Engine.Warm = gen.Warm
 
-	// Shared verdict cache: adopt a remote hit into the local store so
-	// the verify below is served warm; remember that the remote missed
-	// too, to publish a cold cacheable outcome back. Remote IO is
-	// best-effort — errors degrade to local-only caching.
-	remoteMissed := false
-	if key != "" && s.cfg.RemoteVerdicts != nil {
-		if _, hit := opts.Verdicts.Get(key); !hit {
-			if e, found, err := s.cfg.RemoteVerdicts.VerdictGet(key); err == nil && found {
-				_ = opts.Verdicts.Put(key, e)
-			} else {
-				remoteMissed = err == nil
-			}
-		}
-	}
-
 	verifyStart := time.Now()
-	rep, err := c.VerifyKeyed(entry, opts, key)
+	rep, err := c.VerifyKeyed(r.Entry, opts, key)
 	if err != nil {
 		return nil, err
 	}
 	verifyMS := sinceMS(verifyStart)
-
-	if remoteMissed && rep.Stats.VerdictCacheHits == 0 && verdicts.Cacheable(rep) {
-		_, _ = s.cfg.RemoteVerdicts.VerdictPut(key,
-			verdicts.FromReport(key, name, entry, c.Level.String(), rep))
-	}
 	return verifyReply(r, rep, compileHit, gen.id, compileMS, verifyMS), nil
 }
 

@@ -51,7 +51,7 @@ func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExplor
 	return &daemon.DistExploreRequest{
 		Name: r.Name, Source: r.Source,
 		Level: o.Level, Passes: o.Passes,
-		Slice: o.Slice, Checks: o.Checks,
+		Slice: o.Slice, Checks: o.Checks, Entry: o.Entry,
 		Workers:   o.Workers,
 		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
 		Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,

@@ -10,18 +10,7 @@ import (
 	"overify/internal/daemon"
 	"overify/internal/dist"
 	"overify/internal/pipeline"
-	"overify/internal/verdicts"
 )
-
-// newStore opens a fresh on-disk verdict store under a test temp dir.
-func newStore(t *testing.T) *verdicts.Store {
-	t.Helper()
-	s, err := verdicts.Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("open store: %v", err)
-	}
-	return s
-}
 
 // cluster starts n in-process worker daemons over in-memory pipes and
 // returns handshaken clients. Each worker is a full Server with its
@@ -121,76 +110,5 @@ func TestClusterShapeInvariance(t *testing.T) {
 	serial := serialRender(t, "uniq", pipeline.OVerify, 3)
 	if renders[1] != serial {
 		t.Errorf("cluster verdict diverged from serial:\nserial:\n%s\ncluster:\n%s", serial, renders[1])
-	}
-}
-
-// TestClusterSharedVerdictCache wires two workers to one shared
-// verdict cache daemon: after worker A publishes a verify outcome,
-// worker B's identical request is served from the shared cache.
-func TestClusterSharedVerdictCache(t *testing.T) {
-	cacheStore := newStore(t)
-	cacheSrv := daemon.NewServer(daemon.Config{Name: "cache", Verdicts: cacheStore})
-	cacheClientFor := func() *daemon.Client {
-		clientEnd, serverEnd := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			cacheSrv.ServeConn(serverEnd)
-		}()
-		c, err := daemon.NewClient(clientEnd, clientEnd)
-		if err != nil {
-			t.Fatalf("cache handshake: %v", err)
-		}
-		t.Cleanup(func() {
-			c.Close()
-			<-done
-		})
-		return c
-	}
-
-	worker := func(name string) *daemon.Client {
-		s := daemon.NewServer(daemon.Config{
-			Name:           name,
-			Verdicts:       newStore(t),
-			RemoteVerdicts: cacheClientFor(),
-		})
-		clientEnd, serverEnd := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			s.ServeConn(serverEnd)
-		}()
-		c, err := daemon.NewClient(clientEnd, clientEnd)
-		if err != nil {
-			t.Fatalf("%s handshake: %v", name, err)
-		}
-		t.Cleanup(func() {
-			c.Close()
-			<-done
-		})
-		return c
-	}
-
-	a, b := worker("worker-a"), worker("worker-b")
-	req := &daemon.VerifyRequest{Prog: "echo", InputBytes: 3}
-	ra, err := a.Verify(req)
-	if err != nil {
-		t.Fatalf("worker-a verify: %v", err)
-	}
-	if ra.VerdictCacheHit {
-		t.Fatalf("worker-a's cold verify claims a cache hit")
-	}
-	if cacheStore.Stores() == 0 {
-		t.Fatalf("worker-a published nothing to the shared cache")
-	}
-	rb, err := b.Verify(req)
-	if err != nil {
-		t.Fatalf("worker-b verify: %v", err)
-	}
-	if !rb.VerdictCacheHit {
-		t.Fatalf("worker-b's verify missed the shared verdict cache")
-	}
-	if ra.Render != rb.Render {
-		t.Errorf("shared-cache verdict differs:\nA:\n%s\nB:\n%s", ra.Render, rb.Render)
 	}
 }

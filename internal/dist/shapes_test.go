@@ -137,3 +137,32 @@ func TestOneJobThreeShapes(t *testing.T) {
 		}
 	})
 }
+
+// TestSlicedEntryThreeShapes: with -slice, the slicer keeps the job's
+// entry and its call closure, not umain's, in every shape — the
+// coordinator, the daemon and each cluster worker compile the same
+// sliced module, so the shipped shards decode against the function the
+// job asked for. Here umain does not call f, so a slice for umain would
+// delete the entry.
+func TestSlicedEntryThreeShapes(t *testing.T) {
+	job := core.Job{
+		Name: "entry.c",
+		Source: `int f(unsigned char *in, int n) {
+			if (in[1] == 'q') { return 7; }
+			int d = in[0] - 'a';
+			return 100 / d;
+		}
+		int umain(unsigned char *input, int len) { return input[0]; }`,
+		Entry: "f", Slice: true, InputBytes: 2, SplitStates: 2,
+	}
+	inProc, served, clustered, reply, res := threeShapes(t, job)
+	if inProc != served || inProc != clustered {
+		t.Errorf("verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", inProc, served, clustered)
+	}
+	if len(reply.Bugs) != 1 || len(res.Report.Bugs) != 1 {
+		t.Errorf("want the one division by zero, got %d (daemon) and %d (cluster) bugs", len(reply.Bugs), len(res.Report.Bugs))
+	}
+	if res.ShardsSent != 2 {
+		t.Errorf("cluster shipped %d shards, want one per worker", res.ShardsSent)
+	}
+}

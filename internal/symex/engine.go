@@ -18,7 +18,6 @@ import (
 
 // Options bound a symbolic-execution run.
 type Options struct {
-	MaxPaths  int64         // 0 = unlimited
 	MaxInstrs int64         // 0 = default 100M
 	MaxStates int           // live states cap; 0 = default 1M
 	Timeout   time.Duration // 0 = none
@@ -493,12 +492,6 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 		queue = append(queue, forked...)
 		if len(forked) == 0 {
 			w.drop(cur)
-			if max := e.opts.MaxPaths; max > 0 && e.totalPaths() >= max {
-				e.requestStop()
-				e.truncated.Add(int64(len(queue)))
-				queue = nil
-				break
-			}
 		}
 	}
 	w.flushInstrs()
@@ -620,12 +613,6 @@ func mergeBugs(bugs []Bug) []Bug {
 		out = append(out, b)
 	}
 	return out
-}
-
-// totalPaths is the cross-worker running path total, used for the
-// MaxPaths limit.
-func (e *Engine) totalPaths() int64 {
-	return e.paths.Load() + e.errorPaths.Load() + e.truncated.Load()
 }
 
 // requestStop asks every worker to bail out at its next limit check.

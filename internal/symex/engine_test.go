@@ -55,15 +55,16 @@ func TestPathCountExact(t *testing.T) {
 	}
 }
 
-// TestMaxPathsTruncation: the MaxPaths limit stops exploration early
-// and reports the truncation.
-func TestMaxPathsTruncation(t *testing.T) {
-	rep := explore(t, branchySrc, "f", 6, symex.Options{MaxPaths: 10}, pipeline.O0)
-	if rep.Stats.TotalPaths() < 10 {
-		t.Errorf("explored %d paths, expected at least 10", rep.Stats.TotalPaths())
+// TestMaxInstrsTruncation: the MaxInstrs limit stops exploration early
+// and reports the truncation: n=6 has 127 paths, far more instructions
+// than the budget.
+func TestMaxInstrsTruncation(t *testing.T) {
+	rep := explore(t, branchySrc, "f", 6, symex.Options{MaxInstrs: 2000}, pipeline.O0)
+	if rep.Stats.TotalPaths() == 0 || rep.Stats.Paths >= 127 {
+		t.Errorf("completed %d of %d paths, expected the budget to stop the run partway", rep.Stats.Paths, rep.Stats.TotalPaths())
 	}
-	if rep.Stats.TruncatedPaths == 0 {
-		t.Error("expected truncated paths to be reported")
+	if rep.Stats.TruncatedPaths == 0 || !rep.Stats.TimedOut {
+		t.Errorf("expected truncated paths and a timed-out run to be reported: %+v", rep.Stats)
 	}
 }
 

@@ -84,7 +84,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			if len(in.Args) == 1 {
 				rv = w.ev(st, f, in.Args[0])
 			}
-			caller := w.pop(st)
+			caller := st.pop()
 			if caller == nil {
 				w.recycle(f)
 				w.e.paths.Add(1)

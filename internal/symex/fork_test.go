@@ -327,13 +327,13 @@ int umain(unsigned char *input, int len) {
 	return r - a[0];
 }`
 
-// TestForkIsolationAcrossFrames: a fork inside a callee shares the
-// caller's frame below it. Each side then returns into that frame on its
-// own goroutine, as two workers would: each must see only its own return
-// value and its own write through the pointer it was passed, and the
-// shared frame is copied by the first side back and written in place by
-// the last. Both sides then run to the end of every path, handing their
-// frames back for reuse.
+// TestForkIsolationAcrossFrames: a fork inside a callee copies every
+// frame, so the two sides hold distinct caller frames with equal
+// contents. Each side then returns into its own frame on its own
+// goroutine, as two workers would: each must see only its own return
+// value and its own write through the pointer it was passed. Both sides
+// then run to the end of every path, handing their frames back for
+// reuse.
 func TestForkIsolationAcrossFrames(t *testing.T) {
 	mod := lowerAt(t, calleeForkSrc, pipeline.O0)
 	eng := NewEngine(mod, Options{Workers: 2}) // the concurrent builder
@@ -342,12 +342,15 @@ func TestForkIsolationAcrossFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, forked := testWorker(eng).step(st)
-	if len(forked) != 2 || forked[0].top().Fn.Name != "pick" || forked[0].Frames[0] != forked[1].Frames[0] {
-		t.Fatalf("want two states forked in pick over one shared umain frame, got %d", len(forked))
+	if len(forked) != 2 || forked[0].top().Fn.Name != "pick" || len(forked[0].Frames) != 2 || len(forked[1].Frames) != 2 {
+		t.Fatalf("want two states forked in pick, called from umain, got %d", len(forked))
 	}
-	shared := forked[0].Frames[0]
-	if n := shared.shares.Load(); n != 1 {
-		t.Fatalf("umain's frame has %d other holders, want 1", n)
+	a, b := forked[0].Frames[0], forked[1].Frames[0]
+	if a == b || forked[0].top() == forked[1].top() {
+		t.Fatalf("the two sides of the fork hold a frame in common")
+	}
+	if a.Fn != b.Fn || a.Block != b.Block || a.Idx != b.Idx || a.base != b.base || !slices.Equal(a.Regs, b.Regs) {
+		t.Fatalf("the two sides' umain frames differ before either returned:\n%+v\n%+v", *a, *b)
 	}
 	umain := mod.Func("umain")
 	var call, arr *ir.Instr
@@ -391,9 +394,6 @@ func TestForkIsolationAcrossFrames(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := shared.shares.Load(); n != 0 {
-		t.Errorf("umain's shared frame still has %d other holders after both sides returned", n)
-	}
 }
 
 // TestObjectTableBounded: testdata/lifetimes.c calls a function with an
@@ -420,7 +420,7 @@ func TestObjectTableBounded(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			st.clone(0, &Frame{Regs: make([]SymVal, len(st.top().Regs))}).setCell(input, 0, v)
+			st.clone(0, w).setCell(input, 0, v)
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs

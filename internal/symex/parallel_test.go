@@ -165,9 +165,9 @@ func TestOneLookupPerGroup(t *testing.T) {
 	}
 }
 
-// TestParallelMaxPathsTruncation: global limits must stop a worker pool
-// and report the truncation, same contract as the serial engine.
-func TestParallelMaxPathsTruncation(t *testing.T) {
+// TestParallelMaxInstrsTruncation: global limits must stop a worker
+// pool and report the truncation, same contract as the serial engine.
+func TestParallelMaxInstrsTruncation(t *testing.T) {
 	p, ok := coreutils.Get("wc")
 	if !ok {
 		t.Fatal("no wc program")
@@ -176,18 +176,18 @@ func TestParallelMaxPathsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.VerifyOptions{InputBytes: 6}
+	opts := core.VerifyOptions{InputBytes: 10}
 	opts.Engine.Workers = 4
-	opts.Engine.MaxPaths = 10
+	opts.Engine.MaxInstrs = 5000
 	rep, err := c.Verify("umain", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.TotalPaths() < 10 {
-		t.Errorf("explored %d paths, expected at least 10", rep.Stats.TotalPaths())
+	if rep.Stats.TotalPaths() == 0 {
+		t.Error("the pool stopped before exploring any path")
 	}
-	if rep.Stats.TruncatedPaths == 0 {
-		t.Error("expected truncated paths to be reported")
+	if rep.Stats.TruncatedPaths == 0 || !rep.Stats.TimedOut {
+		t.Errorf("expected truncated paths and a timed-out run to be reported: %+v", rep.Stats)
 	}
 }
 

@@ -246,12 +246,6 @@ type Frame struct {
 	Caller *ir.Instr // call instruction awaiting the return value
 	lay    *frameLayout
 	base   int32 // the state's object count on entry: the frame's allocas are numbered from here
-	// shares counts the other states holding this frame below their top:
-	// a fork shares every frame but the top. A state copies a shared
-	// frame before a return writes into it, and lets go of its frames
-	// when its path ends, so the last holder writes in place and a frame
-	// no state holds goes back to its worker for reuse.
-	shares atomic.Int32
 }
 
 // reg returns the register an instruction's result lives in.
@@ -280,21 +274,29 @@ type State struct {
 // top returns the active frame.
 func (st *State) top() *Frame { return st.Frames[len(st.Frames)-1] }
 
-// clone forks the state onto top, a blank frame of the top frame's
-// function. The child shares everything but the top frame: the object
-// table (both sides mark it shared and
-// copy a chunk on first write), the frames below the top
-// (Frame.shares), the object descriptors, read-only objects, the
-// partition and all expression nodes. A pointer names a descriptor and
-// both states number an object alike, so nothing is remapped.
-func (st *State) clone(nextID int64, top *Frame) *State {
-	n := len(st.Frames)
-	frames := make([]*Frame, n)
-	copy(frames, st.Frames)
-	for _, f := range frames[:n-1] {
-		f.shares.Add(1)
+// pop removes the top frame and returns the new top, or nil when st
+// returned from its entry.
+func (st *State) pop() *Frame {
+	n := len(st.Frames) - 1
+	st.Frames = st.Frames[:n]
+	if n == 0 {
+		return nil
 	}
-	frames[n-1] = top.copyOf(st.Frames[n-1])
+	return st.Frames[n-1]
+}
+
+// clone forks the state, copying every frame into a blank one from w,
+// so each frame has exactly one holder and goes back to a worker's free
+// list when its state returns from it or ends. The child shares the
+// object table (both sides mark it shared and copy a chunk on first
+// write), the object descriptors, read-only objects, the partition and
+// all expression nodes. A pointer names a descriptor and both states
+// number an object alike, so nothing is remapped.
+func (st *State) clone(nextID int64, w *worker) *State {
+	frames := make([]*Frame, len(st.Frames))
+	for i, f := range st.Frames {
+		frames[i] = w.frame(f.lay).copyOf(f)
+	}
 	st.objsShared = true
 	return &State{
 		ID:         nextID,
@@ -308,7 +310,7 @@ func (st *State) clone(nextID int64, top *Frame) *State {
 }
 
 // copyOf makes blank frame f a private copy of g, a frame of the same
-// function, and returns it. The copy's share count starts at zero.
+// function, and returns it.
 func (f *Frame) copyOf(g *Frame) *Frame {
 	copy(f.Regs, g.Regs)
 	*f = Frame{Fn: g.Fn, Block: g.Block, Prev: g.Prev, Idx: g.Idx, Regs: f.Regs, Caller: g.Caller, lay: g.lay, base: g.base}

@@ -34,8 +34,8 @@ type worker struct {
 	free        [][]*Frame // returned frames by function, for the next call to reuse
 }
 
-// frame returns a blank frame of lay's function, reusing one no state
-// holds any longer.
+// frame returns a blank frame of lay's function, reusing a returned
+// one when there is one.
 func (w *worker) frame(lay *frameLayout) *Frame {
 	l := w.free[lay.id]
 	if len(l) == 0 {
@@ -53,36 +53,16 @@ func (w *worker) newFrame(fn *ir.Function, caller *ir.Instr) *Frame {
 	return f
 }
 
-// recycle takes back a frame no state holds.
+// recycle takes back a frame its state let go of.
 func (w *worker) recycle(f *Frame) {
 	clear(f.Regs)
 	w.free[f.lay.id] = append(w.free[f.lay.id], f)
 }
 
-// pop removes st's top frame and returns the new top, first copied if
-// another state holds it.
-func (w *worker) pop(st *State) *Frame {
-	n := len(st.Frames) - 1
-	st.Frames = st.Frames[:n]
-	if n == 0 {
-		return nil
-	}
-	if f := st.Frames[n-1]; f.shares.Load() > 0 {
-		st.Frames[n-1] = w.frame(f.lay).copyOf(f)
-		f.shares.Add(-1)
-	}
-	return st.Frames[n-1]
-}
-
-// drop lets go of the frames of a state whose path ended, taking back
-// those no other state holds.
+// drop takes back the frames of a state whose path ended.
 func (w *worker) drop(st *State) {
 	for _, f := range st.Frames {
-		if f.shares.Load() > 0 {
-			f.shares.Add(-1)
-		} else {
-			w.recycle(f)
-		}
+		w.recycle(f)
 	}
 	st.Frames = nil
 }
@@ -121,10 +101,6 @@ func (w *worker) explore(st *State) {
 			// Path ended (completed, errored, or pruned inside step).
 			w.drop(st)
 			w.fr.release()
-			if max := w.e.opts.MaxPaths; max > 0 && w.e.totalPaths() >= max {
-				w.e.requestStop()
-				w.e.truncated.Add(w.fr.drain())
-			}
 			return
 		}
 		// Continue with the deepest continuation (step returns it last),
@@ -186,7 +162,7 @@ func (w *worker) overLimit() bool {
 // fork clones st for the other side of a branch.
 func (w *worker) fork(st *State) *State {
 	w.e.forks.Add(1)
-	return st.clone(w.e.nextState.Add(1), w.frame(st.top().lay))
+	return st.clone(w.e.nextState.Add(1), w)
 }
 
 // reportBug records a defect with a concretized input from the model;

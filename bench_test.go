@@ -24,7 +24,7 @@ import (
 func BenchmarkTable1Verify(b *testing.B) {
 	for _, level := range []pipeline.Level{pipeline.O0, pipeline.O2, pipeline.O3, pipeline.OVerify} {
 		b.Run(level.String(), func(b *testing.B) {
-			c, err := bench.CompileAt("wc", bench.WcSource, level)
+			c, err := overify.Compile("wc", bench.WcSource, level)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func BenchmarkTable1Compile(b *testing.B) {
 	for _, level := range []pipeline.Level{pipeline.O0, pipeline.O2, pipeline.O3, pipeline.OVerify} {
 		b.Run(level.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.CompileAt("wc", bench.WcSource, level); err != nil {
+				if _, err := overify.Compile("wc", bench.WcSource, level); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -61,7 +61,7 @@ func BenchmarkTable1Run(b *testing.B) {
 	text := bench.WordText(20000)
 	for _, level := range []pipeline.Level{pipeline.O0, pipeline.O2, pipeline.O3, pipeline.OVerify} {
 		b.Run(level.String(), func(b *testing.B) {
-			c, err := bench.CompileAt("wc", bench.WcSource, level)
+			c, err := overify.Compile("wc", bench.WcSource, level)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func BenchmarkFigure4Corpus(b *testing.B) {
 // the count.
 func BenchmarkParallelVerify(b *testing.B) {
 	for _, level := range []pipeline.Level{pipeline.O0, pipeline.OVerify} {
-		c, err := bench.CompileAt("wc", bench.WcSource, level)
+		c, err := overify.Compile("wc", bench.WcSource, level)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkParallelVerify(b *testing.B) {
 // BenchmarkSolver measures raw solver throughput on the wc-style
 // byte-classification queries that dominate verification time.
 func BenchmarkSolver(b *testing.B) {
-	c, err := bench.CompileAt("wc", bench.WcSource, pipeline.O0)
+	c, err := overify.Compile("wc", bench.WcSource, pipeline.O0)
 	if err != nil {
 		b.Fatal(err)
 	}

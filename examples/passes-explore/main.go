@@ -8,10 +8,8 @@ import (
 	"log"
 
 	"overify/internal/frontend"
-	"overify/internal/ir"
 	"overify/internal/lang"
 	"overify/internal/libc"
-	"overify/internal/passes"
 	"overify/internal/pipeline"
 )
 
@@ -47,39 +45,29 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stages := []struct {
-		name string
-		seq  []passes.Pass
-	}{
-		{"mem2reg (SSA construction)", []passes.Pass{passes.Mem2Reg()}},
-		{"cleanup (fold, CSE, CFG, DCE)", []passes.Pass{
-			passes.Simplify(), passes.CSE(), passes.SimplifyCFG(), passes.DCE()}},
-		{"aggressive inlining", []passes.Pass{passes.Inline(), passes.Mem2Reg(),
-			passes.Simplify(), passes.CSE(), passes.SimplifyCFG(), passes.DCE()}},
-		{"if-conversion to fixpoint (Listing 2)", []passes.Pass{passes.Fixpoint(12,
-			passes.JumpThread(), passes.LICM(), passes.IfConvert(),
-			passes.Simplify(), passes.CSE(), passes.SimplifyCFG(), passes.DCE())}},
+	stages := []struct{ name, spec string }{
+		{"mem2reg (SSA construction)", "mem2reg"},
+		{"cleanup (fold, CSE, CFG, DCE)", "simplify,cse,simplifycfg,dce"},
+		{"aggressive inlining", "inline,mem2reg,simplify,cse,simplifycfg,dce"},
+		{"if-conversion to fixpoint (Listing 2)",
+			"fixpoint:12(jumpthread,licm,ifconvert,simplify,cse,simplifycfg,dce)"},
 	}
 
-	cost := pipeline.VerifyCost()
-	report := func(stage string) {
-		wc := mod.Func("wc")
-		fmt.Printf("=== after %s: %d instructions, %d conditional branches ===\n",
-			stage, wc.NumInstrs(), wc.NumBranches())
-	}
 	wc := mod.Func("wc")
 	fmt.Printf("=== frontend output (-O0): %d instructions, %d conditional branches ===\n",
 		wc.NumInstrs(), wc.NumBranches())
-
 	for _, st := range stages {
-		cx := &passes.Context{Cost: cost}
-		for _, p := range st.seq {
-			p.Run(mod, cx)
+		spec, err := pipeline.ParsePipeline(st.spec)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if err := ir.VerifyModule(mod); err != nil {
+		cfg := pipeline.Config{Cost: pipeline.VerifyCost(), Pipeline: &spec}
+		if _, err := pipeline.Optimize(mod, cfg); err != nil {
 			log.Fatalf("after %s: %v", st.name, err)
 		}
-		report(st.name)
+		wc = mod.Func("wc")
+		fmt.Printf("=== after %s: %d instructions, %d conditional branches ===\n",
+			st.name, wc.NumInstrs(), wc.NumBranches())
 	}
 	fmt.Println("\nfinal wc (only the loop-header branch remains):")
 	fmt.Println(mod.Func("wc").String())

@@ -8,6 +8,7 @@ import (
 	"log"
 	"time"
 
+	"overify"
 	"overify/internal/bench"
 	"overify/internal/interp"
 	"overify/internal/ir"
@@ -24,7 +25,7 @@ func main() {
 	for _, level := range []pipeline.Level{
 		pipeline.O0, pipeline.O2, pipeline.O3, pipeline.OVerify,
 	} {
-		c, err := bench.CompileAt("wc", bench.WcSource, level)
+		c, err := overify.Compile("wc", bench.WcSource, level)
 		if err != nil {
 			log.Fatal(err)
 		}

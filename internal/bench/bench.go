@@ -20,8 +20,6 @@ import (
 	"overify/internal/core"
 	"overify/internal/interp"
 	"overify/internal/ir"
-	"overify/internal/libc"
-	"overify/internal/pipeline"
 	"overify/internal/symex"
 )
 
@@ -84,25 +82,6 @@ func TimeConcreteRun(c *core.Compiled, fn string, input []byte, extraArgs ...int
 	start := time.Now()
 	_, err := m.Call(fn, args...)
 	return time.Since(start), m.Stats.Instrs, err
-}
-
-// CompileAt compiles src at a level with the level's default libc,
-// returning the compile result (timed inside pipeline.Optimize).
-func CompileAt(name, src string, level pipeline.Level) (*core.Compiled, error) {
-	return core.CompileSource(name, src, level, core.DefaultLibc(level))
-}
-
-// CompileAtPasses is CompileAt with the level's pass sequence replaced
-// by an explicit -passes pipeline (nil keeps the level's).
-func CompileAtPasses(name, src string, level pipeline.Level, passes *pipeline.PipelineSpec) (*core.Compiled, error) {
-	cfg := pipeline.LevelConfig(level)
-	cfg.Pipeline = passes
-	return core.CompileWithConfig(name, src, cfg, core.DefaultLibc(level))
-}
-
-// CompileAtWithLibc pins the libc variant.
-func CompileAtWithLibc(name, src string, level pipeline.Level, lk libc.Kind) (*core.Compiled, error) {
-	return core.CompileSource(name, src, level, lk)
 }
 
 // fmtDur renders a duration in the paper's milliseconds-style.

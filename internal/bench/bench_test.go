@@ -113,14 +113,36 @@ func TestFigure4Small(t *testing.T) {
 	}
 }
 
-// TestTable2Shape asserts the measured ablation's signs for the rows
-// where the paper is unambiguous.
+// table2Pinned is Table 2 at n=3: base->with symbolic instructions,
+// paths and execution instructions per row. Every count is
+// deterministic, so a change to a row's pipeline, or to what one of its
+// passes emits, moves one of them.
+var table2Pinned = []bench.Table2Row{
+	{Name: "constant folding + simplification", VerifInstrsBase: 2315, VerifInstrsWith: 1948, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1934, ExecInstrsWith: 1570},
+	{Name: "remove memory accesses (mem2reg)", VerifInstrsBase: 2603, VerifInstrsWith: 2242, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 2404, ExecInstrsWith: 1891},
+	{Name: "jump threading + unswitching", VerifInstrsBase: 1948, VerifInstrsWith: 1989, PathsBase: 82, PathsWith: 86, ExecInstrsBase: 1570, ExecInstrsWith: 1494},
+	{Name: "inlining + unrolling", VerifInstrsBase: 1948, VerifInstrsWith: 1747, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1355},
+	{Name: "if-conversion (branch->select)", VerifInstrsBase: 1747, VerifInstrsWith: 636, PathsBase: 82, PathsWith: 35, ExecInstrsBase: 1355, ExecInstrsWith: 1293},
+	{Name: "runtime checks", VerifInstrsBase: 1948, VerifInstrsWith: 2026, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1654},
+	{Name: "range annotations", VerifInstrsBase: 1948, VerifInstrsWith: 1948, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1570},
+}
+
+// TestTable2Shape pins every row of the measured ablation and asserts
+// its signs for the rows where the paper is unambiguous.
 func TestTable2Shape(t *testing.T) {
 	rows, err := bench.Table2(bench.Table2Options{InputBytes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", bench.RenderTable2(rows))
+	if len(rows) != len(table2Pinned) {
+		t.Fatalf("%d rows, want %d", len(rows), len(table2Pinned))
+	}
+	for i, r := range rows {
+		if r != table2Pinned[i] {
+			t.Errorf("row %d:\n  got  %+v\n  want %+v", i, r, table2Pinned[i])
+		}
+	}
 	byName := map[string]bench.Table2Row{}
 	for _, r := range rows {
 		byName[r.Name] = r

@@ -108,7 +108,9 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 	cerrs := make([]error, len(programs)*nl)
 	parallelDo(len(programs)*nl, opts.Workers, func(i int) {
 		p, level := programs[i/nl], Figure4Levels[i%nl]
-		compiled[i], cerrs[i] = CompileAtPasses(p.Name, p.Src, level, opts.Pipeline)
+		cfg := pipeline.LevelConfig(level)
+		cfg.Pipeline = opts.Pipeline
+		compiled[i], cerrs[i] = core.CompileWithConfig(p.Name, p.Src, cfg, core.DefaultLibc(level))
 	})
 
 	// Phase 2: verify serially, in the deterministic study order.

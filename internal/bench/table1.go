@@ -69,7 +69,9 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 	compiled := make([]*core.Compiled, len(opts.Levels))
 	errs := make([]error, len(opts.Levels))
 	parallelDo(len(opts.Levels), opts.Workers, func(i int) {
-		compiled[i], errs[i] = CompileAtPasses("wc", WcSource, opts.Levels[i], opts.Pipeline)
+		cfg := pipeline.LevelConfig(opts.Levels[i])
+		cfg.Pipeline = opts.Pipeline
+		compiled[i], errs[i] = core.CompileWithConfig("wc", WcSource, cfg, core.DefaultLibc(opts.Levels[i]))
 	})
 
 	var rows []Table1Row

@@ -7,7 +7,6 @@ import (
 	"overify/internal/core"
 	"overify/internal/coreutils"
 	"overify/internal/libc"
-	"overify/internal/passes"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 )
@@ -62,121 +61,76 @@ func pct(base, with int64) string {
 	return fmt.Sprintf("%+.0f%%", 100*float64(base-with)/float64(base))
 }
 
-// ablation defines one Table 2 row: the baseline pass list and the pass
-// list with the transformation under study added.
-type ablation struct {
-	name string
-	base func(cost passes.CostModel) []passes.Pass
-	with func(cost passes.CostModel) []passes.Pass
-}
+// The cleanup stages every ablation ends with, and the SSA-plus-cleanup
+// base most rows measure against.
+const (
+	cleanup  = "simplify,cse,simplifycfg,dce"
+	ssaClean = "mem2reg," + cleanup
+)
 
-func cleanupSeq() []passes.Pass {
-	return []passes.Pass{passes.Simplify(), passes.CSE(), passes.SimplifyCFG(), passes.DCE()}
-}
-
-func ablations() []ablation {
-	ssa := func(passes.CostModel) []passes.Pass { return []passes.Pass{passes.Mem2Reg()} }
-	ssaClean := func(passes.CostModel) []passes.Pass {
-		return append([]passes.Pass{passes.Mem2Reg()}, cleanupSeq()...)
-	}
-	withExtra := func(base func(passes.CostModel) []passes.Pass, extra ...passes.Pass) func(passes.CostModel) []passes.Pass {
-		return func(cost passes.CostModel) []passes.Pass {
-			seq := append([]passes.Pass(nil), base(cost)...)
-			seq = append(seq, extra...)
-			seq = append(seq, cleanupSeq()...)
-			return seq
-		}
-	}
-	return []ablation{
-		{
-			// Paper row 1: constant propagation/folding, arithmetic
-			// simplifications.
-			name: "constant folding + simplification",
-			base: ssa,
-			with: withExtra(ssa),
-		},
-		{
-			// Paper row 2: remove/split memory accesses (mem2reg is the
-			// "convert memory to registers" transform).
-			name: "remove memory accesses (mem2reg)",
-			base: func(passes.CostModel) []passes.Pass { return nil },
-			with: func(passes.CostModel) []passes.Pass {
-				return []passes.Pass{passes.Mem2Reg(), passes.DCE()}
-			},
-		},
-		{
-			// Paper row 3: simplify control flow — jump threading and
-			// loop unswitching.
-			name: "jump threading + unswitching",
-			base: ssaClean,
-			with: withExtra(ssaClean, passes.JumpThread(), passes.Unswitch()),
-		},
-		{
-			// Paper row 4: restructure the program — inlining and
-			// unrolling.
-			name: "inlining + unrolling",
-			base: ssaClean,
-			with: withExtra(ssaClean, passes.Inline(), passes.Mem2Reg(), passes.Unroll()),
-		},
-		{
-			// The transform behind Listing 2: speculative branch-free
-			// conversion. Inlining first so callee branches are visible.
-			name: "if-conversion (branch->select)",
-			base: withExtra(ssaClean, passes.Inline(), passes.Mem2Reg()),
-			with: withExtra(ssaClean, passes.Inline(), passes.Mem2Reg(),
-				passes.Fixpoint(8, append([]passes.Pass{passes.IfConvert(), passes.JumpThread()}, cleanupSeq()...)...)),
-		},
-		{
-			// Paper row 7: generate runtime checks. More work for both
-			// sides, but every illegal behavior becomes a detectable
-			// crash.
-			name: "runtime checks",
-			base: ssaClean,
-			with: withExtra(ssaClean, passes.InsertChecks()),
-		},
-		{
-			// Paper row 6: program annotations (ranges) — preserved
-			// metadata the paper would have the verifier consume for
-			// free branch decisions. No verifier here reads it, so the
-			// row measures the metadata alone and reads +0%.
-			name: "range annotations",
-			base: ssaClean,
-			with: withExtra(ssaClean, passes.Annotate()),
-		},
-	}
+// ablations are the Table 2 rows: the base pipeline and the pipeline
+// with the transformation under study added, in -passes= syntax ("" is
+// the empty pipeline).
+var ablations = []struct{ name, base, with string }{
+	// Paper row 1: constant propagation/folding, arithmetic
+	// simplifications.
+	{"constant folding + simplification", "mem2reg", ssaClean},
+	// Paper row 2: remove/split memory accesses (mem2reg is the
+	// "convert memory to registers" transform).
+	{"remove memory accesses (mem2reg)", "", "mem2reg,dce"},
+	// Paper row 3: simplify control flow — jump threading and loop
+	// unswitching.
+	{"jump threading + unswitching", ssaClean, ssaClean + ",jumpthread,unswitch," + cleanup},
+	// Paper row 4: restructure the program — inlining and unrolling.
+	{"inlining + unrolling", ssaClean, ssaClean + ",inline,mem2reg,unroll," + cleanup},
+	// The transform behind Listing 2: speculative branch-free
+	// conversion. Inlining first so callee branches are visible.
+	{"if-conversion (branch->select)",
+		ssaClean + ",inline,mem2reg," + cleanup,
+		ssaClean + ",inline,mem2reg,fixpoint:8(ifconvert,jumpthread," + cleanup + ")," + cleanup},
+	// Paper row 7: generate runtime checks. More work for both sides,
+	// but every illegal behavior becomes a detectable crash.
+	{"runtime checks", ssaClean, ssaClean + ",checks," + cleanup},
+	// Paper row 6: program annotations (ranges) — preserved metadata the
+	// paper would have the verifier consume for free branch decisions.
+	// No verifier here reads it, so the row measures the metadata alone
+	// and reads +0%.
+	{"range annotations", ssaClean, ssaClean + ",annotate," + cleanup},
 }
 
 // Table2Options bound the ablation study.
 type Table2Options struct {
 	InputBytes int // symbolic input size (default 3)
-	Cost       *passes.CostModel
 }
 
 // Table2 measures each transformation's verification and execution
-// impact over the benchmark set.
+// impact over the benchmark set: each row's two pipelines compile
+// under the -OVERIFY cost model against uclibc.
 func Table2(opts Table2Options) ([]Table2Row, error) {
 	if opts.InputBytes == 0 {
 		opts.InputBytes = 3
 	}
-	cost := pipeline.VerifyCost()
-	if opts.Cost != nil {
-		cost = *opts.Cost
-	}
 	var rows []Table2Row
-	for _, ab := range ablations() {
+	for _, ab := range ablations {
 		row := Table2Row{Name: ab.name}
-		for _, progName := range Table2Benchmarks {
-			src, sample, fn, verify := benchProgram(progName)
-			for _, variant := range []struct {
-				seq []passes.Pass
-				vi  *int64
-				pi  *int64
-				ei  *int64
-			}{
-				{ab.base(cost), &row.VerifInstrsBase, &row.PathsBase, &row.ExecInstrsBase},
-				{ab.with(cost), &row.VerifInstrsWith, &row.PathsWith, &row.ExecInstrsWith},
-			} {
-				c, err := core.CompileWithPasses(progName, src, libc.Uclibc, cost, variant.seq)
+		for _, variant := range []struct {
+			spec       string
+			vi, pi, ei *int64
+		}{
+			{ab.base, &row.VerifInstrsBase, &row.PathsBase, &row.ExecInstrsBase},
+			{ab.with, &row.VerifInstrsWith, &row.PathsWith, &row.ExecInstrsWith},
+		} {
+			var spec pipeline.PipelineSpec
+			if variant.spec != "" {
+				var err error
+				if spec, err = pipeline.ParsePipeline(variant.spec); err != nil {
+					return nil, fmt.Errorf("table2 %s: %w", ab.name, err)
+				}
+			}
+			cfg := pipeline.Config{Cost: pipeline.VerifyCost(), Pipeline: &spec}
+			for _, progName := range Table2Benchmarks {
+				src, sample, fn, verify := benchProgram(progName)
+				c, err := core.CompileWithConfig(progName, src, cfg, libc.Uclibc)
 				if err != nil {
 					return nil, fmt.Errorf("table2 %s/%s: %w", ab.name, progName, err)
 				}

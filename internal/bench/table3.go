@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"overify/internal/core"
 	"overify/internal/coreutils"
 	"overify/internal/libc"
 	"overify/internal/passes"
@@ -42,7 +43,7 @@ func Table3() ([]Table3Row, error) {
 		row := Table3Row{Level: level}
 		var total passes.Stats
 		for _, p := range coreutils.All() {
-			c, err := CompileAtWithLibc(p.Name, p.Src, level, libc.Uclibc)
+			c, err := core.CompileSource(p.Name, p.Src, level, libc.Uclibc)
 			if err != nil {
 				row.Failures++
 				continue

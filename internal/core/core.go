@@ -13,7 +13,6 @@ import (
 	"overify/internal/ir"
 	"overify/internal/lang"
 	"overify/internal/libc"
-	"overify/internal/passes"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
@@ -31,8 +30,8 @@ type Compiled struct {
 	// PipelineDesc identifies how the module was produced — level,
 	// rendered pass pipeline, checks/annotation switches, libc variant.
 	// It is the compilation half of the verdict store's content key;
-	// empty (the explicit-pass-list ablation path) disables verdict
-	// caching for this compile.
+	// empty (a Compiled assembled by hand rather than compiled here)
+	// disables verdict caching for it.
 	PipelineDesc string
 }
 
@@ -85,24 +84,13 @@ func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Co
 	}
 	// The slice configuration needs no fields of its own: the rendered
 	// spec contains the slice/loopsummary stages, annotated with the
-	// kept-check subset when it is not "all".
+	// kept-check subset when it is not "all". The checks= and ranges=
+	// fields predate the spec holding those stages; they stay, so that
+	// stored verdicts and pinned keys remain valid.
+	ov := cfg.Level == pipeline.OVerify
 	desc := fmt.Sprintf("level=%s|pipeline=%s|checks=%v|ranges=%v|libc=%s",
-		cfg.Level, res.Spec, cfg.Checks, cfg.AnnotateRanges, lk)
+		cfg.Level, res.Spec, ov, ov, lk)
 	return &Compiled{Name: name, Mod: mod, Level: cfg.Level, Libc: lk, Result: res, PipelineDesc: desc}, nil
-}
-
-// CompileWithPasses compiles src + libc and then runs an explicit pass
-// list under the given cost model (used by the Table 2 ablation).
-func CompileWithPasses(name, src string, lk libc.Kind, cost passes.CostModel, seq []passes.Pass) (*Compiled, error) {
-	mod, err := lower(name, src, lk)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pipeline.OptimizeWithPasses(mod, cost, seq)
-	if err != nil {
-		return nil, fmt.Errorf("optimize %s: %w", name, err)
-	}
-	return &Compiled{Name: name, Mod: mod, Libc: lk, Result: res}, nil
 }
 
 // CompileProgram compiles a corpus program with the level's default libc.

@@ -27,7 +27,7 @@ type Job struct {
 	Prog   string `json:"prog,omitempty"`   // corpus program name
 
 	Level  string `json:"level,omitempty"`  // optimization level (default -OVERIFY)
-	Passes string `json:"passes,omitempty"` // explicit pass pipeline (disables verdict caching)
+	Passes string `json:"passes,omitempty"` // explicit pass pipeline (its rendered spec is in the verdict and compile keys)
 	Entry  string `json:"entry,omitempty"`  // entry function (default umain)
 
 	InputBytes int   `json:"inputBytes,omitempty"` // symbolic input size (default 4)

@@ -156,9 +156,11 @@ func TestVerdictKeyPipelineStability(t *testing.T) {
 	}
 }
 
-// TestExplicitPassListDisablesCaching pins the ablation escape hatch:
-// CompileWithPasses has no pipeline description, so verdict caching is
-// off rather than keyed ambiguously.
+// TestExplicitPassListDisablesCaching pins what a Compiled without a
+// pipeline description gets: every compile here sets one (an explicit
+// pipeline's rendered spec included), so an empty description comes
+// only from a Compiled assembled by hand, and verdict caching is off
+// for it rather than keyed ambiguously.
 func TestExplicitPassListDisablesCaching(t *testing.T) {
 	prog, _ := coreutilsGet(t, "basename")
 	c, err := core.CompileProgram(prog, pipeline.O0)

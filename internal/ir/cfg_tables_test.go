@@ -260,7 +260,8 @@ func TestCFGTablesMatchMaps(t *testing.T) {
 	}
 	var funcs []*ir.Function // every compiled function, for the refill check
 	for cname, cfg := range cfgs {
-		seq, err := pipeline.Passes(cfg).Build()
+		spec := pipeline.Passes(cfg)
+		stages, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +295,10 @@ func TestCFGTablesMatchMaps(t *testing.T) {
 			}
 			cx := &passes.Context{Cost: cfg.Cost, SliceChecks: cfg.SliceChecks}
 			cx.EnableAnalysisCache()
-			mgr := &passes.Manager{AfterPass: func(ps passes.Pass) error { return check(ps.Name()) }}
-			if _, err := mgr.Run(m, seq, cx); err != nil {
+			mgr := &passes.Manager{AfterStage: func(i int) error {
+				return check(pipeline.PipelineSpec{Stages: spec.Stages[i : i+1]}.String())
+			}}
+			if _, err := mgr.Run(m, stages, cx); err != nil {
 				t.Fatal(err)
 			}
 			cx.Release()

@@ -38,7 +38,7 @@ func ifConvertFunc(f *ir.Function, cx *Context) bool {
 
 // speculable reports whether a block's non-terminator instructions can
 // be executed unconditionally, and their cost.
-func speculable(b *ir.Block, cost *CostModel) (int, bool) {
+func speculable(b *ir.Block) (int, bool) {
 	n := 0
 	for _, in := range b.Instrs {
 		if in.IsTerminator() {
@@ -48,12 +48,6 @@ func speculable(b *ir.Block, cost *CostModel) (int, bool) {
 			return 0, false // handled only in the join block
 		}
 		if !isPure(in) {
-			// Loads may be speculated only if the model explicitly
-			// allows potentially-trapping speculation.
-			if in.Op == ir.OpLoad && cost.SpeculateLoads {
-				n++
-				continue
-			}
 			return 0, false
 		}
 		n++
@@ -89,8 +83,8 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 				if join == a || join == tb || join == fb {
 					continue
 				}
-				ct, okT := speculable(tb, &cx.Cost)
-				cf, okF := speculable(fb, &cx.Cost)
+				ct, okT := speculable(tb)
+				cf, okF := speculable(fb)
 				if okT && okF && ct+cf <= budget {
 					convertDiamond(f, a, tb, fb, join, cond)
 					cx.Stats.BranchesConverted++
@@ -103,7 +97,7 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 		if singlePred(preds, tb, a) {
 			tTerm := tb.Term()
 			if tTerm != nil && tTerm.Op == ir.OpBr && tTerm.Succs[0] == fb && fb != a {
-				if ct, ok := speculable(tb, &cx.Cost); ok && ct <= budget {
+				if ct, ok := speculable(tb); ok && ct <= budget {
 					convertTriangle(f, a, tb, fb, cond, true)
 					cx.Stats.BranchesConverted++
 					return true
@@ -114,7 +108,7 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 		if singlePred(preds, fb, a) {
 			fTerm := fb.Term()
 			if fTerm != nil && fTerm.Op == ir.OpBr && fTerm.Succs[0] == tb && tb != a {
-				if cf, ok := speculable(fb, &cx.Cost); ok && cf <= budget {
+				if cf, ok := speculable(fb); ok && cf <= budget {
 					convertTriangle(f, a, fb, tb, cond, false)
 					cx.Stats.BranchesConverted++
 					return true
@@ -162,7 +156,7 @@ func foldCommonDest(f *ir.Function, preds ir.PredTable,
 		if other == a || other == b {
 			return false
 		}
-		cost, ok := speculable(b, &cx.Cost)
+		cost, ok := speculable(b)
 		if !ok || cost > budget {
 			return false
 		}

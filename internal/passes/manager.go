@@ -6,27 +6,36 @@ import (
 	"overify/internal/ir"
 )
 
-// Manager schedules a pass sequence over a module. It is the layer the
-// pipeline package drives and adds two things over calling Pass.Run in
-// a loop:
+// Stage is one step of a schedule as the manager runs it: Passes run
+// once in order, or, when Rounds > 0, as a fixpoint — round after round
+// until a round changes nothing or Rounds rounds have run.
+// pipeline.PipelineSpec.Build produces one per spec stage.
+type Stage struct {
+	Passes []Pass
+	Rounds int
+}
+
+// Manager runs a schedule of stages over a module. It adds two things
+// over calling Pass.Run in a loop:
 //
 //   - analysis caching: after every changed run it invalidates, in the
 //     Context's per-function cache, exactly what the pass's Preserves
 //     declaration does not cover;
-//   - change-driven fixpoints: a Fixpoint over FunctionPasses runs as
-//     a per-function worklist — each function iterates the body until
+//   - change-driven fixpoints: a fixpoint over FunctionPasses runs as a
+//     per-function worklist — each function iterates the body until
 //     *it* reports a round with no change and is then skipped, instead
 //     of riding along for every other function's remaining rounds.
 //
 // A skipped function run is one that would have reported no change
 // (function passes are independent across functions and
 // deterministic), so the schedule emits the same IR and Stats as
-// global rounds over every function would.
+// global rounds over every function would. A fixpoint whose body holds
+// a module pass runs in such global rounds.
 type Manager struct {
-	// AfterPass, when set, runs after every top-level pass completes
+	// AfterStage, when set, runs after stage i completes
 	// (pipeline.Config.VerifyEachPass re-verifies the IR here). A
 	// non-nil error aborts the run.
-	AfterPass func(p Pass) error
+	AfterStage func(i int) error
 }
 
 // PassMetric is one pass's counters across a run, aggregated by name.
@@ -73,15 +82,15 @@ type passTally struct {
 	wall        time.Duration
 }
 
-// Run executes seq over m, threading cx (cost model, stats, analysis
-// cache) through every pass.
-func (mgr *Manager) Run(m *ir.Module, seq []Pass, cx *Context) (*RunMetrics, error) {
+// Run executes the stages over m, threading cx (cost model, stats,
+// analysis cache) through every pass.
+func (mgr *Manager) Run(m *ir.Module, stages []Stage, cx *Context) (*RunMetrics, error) {
 	rm := &RunMetrics{}
-	for _, p := range seq {
-		mgr.runStage(m, p, cx, rm)
+	for i, st := range stages {
+		runStage(m, st, cx, rm)
 		rm.StagesRun++
-		if mgr.AfterPass != nil {
-			if err := mgr.AfterPass(p); err != nil {
+		if mgr.AfterStage != nil {
+			if err := mgr.AfterStage(i); err != nil {
 				return rm, err
 			}
 		}
@@ -89,60 +98,72 @@ func (mgr *Manager) Run(m *ir.Module, seq []Pass, cx *Context) (*RunMetrics, err
 	return rm, nil
 }
 
-// fixpointer is what Fixpoint builds; the manager unpacks it to drive
-// the worklist itself.
-type fixpointer interface {
-	Pass
-	Rounds() int
-	Body() []Pass
-}
-
-func (mgr *Manager) runStage(m *ir.Module, p Pass, cx *Context, rm *RunMetrics) {
-	if fp, ok := p.(fixpointer); ok {
-		if body, allFunc := functionBody(fp.Body()); allFunc {
-			mgr.runFixpoint(m, body, fp.Rounds(), cx, rm)
+// runStage runs one stage: a fixpoint over function passes as a
+// per-function worklist, anything else over the whole module.
+func runStage(m *ir.Module, st Stage, cx *Context, rm *RunMetrics) {
+	if st.Rounds > 0 {
+		body := make([]FunctionPass, 0, len(st.Passes))
+		for _, p := range st.Passes {
+			if fp, ok := p.(FunctionPass); ok {
+				body = append(body, fp)
+			}
+		}
+		if len(body) == len(st.Passes) {
+			runFixpoint(m, body, st.Rounds, cx, rm)
 			return
 		}
-		// A fixpoint containing a module pass (none of the built-in
-		// pipelines build one) falls back to module-level rounds.
 	}
-	if fp, ok := p.(FunctionPass); ok {
-		var t passTally
-		for _, f := range definedFuncs(m) {
-			runTimed(fp, f, cx, &t)
-		}
-		rm.add(p.Name(), t)
-		return
-	}
-	// Module pass (or a fixpoint containing one). The Run
-	// implementations invalidate the analyses they clobber per function
-	// themselves (see the Pass contract).
-	start := time.Now()
-	changed := p.Run(m, cx)
-	t := passTally{invocations: 1, wall: time.Since(start)}
-	if changed {
-		t.changed = 1
-	}
-	rm.add(p.Name(), t)
+	runRounds(m, st, cx, rm)
 }
 
-// functionBody asserts every pass in body is a FunctionPass.
-func functionBody(body []Pass) ([]FunctionPass, bool) {
-	out := make([]FunctionPass, 0, len(body))
-	for _, p := range body {
-		fp, ok := p.(FunctionPass)
-		if !ok {
-			return nil, false
+// runRounds runs the stage's passes over the whole module: once, or
+// for a fixpoint holding a module pass, round after round until one
+// changes nothing or the cap is reached. Each pass is tallied under its
+// own name.
+func runRounds(m *ir.Module, st Stage, cx *Context, rm *RunMetrics) {
+	for round := 0; round < max(st.Rounds, 1); round++ {
+		changed := false
+		for _, p := range st.Passes {
+			var t passTally
+			if runOnModule(p, m, cx, &t) {
+				changed = true
+			}
+			rm.add(p.Name(), t)
 		}
-		out = append(out, fp)
+		if !changed {
+			break
+		}
 	}
-	return out, true
+}
+
+// runOnModule executes one pass over the module: a function pass once
+// per defined function, a module pass once. A module pass's Run
+// invalidates the analyses it clobbers per function itself (see the
+// Pass contract).
+func runOnModule(p Pass, m *ir.Module, cx *Context, t *passTally) bool {
+	if fp, ok := p.(FunctionPass); ok {
+		changed := false
+		for _, f := range definedFuncs(m) {
+			if runTimed(fp, f, cx, t) {
+				changed = true
+			}
+		}
+		return changed
+	}
+	start := time.Now()
+	changed := p.Run(m, cx)
+	t.wall += time.Since(start)
+	t.invocations++
+	if changed {
+		t.changed++
+	}
+	return changed
 }
 
 // runFixpoint drives a fixpoint stage over function passes: each
 // function runs the body until a round changes nothing, or the rounds
 // run out.
-func (mgr *Manager) runFixpoint(m *ir.Module, body []FunctionPass, limit int, cx *Context, rm *RunMetrics) {
+func runFixpoint(m *ir.Module, body []FunctionPass, limit int, cx *Context, rm *RunMetrics) {
 	tallies := make([]passTally, len(body))
 	var rounds []int // per function
 	for _, f := range definedFuncs(m) {

@@ -32,13 +32,6 @@ type CostModel struct {
 	// speculate per converted branch side.
 	SpeculationBudget int
 
-	// SpeculateLoads permits if-conversion to hoist loads into
-	// unconditional position. This can turn a path that never loaded out
-	// of bounds into one that traps, so it is off in all presets; it
-	// exists to measure the paper's remark that some "optimizations" are
-	// only safe for analysis purposes.
-	SpeculateLoads bool
-
 	// InlineThreshold is the maximum callee size (in IR instructions)
 	// considered for inlining.
 	InlineThreshold int
@@ -139,13 +132,6 @@ type Context struct {
 	scr *scratch
 }
 
-// NewContext returns a context with analysis caching enabled.
-func NewContext(cost CostModel) *Context {
-	cx := &Context{Cost: cost}
-	cx.EnableAnalysisCache()
-	return cx
-}
-
 // Pass transforms a module in place, returning whether anything
 // changed, and declares which cached analyses survive a changed run
 // (LLVM-NewPM-style PreservedAnalyses, reduced to the two analyses
@@ -190,58 +176,6 @@ func (p funcPass) Run(m *ir.Module, cx *Context) bool {
 			changed = true
 			cx.Invalidate(f, p.preserves)
 		}
-	}
-	return changed
-}
-
-// Fixpoint runs a sequence of passes repeatedly until a full round
-// reports no change (or maxRounds is hit). Cleanup passes expose new
-// opportunities for structural passes and vice versa, so pipelines
-// compose them with this combinator instead of guessing a fixed length.
-// Under the Manager, a fixpoint over FunctionPasses becomes a
-// per-function worklist: each function iterates until *it* stops
-// changing and is then skipped, instead of riding along for every
-// other function's remaining rounds.
-func Fixpoint(maxRounds int, ps ...Pass) Pass {
-	return fixpointPass{max: maxRounds, seq: ps}
-}
-
-type fixpointPass struct {
-	max int
-	seq []Pass
-}
-
-func (p fixpointPass) Name() string { return "fixpoint" }
-
-// Rounds is the round cap; the Manager reads it to drive the worklist.
-func (p fixpointPass) Rounds() int { return p.max }
-
-// Body is the pass sequence iterated each round.
-func (p fixpointPass) Body() []Pass { return p.seq }
-
-// Preserves is the intersection of the body's declarations: what every
-// inner pass keeps valid, the whole fixpoint keeps valid.
-func (p fixpointPass) Preserves() AnalysisSet {
-	set := AllAnalyses
-	for _, inner := range p.seq {
-		set &= inner.Preserves()
-	}
-	return set
-}
-
-func (p fixpointPass) Run(m *ir.Module, cx *Context) bool {
-	changed := false
-	for round := 0; round < p.max; round++ {
-		any := false
-		for _, inner := range p.seq {
-			if inner.Run(m, cx) {
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-		changed = true
 	}
 	return changed
 }

@@ -331,11 +331,11 @@ func TestPipelineIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.OVerify); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(pipeline.OVerify)); err != nil {
 		t.Fatal(err)
 	}
 	before := mod.Func("f").NumInstrs()
-	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.OVerify); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(pipeline.OVerify)); err != nil {
 		t.Fatal(err)
 	}
 	after := mod.Func("f").NumInstrs()

@@ -21,7 +21,8 @@ func TestCSETableEmptyAfterEveryFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := CostModel{InlineThreshold: 200, InlineGrowthCap: 2000, InlineRounds: 4}
-	cx := NewContext(cost)
+	cx := &Context{Cost: cost}
+	cx.EnableAnalysisCache()
 	defer cx.Release()
 	walks, replaced := 0, 0
 	for _, p := range coreutils.All() {

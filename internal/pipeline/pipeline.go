@@ -97,14 +97,6 @@ type Config struct {
 	Level Level
 	Cost  passes.CostModel
 
-	// Checks inserts runtime checks (§3 "Runtime checks"). Defaults to
-	// on for OVerify in LevelConfig.
-	Checks bool
-
-	// AnnotateRanges preserves value-range metadata for the verifier
-	// (§3 "Program annotations"). Defaults to on for OVerify.
-	AnnotateRanges bool
-
 	// Slice enables verification-aware program slicing: after the
 	// level's regular stages (and after checks are inserted, so the
 	// check set is visible in the IR), the slice/loopsummary passes
@@ -122,7 +114,7 @@ type Config struct {
 	// preserves; "" defaults to umain.
 	SliceEntry string
 
-	// VerifyEachPass re-runs the IR verifier after every pass; used in
+	// VerifyEachPass re-runs the IR verifier after every stage; used in
 	// tests to localize pass bugs.
 	VerifyEachPass bool
 
@@ -145,8 +137,6 @@ func LevelConfig(level Level) Config {
 		cfg.Cost = CPUCost()
 	case OVerify:
 		cfg.Cost = VerifyCost()
-		cfg.Checks = true
-		cfg.AnnotateRanges = true
 	}
 	return cfg
 }
@@ -210,12 +200,9 @@ func Passes(cfg Config) PipelineSpec {
 			"unroll", "licm", "unswitch", "ifconvert", "jumpthread",
 			"simplify", "cse", "simplifycfg", "dce",
 		}})
-		if cfg.Checks {
-			add(Stage{Pass: "checks"})
-		}
-		if cfg.AnnotateRanges {
-			add(Stage{Pass: "annotate"})
-		}
+		// Runtime checks (§3 "Runtime checks") and value-range metadata
+		// for the verifier (§3 "Program annotations").
+		add(Stage{Pass: "checks"}, Stage{Pass: "annotate"})
 	}
 	// The -OVERIFY slicing stage placement: slice after every
 	// level-specific stage (checks included, so OpCheck roots exist in
@@ -283,7 +270,7 @@ func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := spec.Build()
+	stages, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -299,52 +286,21 @@ func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 	}
 	mgr := &passes.Manager{}
 	if cfg.VerifyEachPass {
-		mgr.AfterPass = func(p passes.Pass) error {
+		mgr.AfterStage = func(i int) error {
 			if err := ir.VerifyModule(m); err != nil {
-				return fmt.Errorf("after pass %s: %w", p.Name(), err)
+				return fmt.Errorf("after stage %s: %w", PipelineSpec{Stages: spec.Stages[i : i+1]}, err)
 			}
 			return nil
 		}
 	}
 	res := &Result{Level: cfg.Level, Spec: spec.String(), InstrsIn: m.NumInstrs()}
-	metrics, err := mgr.Run(m, seq, cx)
+	metrics, err := mgr.Run(m, stages, cx)
 	if err != nil {
 		return nil, err
 	}
 	if err := ir.VerifyModule(m); err != nil {
 		return nil, fmt.Errorf("after %s pipeline: %w", cfg.Level, err)
 	}
-	res.finish(m, cx, metrics, start)
-	return res, nil
-}
-
-// OptimizeAtLevel is a convenience for the canonical per-level config.
-func OptimizeAtLevel(m *ir.Module, level Level) (*Result, error) {
-	return Optimize(m, LevelConfig(level))
-}
-
-// OptimizeWithPasses runs an explicit pass list with an explicit cost
-// model — the ablation harness (Table 2) uses this to measure passes in
-// isolation. The list goes through the same manager (serial, cached).
-func OptimizeWithPasses(m *ir.Module, cost passes.CostModel, seq []passes.Pass) (*Result, error) {
-	start := time.Now()
-	cx := passes.NewContext(cost)
-	defer cx.Release()
-	mgr := &passes.Manager{}
-	res := &Result{InstrsIn: m.NumInstrs()}
-	metrics, err := mgr.Run(m, seq, cx)
-	if err != nil {
-		return nil, err
-	}
-	if err := ir.VerifyModule(m); err != nil {
-		return nil, fmt.Errorf("after custom pipeline: %w", err)
-	}
-	res.finish(m, cx, metrics, start)
-	return res, nil
-}
-
-// finish folds the manager's metrics into the result.
-func (res *Result) finish(m *ir.Module, cx *passes.Context, metrics *passes.RunMetrics, start time.Time) {
 	res.Stats = cx.Stats
 	res.CompileTime = time.Since(start)
 	res.InstrsOut = m.NumInstrs()
@@ -353,4 +309,5 @@ func (res *Result) finish(m *ir.Module, cx *passes.Context, metrics *passes.RunM
 	res.SkippedFuncRuns = metrics.Skipped
 	res.PassTimings = metrics.Passes
 	res.Analysis = cx.AnalysisStats()
+	return res, nil
 }

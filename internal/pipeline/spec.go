@@ -206,33 +206,28 @@ func (s PipelineSpec) withSliceChecks(fallback ir.CheckSet) (PipelineSpec, ir.Ch
 	return out, eff, nil
 }
 
-// Build instantiates the spec into runnable passes.
-func (s PipelineSpec) Build() ([]passes.Pass, error) {
-	seq := make([]passes.Pass, 0, len(s.Stages))
+// Build instantiates the spec into the stages the pass manager runs:
+// a single-pass stage runs once, a fixpoint stage under its round cap.
+func (s PipelineSpec) Build() ([]passes.Stage, error) {
+	out := make([]passes.Stage, 0, len(s.Stages))
 	for _, st := range s.Stages {
+		names, rounds := st.Fixpoint, st.MaxRounds
 		if st.Pass != "" {
-			p, err := passes.ByName(st.Pass)
-			if err != nil {
-				return nil, err
-			}
-			seq = append(seq, p)
-			continue
+			names, rounds = []string{st.Pass}, 0
+		} else if rounds <= 0 {
+			rounds = DefaultFixpointRounds
 		}
-		body := make([]passes.Pass, 0, len(st.Fixpoint))
-		for _, name := range st.Fixpoint {
+		ps := make([]passes.Pass, 0, len(names))
+		for _, name := range names {
 			p, err := passes.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			body = append(body, p)
+			ps = append(ps, p)
 		}
-		rounds := st.MaxRounds
-		if rounds <= 0 {
-			rounds = DefaultFixpointRounds
-		}
-		seq = append(seq, passes.Fixpoint(rounds, body...))
+		out = append(out, passes.Stage{Passes: ps, Rounds: rounds})
 	}
-	return seq, nil
+	return out, nil
 }
 
 // LoadSpecArg resolves a -passes command-line argument: the spelling

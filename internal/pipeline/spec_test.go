@@ -9,6 +9,7 @@ import (
 
 	"overify/internal/frontend"
 	"overify/internal/ir"
+	"overify/internal/passes"
 	"overify/internal/pipeline"
 )
 
@@ -82,32 +83,83 @@ func TestParsePipelineForms(t *testing.T) {
 }
 
 // TestParsedPipelineCompiles: a hand-written -passes= pipeline drives a
-// real compile through Config.Pipeline.
+// real compile through Config.Pipeline, and prints the IR that running
+// its passes over the whole module in global rounds prints. The last
+// two specs' fixpoints hold a module pass (inline), so the manager runs
+// them in module rounds rather than per function; the third needs a
+// second round, since the cleanup runs before the inlining it would
+// tidy. Either way every body pass is timed under its own name.
 func TestParsedPipelineCompiles(t *testing.T) {
-	spec, err := pipeline.ParsePipeline("mem2reg,fixpoint:6(ifconvert,simplify,cse,simplifycfg,dce)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := lowerWc(t)
-	cfg := pipeline.LevelConfig(pipeline.OVerify)
-	cfg.Pipeline = &spec
-	cfg.VerifyEachPass = true
-	res, err := pipeline.Optimize(mod, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PassesRun != len(spec.Stages) {
-		t.Errorf("ran %d stages, spec has %d", res.PassesRun, len(spec.Stages))
-	}
-	names := make([]string, 0, len(res.PassTimings))
-	for _, pm := range res.PassTimings {
-		names = append(names, pm.Name)
-	}
-	for _, want := range []string{"mem2reg", "ifconvert", "dce"} {
-		if !strings.Contains(strings.Join(names, ","), want) {
-			t.Errorf("pass %s missing from timings %v", want, names)
+	for _, text := range []string{
+		"mem2reg,fixpoint:6(ifconvert,simplify,cse,simplifycfg,dce)",
+		"mem2reg,fixpoint:3(inline,mem2reg,simplify,cse)",
+		"mem2reg,fixpoint:3(simplify,cse,inline,mem2reg)",
+	} {
+		spec, err := pipeline.ParsePipeline(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := lowerWc(t)
+		cfg := pipeline.LevelConfig(pipeline.OVerify)
+		cfg.Pipeline = &spec
+		cfg.VerifyEachPass = true
+		res, err := pipeline.Optimize(mod, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PassesRun != len(spec.Stages) {
+			t.Errorf("%s: ran %d stages, spec has %d", text, res.PassesRun, len(spec.Stages))
+		}
+		if got, want := mod.String(), moduleRounds(t, spec, cfg.Cost); got != want {
+			t.Errorf("%s: IR differs from module rounds:\n%s\nwant:\n%s", text, got, want)
+		}
+		timed := map[string]bool{}
+		for _, pm := range res.PassTimings {
+			timed[pm.Name] = true
+		}
+		if timed["fixpoint"] {
+			t.Errorf("%s: a fixpoint is timed as a pass: %v", text, res.PassTimings)
+		}
+		for _, st := range spec.Stages {
+			for _, name := range append([]string{st.Pass}, st.Fixpoint...) {
+				if name != "" && !timed[name] {
+					t.Errorf("%s: pass %s missing from timings %v", text, name, res.PassTimings)
+				}
+			}
 		}
 	}
+}
+
+// moduleRounds is the reference schedule: wc lowered afresh, each
+// stage's passes run over the whole module through Pass.Run with no
+// analysis cache — a single pass once, a fixpoint's body round after
+// round until a round changes nothing or its cap is reached.
+func moduleRounds(t *testing.T, spec pipeline.PipelineSpec, cost passes.CostModel) string {
+	t.Helper()
+	mod := lowerWc(t)
+	cx := &passes.Context{Cost: cost}
+	for _, st := range spec.Stages {
+		names, rounds := st.Fixpoint, st.MaxRounds
+		if st.Pass != "" {
+			names, rounds = []string{st.Pass}, 1
+		}
+		for range rounds {
+			changed := false
+			for _, name := range names {
+				p, err := passes.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Run(mod, cx) {
+					changed = true
+				}
+			}
+			if !changed {
+				break
+			}
+		}
+	}
+	return mod.String()
 }
 
 // TestLoadSpecArg: a -passes argument is the spec itself unless it is

@@ -349,7 +349,7 @@ int umain(unsigned char *input, int len) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.O1); err != nil { // the pointer stays in its register
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(pipeline.O1)); err != nil { // the pointer stays in its register
 		t.Fatal(err)
 	}
 	eng := symex.NewEngine(mod, symex.Options{})

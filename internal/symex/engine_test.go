@@ -18,7 +18,7 @@ func explore(t *testing.T, src, fn string, n int, opts symex.Options,
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, level); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(level)); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
 	eng := symex.NewEngine(mod, opts)

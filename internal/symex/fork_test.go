@@ -27,7 +27,7 @@ func lowerAt(tb testing.TB, src string, level pipeline.Level) *ir.Module {
 	if err != nil {
 		tb.Fatalf("lower: %v", err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, level); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(level)); err != nil {
 		tb.Fatalf("optimize: %v", err)
 	}
 	return mod
@@ -608,7 +608,7 @@ func compileAt(tb testing.TB, name string, level pipeline.Level) *ir.Module {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, level); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(level)); err != nil {
 		tb.Fatal(err)
 	}
 	return mod

@@ -41,7 +41,7 @@ func exploreWc(t *testing.T, level pipeline.Level, n int) *symex.Report {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, level); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(level)); err != nil {
 		t.Fatalf("optimize %s: %v", level, err)
 	}
 	eng := symex.NewEngine(mod, symex.Options{})

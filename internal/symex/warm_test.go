@@ -18,7 +18,7 @@ func runShared(t *testing.T, src, fn string, n int, w *symex.Warm) *symex.Report
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, pipeline.O0); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(pipeline.O0)); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
 	eng := symex.NewEngine(mod, symex.Options{Warm: w})

@@ -28,7 +28,7 @@ func compileToVM(t *testing.T, src string, level pipeline.Level, lk libc.Kind) (
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if _, err := pipeline.OptimizeAtLevel(mod, level); err != nil {
+	if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(level)); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
 	p, err := vm.Compile(mod)

@@ -33,7 +33,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"overify/internal/daemon"
 	"overify/internal/verdicts"
@@ -45,10 +44,7 @@ func main() {
 	name := flag.String("name", "overifyd", "daemon name reported in handshakes and stats")
 	verdictDir := flag.String("verdict-cache", "", "content-addressed verdict store directory (empty = no verdict caching)")
 	verdictCap := flag.Int("verdict-cap", 0, "max verdict store entries, LRU-evicted (0 = unbounded)")
-	maxJobs := flag.Int("max-jobs", 0, "max concurrent verify/compile jobs (0 = one per CPU)")
-	queueWait := flag.Duration("queue-wait", 30*time.Second, "how long a request may queue for a job slot before an overloaded rejection")
-	solverCap := flag.Int("solver-cache-cap", 0, "max solver cache entries, clock-evicted (0 = default 1M, negative = unbounded)")
-	builderCap := flag.Int64("builder-cap", 0, "expression DAG node budget before the builder+cache generation rotates (0 = default 4M, negative = never)")
+	maxJobs := flag.Int("max-jobs", 0, "max concurrent verify/compile jobs (0 = one per CPU); a request waits up to 30s for a slot before an overloaded rejection")
 	compileCap := flag.Int("compile-cache-cap", 0, "max cached compiled modules (0 = default 64, negative = unbounded); the cache remembers up to 16x as many sources' verdict keys with their verdict entries, so a repeat reads no store file, and a new module displaces a resident one only if its source has been requested at least as often")
 	preload := flag.String("preload", "", "glob of MiniC sources to compile into the module cache before accepting connections")
 	flag.Parse()
@@ -57,13 +53,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "overifyd: exactly one of -listen or -stdio is required")
 		os.Exit(2)
 	}
+	if *maxJobs < 0 {
+		fmt.Fprintf(os.Stderr, "overifyd: -max-jobs %d: want 0 (one per CPU) or more\n", *maxJobs)
+		os.Exit(2)
+	}
 
 	cfg := daemon.Config{
 		Name:            *name,
 		MaxJobs:         *maxJobs,
-		QueueWait:       *queueWait,
-		SolverCacheCap:  *solverCap,
-		BuilderCap:      *builderCap,
 		CompileCacheCap: *compileCap,
 	}
 	if *verdictDir != "" {

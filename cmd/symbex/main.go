@@ -90,8 +90,7 @@ func main() {
 	clusterAddrs := flag.String("cluster", "", "comma-separated overifyd unix sockets: coordinate a distributed-frontier verification across these workers")
 	splitStates := flag.Int("split", 0, "with -cluster: frontier states the split prefix aims for before sharding (default 8 per worker)")
 	normalized := flag.Bool("normalized", false, "print the normalized conformance render (schedule-invariant) instead of the human report")
-	portfolio := flag.Int("portfolio", 0, "race this many solver configurations once a group stalls, first answer wins (0 = fixed order)")
-	portfolioStall := flag.Int64("portfolio-stall", 0, "assignments a group may burn before the portfolio races (default 4096)")
+	portfolio := flag.Int("portfolio", 0, "race this many solver configurations once a group stalls past 4096 assignments, first answer wins (0 = fixed order)")
 	watchFlag := flag.Bool("watch", false, "poll the source file for changes and re-verify on each edit (file input only; implies -verdict-cache unless -daemon)")
 	watchCount := flag.Int("watch-count", 0, "with -watch: exit after this many verifies, with the final verify's exit status (0 = watch forever)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -99,13 +98,16 @@ func main() {
 	flag.Parse()
 	startProfiles(*cpuProfile, *memProfile)
 	defer stopProfiles()
+	if *n < 1 {
+		fatal(fmt.Errorf("-n %d: want at least 1 symbolic input byte", *n))
+	}
 
 	job := core.Job{
 		Level: *level, Entry: *entry,
 		InputBytes: *n, TimeoutMS: jobTimeoutMS(*timeout),
 		Workers: *workers,
 		Slice:   *sliceFlag, Checks: *checkSpec,
-		Portfolio: *portfolio, PortfolioStall: *portfolioStall,
+		Portfolio:   *portfolio,
 		SplitStates: *splitStates,
 	}
 	var file string
@@ -140,7 +142,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	name := resolved.Name
+	name, nbytes := resolved.Name, resolved.Verify.InputBytes
 	job.Prog, job.Name, job.Source = "", name, resolved.Source
 
 	if *clusterAddrs != "" {
@@ -172,7 +174,7 @@ func main() {
 		if *normalized {
 			fmt.Print(dist.NormalizedRender(res.Report))
 		} else {
-			reportCluster(name, *level, *n, res)
+			reportCluster(name, *level, nbytes, res)
 		}
 		if code := reportExitCode(res.Report); code != 0 {
 			exit(code)
@@ -207,7 +209,7 @@ func main() {
 			if err != nil {
 				return failed(err)
 			}
-			reportDaemon(client.ServerName, reply, *n)
+			reportDaemon(client.ServerName, reply, nbytes)
 			return exitCode(reply.Verdict)
 		}
 	} else {
@@ -233,7 +235,7 @@ func main() {
 			if *normalized {
 				fmt.Print(dist.NormalizedRender(rep))
 			} else {
-				report(name, c.Level, *n, c, rep, store)
+				report(name, c.Level, nbytes, c, rep, store)
 			}
 			return reportExitCode(rep)
 		}

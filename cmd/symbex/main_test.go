@@ -94,9 +94,12 @@ func TestUndecidedRunIsInconclusive(t *testing.T) {
 	}
 }
 
-// TestRunErrorExitsTwo: a run that fails — here a missing entry
-// function — exits 2, not 1 ("bugs found"). The test binary re-runs
-// itself with symbex's arguments after "--", and that child runs main.
+// TestRunErrorExitsTwo: a run that fails — a missing entry function, an
+// unknown program, a refused dial, fewer than one symbolic byte — exits
+// 2, not 1 ("bugs found"). (-n 0 and -n -2 used to explore the job's
+// default 4 bytes under a header claiming 0 or -2.) The test binary
+// re-runs itself with symbex's arguments after "--", and that child
+// runs main.
 func TestRunErrorExitsTwo(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 && args[0] == "symbex" {
 		os.Args = args
@@ -108,6 +111,8 @@ func TestRunErrorExitsTwo(t *testing.T) {
 		{"-prog", "wc", "-entry", "nosuch"},
 		{"-prog", "nosuch"},
 		{"-prog", "wc", "-daemon", t.TempDir() + "/none.sock"},
+		{"-prog", "true", "-n", "0"},
+		{"-prog", "true", "-n", "-2"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestRunErrorExitsTwo$", "--", "symbex"}, args...)...)
 		out, err := cmd.CombinedOutput()

@@ -171,13 +171,13 @@ func (opts VerifyOptions) normalized() VerifyOptions {
 // cannot change a stored outcome. Budgets and limits can, so they are
 // in.
 func verifyDesc(opts VerifyOptions) string {
-	// maxpaths=0 and cover=0 stay in the key, though no path cap or
-	// coverage target exists any more, so that stored verdicts and
-	// pinned keys remain valid.
-	return fmt.Sprintf("entrybytes=%d|maxpaths=0|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=%d|maxwork=%d|history=%d|verifychecks=%s",
+	// maxpaths=0, cover=0, maxnodes=0 and history=0 stay in the key,
+	// though no path cap, coverage target, node bound or history length
+	// can be set any more, so that stored verdicts and pinned keys
+	// remain valid.
+	return fmt.Sprintf("entrybytes=%d|maxpaths=0|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=0|maxwork=%d|history=0|verifychecks=%s",
 		opts.InputBytes, opts.Engine.MaxInstrs, opts.Engine.MaxStates,
-		opts.Engine.Solver.MaxNodes, opts.Engine.Solver.MaxWork,
-		opts.Engine.Solver.ModelHistory, opts.Engine.Checks)
+		opts.Engine.Solver.MaxWork, opts.Engine.Checks)
 }
 
 // VerdictKey computes the content key Verify would use for fn under

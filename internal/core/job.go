@@ -48,10 +48,9 @@ type Job struct {
 	// use it to isolate the solver-cache layer.
 	NoVerdicts bool `json:"noVerdicts,omitempty"`
 
-	// Portfolio/PortfolioStall configure the solver portfolio (0 =
-	// fixed-order solving).
-	Portfolio      int   `json:"portfolio,omitempty"`
-	PortfolioStall int64 `json:"portfolioStall,omitempty"`
+	// Portfolio configures the solver portfolio (0 = fixed-order
+	// solving).
+	Portfolio int `json:"portfolio,omitempty"`
 
 	// SplitStates is how many pending states a cluster coordinator's
 	// breadth-first prefix aims for before sharding (default 8 per
@@ -129,7 +128,6 @@ func (j Job) Resolve() (*Resolved, error) {
 	vo.Engine.Workers = j.Workers
 	vo.Engine.Checks = checks
 	vo.Engine.Solver.Portfolio = j.Portfolio
-	vo.Engine.Solver.PortfolioStall = j.PortfolioStall
 	r.Verify = vo.normalized()
 	return r, nil
 }

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -48,7 +49,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // second slot release, interleaving A A B A A.
 func TestAdmissionPerClientFairness(t *testing.T) {
 	gate := make(chan struct{})
-	s := NewServer(Config{MaxJobs: 1, QueueWait: time.Minute})
+	s := NewServer(Config{MaxJobs: 1, queueWait: time.Minute})
 	s.testJobGate = func() { <-gate }
 
 	_, a := pipeClient(t, s)
@@ -93,11 +94,11 @@ func TestAdmissionPerClientFairness(t *testing.T) {
 }
 
 // TestAdmissionTimeoutUnderRoundRobin pins the overload path: with the
-// slot held and QueueWait tiny, a queued request is rejected as
+// slot held and queueWait tiny, a queued request is rejected as
 // overloaded and its waiter is removed from the rotation.
 func TestAdmissionTimeoutUnderRoundRobin(t *testing.T) {
 	gate := make(chan struct{})
-	s := NewServer(Config{MaxJobs: 1, QueueWait: 30 * time.Millisecond})
+	s := NewServer(Config{MaxJobs: 1, queueWait: 30 * time.Millisecond})
 	s.testJobGate = func() { <-gate }
 
 	_, a := pipeClient(t, s)
@@ -111,7 +112,7 @@ func TestAdmissionTimeoutUnderRoundRobin(t *testing.T) {
 
 	// This one queues and must time out while the slot is held.
 	if _, err := a.Verify(&VerifyRequest{Prog: "echo", InputBytes: 2}); err == nil {
-		t.Fatalf("queued request succeeded despite a held slot and expired QueueWait")
+		t.Fatalf("queued request succeeded despite a held slot and expired queueWait")
 	} else if _, ok := err.(*OverloadedError); !ok {
 		t.Fatalf("queued request failed with %v, want OverloadedError", err)
 	}
@@ -122,5 +123,20 @@ func TestAdmissionTimeoutUnderRoundRobin(t *testing.T) {
 	gate <- struct{}{}
 	if err := <-done; err != nil {
 		t.Fatalf("slot-holding request failed: %v", err)
+	}
+}
+
+// TestNegativeMaxJobsIsOnePerCPU: a negative MaxJobs used to pass
+// through as the slot count, and a daemon with -1 slots rejected every
+// request as overloaded. It sizes the daemon to the machine, as zero
+// does.
+func TestNegativeMaxJobsIsOnePerCPU(t *testing.T) {
+	s := NewServer(Config{MaxJobs: -1, queueWait: 50 * time.Millisecond})
+	if got := s.statsReply().Jobs.MaxJobs; got != runtime.NumCPU() {
+		t.Errorf("MaxJobs -1 reads %d job slots, want one per CPU (%d)", got, runtime.NumCPU())
+	}
+	_, c := pipeClient(t, s)
+	if _, err := c.Verify(&VerifyRequest{Prog: "true", InputBytes: 2}); err != nil {
+		t.Fatalf("MaxJobs -1: %v", err)
 	}
 }

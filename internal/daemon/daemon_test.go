@@ -375,49 +375,60 @@ func TestDaemonConcurrentClients(t *testing.T) {
 
 // TestDaemonEvictionChurnIdentical: with caches capped far below the
 // working set, every layer churns — and verdicts stay byte-identical.
-// Eviction may cost time, never correctness.
+// Eviction may cost time, never correctness. The warm state rotates on
+// either of its two limits, so the churn runs once with each set to 1:
+// builder nodes, then solver-cache entries.
 func TestDaemonEvictionChurnIdentical(t *testing.T) {
-	store, err := verdicts.OpenLimited(t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c := pipeServer(t, Config{
-		Verdicts:        store,
-		SolverCacheCap:  64, // 1 slot per stripe
-		CompileCacheCap: 1,
-		BuilderCap:      1, // rotate generations on practically every request
-	})
-
 	progs := []string{"basename", "true", "echo"}
 	want := map[string]string{}
 	for _, p := range progs {
 		want[p] = cliRender(t, p, 2)
 	}
-	var lastGen int64
-	for round := 0; round < 2; round++ {
-		for _, p := range progs {
-			reply, err := c.Verify(&VerifyRequest{Prog: p, InputBytes: 2})
+	for _, tc := range []struct {
+		name                 string
+		maxNodes, maxEntries int64 // 0 keeps the daemon's limit
+	}{
+		{"nodes", 1, 0},
+		{"entries", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := verdicts.OpenLimited(t.TempDir(), 1)
 			if err != nil {
-				t.Fatalf("round %d %s: %v", round, p, err)
+				t.Fatal(err)
 			}
-			if reply.Render != want[p] {
-				t.Errorf("round %d %s: render diverged under eviction churn", round, p)
+			_, c := pipeServer(t, Config{
+				Verdicts:        store,
+				CompileCacheCap: 1,
+				maxNodes:        tc.maxNodes,
+				maxEntries:      tc.maxEntries,
+			})
+			var lastGen int64
+			for round := 0; round < 2; round++ {
+				for _, p := range progs {
+					reply, err := c.Verify(&VerifyRequest{Prog: p, InputBytes: 2})
+					if err != nil {
+						t.Fatalf("round %d %s: %v", round, p, err)
+					}
+					if reply.Render != want[p] {
+						t.Errorf("round %d %s: render diverged under eviction churn", round, p)
+					}
+					lastGen = reply.Generation
+				}
 			}
-			lastGen = reply.Generation
-		}
-	}
-	if lastGen < 2 {
-		t.Errorf("builder never rotated under BuilderCap=1 (generation %d)", lastGen)
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Compiles.Evictions == 0 {
-		t.Error("compile cache never evicted despite cap 1 over 3 programs")
-	}
-	if store.Evictions() == 0 {
-		t.Error("verdict store never evicted despite cap 1 over 3 programs")
+			if lastGen < 2 {
+				t.Errorf("warm state never rotated with its %s limit at 1 (generation %d)", tc.name, lastGen)
+			}
+			stats, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Compiles.Evictions == 0 {
+				t.Error("compile cache never evicted despite cap 1 over 3 programs")
+			}
+			if store.Evictions() == 0 {
+				t.Error("verdict store never evicted despite cap 1 over 3 programs")
+			}
+		})
 	}
 }
 
@@ -426,7 +437,7 @@ func TestDaemonEvictionChurnIdentical(t *testing.T) {
 // again after the slot frees.
 func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
-	s := NewServer(Config{MaxJobs: 1, QueueWait: 50 * time.Millisecond})
+	s := NewServer(Config{MaxJobs: 1, queueWait: 50 * time.Millisecond})
 	s.testJobGate = func() { <-release }
 
 	clientEnd, serverEnd := net.Pipe()

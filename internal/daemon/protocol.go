@@ -44,7 +44,9 @@ import (
 //	6: VerifyReply gains verdict, why and assignments.
 //	7: the verdict cache service's two frames are gone; distExplore
 //	   gains entry.
-const ProtocolVersion = 7
+//	8: verify and distExplore lose portfolioStall; the stats reply's
+//	   solverCache loses evictions and capacity.
+const ProtocolVersion = 8
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -161,10 +163,9 @@ type DistExploreRequest struct {
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 	MaxInstrs int64 `json:"maxInstrs,omitempty"`
 
-	// Portfolio/PortfolioStall configure the solver portfolio for this
-	// shard (0 = fixed-order solving).
-	Portfolio      int   `json:"portfolio,omitempty"`
-	PortfolioStall int64 `json:"portfolioStall,omitempty"`
+	// Portfolio configures the solver portfolio for this shard (0 =
+	// fixed-order solving).
+	Portfolio int `json:"portfolio,omitempty"`
 
 	States []byte `json:"states"` // Engine.EncodeStates frame
 }
@@ -178,7 +179,7 @@ func (r *DistExploreRequest) Job() core.Job {
 		Entry:     r.Entry,
 		Workers:   r.Workers,
 		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
-		Portfolio: r.Portfolio, PortfolioStall: r.PortfolioStall,
+		Portfolio: r.Portfolio,
 	}
 }
 
@@ -248,11 +249,9 @@ type StatsReply struct {
 	} `json:"builder"`
 
 	SolverCache struct {
-		Entries   int64 `json:"entries"`
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Capacity  int   `json:"capacity"`
+		Entries int64 `json:"entries"`
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
 	} `json:"solverCache"`
 
 	Verdicts struct {

@@ -27,27 +27,12 @@ type Config struct {
 	Name string
 
 	// MaxJobs bounds concurrently executing verify/compile jobs
-	// (admission control; default NumCPU). Requests beyond the bound
-	// queue up to QueueWait before being rejected as overloaded; queued
-	// requests are granted round-robin across connections (FIFO within
-	// a connection), so one deeply pipelined client cannot starve the
-	// rest.
+	// (admission control; zero or negative means one per CPU). Requests
+	// beyond the bound queue up to queueWait before being rejected as
+	// overloaded; queued requests are granted round-robin across
+	// connections (FIFO within a connection), so one deeply pipelined
+	// client cannot starve the rest.
 	MaxJobs int
-	// QueueWait is how long an admitted connection's request may wait
-	// for a job slot (default 30s).
-	QueueWait time.Duration
-
-	// SolverCacheCap bounds the shared solver query cache in decided
-	// groups (default 1M entries; 0 keeps the default — use a negative
-	// value for an unbounded cache).
-	SolverCacheCap int
-	// BuilderCap rotates the shared expression builder (and with it the
-	// solver cache) once the DAG exceeds this many nodes (default 4M;
-	// negative = never rotate). Rotation is the DAG's eviction policy:
-	// the old generation stays alive for its in-flight runs and is
-	// garbage-collected when they finish. Requests never observe a torn
-	// generation — each run pins one symex.Warm for its whole lifetime.
-	BuilderCap int64
 
 	// Verdicts, when non-nil, is the shared verdict store. Nil disables
 	// verdict caching daemon-wide.
@@ -57,29 +42,45 @@ type Config struct {
 	// modules; negative = unbounded). A hit skips parse + lower +
 	// optimize and keeps the per-function analysis results with it.
 	CompileCacheCap int
+
+	// queueWait, maxNodes and maxEntries hold the daemon's fixed limits
+	// (the constants below); only tests change them.
+	queueWait  time.Duration
+	maxNodes   int64
+	maxEntries int64
 }
+
+// The daemon's fixed limits.
+const (
+	// queueWait is how long a request may wait for a job slot.
+	queueWait = 30 * time.Second
+	// maxNodes and maxEntries retire the warm state: a new generation
+	// starts once the expression builder has built more than maxNodes
+	// nodes or the solver cache holds more than maxEntries decided
+	// groups. Rotation is the warm state's one eviction rule: the old
+	// generation stays alive for its in-flight runs and is
+	// garbage-collected when they finish, and no request observes a
+	// torn generation, since each run pins one symex.Warm for its whole
+	// lifetime.
+	maxNodes   = 4 << 20
+	maxEntries = 1 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "overifyd"
 	}
-	if c.MaxJobs == 0 {
+	if c.MaxJobs <= 0 {
 		c.MaxJobs = runtime.NumCPU()
 	}
-	if c.QueueWait == 0 {
-		c.QueueWait = 30 * time.Second
+	if c.queueWait == 0 {
+		c.queueWait = queueWait
 	}
-	switch {
-	case c.SolverCacheCap == 0:
-		c.SolverCacheCap = 1 << 20
-	case c.SolverCacheCap < 0:
-		c.SolverCacheCap = 0 // unbounded
+	if c.maxNodes == 0 {
+		c.maxNodes = maxNodes
 	}
-	switch {
-	case c.BuilderCap == 0:
-		c.BuilderCap = 4 << 20
-	case c.BuilderCap < 0:
-		c.BuilderCap = 0 // never rotate
+	if c.maxEntries == 0 {
+		c.maxEntries = maxEntries
 	}
 	switch {
 	case c.CompileCacheCap == 0:
@@ -138,17 +139,17 @@ func NewServer(cfg Config) *Server {
 		drainCh:  make(chan struct{}),
 		conns:    make(map[io.Closer]struct{}),
 	}
-	s.gen = &generation{1, symex.NewWarm(cfg.SolverCacheCap)}
+	s.gen = &generation{1, symex.NewWarm()}
 	return s
 }
 
 // currentGen returns the generation new runs should pin, rotating
-// first if the builder outgrew its cap.
+// first if the builder or the solver cache outgrew its limit.
 func (s *Server) currentGen() *generation {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
-	if s.cfg.BuilderCap > 0 && s.gen.Builder.NodesBuilt() > s.cfg.BuilderCap {
-		s.gen = &generation{s.gen.id + 1, symex.NewWarm(s.cfg.SolverCacheCap)}
+	if s.gen.Builder.NodesBuilt() > s.cfg.maxNodes || s.gen.Cache.Snapshot().Entries > s.cfg.maxEntries {
+		s.gen = &generation{s.gen.id + 1, symex.NewWarm()}
 		s.rotations.Add(1)
 	}
 	return s.gen
@@ -291,10 +292,10 @@ func (s *Server) runJob(c *conn, p *Packet) {
 		c.replyErr(p.ID, true, "daemon is draining")
 		return
 	}
-	switch s.adm.acquire(c, s.cfg.QueueWait, s.drainCh) {
+	switch s.adm.acquire(c, s.cfg.queueWait, s.drainCh) {
 	case timedOut:
 		s.rejected.Add(1)
-		c.replyErr(p.ID, true, "daemon overloaded: no job slot within %s (max %d jobs)", s.cfg.QueueWait, s.cfg.MaxJobs)
+		c.replyErr(p.ID, true, "daemon overloaded: no job slot within %s (max %d jobs)", s.cfg.queueWait, s.cfg.MaxJobs)
 		return
 	case drained:
 		s.rejected.Add(1)
@@ -593,15 +594,13 @@ func (s *Server) statsReply() *StatsReply {
 
 	r.Builder.Nodes = gen.Builder.NodesBuilt()
 	r.Builder.Hits = gen.Builder.CacheHits()
-	r.Builder.Cap = s.cfg.BuilderCap
+	r.Builder.Cap = s.cfg.maxNodes
 	r.Builder.Rotation = s.rotations.Load()
 
 	snap := gen.Cache.Snapshot()
 	r.SolverCache.Entries = snap.Entries
 	r.SolverCache.Hits = snap.Hits
 	r.SolverCache.Misses = snap.Misses
-	r.SolverCache.Evictions = snap.Evictions
-	r.SolverCache.Capacity = snap.Capacity
 
 	if v := s.cfg.Verdicts; v != nil {
 		r.Verdicts.Dir = v.Dir()

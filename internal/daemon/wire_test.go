@@ -12,12 +12,12 @@ const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
 
 // Request bodies as the protocol-v3 structs encoded them before the
 // verify body became a core.Job (captured from that commit), re-cut for
-// v4 (the seed key is gone) and for v5 (the search and cover keys are
-// gone).
+// v4 (the seed key is gone), for v5 (the search and cover keys are
+// gone) and for v8 (the portfolioStall key is gone).
 const (
 	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
 	goldenVerifyProg  = `{"prog":"wc"}`
-	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"portfolioStall":2048,"states":"T1ZTWA=="}`
+	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"states":"T1ZTWA=="}`
 	goldenCompile     = `{"prog":"wc","level":"-O3","passes":"mem2reg","ir":true}`
 )
 
@@ -51,7 +51,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Slice: true, Checks: "div-by-zero",
 		Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
-		Portfolio: 4, PortfolioStall: 2048,
+		Portfolio: 4,
 	}); d.Job() != want {
 		t.Errorf("distExplore body decoded to job\n%+v, want\n%+v", d.Job(), want)
 	}

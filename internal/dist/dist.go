@@ -54,8 +54,8 @@ func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExplor
 		Slice: o.Slice, Checks: o.Checks, Entry: o.Entry,
 		Workers:   o.Workers,
 		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
-		Portfolio: o.Portfolio, PortfolioStall: o.PortfolioStall,
-		States: states,
+		Portfolio: o.Portfolio,
+		States:    states,
 	}
 }
 

@@ -67,12 +67,12 @@ func TestOneJobThreeShapes(t *testing.T) {
 	// basename at -OVERIFY has one constraint group the fixed-order
 	// search abandons at its budget; a four-way portfolio settles it,
 	// which adds a path and a sat query to the render. A shape that
-	// dropped the portfolio fields would render the fixed-order verdict.
+	// dropped the portfolio field would render the fixed-order verdict.
 	t.Run("portfolio", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("four solver-bound verifications")
 		}
-		job := core.Job{Prog: "basename", InputBytes: 4, Portfolio: 4, PortfolioStall: 4096, TimeoutMS: 600_000}
+		job := core.Job{Prog: "basename", InputBytes: 4, Portfolio: 4, TimeoutMS: 600_000}
 		inProc, served, clustered, _, res := threeShapes(t, job)
 		if inProc != served || inProc != clustered {
 			t.Errorf("verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", inProc, served, clustered)
@@ -80,13 +80,13 @@ func TestOneJobThreeShapes(t *testing.T) {
 		if res.Report.Stats.SolverStats.PortfolioRaces == 0 {
 			t.Errorf("cluster run raced no portfolio")
 		}
-		job.Portfolio, job.PortfolioStall = 0, 0
+		job.Portfolio = 0
 		fixed, err := daemon.NewServer(daemon.Config{}).Verify(&job)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fixed.Render == served {
-			t.Errorf("daemon render does not depend on the portfolio fields:\n%s", served)
+			t.Errorf("daemon render does not depend on the portfolio field:\n%s", served)
 		}
 	})
 

@@ -277,21 +277,27 @@ func (fl *fnLowerer) binary(x *lang.Binary) (typedVal, error) {
 	if err != nil {
 		return typedVal{}, err
 	}
+	return fl.operator(x.Op, l, r, x.Position())
+}
 
+// operator applies a binary operator other than && and || to lowered
+// operands. It is the one lowering of the operators: x op y and the
+// compound assignment x op= y both come here.
+func (fl *fnLowerer) operator(k lang.Kind, l, r typedVal, pos lang.Pos) (typedVal, error) {
 	// Pointer arithmetic and comparisons.
 	if l.ct.IsPointer() || r.ct.IsPointer() {
-		return fl.pointerBinary(x, l, r)
+		return fl.pointerBinary(k, l, r, pos)
 	}
 	if !l.ct.IsInteger() || !r.ct.IsInteger() {
-		return typedVal{}, errAt(x.Position(), "invalid operands %s and %s", l.ct, r.ct)
+		return typedVal{}, errAt(pos, "invalid operands %s and %s", l.ct, r.ct)
 	}
 
-	switch x.Op {
+	switch k {
 	case lang.Plus, lang.Minus, lang.Star, lang.Slash, lang.Percent,
 		lang.Amp, lang.Pipe, lang.Caret:
 		lv, rv, ct := fl.arith(l, r)
 		var op ir.Op
-		switch x.Op {
+		switch k {
 		case lang.Plus:
 			op = ir.OpAdd
 		case lang.Minus:
@@ -325,7 +331,7 @@ func (fl *fnLowerer) binary(x *lang.Binary) (typedVal, error) {
 		it := irType(lt).(ir.IntType)
 		rv = fl.bd.IntCast(rv, it, rt.Signed())
 		var op ir.Op
-		if x.Op == lang.Shl {
+		if k == lang.Shl {
 			op = ir.OpShl
 		} else if lt.Signed() {
 			op = ir.OpAShr
@@ -336,11 +342,11 @@ func (fl *fnLowerer) binary(x *lang.Binary) (typedVal, error) {
 
 	case lang.Eq, lang.Ne, lang.Lt, lang.Le, lang.Gt, lang.Ge:
 		lv, rv, ct := fl.arith(l, r)
-		op := cmpOp(x.Op, ct.Signed())
+		op := cmpOp(k, ct.Signed())
 		c := fl.bd.Cmp(op, lv, rv)
 		return typedVal{v: fl.bd.ZExt(c, ir.I32), ct: lang.TypeInt}, nil
 	}
-	return typedVal{}, errAt(x.Position(), "unsupported binary operator %s", x.Op)
+	return typedVal{}, errAt(pos, "unsupported binary operator %s", k)
 }
 
 func cmpOp(k lang.Kind, signed bool) ir.Op {
@@ -372,32 +378,32 @@ func cmpOp(k lang.Kind, signed bool) ir.Op {
 	}
 }
 
-func (fl *fnLowerer) pointerBinary(x *lang.Binary, l, r typedVal) (typedVal, error) {
+func (fl *fnLowerer) pointerBinary(k lang.Kind, l, r typedVal, pos lang.Pos) (typedVal, error) {
 	// Normalize "int + ptr" to "ptr + int".
-	if !l.ct.IsPointer() && x.Op == lang.Plus {
+	if !l.ct.IsPointer() && k == lang.Plus {
 		l, r = r, l
 	}
-	switch x.Op {
+	switch k {
 	case lang.Plus, lang.Minus:
 		if l.ct.IsPointer() && r.ct.IsInteger() {
 			idx := fl.bd.IntCast(r.v, ir.I64, r.ct.Signed())
-			if x.Op == lang.Minus {
+			if k == lang.Minus {
 				idx = fl.bd.Bin(ir.OpSub, ir.ConstInt(ir.I64, 0), idx)
 			}
 			return typedVal{v: fl.bd.GEP(l.v, idx), ct: l.ct}, nil
 		}
-		if x.Op == lang.Minus && l.ct.IsPointer() && r.ct.IsPointer() {
+		if k == lang.Minus && l.ct.IsPointer() && r.ct.IsPointer() {
 			return typedVal{v: fl.bd.PtrDiff(l.v, r.v), ct: lang.TypeLong}, nil
 		}
 	case lang.Eq, lang.Ne, lang.Lt, lang.Le, lang.Gt, lang.Ge:
-		lv, rv, err := fl.matchPointers(l, r, x.Position())
+		lv, rv, err := fl.matchPointers(l, r, pos)
 		if err != nil {
 			return typedVal{}, err
 		}
-		c := fl.bd.Cmp(cmpOp(x.Op, false), lv, rv)
+		c := fl.bd.Cmp(cmpOp(k, false), lv, rv)
 		return typedVal{v: fl.bd.ZExt(c, ir.I32), ct: lang.TypeInt}, nil
 	}
-	return typedVal{}, errAt(x.Position(), "invalid pointer operation %s on %s and %s", x.Op, l.ct, r.ct)
+	return typedVal{}, errAt(pos, "invalid pointer operation %s on %s and %s", k, l.ct, r.ct)
 }
 
 // matchPointers converts operands of a pointer comparison to a common IR
@@ -514,30 +520,10 @@ func (fl *fnLowerer) assign(x *lang.AssignExpr) (typedVal, error) {
 		fl.bd.Store(v, addr)
 		return typedVal{v: v, ct: ct}, nil
 	}
-	// Compound assignment: desugar to load-op-store.
-	var binOp lang.Kind
-	switch x.Op {
-	case lang.PlusAssign:
-		binOp = lang.Plus
-	case lang.MinusAssign:
-		binOp = lang.Minus
-	case lang.StarAssign:
-		binOp = lang.Star
-	case lang.SlashAssign:
-		binOp = lang.Slash
-	case lang.PercentAssign:
-		binOp = lang.Percent
-	case lang.AmpAssign:
-		binOp = lang.Amp
-	case lang.PipeAssign:
-		binOp = lang.Pipe
-	case lang.CaretAssign:
-		binOp = lang.Caret
-	case lang.ShlAssign:
-		binOp = lang.Shl
-	case lang.ShrAssign:
-		binOp = lang.Shr
-	default:
+	// Compound assignment: x op= y is x = x op y with x's address
+	// taken once.
+	k, ok := compoundOps[x.Op]
+	if !ok {
 		return typedVal{}, errAt(x.Position(), "unsupported assignment operator")
 	}
 	old := typedVal{v: fl.bd.Load(addr), ct: ct}
@@ -545,23 +531,9 @@ func (fl *fnLowerer) assign(x *lang.AssignExpr) (typedVal, error) {
 	if err != nil {
 		return typedVal{}, err
 	}
-	var result typedVal
-	if ct.IsPointer() {
-		if binOp != lang.Plus && binOp != lang.Minus {
-			return typedVal{}, errAt(x.Position(), "invalid pointer compound assignment")
-		}
-		idx := fl.bd.IntCast(rv.v, ir.I64, rv.ct.Signed())
-		if binOp == lang.Minus {
-			idx = fl.bd.Bin(ir.OpSub, ir.ConstInt(ir.I64, 0), idx)
-		}
-		result = typedVal{v: fl.bd.GEP(old.v, idx), ct: ct}
-	} else {
-		fake := &lang.Binary{Op: binOp}
-		var err error
-		result, err = fl.binaryOnValues(fake, old, rv, x.Position())
-		if err != nil {
-			return typedVal{}, err
-		}
+	result, err := fl.operator(k, old, rv, x.Position())
+	if err != nil {
+		return typedVal{}, err
 	}
 	v, err := fl.convert(result, ct, x.Position())
 	if err != nil {
@@ -571,57 +543,13 @@ func (fl *fnLowerer) assign(x *lang.AssignExpr) (typedVal, error) {
 	return typedVal{v: v, ct: ct}, nil
 }
 
-// binaryOnValues applies an arithmetic operator to already-lowered
-// operands (used by compound assignment).
-func (fl *fnLowerer) binaryOnValues(x *lang.Binary, l, r typedVal, pos lang.Pos) (typedVal, error) {
-	switch x.Op {
-	case lang.Plus, lang.Minus, lang.Star, lang.Slash, lang.Percent,
-		lang.Amp, lang.Pipe, lang.Caret:
-		lv, rv, ct := fl.arith(l, r)
-		var op ir.Op
-		switch x.Op {
-		case lang.Plus:
-			op = ir.OpAdd
-		case lang.Minus:
-			op = ir.OpSub
-		case lang.Star:
-			op = ir.OpMul
-		case lang.Slash:
-			if ct.Signed() {
-				op = ir.OpSDiv
-			} else {
-				op = ir.OpUDiv
-			}
-		case lang.Percent:
-			if ct.Signed() {
-				op = ir.OpSRem
-			} else {
-				op = ir.OpURem
-			}
-		case lang.Amp:
-			op = ir.OpAnd
-		case lang.Pipe:
-			op = ir.OpOr
-		case lang.Caret:
-			op = ir.OpXor
-		}
-		return typedVal{v: fl.bd.Bin(op, lv, rv), ct: ct}, nil
-	case lang.Shl, lang.Shr:
-		lv, lt := fl.promote(l)
-		rv, rt := fl.promote(r)
-		it := irType(lt).(ir.IntType)
-		rv = fl.bd.IntCast(rv, it, rt.Signed())
-		op := ir.OpShl
-		if x.Op == lang.Shr {
-			if lt.Signed() {
-				op = ir.OpAShr
-			} else {
-				op = ir.OpLShr
-			}
-		}
-		return typedVal{v: fl.bd.Bin(op, lv, rv), ct: lt}, nil
-	}
-	return typedVal{}, errAt(pos, "unsupported compound operator")
+// compoundOps maps each compound assignment operator to its operator.
+var compoundOps = map[lang.Kind]lang.Kind{
+	lang.PlusAssign: lang.Plus, lang.MinusAssign: lang.Minus,
+	lang.StarAssign: lang.Star, lang.SlashAssign: lang.Slash,
+	lang.PercentAssign: lang.Percent, lang.AmpAssign: lang.Amp,
+	lang.PipeAssign: lang.Pipe, lang.CaretAssign: lang.Caret,
+	lang.ShlAssign: lang.Shl, lang.ShrAssign: lang.Shr,
 }
 
 func (fl *fnLowerer) call(x *lang.Call, allowVoid bool) (typedVal, error) {

@@ -1,11 +1,14 @@
 package frontend_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"overify/internal/frontend"
 	"overify/internal/interp"
 	"overify/internal/ir"
+	"overify/internal/lang"
 )
 
 // evalFn lowers src and runs fn(args...), returning the sign-extended
@@ -169,6 +172,40 @@ func TestTernaryAndCompoundAssign(t *testing.T) {
 	}
 }
 
+// TestCompoundAssignIsItsOperator: x op= y lowers through the operator
+// lowering x op y uses, so the two print the same IR for every compound
+// operator over each integer width and signedness (with y of x's type
+// and of int), and for pointer += and -=. No corpus program uses a
+// compound operator, so TestCompiledIRPinned does not cover them.
+func TestCompoundAssignIsItsOperator(t *testing.T) {
+	lower := func(src string) string {
+		t.Helper()
+		mod, err := frontend.Lower("t", src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return mod.String()
+	}
+	same := func(format, compound, plain string) {
+		t.Helper()
+		got, want := lower(fmt.Sprintf(format, compound)), lower(fmt.Sprintf(format, plain))
+		if got != want {
+			t.Errorf("%s lowers to\n%s\n%s lowers to\n%s", compound, got, plain, want)
+		}
+	}
+	for _, typ := range []string{"int", "unsigned", "unsigned char", "long"} {
+		for _, ytyp := range []string{typ, "int"} {
+			format := "int f(" + typ + " x, " + ytyp + " y) { %s; return (int)x; }"
+			for _, op := range []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"} {
+				same(format, "x "+op+"= y", "x = x "+op+" y")
+			}
+		}
+	}
+	for _, op := range []string{"+", "-"} {
+		same("int f(unsigned char *p, int n) { %s; return *p; }", "p "+op+"= n", "p = p "+op+" n")
+	}
+}
+
 func TestPrePostIncrement(t *testing.T) {
 	src := `
 	int f(void) {
@@ -228,18 +265,22 @@ func TestGlobalInitializers(t *testing.T) {
 
 func TestFrontendRejects(t *testing.T) {
 	bad := []string{
-		`int f(void) { return g(); }`,               // undefined function
-		`int f(void) { return x; }`,                 // undefined variable
-		`int f(void) { break; }`,                    // break outside loop
-		`int f(int a) { a(); return 0; }`,           // calling a variable
-		`void f(void) { return 1; }`,                // value in void return
-		`int f(int *p, long *q) { return p == q; }`, // incompatible ptr cmp
-		`int f(void) { int x = "s"; return x; }`,    // string to int
-		`int g(int); int f(void) { return g(1); }`,  // declared, not defined
+		`int f(void) { return g(); }`,                     // undefined function
+		`int f(void) { return x; }`,                       // undefined variable
+		`int f(void) { break; }`,                          // break outside loop
+		`int f(int a) { a(); return 0; }`,                 // calling a variable
+		`void f(void) { return 1; }`,                      // value in void return
+		`int f(int *p, long *q) { return p == q; }`,       // incompatible ptr cmp
+		`int f(void) { int x = "s"; return x; }`,          // string to int
+		`int g(int); int f(void) { return g(1); }`,        // declared, not defined
+		`int f(char *p) { int x = 0; x += p; return x; }`, // int += pointer
+		`int f(char *p) { p *= 2; return 0; }`,            // pointer *= int
+		`int f(char *p) { p += p; return 0; }`,            // pointer += pointer
 	}
 	for _, src := range bad {
-		if _, err := frontend.Lower("t", src); err == nil {
-			t.Errorf("accepted invalid program: %s", src)
+		var le *lang.Error
+		if _, err := frontend.Lower("t", src); !errors.As(err, &le) {
+			t.Errorf("%s: err = %v, want a positioned error", src, err)
 		}
 	}
 }

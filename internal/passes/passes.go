@@ -22,14 +22,11 @@ import (
 // CostModel parameterizes pass aggressiveness. The zero value is useless;
 // use one of the pipeline presets.
 type CostModel struct {
-	// BranchCost is the relative cost of a conditional branch. CPUs: ~1.
-	// Symbolic execution: each branch may double the path count, so
-	// -OVERIFY uses a large value. If-conversion speculates a side while
-	// speculated-instruction-cost <= BranchCost * SpeculationBudget.
-	BranchCost int
-
-	// SpeculationBudget is the maximum number of instructions to
-	// speculate per converted branch side.
+	// SpeculationBudget is what prices a conditional branch: the most
+	// instructions if-conversion speculates per converted branch side.
+	// A CPU's branch costs ~1 cycle, so it is worth a couple of
+	// instructions; in symbolic execution each branch may double the
+	// path count, so -OVERIFY speculates hundreds.
 	SpeculationBudget int
 
 	// InlineThreshold is the maximum callee size (in IR instructions)

@@ -62,7 +62,6 @@ func ParseLevel(s string) (Level, error) {
 // the instruction cache.
 func CPUCost() passes.CostModel {
 	return passes.CostModel{
-		BranchCost:        1,
 		SpeculationBudget: 2,
 		InlineThreshold:   40,
 		InlineGrowthCap:   800,
@@ -80,7 +79,6 @@ func CPUCost() passes.CostModel {
 // instruction*, not per cached code byte.
 func VerifyCost() passes.CostModel {
 	return passes.CostModel{
-		BranchCost:        1000,
 		SpeculationBudget: 400,
 		InlineThreshold:   4000,
 		InlineGrowthCap:   60000,

@@ -128,7 +128,8 @@ func TestBranchQueryAllocs(t *testing.T) {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}
 	}
-	s := New(Options{ModelHistory: 1})
+	s := New(Options{})
+	s.history = 1
 	i := 0
 	n := testing.AllocsPerRun(100, func() {
 		sat, m, err := s.SatPartition(qs[i%2])

@@ -114,7 +114,7 @@ type reuseNode struct {
 
 const (
 	// memoWindow is how many consecutive model serials one memo word
-	// covers: the default ModelHistory. A longer history stays correct
+	// covers: modelHistory. A longer history stays correct
 	// and re-evaluates the models that fall outside the window.
 	memoWindow = 8
 	memoBits   = 2 * memoWindow

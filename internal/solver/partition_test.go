@@ -103,7 +103,8 @@ func TestSatPartitionEquivalence(t *testing.T) {
 func TestPartitionVerdictReuse(t *testing.T) {
 	b := expr.NewBuilder()
 	vs := vars(3)
-	s := New(Options{ModelHistory: 1})
+	s := New(Options{})
+	s.history = 1
 	p := PartitionOf([]*expr.Expr{
 		b.Cmp(ir.OpEq, b.Var(vs[0]), b.Const(8, 7)),
 		b.Cmp(ir.OpEq, b.Var(vs[1]), b.Const(8, 9)),
@@ -208,18 +209,21 @@ func TestFingerprintCanonical(t *testing.T) {
 	}
 }
 
-// TestOptionDefaults pins the documented defaults: the Options comments
-// and NewWithCache must not drift apart again.
+// TestOptionDefaults pins the documented limits: the comments and
+// NewWithCache must not drift apart again.
 func TestOptionDefaults(t *testing.T) {
 	s := New(Options{})
-	if s.opts.MaxNodes != 65_536 {
-		t.Errorf("MaxNodes default = %d, want 65536", s.opts.MaxNodes)
+	if s.maxNodes != 65_536 {
+		t.Errorf("maxNodes = %d, want 65536", s.maxNodes)
 	}
 	if s.opts.MaxWork != 8_000_000 {
 		t.Errorf("MaxWork default = %d, want 8000000", s.opts.MaxWork)
 	}
-	if s.opts.ModelHistory != 8 {
-		t.Errorf("ModelHistory default = %d, want 8", s.opts.ModelHistory)
+	if s.history != 8 {
+		t.Errorf("modelHistory = %d, want 8", s.history)
+	}
+	if s.stall != 4096 {
+		t.Errorf("portfolioStall = %d, want 4096", s.stall)
 	}
 }
 

@@ -3,7 +3,7 @@ package solver
 import "overify/internal/expr"
 
 // The solver portfolio: when a group survives value-set propagation and
-// stalls the default fixed-order search past Options.PortfolioStall
+// stalls the default fixed-order search past portfolioStall
 // assignments, K diverse configurations race on the same compiled tape
 // and the first answer wins. A configuration differs from the default
 // only in *order* — which value a variable tries first, which of
@@ -73,10 +73,7 @@ func portfolioConfig(i int) searchConfig {
 // (errDeadline) ends the query there — no race is counted for it and no
 // further attempt rebuilds the tape state just to read the same clock.
 func (s *Solver) searchPortfolio(t *tape, domains []domain) (bool, expr.Model, error) {
-	stall := s.opts.PortfolioStall
-	if stall <= 0 {
-		stall = 4096
-	}
+	stall := s.stall
 	if stall > s.opts.MaxWork {
 		stall = s.opts.MaxWork
 	}

@@ -39,7 +39,8 @@ func TestPortfolioBeatsFixedOrder(t *testing.T) {
 	}
 
 	portB := expr.NewBuilder()
-	port := New(Options{Portfolio: 4, PortfolioStall: 1024})
+	port := New(Options{Portfolio: 4})
+	port.stall = 1024
 	psat, pmodel, err := port.Sat(hardGroup(portB))
 	if err != nil || !psat {
 		t.Fatalf("portfolio: sat=%v err=%v", psat, err)
@@ -71,7 +72,8 @@ func TestPortfolioBeatsFixedOrder(t *testing.T) {
 func TestPortfolioDeterministic(t *testing.T) {
 	run := func() (Stats, map[string]uint64) {
 		b := expr.NewBuilder()
-		s := New(Options{Portfolio: 4, PortfolioStall: 512})
+		s := New(Options{Portfolio: 4})
+		s.stall = 512
 		sat, model, err := s.Sat(hardGroup(b))
 		if err != nil || !sat {
 			t.Fatalf("sat=%v err=%v", sat, err)
@@ -130,7 +132,8 @@ func TestPortfolioUnsatGroup(t *testing.T) {
 		b.Cmp(ir.OpEq, b.Bin(ir.OpAnd, x, y), b.Const(8, 255)),
 		b.Cmp(ir.OpEq, b.Bin(ir.OpOr, x, y), b.Const(8, 254)),
 	}
-	s := New(Options{Portfolio: 4, PortfolioStall: 256})
+	s := New(Options{Portfolio: 4})
+	s.stall = 256
 	sat, _, err := s.Sat(cs)
 	if err != nil {
 		t.Fatalf("err=%v", err)
@@ -146,7 +149,8 @@ func TestPortfolioUnsatGroup(t *testing.T) {
 // compiles the one tape and tries nothing — and PortfolioRaces, a pure
 // function of the group, does not learn what time it is.
 func TestPortfolioDeadlineIsNotAStall(t *testing.T) {
-	s := New(Options{Portfolio: 4, PortfolioStall: 1024})
+	s := New(Options{Portfolio: 4})
+	s.stall = 1024
 	s.SetDeadline(time.Now().Add(-time.Second))
 	sat, _, err := s.Sat(hardGroup(expr.NewBuilder()))
 	if !errors.Is(err, ErrBudget) || sat {

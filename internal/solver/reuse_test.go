@@ -144,7 +144,8 @@ func TestReuseMemoMatchesScratch(t *testing.T) {
 			if CapturedWcQueries == nil {
 				t.Skip("no captured stream (external test package not linked)")
 			}
-			s := New(Options{ModelHistory: history})
+			s := New(Options{})
+			s.history = history
 			var prev memoPath
 			for qi, q := range CapturedWcQueries(t) {
 				l := 0
@@ -169,7 +170,8 @@ func TestReuseMemoMatchesScratch(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				b := expr.NewBuilder()
 				vs := vars(6)
-				s := New(Options{ModelHistory: history})
+				s := New(Options{})
+				s.history = history
 				paths := []memoPath{{}}
 				for step := 0; step < 60; step++ {
 					// Any earlier state may branch next: a DFS resuming

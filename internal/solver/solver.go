@@ -58,10 +58,21 @@ import (
 	"overify/internal/expr"
 )
 
+// The solver's fixed limits. A test that needs another value sets the
+// Solver field that holds it.
+const (
+	// maxNodes bounds backtracking nodes per query.
+	maxNodes = 65_536
+	// modelHistory is how many recent models are tried for reuse.
+	modelHistory = 8
+	// portfolioStall is the assignment budget the default configuration
+	// gets before a portfolio race starts; groups that decide within it
+	// never pay for a race.
+	portfolioStall = 4096
+)
+
 // Options bound the solver's work.
 type Options struct {
-	// MaxNodes bounds backtracking nodes per query (default 65,536).
-	MaxNodes int64
 	// MaxWork bounds assignments tried per query (default 8,000,000):
 	// every value bound by the backtracking search counts one unit, and
 	// the unary filter counts one per value of the forward-checked domain
@@ -82,21 +93,14 @@ type Options struct {
 	// not propagate, so the few such queries propagation used to close
 	// without trying a value now pay the filter over the set.
 	MaxWork int64
-	// ModelHistory is how many recent models are tried for reuse
-	// (default 8).
-	ModelHistory int
 	// Portfolio, when > 1, races that many diverse search configurations
 	// (distinct value orders and variable tie-breaks, portfolio.go) on
 	// any group whose default-configuration search stalls past
-	// PortfolioStall assignments. The race is time-sliced by assignment
+	// portfolioStall assignments. The race is time-sliced by assignment
 	// budget in a fixed rotation, so the winner — and every counter — is
 	// a pure function of the group, identical on every machine. 0 or 1
 	// disables the portfolio (the default): single fixed-order search.
 	Portfolio int
-	// PortfolioStall is the assignment budget the default configuration
-	// gets before the portfolio race starts (default 4096). Groups that
-	// decide within the stall budget never pay for a race.
-	PortfolioStall int64
 }
 
 // Stats counts solver work across a run; t_verify is dominated by these.
@@ -117,7 +121,7 @@ type Stats struct {
 	// drops it together with the solver.tape_reuses metric.
 	TapeReuses     int64
 	TapeSlots      int64 // total slots across compiled tapes
-	PortfolioRaces int64 // groups that stalled past PortfolioStall and entered a race
+	PortfolioRaces int64 // groups that stalled past portfolioStall and entered a race
 	PortfolioWins  int64 // races a non-default configuration answered first
 	MaxGroupVars   int
 }
@@ -188,7 +192,12 @@ const serialBlock = 1024
 // NewWithCache) — the cache layer is concurrency-safe, the search and
 // model-reuse state is not.
 type Solver struct {
-	opts      Options
+	opts Options
+	// maxNodes, history and stall hold the package's fixed limits
+	// (maxNodes, modelHistory, portfolioStall); only tests change them.
+	maxNodes  int64
+	history   int
+	stall     int64
 	Stats     Stats
 	cache     *Cache
 	recent    []recentModel
@@ -220,20 +229,17 @@ func New(opts Options) *Solver {
 // parallel engine creates one Cache per run and one Solver per worker,
 // so every worker benefits from every other worker's decided groups.
 func NewWithCache(opts Options, cache *Cache) *Solver {
-	if opts.MaxNodes == 0 {
-		opts.MaxNodes = 65_536
-	}
 	if opts.MaxWork == 0 {
 		opts.MaxWork = 8_000_000
-	}
-	if opts.ModelHistory == 0 {
-		opts.ModelHistory = 8
 	}
 	if cache == nil {
 		cache = NewCache()
 	}
 	return &Solver{
 		opts:      opts,
+		maxNodes:  maxNodes,
+		history:   modelHistory,
+		stall:     portfolioStall,
 		cache:     cache,
 		reuseEval: expr.NewEvaluator(),
 	}
@@ -374,7 +380,7 @@ func (s *Solver) remember(p *Partition, model expr.Model) {
 	}
 	s.serial++
 	s.recent = append(s.recent, recentModel{serial: s.serial, model: model})
-	if len(s.recent) > s.opts.ModelHistory {
+	if len(s.recent) > s.history {
 		// Drop the oldest in place (oldest first is the probe order), so
 		// the next append reuses the array.
 		s.recent = s.recent[:copy(s.recent, s.recent[1:])]
@@ -564,7 +570,7 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	// would almost never fire.)
 	polled := int64(-1024)
 	checkBudget := func() error {
-		if nodes > s.opts.MaxNodes || assigns > maxAssigns {
+		if nodes > s.maxNodes || assigns > maxAssigns {
 			return ErrBudget
 		}
 		if !s.deadline.IsZero() && assigns-polled >= 1024 {

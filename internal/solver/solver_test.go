@@ -213,7 +213,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 	// sum*sum forces non-linear reasoning.
 	q := b.Cmp(ir.OpEq, b.Bin(ir.OpMul, sum, sum), b.Const(32, 1_000_003))
-	s := New(Options{MaxNodes: 4, MaxWork: 500})
+	s := New(Options{MaxWork: 500})
+	s.maxNodes = 4
 	_, _, err := s.Sat([]*expr.Expr{q})
 	if err == nil {
 		t.Skip("solved within tiny budget (fine, but unexpected)")

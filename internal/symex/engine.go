@@ -56,10 +56,9 @@ type Warm struct {
 	Cache   *solver.Cache
 }
 
-// NewWarm returns empty warm state whose cache holds at most cacheCap
-// decided groups (0 = unbounded).
-func NewWarm(cacheCap int) *Warm {
-	return &Warm{Builder: expr.NewConcurrentBuilder(), Cache: solver.NewCacheWithCap(cacheCap)}
+// NewWarm returns empty warm state.
+func NewWarm() *Warm {
+	return &Warm{Builder: expr.NewConcurrentBuilder(), Cache: solver.NewCache()}
 }
 
 // effectiveWorkers resolves the Workers option to a concrete count.

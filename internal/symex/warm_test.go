@@ -47,7 +47,7 @@ int f(unsigned char *in, int n) {
 // solver cache must produce identical reports, with the second run
 // answering (almost) every query from warm state instead of searching.
 func TestSharedBuilderCacheWarmRun(t *testing.T) {
-	w := symex.NewWarm(0)
+	w := symex.NewWarm()
 
 	cold := runShared(t, warmSrc, "f", 4, w)
 	warm := runShared(t, warmSrc, "f", 4, w)
@@ -79,14 +79,14 @@ func TestSharedBuilderCacheWarmRun(t *testing.T) {
 // consing keeps node ids canonical, so distinct constraints can never
 // collide on a fingerprint built from them.
 func TestSharedBuilderDistinctPrograms(t *testing.T) {
-	w := symex.NewWarm(0)
+	w := symex.NewWarm()
 
 	other := `
 int g(unsigned char *in, int n) {
 	if (in[0] == 'z') { return 10 / (in[1] - in[1]); }
 	return 0;
 }`
-	baseline := runShared(t, warmSrc, "f", 4, symex.NewWarm(0))
+	baseline := runShared(t, warmSrc, "f", 4, symex.NewWarm())
 	runShared(t, other, "g", 4, w) // warms the shared state with different content
 	mixed := runShared(t, warmSrc, "f", 4, w)
 

@@ -53,14 +53,15 @@ func TestSubMillisecondTimeoutIsABudget(t *testing.T) {
 	}
 }
 
-// TestUndecidedRunIsInconclusive: basename at -OVERIFY with 4 bytes
-// leaves one solver query undecided at default flags, so symbex must
-// not print "verified" over it or exit 0, in process or through a
-// daemon, whose reply carries the verdict. Once the verified libc's
-// basename decides (ROADMAP item 12(b)), this program stops being the
-// example and the test needs another.
+// TestUndecidedRunIsInconclusive: tail at -OVERIFY with 4 bytes leaves
+// one solver query undecided at default flags. It reads input[i] at
+// i = strlen(input) - input[0] % 8, an index that depends on every byte
+// of the buffer, and the fixed-order search abandons that group at its
+// budget (ROADMAP item 4). So symbex must not print "verified" over it
+// or exit 0, in process or through a daemon, whose reply carries the
+// verdict. Once the search decides tail, the test needs another cell.
 func TestUndecidedRunIsInconclusive(t *testing.T) {
-	job := core.Job{Prog: "basename", InputBytes: 4}
+	job := core.Job{Prog: "tail", InputBytes: 4}
 	r, err := job.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestUndecidedRunIsInconclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Stats.SolverStats.Failures == 0 {
-		t.Fatal("basename -OVERIFY n=4 decides every query now; pick another undecided cell")
+		t.Fatal("tail -OVERIFY n=4 decides every query now; pick another undecided cell")
 	}
 	if code := reportExitCode(rep); code != 3 {
 		t.Errorf("exit code %d over %d undecided queries, want 3", code, rep.Stats.SolverStats.Failures)

@@ -64,15 +64,16 @@ func TestOneJobThreeShapes(t *testing.T) {
 		}
 	})
 
-	// basename at -OVERIFY has one constraint group the fixed-order
-	// search abandons at its budget; a four-way portfolio settles it,
-	// which adds a path and a sat query to the render. A shape that
-	// dropped the portfolio field would render the fixed-order verdict.
+	// tail at -OVERIFY reads input[i] at i = strlen(input) - input[0] % 8,
+	// an index over the whole buffer, and the fixed-order search abandons
+	// that constraint group at its budget; a four-way portfolio settles
+	// it, which adds a path to the render. A shape that dropped the
+	// portfolio field would render the fixed-order verdict.
 	t.Run("portfolio", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("four solver-bound verifications")
 		}
-		job := core.Job{Prog: "basename", InputBytes: 4, Portfolio: 4, TimeoutMS: 600_000}
+		job := core.Job{Prog: "tail", InputBytes: 4, Portfolio: 4, TimeoutMS: 600_000}
 		inProc, served, clustered, _, res := threeShapes(t, job)
 		if inProc != served || inProc != clustered {
 			t.Errorf("verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", inProc, served, clustered)

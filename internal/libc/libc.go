@@ -6,9 +6,18 @@
 //     and string functions written with early-exit loops.
 //
 //   - Verified: the -OVERIFY library — classification as branch-free
-//     arithmetic over range comparisons (these collapse into select
-//     chains under if-conversion), single-exit loops, and precondition
-//     asserts that turn misuse into checkable crashes.
+//     arithmetic over range comparisons, single-exit loops, and
+//     precondition asserts that turn misuse into checkable crashes.
+//     The compiler's simplify pass turns the flag arithmetic into
+//     selects: strrchr_'s "hit*i + (1-hit)*last" becomes
+//     "hit ? i : last", memcmp_/strncmp_'s "d*(res==0)" and
+//     abs_/atoi_'s "2*neg" become selects too. What still computes with
+//     arithmetic: toupper/tolower multiply by an & of two flags (not a
+//     single i1), abs_/atoi_ multiply the "2*neg" select by v, and
+//     strncmp_'s done is an | of flags, so "(1-done)*d" stays a
+//     multiplication. Rewriting toupper, tolower, abs_ and atoi_ as
+//     ternaries was priced on the benchmark at +9 corpus_sweep and +46
+//     served_mix work units a pass, so they stay as they are.
 //
 // Both variants implement the same contract; the differential tests
 // assert they agree on every input.
@@ -241,9 +250,11 @@ int abs_(int v) {
 }
 `
 
-// verifiedSrc is the -OVERIFY library: classification is pure arithmetic
-// (collapses to selects), loops are single-exit, and preconditions are
-// asserted so the verifier turns misuse into crashes (§3).
+// verifiedSrc is the -OVERIFY library: classification is pure arithmetic,
+// loops are single-exit, and preconditions are asserted so the verifier
+// turns misuse into crashes (§3). Arithmetic on a 0/1 flag reaches the
+// solver as a select because simplify rewrites it (see the package
+// comment for what it does not rewrite and why).
 var verifiedSrc = common + `
 int isspace(int c) {
 	int k = c & 255;

@@ -2,6 +2,7 @@ package libc_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"overify/internal/frontend"
@@ -9,18 +10,37 @@ import (
 	"overify/internal/ir"
 	"overify/internal/lang"
 	"overify/internal/libc"
+	"overify/internal/pipeline"
 )
 
+// build is one form a contract is checked in: a library variant lowered
+// as the front end emits it (-O0), or after a level's pass spec.
+type build struct {
+	kind  libc.Kind
+	level pipeline.Level
+}
+
+func (b build) String() string { return b.kind.String() + " " + b.level.String() }
+
+// builds holds each variant at -O0 and after the -OVERIFY pass spec,
+// whose simplify turns the verified library's flag arithmetic into
+// selects: a contract must hold on the code the verifier explores, not
+// only on the source.
+var builds = []build{
+	{libc.Uclibc, pipeline.O0}, {libc.Verified, pipeline.O0},
+	{libc.Uclibc, pipeline.OVerify}, {libc.Verified, pipeline.OVerify},
+}
+
 // machineFor builds an interpreter over one whole libc variant plus an
-// optional driver source. The variant is parsed as a plain file, not as
-// the archive libc.Parse returns: the contract tests call members no
-// program references.
-func machineFor(t *testing.T, kind libc.Kind, extra string) *interp.Machine {
+// optional driver source, optimized at the build's level. The variant is
+// parsed as a plain file, not as the archive libc.Parse returns: the
+// contract tests call members no program references.
+func machineFor(t *testing.T, b build, extra string) *interp.Machine {
 	t.Helper()
 	files := []*lang.File{}
-	lf, err := lang.Parse(libc.Source(kind))
+	lf, err := lang.Parse(libc.Source(b.kind))
 	if err != nil {
-		t.Fatalf("parse %s: %v", kind, err)
+		t.Fatalf("parse %s: %v", b.kind, err)
 	}
 	files = append(files, lf)
 	if extra != "" {
@@ -34,11 +54,16 @@ func machineFor(t *testing.T, kind libc.Kind, extra string) *interp.Machine {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
+	if b.level != pipeline.O0 {
+		if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(b.level)); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+	}
 	return interp.NewMachine(mod, interp.Options{})
 }
 
 // TestCtypeContract: both variants agree with Go's own character
-// classification on every byte value.
+// classification on every byte value, unoptimized and at -OVERIFY.
 func TestCtypeContract(t *testing.T) {
 	ref := map[string]func(c int) bool{
 		"isspace": func(c int) bool {
@@ -51,17 +76,17 @@ func TestCtypeContract(t *testing.T) {
 		"isupper": func(c int) bool { return c >= 'A' && c <= 'Z' },
 		"islower": func(c int) bool { return c >= 'a' && c <= 'z' },
 	}
-	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
+	for _, b := range builds {
 		for name, want := range ref {
-			m := machineFor(t, kind, "")
+			m := machineFor(t, b, "")
 			for c := 0; c < 256; c++ {
 				ret, err := m.Call(name, interp.IntVal(ir.I32, uint64(c)))
 				if err != nil {
-					t.Fatalf("%s/%s(%d): %v", kind, name, c, err)
+					t.Fatalf("%s/%s(%d): %v", b, name, c, err)
 				}
 				got := ret.Bits != 0
 				if got != want(c) {
-					t.Errorf("%s: %s(%d) = %v, want %v", kind, name, c, got, want(c))
+					t.Errorf("%s: %s(%d) = %v, want %v", b, name, c, got, want(c))
 				}
 			}
 		}
@@ -69,10 +94,10 @@ func TestCtypeContract(t *testing.T) {
 }
 
 // TestCaseMappingContract: toupper/tolower agree across variants and
-// with the reference for all bytes.
+// with the reference for all bytes, unoptimized and at -OVERIFY.
 func TestCaseMappingContract(t *testing.T) {
-	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
-		m := machineFor(t, kind, "")
+	for _, b := range builds {
+		m := machineFor(t, b, "")
 		for c := 0; c < 256; c++ {
 			up, err := m.Call("toupper", interp.IntVal(ir.I32, uint64(c)))
 			if err != nil {
@@ -83,7 +108,7 @@ func TestCaseMappingContract(t *testing.T) {
 				wantUp = c - 32
 			}
 			if int(int32(up.Bits)) != wantUp {
-				t.Errorf("%s: toupper(%d) = %d, want %d", kind, c, int32(up.Bits), wantUp)
+				t.Errorf("%s: toupper(%d) = %d, want %d", b, c, int32(up.Bits), wantUp)
 			}
 			lo, err := m.Call("tolower", interp.IntVal(ir.I32, uint64(c)))
 			if err != nil {
@@ -94,14 +119,15 @@ func TestCaseMappingContract(t *testing.T) {
 				wantLo = c + 32
 			}
 			if int(int32(lo.Bits)) != wantLo {
-				t.Errorf("%s: tolower(%d) = %d, want %d", kind, c, int32(lo.Bits), wantLo)
+				t.Errorf("%s: tolower(%d) = %d, want %d", b, c, int32(lo.Bits), wantLo)
 			}
 		}
 	}
 }
 
 // TestStringContract exercises the string functions on shared vectors
-// and demands identical results from both variants.
+// and demands identical results from both variants, unoptimized and at
+// -OVERIFY.
 func TestStringContract(t *testing.T) {
 	type call struct {
 		fn   string
@@ -130,9 +156,9 @@ func TestStringContract(t *testing.T) {
 		{fn: "abs_", n: -5, want: 5},
 		{fn: "abs_", n: 5, want: 5},
 	}
-	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
+	for _, b := range builds {
+		m := machineFor(t, b, "")
 		for _, tc := range calls {
-			m := machineFor(t, kind, "")
 			var args []interp.Value
 			if tc.fn == "abs_" {
 				args = []interp.Value{interp.IntVal(ir.I32, uint64(tc.n))}
@@ -152,21 +178,134 @@ func TestStringContract(t *testing.T) {
 			}
 			ret, err := m.Call(tc.fn, args...)
 			if err != nil {
-				t.Fatalf("%s/%s(%q,%q,%d): %v", kind, tc.fn, tc.a, tc.b, tc.n, err)
+				t.Fatalf("%s/%s(%q,%q,%d): %v", b, tc.fn, tc.a, tc.b, tc.n, err)
 			}
 			got := ir.SignExtend(32, ret.Bits)
 			// Sign of strcmp matters, not magnitude.
 			if tc.fn == "strcmp_" || tc.fn == "strncmp_" {
 				if sign(got) != sign(tc.want) {
-					t.Errorf("%s: %s(%q,%q) = %d, want sign %d", kind, tc.fn, tc.a, tc.b, got, tc.want)
+					t.Errorf("%s: %s(%q,%q) = %d, want sign %d", b, tc.fn, tc.a, tc.b, got, tc.want)
 				}
 				continue
 			}
 			if got != tc.want {
-				t.Errorf("%s: %s(%q,%q,%d) = %d, want %d", kind, tc.fn, tc.a, tc.b, tc.n, got, tc.want)
+				t.Errorf("%s: %s(%q,%q,%d) = %d, want %d", b, tc.fn, tc.a, tc.b, tc.n, got, tc.want)
 			}
 		}
 	}
+}
+
+// TestStringByteSweep runs every byte value through the members whose
+// flag arithmetic simplify rewrites into selects — strrchr_'s hit,
+// memcmp_/strncmp_'s accumulator, abs_/atoi_'s sign — and their
+// branching counterparts, against Go references, in every build.
+func TestStringByteSweep(t *testing.T) {
+	str := func(s []byte) interp.Value {
+		return interp.PtrVal(interp.ByteObject("s", append(append([]byte{}, s...), 0)), 0)
+	}
+	num := func(v int64) interp.Value { return interp.IntVal(ir.I32, uint64(v)) }
+	for _, b := range builds {
+		m := machineFor(t, b, "")
+		call := func(fn string, args ...interp.Value) int64 {
+			t.Helper()
+			ret, err := m.Call(fn, args...)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", b, fn, err)
+			}
+			return ir.SignExtend(32, ret.Bits)
+		}
+		ints := []int64{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32}
+		for c := 0; c < 256; c++ {
+			ints = append(ints, int64(c)-128)
+			hay := []byte{'q', byte(c), 'r', byte(c), 's'}
+			if got, want := call("strrchr_", str(hay), num(int64(c))), strrchrRef(hay, byte(c)); got != want {
+				t.Errorf("%s: strrchr_(%q, %d) = %d, want %d", b, hay, c, got, want)
+			}
+			if got, want := call("strchr_", str(hay), num(int64(c))), strchrRef(hay, byte(c)); got != want {
+				t.Errorf("%s: strchr_(%q, %d) = %d, want %d", b, hay, c, got, want)
+			}
+			x, y := []byte{'a', 'b', byte(c), 'z'}, []byte("abmy")
+			if got, want := call("memcmp_", str(x), str(y), num(4)), cmpRef(x, y, false); sign(got) != sign(want) {
+				t.Errorf("%s: memcmp_(%q, %q, 4) = %d, want sign %d", b, x, y, got, want)
+			}
+			if got, want := call("strncmp_", str(x), str(y), num(4)), cmpRef(x, y, true); sign(got) != sign(want) {
+				t.Errorf("%s: strncmp_(%q, %q, 4) = %d, want sign %d", b, x, y, got, want)
+			}
+			for _, s := range [][]byte{{byte(c), '4', '2'}, {'-', byte(c), '7'}} {
+				if got, want := call("atoi_", str(s)), atoiRef(s); got != want {
+					t.Errorf("%s: atoi_(%q) = %d, want %d", b, s, got, want)
+				}
+			}
+		}
+		for _, v := range ints {
+			want := int64(int32(v))
+			if want < 0 {
+				want = int64(-int32(v)) // -INT_MIN wraps to itself
+			}
+			if got := call("abs_", num(v)); got != want {
+				t.Errorf("%s: abs_(%d) = %d, want %d", b, v, got, want)
+			}
+		}
+	}
+}
+
+// strrchrRef is the index of the last c before s's first NUL, or -1.
+func strrchrRef(s []byte, c byte) int64 {
+	last := int64(-1)
+	for i := 0; i < len(s) && s[i] != 0; i++ {
+		if s[i] == c {
+			last = int64(i)
+		}
+	}
+	return last
+}
+
+// strchrRef is the index of the first c in s up to and including its
+// first NUL, or -1.
+func strchrRef(s []byte, c byte) int64 {
+	for i, x := range append(s, 0) {
+		if x == c {
+			return int64(i)
+		}
+		if x == 0 {
+			return -1
+		}
+	}
+	return -1
+}
+
+// cmpRef is memcmp over len(a) bytes, or strncmp when stopAtNUL.
+func cmpRef(a, b []byte, stopAtNUL bool) int64 {
+	for i := range a {
+		if a[i] != b[i] {
+			return int64(a[i]) - int64(b[i])
+		}
+		if stopAtNUL && a[i] == 0 {
+			return 0
+		}
+	}
+	return 0
+}
+
+// atoiRef is atoi in 32-bit arithmetic: spaces, one sign, digits.
+func atoiRef(s []byte) int64 {
+	i := 0
+	for i < len(s) && (s[i] == ' ' || (s[i] >= 9 && s[i] <= 13)) {
+		i++
+	}
+	neg := false
+	if i < len(s) && (s[i] == '-' || s[i] == '+') {
+		neg = s[i] == '-'
+		i++
+	}
+	var v int32
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		v = v*10 + int32(s[i]-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return int64(v)
 }
 
 func sign(v int64) int {
@@ -179,7 +318,8 @@ func sign(v int64) int {
 	return 0
 }
 
-// TestMemFunctions checks memset/memcpy/memcmp through a MiniC driver.
+// TestMemFunctions checks memset/memcpy/memcmp through a MiniC driver,
+// unoptimized and at -OVERIFY.
 func TestMemFunctions(t *testing.T) {
 	driver := `
 	int drive(void) {
@@ -194,14 +334,14 @@ func TestMemFunctions(t *testing.T) {
 		if (memcmp_(a, b, 3) != 0) { return 4; }
 		return 0;
 	}`
-	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
-		m := machineFor(t, kind, driver)
+	for _, b := range builds {
+		m := machineFor(t, b, driver)
 		ret, err := m.Call("drive")
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", b, err)
 		}
 		if ret.Bits != 0 {
-			t.Errorf("%s: drive() = %d, want 0", kind, ret.Bits)
+			t.Errorf("%s: drive() = %d, want 0", b, ret.Bits)
 		}
 	}
 }
@@ -215,7 +355,7 @@ func TestOutputSink(t *testing.T) {
 		return OUTN;
 	}`
 	for _, kind := range []libc.Kind{libc.Uclibc, libc.Verified} {
-		m := machineFor(t, kind, driver)
+		m := machineFor(t, build{kind, pipeline.O0}, driver)
 		ret, err := m.Call("drive")
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -240,7 +380,7 @@ func TestVerifiedPreconditions(t *testing.T) {
 		memset_(a, 1, -3);
 		return 0;
 	}`
-	m := machineFor(t, libc.Verified, driver)
+	m := machineFor(t, build{libc.Verified, pipeline.O0}, driver)
 	if _, err := m.Call("drive"); err == nil {
 		t.Error("memset_ with negative n must trap in the verified libc")
 	}

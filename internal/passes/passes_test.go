@@ -1,9 +1,12 @@
 package passes_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"overify/internal/core"
+	"overify/internal/coreutils"
 	"overify/internal/frontend"
 	"overify/internal/interp"
 	"overify/internal/ir"
@@ -377,5 +380,97 @@ func TestInlineSkipsRecursion(t *testing.T) {
 	}
 	if got := exec(t, mod, "f", i32(4)); got != 1+4+16 {
 		t.Errorf("f(4) = %d, want 21", got)
+	}
+}
+
+// TestSimplifyFlagArithmeticIsSelect: each of simplify's flag rewrites,
+// alone and chained as in the verified strrchr_, leaves one select and
+// none of the arithmetic at -OVERIFY, and the negative cases keep their
+// arithmetic. Every case computes what the unoptimized function does
+// on all combinations of boundary inputs.
+func TestSimplifyFlagArithmeticIsSelect(t *testing.T) {
+	const sig = "int f(int x, int y, int a, int b) "
+	for _, tc := range []struct {
+		name, body string
+		select1    bool // one select and no arithmetic, else arithmetic kept
+	}{
+		{"mul-zext", "{ return x * (a == b); }", true},
+		{"zext-mul", "{ return (a == b) * x; }", true},
+		{"sub-zext", "{ return 7 - (a < b); }", true},
+		{"mul-select", "{ return (a < b ? 0 : 1) * x; }", true},
+		{"select-mul", "{ return y * (a < b ? 1 : 0); }", true},
+		{"add-selects", "{ return (a == b ? x : 0) + (a == b ? 0 : y); }", true},
+		{"or-selects", "{ return (a == b ? 0 : x) | (a == b ? y : 0); }", true},
+		{"strrchr-step", "{ int hit = a == b; return hit * x + (1 - hit) * y; }", true},
+		{"mul-zext-i8", "{ return x * (int)(unsigned char)a; }", false},
+		{"two-conditions", "{ return (a == b ? x : 0) + (a < b ? 0 : y); }", false},
+		{"arm-outside-01", "{ return (a == b ? 2 : 0) * x; }", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := lower(t, sig+tc.body)
+			mod := lower(t, sig+tc.body)
+			if _, err := pipeline.Optimize(mod, pipeline.LevelConfig(pipeline.OVerify)); err != nil {
+				t.Fatal(err)
+			}
+			f := mod.Func("f")
+			selects, arith := 0, 0
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					switch in.Op {
+					case ir.OpSelect:
+						selects++
+					case ir.OpMul, ir.OpSub, ir.OpAdd, ir.OpOr, ir.OpZExt:
+						arith++
+					}
+				}
+			}
+			if tc.select1 && (selects != 1 || arith != 0) {
+				t.Errorf("want one select and no arithmetic, got %d selects and %d arithmetic instructions:\n%s", selects, arith, f)
+			}
+			if !tc.select1 && arith == 0 {
+				t.Errorf("the arithmetic was rewritten:\n%s", f)
+			}
+			edges := []int64{0, 1, -1, math.MinInt32, math.MaxInt32}
+			for _, x := range edges {
+				for _, y := range edges {
+					for _, a := range edges {
+						for _, b := range edges {
+							args := []interp.Value{i32(x), i32(y), i32(a), i32(b)}
+							if got, want := exec(t, mod, "f", args...), exec(t, ref, "f", args...); got != want {
+								t.Fatalf("f(%d, %d, %d, %d) = %d, -O0 computes %d", x, y, a, b, got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSimplifyAtFixpointAllocatesNothing: simplify over every corpus
+// function after the -OVERIFY pipeline, where no rule fires any more,
+// allocates nothing — the flag rewrites cost a visited instruction no
+// allocation unless they fire.
+func TestSimplifyAtFixpointAllocatesNothing(t *testing.T) {
+	simplify := passes.Simplify().(passes.FunctionPass)
+	cx := &passes.Context{Cost: pipeline.VerifyCost()}
+	for _, p := range coreutils.All() {
+		c, err := core.CompileProgram(p, pipeline.OVerify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.Mod.Funcs {
+			if f.IsDeclaration() {
+				continue
+			}
+			simplify.RunOnFunc(f, cx) // settle what the later passes exposed
+			if allocs := testing.AllocsPerRun(5, func() {
+				if simplify.RunOnFunc(f, cx) {
+					t.Fatalf("%s @%s: simplify is not at its fixpoint", p.Name, f.Name)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s @%s: simplify allocated %.0f times with nothing to fold", p.Name, f.Name, allocs)
+			}
+		}
 	}
 }

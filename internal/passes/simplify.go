@@ -10,6 +10,9 @@ import (
 // for execution speed, but can be even better for verification": every
 // folded instruction is one the symbolic executor never interprets and
 // one fewer term in its path constraints.
+// Arithmetic on a 0/1 flag becomes a select (flagSelect): the verified
+// libc's branch-free "hit*i + (1-hit)*last" reaches the solver as
+// "hit ? i : last", not as a multiplication chain over every byte.
 // Folding replaces and deletes instructions but never rewrites a
 // terminator's successors (simplifycfg does that), so the CFG analyses
 // survive.
@@ -28,7 +31,11 @@ func simplifyFunc(f *ir.Function, cx *Context) bool {
 				if in.Blk == nil {
 					continue // removed this round
 				}
-				if v := simplifyInstr(f, in); v != nil {
+				switch v := simplifyInstr(f, in); v {
+				case nil:
+				case ir.Value(in): // rewritten in place as a select
+					n++
+				default:
 					ir.ReplaceUses(f, in, v)
 					in.Blk.Remove(in)
 					n++
@@ -44,8 +51,9 @@ func simplifyFunc(f *ir.Function, cx *Context) bool {
 	return changed
 }
 
-// simplifyInstr returns a replacement value for in, or nil if it cannot
-// be simplified away.
+// simplifyInstr returns a replacement value for in, in itself when a
+// flag select rewrote it in place, or nil if it cannot be simplified
+// away.
 func simplifyInstr(f *ir.Function, in *ir.Instr) ir.Value {
 	switch {
 	case in.Op.IsBinary():
@@ -102,6 +110,10 @@ func simplifyBinary(in *ir.Instr) ir.Value {
 			return ir.ConstInt(t, r)
 		}
 		return nil // division by constant zero: keep the trap
+	}
+
+	if flagSelect(in, t) {
+		return in
 	}
 
 	x := in.Args[0]
@@ -182,6 +194,111 @@ func simplifyBinary(in *ir.Instr) ir.Value {
 		}
 	}
 	return nil
+}
+
+// flagSelect rewrites in place, as a select, arithmetic whose operand is
+// a 0/1 flag (h an i1, c any select condition):
+//
+//	mul x, zext h                   -> select h, x, 0
+//	sub C, zext h                   -> select h, C-1, C
+//	mul (select c, k1, k2), x       -> select c, k1?x:0, k2?x:0  (k1, k2 in {0, 1})
+//	add/or (select c, a1, b1), (select c, a2, b2)
+//	                                -> select c, a, b  (a1 or a2 is 0, b1 or b2 is 0;
+//	                                   a and b are the other arms)
+//
+// Chained, they turn "h*x + (1-h)*y" into "select h, x, y". It
+// allocates only when it fires.
+func flagSelect(in *ir.Instr, t ir.IntType) bool {
+	x, y := in.Args[0], in.Args[1]
+	switch in.Op {
+	case ir.OpMul:
+		if h := zextFlag(y); h != nil {
+			return toSelect(in, h, x, ir.ConstInt(t, 0))
+		}
+		if h := zextFlag(x); h != nil {
+			return toSelect(in, h, y, ir.ConstInt(t, 0))
+		}
+		if s := flagArms(x); s != nil {
+			return mulSelect(in, s, y, t)
+		}
+		if s := flagArms(y); s != nil {
+			return mulSelect(in, s, x, t)
+		}
+	case ir.OpSub:
+		if c, ok := constOf(x); ok {
+			if h := zextFlag(y); h != nil {
+				return toSelect(in, h, ir.ConstInt(t, c.Val-1), c)
+			}
+		}
+	case ir.OpAdd, ir.OpOr:
+		sx, okx := x.(*ir.Instr)
+		sy, oky := y.(*ir.Instr)
+		if okx && oky && sx.Op == ir.OpSelect && sy.Op == ir.OpSelect && sx.Args[0] == sy.Args[0] {
+			a, okA := otherArm(sx.Args[1], sy.Args[1])
+			b, okB := otherArm(sx.Args[2], sy.Args[2])
+			if okA && okB {
+				return toSelect(in, sx.Args[0], a, b)
+			}
+		}
+	}
+	return false
+}
+
+// zextFlag returns h when v is "zext h" of an i1 h, else nil.
+func zextFlag(v ir.Value) ir.Value {
+	z, ok := v.(*ir.Instr)
+	if !ok || z.Op != ir.OpZExt {
+		return nil
+	}
+	if it, ok := z.Args[0].Type().(ir.IntType); ok && it.Bits == 1 {
+		return z.Args[0]
+	}
+	return nil
+}
+
+// flagArms returns v when it is a select whose arms are constants in
+// {0, 1}, else nil.
+func flagArms(v ir.Value) *ir.Instr {
+	s, ok := v.(*ir.Instr)
+	if !ok || s.Op != ir.OpSelect {
+		return nil
+	}
+	k1, ok1 := constOf(s.Args[1])
+	k2, ok2 := constOf(s.Args[2])
+	if ok1 && ok2 && k1.Val <= 1 && k2.Val <= 1 {
+		return s
+	}
+	return nil
+}
+
+// mulSelect rewrites in = mul s, x for a flagArms select s.
+func mulSelect(in, s *ir.Instr, x ir.Value, t ir.IntType) bool {
+	arm := func(k ir.Value) ir.Value {
+		if k.(*ir.Const).IsOne() {
+			return x
+		}
+		return ir.ConstInt(t, 0)
+	}
+	return toSelect(in, s.Args[0], arm(s.Args[1]), arm(s.Args[2]))
+}
+
+// otherArm returns the arm of a pair that is not the constant 0, when
+// one of them is.
+func otherArm(p, q ir.Value) (ir.Value, bool) {
+	if c, ok := constOf(p); ok && c.IsZero() {
+		return q, true
+	}
+	if c, ok := constOf(q); ok && c.IsZero() {
+		return p, true
+	}
+	return nil, false
+}
+
+// toSelect turns in into "select cond, a, b".
+func toSelect(in *ir.Instr, cond, a, b ir.Value) bool {
+	in.Op = ir.OpSelect
+	in.Args = []ir.Value{cond, a, b}
+	return true
 }
 
 func simplifyCmp(in *ir.Instr) ir.Value {
@@ -305,9 +422,10 @@ func simplifyCast(in *ir.Instr) ir.Value {
 		return ir.ConstInt(in.Typ.(ir.IntType), ir.EvalCast(in.Op, from, to, c.Val))
 	}
 	// Cast chains: trunc(zext/sext x) where the widths line up.
-	if inner, ok := in.Args[0].(*ir.Instr); ok {
-		innerFrom, okInner := inner.Args[0].Type().(ir.IntType) // widths of inner source
-		if (inner.Op == ir.OpZExt || inner.Op == ir.OpSExt) && okInner {
+	if inner, ok := in.Args[0].(*ir.Instr); ok && (inner.Op == ir.OpZExt || inner.Op == ir.OpSExt) {
+		// Only an extension's source type is read: Type() on another
+		// instruction's operand (a pointer, say) may allocate.
+		if innerFrom, okInner := inner.Args[0].Type().(ir.IntType); okInner {
 			if in.Op == ir.OpTrunc {
 				switch {
 				case innerFrom.Bits == to:

@@ -1,4 +1,4 @@
-// Passes-explore shows what each -OVERIFY pass does to the paper's wc
+// Passes-explore shows what each -OVERIFY stage does to the paper's wc
 // function: it prints the IR after every stage, ending with the
 // branch-free loop body of Listing 2.
 package main
@@ -50,7 +50,7 @@ func main() {
 		{"cleanup (fold, CSE, CFG, DCE)", "simplify,cse,simplifycfg,dce"},
 		{"aggressive inlining", "inline,mem2reg,simplify,cse,simplifycfg,dce"},
 		{"if-conversion to fixpoint (Listing 2)",
-			"fixpoint:12(jumpthread,licm,ifconvert,simplify,cse,simplifycfg,dce)"},
+			"fixpoint:12(ifconvert,simplify,cse,simplifycfg,dce)"},
 	}
 
 	wc := mod.Func("wc")

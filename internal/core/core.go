@@ -86,7 +86,8 @@ func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Co
 	// spec contains the slice/loopsummary stages, annotated with the
 	// kept-check subset when it is not "all". The checks= and ranges=
 	// fields predate the spec holding those stages; they stay, so that
-	// stored verdicts and pinned keys remain valid.
+	// stored verdicts and pinned keys remain valid; ranges= no longer
+	// means annotate ran.
 	ov := cfg.Level == pipeline.OVerify
 	desc := fmt.Sprintf("level=%s|pipeline=%s|checks=%v|ranges=%v|libc=%s",
 		cfg.Level, res.Spec, ov, ov, lk)

@@ -28,6 +28,11 @@ import (
 // basename +1, fieldparse +256, against stat -3,427 and od-x -4,590).
 // How many queries there are, which layer answers each, how many
 // searches run, their nodes and every model are as at 0a67d11.
+//
+// The od-x -OVERIFY cell is re-cut whole since -OVERIFY stopped
+// running unroll, unswitch, licm and jump threading: it compiles to
+// different IR, so it explores 88 paths, not 89, and asks 218 queries,
+// not 176. It still verifies with no bugs.
 type pinnedCell struct {
 	prog  string
 	level pipeline.Level
@@ -50,9 +55,9 @@ var pinnedCells = []pinnedCell{
 		render:     "b07c56f201f84fe3e7a262122ecf9a14618f5d461b7398859640069fa53a6c6a",
 		normalized: "b07c56f201f84fe3e7a262122ecf9a14618f5d461b7398859640069fa53a6c6a"},
 	{prog: "od-x", level: pipeline.OVerify, n: 4,
-		stats:      solver.Stats{Queries: 176, CacheHits: 82, PartitionHits: 243, ModelReuseHits: 79, Sat: 176, Nodes: 40, Assignments: 4358, TapeCompiles: 20, TapeSlots: 149, MaxGroupVars: 1},
-		render:     "d6be649acc544b84d3829547b1ce8504d246499cbed34126f8e4baa6ff3b091d",
-		normalized: "d6be649acc544b84d3829547b1ce8504d246499cbed34126f8e4baa6ff3b091d"},
+		stats:      solver.Stats{Queries: 218, CacheHits: 103, PartitionHits: 264, ModelReuseHits: 100, Sat: 196, Unsat: 22, Nodes: 40, Assignments: 4359, TapeCompiles: 21, TapeSlots: 154, MaxGroupVars: 1},
+		render:     "e03b705e66a0d8758763c4b2da03e467296295747d03bd740939e7a855bfd3fc",
+		normalized: "e03b705e66a0d8758763c4b2da03e467296295747d03bd740939e7a855bfd3fc"},
 	{prog: "tac", level: pipeline.O0, n: 5,
 		stats:      solver.Stats{Queries: 300, CacheHits: 159, PartitionHits: 275, ModelReuseHits: 139, Sat: 212, Unsat: 88, Nodes: 40, Assignments: 3855, TapeCompiles: 25, TapeSlots: 105, MaxGroupVars: 1},
 		render:     "7ef1500b7f3f1d8779b50ab902991796ca9936e7c53c05c0df09b98b0bf4ba41",

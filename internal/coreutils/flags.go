@@ -9,8 +9,7 @@ package coreutils
 // condition is loop-invariant, so the loop can be cloned per mode.
 //
 // Fixed-round utilities (hash16, mix32, rot13rounds) carry inner loops
-// with constant trip counts between the -O3 and -OVERIFY unroll budgets,
-// exercising the unroll-threshold difference Table 3 reports.
+// with constant trip counts above -O3's unroll budget of 8.
 func init() {
 	register(Program{
 		Name: "grep-v", Desc: "print bytes (not) equal to a pattern byte, flag-invertible", Sample: "vxaxbxc",

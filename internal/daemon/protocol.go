@@ -46,7 +46,10 @@ import (
 //	   gains entry.
 //	8: verify and distExplore lose portfolioStall; the stats reply's
 //	   solverCache loses evictions and capacity.
-const ProtocolVersion = 8
+//	9: no frame changes, but -OVERIFY compiles another module (one
+//	   branch-removal fixpoint), so a distExplore state frame from a v8
+//	   peer names values a v9 module does not have, and back.
+const ProtocolVersion = 9
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt

@@ -5,10 +5,9 @@ import "overify/internal/ir"
 // Annotate computes conservative unsigned value ranges for instruction
 // results and attaches them as metadata. Today's compilers compute this
 // information and throw it away; the paper ("Program annotations", §3)
-// argues it should be preserved for verification tools. Here the ranges
-// are printed and keyed into verdicts, but no verifier reads them: on
-// the corpus and trap programs at -OVERIFY they decide none of the
-// integer comparisons, so they skip no solver query.
+// argues it should be preserved for verification tools. No verifier
+// here reads them (they decided none of the corpus's comparisons), so
+// no level runs annotate; -passes and Table 2's ablation row can.
 // Annotation attaches metadata only: the CFG analyses survive.
 func Annotate() Pass {
 	return funcPass{name: "annotate", preserves: AllAnalyses, run: annotateFunc}

@@ -1,16 +1,16 @@
-// Package passes implements the optimization passes that -OVERIFY
-// composes (paper §3): SSA construction (mem2reg), instruction
+// Package passes implements the optimization passes the pipelines
+// compose (paper §3): SSA construction (mem2reg), instruction
 // simplification, CSE, dead-code elimination, CFG simplification, jump
 // threading, function inlining, loop-invariant code motion, loop
 // unswitching, loop unrolling, if-conversion (branch → select), runtime
 // check insertion, and range annotation.
 //
-// Every pass is tuned by a CostModel. The paper's central claim is that
-// verification wants different cost constants than a CPU: a conditional
-// branch that costs ~1 cycle on hardware multiplies path counts in a
-// symbolic executor. Pipelines in internal/pipeline instantiate the same
-// passes with CPU-oriented (-O2/-O3) or verifier-oriented (-OVERIFY)
-// models.
+// The passes -OVERIFY runs are tuned by a CostModel. The paper's
+// central claim is that verification wants different cost constants
+// than a CPU: a conditional branch that costs ~1 cycle on hardware
+// multiplies path counts in a symbolic executor. Pipelines in
+// internal/pipeline instantiate the same passes with CPU-oriented
+// (-O2/-O3) or verifier-oriented (-OVERIFY) models.
 package passes
 
 import (
@@ -39,19 +39,6 @@ type CostModel struct {
 
 	// InlineRounds bounds repeated inlining sweeps (handles call chains).
 	InlineRounds int
-
-	// UnrollMaxTrip is the largest constant trip count fully unrolled.
-	UnrollMaxTrip int
-
-	// UnrollGrowthCap bounds instructions added by unrolling one loop.
-	UnrollGrowthCap int
-
-	// UnswitchMaxSize is the largest loop body (instructions) cloned by
-	// one unswitching step.
-	UnswitchMaxSize int
-
-	// UnswitchMaxClones bounds unswitching steps per function.
-	UnswitchMaxClones int
 }
 
 // Stats aggregates pass counters across a pipeline run. The Table 3

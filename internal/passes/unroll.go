@@ -18,11 +18,18 @@ func Unroll() Pass {
 	return funcPass{name: "unroll", preserves: NoAnalyses, run: unrollFunc}
 }
 
+// -O3's budgets, the only level that runs unroll; Table 2's ablation
+// row reads the same with these as with larger ones.
+const (
+	unrollMaxTrip   = 8   // largest constant trip count fully unrolled
+	unrollGrowthCap = 256 // instructions unrolling may add to one function
+)
+
 func unrollFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("unroll", f)
 	changed := false
-	budget := cx.Cost.UnrollGrowthCap
-	for rounds := 0; rounds < 4*cx.Cost.UnrollMaxTrip+16; rounds++ {
+	budget := unrollGrowthCap
+	for rounds := 0; rounds < 4*unrollMaxTrip+16; rounds++ {
 		dt := cx.Dom(f)
 		loops := cx.Loops(f)
 		peeled := false
@@ -33,7 +40,7 @@ func unrollFunc(f *ir.Function, cx *Context) bool {
 				continue
 			}
 			trip, ok := constTripCount(cx, f, l)
-			if !ok || trip > int64(cx.Cost.UnrollMaxTrip) {
+			if !ok || trip > unrollMaxTrip {
 				continue
 			}
 			growth := int(trip) * l.NumInstrs()

@@ -9,18 +9,25 @@ import "overify/internal/ir"
 // turns O(3^n) explored paths into O(2^n), because the symbolic executor
 // no longer re-forks on the invariant condition at every iteration.
 //
-// The price is code growth, which a CPU-oriented pipeline strictly
-// limits (UnswitchMaxSize/UnswitchMaxClones); -OVERIFY pays it gladly.
-// Unswitching clones the loop: preserves nothing. Each successful
-// round invalidates so the next round's discovery is fresh.
+// The price is code growth, which -O3 bounds with the budgets below.
+// -OVERIFY does not run unswitch: it removes the branches it can by
+// if-conversion instead, which costs no clone. Unswitching clones the
+// loop: preserves nothing. Each successful round invalidates so the
+// next round's discovery is fresh.
 func Unswitch() Pass {
 	return funcPass{name: "unswitch", preserves: NoAnalyses, run: unswitchFunc}
 }
 
+// -O3's budgets, the only level that runs unswitch.
+const (
+	unswitchMaxSize   = 64 // largest loop body (instructions) cloned by one step
+	unswitchMaxClones = 2  // unswitching steps per function
+)
+
 func unswitchFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("unswitch", f)
 	changed := false
-	for round := 0; round < cx.Cost.UnswitchMaxClones; round++ {
+	for round := 0; round < unswitchMaxClones; round++ {
 		if !unswitchOne(f, cx) {
 			break
 		}
@@ -52,7 +59,7 @@ func unswitchOne(f *ir.Function, cx *Context) bool {
 		if l.Header == f.Entry() {
 			continue
 		}
-		if l.NumInstrs() > cx.Cost.UnswitchMaxSize {
+		if l.NumInstrs() > unswitchMaxSize {
 			continue
 		}
 		br := findInvariantBranch(l)

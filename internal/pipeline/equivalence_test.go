@@ -126,9 +126,9 @@ func TestWorklistRunsFewerInvocations(t *testing.T) {
 	}
 }
 
-// TestPassTimingsAccounted: every pass that ran appears in the
-// per-pass breakdown, and the breakdown's totals reconcile with the
-// Result's counters.
+// TestPassTimingsAccounted: every pass the -OVERIFY spec names appears
+// in the per-pass breakdown exactly once, no other pass does, and the
+// breakdown's totals reconcile with the Result's counters.
 func TestPassTimingsAccounted(t *testing.T) {
 	p, ok := coreutils.Get("wc")
 	if !ok {
@@ -154,9 +154,23 @@ func TestPassTimingsAccounted(t *testing.T) {
 	if sumSkip != res.SkippedFuncRuns {
 		t.Errorf("per-pass skips sum to %d, Result says %d", sumSkip, res.SkippedFuncRuns)
 	}
-	for _, name := range []string{"mem2reg", "inline", "ifconvert", "checks", "annotate"} {
+	named := map[string]bool{}
+	for _, st := range pipeline.Passes(pipeline.LevelConfig(pipeline.OVerify)).Stages {
+		if st.Pass != "" {
+			named[st.Pass] = true
+		}
+		for _, name := range st.Fixpoint {
+			named[name] = true
+		}
+	}
+	for name := range named {
 		if !seen[name] {
 			t.Errorf("pass %s missing from timings (have %v)", name, fmt.Sprint(res.PassTimings))
+		}
+	}
+	for name := range seen {
+		if !named[name] {
+			t.Errorf("pass %s timed but not in the -OVERIFY spec", name)
 		}
 	}
 }

@@ -113,10 +113,9 @@ func TestWcBranchReduction(t *testing.T) {
 		t.Errorf("expected -OVERIFY (%d) to have fewer branches than -O3 (%d)",
 			branches[pipeline.OVerify], branches[pipeline.O3])
 	}
-	// The paper's Listing 2: only the loop-header branches remain. After
-	// unswitching on `any` there are two loop copies, so allow up to 2.
-	if branches[pipeline.OVerify] > 2 {
-		t.Errorf("-OVERIFY left %d conditional branches in wc, want <= 2 (loop headers only)",
+	// The paper's Listing 2: only the loop-header branch remains.
+	if branches[pipeline.OVerify] > 1 {
+		t.Errorf("-OVERIFY left %d conditional branches in wc, want <= 1 (the loop header only)",
 			branches[pipeline.OVerify])
 	}
 }

@@ -44,6 +44,24 @@ func TestSpecStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOVerifySpec pins -OVERIFY's pipeline: inlining, one
+// branch-removal fixpoint, runtime checks. Every CostModel field must
+// tell the two cost models apart; a budget both levels share is a
+// constant of its pass, not a field.
+func TestOVerifySpec(t *testing.T) {
+	const want = "mem2reg,simplify,cse,simplifycfg,dce,inline,mem2reg,simplify,cse,simplifycfg,dce," +
+		"fixpoint:12(ifconvert,simplify,cse,simplifycfg,dce),checks"
+	if got := pipeline.Passes(pipeline.LevelConfig(pipeline.OVerify)).String(); got != want {
+		t.Errorf("-OVERIFY spec\n  got  %s\n  want %s", got, want)
+	}
+	cpu, ver := reflect.ValueOf(pipeline.CPUCost()), reflect.ValueOf(pipeline.VerifyCost())
+	for i := 0; i < cpu.NumField(); i++ {
+		if cpu.Field(i).Interface() == ver.Field(i).Interface() {
+			t.Errorf("CostModel.%s is %v in both cost models", cpu.Type().Field(i).Name, cpu.Field(i))
+		}
+	}
+}
+
 // TestParsePipelineForms covers the grammar corners.
 func TestParsePipelineForms(t *testing.T) {
 	good := []string{

@@ -19,7 +19,9 @@ import (
 // normalized render at every level must be testdata/lifetimes.golden
 // (symbex -n 3 -normalized), at one worker and at four, and after the
 // states are split off, encoded, decoded into a fresh engine and
-// explored there. The goldens were captured before objects had numbers.
+// explored there. The goldens were captured before objects had numbers;
+// the -OVERIFY instruction count was re-cut when -OVERIFY stopped
+// running loop restructuring.
 func TestObjectLifetimes(t *testing.T) {
 	src, err := os.ReadFile("testdata/lifetimes.c")
 	if err != nil {

@@ -5,7 +5,7 @@
 //
 // It implements the whole stack the paper's prototype was built on:
 // a small C dialect (MiniC) with a clang-style front end, a typed SSA
-// IR, the optimization passes -OVERIFY composes (inlining, loop
+// IR, the optimization passes the levels compose (inlining, loop
 // unswitching and unrolling, if-conversion, mem2reg, jump threading,
 // constant folding, CSE, LICM, runtime-check insertion, range
 // annotation), a KLEE-style symbolic-execution engine with a constraint

@@ -84,7 +84,6 @@ func main() {
 		fmt.Printf("unrolled:    %d loops (%d peels)\n", s.LoopsUnrolled, s.LoopsPeeled)
 		fmt.Printf("ifconverted: %d branches\n", s.BranchesConverted)
 		fmt.Printf("checks:      %d inserted\n", s.ChecksInserted)
-		fmt.Printf("ranges:      %d annotated\n", s.RangesAttached)
 	case "bytecode":
 		p, err := vm.Compile(c.Mod)
 		if err != nil {

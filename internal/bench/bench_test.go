@@ -124,7 +124,6 @@ var table2Pinned = []bench.Table2Row{
 	{Name: "inlining + unrolling", VerifInstrsBase: 1948, VerifInstrsWith: 1747, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1355},
 	{Name: "if-conversion (branch->select)", VerifInstrsBase: 1747, VerifInstrsWith: 636, PathsBase: 82, PathsWith: 35, ExecInstrsBase: 1355, ExecInstrsWith: 1293},
 	{Name: "runtime checks", VerifInstrsBase: 1948, VerifInstrsWith: 2026, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1654},
-	{Name: "range annotations", VerifInstrsBase: 1948, VerifInstrsWith: 1948, PathsBase: 82, PathsWith: 82, ExecInstrsBase: 1570, ExecInstrsWith: 1570},
 }
 
 // TestTable2Shape pins every row of the measured ablation and asserts

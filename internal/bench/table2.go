@@ -91,11 +91,9 @@ var ablations = []struct{ name, base, with string }{
 	// Paper row 7: generate runtime checks. More work for both sides,
 	// but every illegal behavior becomes a detectable crash.
 	{"runtime checks", ssaClean, ssaClean + ",checks," + cleanup},
-	// Paper row 6: program annotations (ranges) — preserved metadata the
-	// paper would have the verifier consume for free branch decisions.
-	// No verifier here reads it, so the row measures the metadata alone
-	// and reads +0%.
-	{"range annotations", ssaClean, ssaClean + ",annotate," + cleanup},
+	// Paper row 6, program annotations, has no row: no verifier here
+	// read the value ranges, they decided none of the corpus's 886
+	// comparisons, and the row read +0% until the annotations went.
 }
 
 // Table2Options bound the ablation study.

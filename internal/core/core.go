@@ -28,9 +28,9 @@ type Compiled struct {
 	Result *pipeline.Result
 
 	// PipelineDesc identifies how the module was produced — level,
-	// rendered pass pipeline, checks/annotation switches, libc variant.
-	// It is the compilation half of the verdict store's content key;
-	// empty (a Compiled assembled by hand rather than compiled here)
+	// rendered pass pipeline, the checks= and ranges= switches, libc
+	// variant. It is the compilation half of the verdict store's content
+	// key; empty (a Compiled assembled by hand rather than compiled here)
 	// disables verdict caching for it.
 	PipelineDesc string
 }
@@ -86,8 +86,8 @@ func CompileWithConfig(name, src string, cfg pipeline.Config, lk libc.Kind) (*Co
 	// spec contains the slice/loopsummary stages, annotated with the
 	// kept-check subset when it is not "all". The checks= and ranges=
 	// fields predate the spec holding those stages; they stay, so that
-	// stored verdicts and pinned keys remain valid; ranges= no longer
-	// means annotate ran.
+	// stored verdicts and pinned keys remain valid; ranges= names
+	// annotations the compiler no longer has.
 	ov := cfg.Level == pipeline.OVerify
 	desc := fmt.Sprintf("level=%s|pipeline=%s|checks=%v|ranges=%v|libc=%s",
 		cfg.Level, res.Spec, ov, ov, lk)
@@ -189,6 +189,16 @@ func (c *Compiled) VerdictKey(fn string, opts VerifyOptions) (verdicts.Key, bool
 		return "", false
 	}
 	return verdicts.KeyFor(c.Mod, fn, c.PipelineDesc, verifyDesc(opts))
+}
+
+// ModuleKey identifies the module for a run from entry: the verdict
+// key's hash of the IR reachable from entry and of PipelineDesc,
+// without the verify half. A cluster coordinator sends it with every
+// shard, and a worker whose own compile has another key refuses the
+// shard, since the state codec names IR by position.
+func (c *Compiled) ModuleKey(entry string) string {
+	k, _ := verdicts.KeyFor(c.Mod, entry, c.PipelineDesc)
+	return string(k)
 }
 
 // Verify explores fn(input, n) exhaustively with an n-byte symbolic

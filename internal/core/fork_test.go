@@ -1,0 +1,53 @@
+package core_test
+
+import (
+	"testing"
+
+	"overify/internal/core"
+	"overify/internal/coreutils"
+	"overify/internal/pipeline"
+	"overify/internal/symex"
+)
+
+// TestUndecidedBranchSideForks: at a conditional branch whose one side
+// is satisfiable and whose other side the solver cannot decide, the
+// engine forks as for two satisfiable sides. tail at n=4 has such a
+// branch at -O0 and at -OVERIFY; following the undecided side adds one
+// path to each (17 -> 18, 13 -> 14, the path count the portfolio
+// decides at -OVERIFY). No bug is reported, because every bug site
+// needs a satisfiable query, and the verdict stays inconclusive.
+func TestUndecidedBranchSideForks(t *testing.T) {
+	p, _ := coreutils.Get("tail")
+	for _, cell := range []struct {
+		level         pipeline.Level
+		paths, instrs int64
+	}{
+		{pipeline.O0, 18, 864},
+		{pipeline.OVerify, 14, 325},
+	} {
+		c, err := core.CompileProgram(p, cell.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			vo := core.VerifyOptions{InputBytes: 4}
+			vo.Engine.Workers = workers
+			rep, err := c.Verify("umain", vo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rep.Stats
+			if s.TotalPaths() != cell.paths || s.Instrs != cell.instrs {
+				t.Errorf("tail %s workers=%d: %d paths, %d instrs; want %d, %d",
+					cell.level, workers, s.TotalPaths(), s.Instrs, cell.paths, cell.instrs)
+			}
+			if len(rep.Bugs) != 0 {
+				t.Errorf("tail %s workers=%d: bugs %v on an undecided side", cell.level, workers, rep.Bugs)
+			}
+			if v, why := rep.Verdict(); v != symex.Inconclusive || s.SolverStats.Failures == 0 {
+				t.Errorf("tail %s workers=%d: verdict %s %v with %d undecided queries, want inconclusive",
+					cell.level, workers, v, why, s.SolverStats.Failures)
+			}
+		}
+	}
+}

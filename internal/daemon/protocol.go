@@ -49,7 +49,9 @@ import (
 //	9: no frame changes, but -OVERIFY compiles another module (one
 //	   branch-removal fixpoint), so a distExplore state frame from a v8
 //	   peer names values a v9 module does not have, and back.
-const ProtocolVersion = 9
+//	10: distExplore gains module, the coordinator's module key, which
+//	   the worker checks against its own compile.
+const ProtocolVersion = 10
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -149,9 +151,11 @@ type VerifyReply struct {
 // and the entry, which decides what a slice keeps) must match the
 // coordinator's compile exactly — the state codec names functions,
 // blocks, and instructions by position, so a divergent module would
-// decode garbage (and be rejected by the codec's bounds checks, not
-// silently accepted). States is the symex state-codec
-// frame produced by Engine.EncodeStates; JSON transports it as base64.
+// decode garbage or, worse, run to wrong counters. Module is the
+// coordinator's core.Compiled.ModuleKey, and a worker whose own
+// compile has another key refuses the shard. States is the symex
+// state-codec frame produced by Engine.EncodeStates; JSON transports
+// it as base64.
 type DistExploreRequest struct {
 	Name   string `json:"name,omitempty"`
 	Source string `json:"source,omitempty"`
@@ -170,7 +174,25 @@ type DistExploreRequest struct {
 	// fixed-order solving).
 	Portfolio int `json:"portfolio,omitempty"`
 
+	Module string `json:"module"` // the coordinator's module key
 	States []byte `json:"states"` // Engine.EncodeStates frame
+}
+
+// NewDistExploreRequest is the request that ships states, a frontier
+// shard of job, to a worker. It carries every field of job a worker
+// reads; InputBytes (the states hold the input), NoVerdicts (a shard
+// is never a verdict) and SplitStates (the coordinator's alone) stay
+// behind. The caller sets Module.
+func NewDistExploreRequest(job core.Job, states []byte) *DistExploreRequest {
+	return &DistExploreRequest{
+		Name: job.Name, Source: job.Source, Prog: job.Prog,
+		Level: job.Level, Passes: job.Passes, Slice: job.Slice, Checks: job.Checks,
+		Entry:     job.Entry,
+		Workers:   job.Workers,
+		TimeoutMS: job.TimeoutMS, MaxInstrs: job.MaxInstrs,
+		Portfolio: job.Portfolio,
+		States:    states,
+	}
 }
 
 // Job is the verification job this shard belongs to, resolved by the
@@ -213,6 +235,17 @@ type CompileRequest struct {
 	// IR requests the optimized module listing in the reply (the
 	// "explain what the pipeline did" mode).
 	IR bool `json:"ir,omitempty"`
+}
+
+// NewCompileRequest is the request that compiles job's program at its
+// level and pass list. It carries nothing of the engine's and nothing
+// of slicing: a compile request compiles unsliced.
+func NewCompileRequest(job core.Job, ir bool) *CompileRequest {
+	return &CompileRequest{
+		Name: job.Name, Source: job.Source, Prog: job.Prog,
+		Level: job.Level, Passes: job.Passes,
+		IR: ir,
+	}
 }
 
 // Job is the request's compile identity as a job.

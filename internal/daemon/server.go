@@ -476,9 +476,9 @@ func sinceMS(t time.Time) float64 {
 }
 
 // DistExplore drains one encoded frontier shard: compile (or cache-hit)
-// the coordinator's exact module, decode the states against this
-// generation's builder, run them to exhaustion, and report the
-// schedule-invariant outcome. Exported for the in-process harnesses;
+// the coordinator's exact module, refuse the shard if its module key
+// names another, decode the states against this generation's builder,
+// run them to exhaustion, and report the schedule-invariant outcome. Exported for the in-process harnesses;
 // the normal entry is a KindDistExplore packet.
 func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error) {
 	r, err := req.Job().Resolve()
@@ -488,6 +488,9 @@ func (s *Server) DistExplore(req *DistExploreRequest) (*DistExploreReply, error)
 	c, compileHit, err := s.compile(r, r.CompileKey())
 	if err != nil {
 		return nil, err
+	}
+	if key := c.ModuleKey(r.Entry); req.Module != key {
+		return nil, fmt.Errorf("shard names module %q, this worker compiled %q", req.Module, key)
 	}
 
 	gen := s.currentGen()

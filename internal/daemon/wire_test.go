@@ -13,11 +13,12 @@ const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
 // Request bodies as the protocol-v3 structs encoded them before the
 // verify body became a core.Job (captured from that commit), re-cut for
 // v4 (the seed key is gone), for v5 (the search and cover keys are
-// gone) and for v8 (the portfolioStall key is gone).
+// gone), for v8 (the portfolioStall key is gone) and for v10
+// (distExplore gains the module key).
 const (
 	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
 	goldenVerifyProg  = `{"prog":"wc"}`
-	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"states":"T1ZTWA=="}`
+	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"module":"0123abcd","states":"T1ZTWA=="}`
 	goldenCompile     = `{"prog":"wc","level":"-O3","passes":"mem2reg","ir":true}`
 )
 
@@ -55,8 +56,8 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}); d.Job() != want {
 		t.Errorf("distExplore body decoded to job\n%+v, want\n%+v", d.Job(), want)
 	}
-	if string(d.States) != "OVSX" {
-		t.Errorf("distExplore states decoded to %q", d.States)
+	if string(d.States) != "OVSX" || d.Module != "0123abcd" {
+		t.Errorf("distExplore states and module decoded to %q, %q", d.States, d.Module)
 	}
 
 	var c CompileRequest
@@ -84,21 +85,9 @@ func TestWireJobKeysAreV3(t *testing.T) {
 		}
 	}
 	delete(v3, "states")
+	delete(v3, "module")
 
-	// Set every field by reflection so a field added later cannot dodge
-	// the check.
-	var full core.Job
-	rv := reflect.ValueOf(&full).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		switch f := rv.Field(i); f.Kind() {
-		case reflect.String:
-			f.SetString("x")
-		case reflect.Bool:
-			f.SetBool(true)
-		default:
-			f.SetInt(1)
-		}
-	}
+	full := fullJob()
 	var got map[string]json.RawMessage
 	if err := json.Unmarshal(body(&full), &got); err != nil {
 		t.Fatal(err)
@@ -112,5 +101,63 @@ func TestWireJobKeysAreV3(t *testing.T) {
 		if _, ok := got[k]; !ok {
 			t.Errorf("golden key %q is not encoded by a fully populated job", k)
 		}
+	}
+}
+
+// fullJob is a job with every field set, by reflection, so that a
+// field added later cannot dodge a check.
+func fullJob() core.Job {
+	var full core.Job
+	rv := reflect.ValueOf(&full).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		switch f := rv.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			f.SetInt(1)
+		}
+	}
+	return full
+}
+
+// TestRequestConstructorsCarryTheJob: every field of a fully populated
+// job survives NewDistExploreRequest and NewCompileRequest and the
+// requests' Job, except the fields each names as not carried. A field
+// a request drops silently (as distExplore once dropped entry) fails
+// here.
+func TestRequestConstructorsCarryTheJob(t *testing.T) {
+	full := fullJob()
+	for _, tc := range []struct {
+		name       string
+		got        core.Job
+		notCarried []string
+	}{
+		{"distExplore", NewDistExploreRequest(full, []byte("OVSX")).Job(),
+			[]string{"InputBytes", "NoVerdicts", "SplitStates"}},
+		// A compile request compiles unsliced, so the entry and the
+		// kept checks, which only a slice reads, stay behind too.
+		{"compile", NewCompileRequest(full, true).Job(),
+			[]string{"Entry", "InputBytes", "TimeoutMS", "MaxInstrs", "Workers", "Slice", "Checks", "NoVerdicts", "Portfolio", "SplitStates"}},
+	} {
+		want := full
+		wv := reflect.ValueOf(&want).Elem()
+		for _, name := range tc.notCarried {
+			f := wv.FieldByName(name)
+			if !f.IsValid() {
+				t.Fatalf("%s: no Job field %s", tc.name, name)
+			}
+			f.SetZero()
+		}
+		if tc.got != want {
+			t.Errorf("%s: the job came back as\n%+v, want\n%+v", tc.name, tc.got, want)
+		}
+	}
+	if d := NewDistExploreRequest(full, []byte("OVSX")); string(d.States) != "OVSX" {
+		t.Errorf("distExplore states = %q", d.States)
+	}
+	if !NewCompileRequest(full, true).IR {
+		t.Error("compile request lost ir")
 	}
 }

@@ -44,19 +44,11 @@ type Result struct {
 	Cluster     int // workers offered shards
 }
 
-// shardRequest is what a worker is sent: the job's compile identity
-// and engine fields with the program resolved to source text (a worker
-// need not bundle the same corpus), plus one encoded frontier shard.
-func shardRequest(o Options, r *core.Resolved, states []byte) *daemon.DistExploreRequest {
-	return &daemon.DistExploreRequest{
-		Name: r.Name, Source: r.Source,
-		Level: o.Level, Passes: o.Passes,
-		Slice: o.Slice, Checks: o.Checks, Entry: o.Entry,
-		Workers:   o.Workers,
-		TimeoutMS: o.TimeoutMS, MaxInstrs: o.MaxInstrs,
-		Portfolio: o.Portfolio,
-		States:    states,
-	}
+// workerJob is the job a worker is sent: o with the program resolved
+// to source text, so a worker need not bundle the same corpus.
+func workerJob(o Options, r *core.Resolved) core.Job {
+	o.Name, o.Source, o.Prog = r.Name, r.Source, ""
+	return o
 }
 
 // Verify runs one distributed verification across the given worker
@@ -99,6 +91,7 @@ func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 		covered[bn] = true
 	}
 	reports := []*symex.Report{eng.PartialReport()}
+	job, module := workerJob(o, r), c.ModuleKey(r.Entry)
 
 	var (
 		mu      sync.Mutex
@@ -115,7 +108,8 @@ func Verify(clients []*daemon.Client, o Options) (*Result, error) {
 			return nil, fmt.Errorf("dist: encode shard for worker %d: %w", w, err)
 		}
 		sent++
-		req := shardRequest(o, r, data)
+		req := daemon.NewDistExploreRequest(job, data)
+		req.Module = module
 		wg.Add(1)
 		go func(w int, nStates int, req *daemon.DistExploreRequest) {
 			defer wg.Done()

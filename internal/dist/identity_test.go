@@ -3,13 +3,15 @@ package dist
 import (
 	"fmt"
 	"testing"
+
+	"overify/internal/daemon"
 )
 
 // TestCoordinatorAndWorkerCompileTheSameModule: for every combination
 // of the compile identity fields, the job a worker rebuilds from the
 // shard request resolves to the coordinator's compile-cache key and
-// compiles to the coordinator's PipelineDesc. The state codec names IR
-// by position, so anything less decodes garbage.
+// compiles to the coordinator's PipelineDesc and module key. The state
+// codec names IR by position, so anything less decodes garbage.
 func TestCoordinatorAndWorkerCompileTheSameModule(t *testing.T) {
 	const src = `int umain(unsigned char *input, int len) { if (len > 0) { return 100 / (input[0] + 1); } return 0; }`
 	for _, level := range []string{"", "-O0", "-O1", "-O2", "-O3", "-OVERIFY"} {
@@ -28,7 +30,7 @@ func TestCoordinatorAndWorkerCompileTheSameModule(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: coordinator: %v", label, err)
 						}
-						worker, err := shardRequest(job, coord, nil).Job().Resolve()
+						worker, err := daemon.NewDistExploreRequest(workerJob(job, coord), nil).Job().Resolve()
 						if err != nil {
 							t.Fatalf("%s: worker: %v", label, err)
 						}
@@ -48,6 +50,9 @@ func TestCoordinatorAndWorkerCompileTheSameModule(t *testing.T) {
 						}
 						if cc.Mod.String() != wc.Mod.String() {
 							t.Errorf("%s: modules differ", label)
+						}
+						if cc.ModuleKey(coord.Entry) != wc.ModuleKey(worker.Entry) {
+							t.Errorf("%s: module keys differ", label)
 						}
 					}
 				}

@@ -111,10 +111,6 @@ func cloneInto(f *Function, region []*Block, cm *CloneMap) {
 				Kind:      in.Kind,
 				Msg:       in.Msg,
 			}
-			if in.Meta != nil {
-				m := *in.Meta
-				ni.Meta = &m
-			}
 			ni.Args = make([]Value, len(in.Args))
 			copy(ni.Args, in.Args) // remapped below
 			if in.Succs != nil {

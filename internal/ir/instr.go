@@ -157,17 +157,6 @@ func (k CheckKind) String() string {
 	return "check?"
 }
 
-// Range is an inclusive unsigned value range attached as metadata.
-type Range struct {
-	Lo, Hi uint64
-}
-
-// Meta carries optional analysis results preserved for verification tools
-// (§3, "Program annotations").
-type Meta struct {
-	Range *Range // unsigned range of the instruction result
-}
-
 // Instr is a single IR instruction. An Instr is also a Value (its result).
 // Void-typed instructions (store, br, ...) must not be used as operands.
 type Instr struct {
@@ -186,8 +175,6 @@ type Instr struct {
 	Count     int64     // Alloca element count
 	Kind      CheckKind // Check
 	Msg       string    // Check message / source position
-
-	Meta *Meta // optional verification metadata
 }
 
 // Type returns the result type of the instruction.

@@ -231,10 +231,5 @@ func (in *Instr) appendText(buf []byte) []byte {
 		buf = append(appendRef(buf, in.Args[0]), ", "...)
 		buf = appendRef(buf, in.Args[1])
 	}
-	if in.Meta != nil && in.Meta.Range != nil {
-		buf = strconv.AppendUint(append(buf, " ; !range ["...), in.Meta.Range.Lo, 10)
-		buf = strconv.AppendUint(append(buf, ','), in.Meta.Range.Hi, 10)
-		buf = append(buf, ']')
-	}
 	return buf
 }

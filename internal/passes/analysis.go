@@ -6,7 +6,7 @@ import "overify/internal/ir"
 // caches. A pass declares what it keeps valid via Pass.Preserves; the
 // manager invalidates only what a changed pass clobbers, so a chain of
 // analysis-preserving passes (mem2reg, simplify, cse, dce's
-// instruction-only path, checks, annotate) shares one dominator tree
+// instruction-only path, checks) shares one dominator tree
 // and one loop forest instead of recomputing them per pass — the
 // t_compile term of the paper's end-to-end verification budget.
 type AnalysisSet uint32

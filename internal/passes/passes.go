@@ -2,8 +2,10 @@
 // compose (paper §3): SSA construction (mem2reg), instruction
 // simplification, CSE, dead-code elimination, CFG simplification, jump
 // threading, function inlining, loop-invariant code motion, loop
-// unswitching, loop unrolling, if-conversion (branch → select), runtime
-// check insertion, and range annotation.
+// unswitching, loop unrolling, if-conversion (branch → select) and
+// runtime check insertion. The value-range annotations of §3 ("Program
+// annotations") are not kept: no verifier here read them, and they
+// decided none of the corpus's comparisons.
 //
 // The passes -OVERIFY runs are tuned by a CostModel. The paper's
 // central claim is that verification wants different cost constants
@@ -59,7 +61,6 @@ type Stats struct {
 	DeadInstrs      int
 	DeadBlocks      int
 	ChecksInserted  int
-	RangesAttached  int
 
 	InstrsSliced    int // instructions deleted by the slice pass
 	BranchesSliced  int // conditional branches flattened by the slice pass
@@ -83,7 +84,6 @@ func (s *Stats) Add(other Stats) {
 	s.DeadInstrs += other.DeadInstrs
 	s.DeadBlocks += other.DeadBlocks
 	s.ChecksInserted += other.ChecksInserted
-	s.RangesAttached += other.RangesAttached
 	s.InstrsSliced += other.InstrsSliced
 	s.BranchesSliced += other.BranchesSliced
 	s.FuncsSliced += other.FuncsSliced

@@ -26,9 +26,8 @@ type scratch struct {
 	cse    map[cseKey]*ir.Instr
 	cseLog []*ir.Instr
 
-	escaped []bool       // by SSA id: an alloca whose address escapes (mem2reg)
-	defs    []ir.Value   // mem2reg's stack of current-definition frames
-	ranges  []knownRange // by SSA id (annotate)
+	escaped []bool     // by SSA id: an alloca whose address escapes (mem2reg)
+	defs    []ir.Value // mem2reg's stack of current-definition frames
 }
 
 var scratchPool freelist.List[scratch]

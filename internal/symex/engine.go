@@ -163,7 +163,8 @@ func (v Verdict) String() string {
 
 // Verdict reads the report's verdict and, when it is Inconclusive, why:
 // the run timed out, truncated paths, or left solver queries undecided
-// (an undecided branch side may have been dropped unexplored).
+// (a path may then be infeasible, or a branch whose sides were both
+// undecided followed one side only).
 func (r *Report) Verdict() (Verdict, []string) {
 	var why []string
 	if r.Stats.TimedOut {

@@ -44,7 +44,11 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			resT, _ := w.satP(pT)
 			resF, _ := w.satP(pF)
 			switch {
-			case resT == satYes && resF == satYes:
+			case resT != satNo && resF != satNo && (resT == satYes || resF == satYes):
+				// Both sides may be feasible. A side the solver could not
+				// decide is followed, not dropped: it reports no bug
+				// unless a later query proves one (every bug site needs
+				// satYes), and its Failures make the verdict inconclusive.
 				other := w.fork(st)
 				of := other.top()
 				st.Part = pT
@@ -53,11 +57,11 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				w.jump(other, of, in.Succs[1])
 				// DFS continues with the last element: st (true side).
 				return false, []*State{other, st}
-			case resT == satYes || (resT == satUnknown && resF == satNo):
-				// True side feasible (or the only possibility).
+			case resT != satNo && resF == satNo:
+				// Only the true side is possible.
 				st.Part = pT
 				w.jump(st, f, in.Succs[0])
-			case resF == satYes || (resF == satUnknown && resT == satNo):
+			case resF != satNo && resT == satNo:
 				st.Part = pF
 				w.jump(st, f, in.Succs[1])
 			case resT == satNo && resF == satNo:

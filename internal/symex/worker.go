@@ -192,13 +192,11 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model
 }
 
 // sat asks the solver whether p is feasible and folds the three-valued
-// answer to two: unknown (budget exhaustion) reads as feasible here.
-// That is this function's mapping only, not a property of exploration:
-// at a conditional branch (exec.go, OpCondBr) a side that comes back
-// unknown while its sibling is satYes is dropped, not followed, and
-// Failures on the solver stats is the only trace it leaves — ROADMAP
-// item 1. Call sites that *report bugs* must use satP and skip
-// reporting on unknown.
+// answer to two: unknown (budget exhaustion) reads as feasible, as it
+// does at a conditional branch (exec.go, OpCondBr), where a side that
+// comes back unknown is followed like a feasible one and counted in
+// the solver's Failures. Call sites that *report bugs* must use satP
+// and skip reporting on unknown.
 //
 // p is the state's partition extended by the constraint the caller is
 // about to assume: a caller that goes on to assume it carries p forward

@@ -151,11 +151,10 @@ type Entry struct {
 // persist: its verdict is not inconclusive. A timed-out run depends on
 // machine speed, not content. Assignment-budget failures without a
 // deadline are deterministic but rejected too: a failure means the
-// engine could not decide some query, and a branch side it could not
-// decide while the sibling was feasible was dropped unexplored
-// (exec.go, OpCondBr; ROADMAP item 1), so the report may cover fewer
-// paths than the program has. Keeping the store to decided outcomes
-// keeps every stored verdict exact.
+// engine could not decide some query, so a path it followed may be
+// infeasible, and where both sides of a branch were undecided it
+// followed only one (exec.go, OpCondBr). Keeping the store to decided
+// outcomes keeps every stored verdict exact.
 func Cacheable(rep *symex.Report) bool {
 	if rep == nil {
 		return false

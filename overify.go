@@ -7,10 +7,10 @@
 // a small C dialect (MiniC) with a clang-style front end, a typed SSA
 // IR, the optimization passes the levels compose (inlining, loop
 // unswitching and unrolling, if-conversion, mem2reg, jump threading,
-// constant folding, CSE, LICM, runtime-check insertion, range
-// annotation), a KLEE-style symbolic-execution engine with a constraint
-// solver, a bytecode VM for timed concrete runs, two libc variants
-// (uclibc-style and verification-friendly), and a Coreutils-like corpus.
+// constant folding, CSE, LICM, runtime-check insertion), a KLEE-style
+// symbolic-execution engine with a constraint solver, a bytecode VM for
+// timed concrete runs, two libc variants (uclibc-style and
+// verification-friendly), and a Coreutils-like corpus.
 //
 // The headline API mirrors the paper's workflow:
 //

@@ -9,7 +9,13 @@ import "overify/internal/ir"
 // than a branch (a handful of instructions); under -OVERIFY "this
 // simplification is pursued more aggressively, because the cost of a
 // branch is higher" (§3) — each removed branch halves the number of
-// paths a symbolic executor must explore through the region.
+// paths a symbolic executor must explore through the region. That holds
+// only where the select feeds no later fork: when a branch that stays
+// forks on its value anyway, the conversion removes no path and hands
+// the solver an ite chain to search at that branch (nl's newline test
+// feeding `if (at_start)` on the next iteration). Under a cost model
+// with KeepDeferredForks such a branch stays (defersFork); Listing 2
+// still loses every branch whose select feeds no later fork.
 //
 // Patterns handled (A's terminator is condbr(c, T, F)):
 //
@@ -26,6 +32,7 @@ func IfConvert() Pass {
 
 func ifConvertFunc(f *ir.Function, cx *Context) bool {
 	defer dumpOnPanic("ifconvert", f)
+	defer cx.scratch().dropUses()
 	changed := false
 	for rounds := 0; rounds < 100; rounds++ {
 		if !ifConvertOne(f, cx) {
@@ -60,9 +67,78 @@ func singlePred(preds ir.PredTable, b *ir.Block, p *ir.Block) bool {
 	return len(ps) == 1 && ps[0] == p
 }
 
+// site is a convertible branch: A's condbr(c, T, F) over a diamond or a
+// triangle. then and els are the blocks speculated into A, each nil
+// where its edge of A goes straight to join.
+type site struct {
+	a, then, els, join *ir.Block
+}
+
+// siteAt reports the site a's conditional branch heads, if its shape is
+// a diamond or a triangle and its speculated blocks fit budget. It is
+// the one shape test: the conversion and the deferred-fork check both
+// ask it.
+func siteAt(preds ir.PredTable, a *ir.Block, budget int) (site, bool) {
+	t := a.Term()
+	if t == nil || t.Op != ir.OpCondBr {
+		return site{}, false
+	}
+	tb, fb := t.Succs[0], t.Succs[1]
+	if tb == fb {
+		return site{}, false
+	}
+	// side reports b's unique successor when b is a single-pred block of
+	// a that ends in an unconditional branch.
+	side := func(b *ir.Block) *ir.Block {
+		if !singlePred(preds, b, a) {
+			return nil
+		}
+		if bt := b.Term(); bt != nil && bt.Op == ir.OpBr {
+			return bt.Succs[0]
+		}
+		return nil
+	}
+	tNext, fNext := side(tb), side(fb)
+	if tNext != nil && tNext == fNext && tNext != a && tNext != tb && tNext != fb {
+		ct, okT := speculable(tb)
+		cf, okF := speculable(fb)
+		if okT && okF && ct+cf <= budget {
+			return site{a: a, then: tb, els: fb, join: tNext}, true
+		}
+	}
+	if tNext == fb && fb != a {
+		if ct, ok := speculable(tb); ok && ct <= budget {
+			return site{a: a, then: tb, join: fb}, true
+		}
+	}
+	if fNext == tb && tb != a {
+		if cf, ok := speculable(fb); ok && cf <= budget {
+			return site{a: a, els: fb, join: tb}, true
+		}
+	}
+	return site{}, false
+}
+
+// edge returns the block a join phi names for one side of s: the
+// speculated block, or A where the side is a direct edge.
+func (s site) edge(b *ir.Block) *ir.Block {
+	if b == nil {
+		return s.a
+	}
+	return b
+}
+
+// merges reports whether phi, a phi of s.join, becomes a select when s
+// is converted: its two sides bring different values.
+func (s site) merges(phi *ir.Instr) bool {
+	vt, vf := phi.PhiIncoming(s.edge(s.then)), phi.PhiIncoming(s.edge(s.els))
+	return (vt != nil || vf != nil) && !sameValue(vt, vf)
+}
+
 func ifConvertOne(f *ir.Function, cx *Context) bool {
 	preds := cx.preds(f)
 	budget := cx.Cost.SpeculationBudget
+	usesFilled := false
 	for _, a := range f.Blocks {
 		t := a.Term()
 		if t == nil || t.Op != ir.OpCondBr {
@@ -74,46 +150,19 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 			continue
 		}
 
-		// Diamond.
-		if singlePred(preds, tb, a) && singlePred(preds, fb, a) {
-			tTerm, fTerm := tb.Term(), fb.Term()
-			if tTerm != nil && fTerm != nil && tTerm.Op == ir.OpBr && fTerm.Op == ir.OpBr &&
-				tTerm.Succs[0] == fTerm.Succs[0] {
-				join := tTerm.Succs[0]
-				if join == a || join == tb || join == fb {
+		if s, ok := siteAt(preds, a, budget); ok {
+			if cx.Cost.KeepDeferredForks {
+				if !usesFilled {
+					cx.scratch().fillUses(f)
+					usesFilled = true
+				}
+				if cx.defersFork(preds, s, budget) {
 					continue
 				}
-				ct, okT := speculable(tb)
-				cf, okF := speculable(fb)
-				if okT && okF && ct+cf <= budget {
-					convertDiamond(f, a, tb, fb, join, cond)
-					cx.Stats.BranchesConverted++
-					return true
-				}
 			}
-		}
-
-		// Triangle with the "then" side as the speculated block.
-		if singlePred(preds, tb, a) {
-			tTerm := tb.Term()
-			if tTerm != nil && tTerm.Op == ir.OpBr && tTerm.Succs[0] == fb && fb != a {
-				if ct, ok := speculable(tb); ok && ct <= budget {
-					convertTriangle(f, a, tb, fb, cond, true)
-					cx.Stats.BranchesConverted++
-					return true
-				}
-			}
-		}
-		// Triangle with the "else" side speculated.
-		if singlePred(preds, fb, a) {
-			fTerm := fb.Term()
-			if fTerm != nil && fTerm.Op == ir.OpBr && fTerm.Succs[0] == tb && tb != a {
-				if cf, ok := speculable(fb); ok && cf <= budget {
-					convertTriangle(f, a, fb, tb, cond, false)
-					cx.Stats.BranchesConverted++
-					return true
-				}
-			}
+			s.convert(f, cond)
+			cx.Stats.BranchesConverted++
+			return true
 		}
 
 		// Branch folding to a common destination (LLVM's
@@ -124,6 +173,65 @@ func ifConvertOne(f *ir.Function, cx *Context) bool {
 		if foldCommonDest(f, preds, a, cond, tb, fb, budget, cx) {
 			cx.Stats.BranchesConverted++
 			return true
+		}
+	}
+	return false
+}
+
+// defersFork reports whether converting s would only move its fork to a
+// later branch. It follows each phi of s.join that would take a select
+// forward through pure instructions and phis. A conditional branch on
+// the value counts once the walk has passed a further phi, so a select
+// the next branch reads directly still converts: that merges two forks
+// into one (rot13rounds' `&&`, tac's `||`). It counts only if the branch
+// stays, that is, heads no site of its own; s's own branch is one, so a
+// loop that feeds its select back into its branch (cksum's bit loop,
+// wc's Listing 2) still sheds a fork each iteration. The caller has
+// filled the scratch's use table for this CFG.
+func (cx *Context) defersFork(preds ir.PredTable, s site, budget int) bool {
+	sc := cx.scratch()
+	sc.walkEpoch++
+	stack := sc.walk[:0]
+	defer func() { sc.walk = stack[:0] }()
+	// visit pushes in unless the walk has reached it already with as
+	// much: a visit after a phi covers one before it.
+	visit := func(in *ir.Instr, pastPhi bool) {
+		mark := sc.walkEpoch << 1
+		if pastPhi {
+			mark |= 1
+		}
+		if seen := sc.seen[in.ID]; seen == sc.walkEpoch<<1|1 || seen == mark {
+			return
+		}
+		sc.seen[in.ID] = mark
+		stack = append(stack, walkItem{in, pastPhi})
+	}
+	for _, phi := range s.join.Phis() {
+		if s.merges(phi) {
+			for _, u := range sc.usersOf(phi) {
+				visit(u, false)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		in, pastPhi := it.in, it.pastPhi
+		switch {
+		case in.Op == ir.OpCondBr:
+			if pastPhi {
+				if _, convertible := siteAt(preds, in.Blk, budget); !convertible {
+					return true
+				}
+			}
+			continue
+		case in.Op == ir.OpPhi:
+			pastPhi = true
+		case !isPure(in):
+			continue
+		}
+		for _, u := range sc.usersOf(in) {
+			visit(u, pastPhi)
 		}
 	}
 	return false
@@ -230,55 +338,41 @@ func moveBody(a, b *ir.Block) {
 	b.Instrs = nil
 }
 
-func convertDiamond(f *ir.Function, a, tb, fb, join *ir.Block, cond ir.Value) {
-	// Remove a's condbr, splice both sides, emit selects, then br join.
+// convert removes A's branch: it splices the speculated blocks into A,
+// turns each join phi's two incoming values into a select on cond, and
+// branches to the join.
+func (s site) convert(f *ir.Function, cond ir.Value) {
+	a := s.a
 	a.Instrs = a.Instrs[:len(a.Instrs)-1]
-	moveBody(a, tb)
-	moveBody(a, fb)
+	for _, b := range [2]*ir.Block{s.then, s.els} {
+		if b != nil {
+			moveBody(a, b)
+		}
+	}
 	bd := ir.NewBuilder(f, a)
-	for _, phi := range join.Phis() {
-		vt := phi.PhiIncoming(tb)
-		vf := phi.PhiIncoming(fb)
-		phi.RemovePhiIncoming(tb)
-		phi.RemovePhiIncoming(fb)
+	for _, phi := range s.join.Phis() {
+		vt := phi.PhiIncoming(s.edge(s.then))
+		vf := phi.PhiIncoming(s.edge(s.els))
+		for _, b := range [2]*ir.Block{s.then, s.els} {
+			if b != nil {
+				phi.RemovePhiIncoming(b)
+			}
+		}
 		var repl ir.Value
-		if sameValue(vt, vf) {
+		switch {
+		case vt == nil && vf == nil:
+			continue
+		case sameValue(vt, vf):
 			repl = vt
-		} else {
+		default:
 			repl = bd.Select(cond, vt, vf)
 		}
 		phi.SetPhiIncoming(a, repl)
 	}
-	bd.Br(join)
-	f.RemoveBlock(tb)
-	f.RemoveBlock(fb)
-	// Join phis that now have a single pred collapse later in
-	// simplifycfg; nothing further needed here.
-}
-
-// convertTriangle handles A->(spec)->join and A->join directly.
-// specIsThen says whether the speculated block is the true successor.
-func convertTriangle(f *ir.Function, a, spec, join *ir.Block, cond ir.Value, specIsThen bool) {
-	a.Instrs = a.Instrs[:len(a.Instrs)-1]
-	moveBody(a, spec)
-	bd := ir.NewBuilder(f, a)
-	for _, phi := range join.Phis() {
-		vs := phi.PhiIncoming(spec)
-		va := phi.PhiIncoming(a)
-		phi.RemovePhiIncoming(spec)
-		var repl ir.Value
-		switch {
-		case vs == nil && va == nil:
-			continue
-		case sameValue(vs, va):
-			repl = vs
-		case specIsThen:
-			repl = bd.Select(cond, vs, va)
-		default:
-			repl = bd.Select(cond, va, vs)
+	bd.Br(s.join)
+	for _, b := range [2]*ir.Block{s.then, s.els} {
+		if b != nil {
+			f.RemoveBlock(b)
 		}
-		phi.SetPhiIncoming(a, repl)
 	}
-	bd.Br(join)
-	f.RemoveBlock(spec)
 }

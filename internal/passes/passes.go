@@ -31,6 +31,12 @@ type CostModel struct {
 	// path count, so -OVERIFY speculates hundreds.
 	SpeculationBudget int
 
+	// KeepDeferredForks prices each if-conversion site: a branch stays
+	// when a select it would become only moves its fork to a later
+	// branch that stays (see defersFork). On a CPU a select is cheap
+	// wherever its value goes, so only the -OVERIFY model sets it.
+	KeepDeferredForks bool
+
 	// InlineThreshold is the maximum callee size (in IR instructions)
 	// considered for inlining.
 	InlineThreshold int

@@ -28,6 +28,23 @@ type scratch struct {
 
 	escaped []bool     // by SSA id: an alloca whose address escapes (mem2reg)
 	defs    []ir.Value // mem2reg's stack of current-definition frames
+
+	// ifconvert's deferred-fork walk: every instruction's users in CSR
+	// layout by SSA id (the users of id n are users[useOff[n]:useOff[n+1]]),
+	// refilled at most once per scan and emptied when the function is
+	// done; the walk's marks by SSA id (epoch<<1, |1 once past a phi) and
+	// its stack.
+	useOff    []int32
+	users     []*ir.Instr
+	seen      []uint32
+	walkEpoch uint32
+	walk      []walkItem
+}
+
+// walkItem is one instruction on the deferred-fork walk's stack.
+type walkItem struct {
+	in      *ir.Instr
+	pastPhi bool
 }
 
 var scratchPool freelist.List[scratch]
@@ -69,13 +86,73 @@ func (cx *Context) Release() {
 	clear(s.cse) // empty unless a pass panicked mid-walk
 	clear(s.cseLog[:cap(s.cseLog)])
 	clear(s.defs[:cap(s.defs)])
+	s.dropUses()
 	scratchPool.Put(s)
+}
+
+// fillUses refills the use table with f's current instructions and
+// resets the walk marks. An instruction lists one user per operand that
+// names it.
+func (s *scratch) fillUses(f *ir.Function) {
+	n := f.MaxID() + 1
+	off := sized(s.useOff, n+1)
+	total := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, v := range in.Args {
+				if d, ok := v.(*ir.Instr); ok && d.ID < n {
+					off[d.ID+1]++
+					total++
+				}
+			}
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	users := sized(s.users, total)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, v := range in.Args {
+				if d, ok := v.(*ir.Instr); ok && d.ID < n {
+					users[off[d.ID]] = in
+					off[d.ID]++
+				}
+			}
+		}
+	}
+	// Each start has advanced to the next list's start; shift back.
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	s.useOff, s.users = off, users
+	s.seen = byID(s.seen, f)
+	s.walkEpoch = 0
+}
+
+// usersOf returns in's users as of the last fillUses; an instruction
+// created since has none.
+func (s *scratch) usersOf(in *ir.Instr) []*ir.Instr {
+	if in.ID+1 >= len(s.useOff) {
+		return nil
+	}
+	return s.users[s.useOff[in.ID]:s.useOff[in.ID+1]]
+}
+
+// dropUses empties the use table, clearing every instruction pointer
+// its arrays hold, so no function's users outlive its pass run.
+func (s *scratch) dropUses() {
+	clear(s.users[:cap(s.users)])
+	clear(s.walk[:cap(s.walk)])
+	s.useOff, s.users = s.useOff[:0], s.users[:0]
 }
 
 // byID returns buf resized to one zero entry per SSA id of f, reusing
 // its array when it is large enough.
-func byID[T any](buf []T, f *ir.Function) []T {
-	n := f.MaxID() + 1
+func byID[T any](buf []T, f *ir.Function) []T { return sized(buf, f.MaxID()+1) }
+
+// sized returns buf resized to n zero entries, reusing its array when it
+// is large enough.
+func sized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}

@@ -73,10 +73,15 @@ func CPUCost() passes.CostModel {
 // VerifyCost is the -OVERIFY cost model: a conditional branch can double
 // a symbolic executor's path count, so its effective cost is enormous;
 // code size barely matters because the verifier pays per *executed path
-// instruction*, not per cached code byte.
+// instruction*, not per cached code byte. The same price makes
+// if-conversion look at each site: a select whose value a later branch
+// still forks on saves no path and costs solver search, so that branch
+// stays (KeepDeferredForks). It is the only cost model that sets the
+// field, and no flag or spec string reaches it.
 func VerifyCost() passes.CostModel {
 	return passes.CostModel{
 		SpeculationBudget: 400,
+		KeepDeferredForks: true,
 		InlineThreshold:   4000,
 		InlineGrowthCap:   60000,
 		InlineRounds:      12,

@@ -24,7 +24,7 @@ func TestCorpusPassInvocationsPinned(t *testing.T) {
 		pipeline.O1:      {690, 2669},
 		pipeline.O2:      {2265, 3991},
 		pipeline.O3:      {3552, 4147},
-		pipeline.OVerify: {2459, 4963},
+		pipeline.OVerify: {2464, 4978},
 	}
 	got := map[pipeline.Level]int{}
 	for _, level := range []pipeline.Level{

@@ -15,6 +15,12 @@ import (
 // structurally equal terms are pointer-equal and node ids are canonical
 // cache keys across the whole run.
 //
+// Among the canonicalizations is demanded bits: `and x, C` with a
+// constant C rebuilds x for the bits of C only (demand.go), so that a
+// constraint names only the variables those bits come from and the
+// solver's independence partition does not join bytes the constraint
+// never reads.
+//
 // A Builder made with NewConcurrentBuilder is safe for concurrent use:
 // the parallel symbolic-execution engine shares one across all workers,
 // which is what keeps the shared solver cache coherent (identical
@@ -239,6 +245,11 @@ func simplifyBin(b *Builder, op ir.Op, x, y *Expr) *Expr {
 		}
 		if yConst && yc == allOnes {
 			return x
+		}
+		if yConst {
+			if d := demand(b, x, yc, demandDepth); d != x {
+				return b.Bin(ir.OpAnd, d, y)
+			}
 		}
 		if x == y {
 			return x

@@ -310,9 +310,6 @@ func reportDaemon(server string, r *daemon.VerifyReply, n int) {
 	}
 	fmt.Println()
 	fmt.Print(indent(r.Render, "  "))
-	if r.Verdict == symex.Inconclusive.String() {
-		fmt.Printf("  inconclusive:   %s\n", strings.Join(r.Why, ", "))
-	}
 }
 
 // reportCluster prints a merged distributed report: the coordinator

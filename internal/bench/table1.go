@@ -138,7 +138,6 @@ func RenderTable1(rows []Table1Row, opts Table1Options) string {
 	line("# paths", func(r Table1Row) string { return fmtCount(r.Paths) })
 	line("solver queries", func(r Table1Row) string { return fmtCount(r.Solver.Queries) })
 	line("cache hits", func(r Table1Row) string { return fmtCount(r.Solver.CacheHits) })
-	line("partition hits", func(r Table1Row) string { return fmtCount(r.Solver.PartitionHits) })
 	line("model reuse", func(r Table1Row) string { return fmtCount(r.Solver.ModelReuseHits) })
 	line("tape compiles", func(r Table1Row) string { return fmtCount(r.Solver.TapeCompiles) })
 	return sb.String()

@@ -47,27 +47,27 @@ type pinnedCell struct {
 
 var pinnedCells = []pinnedCell{
 	{prog: "wc", level: pipeline.O0, n: 6,
-		stats:      solver.Stats{Queries: 378, CacheHits: 208, PartitionHits: 792, ModelReuseHits: 173, Sat: 315, Unsat: 63, Nodes: 44, Assignments: 8697, TapeCompiles: 28, TapeSlots: 255, MaxGroupVars: 1},
+		stats:      solver.Stats{Queries: 378, CacheHits: 1000, ModelReuseHits: 173, Sat: 315, Unsat: 63, Nodes: 44, Assignments: 8697, TapeCompiles: 28, TapeSlots: 255, MaxGroupVars: 1},
 		render:     "5b1fd099466345a50dae01c97783d1e6e0e97d78197bb431907215bf5ab07981",
 		normalized: "5b1fd099466345a50dae01c97783d1e6e0e97d78197bb431907215bf5ab07981"},
 	{prog: "stat", level: pipeline.O0, n: 3,
-		stats:      solver.Stats{Queries: 620, CacheHits: 288, PartitionHits: 560, ModelReuseHits: 295, Sat: 465, Unsat: 155, Nodes: 44, Assignments: 18485, TapeCompiles: 37, TapeSlots: 585, MaxGroupVars: 1},
+		stats:      solver.Stats{Queries: 620, CacheHits: 848, ModelReuseHits: 295, Sat: 465, Unsat: 155, Nodes: 44, Assignments: 18485, TapeCompiles: 37, TapeSlots: 585, MaxGroupVars: 1},
 		render:     "b07c56f201f84fe3e7a262122ecf9a14618f5d461b7398859640069fa53a6c6a",
 		normalized: "b07c56f201f84fe3e7a262122ecf9a14618f5d461b7398859640069fa53a6c6a"},
 	{prog: "od-x", level: pipeline.OVerify, n: 4,
-		stats:      solver.Stats{Queries: 218, CacheHits: 103, PartitionHits: 264, ModelReuseHits: 100, Sat: 196, Unsat: 22, Nodes: 40, Assignments: 4359, TapeCompiles: 21, TapeSlots: 154, MaxGroupVars: 1},
+		stats:      solver.Stats{Queries: 218, CacheHits: 367, ModelReuseHits: 100, Sat: 196, Unsat: 22, Nodes: 40, Assignments: 4359, TapeCompiles: 21, TapeSlots: 154, MaxGroupVars: 1},
 		render:     "e03b705e66a0d8758763c4b2da03e467296295747d03bd740939e7a855bfd3fc",
 		normalized: "e03b705e66a0d8758763c4b2da03e467296295747d03bd740939e7a855bfd3fc"},
 	{prog: "tac", level: pipeline.O0, n: 5,
-		stats:      solver.Stats{Queries: 300, CacheHits: 159, PartitionHits: 275, ModelReuseHits: 139, Sat: 212, Unsat: 88, Nodes: 40, Assignments: 3855, TapeCompiles: 25, TapeSlots: 105, MaxGroupVars: 1},
+		stats:      solver.Stats{Queries: 300, CacheHits: 434, ModelReuseHits: 139, Sat: 212, Unsat: 88, Nodes: 40, Assignments: 3855, TapeCompiles: 25, TapeSlots: 105, MaxGroupVars: 1},
 		render:     "7ef1500b7f3f1d8779b50ab902991796ca9936e7c53c05c0df09b98b0bf4ba41",
 		normalized: "7ef1500b7f3f1d8779b50ab902991796ca9936e7c53c05c0df09b98b0bf4ba41"},
 	{prog: "basename", level: pipeline.O3, n: 3,
-		stats:      solver.Stats{Queries: 56, PartitionHits: 4, ModelReuseHits: 25, Sat: 37, Unsat: 19, Nodes: 38, Assignments: 73417, TapeCompiles: 31, TapeSlots: 987, MaxGroupVars: 3},
+		stats:      solver.Stats{Queries: 56, CacheHits: 4, ModelReuseHits: 25, Sat: 37, Unsat: 19, Nodes: 38, Assignments: 73417, TapeCompiles: 31, TapeSlots: 987, MaxGroupVars: 3},
 		render:     "8b7daa1c3720cd351c1c7ac79f30f7e019002207c65391b73fc9a81196a57ba8",
 		normalized: "8b7daa1c3720cd351c1c7ac79f30f7e019002207c65391b73fc9a81196a57ba8"},
 	{prog: "fieldparse", level: pipeline.O0, n: 6,
-		stats:      solver.Stats{Queries: 750, CacheHits: 416, PartitionHits: 763, ModelReuseHits: 335, Sat: 544, Unsat: 206, Nodes: 63, Assignments: 15563, TapeCompiles: 36, TapeSlots: 261, MaxGroupVars: 2},
+		stats:      solver.Stats{Queries: 750, CacheHits: 1179, ModelReuseHits: 335, Sat: 544, Unsat: 206, Nodes: 63, Assignments: 15563, TapeCompiles: 36, TapeSlots: 261, MaxGroupVars: 2},
 		render:     "da304bcfc2df2165b93a38c88950f12b99e8fa8e1d2101d9dfe0b4e4a4b8781c",
 		normalized: "6c89c8748a095bc6cf88a8f8527f826a44a9032d0ddd0ff3ff11d16dece115a7"},
 }

@@ -454,7 +454,6 @@ func verifyReply(r *core.Resolved, rep *symex.Report, compileHit bool, gen int64
 		CompileCacheHit: compileHit,
 		SolverQueries:   rep.Stats.SolverStats.Queries,
 		SolverWarmHits: rep.Stats.SolverStats.CacheHits +
-			rep.Stats.SolverStats.PartitionHits +
 			rep.Stats.SolverStats.ModelReuseHits,
 		SolverSearches: rep.Stats.SolverStats.TapeCompiles,
 		Assignments:    rep.Stats.SolverStats.Assignments,

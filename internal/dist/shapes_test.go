@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"overify/internal/core"
@@ -61,6 +63,31 @@ func TestOneJobThreeShapes(t *testing.T) {
 		}
 		if res.ShardsSent != 2 {
 			t.Errorf("cluster shipped %d shards, want one per worker", res.ShardsSent)
+		}
+	})
+
+	// The hash program reaches its division through a 32-bit hash of
+	// the four input bytes. The run finds the bug but leaves queries
+	// undecided at their assignment budget, so at every level and in
+	// every shape the render opens with inconclusive and still lists the
+	// bug: never verified, never a bare bugs line.
+	t.Run("inconclusive", func(t *testing.T) {
+		src, err := os.ReadFile("../core/testdata/hash.c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []string{"-O0", "-O3", "-OVERIFY"} {
+			job := core.Job{Name: "hash.c", Source: string(src), Level: level, InputBytes: 4, SplitStates: 2}
+			inProc, served, clustered, reply, _ := threeShapes(t, job)
+			if inProc != served || inProc != clustered {
+				t.Errorf("%s: verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", level, inProc, served, clustered)
+			}
+			if !strings.HasPrefix(inProc, "inconclusive: 2 paths (undecided solver queries: ") || !strings.Contains(inProc, ")\n  [") {
+				t.Errorf("%s: want an inconclusive render that lists the bug, got\n%s", level, inProc)
+			}
+			if reply.Verdict != "inconclusive" || len(reply.Bugs) != 1 {
+				t.Errorf("%s: daemon verdict %q with %d bugs, want inconclusive with 1", level, reply.Verdict, len(reply.Bugs))
+			}
 		}
 	})
 

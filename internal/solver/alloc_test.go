@@ -47,8 +47,8 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		i := 0
 		n := testing.AllocsPerRun(runs, func() {
 			s.cache = caches[i]
-			if sat, _, err := s.solveGroup(groups[i]); err != nil || !sat {
-				t.Fatalf("%s: sat=%v err=%v", sh.name, sat, err)
+			if e, err := s.solveGroup(groups[i]); err != nil || !e.sat {
+				t.Fatalf("%s: entry=%v err=%v", sh.name, e, err)
 			}
 			i++
 		})
@@ -116,7 +116,8 @@ func TestBranchQueryAllocs(t *testing.T) {
 	}
 
 	// Two queries whose groups a warm solver decided, alternated on a
-	// solver remembering one model: each misses the other's model.
+	// solver that shares its cache and remembers one model: each misses
+	// the other's model, and the cache answers every group.
 	yc := b.Cmp(ir.OpEq, y, b.Const(8, 9))
 	qs := []*Partition{
 		PartitionOf([]*expr.Expr{b.Cmp(ir.OpEq, x, b.Const(8, 7)), yc}),
@@ -128,7 +129,7 @@ func TestBranchQueryAllocs(t *testing.T) {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}
 	}
-	s := New(Options{})
+	s := NewWithCache(Options{}, warm.cache)
 	s.history = 1
 	i := 0
 	n := testing.AllocsPerRun(100, func() {
@@ -138,8 +139,8 @@ func TestBranchQueryAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if s.Stats.ModelReuseHits != 0 || s.Stats.PartitionHits != 2*s.Stats.Queries || s.Stats.TapeCompiles != 0 {
-		t.Fatalf("not a carried-verdict reuse miss: %+v", s.Stats)
+	if s.Stats.ModelReuseHits != 0 || s.Stats.CacheHits != 2*s.Stats.Queries || s.Stats.TapeCompiles != 0 {
+		t.Fatalf("not a cached-verdict reuse miss: %+v", s.Stats)
 	}
 	if n != 1 {
 		t.Errorf("a reuse-miss query over decided groups allocated %v times, want 1 (the model)", n)

@@ -12,7 +12,7 @@ const cacheShards = 64
 
 // cacheShard is one lock stripe. Its entries are written once, before
 // they are published, and handed out by pointer: a hit allocates
-// nothing, and a group's carried verdict is the cache's own entry.
+// nothing.
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[Fingerprint]*cacheEntry

@@ -71,7 +71,7 @@ func scratchEntry(cs []*expr.Expr) (cacheEntry, int64, error) {
 	if _, _, err := fresh.SatPartition(p); err != nil {
 		return cacheEntry{}, 0, err
 	}
-	return *p.groups[0].verdict.Load(), fresh.Stats.Assignments, nil
+	return *fresh.cache.peek(p.groups[0].fp), fresh.Stats.Assignments, nil
 }
 
 // carriedTally sums, over the single-variable groups a walk searched,
@@ -87,7 +87,7 @@ type carriedTally struct{ spent, scratch int64 }
 func checkCarried(s *Solver, p *Partition, pc []*expr.Expr, tally *carriedTally) (bool, error) {
 	var undecided []*Group
 	for _, g := range p.Groups() {
-		if s.cache.peek(g.fp) == nil && g.verdict.Load() == nil {
+		if s.cache.peek(g.fp) == nil {
 			undecided = append(undecided, g)
 		}
 	}
@@ -108,7 +108,7 @@ func checkCarried(s *Solver, p *Partition, pc []*expr.Expr, tally *carriedTally)
 	}
 	scratchCost := map[*Group]int64{}
 	for _, g := range p.Groups() {
-		e := g.verdict.Load()
+		e := s.cache.peek(g.fp)
 		if e == nil {
 			continue
 		}
@@ -288,7 +288,7 @@ func TestCarriedDomainIsIncremental(t *testing.T) {
 				t.Errorf("step %d: %d tape slots compiled, the new constraint has %d", i+1, slots, own)
 			}
 		}
-		left = p.groups[0].verdict.Load().set.count()
+		left = s.cache.peek(p.groups[0].fp).set.count()
 		if left != 255-i {
 			t.Fatalf("step %d: stored set holds %d values, want %d", i+1, left, 255-i)
 		}

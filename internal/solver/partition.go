@@ -10,18 +10,11 @@ import (
 // Group is one independence class of a path condition: constraints
 // transitively linked by shared variables. Groups are immutable after
 // construction and shared structurally between the partitions of forked
-// states; only the decided verdict is written, atomically, so any state
-// (on any worker) that still holds the group reuses the verdict without
-// even a cache probe.
+// states; a group's verdict lives in the shared cache under fp.
 type Group struct {
 	cs []*expr.Expr // constraints in append order, each once
 	vs *expr.VarSet // union of the constraints' variable sets
 	fp Fingerprint  // set hash of the constraints (fingerprint.go)
-
-	// verdict holds the decided entry once any solver has decided the
-	// group. Stores are idempotent: the backtracking search is
-	// deterministic, so concurrent deciders store equivalent entries.
-	verdict atomic.Pointer[cacheEntry]
 }
 
 // Fingerprint returns the group's cache key.
@@ -213,14 +206,13 @@ func (p *Partition) AppendConstraints(dst []*expr.Expr) []*expr.Expr {
 }
 
 // Extend returns the partition of the condition with c appended. The
-// receiver is unchanged: untouched groups are shared by pointer (their
-// decided verdicts ride along), and only the groups whose variables
-// intersect c's are merged. Constant-true constraints return the
-// receiver as is; a duplicate of a constraint already in its group
-// does too. Every other extension records itself — c, linked to the
-// receiver's history — so that what recent models were found to do
-// with the receiver's condition is inherited by the result and only c
-// is left to evaluate.
+// receiver is unchanged: untouched groups are shared by pointer, and
+// only the groups whose variables intersect c's are merged.
+// Constant-true constraints return the receiver as is; a duplicate of
+// a constraint already in its group does too. Every other extension
+// records itself — c, linked to the receiver's history — so that what
+// recent models were found to do with the receiver's condition is
+// inherited by the result and only c is left to evaluate.
 func (p *Partition) Extend(c *expr.Expr) *Partition {
 	if c.IsTrue() || p == unsatPartition {
 		return p

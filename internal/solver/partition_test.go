@@ -97,9 +97,9 @@ func TestSatPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionVerdictReuse: groups decided on an earlier query are
-// reused straight off the carried partition — no cache probe, counted
-// as PartitionHits.
+// TestPartitionVerdictReuse: groups decided on an earlier query and
+// carried untouched into an extension are answered by the shared cache,
+// one hit each, and only the new group is searched.
 func TestPartitionVerdictReuse(t *testing.T) {
 	b := expr.NewBuilder()
 	vs := vars(3)
@@ -112,19 +112,19 @@ func TestPartitionVerdictReuse(t *testing.T) {
 	if sat, _, err := s.SatPartition(p); err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	// Extend with a third, independent constraint. The old groups carry
-	// verdicts; only the new group needs any lookup. Defeat model reuse
-	// with a constraint the remembered model cannot satisfy.
+	// Extend with a third, independent constraint. The old groups are
+	// in the cache; only the new group needs a search. Defeat model
+	// reuse with a constraint the remembered model cannot satisfy.
 	p2 := p.Extend(b.Cmp(ir.OpEq, b.Var(vs[2]), b.Const(8, 1)))
 	before := s.Stats
 	if sat, _, err := s.SatPartition(p2); err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
-	if hits := s.Stats.PartitionHits - before.PartitionHits; hits != 2 {
-		t.Errorf("PartitionHits delta = %d, want 2 (both untouched groups)", hits)
+	if hits := s.Stats.CacheHits - before.CacheHits; hits != 2 {
+		t.Errorf("CacheHits delta = %d, want 2 (both untouched groups)", hits)
 	}
-	if s.Stats.CacheHits != before.CacheHits {
-		t.Errorf("untouched groups probed the cache (%d hits)", s.Stats.CacheHits-before.CacheHits)
+	if searched := s.Stats.TapeCompiles - before.TapeCompiles; searched != 1 {
+		t.Errorf("%d groups searched, want 1 (the new group)", searched)
 	}
 }
 
@@ -228,9 +228,9 @@ func TestOptionDefaults(t *testing.T) {
 }
 
 // TestGroupVerdictNoBudgetLaundering: a group that fails with ErrBudget
-// must not park that failure in the group's atomic verdict pointer (or
-// either cache) where later states would reuse it as a settled answer
-// via PartitionHits. Budget failures retry; real verdicts stick.
+// must not park that failure in the cache, where later states would
+// reuse it as a settled answer. Budget failures retry; real verdicts
+// are cached.
 func TestGroupVerdictNoBudgetLaundering(t *testing.T) {
 	b := expr.NewBuilder()
 	vs := vars(2)
@@ -250,23 +250,23 @@ func TestGroupVerdictNoBudgetLaundering(t *testing.T) {
 		t.Fatalf("Failures = %d, want 1", tiny.Stats.Failures)
 	}
 	for _, g := range p.Groups() {
-		if g.verdict.Load() != nil {
+		if tiny.cache.peek(g.fp) != nil {
 			t.Fatal("budget failure was stored as a settled group verdict")
 		}
 	}
 
 	// Retried, the same query must fail again — not hit a laundered
-	// verdict in the partition or a cache.
+	// verdict in the cache.
 	if _, _, err := tiny.SatPartition(p); !errors.Is(err, ErrBudget) {
 		t.Fatalf("retry: err = %v, want ErrBudget", err)
 	}
-	if tiny.Stats.Failures != 2 || tiny.Stats.PartitionHits != 0 || tiny.Stats.CacheHits != 0 {
-		t.Fatalf("retry stats = %+v, want second failure with no partition/cache hits", tiny.Stats)
+	if tiny.Stats.Failures != 2 || tiny.Stats.CacheHits != 0 {
+		t.Fatalf("retry stats = %+v, want second failure with no cache hits", tiny.Stats)
 	}
 
-	// A solver with a real budget decides the group; its verdict lands
-	// on the shared partition.
-	generous := New(Options{})
+	// A solver with a real budget, sharing the cache, decides the group;
+	// its verdict lands in the cache.
+	generous := NewWithCache(Options{}, tiny.cache)
 	sat, model, err := generous.SatPartition(p)
 	if err != nil || !sat {
 		t.Fatalf("generous: sat=%v err=%v, want sat", sat, err)
@@ -275,13 +275,14 @@ func TestGroupVerdictNoBudgetLaundering(t *testing.T) {
 		t.Fatalf("generous model %v does not satisfy", model)
 	}
 
-	// Now the tiny solver reuses the settled verdict off the partition:
-	// no search, no failure.
+	// Now the tiny solver reuses the settled verdict from the cache: no
+	// search, no failure.
+	searched := tiny.Stats.TapeCompiles
 	sat, _, err = tiny.SatPartition(p)
 	if err != nil || !sat {
-		t.Fatalf("after settle: sat=%v err=%v, want sat via partition hit", sat, err)
+		t.Fatalf("after settle: sat=%v err=%v, want sat via cache hit", sat, err)
 	}
-	if tiny.Stats.PartitionHits != 1 || tiny.Stats.Failures != 2 {
-		t.Fatalf("after settle stats = %+v, want one partition hit and no new failures", tiny.Stats)
+	if tiny.Stats.CacheHits != 1 || tiny.Stats.Failures != 2 || tiny.Stats.TapeCompiles != searched {
+		t.Fatalf("after settle stats = %+v, want one cache hit and no new search or failure", tiny.Stats)
 	}
 }

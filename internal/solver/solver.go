@@ -15,18 +15,18 @@
 // The search pays for the constraints a branch added too, where that is
 // exact: for a satisfiable group over one variable the unary filter
 // leaves the group's whole solution set in the byte's domain, and the
-// decided entry stores it (256 bits beside {sat, model}, on the
-// partition's carried verdict and in the shared cache alike). A later
-// single-variable group looks up the prefixes of its own constraint
-// list in the cache, longest first, and from the first one that holds a
-// set filters only the constraints after it, starting from that set
-// (Solver.carriedSet, Solver.search). The prefix and not the parent,
-// because model reuse answers most branch sides without deciding their
-// groups, so the parent is usually undecided while an ancestor a few
-// constraints back is not. No propagation on that path: the filter over
-// the surviving values is already exact, and value-set propagation over
-// a narrow domain costs more than it saves. Same verdict, same model,
-// same stored set as the from-scratch search; fewer assignments.
+// decided entry stores it (256 bits beside {sat, model}, in the shared
+// cache). A later single-variable group looks up the prefixes of its
+// own constraint list in the cache, longest first, and from the first
+// one that holds a set filters only the constraints after it, starting
+// from that set (Solver.carriedSet, Solver.search). The prefix and not
+// the parent, because model reuse answers most branch sides without
+// deciding their groups, so the parent is usually undecided while an
+// ancestor a few constraints back is not. No propagation on that path:
+// the filter over the surviving values is already exact, and value-set
+// propagation over a narrow domain costs more than it saves. Same
+// verdict, same model, same stored set as the from-scratch search;
+// fewer assignments.
 //
 // The per-query constant factors are engineered away: variable sets are
 // interned on expression nodes at construction (expr.VarSet), the
@@ -107,7 +107,6 @@ type Options struct {
 type Stats struct {
 	Queries        int64
 	CacheHits      int64 // group verdicts answered by the shared cache
-	PartitionHits  int64 // group verdicts reused off the carried partition (no cache probe)
 	ModelReuseHits int64
 	Sat            int64
 	Unsat          int64
@@ -115,11 +114,15 @@ type Stats struct {
 	Nodes          int64 // backtracking nodes explored
 	Assignments    int64 // candidate values tried (probes + bindings), the budget currency
 	TapeCompiles   int64 // groups compiled to evaluation tapes (searches run)
-	// TapeReuses is never incremented: the tape cache it counted is
-	// gone. It stays declared only because benchmark/cold.go, which a
-	// non-benchmark PR may not edit, reads it; the next benchmark PR
-	// drops it together with the solver.tape_reuses metric.
+	// TapeReuses and PartitionHits are never incremented: the tape
+	// cache and the verdict carried on partition groups that they
+	// counted are gone (the shared cache answers those groups, in
+	// CacheHits). They stay declared only because benchmark/cold.go,
+	// which a non-benchmark PR may not edit, reads them; the next
+	// benchmark PR drops them together with the solver.tape_reuses and
+	// solver.partition_hits metrics.
 	TapeReuses     int64
+	PartitionHits  int64
 	TapeSlots      int64 // total slots across compiled tapes
 	PortfolioRaces int64 // groups that stalled past portfolioStall and entered a race
 	PortfolioWins  int64 // races a non-default configuration answered first
@@ -131,7 +134,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.CacheHits += o.CacheHits
-	s.PartitionHits += o.PartitionHits
 	s.ModelReuseHits += o.ModelReuseHits
 	s.Sat += o.Sat
 	s.Unsat += o.Unsat
@@ -207,8 +209,11 @@ type Solver struct {
 	reuseEvals int64
 	// serial is the last model serial handed out; pending is
 	// modelSatisfies' scratch.
-	serial   uint64
-	pending  []*reuseNode
+	serial  uint64
+	pending []*reuseNode
+	// decided is SatPartition's scratch: the entries of the groups it
+	// has decided so far in the current query.
+	decided  []*cacheEntry
 	deadline time.Time
 	// scratch is the compile/evaluation buffer set reused across this
 	// solver's searches (solvers are single-goroutine); prop is value-set
@@ -260,10 +265,8 @@ func (s *Solver) Sat(constraints []*expr.Expr) (bool, expr.Model, error) {
 	return s.SatPartition(PartitionOf(constraints))
 }
 
-// SatPartition decides a pre-partitioned query. Groups whose verdict was
-// already decided while the partition was carried forward are reused
-// without a cache probe; the remaining groups go through the shared
-// cache, then compiled search (solveGroup).
+// SatPartition decides a pre-partitioned query: model reuse first, then
+// each group through the shared cache and compiled search (solveGroup).
 //
 // A returned model is shared with the solver's reuse history — a later
 // query may hand the same model out again, and the memo holds verdicts
@@ -300,23 +303,30 @@ func (s *Solver) SatPartition(p *Partition) (bool, expr.Model, error) {
 
 	// Decide every group before building the model, so that an unsat
 	// answer allocates none and a sat one allocates it once, at its size.
+	// The decided entries wait in solver scratch, cleared on the way out
+	// so that it keeps none of them reachable.
+	decided := s.decided[:0]
+	defer func() {
+		clear(decided)
+		s.decided = decided[:0]
+	}()
 	n := 0
 	for _, g := range p.groups {
-		sat, gm, err := s.solveGroup(g)
+		e, err := s.solveGroup(g)
 		if err != nil {
 			s.Stats.Failures++
 			return false, nil, err
 		}
-		if !sat {
+		if !e.sat {
 			s.Stats.Unsat++
 			return false, nil, nil
 		}
-		n += len(gm)
+		decided = append(decided, e)
+		n += len(e.model)
 	}
-	// solveGroup left each group's decided entry on the group.
 	model := make(expr.Model, 0, n)
-	for _, g := range p.groups {
-		model = append(model, g.verdict.Load().model...)
+	for _, e := range decided {
+		model = append(model, e.model...)
 	}
 	s.Stats.Sat++
 	s.remember(p, model)
@@ -390,28 +400,20 @@ func (s *Solver) remember(p *Partition, model expr.Model) {
 	}
 }
 
-// solveGroup is the whole lookup story for one group: the verdict
-// carried on the partition, then the one shared cache, then search.
-func (s *Solver) solveGroup(g *Group) (bool, expr.Model, error) {
-	if e := g.verdict.Load(); e != nil {
-		s.Stats.PartitionHits++
-		return e.sat, e.model, nil
-	}
+// solveGroup is the whole lookup story for one group: the one shared
+// cache, then search. It returns the resident entry, shared across
+// workers and never written again (SatPartition copies a group's model
+// into the query's own and only reads this one).
+func (s *Solver) solveGroup(g *Group) (*cacheEntry, error) {
 	if e, ok := s.cache.get(g.fp); ok {
 		s.Stats.CacheHits++
-		g.verdict.Store(e)
-		return e.sat, e.model, nil
+		return e, nil
 	}
 	found, err := s.search(g)
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
-	// Cached entries are shared across workers and with the partition;
-	// they are never mutated after insertion (SatPartition copies a
-	// group's model into the query's own and only reads this one).
-	e := s.cache.put(g.fp, found)
-	g.verdict.Store(e)
-	return e.sat, e.model, nil
+	return s.cache.put(g.fp, found), nil
 }
 
 // domain is the candidate-value set of one 8-bit variable.

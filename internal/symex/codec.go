@@ -911,9 +911,9 @@ func (d *decoder) readState() (*State, error) {
 		return nil, err
 	}
 	// Group fingerprints are builder-local, so the carried partition is
-	// rebuilt from the re-interned condition rather than shipped.
-	// Decided-verdict reuse restarts cold; correctness and query counts
-	// are unaffected.
+	// rebuilt from the re-interned condition rather than shipped. Its
+	// model-reuse memo restarts cold; verdicts and query counts are
+	// unaffected.
 	for i := 0; i < npc; i++ {
 		c, err := d.arg()
 		if err != nil {

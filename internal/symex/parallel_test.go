@@ -139,10 +139,10 @@ func TestParallelSharedSolverCache(t *testing.T) {
 }
 
 // TestOneLookupPerGroup: a group's verdict is looked up in one place.
-// On a serial cold run every group without a carried verdict costs
-// exactly one shared-cache lookup, every hit there is a CacheHit, and
-// every miss exactly one search — no second map in front of the cache
-// answers (or hides) anything.
+// On a serial cold run every group a query decides costs exactly one
+// shared-cache lookup, every hit there is a CacheHit, and every miss
+// exactly one search — no second map in front of the cache answers (or
+// hides) anything.
 func TestOneLookupPerGroup(t *testing.T) {
 	for _, tc := range []struct {
 		prog string

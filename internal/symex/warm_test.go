@@ -63,10 +63,10 @@ func TestSharedBuilderCacheWarmRun(t *testing.T) {
 	if ws.Queries == 0 {
 		t.Fatal("warm run issued no queries; test is vacuous")
 	}
-	warmHits := ws.CacheHits + ws.PartitionHits + ws.ModelReuseHits
+	warmHits := ws.CacheHits + ws.ModelReuseHits
 	if ratio := float64(warmHits) / float64(ws.Queries); ratio < 0.9 {
-		t.Errorf("warm run answered only %.0f%% of %d queries from warm state (cache %d, partition %d, model %d)",
-			100*ratio, ws.Queries, ws.CacheHits, ws.PartitionHits, ws.ModelReuseHits)
+		t.Errorf("warm run answered only %.0f%% of %d queries from warm state (cache %d, model %d)",
+			100*ratio, ws.Queries, ws.CacheHits, ws.ModelReuseHits)
 	}
 	// Sanity: the cold run really did populate the shared cache.
 	if snap := w.Cache.Snapshot(); snap.Entries == 0 {

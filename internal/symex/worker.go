@@ -200,8 +200,7 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model
 //
 // p is the state's partition extended by the constraint the caller is
 // about to assume: a caller that goes on to assume it carries p forward
-// (st.Part = p), so each constraint is added with one Extend, and the
-// group verdicts this query decided ride along on the state.
+// (st.Part = p), so each constraint is added with one Extend.
 func (w *worker) sat(p *solver.Partition) bool {
 	res, _ := w.satP(p)
 	return res != satNo

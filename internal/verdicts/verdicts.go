@@ -207,18 +207,23 @@ func (e *Entry) Report() *symex.Report {
 }
 
 // Render is the canonical byte rendering of a verify outcome: the
-// verdict line, every merged bug with its reproducing input, and the
-// schedule-invariant counters. Cold-vs-warm equivalence means "Render
-// of both reports is byte-identical".
+// verdict line (rep.Verdict()), every merged bug with its reproducing
+// input, and the schedule-invariant counters. An inconclusive report
+// says so and why, and still lists the bugs it found, which are real.
+// Cold-vs-warm equivalence means "Render of both reports is
+// byte-identical".
 func Render(rep *symex.Report) string {
 	var sb strings.Builder
-	if len(rep.Bugs) == 0 {
-		fmt.Fprintf(&sb, "verified: %d paths, no bugs\n", rep.Stats.Paths)
-	} else {
+	switch v, why := rep.Verdict(); v {
+	case symex.Inconclusive:
+		fmt.Fprintf(&sb, "inconclusive: %d paths (%s)\n", rep.Stats.Paths, strings.Join(why, ", "))
+	case symex.Bugs:
 		fmt.Fprintf(&sb, "bugs: %d\n", len(rep.Bugs))
-		for _, b := range rep.Bugs {
-			fmt.Fprintf(&sb, "  [%d] %s @ %s input=%q\n", int(b.Kind), b.Msg, b.Where, b.Input)
-		}
+	default:
+		fmt.Fprintf(&sb, "verified: %d paths, no bugs\n", rep.Stats.Paths)
+	}
+	for _, b := range rep.Bugs {
+		fmt.Fprintf(&sb, "  [%d] %s @ %s input=%q\n", int(b.Kind), b.Msg, b.Where, b.Input)
 	}
 	fmt.Fprintf(&sb, "paths=%d errorPaths=%d truncated=%d instrs=%d covered=%d queries=%d sat=%d unsat=%d\n",
 		rep.Stats.Paths, rep.Stats.ErrorPaths, rep.Stats.TruncatedPaths,

@@ -53,15 +53,21 @@ func TestSubMillisecondTimeoutIsABudget(t *testing.T) {
 	}
 }
 
-// TestUndecidedRunIsInconclusive: tail at -OVERIFY with 4 bytes leaves
-// one solver query undecided at default flags. It reads input[i] at
-// i = strlen(input) - input[0] % 8, an index that depends on every byte
-// of the buffer, and the fixed-order search abandons that group at its
-// budget (ROADMAP item 4). So symbex must not print "verified" over it
-// or exit 0, in process or through a daemon, whose reply carries the
-// verdict. Once the search decides tail, the test needs another cell.
+// TestUndecidedRunIsInconclusive: internal/core/testdata/hash.c at -O0
+// with 4 bytes leaves two solver queries undecided at default flags. Its
+// branch asks for four bytes whose FNV-1a hash is one 32-bit constant,
+// a group no byte of which is unary until the other three are bound, and
+// the search abandons it at its budget. So symbex must not print
+// "verified" over it or exit 0, in process or through a daemon, whose
+// reply carries the verdict. (The run also finds the division by zero
+// behind the branch; an undecided query outranks it.) Once the search
+// decides hash.c, the test needs another cell.
 func TestUndecidedRunIsInconclusive(t *testing.T) {
-	job := core.Job{Prog: "tail", InputBytes: 4}
+	src, err := os.ReadFile("../../internal/core/testdata/hash.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := core.Job{Name: "hash.c", Source: string(src), Level: "-O0", InputBytes: 4}
 	r, err := job.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +81,7 @@ func TestUndecidedRunIsInconclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Stats.SolverStats.Failures == 0 {
-		t.Fatal("tail -OVERIFY n=4 decides every query now; pick another undecided cell")
+		t.Fatal("hash.c -O0 n=4 decides every query now; pick another undecided cell")
 	}
 	if code := reportExitCode(rep); code != 3 {
 		t.Errorf("exit code %d over %d undecided queries, want 3", code, rep.Stats.SolverStats.Failures)

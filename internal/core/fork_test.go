@@ -11,19 +11,22 @@ import (
 
 // TestUndecidedBranchSideForks: at a conditional branch whose one side
 // is satisfiable and whose other side the solver cannot decide, the
-// engine forks as for two satisfiable sides. tail at n=4 has such a
-// branch at -O0 and at -OVERIFY; following the undecided side adds one
-// path to each (17 -> 18, 13 -> 14, the path count the portfolio
-// decides at -OVERIFY). No bug is reported, because every bug site
-// needs a satisfiable query, and the verdict stays inconclusive.
+// engine forks as for two satisfiable sides. At the default budget the
+// search decides every query of tail at n=4 (TestTailDecidesAtN4); under
+// a budget cut just below what its hardest group needs, one group stays
+// undecided at -O0 and at -OVERIFY, and following its undecided side
+// keeps the decided run's 18 and 14 paths. No bug is reported, because
+// every bug site needs a satisfiable query, and the verdict stays
+// inconclusive.
 func TestUndecidedBranchSideForks(t *testing.T) {
 	p, _ := coreutils.Get("tail")
 	for _, cell := range []struct {
 		level         pipeline.Level
+		maxWork       int64
 		paths, instrs int64
 	}{
-		{pipeline.O0, 18, 864},
-		{pipeline.OVerify, 14, 325},
+		{pipeline.O0, 5_000, 18, 864},
+		{pipeline.OVerify, 7_000, 14, 325},
 	} {
 		c, err := core.CompileProgram(p, cell.level)
 		if err != nil {
@@ -32,6 +35,7 @@ func TestUndecidedBranchSideForks(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			vo := core.VerifyOptions{InputBytes: 4}
 			vo.Engine.Workers = workers
+			vo.Engine.Solver.MaxWork = cell.maxWork
 			rep, err := c.Verify("umain", vo)
 			if err != nil {
 				t.Fatal(err)

@@ -92,18 +92,33 @@ func TestOneJobThreeShapes(t *testing.T) {
 	})
 
 	// tail at -OVERIFY reads input[i] at i = strlen(input) - input[0] % 8,
-	// an index over the whole buffer, and the fixed-order search abandons
-	// that constraint group at its budget; a four-way portfolio settles
-	// it, which adds a path to the render. A shape that dropped the
-	// portfolio field would render the fixed-order verdict.
+	// an index over the whole buffer. The group that index builds stalls
+	// the fixed-order search past the portfolio's threshold, so with a
+	// four-way portfolio the group is raced; both searches decide it, to
+	// the same render, but the race tries more values. So the field is
+	// seen to reach each shape in its counters: the in-process and
+	// cluster reports count a race, and the daemon reply's assignments
+	// differ from the fixed-order run's.
 	t.Run("portfolio", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("four solver-bound verifications")
-		}
 		job := core.Job{Prog: "tail", InputBytes: 4, Portfolio: 4, TimeoutMS: 600_000}
-		inProc, served, clustered, _, res := threeShapes(t, job)
+		inProc, served, clustered, reply, res := threeShapes(t, job)
 		if inProc != served || inProc != clustered {
 			t.Errorf("verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", inProc, served, clustered)
+		}
+		r, err := job.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := r.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Verify(r.Entry, r.Verify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.SolverStats.PortfolioRaces == 0 {
+			t.Errorf("in-process run raced no portfolio")
 		}
 		if res.Report.Stats.SolverStats.PortfolioRaces == 0 {
 			t.Errorf("cluster run raced no portfolio")
@@ -113,8 +128,11 @@ func TestOneJobThreeShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fixed.Render == served {
-			t.Errorf("daemon render does not depend on the portfolio field:\n%s", served)
+		if fixed.Render != reply.Render {
+			t.Errorf("the portfolio changed the daemon's render:\nfixed order:\n%s\nportfolio:\n%s", fixed.Render, reply.Render)
+		}
+		if fixed.Assignments == reply.Assignments {
+			t.Errorf("daemon assignments do not depend on the portfolio field: %d either way", reply.Assignments)
 		}
 	})
 

@@ -11,20 +11,27 @@ import (
 // walked once, and each is evaluated over all the values in a loop
 // specialised to its operation: a column per slot, not a probe per value.
 //
-// The invariant this rests on: the byte is the constraint's only
-// unassigned variable, so a slot of the constraint's sub-DAG that the
-// byte does not reach has every variable under it assigned, and its
-// committed result is known. An operand is therefore another column or a
-// committed scalar, every column entry is known, and recompute's
-// three-valued logic never comes into play: a column is plain evaluation,
-// the same function as assign → root → unassign value by value, which is
-// what TestFilterColumnMatchesCommitted holds it to.
+// The invariant this rests on: the byte is the only unassigned variable
+// the constraint still reads (its root's live set, compile.go), and the
+// columns are the slots whose live set is exactly that byte. Every other
+// slot the kernel reads is known: a slot whose live set is empty is, and
+// a slot whose live set is the byte alone reads, through each operand,
+// a live set within it — except a select on a committed condition, whose
+// unchosen arm may read other open bytes, and whose column is therefore
+// its chosen arm's. So an operand is another column or a committed
+// scalar, every column entry is known, and recompute's three-valued
+// logic never comes into play: a column is plain evaluation, the same
+// function as assign → root → unassign value by value, which is what
+// TestFilterColumnMatchesCommitted holds it to. (On a tape that keeps no
+// live sets the test is the static one: every other variable under the
+// constraint is assigned, and every slot of it the byte reaches is a
+// column.)
 
 // columnScratch is filterColumn's storage, reused across a solver's
 // searches with the rest of its tapeScratch.
 type columnScratch struct {
 	off  []int32 // per slot: 1 + where its column starts in buf, 0 for a slot not listed
-	list []int32 // the last filter's slots: watch[vi] ∩ csub[ci], topo-ordered
+	list []int32 // the last filter's slots: watch[vi] ∩ csub[ci] live in vi alone, topo-ordered
 	// buf is cut into columns of one word per value tried: the values
 	// themselves, three for committed operands broadcast, then one per
 	// listed slot.
@@ -34,7 +41,7 @@ type columnScratch struct {
 // filterColumn removes from d every value of variable vi under which
 // constraint ci evaluates to zero, and returns how many values it tried
 // (all of d, ascending — the unary filter's charge). vi must be the only
-// unassigned variable of ci.
+// unassigned variable ci still reads (tapeState.unassignedIn).
 func (ts *tapeState) filterColumn(ci int, vi int32, d *domain) int {
 	t, c := ts.t, ts.col
 	n := d.count()
@@ -44,10 +51,11 @@ func (ts *tapeState) filterColumn(ci int, vi int32, d *domain) int {
 	for _, s := range c.list {
 		c.off[s] = 0
 	}
+	ts.freshen()
 	sub := t.csub[ci]
 	list := c.list[:0]
 	for _, s := range t.watch[vi] {
-		if sub[s>>6]&(1<<uint(s&63)) != 0 {
+		if sub[s>>6]&(1<<uint(s&63)) != 0 && (!t.tracksLive || ts.live[s] == 1<<uint(vi)) {
 			list = append(list, s)
 		}
 	}
@@ -62,6 +70,16 @@ func (ts *tapeState) filterColumn(ci int, vi int32, d *domain) int {
 		if op.kind == expr.KCast && op.op == ir.OpZExt && op.bits >= t.ops[op.a0].bits {
 			// The operand's column is already masked to its own width.
 			c.off[s] = c.off[op.a0]
+			continue
+		}
+		if t.tracksLive && op.kind == expr.KSelect && ts.known[op.a0] {
+			// A committed condition: the select is its chosen arm, whose
+			// column is listed; the other arm may read open bytes.
+			if ts.val[op.a0] != 0 {
+				c.off[s] = c.off[op.a1]
+			} else {
+				c.off[s] = c.off[op.a2]
+			}
 			continue
 		}
 		out := c.buf[next : next+n]

@@ -19,7 +19,8 @@ import (
 //   - hold, for every listed slot and every value, the result the
 //     committed path computes for that slot — known, always;
 //   - read as a committed scalar only a slot that is known (the
-//     invariant the kernel rests on);
+//     invariant the kernel rests on), where a select on a committed
+//     condition reads only its chosen arm on a tape that keeps live sets;
 //   - write nothing of the committed state.
 //
 // It reports with Errorf only, so the fuzz target's worker goroutines
@@ -67,7 +68,21 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 					return
 				}
 				op := &tp.ops[s]
-				for _, a := range [3]int32{op.a0, op.a1, op.a2} {
+				reads := [3]int32{op.a0, op.a1, op.a2}
+				if tp.tracksLive && op.kind == expr.KSelect && ts.known[op.a0] {
+					// A committed condition: the select is its chosen
+					// arm's column and reads nothing else.
+					arm := op.a2
+					if ts.val[op.a0] != 0 {
+						arm = op.a1
+					}
+					if c.off[s] != c.off[arm] {
+						t.Errorf("%s: constraint %d var %d: select slot %d on a committed condition is not its chosen arm %d", label, ci, vi, s, arm)
+						return
+					}
+					reads = [3]int32{arm, -1, -1}
+				}
+				for _, a := range reads {
 					if a >= 0 && c.off[a] == 0 && !ts.known[a] {
 						t.Errorf("%s: constraint %d var %d: slot %d reads slot %d as a committed scalar, and it is unknown", label, ci, vi, s, a)
 						return
@@ -346,9 +361,14 @@ func TestSkippedFilterIsNoOp(t *testing.T) {
 }
 
 // fuzzDAGGroups calls fn on each group of 2,000 DAGs from buildFuzzDAG
-// over four variables (200 under -short), the same stream on every run,
-// with a seed for fn's own choices.
+// over four variables (200 under -short), compiled, the same stream on
+// every run, with a seed for fn's own choices.
 func fuzzDAGGroups(fn func(tp *tape, seed uint64, label string)) {
+	fuzzDAGGroupsOf(func(g *Group, seed uint64, label string) { fn(compileGroup(g), seed, label) })
+}
+
+// fuzzDAGGroupsOf is fuzzDAGGroups handing fn each group uncompiled.
+func fuzzDAGGroupsOf(fn func(g *Group, seed uint64, label string)) {
 	rng := uint64(0x243f6a8885a308d3)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -370,14 +390,19 @@ func fuzzDAGGroups(fn func(tp *tape, seed uint64, label string)) {
 			continue
 		}
 		for gi, g := range PartitionOf(cs).Groups() {
-			fn(compileGroup(g), next(), fmt.Sprintf("dag %d group %d", i, gi))
+			fn(g, next(), fmt.Sprintf("dag %d group %d", i, gi))
 		}
 	}
 }
 
 // wcGroups calls fn on each distinct group of the query stream captured
-// from wc, and skips t when the stream is not linked in.
+// from wc, compiled, and skips t when the stream is not linked in.
 func wcGroups(t *testing.T, fn func(tp *tape, seed uint64, label string)) {
+	wcGroupsOf(t, func(g *Group, seed uint64, label string) { fn(compileGroup(g), seed, label) })
+}
+
+// wcGroupsOf is wcGroups handing fn each group uncompiled.
+func wcGroupsOf(t *testing.T, fn func(g *Group, seed uint64, label string)) {
 	if CapturedWcQueries == nil {
 		t.Skip("no captured stream (external test package not linked)")
 	}
@@ -389,7 +414,7 @@ func wcGroups(t *testing.T, fn func(tp *tape, seed uint64, label string)) {
 				continue
 			}
 			seen[g.fp] = true
-			fn(compileGroup(g), uint64(qi)*0x9e3779b97f4a7c15+1, fmt.Sprintf("wc query %d", qi))
+			fn(g, uint64(qi)*0x9e3779b97f4a7c15+1, fmt.Sprintf("wc query %d", qi))
 		}
 	}
 }

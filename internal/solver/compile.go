@@ -20,6 +20,18 @@ import (
 // value of one byte at once, has the other (tapeState.filterColumn,
 // column.go).
 //
+// Forward checking works on live variables. On a tape of at most 64
+// variables each slot also has a live set, one word: the unassigned
+// variables its value still depends on under the current assignment —
+// none for a known slot, the chosen arm's for a select whose condition
+// is known, the union of its operands' otherwise. So a constraint whose
+// select conditions are decided, or whose and/or/mul is decided by one
+// known side, is unary — and filtered — in the one byte it still reads
+// while the bytes it no longer reads are open (tapeState.unassignedIn).
+// A tape of more variables, which no ledger workload compiles, keeps the
+// static test: the variables a constraint mentions less the assigned
+// ones.
+//
 // A tape's slices alias its tapeScratch and are valid only until the
 // scratch compiles the next group.
 type tape struct {
@@ -37,6 +49,10 @@ type tape struct {
 	// and what bounds a propagation sweep to one constraint.
 	csub   [][]uint64
 	nwords int
+	// tracksLive is set on a tape of at most 64 variables, one word's
+	// worth: its state keeps live sets (tapeState.live), and the unary
+	// filter's test reads them in place of cmasks.
+	tracksLive bool
 }
 
 type tapeOp struct {
@@ -65,6 +81,7 @@ type tapeScratch struct {
 	// tapeState buffers.
 	known    []bool
 	val      []uint64
+	live     []uint64
 	assigned []bool
 	avals    []uint64
 	amask    []uint64
@@ -146,6 +163,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	for _, c := range cs {
 		t.roots = append(t.roots, emit(c))
 	}
+	t.tracksLive = len(vars) <= 64
 
 	// Watch lists carved out of one exact-size backing array: count
 	// per-var dependents, then fill in emission (= topo) order.
@@ -233,7 +251,9 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 // tapeState is the mutable evaluation state over a tape: three-valued
 // slot results (known flag + value) plus the current assignment. Its
 // semantics match expr.PartialEvaluator exactly (including the known-
-// side short circuits), which the differential fuzz target asserts.
+// side short circuits), which the differential fuzz target asserts. On
+// a tape that tracks them, each slot's live set rides beside known and
+// val, refreshed when read (TestLiveSetMatchesReference).
 // There is no what-if shadow of it: a question about values not
 // committed is a column evaluation (filterColumn), which reads known and
 // val and writes neither.
@@ -241,6 +261,8 @@ type tapeState struct {
 	t        *tape
 	known    []bool
 	val      []uint64
+	live     []uint64 // per slot: live variable bitmask (tracksLive tapes only), current once freshened
+	stale    uint64   // variables whose watch lists' live sets are out of date
 	assigned []bool
 	avals    []uint64
 	amask    []uint64       // assigned-variable bitmask (var-index words)
@@ -258,6 +280,9 @@ func newTapeState(t *tape) *tapeState {
 func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 	sc.known = zeroed(sc.known, len(t.ops))
 	sc.val = zeroed(sc.val, len(t.ops))
+	if t.tracksLive {
+		sc.live = zeroed(sc.live, len(t.ops))
+	}
 	sc.assigned = zeroed(sc.assigned, len(t.vars))
 	sc.avals = zeroed(sc.avals, len(t.vars))
 	sc.amask = zeroed(sc.amask, t.nwords)
@@ -266,6 +291,7 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 		t:        t,
 		known:    sc.known,
 		val:      sc.val,
+		live:     sc.live,
 		assigned: sc.assigned,
 		avals:    sc.avals,
 		amask:    sc.amask,
@@ -273,6 +299,9 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 	}
 	for s := range t.ops {
 		ts.recompute(int32(s))
+		if t.tracksLive {
+			ts.relive(int32(s))
+		}
 	}
 	return ts
 }
@@ -292,18 +321,59 @@ func (ts *tapeState) assign(vi int32, v uint64) {
 	ts.assigned[vi] = true
 	ts.avals[vi] = v
 	ts.amask[vi/64] |= 1 << uint(vi%64)
-	for _, s := range ts.t.watch[vi] {
-		ts.recompute(s)
-	}
+	ts.recomputeWatch(vi)
 }
 
 // unassign retracts var vi and re-evaluates its watched sub-tape.
 func (ts *tapeState) unassign(vi int32) {
 	ts.assigned[vi] = false
 	ts.amask[vi/64] &^= 1 << uint(vi%64)
+	ts.recomputeWatch(vi)
+}
+
+// recomputeWatch re-evaluates vi's watch list. On a tape that tracks
+// live sets it marks the list's live sets stale, to be refreshed when
+// the filter reads them (freshen): most values the search binds fail a
+// constraint at once and are replaced without a filter. A tape of more
+// than 64 variables pays the branch and nothing else.
+func (ts *tapeState) recomputeWatch(vi int32) {
 	for _, s := range ts.t.watch[vi] {
 		ts.recompute(s)
 	}
+	if ts.t.tracksLive {
+		ts.stale |= 1 << uint(vi)
+	}
+}
+
+// freshen brings the live sets up to date. It is called on every
+// filter, so it inlines to one test and leaves the walk to refresh.
+func (ts *tapeState) freshen() {
+	if ts.stale != 0 {
+		ts.refresh()
+	}
+}
+
+// refresh walks the watch list of each variable bound or retracted since
+// the last call again with relive, which reads the known/val recompute
+// already set. The order of the lists does not matter. A slot is last
+// walked in the list of the last of its stale variables to be walked;
+// each operand it reads depends on a subset of those variables, so the
+// operand was last walked in an earlier list, or earlier in the same
+// topo-ordered one.
+func (ts *tapeState) refresh() {
+	for ts.stale != 0 {
+		vi := bits.TrailingZeros64(ts.stale)
+		ts.stale &= ts.stale - 1
+		for _, s := range ts.t.watch[vi] {
+			ts.relive(s)
+		}
+	}
+}
+
+// rootLive returns constraint ci's live set (a tape that tracks them).
+func (ts *tapeState) rootLive(ci int) uint64 {
+	ts.freshen()
+	return ts.live[ts.t.roots[ci]]
 }
 
 // root returns constraint ci's three-valued result.
@@ -312,9 +382,14 @@ func (ts *tapeState) root(ci int) (known bool, val uint64) {
 	return ts.known[s], ts.val[s]
 }
 
-// unassignedIn counts the constraint's variables not currently
-// assigned, and whether vi is among them.
+// unassignedIn counts the unassigned variables the constraint still
+// reads, and whether vi is among them: its root's live set on a tape that
+// tracks them, otherwise the variables it mentions less the assigned ones.
 func (ts *tapeState) unassignedIn(ci int, vi int32) (n int, hasVi bool) {
+	if ts.t.tracksLive {
+		lv := ts.rootLive(ci)
+		return bits.OnesCount64(lv), lv&(1<<uint(vi)) != 0
+	}
 	mask := ts.t.cmasks[ci]
 	for w, b := range mask {
 		un := b &^ ts.amask[w]
@@ -407,4 +482,31 @@ func (ts *tapeState) recompute(s int32) {
 	}
 	ts.known[s] = known
 	ts.val[s] = val
+}
+
+// relive sets slot s's live set from its freshly recomputed result and
+// its operands' live sets: none when the slot is known, the chosen arm's
+// for a select whose condition is known, the union of its operands'
+// otherwise.
+func (ts *tapeState) relive(s int32) {
+	op := &ts.t.ops[s]
+	var lv uint64
+	switch {
+	case ts.known[s]:
+	case op.kind == expr.KVar:
+		lv = 1 << uint(op.vi)
+	case op.kind == expr.KSelect && ts.known[op.a0]:
+		if ts.val[op.a0] != 0 {
+			lv = ts.live[op.a1]
+		} else {
+			lv = ts.live[op.a2]
+		}
+	default:
+		for _, a := range [3]int32{op.a0, op.a1, op.a2} {
+			if a >= 0 {
+				lv |= ts.live[a]
+			}
+		}
+	}
+	ts.live[s] = lv
 }

@@ -7,8 +7,13 @@
 // independent groups (KLEE's independence optimization), each group is
 // solved by backtracking search over per-byte domains with forward
 // checking, and results are cached per group (KLEE's counterexample
-// cache). Model reuse is attempted before any search: if a recently
-// produced model satisfies the whole query, no search happens at all —
+// cache). Forward checking works on live variables: a constraint is
+// filtered as soon as one unassigned byte is left among those it still
+// reads, where a select whose condition the assignment decides reads
+// only its chosen arm, and an and, or or mul that one known side
+// decides reads nothing (compile.go). Model reuse is attempted before
+// any search: if a recently produced model satisfies the whole query,
+// no search happens at all —
 // and since the query is its parent condition plus one constraint, only
 // that constraint is evaluated (modelSatisfies).
 //
@@ -76,7 +81,8 @@ type Options struct {
 	// MaxWork bounds assignments tried per query (default 8,000,000):
 	// every value bound by the backtracking search counts one unit, and
 	// the unary filter counts one per value of the forward-checked domain
-	// per constraint it checks — whether that constraint is evaluated or,
+	// per constraint it checks — a constraint whose one open live
+	// variable is that byte — whether that constraint is evaluated or,
 	// not mentioning the variable just bound, known to hold already
 	// (searchTape skips evaluating it, not paying for it). Assignments are
 	// a pure function of the search tree, so a group's verdict does not
@@ -586,13 +592,15 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 
 	nc := len(t.roots)
 	// filterUnary prunes the domain of v using constraints where v is the
-	// only unassigned variable. Returns false if a domain empties.
+	// only unassigned variable they still read (tapeState.unassignedIn).
+	// Returns false if a domain empties.
 	//
 	// bound is the variable the DFS just bound, -1 in the initial pass. A
-	// constraint that does not mention it was unary in v under this same
-	// assignment at the node that bound its last other variable (or in
-	// the initial pass), which filtered v's domain by it, and the domain
-	// has only shrunk since: the filter would remove nothing
+	// constraint that does not mention it reads what it read before the
+	// binding, so it was unary in v under this same assignment at the
+	// node that last bound one of its variables (or in the initial pass),
+	// which filtered v's domain by it, and the domain has only shrunk
+	// since: the filter would remove nothing
 	// (TestSkippedFilterIsNoOp), so it is not evaluated — but it is
 	// charged, so Assignments stay a function of the search tree.
 	filterUnary := func(vi, bound int32) (bool, error) {

@@ -5,6 +5,9 @@
 //
 //	minicvm [-O level] [-input text] file.c
 //	minicvm [-O level] [-input text] -prog echo
+//
+// The flags build a core.Job, as symbex's do, and Job.Resolve decides
+// the module; -prog's sample input is the default -input.
 package main
 
 import (
@@ -14,7 +17,7 @@ import (
 
 	"overify/internal/core"
 	"overify/internal/coreutils"
-	"overify/internal/pipeline"
+	"overify/internal/libc"
 	"overify/internal/vm"
 )
 
@@ -25,33 +28,25 @@ func main() {
 	entry := flag.String("entry", "umain", "entry function")
 	flag.Parse()
 
-	lvl, err := pipeline.ParseLevel(*level)
-	if err != nil {
-		fatal(err)
-	}
-	var name, src string
-	switch {
-	case *progName != "":
-		p, ok := coreutils.Get(*progName)
-		if !ok {
-			fatal(fmt.Errorf("unknown corpus program %q", *progName))
+	job := core.Job{Prog: *progName, Level: *level, Entry: *entry}
+	if *progName == "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "usage: minicvm [-O level] [-input text] file.c | -prog name")
+			os.Exit(2)
 		}
-		name, src = p.Name, p.Src
-		if *input == "" {
-			*input = p.Sample
-		}
-	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		name, src = flag.Arg(0), string(data)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: minicvm [-O level] [-input text] file.c | -prog name")
-		os.Exit(2)
+		job.Name, job.Source = flag.Arg(0), string(data)
+	} else if p, ok := coreutils.Get(*progName); ok && *input == "" {
+		*input = p.Sample
 	}
-
-	c, err := core.CompileSource(name, src, lvl, core.DefaultLibc(lvl))
+	r, err := job.Resolve()
+	if err != nil {
+		fatal(err)
+	}
+	c, err := r.Compile()
 	if err != nil {
 		fatal(err)
 	}
@@ -61,24 +56,12 @@ func main() {
 	}
 	m := vm.NewMachine(prog)
 	buf := vm.ByteObject("input", append([]byte(*input), 0))
-	ret, err := m.Call(*entry, vm.PtrValue(buf, 0), vm.IntValue(32, uint64(len(*input))))
+	ret, err := m.Call(r.Entry, vm.PtrValue(buf, 0), vm.IntValue(32, uint64(len(*input))))
 	if err != nil {
 		fatal(err)
 	}
-	if out, ok := m.GlobalData("OUT"); ok {
-		if outn, ok2 := m.GlobalData("OUTN"); ok2 && len(outn) > 0 {
-			n := int(outn[0])
-			if n > len(out) {
-				n = len(out)
-			}
-			bytes := make([]byte, n)
-			for i := 0; i < n; i++ {
-				bytes[i] = byte(out[i])
-			}
-			if n > 0 {
-				fmt.Printf("output: %q\n", string(bytes))
-			}
-		}
+	if out := libc.ReadOut(m.GlobalData); len(out) > 0 {
+		fmt.Printf("output: %q\n", string(out))
 	}
 	fmt.Printf("exit: %d (%d vm instructions)\n", int32(ret.Bits), m.Stats.Instrs)
 }

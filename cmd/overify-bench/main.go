@@ -12,6 +12,11 @@
 // compiles whole modules in parallel). Output is the text rendering
 // recorded in EXPERIMENTS.md.
 //
+// Table 1 and Figure 4 build one core.Job per (program, level) cell,
+// with -passes as the job's Passes text, so Job.Resolve decides each
+// module as it does for symbex. Table 2 and Table 3 compile ablation
+// and uclibc configurations a job cannot name.
+//
 // The daemon, cluster, verdict-store and solver measurements live in
 // the ledger: `go run ./benchmark -workload served_mix|cluster_split|solver_hard`.
 // Slicing is `symbex -slice`; worker scaling is `symbex -j N`.
@@ -27,6 +32,7 @@ import (
 	"time"
 
 	"overify/internal/bench"
+	"overify/internal/core"
 	"overify/internal/pipeline"
 )
 
@@ -45,13 +51,15 @@ func main() {
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
 	flag.Parse()
 
-	var pipeSpec *pipeline.PipelineSpec
+	// The drivers take the spec as core.Job.Passes; one probe job
+	// rejects a malformed spec before any table runs.
+	var passes string
 	if *passSpec != "" {
 		text, err := pipeline.LoadSpecArg(*passSpec)
 		check(err)
-		spec, err := pipeline.ParsePipeline(text)
+		_, err = core.Job{Prog: "wc", Passes: text}.Resolve()
 		check(err)
-		pipeSpec = &spec
+		passes = text
 	}
 
 	if !(*t1 || *t2 || *t3 || *f4 || *all) {
@@ -63,7 +71,7 @@ func main() {
 	}
 
 	if *t1 {
-		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Pipeline: pipeSpec}
+		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Passes: passes}
 		rows, err := bench.Table1(opts)
 		check(err)
 		fmt.Println(bench.RenderTable1(rows, opts))
@@ -82,7 +90,7 @@ func main() {
 	if *f4 {
 		opts := bench.Figure4Options{
 			InputBytes: *n, Timeout: *timeout, Workers: *workers,
-			Pipeline: pipeSpec,
+			Passes: passes,
 		}
 		if *prog != "" {
 			opts.Programs = []string{*prog}

@@ -8,6 +8,10 @@
 //	overifyc [-O level] -prog wc            # compile a corpus program
 //
 // Levels: -O0 -O1 -O2 -O3 -OVERIFY (aliases: -OSYMBEX).
+//
+// The flags build a core.Job, as symbex's do, and Job.Resolve decides
+// the module: program lookup, level, libc and pass pipeline. -libc
+// overrides the libc the level would link.
 package main
 
 import (
@@ -16,9 +20,7 @@ import (
 	"os"
 
 	"overify/internal/core"
-	"overify/internal/coreutils"
 	"overify/internal/libc"
-	"overify/internal/pipeline"
 	"overify/internal/vm"
 )
 
@@ -29,42 +31,33 @@ func main() {
 	progName := flag.String("prog", "", "compile a bundled corpus program instead of a file")
 	flag.Parse()
 
-	lvl, err := pipeline.ParseLevel(*level)
-	if err != nil {
-		fatal(err)
-	}
-
-	var name, src string
-	switch {
-	case *progName != "":
-		p, ok := coreutils.Get(*progName)
-		if !ok {
-			fatal(fmt.Errorf("unknown corpus program %q (have: %v)", *progName, coreutils.Names()))
+	job := core.Job{Prog: *progName, Level: *level}
+	if *progName == "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "usage: overifyc [-O level] [-emit ir|stats|bytecode] file.c | -prog name")
+			os.Exit(2)
 		}
-		name, src = p.Name, p.Src
-	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		name, src = flag.Arg(0), string(data)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: overifyc [-O level] [-emit ir|stats|bytecode] file.c | -prog name")
-		os.Exit(2)
+		job.Name, job.Source = flag.Arg(0), string(data)
 	}
-
-	lk := core.DefaultLibc(lvl)
+	r, err := job.Resolve()
+	if err != nil {
+		fatal(err)
+	}
 	switch *libcKind {
 	case "":
 	case "uclibc":
-		lk = libc.Uclibc
+		r.Libc = libc.Uclibc
 	case "verified":
-		lk = libc.Verified
+		r.Libc = libc.Verified
 	default:
 		fatal(fmt.Errorf("unknown libc %q", *libcKind))
 	}
 
-	c, err := core.CompileSource(name, src, lvl, lk)
+	c, err := r.Compile()
 	if err != nil {
 		fatal(err)
 	}
@@ -73,8 +66,8 @@ func main() {
 	case "ir":
 		fmt.Print(c.Mod.String())
 	case "stats":
-		fmt.Printf("level:       %s\n", lvl)
-		fmt.Printf("libc:        %s\n", lk)
+		fmt.Printf("level:       %s\n", c.Level)
+		fmt.Printf("libc:        %s\n", c.Libc)
 		fmt.Printf("compile:     %s\n", c.Result.CompileTime)
 		fmt.Printf("passes run:  %d\n", c.Result.PassesRun)
 		fmt.Printf("instrs:      %d -> %d\n", c.Result.InstrsIn, c.Result.InstrsOut)

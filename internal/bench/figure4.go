@@ -10,7 +10,6 @@ import (
 	"overify/internal/core"
 	"overify/internal/coreutils"
 	"overify/internal/pipeline"
-	"overify/internal/symex"
 )
 
 // Figure4Options parameterize the corpus study.
@@ -24,8 +23,9 @@ type Figure4Options struct {
 	Workers int
 	// Programs restricts the corpus (default: all).
 	Programs []string
-	// Pipeline overrides every level's pass sequence (-passes=).
-	Pipeline *pipeline.PipelineSpec
+	// Passes overrides every level's pass sequence, spelled as
+	// core.Job.Passes.
+	Passes string
 }
 
 // Figure4Levels are the three configurations the paper compares.
@@ -93,43 +93,45 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 		names = coreutils.Names()
 	}
 
-	programs := make([]coreutils.Program, len(names))
-	for i, name := range names {
-		p, ok := coreutils.Get(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("figure4: unknown program %q", name)
+	// Every cell is a core.Job; resolving them all first rejects an
+	// unknown program or a malformed pass spec before any compile. The
+	// job's TimeoutMS 0 means "no budget", so a sub-millisecond Timeout
+	// rounds up to 1 ms.
+	nl := len(Figure4Levels)
+	resolved := make([]*core.Resolved, len(names)*nl)
+	for i := range resolved {
+		job := core.Job{
+			Prog: names[i/nl], Level: Figure4Levels[i%nl].String(), Passes: opts.Passes,
+			InputBytes: opts.InputBytes, TimeoutMS: max(opts.Timeout.Milliseconds(), 1), Workers: opts.Workers,
 		}
-		programs[i] = p
+		r, err := job.Resolve()
+		if err != nil {
+			return nil, nil, fmt.Errorf("figure4: %w", err)
+		}
+		resolved[i] = r
 	}
 
 	// Phase 1: compile every cell, per-program × per-level parallelism.
-	nl := len(Figure4Levels)
-	compiled := make([]*core.Compiled, len(programs)*nl)
-	cerrs := make([]error, len(programs)*nl)
-	parallelDo(len(programs)*nl, opts.Workers, func(i int) {
-		p, level := programs[i/nl], Figure4Levels[i%nl]
-		cfg := pipeline.LevelConfig(level)
-		cfg.Pipeline = opts.Pipeline
-		compiled[i], cerrs[i] = core.CompileWithConfig(p.Name, p.Src, cfg, core.DefaultLibc(level))
+	compiled := make([]*core.Compiled, len(resolved))
+	cerrs := make([]error, len(resolved))
+	parallelDo(len(resolved), opts.Workers, func(i int) {
+		compiled[i], cerrs[i] = resolved[i].Compile()
 	})
 
 	// Phase 2: verify serially, in the deterministic study order.
 	var rows []Figure4Row
-	for pi, p := range programs {
-		row := Figure4Row{Program: p.Name, Cells: make(map[pipeline.Level]*Figure4Cell)}
+	for pi := range names {
+		row := Figure4Row{Program: resolved[pi*nl].Name, Cells: make(map[pipeline.Level]*Figure4Cell)}
 		for li, level := range Figure4Levels {
 			cell := &Figure4Cell{}
 			row.Cells[level] = cell
-			c, err := compiled[pi*nl+li], cerrs[pi*nl+li]
+			r, c, err := resolved[pi*nl+li], compiled[pi*nl+li], cerrs[pi*nl+li]
 			if err != nil {
 				cell.Err = err.Error()
 				continue
 			}
 			cell.Compile = c.Result.CompileTime
-			rep, err := c.Verify("umain", core.VerifyOptions{
-				InputBytes: opts.InputBytes,
-				Engine:     symex.Options{Timeout: opts.Timeout, Workers: opts.Workers},
-			})
+			rep, err := c.Verify(r.Entry, r.Verify)
 			if err != nil {
 				cell.Err = err.Error()
 				continue

@@ -27,8 +27,9 @@ type Table1Options struct {
 	// Levels to measure (default: O0, O2, O3, OVerify — the paper's
 	// columns).
 	Levels []pipeline.Level
-	// Pipeline overrides every level's pass sequence (-passes=).
-	Pipeline *pipeline.PipelineSpec
+	// Passes overrides every level's pass sequence, spelled as
+	// core.Job.Passes.
+	Passes string
 }
 
 // Table1Row is one column of the paper's Table 1 (transposed: one row
@@ -69,9 +70,13 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 	compiled := make([]*core.Compiled, len(opts.Levels))
 	errs := make([]error, len(opts.Levels))
 	parallelDo(len(opts.Levels), opts.Workers, func(i int) {
-		cfg := pipeline.LevelConfig(opts.Levels[i])
-		cfg.Pipeline = opts.Pipeline
-		compiled[i], errs[i] = core.CompileWithConfig("wc", WcSource, cfg, core.DefaultLibc(opts.Levels[i]))
+		job := core.Job{Name: "wc", Source: WcSource, Level: opts.Levels[i].String(), Passes: opts.Passes}
+		r, err := job.Resolve()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		compiled[i], errs[i] = r.Compile()
 	})
 
 	var rows []Table1Row

@@ -22,7 +22,9 @@ const compiledPinFile = "testdata/compiled_ir.pin"
 
 // compiledPinLines compiles every corpus and trap program at the five
 // levels, plain and sliced, and every corpus program at the three
-// levels the ledger keys, and renders one line per cell, sorted.
+// levels the ledger keys, and renders one line per cell, sorted. Each
+// unsliced cell is compiled a second time through core.Job, which must
+// render the same line.
 func compiledPinLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
@@ -33,7 +35,13 @@ func compiledPinLines(t *testing.T) []string {
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, cname, err)
 			}
-			lines = append(lines, fmt.Sprintf("ir %s %s %s %+v", p.Name, cname, sha(c.Mod.String()), c.Result.Stats))
+			line := fmt.Sprintf("ir %s %s %s %+v", p.Name, cname, sha(c.Mod.String()), c.Result.Stats)
+			if !cfg.Slice {
+				if jl := jobIRLine(t, p, cfg.Level, cname); jl != line {
+					t.Errorf("core.Job compile differs:\n  job:    %s\n  config: %s", jl, line)
+				}
+			}
+			lines = append(lines, line)
 		}
 	}
 	vo := core.VerifyOptions{InputBytes: 3}
@@ -52,6 +60,25 @@ func compiledPinLines(t *testing.T) []string {
 	}
 	sort.Strings(lines)
 	return lines
+}
+
+// jobIRLine renders the ir line of the module a core.Job names for p at
+// level: the path every front door takes.
+func jobIRLine(t *testing.T, p coreutils.Program, level pipeline.Level, cname string) string {
+	t.Helper()
+	job := core.Job{Name: p.Name, Source: p.Src, Level: level.String()}
+	if _, ok := coreutils.Get(p.Name); ok {
+		job = core.Job{Prog: p.Name, Level: level.String()}
+	}
+	r, err := job.Resolve()
+	if err != nil {
+		t.Fatalf("%s %s: %v", p.Name, cname, err)
+	}
+	c, err := r.Compile()
+	if err != nil {
+		t.Fatalf("%s %s: %v", p.Name, cname, err)
+	}
+	return fmt.Sprintf("ir %s %s %s %+v", p.Name, cname, sha(c.Mod.String()), c.Result.Stats)
 }
 
 // TestCompiledIRPinned: the printed IR, the pipeline's Stats and the

@@ -117,30 +117,7 @@ func (c *Compiled) Run(fn string, input []byte) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr := &RunResult{Exit: ir.SignExtend(32, ret.Bits), Stats: m.Stats}
-	rr.Output = readOut(m)
-	return rr, nil
-}
-
-// readOut extracts the libc output sink contents from a machine.
-func readOut(m *interp.Machine) []byte {
-	outn, ok1 := m.GlobalData("OUTN")
-	out, ok2 := m.GlobalData("OUT")
-	if !ok1 || !ok2 || len(outn) == 0 {
-		return nil
-	}
-	n := int(ir.SignExtend(32, outn[0]))
-	if n < 0 {
-		n = 0
-	}
-	if n > len(out) {
-		n = len(out)
-	}
-	res := make([]byte, n)
-	for i := 0; i < n; i++ {
-		res[i] = byte(out[i])
-	}
-	return res
+	return &RunResult{Exit: ir.SignExtend(32, ret.Bits), Output: libc.ReadOut(m.GlobalData), Stats: m.Stats}, nil
 }
 
 // VerifyOptions configure symbolic verification.

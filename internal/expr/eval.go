@@ -118,46 +118,35 @@ type PartialResult struct {
 	Val   uint64
 }
 
-// PartialEvaluator evaluates expressions under a mutable partial
-// assignment — variables present in Asn are fixed, others unknown, and
-// known short-circuits (x*0, and-with-false, or-with-true, select with
-// a known condition) are applied — without per-call allocation: results
-// are memoized with a generation stamp, and Reset (after any assignment
-// change) invalidates the memo in O(1).
+// PartialEvaluator evaluates expressions under a partial assignment —
+// variables present in Asn are fixed, others unknown, and known
+// short-circuits (x*0, and-with-false, or-with-true, select with a
+// known condition) are applied. Results are memoized, so Asn must not
+// change while the evaluator is in use.
 type PartialEvaluator struct {
 	Asn  map[*Var]uint64
-	memo map[*Expr]stampedResult
-	gen  uint32
+	memo map[*Expr]PartialResult
 	// Work counts node visits since construction; callers use it to
 	// enforce time budgets.
 	Work int64
 }
 
-type stampedResult struct {
-	gen uint32
-	res PartialResult
-}
-
-// NewPartialEvaluator returns an evaluator over the given assignment
-// map (which the caller may mutate between Reset calls).
+// NewPartialEvaluator returns an evaluator over the given assignment.
 func NewPartialEvaluator(asn map[*Var]uint64) *PartialEvaluator {
-	return &PartialEvaluator{Asn: asn, memo: make(map[*Expr]stampedResult, 256), gen: 1}
+	return &PartialEvaluator{Asn: asn, memo: make(map[*Expr]PartialResult, 256)}
 }
 
-// Reset invalidates memoized results; call after changing Asn.
-func (pe *PartialEvaluator) Reset() { pe.gen++ }
-
-// Eval evaluates e under the current partial assignment.
+// Eval evaluates e under the partial assignment.
 func (pe *PartialEvaluator) Eval(e *Expr) PartialResult {
-	if s, ok := pe.memo[e]; ok && s.gen == pe.gen {
-		return s.res
+	if res, ok := pe.memo[e]; ok {
+		return res
 	}
 	pe.Work++
 	res := pe.eval(e)
 	if res.Known {
 		res.Val = ir.Mask(e.Bits, res.Val)
 	}
-	pe.memo[e] = stampedResult{gen: pe.gen, res: res}
+	pe.memo[e] = res
 	return res
 }
 

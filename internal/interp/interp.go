@@ -124,16 +124,6 @@ func NewMachine(mod *ir.Module, opts Options) *Machine {
 	return m
 }
 
-// NewObject allocates a standalone object (used by drivers to build
-// argument buffers).
-func NewObject(name string, elem ir.IntType, data []uint64) *Object {
-	d := make([]Value, len(data))
-	for i, v := range data {
-		d[i] = Value{Bits: ir.Mask(elem.Bits, v)}
-	}
-	return &Object{Elem: elem, Count: int64(len(data)), Data: d, Name: name}
-}
-
 // ByteObject builds an i8 object from raw bytes.
 func ByteObject(name string, b []byte) *Object {
 	d := make([]Value, len(b))

@@ -125,16 +125,6 @@ func (o Op) IsCommutative() bool {
 	return false
 }
 
-// HasSideEffects reports whether the instruction cannot be freely removed
-// or speculated: stores, calls, checks and terminators.
-func (o Op) HasSideEffects() bool {
-	switch o {
-	case OpStore, OpCall, OpCheck, OpAlloca:
-		return true
-	}
-	return o.IsTerminator()
-}
-
 // CheckKind classifies runtime checks inserted by the checks pass.
 type CheckKind int
 
@@ -185,12 +175,6 @@ func (in *Instr) Ref() string { return "%t" + strconv.Itoa(in.ID) }
 
 // IsTerminator reports whether this instruction ends its block.
 func (in *Instr) IsTerminator() bool { return in.Op.IsTerminator() }
-
-// Operand returns the i'th operand.
-func (in *Instr) Operand(i int) Value { return in.Args[i] }
-
-// SetOperand replaces the i'th operand.
-func (in *Instr) SetOperand(i int, v Value) { in.Args[i] = v }
 
 // PhiIncoming returns the value flowing into the phi from pred, or nil if
 // pred is not an incoming block.

@@ -132,24 +132,3 @@ func (pt *PostDomTree) Ipdom(b *Block) *Block {
 
 // HasExit reports whether some ret/unreachable block is reachable from b.
 func (pt *PostDomTree) HasExit(b *Block) bool { return pt.get(b) != nil }
-
-// PostDominates reports whether a postdominates b (reflexively). False
-// when either block cannot reach an exit.
-func (pt *PostDomTree) PostDominates(a, b *Block) bool {
-	if pt.get(a) == nil || pt.get(b) == nil {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := pt.ipdom[b.num]
-		if next == b || next == nil {
-			return false
-		}
-		if next == pt.exit {
-			return false
-		}
-		b = next
-	}
-}

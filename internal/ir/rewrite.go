@@ -17,21 +17,6 @@ func ReplaceUses(f *Function, old, new Value) int {
 	return n
 }
 
-// HasUses reports whether v (an instruction result or parameter) is
-// referenced anywhere in f.
-func HasUses(f *Function, v Value) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a == v {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // CountUses returns the number of operand slots in f referencing v.
 func CountUses(f *Function, v Value) int {
 	n := 0

@@ -111,12 +111,6 @@ func (t FuncType) String() string {
 func (t FuncType) Size() int64 { return 0 }
 func (FuncType) isType()       {}
 
-// IsInt reports whether t is an integer type, returning it if so.
-func IsInt(t Type) (IntType, bool) {
-	it, ok := t.(IntType)
-	return it, ok
-}
-
 // IsPtr reports whether t is a pointer type, returning it if so.
 func IsPtr(t Type) (PtrType, bool) {
 	pt, ok := t.(PtrType)

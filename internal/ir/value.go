@@ -41,9 +41,6 @@ func (c *Const) Type() Type { return c.Typ }
 // Ref returns the decimal spelling of the constant.
 func (c *Const) Ref() string { return strconv.FormatUint(c.Val, 10) }
 
-// SignedVal returns the constant interpreted as a signed integer.
-func (c *Const) SignedVal() int64 { return SignExtend(c.Typ.Bits, c.Val) }
-
 // IsZero reports whether the constant is zero.
 func (c *Const) IsZero() bool { return c.Val == 0 }
 
@@ -105,16 +102,3 @@ func (n *Null) Ref() string { return "null" }
 
 // NullPtr returns a null constant of pointer-to-elem type.
 func NullPtr(elem Type) *Null { return &Null{Typ: PtrTo(elem)} }
-
-// IsConstValue reports whether v is a *Const, returning it if so.
-func IsConstValue(v Value) (*Const, bool) {
-	c, ok := v.(*Const)
-	return c, ok
-}
-
-// ConstEq reports whether v is a constant equal to x (unsigned, after
-// masking x to v's width).
-func ConstEq(v Value, x uint64) bool {
-	c, ok := v.(*Const)
-	return ok && c.Val == Mask(c.Typ.Bits, x)
-}

@@ -31,15 +31,6 @@ func VerifyModule(m *Module) error {
 	return nil
 }
 
-// VerifyFunc checks a single function; see VerifyModule.
-func VerifyFunc(f *Function) error {
-	problems := verifyFunc(f)
-	if len(problems) > 0 {
-		return &VerifyError{Problems: problems}
-	}
-	return nil
-}
-
 func verifyFunc(f *Function) []string {
 	var p []string
 	bad := func(format string, args ...interface{}) {

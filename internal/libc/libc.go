@@ -394,6 +394,24 @@ int abs_(int v) {
 }
 `
 
+// ReadOut returns the bytes a run wrote to the output sink, given the
+// machine's global lookup (interp.Machine.GlobalData or
+// vm.Machine.GlobalData). It is nil when the module never linked the
+// sink.
+func ReadOut(globalData func(name string) ([]uint64, bool)) []byte {
+	outn, ok1 := globalData("OUTN")
+	out, ok2 := globalData("OUT")
+	if !ok1 || !ok2 || len(outn) == 0 {
+		return nil
+	}
+	n := min(max(int(int32(outn[0])), 0), len(out))
+	res := make([]byte, n)
+	for i := range res {
+		res[i] = byte(out[i])
+	}
+	return res
+}
+
 // Source returns the MiniC source of a library variant.
 func Source(kind Kind) string {
 	if kind == Verified {

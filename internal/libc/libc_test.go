@@ -1,7 +1,6 @@
 package libc_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -363,11 +362,27 @@ func TestOutputSink(t *testing.T) {
 		if ret.Bits != 4 {
 			t.Errorf("%s: OUTN = %d, want 4", kind, ret.Bits)
 		}
-		out, _ := m.GlobalData("OUT")
-		got := fmt.Sprintf("%c%c%c%c", out[0], out[1], out[2], out[3])
-		if got != "hi !" {
+		if got := string(libc.ReadOut(m.GlobalData)); got != "hi !" {
 			t.Errorf("%s: OUT = %q", kind, got)
 		}
+	}
+}
+
+// TestReadOutClamps: ReadOut reads OUTN as a signed 32-bit count and
+// clamps it to the sink, and reads nothing from a module without one.
+func TestReadOutClamps(t *testing.T) {
+	for _, c := range []struct {
+		outn uint64
+		want string
+	}{{2, "ab"}, {0, ""}, {9, "abc"}, {0xffffffff, ""}} {
+		globals := map[string][]uint64{"OUT": {'a', 'b', 'c'}, "OUTN": {c.outn}}
+		got := libc.ReadOut(func(name string) ([]uint64, bool) { v, ok := globals[name]; return v, ok })
+		if string(got) != c.want {
+			t.Errorf("OUTN=%#x: got %q, want %q", c.outn, got, c.want)
+		}
+	}
+	if got := libc.ReadOut(func(string) ([]uint64, bool) { return nil, false }); got != nil {
+		t.Errorf("no sink: got %q, want nil", got)
 	}
 }
 

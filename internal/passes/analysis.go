@@ -36,9 +36,6 @@ const (
 	AllAnalyses             = AnalysisDom | AnalysisLoops
 )
 
-// Has reports whether every analysis in q is in s.
-func (s AnalysisSet) Has(q AnalysisSet) bool { return s&q == q }
-
 // AnalysisStats counts analysis-cache effectiveness across a pipeline
 // run; pipeline.Result surfaces it next to the per-pass timings.
 type AnalysisStats struct {
@@ -178,9 +175,6 @@ func (cx *Context) EnableAnalysisCache() {
 		cx.relevance = &relevanceBox{}
 	}
 }
-
-// AnalysisCached reports whether this context caches analyses.
-func (cx *Context) AnalysisCached() bool { return cx.analyses != nil }
 
 // AnalysisStats sums the cache counters over every function seen.
 func (cx *Context) AnalysisStats() AnalysisStats {

@@ -38,10 +38,6 @@ type Relevance struct {
 // check set.
 func (r *Relevance) Relevant(in *ir.Instr) bool { return r.relevant[in] }
 
-// Live reports whether some relevant instruction lives in b (or b's
-// execution decides one).
-func (r *Relevance) Live(b *ir.Block) bool { return r.live[b] }
-
 // Roots returns the number of closure roots (kept checks plus
 // possibly-trapping instructions) found in the module.
 func (r *Relevance) Roots() int { return r.roots }

@@ -365,15 +365,6 @@ func (e *Engine) IntArg(t ir.IntType, v uint64) SymVal {
 	return SymVal{E: e.B.Const(t.Bits, v)}
 }
 
-// ConcreteBuffer creates an object holding concrete bytes.
-func (e *Engine) ConcreteBuffer(name string, data []byte) SymVal {
-	cells := make([]SymVal, len(data))
-	for i, c := range data {
-		cells[i] = SymVal{E: e.B.Const(8, uint64(c))}
-	}
-	return e.buffer(name, cells)
-}
-
 // Run explores fn(args) exhaustively from the given initial state (pass
 // nil for a fresh one) and returns the report. With Workers > 1 the
 // frontier is explored by a worker pool; the verdicts (bug set, path

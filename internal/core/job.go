@@ -88,6 +88,8 @@ func (j Job) Resolve() (*Resolved, error) {
 			return nil, fmt.Errorf("unknown corpus program %q", j.Prog)
 		}
 		r.Name, r.Source = p.Name, p.Src
+	case j.Source == "" && j.Name != "":
+		return nil, fmt.Errorf("%s: empty source", j.Name)
 	case j.Source == "":
 		return nil, fmt.Errorf("request carries neither source nor a corpus program")
 	case j.Name == "":

@@ -108,6 +108,7 @@ func TestJobResolveRejects(t *testing.T) {
 	}{
 		{"both", core.Job{Source: trivialSrc, Prog: "wc"}, "both source and corpus program"},
 		{"neither", core.Job{Level: "-O0"}, "neither source nor a corpus program"},
+		{"empty source", core.Job{Name: "empty.c", Level: "-O0"}, "empty.c: empty source"},
 		{"prog", core.Job{Prog: "no-such-program"}, `unknown corpus program "no-such-program"`},
 		{"level", core.Job{Prog: "wc", Level: "-O9"}, "unknown optimization level"},
 		{"check", core.Job{Prog: "wc", Checks: "div-by-zero,nonsense"}, "unknown check kind"},

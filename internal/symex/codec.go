@@ -39,8 +39,9 @@ import (
 // builder-local, so the decoder rebuilds each state's partition from
 // its re-interned path condition.
 //
-// Everything is length-checked: corrupted or truncated frames produce
-// errors, never panics. Encoding visits each distinct DAG node exactly
+// Everything is length- and range-checked, down to a frame's
+// instruction index: corrupted or truncated frames produce errors,
+// never panics. Encoding visits each distinct DAG node exactly
 // once per batch — cheaper than once per state — which
 // CodecExprVisits() exposes for the walk-counter guard tests.
 
@@ -415,59 +416,86 @@ func blockIndex(fn *ir.Function, b *ir.Block, enc *encoder) int {
 // ---------------------------------------------------------------------
 // Decoder
 
+// decReader reads what encWriter writes and keeps the first error, as
+// the encoder does: after it every read returns a zero value, so a
+// record reads its fields and checks err once, before it uses them.
 type decReader struct {
 	data []byte
 	pos  int
+	err  error
+}
+
+func (r *decReader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("symex: codec: "+format, args...)
+	}
 }
 
 func (r *decReader) remaining() int { return len(r.data) - r.pos }
 
-func (r *decReader) u() (uint64, error) {
+func (r *decReader) u() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("symex: codec: truncated varint at %d", r.pos)
+		r.failf("truncated varint at %d", r.pos)
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
 // count reads a length whose elements occupy at least min bytes each,
 // rejecting counts the remaining frame cannot possibly hold (the
 // corrupted-frame allocation guard).
-func (r *decReader) count(min int) (int, error) {
-	v, err := r.u()
-	if err != nil {
-		return 0, err
-	}
-	if min < 1 {
-		min = 1
-	}
+func (r *decReader) count(min int) int {
+	v := r.u()
 	if v > uint64(r.remaining()/min)+1 {
-		return 0, fmt.Errorf("symex: codec: implausible count %d at %d", v, r.pos)
+		r.failf("implausible count %d at %d", v, r.pos)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (r *decReader) b() (byte, error) {
+func (r *decReader) b() byte {
 	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("symex: codec: truncated frame at %d", r.pos)
+		r.failf("truncated frame at %d", r.pos)
 	}
-	c := r.data[r.pos]
+	if r.err != nil {
+		return 0
+	}
 	r.pos++
-	return c, nil
+	return r.data[r.pos-1]
 }
 
-func (r *decReader) s() (string, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return "", err
-	}
+func (r *decReader) s() string {
+	n := r.count(1)
 	if r.remaining() < n {
-		return "", fmt.Errorf("symex: codec: truncated string at %d", r.pos)
+		r.failf("truncated string at %d", r.pos)
 	}
-	s := string(r.data[r.pos : r.pos+n])
+	if r.err != nil {
+		return ""
+	}
 	r.pos += n
-	return s, nil
+	return string(r.data[r.pos-n : r.pos])
+}
+
+// pick reads a reference to an entry of list, written as its index plus
+// base: a base of 1 leaves 0 to name no entry, which reads as T's zero
+// value. An index past the list fails the frame; after a failure pick
+// returns the zero value.
+func pick[T any](r *decReader, list []T, base uint64, what string) T {
+	var zero T
+	i := r.u()
+	if r.err != nil || i < base {
+		return zero
+	}
+	if i-base >= uint64(len(list)) {
+		r.failf("%s ref %d of %d at %d", what, i-base, len(list), r.pos)
+		return zero
+	}
+	return list[i-base]
 }
 
 type decoder struct {
@@ -476,6 +504,7 @@ type decoder struct {
 	vars  []*expr.Var
 	nodes []*expr.Expr
 	objs  []*MemObject
+	pc    []*expr.Expr              // a state's path condition (scratch)
 	cells map[*MemObject][]SymVal   // a decoded writable object's cells, until a state numbers it
 	alias map[*MemObject]*MemObject // a decoded global's object → the engine's descriptor
 }
@@ -497,50 +526,32 @@ func (e *Engine) DecodeStates(data []byte) (states []*State, err error) {
 			states, err = nil, fmt.Errorf("symex: codec: corrupt frame: %v", rec)
 		}
 	}()
-	d := &decoder{e: e, r: decReader{data: data}, cells: make(map[*MemObject][]SymVal), alias: make(map[*MemObject]*MemObject)}
 	if len(data) < len(codecMagic)+1 || string(data[:len(codecMagic)]) != codecMagic {
 		return nil, fmt.Errorf("symex: codec: bad magic")
 	}
-	d.r.pos = len(codecMagic)
-	ver, err := d.r.b()
-	if err != nil {
-		return nil, err
-	}
-	if ver != codecVersion {
+	d := &decoder{e: e, r: decReader{data: data, pos: len(codecMagic)}, cells: make(map[*MemObject][]SymVal), alias: make(map[*MemObject]*MemObject)}
+	if ver := d.r.b(); ver != codecVersion {
 		return nil, fmt.Errorf("symex: codec: version %d, want %d", ver, codecVersion)
 	}
-	if err := d.readVars(); err != nil {
-		return nil, err
-	}
-	if err := d.readNodes(); err != nil {
-		return nil, err
-	}
-	if err := d.readObjects(); err != nil {
-		return nil, err
-	}
-	n, err := d.r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	states = make([]*State, 0, n)
-	maxID := int64(-1)
-	for i := 0; i < n; i++ {
-		st, err := d.readState()
-		if err != nil {
-			return nil, err
-		}
-		if st.ID > maxID {
-			maxID = st.ID
-		}
-		states = append(states, st)
+	d.readVars()
+	d.readNodes()
+	d.readObjects()
+	states = make([]*State, d.r.count(4))
+	for i := range states {
+		states[i] = d.readState()
 	}
 	if d.r.remaining() != 0 {
-		return nil, fmt.Errorf("symex: codec: %d trailing bytes", d.r.remaining())
+		d.r.failf("%d trailing bytes", d.r.remaining())
 	}
+	if d.r.err != nil {
+		return nil, d.r.err
+	}
+	maxID := int64(-1)
 	for _, st := range states {
 		if err := d.number(st); err != nil {
 			return nil, err
 		}
+		maxID = max(maxID, st.ID)
 	}
 	for {
 		cur := e.nextState.Load()
@@ -551,236 +562,116 @@ func (e *Engine) DecodeStates(data []byte) (states []*State, err error) {
 	return states, nil
 }
 
-func (d *decoder) readVars() error {
-	nInput, err := d.r.u()
-	if err != nil {
-		return err
-	}
-	n, err := d.r.count(3)
-	if err != nil {
-		return err
-	}
+func (d *decoder) readVars() {
+	nInput, n := d.r.u(), d.r.count(3)
 	if nInput > uint64(n) {
-		return fmt.Errorf("symex: codec: %d input vars of %d", nInput, n)
+		d.r.failf("%d input vars of %d", nInput, n)
 	}
 	d.vars = make([]*expr.Var, n)
-	inputs := make([]*expr.Var, 0, nInput)
-	for i := 0; i < n; i++ {
-		name, err := d.r.s()
-		if err != nil {
-			return err
-		}
-		bits, err := d.r.u()
-		if err != nil {
-			return err
-		}
-		idx, err := d.r.u()
-		if err != nil {
-			return err
-		}
+	for i := range d.vars {
+		name, bits, idx := d.r.s(), d.r.u(), d.r.u()
 		if bits == 0 || bits > 64 {
-			return fmt.Errorf("symex: codec: var %q has %d bits", name, bits)
+			d.r.failf("var %q has %d bits", name, bits)
 		}
-		node := d.e.B.Var(&expr.Var{Name: name, Bits: int(bits), Idx: int(idx)})
-		d.vars[i] = node.V
-		if i < int(nInput) {
-			inputs = append(inputs, node.V)
+		if d.r.err != nil {
+			return
 		}
+		d.vars[i] = d.e.B.Var(&expr.Var{Name: name, Bits: int(bits), Idx: int(idx)}).V
 	}
-	d.e.inputVars = inputs
-	return nil
+	if d.r.err == nil {
+		d.e.inputVars = d.vars[:nInput:nInput]
+	}
 }
 
-func (d *decoder) readNodes() error {
-	n, err := d.r.count(2)
-	if err != nil {
-		return err
-	}
+func (d *decoder) readNodes() {
+	n := d.r.count(2)
 	d.nodes = make([]*expr.Expr, 0, n)
-	for i := 0; i < n; i++ {
-		x, err := d.readNode()
-		if err != nil {
-			return err
-		}
-		d.nodes = append(d.nodes, x)
+	for range n {
+		d.nodes = append(d.nodes, d.readNode())
 	}
-	return nil
 }
 
-// arg resolves a node-table reference; only already-decoded indices are
+// arg reads a node-table reference; only already-decoded indices are
 // valid (the table is topologically ordered).
-func (d *decoder) arg() (*expr.Expr, error) {
-	i, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if i >= uint64(len(d.nodes)) {
-		return nil, fmt.Errorf("symex: codec: forward node ref %d at %d", i, d.r.pos)
-	}
-	return d.nodes[i], nil
-}
+func (d *decoder) arg() *expr.Expr { return pick(&d.r, d.nodes, 0, "node") }
 
-func (d *decoder) readNode() (*expr.Expr, error) {
-	kind, err := d.r.b()
-	if err != nil {
-		return nil, err
-	}
-	bits64, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	bits := int(bits64)
+// readNode reads one node and re-interns it. The builder runs only once
+// the node has read cleanly: a failed reference reads as nil, on which
+// it would panic.
+func (d *decoder) readNode() *expr.Expr {
+	kind, bits := expr.Kind(d.r.b()), int(d.r.u())
 	if bits <= 0 || bits > 64 {
-		return nil, fmt.Errorf("symex: codec: node with %d bits", bits)
+		d.r.failf("node with %d bits", bits)
 	}
 	B := d.e.B
-	switch expr.Kind(kind) {
+	var build func() *expr.Expr
+	switch kind {
 	case expr.KConst:
-		v, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
-		return B.Const(bits, v), nil
+		v := d.r.u()
+		build = func() *expr.Expr { return B.Const(bits, v) }
 	case expr.KVar:
-		i, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
-		if i >= uint64(len(d.vars)) {
-			return nil, fmt.Errorf("symex: codec: var ref %d of %d", i, len(d.vars))
-		}
-		return B.Var(d.vars[i]), nil
-	case expr.KBin, expr.KCmp:
-		op, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
-		x, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		y, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		if expr.Kind(kind) == expr.KBin {
-			return B.Bin(ir.Op(op), x, y), nil
-		}
-		return B.Cmp(ir.Op(op), x, y), nil
+		v := pick(&d.r, d.vars, 0, "var")
+		build = func() *expr.Expr { return B.Var(v) }
+	case expr.KBin:
+		op, x, y := ir.Op(d.r.u()), d.arg(), d.arg()
+		build = func() *expr.Expr { return B.Bin(op, x, y) }
+	case expr.KCmp:
+		op, x, y := ir.Op(d.r.u()), d.arg(), d.arg()
+		build = func() *expr.Expr { return B.Cmp(op, x, y) }
 	case expr.KSelect:
-		c, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		t, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		f, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		return B.Select(c, t, f), nil
+		c, t, f := d.arg(), d.arg(), d.arg()
+		build = func() *expr.Expr { return B.Select(c, t, f) }
 	case expr.KCast:
-		op, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
-		x, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		return B.Cast(ir.Op(op), x, bits), nil
+		op, x := ir.Op(d.r.u()), d.arg()
+		build = func() *expr.Expr { return B.Cast(op, x, bits) }
 	case expr.KRead:
-		tn, err := d.r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		table := make([]uint64, tn)
+		table := make([]uint64, d.r.count(1))
 		for i := range table {
-			if table[i], err = d.r.u(); err != nil {
-				return nil, err
-			}
+			table[i] = d.r.u()
 		}
-		idx, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
-		return B.Read(table, bits, idx), nil
+		idx := d.arg()
+		build = func() *expr.Expr { return B.Read(table, bits, idx) }
+	default:
+		d.r.failf("unknown node kind %d", kind)
 	}
-	return nil, fmt.Errorf("symex: codec: unknown node kind %d", kind)
+	if d.r.err != nil {
+		return nil
+	}
+	return build()
 }
 
-func (d *decoder) readType() (ir.Type, error) {
-	tag, err := d.r.b()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func (d *decoder) readType() ir.Type {
+	switch tag := d.r.b(); tag {
 	case 0:
-		bits, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
+		bits := d.r.u()
 		if bits == 0 || bits > 64 {
-			return nil, fmt.Errorf("symex: codec: int type of %d bits", bits)
+			d.r.failf("int type of %d bits", bits)
 		}
-		return ir.IntType{Bits: int(bits)}, nil
+		return ir.IntType{Bits: int(bits)}
 	case 1:
-		elem, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		return ir.PtrTo(elem), nil
+		return ir.PtrTo(d.readType())
 	case 2:
-		elem, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		n, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
-		return ir.ArrayType{Elem: elem, Len: int64(n)}, nil
+		elem := d.readType()
+		return ir.ArrayType{Elem: elem, Len: int64(d.r.u())}
 	case 3:
-		return ir.Void, nil
+		return ir.Void
+	default:
+		d.r.failf("unknown type tag %d", tag)
+		return nil
 	}
-	return nil, fmt.Errorf("symex: codec: unknown type tag %d", tag)
 }
 
-func (d *decoder) readObjects() error {
-	n, err := d.r.count(5)
-	if err != nil {
-		return err
-	}
-	d.objs = make([]*MemObject, n)
+func (d *decoder) readObjects() {
+	d.objs = make([]*MemObject, d.r.count(5))
 	// Phase one: allocate every object from its header so cell pointers
 	// can reference any object (aliasing, cycles, forward references).
-	cells := make([][]SymVal, n)
-	for i := 0; i < n; i++ {
-		name, err := d.r.s()
-		if err != nil {
-			return err
-		}
-		elem, err := d.readType()
-		if err != nil {
-			return err
-		}
-		count, err := d.r.u()
-		if err != nil {
-			return err
-		}
-		ro, err := d.r.b()
-		if err != nil {
-			return err
-		}
-		nc, err := d.r.count(1)
-		if err != nil {
-			return err
-		}
+	cells := make([][]SymVal, len(d.objs))
+	for i := range d.objs {
+		name, elem, count := d.r.s(), d.readType(), d.r.u()
+		ro, nc := d.r.b(), d.r.count(1)
 		if count != uint64(nc) {
 			// Bounds checks trust Count; it must be the cells there are.
-			return fmt.Errorf("symex: codec: object %q has count %d but %d cells", name, count, nc)
+			d.r.failf("object %q has count %d but %d cells", name, count, nc)
 		}
 		cells[i] = make([]SymVal, nc)
 		d.objs[i] = &MemObject{Name: name, Elem: elem, Count: int64(count), ReadOnly: ro == 1, num: -1}
@@ -788,9 +679,7 @@ func (d *decoder) readObjects() error {
 	// Phase two: fill the cells (the pages alias them).
 	for i, o := range d.objs {
 		for j := range cells[i] {
-			if cells[i][j], err = d.readSymVal(); err != nil {
-				return err
-			}
+			cells[i][j] = d.readSymVal()
 		}
 		if o.ReadOnly {
 			o.pages = paginate(cells[i])
@@ -798,7 +687,6 @@ func (d *decoder) readObjects() error {
 			d.cells[o] = cells[i]
 		}
 	}
-	return nil
 }
 
 // number gives each writable object st reaches, other than a global,
@@ -848,109 +736,70 @@ func (d *decoder) number(st *State) error {
 	return nil
 }
 
-func (d *decoder) readSymVal() (SymVal, error) {
-	tag, err := d.r.b()
-	if err != nil {
-		return SymVal{}, err
-	}
-	switch tag {
+// readSymVal reads a value. A pointer's object reference is index+1 (0
+// for null), its offset's node reference index+1 (never 0).
+func (d *decoder) readSymVal() SymVal {
+	switch tag := d.r.b(); tag {
 	case svAbsent:
-		return SymVal{}, nil
+		return SymVal{}
 	case svInt:
-		x, err := d.arg()
-		if err != nil {
-			return SymVal{}, err
-		}
-		return SymVal{E: x}, nil
+		return SymVal{E: d.arg()}
 	case svPtr:
-		oi, err := d.r.u()
-		if err != nil {
-			return SymVal{}, err
-		}
-		obj := nullObj
-		if oi != 0 {
-			if oi-1 >= uint64(len(d.objs)) {
-				return SymVal{}, fmt.Errorf("symex: codec: object ref %d of %d", oi-1, len(d.objs))
-			}
-			obj = d.objs[oi-1]
-		}
-		i, err := d.r.u()
-		if err != nil {
-			return SymVal{}, err
-		}
-		if i == 0 {
+		obj := pick(&d.r, d.objs, 1, "object")
+		off := pick(&d.r, d.nodes, 1, "node")
+		switch {
+		case d.r.err != nil:
+		case off == nil:
 			// Every GEP, load and store reads the offset: a pointer without
 			// one would fault in the worker that explores the state.
-			return SymVal{}, fmt.Errorf("symex: codec: pointer without offset at %d", d.r.pos)
+			d.r.failf("pointer without offset at %d", d.r.pos)
+		case off.Bits != 64:
+			d.r.failf("pointer offset of %d bits at %d", off.Bits, d.r.pos)
 		}
-		if i-1 >= uint64(len(d.nodes)) {
-			return SymVal{}, fmt.Errorf("symex: codec: node ref %d of %d", i-1, len(d.nodes))
-		}
-		off := d.nodes[i-1]
-		if off.Bits != 64 {
-			return SymVal{}, fmt.Errorf("symex: codec: pointer offset of %d bits at %d", off.Bits, d.r.pos)
-		}
-		return SymVal{E: off, Obj: obj}, nil
+		return SymVal{E: off, Obj: cmp.Or(obj, nullObj)}
+	default:
+		d.r.failf("unknown symval tag %d", tag)
+		return SymVal{}
 	}
-	return SymVal{}, fmt.Errorf("symex: codec: unknown symval tag %d", tag)
 }
 
-func (d *decoder) readState() (*State, error) {
-	id, err := d.r.u()
-	if err != nil {
-		return nil, err
+func (d *decoder) readState() *State {
+	st := &State{ID: int64(d.r.u()), Forks: int(d.r.u())}
+	d.pc = d.pc[:0]
+	for range d.r.count(1) {
+		d.pc = append(d.pc, d.arg())
 	}
-	forks, err := d.r.u()
-	if err != nil {
-		return nil, err
+	ng := d.r.count(2)
+	if ng != len(d.e.globals) {
+		d.r.failf("state has %d globals, module %d", ng, len(d.e.globals))
 	}
-	st := &State{ID: int64(id), Forks: int(forks)}
-
-	npc, err := d.r.count(1)
-	if err != nil {
-		return nil, err
+	if d.r.err != nil {
+		return nil
 	}
 	// Group fingerprints are builder-local, so the carried partition is
 	// rebuilt from the re-interned condition rather than shipped. Its
 	// model-reuse memo restarts cold; verdicts and query counts are
 	// unaffected.
-	for i := 0; i < npc; i++ {
-		c, err := d.arg()
-		if err != nil {
-			return nil, err
-		}
+	for _, c := range d.pc {
 		st.Part = st.Part.Extend(c)
 	}
 
-	ng, err := d.r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	if ng != len(d.e.globals) {
-		return nil, fmt.Errorf("symex: codec: state has %d globals, module %d", ng, len(d.e.globals))
-	}
 	listed := make([]bool, ng)
-	for i := 0; i < ng; i++ {
-		name, err := d.r.s()
-		if err != nil {
-			return nil, err
-		}
-		oi, err := d.r.u()
-		if err != nil {
-			return nil, err
-		}
+	for range ng {
+		name, o := d.r.s(), pick(&d.r, d.objs, 0, "global object")
 		g := d.e.Mod.Global(name)
 		if g == nil {
-			return nil, fmt.Errorf("symex: codec: no global %q in module", name)
+			d.r.failf("no global %q in module", name)
 		}
-		if oi >= uint64(len(d.objs)) {
-			return nil, fmt.Errorf("symex: codec: global object ref %d of %d", oi, len(d.objs))
+		if d.r.err != nil {
+			return nil
 		}
-		n, o := d.e.globalNum[g], d.objs[oi]
+		n := d.e.globalNum[g]
 		want := d.e.globals[n]
 		if listed[n] || o.Name != want.Name || o.Count != want.Count || o.ReadOnly != want.ReadOnly ||
 			!ir.SameType(o.Elem, want.Elem) || (d.alias[o] != nil && d.alias[o] != want) {
-			return nil, fmt.Errorf("symex: codec: object %q does not fit global %q", o.Name, name)
+			d.r.failf("object %q does not fit global %q", o.Name, name)
+			return nil
 		}
 		listed[n], d.alias[o] = true, want
 		switch {
@@ -959,137 +808,84 @@ func (d *decoder) readState() (*State, error) {
 				want.pages = o.pages
 			}
 		case o.num >= 0:
-			return nil, fmt.Errorf("symex: codec: object %q held by two states", o.Name)
+			d.r.failf("object %q held by two states", o.Name)
+			return nil
 		default:
 			o.num = n
 			st.install(n, paginate(d.cells[o]), false)
 		}
 	}
 
-	nf, err := d.r.count(4)
-	if err != nil {
-		return nil, err
+	st.Frames = make([]*Frame, 0, d.r.count(4))
+	for range cap(st.Frames) {
+		st.Frames = append(st.Frames, d.readFrame(st.Frames))
 	}
-	st.Frames = make([]*Frame, 0, nf)
-	for i := 0; i < nf; i++ {
-		f, err := d.readFrame(st.Frames)
-		if err != nil {
-			return nil, err
-		}
-		st.Frames = append(st.Frames, f)
-	}
-	return st, nil
+	return st
 }
 
-func (d *decoder) readFrame(outer []*Frame) (*Frame, error) {
-	fnName, err := d.r.s()
-	if err != nil {
-		return nil, err
-	}
-	fn := d.e.Mod.Func(fnName)
+func (d *decoder) readFrame(outer []*Frame) *Frame {
+	name := d.r.s()
+	fn := d.e.Mod.Func(name)
 	if fn == nil {
-		return nil, fmt.Errorf("symex: codec: no function %q in module", fnName)
+		d.r.failf("no function %q in module", name)
+		return nil
 	}
-	bi, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if bi >= uint64(len(fn.Blocks)) {
-		return nil, fmt.Errorf("symex: codec: block %d of %d in %s", bi, len(fn.Blocks), fnName)
-	}
-	f := d.e.newFrame(fn, nil)
-	f.Block = fn.Blocks[bi]
-	pi, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if pi != 0 {
-		if pi-1 >= uint64(len(fn.Blocks)) {
-			return nil, fmt.Errorf("symex: codec: prev block %d of %d in %s", pi-1, len(fn.Blocks), fnName)
-		}
-		f.Prev = fn.Blocks[pi-1]
-	}
-	idx, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if idx > uint64(len(f.Block.Instrs)) {
-		return nil, fmt.Errorf("symex: codec: instr index %d of %d in %s/%s", idx, len(f.Block.Instrs), fnName, f.Block.Name)
-	}
-	f.Idx = int(idx)
-
-	hasCaller, err := d.r.b()
-	if err != nil {
-		return nil, err
-	}
-	if hasCaller == 1 {
+	blk := pick(&d.r, fn.Blocks, 0, "block")
+	prev := pick(&d.r, fn.Blocks, 1, "prev block")
+	idx := d.r.u()
+	var caller *ir.Instr
+	if d.r.b() == 1 {
 		if len(outer) == 0 {
-			return nil, fmt.Errorf("symex: codec: caller on bottom frame")
+			d.r.failf("caller on bottom frame")
+		} else {
+			// The awaiting call lives in the caller's function.
+			caller = d.instr(outer[len(outer)-1].Fn)
 		}
-		callerFn := outer[len(outer)-1].Fn
-		in, err := d.readInstrRef(callerFn)
-		if err != nil {
-			return nil, err
-		}
-		f.Caller = in
 	}
+	// A frame resumes at an instruction its block executes: past the
+	// phis, which only a jump into the block evaluates, and before the
+	// block's end.
+	if blk != nil && (idx < uint64(len(blk.Phis())) || idx >= uint64(len(blk.Instrs))) {
+		d.r.failf("instr index %d outside %d..%d in %s/%s", idx, len(blk.Phis()), len(blk.Instrs)-1, name, blk.Name)
+	}
+	if d.r.err != nil {
+		return nil
+	}
+	f := d.e.newFrame(fn, caller)
+	f.Block, f.Prev, f.Idx = blk, prev, int(idx)
 
-	nl, err := d.r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nl; i++ {
-		tag, err := d.r.b()
-		if err != nil {
-			return nil, err
-		}
-		var slot int
-		switch tag {
+	// Assigned registers, keyed by param index or (block, index).
+	for range d.r.count(2) {
+		slot := -1
+		switch tag := d.r.b(); tag {
 		case 0:
-			pidx, err := d.r.u()
-			if err != nil {
-				return nil, err
+			if p := pick(&d.r, fn.Params, 0, "param"); p != nil {
+				slot = p.Idx
 			}
-			if pidx >= uint64(len(fn.Params)) {
-				return nil, fmt.Errorf("symex: codec: param %d of %d in %s", pidx, len(fn.Params), fnName)
-			}
-			slot = int(pidx)
 		case 1:
-			in, err := d.readInstrRef(fn)
-			if err != nil {
-				return nil, err
+			if in := d.instr(fn); in != nil {
+				if ir.SameType(in.Typ, ir.Void) {
+					d.r.failf("local keyed by void instruction in %s", name)
+				}
+				slot = f.lay.index(in)
 			}
-			if ir.SameType(in.Typ, ir.Void) {
-				return nil, fmt.Errorf("symex: codec: local keyed by void instruction in %s", fnName)
-			}
-			slot = f.lay.index(in)
 		default:
-			return nil, fmt.Errorf("symex: codec: unknown local key tag %d", tag)
+			d.r.failf("unknown local key tag %d", tag)
 		}
-		sv, err := d.readSymVal()
-		if err != nil {
-			return nil, err
+		sv := d.readSymVal()
+		if d.r.err != nil {
+			return nil
 		}
 		f.Regs[slot] = sv
 	}
-	return f, nil
+	return f
 }
 
-func (d *decoder) readInstrRef(fn *ir.Function) (*ir.Instr, error) {
-	bi, err := d.r.u()
-	if err != nil {
-		return nil, err
+// instr reads an instruction reference: a block of fn and an index in it.
+func (d *decoder) instr(fn *ir.Function) *ir.Instr {
+	var instrs []*ir.Instr
+	if b := pick(&d.r, fn.Blocks, 0, "block"); b != nil {
+		instrs = b.Instrs
 	}
-	ii, err := d.r.u()
-	if err != nil {
-		return nil, err
-	}
-	if bi >= uint64(len(fn.Blocks)) {
-		return nil, fmt.Errorf("symex: codec: instr block %d of %d in %s", bi, len(fn.Blocks), fn.Name)
-	}
-	b := fn.Blocks[bi]
-	if ii >= uint64(len(b.Instrs)) {
-		return nil, fmt.Errorf("symex: codec: instr %d of %d in %s/%s", ii, len(b.Instrs), fn.Name, b.Name)
-	}
-	return b.Instrs[ii], nil
+	return pick(&d.r, instrs, 0, "instr")
 }

@@ -644,3 +644,56 @@ func TestStateCodecShipsThePartitionHistory(t *testing.T) {
 		t.Errorf("a state with the unsat partition: err = %v, want an unsatisfiable-path-condition error", err)
 	}
 }
+
+// TestStateCodecFrameIndexRefused: a frame resumes at an instruction its
+// block executes, past the phis (only a jump into the block evaluates
+// them) and before the block's end. A frame index one past the end, or
+// one at a phi, used to decode cleanly and then panic the worker that
+// explored the state — index out of range in step, or "cannot execute
+// phi" — which takes a worker daemon down with it.
+func TestStateCodecFrameIndexRefused(t *testing.T) {
+	p, _ := coreutils.Get("wc")
+	compile := func() *core.Compiled {
+		c, err := core.CompileProgram(p, pipeline.OVerify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		move func(f *symex.Frame) bool
+	}{
+		{"past the end", func(f *symex.Frame) bool {
+			f.Idx = len(f.Block.Instrs)
+			return true
+		}},
+		{"at a phi", func(f *symex.Frame) bool {
+			for _, b := range f.Fn.Blocks {
+				if len(b.Phis()) > 0 {
+					f.Block, f.Idx = b, 0
+					return true
+				}
+			}
+			return false
+		}},
+	} {
+		eng, args := newVerifyEngine(compile(), 3, symex.Options{})
+		states, err := eng.Split("umain", args, nil, 2)
+		if err != nil || len(states) == 0 {
+			t.Fatalf("split: %d states, %v", len(states), err)
+		}
+		st := states[0]
+		if !tc.move(st.Frames[len(st.Frames)-1]) {
+			t.Fatalf("%s: no block with phis in the top frame's function", tc.name)
+		}
+		blob, err := eng.EncodeStates(states[:1])
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		_, err = symex.NewEngine(compile().Mod, symex.Options{}).DecodeStates(blob)
+		if err == nil || !strings.Contains(err.Error(), "symex: codec:") {
+			t.Errorf("frame index %s: err = %v, want a symex: codec: error", tc.name, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"overify/internal/expr"
 	"overify/internal/ir"
+	"overify/internal/solver"
 )
 
 const maxCallDepth = 4096
@@ -37,18 +38,8 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				}
 				continue
 			}
-			// Each side is decided on its extension of the condition, which
-			// the side then carries: the group verdicts decided here ride
-			// along to the forked states.
-			pT, pF := st.Part.Extend(c), st.Part.Extend(w.B.Not(c))
-			resT, _ := w.satP(pT)
-			resF, _ := w.satP(pF)
-			switch {
-			case resT != satNo && resF != satNo && (resT == satYes || resF == satYes):
-				// Both sides may be feasible. A side the solver could not
-				// decide is followed, not dropped: it reports no bug
-				// unless a later query proves one (every bug site needs
-				// satYes), and its Failures make the verdict inconclusive.
+			switch pT, pF, takeT, takeF := w.branch(st, c); {
+			case takeT && takeF:
 				other := w.fork(st)
 				of := other.top()
 				st.Part = pT
@@ -57,29 +48,15 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				w.jump(other, of, in.Succs[1])
 				// DFS continues with the last element: st (true side).
 				return false, []*State{other, st}
-			case resT != satNo && resF == satNo:
-				// Only the true side is possible.
+			case takeT:
 				st.Part = pT
 				w.jump(st, f, in.Succs[0])
-			case resF != satNo && resT == satNo:
+			case takeF:
 				st.Part = pF
 				w.jump(st, f, in.Succs[1])
-			case resT == satNo && resF == satNo:
+			default:
 				// Contradictory path condition; the path dies silently.
 				return false, nil
-			default:
-				// Both sides unknown: concretize (KLEE's solver-failure
-				// fallback). Follow the side a model of the current path
-				// condition takes; no fork, so budget failures cannot
-				// blow up the search.
-				_, model := w.satP(st.Part)
-				if expr.Eval(c, model) != 0 {
-					st.Part = pT
-					w.jump(st, f, in.Succs[0])
-				} else {
-					st.Part = pF
-					w.jump(st, f, in.Succs[1])
-				}
 			}
 			continue
 
@@ -152,16 +129,11 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			if c.IsFalse() {
 				return w.endWithBug(st, kind, in.Msg)
 			}
-			if res, model := w.satP(st.Part.Extend(w.B.Not(c))); res == satYes {
-				w.reportBug(st, kind, in.Msg, model)
-				w.e.errorPaths.Add(1)
+			if !w.guard(st, w.B.Not(c), kind, func() string { return in.Msg }) {
+				return false, nil // every input fails the check
 			}
-			if ok := st.Part.Extend(c); w.sat(ok) {
-				st.Part = ok
-				f.Idx++
-				continue
-			}
-			return false, nil // every input fails the check
+			f.Idx++
+			continue
 
 		default:
 			res, fk := w.execValue(st, f, in)
@@ -223,6 +195,49 @@ func (w *worker) ev(st *State, f *Frame, v ir.Value) SymVal {
 	return sv
 }
 
+// branch decides which sides of c the path may take, under the one rule
+// both fork sites (a conditional branch, a select between two objects)
+// follow. A side is taken unless the solver proves it infeasible: a side
+// it could not decide is followed, not dropped — it reports no bug
+// unless a later query proves one (guard reports only on satYes), and
+// its Failures make the verdict inconclusive. When neither side is
+// decided the path concretizes instead (KLEE's solver-failure fallback):
+// it follows the side a model of the current path condition takes, so
+// budget failures cannot blow up the search. pT and pF are st.Part
+// extended by c and by !c; each side is decided on its extension and
+// then carries it, so the group verdicts decided here ride along to the
+// forked states.
+func (w *worker) branch(st *State, c *expr.Expr) (pT, pF *solver.Partition, takeT, takeF bool) {
+	pT, pF = st.Part.Extend(c), st.Part.Extend(w.B.Not(c))
+	resT, _ := w.satP(pT)
+	resF, _ := w.satP(pF)
+	if resT == satUnknown && resF == satUnknown {
+		_, model := w.satP(st.Part)
+		takeT = expr.Eval(c, model) != 0
+		return pT, pF, takeT, !takeT
+	}
+	return pT, pF, resT != satNo, resF != satNo
+}
+
+// guard is every trap site's rule: it reports the trap when the solver
+// proves bad reachable (an undecided query reports none), then assumes
+// !bad unless the solver proves that infeasible. The partition it asks
+// about is the one it carries forward, so each constraint is added with
+// one Extend. msg is called only to report a bug. Returns false when the
+// path cannot continue (every input traps).
+func (w *worker) guard(st *State, bad *expr.Expr, kind BugKind, msg func() string) bool {
+	if res, model := w.satP(st.Part.Extend(bad)); res == satYes {
+		w.reportBug(st, kind, msg(), model)
+		w.e.errorPaths.Add(1)
+	}
+	ok := st.Part.Extend(w.B.Not(bad))
+	if res, _ := w.satP(ok); res == satNo {
+		return false
+	}
+	st.Part = ok
+	return true
+}
+
 // endWithBug concretizes the current path condition into a reproducing
 // input, records the bug, and terminates the path.
 func (w *worker) endWithBug(st *State, kind BugKind, msg string) (bool, []*State) {
@@ -256,25 +271,15 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 		bits := in.Typ.(ir.IntType).Bits
 		switch in.Op {
 		case ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem:
-			d := b.E
-			if dc, ok := d.IsConst(); ok {
-				if dc == 0 {
-					w.endWithBug(st, BugDivByZero,
-						fmt.Sprintf("%s by zero in %s", in.Op, st.Where()))
-					return execEnd, nil
-				}
-			} else {
-				zero := w.B.Cmp(ir.OpEq, d, w.B.Const(bits, 0))
-				if res, model := w.satP(st.Part.Extend(zero)); res == satYes {
-					w.reportBug(st, BugDivByZero,
-						fmt.Sprintf("%s by zero in %s", in.Op, st.Where()), model)
-					w.e.errorPaths.Add(1)
-				}
-				nz := st.Part.Extend(w.B.Not(zero))
-				if !w.sat(nz) {
+			msg := func() string { return fmt.Sprintf("%s by zero in %s", in.Op, st.Where()) }
+			if dc, ok := b.E.IsConst(); !ok {
+				zero := w.B.Cmp(ir.OpEq, b.E, w.B.Const(bits, 0))
+				if !w.guard(st, zero, BugDivByZero, msg) {
 					return execEnd, nil // division always traps
 				}
-				st.Part = nz
+			} else if dc == 0 {
+				w.endWithBug(st, BugDivByZero, msg())
+				return execEnd, nil
 			}
 		}
 		set(SymVal{E: w.B.Bin(in.Op, a.E, b.E)})
@@ -308,15 +313,13 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			return execOK, nil
 		}
 		// Pointer select: merge offsets when the object agrees, else
-		// fork on the condition.
+		// branch on the condition.
 		if t.Obj == fv.Obj {
 			set(SymVal{E: w.B.Select(c.E, t.E, fv.E), Obj: t.Obj})
 			return execOK, nil
 		}
-		pT, pF := st.Part.Extend(c.E), st.Part.Extend(w.B.Not(c.E))
-		satT, satF := w.sat(pT), w.sat(pF)
-		switch {
-		case satT && satF:
+		switch pT, pF, takeT, takeF := w.branch(st, c.E); {
+		case takeT && takeF:
 			other := w.fork(st)
 			of := other.top()
 			st.Part = pT
@@ -326,10 +329,10 @@ func (w *worker) execValue(st *State, f *Frame, in *ir.Instr) (execResult, []*St
 			*of.reg(in) = w.ev(other, of, in.Args[2])
 			of.Idx++
 			return execFork, []*State{other, st}
-		case satT:
+		case takeT:
 			st.Part = pT
 			set(t)
-		case satF:
+		case takeF:
 			st.Part = pF
 			set(fv)
 		default:
@@ -552,20 +555,12 @@ func (w *worker) storeCell(st *State, obj *MemObject, off *expr.Expr, v SymVal) 
 	return execOK, nil
 }
 
-// boundsCheck reports a bug if off can be out of bounds and constrains
-// the path to in-bounds accesses. Returns false when the path cannot
-// continue (every offset is out of bounds).
+// boundsCheck guards an access at a symbolic offset: it reports a bug
+// if off can be out of bounds and constrains the path to in-bounds
+// accesses. Returns false when every offset is out of bounds.
 func (w *worker) boundsCheck(st *State, obj *MemObject, off *expr.Expr, what string) bool {
 	oob := w.B.Cmp(ir.OpUGe, off, w.B.Const(64, uint64(obj.Count)))
-	if res, model := w.satP(st.Part.Extend(oob)); res == satYes {
-		w.reportBug(st, BugOutOfBounds,
-			fmt.Sprintf("%s %s out of bounds (size %d) in %s", what, obj.Name, obj.Count, st.Where()), model)
-		w.e.errorPaths.Add(1)
-	}
-	inb := st.Part.Extend(w.B.Not(oob))
-	if !w.sat(inb) {
-		return false
-	}
-	st.Part = inb
-	return true
+	return w.guard(st, oob, BugOutOfBounds, func() string {
+		return fmt.Sprintf("%s %s out of bounds (size %d) in %s", what, obj.Name, obj.Count, st.Where())
+	})
 }

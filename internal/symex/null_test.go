@@ -10,6 +10,7 @@ import (
 	"overify/internal/dist"
 	"overify/internal/ir"
 	"overify/internal/pipeline"
+	"overify/internal/solver"
 	"overify/internal/symex"
 )
 
@@ -127,4 +128,56 @@ func holdsNullCell(states []*symex.State) bool {
 		}
 	}
 	return false
+}
+
+// undecidedHash leaves the condition h == K undecided on both sides
+// under a small solver budget: h is FNV-1a over the four input bytes.
+const undecidedHash = `int A[4];
+int B[4];
+int *pick(int c) { return c ? A : B; }
+int umain(unsigned char *input, int len) {
+	int h = 0 - 2128831035;
+	int i = 0;
+	while (i < 4) {
+		h = (h ^ (int)input[i]) * 16777619;
+		i = i + 1;
+	}
+`
+
+// TestUndecidedSelectFollowsBranchRule: a pointer select between two
+// objects and a conditional branch decide their sides by one rule. At
+// -OVERIFY the first program stores through select(h == K, A, B) and the
+// second branches on h == K to store into A or B. Under MaxWork 100 the
+// solver decides neither side of the condition, so each site follows the
+// side a model of the path condition takes: one path, no fork, the two
+// undecided queries in Failures, and an inconclusive verdict. A select
+// that forked both undecided sides would count two paths.
+func TestUndecidedSelectFollowsBranchRule(t *testing.T) {
+	for _, tc := range []struct{ name, op, body string }{
+		{"select", "select i1", "\tint *s = pick(h == 0 - 835421763);\n\t*s = 1;\n\treturn A[0];\n}\n"},
+		{"branch", "br i1", "\tif (h == 0 - 835421763) { A[0] = 1; } else { B[0] = 1; }\n\treturn A[0];\n}\n"},
+	} {
+		c, err := core.CompileProgram(coreutils.Program{Name: tc.name, Src: undecidedHash + tc.body}, pipeline.OVerify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ir := c.Mod.String(); !strings.Contains(ir, tc.op) {
+			t.Fatalf("%s: no %q in the -OVERIFY module:\n%s", tc.name, tc.op, ir)
+		}
+		for _, workers := range []int{1, 4} {
+			eng, args := newVerifyEngine(c, 4, symex.Options{Workers: workers, Solver: solver.Options{MaxWork: 100}})
+			rep, err := eng.Run("umain", args, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rep.Stats
+			if s.TotalPaths() != 1 || s.Forks != 0 || s.SolverStats.Failures != 2 || len(rep.Bugs) != 0 {
+				t.Errorf("%s -j %d: %d paths, %d forks, %d undecided queries, bugs %v; want 1 path, no fork, 2 undecided, no bugs",
+					tc.name, workers, s.TotalPaths(), s.Forks, s.SolverStats.Failures, rep.Bugs)
+			}
+			if v, _ := rep.Verdict(); v != symex.Inconclusive {
+				t.Errorf("%s -j %d: verdict %s, want inconclusive", tc.name, workers, v)
+			}
+		}
+	}
 }

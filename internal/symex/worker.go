@@ -191,21 +191,6 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model
 	w.bugs = append(w.bugs, bug)
 }
 
-// sat asks the solver whether p is feasible and folds the three-valued
-// answer to two: unknown (budget exhaustion) reads as feasible, as it
-// does at a conditional branch (exec.go, OpCondBr), where a side that
-// comes back unknown is followed like a feasible one and counted in
-// the solver's Failures. Call sites that *report bugs* must use satP
-// and skip reporting on unknown.
-//
-// p is the state's partition extended by the constraint the caller is
-// about to assume: a caller that goes on to assume it carries p forward
-// (st.Part = p), so each constraint is added with one Extend.
-func (w *worker) sat(p *solver.Partition) bool {
-	res, _ := w.satP(p)
-	return res != satNo
-}
-
 // checkAssignBudget flushes this worker's solver-assignment count into
 // the engine total after a query and requests a stop once the
 // MaxAssignments budget is spent. Queries are the enforcement boundary:

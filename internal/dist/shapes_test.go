@@ -70,23 +70,29 @@ func TestOneJobThreeShapes(t *testing.T) {
 	// the four input bytes. The run finds the bug but leaves queries
 	// undecided at their assignment budget, so at every level and in
 	// every shape the render opens with inconclusive and still lists the
-	// bug: never verified, never a bare bugs line.
+	// bug: never verified, never a bare bugs line. hashidx.c, its
+	// bounds-check twin, reaches a load of input[5] behind the same hash.
 	t.Run("inconclusive", func(t *testing.T) {
-		src, err := os.ReadFile("../core/testdata/hash.c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, level := range []string{"-O0", "-O3", "-OVERIFY"} {
-			job := core.Job{Name: "hash.c", Source: string(src), Level: level, InputBytes: 4, SplitStates: 2}
-			inProc, served, clustered, reply, _ := threeShapes(t, job)
-			if inProc != served || inProc != clustered {
-				t.Errorf("%s: verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", level, inProc, served, clustered)
+		for _, tc := range []struct{ file, head, bug string }{
+			{"hash.c", "inconclusive: 2 paths (undecided solver queries: ", "sdiv"},
+			{"hashidx.c", "inconclusive: 2 paths (undecided solver queries: 2)\n", "load input out of bounds (size 5)"},
+		} {
+			src, err := os.ReadFile("../core/testdata/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.HasPrefix(inProc, "inconclusive: 2 paths (undecided solver queries: ") || !strings.Contains(inProc, ")\n  [") {
-				t.Errorf("%s: want an inconclusive render that lists the bug, got\n%s", level, inProc)
-			}
-			if reply.Verdict != "inconclusive" || len(reply.Bugs) != 1 {
-				t.Errorf("%s: daemon verdict %q with %d bugs, want inconclusive with 1", level, reply.Verdict, len(reply.Bugs))
+			for _, level := range []string{"-O0", "-O3", "-OVERIFY"} {
+				job := core.Job{Name: tc.file, Source: string(src), Level: level, InputBytes: 4, SplitStates: 2}
+				inProc, served, clustered, reply, _ := threeShapes(t, job)
+				if inProc != served || inProc != clustered {
+					t.Errorf("%s %s: verdict depends on the shape:\nin-process:\n%s\ndaemon:\n%s\ncluster:\n%s", tc.file, level, inProc, served, clustered)
+				}
+				if !strings.HasPrefix(inProc, tc.head) || !strings.Contains(inProc, ")\n  [") || !strings.Contains(inProc, tc.bug) {
+					t.Errorf("%s %s: want an inconclusive render that lists the %s bug, got\n%s", tc.file, level, tc.bug, inProc)
+				}
+				if reply.Verdict != "inconclusive" || len(reply.Bugs) != 1 {
+					t.Errorf("%s %s: daemon verdict %q with %d bugs, want inconclusive with 1", tc.file, level, reply.Verdict, len(reply.Bugs))
+				}
 			}
 		}
 	})

@@ -180,21 +180,20 @@ func (b *Builder) Var(v *Var) *Expr {
 	})
 }
 
+// operand is what the shared identity table (ir/algebra.go) sees of e.
+func (e *Expr) operand() ir.Operand {
+	if e.Kind == KConst {
+		return ir.Operand{Val: e.Val, Const: true}
+	}
+	return ir.Operand{}
+}
+
 // Bin builds a binary arithmetic/bitwise node with on-the-fly folding.
 func (b *Builder) Bin(op ir.Op, x, y *Expr) *Expr {
 	if x.Bits != y.Bits {
 		panic(fmt.Sprintf("expr: %s width mismatch %d vs %d", op, x.Bits, y.Bits))
 	}
 	bits := x.Bits
-	// Constant folding (division by zero stays symbolic: the engine
-	// checks it before building).
-	if xc, ok := x.IsConst(); ok {
-		if yc, ok2 := y.IsConst(); ok2 {
-			if r, okDiv := ir.EvalBin(op, bits, xc, yc); okDiv {
-				return b.Const(bits, r)
-			}
-		}
-	}
 	// Canonicalize: constant on the right for commutative ops; otherwise
 	// order operands by node id for interning stability.
 	if op.IsCommutative() {
@@ -207,90 +206,34 @@ func (b *Builder) Bin(op ir.Op, x, y *Expr) *Expr {
 			x, y = y, x
 		}
 	}
-	if e := simplifyBin(b, op, x, y); e != nil {
-		return e
+	// Division by a constant zero stays symbolic: the engine checks it
+	// before building.
+	switch f := ir.FoldBin(op, bits, x.operand(), y.operand(), x == y); f.Kind {
+	case ir.FoldArg:
+		return x
+	case ir.FoldConst:
+		return b.Const(bits, f.Val)
+	}
+	// Builder only, as both read x's term and rebuild it, where the IR
+	// would have to add instructions: demanded bits, and xor(xor(e, c1),
+	// c2) -> xor(e, c1^c2), double negation among them (the IR keeps an
+	// in-place xor chain).
+	if yc, ok := y.IsConst(); ok {
+		if op == ir.OpAnd {
+			if d := demand(b, x, yc, demandDepth); d != x {
+				return b.Bin(ir.OpAnd, d, y)
+			}
+		}
+		if op == ir.OpXor && x.Kind == KBin && x.Op == ir.OpXor {
+			if c1, ok := x.Args[1].IsConst(); ok {
+				return b.Bin(ir.OpXor, x.Args[0], b.Const(bits, c1^yc))
+			}
+		}
 	}
 	return b.intern(argKey(KBin, op, bits, x, y), func() *Expr {
 		args := []*Expr{x, y}
 		return &Expr{Kind: KBin, Bits: bits, Op: op, Args: args, vset: unionArgSets(args)}
 	})
-}
-
-func simplifyBin(b *Builder, op ir.Op, x, y *Expr) *Expr {
-	yc, yConst := y.IsConst()
-	bits := x.Bits
-	allOnes := ir.Mask(bits, ^uint64(0))
-	switch op {
-	case ir.OpAdd:
-		if yConst && yc == 0 {
-			return x
-		}
-	case ir.OpSub:
-		if yConst && yc == 0 {
-			return x
-		}
-		if x == y {
-			return b.Const(bits, 0)
-		}
-	case ir.OpMul:
-		if yConst && yc == 0 {
-			return b.Const(bits, 0)
-		}
-		if yConst && yc == 1 {
-			return x
-		}
-	case ir.OpAnd:
-		if yConst && yc == 0 {
-			return b.Const(bits, 0)
-		}
-		if yConst && yc == allOnes {
-			return x
-		}
-		if yConst {
-			if d := demand(b, x, yc, demandDepth); d != x {
-				return b.Bin(ir.OpAnd, d, y)
-			}
-		}
-		if x == y {
-			return x
-		}
-	case ir.OpOr:
-		if yConst && yc == 0 {
-			return x
-		}
-		if yConst && yc == allOnes {
-			return b.Const(bits, allOnes)
-		}
-		if x == y {
-			return x
-		}
-	case ir.OpXor:
-		if yConst && yc == 0 {
-			return x
-		}
-		if x == y {
-			return b.Const(bits, 0)
-		}
-		// Double negation: xor(xor(e, c1), c2) -> xor(e, c1^c2).
-		if x.Kind == KBin && x.Op == ir.OpXor && yConst {
-			if c1, ok := x.Args[1].IsConst(); ok {
-				return b.Bin(ir.OpXor, x.Args[0], b.Const(bits, c1^yc))
-			}
-		}
-	case ir.OpShl, ir.OpLShr, ir.OpAShr:
-		if yConst && yc == 0 {
-			return x
-		}
-	case ir.OpUDiv, ir.OpSDiv:
-		if yConst && yc == 1 {
-			return x
-		}
-	case ir.OpURem:
-		if yConst && yc == 1 {
-			return b.Const(bits, 0)
-		}
-	}
-	return nil
 }
 
 // Not negates a 1-bit expression.
@@ -306,68 +249,47 @@ func (b *Builder) Cmp(op ir.Op, x, y *Expr) *Expr {
 	if x.Bits != y.Bits {
 		panic(fmt.Sprintf("expr: %s width mismatch %d vs %d", op, x.Bits, y.Bits))
 	}
-	if xc, ok := x.IsConst(); ok {
-		if yc, ok2 := y.IsConst(); ok2 {
-			return b.Bool(ir.EvalCmp(op, x.Bits, xc, yc))
-		}
+	switch f := ir.FoldCmp(op, x.Bits, x.operand(), y.operand(), x == y); f.Kind {
+	case ir.FoldArg:
+		return x
+	case ir.FoldConst:
+		return b.Bool(f.Val == 1)
+	case ir.FoldNot:
+		return b.Not(x)
+	case ir.FoldOp:
+		return b.Cmp(f.Op, x, y)
 	}
-	if x == y {
-		switch op {
-		case ir.OpEq, ir.OpULe, ir.OpUGe, ir.OpSLe, ir.OpSGe:
-			return b.True()
-		default:
-			return b.False()
-		}
-	}
-	// Boolean-typed comparisons collapse: (x:i1 == 1) -> x, etc.
-	if x.Bits == 1 {
-		if yc, ok := y.IsConst(); ok {
-			switch {
-			case op == ir.OpEq && yc == 1, op == ir.OpNe && yc == 0:
-				return x
-			case op == ir.OpEq && yc == 0, op == ir.OpNe && yc == 1:
-				return b.Not(x)
-			}
-		}
-	}
-	// (zext e1 to N) cmp const: compare at the source width when the
-	// constant fits (this keeps solver terms small).
-	if x.Kind == KCast && x.Op == ir.OpZExt {
+	// Builder only, as they read x's term: a zext compares at its
+	// source's width when the constant fits, which keeps solver terms
+	// small (the IR keeps a compare's width), and an ite with constant
+	// arms folds into its condition (not ported to the IR, whose output
+	// the compiled-IR pins hold).
+	yc, yConst := y.IsConst()
+	if yConst && x.Kind == KCast && x.Op == ir.OpZExt {
 		src := x.Args[0]
-		if yc, ok := y.IsConst(); ok && yc <= ir.Mask(src.Bits, ^uint64(0)) {
-			switch op {
-			case ir.OpEq, ir.OpNe, ir.OpULt, ir.OpULe, ir.OpUGt, ir.OpUGe:
+		switch op {
+		case ir.OpEq, ir.OpNe, ir.OpULt, ir.OpULe, ir.OpUGt, ir.OpUGe:
+			if yc <= ir.Mask(src.Bits, ^uint64(0)) {
 				return b.Cmp(op, src, b.Const(src.Bits, yc))
 			}
-		}
-		// zext(x) == const that does not fit: statically false.
-		if yc, ok := y.IsConst(); ok && yc > ir.Mask(src.Bits, ^uint64(0)) {
-			switch op {
-			case ir.OpEq:
-				return b.False()
-			case ir.OpNe:
-				return b.True()
+			if op == ir.OpEq || op == ir.OpNe {
+				return b.Bool(op == ir.OpNe) // a constant the zext never reaches
 			}
 		}
 	}
-	// ite(c, k1, k2) cmp const folds into c or !c when arms are consts.
-	if x.Kind == KSelect {
+	if yConst && x.Kind == KSelect {
 		t, tOk := x.Args[1].IsConst()
 		f, fOk := x.Args[2].IsConst()
 		if tOk && fOk {
-			if yc, ok := y.IsConst(); ok {
-				tr := ir.EvalCmp(op, x.Bits, t, yc)
-				fr := ir.EvalCmp(op, x.Bits, f, yc)
-				switch {
-				case tr && fr:
-					return b.True()
-				case !tr && !fr:
-					return b.False()
-				case tr && !fr:
-					return x.Args[0]
-				default:
-					return b.Not(x.Args[0])
-				}
+			tr := ir.EvalCmp(op, x.Bits, t, yc)
+			fr := ir.EvalCmp(op, x.Bits, f, yc)
+			switch {
+			case tr == fr:
+				return b.Bool(tr)
+			case tr:
+				return x.Args[0]
+			default:
+				return b.Not(x.Args[0])
 			}
 		}
 	}
@@ -385,34 +307,25 @@ func (b *Builder) Select(c, t, f *Expr) *Expr {
 	if t.Bits != f.Bits {
 		panic("expr: select arm width mismatch")
 	}
-	if c.IsTrue() {
-		return t
+	switch fd := ir.FoldSelect(t.Bits, c.operand(), t.operand(), f.operand(), t == f); fd.Kind {
+	case ir.FoldArg:
+		return [3]*Expr{c, t, f}[fd.Arg]
+	case ir.FoldNot:
+		return b.Not(c)
 	}
-	if c.IsFalse() {
-		return f
-	}
-	if t == f {
-		return t
-	}
-	// Boolean select is logic: ite(c, 1, 0) = c; ite(c, 0, 1) = !c;
-	// ite(c, x, 0) = c & x; ite(c, 1, x) = c | x; etc.
+	// Builder only: a boolean select with one constant arm is logic,
+	// ite(c, x, 0) = c & x, ite(c, 1, x) = c | x and so on, terms the
+	// other rules and the solver see through. In the IR a select and an
+	// and are one instruction each to the executor.
 	if t.Bits == 1 {
-		if t.IsTrue() && f.IsFalse() {
-			return c
-		}
-		if t.IsFalse() && f.IsTrue() {
-			return b.Not(c)
-		}
-		if f.IsFalse() {
+		switch {
+		case f.IsFalse():
 			return b.Bin(ir.OpAnd, c, t)
-		}
-		if t.IsTrue() {
+		case t.IsTrue():
 			return b.Bin(ir.OpOr, c, f)
-		}
-		if t.IsFalse() {
+		case t.IsFalse():
 			return b.Bin(ir.OpAnd, b.Not(c), f)
-		}
-		if f.IsTrue() {
+		case f.IsTrue():
 			return b.Bin(ir.OpOr, b.Not(c), t)
 		}
 	}
@@ -424,33 +337,24 @@ func (b *Builder) Select(c, t, f *Expr) *Expr {
 
 // Cast builds zext/sext/trunc of x to toBits.
 func (b *Builder) Cast(op ir.Op, x *Expr, toBits int) *Expr {
-	if xc, ok := x.IsConst(); ok {
-		return b.Const(toBits, ir.EvalCast(op, x.Bits, toBits, xc))
-	}
-	if x.Bits == toBits {
+	switch f := ir.FoldCast(op, x.Bits, toBits, x.operand()); f.Kind {
+	case ir.FoldArg:
 		return x
+	case ir.FoldConst:
+		return b.Const(toBits, f.Val)
 	}
-	// Collapse cast chains mirroring the IR simplifier.
 	if x.Kind == KCast {
 		inner := x.Args[0]
-		switch {
-		case op == ir.OpTrunc && (x.Op == ir.OpZExt || x.Op == ir.OpSExt):
-			if inner.Bits == toBits {
-				return inner
-			}
-			if inner.Bits > toBits {
-				return b.Cast(ir.OpTrunc, inner, toBits)
-			}
-			return b.Cast(x.Op, inner, toBits)
-		case op == ir.OpZExt && x.Op == ir.OpZExt:
-			return b.Cast(ir.OpZExt, inner, toBits)
-		case op == ir.OpSExt && x.Op == ir.OpSExt:
-			return b.Cast(ir.OpSExt, inner, toBits)
-		case op == ir.OpSExt && x.Op == ir.OpZExt:
-			return b.Cast(ir.OpZExt, inner, toBits)
+		switch f := ir.FoldCastChain(op, x.Op, inner.Bits, toBits); f.Kind {
+		case ir.FoldArg:
+			return inner
+		case ir.FoldOp:
+			return b.Cast(f.Op, inner, toBits)
 		}
 	}
-	// Push casts through selects with constant arms.
+	// Builder only: a cast through a select with constant arms is a
+	// select of constants, which Cmp folds into its condition. An IR
+	// select may have other users, so the rewrite would copy it.
 	if x.Kind == KSelect {
 		_, tOk := x.Args[1].IsConst()
 		_, fOk := x.Args[2].IsConst()

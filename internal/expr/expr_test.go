@@ -69,52 +69,167 @@ func TestCastChains(t *testing.T) {
 	}
 }
 
-// randomExpr builds a random expression over the given vars.
-func randomExpr(r *rand.Rand, b *Builder, vars []*Var, depth int) *Expr {
+// What randomExpr draws: operators, widths and edge constants.
+var (
+	binOps  = []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr}
+	cmpOps  = []ir.Op{ir.OpEq, ir.OpNe, ir.OpULt, ir.OpULe, ir.OpUGt, ir.OpUGe, ir.OpSLt, ir.OpSLe, ir.OpSGt, ir.OpSGe}
+	widths  = []int{1, 8, 32}
+	edgeVal = []uint64{0, 1, ^uint64(0), 1 << 7, 1 << 31}
+)
+
+// randomExpr builds a random bits-wide term over the 8-bit vars and
+// returns it with the value the tree has as drawn, before any builder
+// rewrite: each node evaluated by ir.EvalBin/EvalCmp/EvalCast under m,
+// a trap reading 0 as in Eval. Operands repeat, constants favour 0, 1,
+// all-ones and sign bits, and select arms and a compare's right side
+// are often leaves, so the builder's rules fire.
+func randomExpr(r *rand.Rand, b *Builder, vars []*Var, m Model, bits, depth int) (*Expr, uint64) {
 	if depth <= 0 || r.Intn(4) == 0 {
 		if r.Intn(2) == 0 {
-			return b.Cast(ir.OpZExt, b.Var(vars[r.Intn(len(vars))]), 32)
+			v := vars[r.Intn(len(vars))]
+			return castTo(r, b, b.Var(v), m.Value(v), bits)
 		}
-		return b.Const(32, uint64(r.Intn(512)))
+		c := uint64(r.Intn(512))
+		if r.Intn(2) == 0 {
+			c = edgeVal[r.Intn(len(edgeVal))]
+		}
+		c = ir.Mask(bits, c)
+		return b.Const(bits, c), c
 	}
-	x := randomExpr(r, b, vars, depth-1)
-	y := randomExpr(r, b, vars, depth-1)
-	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr}
-	switch r.Intn(3) {
-	case 0:
-		c := b.Cmp(ir.OpULt, x, y)
-		return b.Cast(ir.OpZExt, c, 32)
-	case 1:
-		c := b.Cmp(ir.OpEq, x, b.Const(32, uint64(r.Intn(256))))
-		return b.Select(c, x, y)
+	switch r.Intn(6) {
+	case 0: // a cast from another width
+		w := widths[r.Intn(len(widths))]
+		x, xv := randomExpr(r, b, vars, m, w, depth-1)
+		return castTo(r, b, x, xv, bits)
+	case 1: // a compare, widened when bits > 1
+		w := widths[r.Intn(len(widths))]
+		x, xv := randomExpr(r, b, vars, m, w, depth-1)
+		y, yv := x, xv
+		if r.Intn(4) != 0 {
+			y, yv = randomExpr(r, b, vars, m, w, leafOr(r, depth-1))
+		}
+		op := cmpOps[r.Intn(len(cmpOps))]
+		c, cv := b.Cmp(op, x, y), uint64(0)
+		if ir.EvalCmp(op, w, xv, yv) {
+			cv = 1
+		}
+		return castTo(r, b, c, cv, bits)
+	case 2, 3: // a select
+		c, cv := randomExpr(r, b, vars, m, 1, depth-1)
+		x, xv := randomExpr(r, b, vars, m, bits, leafOr(r, depth-1))
+		y, yv := randomExpr(r, b, vars, m, bits, leafOr(r, depth-1))
+		if cv != 0 {
+			return b.Select(c, x, y), xv
+		}
+		return b.Select(c, x, y), yv
 	default:
-		return b.Bin(ops[r.Intn(len(ops))], x, y)
+		x, xv := randomExpr(r, b, vars, m, bits, depth-1)
+		y, yv := x, xv
+		if r.Intn(4) != 0 {
+			y, yv = randomExpr(r, b, vars, m, bits, depth-1)
+		}
+		op := binOps[r.Intn(len(binOps))]
+		v, _ := ir.EvalBin(op, bits, xv, yv)
+		return b.Bin(op, x, y), v
 	}
 }
 
+// leafOr is depth, or half the time 0: a leaf.
+func leafOr(r *rand.Rand, depth int) int {
+	if r.Intn(2) == 0 {
+		return 0
+	}
+	return depth
+}
+
+// castTo casts x, of value xv, to bits: a random extension when it
+// widens, a trunc when it narrows.
+func castTo(r *rand.Rand, b *Builder, x *Expr, xv uint64, bits int) (*Expr, uint64) {
+	op := ir.OpTrunc
+	switch {
+	case x.Bits == bits:
+		return x, xv
+	case x.Bits < bits && r.Intn(2) == 0:
+		op = ir.OpZExt
+	case x.Bits < bits:
+		op = ir.OpSExt
+	}
+	return b.Cast(op, x, bits), ir.EvalCast(op, x.Bits, bits, xv)
+}
+
 // TestSimplifierSoundness: whatever the builder's on-the-fly
-// simplifications do, evaluating the built expression must equal
-// evaluating the unsimplified semantics. We check by comparing two
-// differently-associated constructions of the same semantic value.
+// simplifications do, the built term evaluates to the value of the
+// tree as drawn, node by node under ir.Eval*; and partial evaluation
+// with a full assignment agrees with Eval.
 func TestSimplifierSoundness(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	vars := []*Var{
 		{Name: "a", Bits: 8}, {Name: "b", Bits: 8}, {Name: "c", Bits: 8},
 	}
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 10000; trial++ {
 		b := NewBuilder()
-		e := randomExpr(r, b, vars, 4)
 		asn := map[*Var]uint64{}
 		for _, v := range vars {
 			asn[v] = uint64(r.Intn(256))
+			if r.Intn(4) == 0 {
+				asn[v] = edgeVal[r.Intn(len(edgeVal))] & 0xff
+			}
 		}
-		got := Eval(e, modelOf(asn))
-		// An independent evaluator: partial evaluation with a full
-		// assignment must agree with Eval.
-		pe := NewPartialEvaluator(asn)
-		res := pe.Eval(e)
+		m := modelOf(asn)
+		e, want := randomExpr(r, b, vars, m, widths[r.Intn(len(widths))], 4)
+		got := Eval(e, m)
+		if got != want {
+			t.Fatalf("trial %d: the built term evaluates to %d, the tree as drawn to %d: %s", trial, got, want, e)
+		}
+		res := NewPartialEvaluator(asn).Eval(e)
 		if !res.Known || res.Val != got {
 			t.Fatalf("trial %d: Eval=%d PartialEval=%+v for %s", trial, got, res, e)
+		}
+	}
+}
+
+// TestBuilderFoldAllocatesNothing: Bin, Cmp, Cast and Select on
+// operands the shared identity table folds allocate nothing, whether
+// the fold returns an operand, a constant or a term already interned.
+func TestBuilderFoldAllocatesNothing(t *testing.T) {
+	b := NewBuilder()
+	x := b.Cast(ir.OpZExt, b.Var(&Var{Name: "x", Bits: 8}), 32)
+	c := b.Cmp(ir.OpULt, x, b.Const(32, 7))
+	zero, one, ones := b.Const(32, 0), b.Const(32, 1), b.Const(32, 0xffffffff)
+	x8 := b.Var(&Var{Name: "y", Bits: 8})
+	wide := b.Cast(ir.OpZExt, x8, 16)
+	folds := []func() *Expr{
+		func() *Expr { return b.Bin(ir.OpAdd, x, zero) },
+		func() *Expr { return b.Bin(ir.OpAdd, zero, x) },
+		func() *Expr { return b.Bin(ir.OpMul, x, one) },
+		func() *Expr { return b.Bin(ir.OpMul, x, zero) },
+		func() *Expr { return b.Bin(ir.OpSub, x, x) },
+		func() *Expr { return b.Bin(ir.OpAnd, x, ones) },
+		func() *Expr { return b.Bin(ir.OpOr, x, ones) },
+		func() *Expr { return b.Bin(ir.OpShl, zero, x) },
+		func() *Expr { return b.Bin(ir.OpAdd, one, one) },
+		func() *Expr { return b.Cmp(ir.OpSLe, x, x) },
+		func() *Expr { return b.Cmp(ir.OpULt, x, zero) },
+		func() *Expr { return b.Cmp(ir.OpULe, x, zero) },
+		func() *Expr { return b.Cmp(ir.OpEq, c, b.True()) },
+		func() *Expr { return b.Cmp(ir.OpEq, c, b.False()) },
+		func() *Expr { return b.Cast(ir.OpZExt, one, 64) },
+		func() *Expr { return b.Cast(ir.OpTrunc, x, 32) },
+		func() *Expr { return b.Cast(ir.OpTrunc, x, 8) },
+		func() *Expr { return b.Cast(ir.OpZExt, wide, 32) },
+		func() *Expr { return b.Select(b.True(), x, one) },
+		func() *Expr { return b.Select(c, x, x) },
+		func() *Expr { return b.Select(c, b.True(), b.False()) },
+		func() *Expr { return b.Select(c, b.False(), b.True()) },
+	}
+	for i, fold := range folds {
+		want := fold() // interns what a fold builds the first time
+		if allocs := testing.AllocsPerRun(10, func() {
+			if fold() != want {
+				t.Fatalf("fold %d: a second build is another node", i)
+			}
+		}); allocs != 0 {
+			t.Errorf("fold %d (%s): %.0f allocations", i, want, allocs)
 		}
 	}
 }
@@ -128,7 +243,7 @@ func TestPartialEvalConservative(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		b := NewBuilder()
-		e := randomExpr(r, b, vars, 3)
+		e, _ := randomExpr(r, b, vars, nil, 32, 3)
 		partial := map[*Var]uint64{vars[0]: uint64(r.Intn(256))}
 		pe := NewPartialEvaluator(partial)
 		res := pe.Eval(e)

@@ -32,7 +32,7 @@ func TestVarSetMatchesWalk(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		b := NewBuilder()
-		e := randomExpr(r, b, vars, 5)
+		e, _ := randomExpr(r, b, vars, nil, 32, 5)
 		got := e.VarSet().Vars()
 		want := varsOfByWalk(e)
 		if len(got) != len(want) {
@@ -127,7 +127,7 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 	ev := NewEvaluator()
 	for trial := 0; trial < 300; trial++ {
 		b := NewBuilder()
-		e := randomExpr(r, b, vars, 4)
+		e, _ := randomExpr(r, b, vars, nil, 32, 4)
 		var asn Model
 		for _, v := range vars {
 			if r.Intn(3) > 0 { // sometimes missing: must read as zero

@@ -47,9 +47,6 @@ func (c *Const) IsZero() bool { return c.Val == 0 }
 // IsOne reports whether the constant is one.
 func (c *Const) IsOne() bool { return c.Val == 1 }
 
-// IsAllOnes reports whether every bit of the constant is set.
-func (c *Const) IsAllOnes() bool { return c.Val == Mask(c.Typ.Bits, ^uint64(0)) }
-
 // Param is a formal parameter of a function.
 type Param struct {
 	Nam string

@@ -93,104 +93,60 @@ func constOf(v ir.Value) (*ir.Const, bool) {
 	return c, ok
 }
 
+// operand is what the shared identity table (ir/algebra.go) sees of v.
+func operand(v ir.Value) ir.Operand {
+	if c, ok := v.(*ir.Const); ok {
+		return ir.Operand{Val: c.Val, Const: true}
+	}
+	return ir.Operand{}
+}
+
+// applyFold carries out the table's answer for in: the replacement
+// value, or nil when in was rewritten in place or nothing folds.
+func applyFold(in *ir.Instr, f ir.Fold) ir.Value {
+	switch f.Kind {
+	case ir.FoldArg:
+		return in.Args[f.Arg]
+	case ir.FoldConst:
+		return ir.ConstInt(in.Typ.(ir.IntType), f.Val)
+	case ir.FoldNot:
+		in.Op, in.Typ = ir.OpXor, ir.I1
+		in.Args = []ir.Value{in.Args[f.Arg], ir.Bool(true)}
+	case ir.FoldOp:
+		in.Op = f.Op
+	}
+	return nil
+}
+
 func simplifyBinary(in *ir.Instr) ir.Value {
 	t := in.Typ.(ir.IntType)
-	a, aConst := constOf(in.Args[0])
-	b, bConst := constOf(in.Args[1])
-
 	// Canonicalize constants to the right for commutative ops.
-	if aConst && !bConst && in.Op.IsCommutative() {
+	_, aConst := constOf(in.Args[0])
+	if _, bConst := constOf(in.Args[1]); aConst && !bConst && in.Op.IsCommutative() {
 		in.Args[0], in.Args[1] = in.Args[1], in.Args[0]
-		a, aConst = constOf(in.Args[0])
-		b, bConst = constOf(in.Args[1])
 	}
-
-	if aConst && bConst {
-		if r, ok := ir.EvalBin(in.Op, t.Bits, a.Val, b.Val); ok {
-			return ir.ConstInt(t, r)
-		}
-		return nil // division by constant zero: keep the trap
-	}
-
+	// IR only: flagSelect turns flag arithmetic into the select the
+	// executor then builds as a term. It never fires on two constants,
+	// so constant folding still comes first.
 	if flagSelect(in, t) {
 		return in
 	}
-
-	x := in.Args[0]
-	sameOperands := in.Args[0] == in.Args[1]
-
-	switch in.Op {
-	case ir.OpAdd:
-		if bConst && b.IsZero() {
-			return x
-		}
-	case ir.OpSub:
-		if bConst && b.IsZero() {
-			return x
-		}
-		if sameOperands {
-			return ir.ConstInt(t, 0)
-		}
-	case ir.OpMul:
-		if bConst && b.IsZero() {
-			return ir.ConstInt(t, 0)
-		}
-		if bConst && b.IsOne() {
-			return x
-		}
-	case ir.OpUDiv, ir.OpSDiv:
-		if bConst && b.IsOne() {
-			return x
-		}
-	case ir.OpURem:
-		if bConst && b.IsOne() {
-			return ir.ConstInt(t, 0)
-		}
-	case ir.OpAnd:
-		if bConst && b.IsZero() {
-			return ir.ConstInt(t, 0)
-		}
-		if bConst && b.IsAllOnes() {
-			return x
-		}
-		if sameOperands {
-			return x
-		}
-	case ir.OpOr:
-		if bConst && b.IsZero() {
-			return x
-		}
-		if bConst && b.IsAllOnes() {
-			return ir.ConstInt(t, b.Val)
-		}
-		if sameOperands {
-			return x
-		}
-	case ir.OpXor:
-		if bConst && b.IsZero() {
-			return x
-		}
-		if sameOperands {
-			return ir.ConstInt(t, 0)
-		}
-		// xor (xor x, c1), c2 -> xor x, c1^c2 ; in particular double
-		// logical negation collapses.
-		if inner, ok := in.Args[0].(*ir.Instr); ok && inner.Op == ir.OpXor && bConst {
-			if c1, ok := constOf(inner.Args[1]); ok {
-				if (c1.Val ^ b.Val) == 0 {
-					return inner.Args[0]
-				}
-				in.Args[0] = inner.Args[0]
-				in.Args[1] = ir.ConstInt(t, c1.Val^b.Val)
-				return nil
+	f := ir.FoldBin(in.Op, t.Bits, operand(in.Args[0]), operand(in.Args[1]), in.Args[0] == in.Args[1])
+	if f.Kind != ir.NoFold {
+		return applyFold(in, f)
+	}
+	// IR only: xor (xor x, c1), c2 -> xor x, c1^c2, rewritten in place
+	// (the builder rebuilds the term instead); in particular double
+	// logical negation collapses.
+	inner, ok := in.Args[0].(*ir.Instr)
+	b, bConst := constOf(in.Args[1])
+	if in.Op == ir.OpXor && ok && inner.Op == ir.OpXor && bConst {
+		if c1, ok := constOf(inner.Args[1]); ok {
+			if (c1.Val ^ b.Val) == 0 {
+				return inner.Args[0]
 			}
-		}
-	case ir.OpShl, ir.OpLShr, ir.OpAShr:
-		if bConst && b.IsZero() {
-			return x
-		}
-		if aConst && a.IsZero() {
-			return ir.ConstInt(t, 0)
+			in.Args[0] = inner.Args[0]
+			in.Args[1] = ir.ConstInt(t, c1.Val^b.Val)
 		}
 	}
 	return nil
@@ -302,159 +258,77 @@ func toSelect(in *ir.Instr, cond, a, b ir.Value) bool {
 }
 
 func simplifyCmp(in *ir.Instr) ir.Value {
-	// Pointer comparisons: only null == null / null != null fold.
 	if _, isPtr := in.Args[0].Type().(ir.PtrType); isPtr {
+		// IR only: null and globals are IR values. A global is never
+		// null, and null is the same value as null.
 		_, an := in.Args[0].(*ir.Null)
 		_, bn := in.Args[1].(*ir.Null)
-		if an && bn {
-			return ir.Bool(in.Op == ir.OpEq || in.Op == ir.OpULe || in.Op == ir.OpUGe)
-		}
-		if g, ok := in.Args[0].(*ir.Global); ok && bn {
-			_ = g
+		_, ag := in.Args[0].(*ir.Global)
+		_, bg := in.Args[1].(*ir.Global)
+		switch {
+		case ag && bn:
 			return ir.Bool(in.Op == ir.OpNe || in.Op == ir.OpUGt || in.Op == ir.OpUGe)
-		}
-		if g, ok := in.Args[1].(*ir.Global); ok && an {
-			_ = g
+		case an && bg:
 			return ir.Bool(in.Op == ir.OpNe || in.Op == ir.OpULt || in.Op == ir.OpULe)
 		}
-		if in.Args[0] == in.Args[1] {
-			return ir.Bool(in.Op == ir.OpEq || in.Op == ir.OpULe || in.Op == ir.OpUGe)
-		}
-		return nil
+		same := in.Args[0] == in.Args[1] || an && bn
+		return applyFold(in, ir.FoldCmp(in.Op, 64, ir.Operand{}, ir.Operand{}, same))
 	}
 
 	bits := in.Args[0].Type().(ir.IntType).Bits
-	a, aConst := constOf(in.Args[0])
+	f := ir.FoldCmp(in.Op, bits, operand(in.Args[0]), operand(in.Args[1]), in.Args[0] == in.Args[1])
+	if f.Kind != ir.NoFold {
+		return applyFold(in, f)
+	}
 	b, bConst := constOf(in.Args[1])
-	if aConst && bConst {
-		return ir.Bool(ir.EvalCmp(in.Op, bits, a.Val, b.Val))
-	}
-	if in.Args[0] == in.Args[1] {
-		switch in.Op {
-		case ir.OpEq, ir.OpULe, ir.OpUGe, ir.OpSLe, ir.OpSGe:
-			return ir.Bool(true)
-		default:
-			return ir.Bool(false)
-		}
-	}
 
-	// icmp (zext i1 x to N), 0  ->  x == 0 reduces to !x ; x != 0 is x.
+	// IR only, as it reads the operand's instruction: icmp (zext i1 x
+	// to N), 0 -> x == 0 reduces to !x ; x != 0 is x. (The builder
+	// narrows every zext compare instead.)
 	if z, ok := in.Args[0].(*ir.Instr); ok && z.Op == ir.OpZExt && bConst {
 		if it, ok := z.Args[0].Type().(ir.IntType); ok && it.Bits == 1 {
 			switch {
-			case in.Op == ir.OpNe && b.IsZero():
-				return z.Args[0]
-			case in.Op == ir.OpEq && b.IsOne():
+			case in.Op == ir.OpNe && b.IsZero(), in.Op == ir.OpEq && b.IsOne():
 				return z.Args[0]
 			case in.Op == ir.OpEq && b.IsZero(), in.Op == ir.OpNe && b.IsOne():
-				// Build "xor x, true" in place of the compare.
-				in.Op = ir.OpXor
-				in.Typ = ir.I1
-				in.Args = []ir.Value{z.Args[0], ir.Bool(true)}
-				return nil
+				in.Args[0] = z.Args[0]
+				return applyFold(in, ir.Fold{Kind: ir.FoldNot})
 			}
-		}
-	}
-
-	// icmp i1 x, 0 / x, 1 on boolean values.
-	if bits == 1 && bConst {
-		switch {
-		case in.Op == ir.OpNe && b.IsZero(), in.Op == ir.OpEq && b.IsOne():
-			return in.Args[0]
-		case in.Op == ir.OpEq && b.IsZero(), in.Op == ir.OpNe && b.IsOne():
-			in.Op = ir.OpXor
-			in.Typ = ir.I1
-			in.Args = []ir.Value{in.Args[0], ir.Bool(true)}
-			return nil
-		}
-	}
-
-	// Unsigned ranges against 0: x ult 0 is false, x uge 0 is true.
-	if bConst && b.IsZero() {
-		switch in.Op {
-		case ir.OpULt:
-			return ir.Bool(false)
-		case ir.OpUGe:
-			return ir.Bool(true)
-		case ir.OpULe:
-			in.Op = ir.OpEq
-			return nil
-		case ir.OpUGt:
-			in.Op = ir.OpNe
-			return nil
 		}
 	}
 	return nil
 }
 
 func simplifySelect(in *ir.Instr) ir.Value {
-	if c, ok := constOf(in.Args[0]); ok {
-		if c.IsZero() {
-			return in.Args[2]
-		}
-		return in.Args[1]
+	bits := 0 // a pointer select: no i1 rule applies
+	if t, ok := in.Typ.(ir.IntType); ok {
+		bits = t.Bits
 	}
-	if in.Args[1] == in.Args[2] {
-		return in.Args[1]
-	}
-	// select c, true, false -> c ; select c, false, true -> !c (i1 only).
-	if t, ok := in.Typ.(ir.IntType); ok && t.Bits == 1 {
-		tv, tc := constOf(in.Args[1])
-		fv, fc := constOf(in.Args[2])
-		if tc && fc {
-			if tv.IsOne() && fv.IsZero() {
-				return in.Args[0]
-			}
-			if tv.IsZero() && fv.IsOne() {
-				in.Op = ir.OpXor
-				in.Args = []ir.Value{in.Args[0], ir.Bool(true)}
-				return nil
-			}
-		}
-	}
-	return nil
+	return applyFold(in, ir.FoldSelect(bits, operand(in.Args[0]), operand(in.Args[1]), operand(in.Args[2]), in.Args[1] == in.Args[2]))
 }
 
 func simplifyCast(in *ir.Instr) ir.Value {
 	from := in.Args[0].Type().(ir.IntType).Bits
 	to := in.Typ.(ir.IntType).Bits
-	if c, ok := constOf(in.Args[0]); ok {
-		return ir.ConstInt(in.Typ.(ir.IntType), ir.EvalCast(in.Op, from, to, c.Val))
+	if f := ir.FoldCast(in.Op, from, to, operand(in.Args[0])); f.Kind != ir.NoFold {
+		return applyFold(in, f)
 	}
-	// Cast chains: trunc(zext/sext x) where the widths line up.
-	if inner, ok := in.Args[0].(*ir.Instr); ok && (inner.Op == ir.OpZExt || inner.Op == ir.OpSExt) {
-		// Only an extension's source type is read: Type() on another
-		// instruction's operand (a pointer, say) may allocate.
-		if innerFrom, okInner := inner.Args[0].Type().(ir.IntType); okInner {
-			if in.Op == ir.OpTrunc {
-				switch {
-				case innerFrom.Bits == to:
-					return inner.Args[0] // trunc(ext x) back to original width
-				case innerFrom.Bits > to:
-					in.Args[0] = inner.Args[0] // truncate the original directly
-					return nil
-				case innerFrom.Bits < to:
-					// Still an extension overall; re-express as ext of source.
-					in.Op = inner.Op
-					in.Args[0] = inner.Args[0]
-					return nil
-				}
-			}
-			if in.Op == ir.OpZExt && inner.Op == ir.OpZExt {
-				in.Args[0] = inner.Args[0] // zext(zext x) -> zext x
-				return nil
-			}
-			if in.Op == ir.OpSExt && inner.Op == ir.OpSExt {
-				in.Args[0] = inner.Args[0]
-				return nil
-			}
-			// sext(zext x) is zext overall.
-			if in.Op == ir.OpSExt && inner.Op == ir.OpZExt {
-				in.Op = ir.OpZExt
-				in.Args[0] = inner.Args[0]
-				return nil
-			}
-		}
+	inner, ok := in.Args[0].(*ir.Instr)
+	if !ok || (inner.Op != ir.OpZExt && inner.Op != ir.OpSExt) {
+		return nil
+	}
+	// Only an extension's source type is read: Type() on another
+	// instruction's operand (a pointer, say) may allocate.
+	src, ok := inner.Args[0].Type().(ir.IntType)
+	if !ok {
+		return nil
+	}
+	switch f := ir.FoldCastChain(in.Op, inner.Op, src.Bits, to); f.Kind {
+	case ir.FoldArg:
+		return inner.Args[0]
+	case ir.FoldOp:
+		in.Op = f.Op
+		in.Args[0] = inner.Args[0]
 	}
 	return nil
 }

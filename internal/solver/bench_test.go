@@ -119,6 +119,36 @@ func coupledGroup(bld *expr.Builder, sum uint64, extra int) []*expr.Expr {
 	return g
 }
 
+// slashChainGroup builds basename's sibling-sweep shape over two bytes:
+// the first reaches a chain of `steps` multiply-adds only through
+// whether it is '/' — chain(ite(x == '/', y, 0)) == target — and no y
+// meets the target, so the group is unsat. The value sets of y widen
+// to top, so propagation proves nothing, and the search binds every
+// value of x: each but '/' decides the constraint false at once, and
+// '/' leaves y no value. What a binding of x changes is its own slot
+// and the compare, except where the compare flips.
+func slashChainGroup(bld *expr.Builder, steps int) []*expr.Expr {
+	vs := benchVars(2)
+	sel := bld.Select(bld.Cmp(ir.OpEq, bld.Var(vs[0]), bld.Const(8, '/')), bld.Var(vs[1]), bld.Const(8, 0))
+	z := bld.Cast(ir.OpZExt, sel, 32)
+	image := make(map[uint32]bool, 256)
+	for v := range 256 {
+		zv := uint32(v)
+		for i := range steps {
+			zv = zv*33 + uint32(i+1)
+		}
+		image[zv] = true
+	}
+	for i := range steps {
+		z = bld.Bin(ir.OpAdd, bld.Bin(ir.OpMul, z, bld.Const(32, 33)), bld.Const(32, uint64(i+1)))
+	}
+	target := uint32(0)
+	for image[target] {
+		target++
+	}
+	return []*expr.Expr{bld.Cmp(ir.OpEq, z, bld.Const(32, uint64(target)))}
+}
+
 // cksumGroup builds the group cksum -O0 re-searches at every extension:
 // three non-NUL tests and, per byte, the eight steps of the CRC-16 bit
 // loop, each a branch on the top bit taken the way the input "crc" takes
@@ -189,22 +219,34 @@ func BenchmarkPropagate(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchTape measures one backtracking solve of a coupled
-// multi-var group (the constraint evaluator's hot loop), bypassing the
-// caches.
+// BenchmarkSearchTape measures one backtracking solve, bypassing the
+// caches: a coupled group over three bytes (the constraint evaluator's
+// hot loop), and basename's sibling sweep, 256 values of one byte bound
+// over one another in front of a 64-step chain (slashChainGroup).
 func BenchmarkSearchTape(b *testing.B) {
-	grp := PartitionOf(coupledGroup(expr.NewBuilder(), 420, 0)).Groups()
-	if len(grp) != 1 {
-		b.Fatalf("want one group, got %d", len(grp))
-	}
-	s := New(Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := s.search(grp[0])
-		if err != nil || !e.sat {
-			b.Fatalf("sat=%v err=%v", e.sat, err)
-		}
+	for _, bc := range []struct {
+		name string
+		cs   []*expr.Expr
+		sat  bool
+	}{
+		{"coupled", coupledGroup(expr.NewBuilder(), 420, 0), true},
+		{"slashchain", slashChainGroup(expr.NewBuilder(), 64), false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			grp := PartitionOf(bc.cs).Groups()
+			if len(grp) != 1 {
+				b.Fatalf("want one group, got %d", len(grp))
+			}
+			s := New(Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := s.search(grp[0])
+				if err != nil || e.sat != bc.sat {
+					b.Fatalf("sat=%v err=%v, want sat=%v", e.sat, err, bc.sat)
+				}
+			}
+		})
 	}
 }
 

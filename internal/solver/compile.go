@@ -13,12 +13,16 @@ import (
 // reachable from the group's constraints becomes one slot of a flat
 // topo-ordered program, evaluated into a scratch value array — no
 // recursion, no map[*Expr] memo, no per-node generation checks. Each
-// variable carries a watch list (the topo-ordered slots depending on
-// it), so assigning or retracting one variable re-evaluates exactly the
-// sub-tape that can change. That is the search's one evaluator for
-// commits (tapeState.recompute); the unary filter, which asks about every
-// value of one byte at once, has the other (tapeState.filterColumn,
-// column.go).
+// slot carries a reader list (the slots that read it, ascending), so
+// assigning or retracting one variable re-evaluates its own slot and
+// then only the readers of a slot whose result changed: a byte that
+// reaches a long chain through a compare re-evaluates the chain only
+// when the compare flips (tapeState.rewalk). That is the search's one
+// evaluator for commits (tapeState.recompute); the unary filter, which
+// asks about every value of one byte at once, has the other
+// (tapeState.filterColumn, column.go). Each variable also carries a
+// watch list (the topo-ordered slots depending on it), which the live
+// sets and the filter's column list are read through.
 //
 // Forward checking works on live variables. On a tape of at most 64
 // variables each slot also has a live set, one word: the unassigned
@@ -39,6 +43,13 @@ type tape struct {
 	roots []int32     // per constraint: slot holding its value
 	vars  []*expr.Var // group variables sorted by name (search order)
 	watch [][]int32   // per var index: dependent slots, topo-ordered
+	// users[userOff[s]:userOff[s+1]] are the slots that read slot s,
+	// ascending (CSR). A variable's own slot heads its watch list, since
+	// every slot that depends on it reads it from below; a second slot of
+	// the same variable — a group not built through one builder — is
+	// listed as a reader of the first, so a binding reaches it too.
+	userOff []int32
+	users   []int32
 	// cmasks is the per-constraint variable bitmask (var-index words),
 	// used for the only-unassigned-variable test in unary filtering.
 	cmasks [][]uint64
@@ -82,6 +93,7 @@ type tapeScratch struct {
 	known    []bool
 	val      []uint64
 	live     []uint64
+	dirty    []uint64
 	assigned []bool
 	avals    []uint64
 	amask    []uint64
@@ -179,7 +191,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 		}
 	}
 	if cap(sc.watchBacking) < int(total) {
-		sc.watchBacking = make([]int32, total)
+		sc.watchBacking = make([]int32, total, max(int(total), 2*cap(sc.watchBacking)))
 	}
 	backing := sc.watchBacking[:total]
 	if cap(t.watch) < len(vars) {
@@ -198,6 +210,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 			}
 		}
 	}
+	t.readers()
 
 	sc.cmaskBacking = zeroed(sc.cmaskBacking, len(cs)*nwords)
 	cmaskBacking := sc.cmaskBacking
@@ -248,6 +261,47 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	return t
 }
 
+// readers fills the tape's reader lists from the operands its slots
+// record: count each slot's readers, sum the counts into each list's
+// end, then place every reader walking the slots downward, so each list
+// comes out ascending and userOff[s] ends at its start.
+func (t *tape) readers() {
+	n := len(t.ops)
+	t.userOff = zeroed(t.userOff, n+1)
+	off := t.userOff
+	for u := range t.ops {
+		for _, a := range t.read(int32(u)) {
+			if a >= 0 {
+				off[a]++
+			}
+		}
+	}
+	for s := 1; s <= n; s++ {
+		off[s] += off[s-1]
+	}
+	t.users = zeroed(t.users, int(off[n]))
+	for u := int32(n - 1); u >= 0; u-- {
+		for _, a := range t.read(u) {
+			if a >= 0 {
+				off[a]--
+				t.users[off[a]] = u
+			}
+		}
+	}
+}
+
+// read returns the slots slot u reads, -1 for none: its operands, or
+// for a variable's second slot the variable's own.
+func (t *tape) read(u int32) [3]int32 {
+	op := &t.ops[u]
+	if op.kind == expr.KVar {
+		if s := t.watch[op.vi][0]; s != u {
+			return [3]int32{s, -1, -1}
+		}
+	}
+	return [3]int32{op.a0, op.a1, op.a2}
+}
+
 // tapeState is the mutable evaluation state over a tape: three-valued
 // slot results (known flag + value) plus the current assignment. Its
 // semantics match expr.PartialEvaluator exactly (including the known-
@@ -263,6 +317,8 @@ type tapeState struct {
 	val      []uint64
 	live     []uint64 // per slot: live variable bitmask (tracksLive tapes only), current once freshened
 	stale    uint64   // variables whose watch lists' live sets are out of date
+	dirty    []uint64 // slot bitmask: rewalk's work list, empty between calls
+	evals    int64    // slots rewalk evaluated (test instrumentation)
 	assigned []bool
 	avals    []uint64
 	amask    []uint64       // assigned-variable bitmask (var-index words)
@@ -283,6 +339,7 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 	if t.tracksLive {
 		sc.live = zeroed(sc.live, len(t.ops))
 	}
+	sc.dirty = zeroed(sc.dirty, (len(t.ops)+63)/64)
 	sc.assigned = zeroed(sc.assigned, len(t.vars))
 	sc.avals = zeroed(sc.avals, len(t.vars))
 	sc.amask = zeroed(sc.amask, t.nwords)
@@ -292,6 +349,7 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 		known:    sc.known,
 		val:      sc.val,
 		live:     sc.live,
+		dirty:    sc.dirty,
 		assigned: sc.assigned,
 		avals:    sc.avals,
 		amask:    sc.amask,
@@ -306,42 +364,79 @@ func tapeStateFrom(sc *tapeScratch, t *tape) *tapeState {
 	return ts
 }
 
-// zeroed returns b as n zero elements, reallocating only to grow.
+// zeroed returns b as n zero elements, reallocating only to grow, and
+// then to at least twice the old capacity: a solver's tapes grow a few
+// slots at a time over a job, and an exact-size buffer would be
+// reallocated at each.
 func zeroed[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(b)))
 	}
 	b = b[:n]
 	clear(b)
 	return b
 }
 
-// assign binds var vi and re-evaluates its watched sub-tape.
+// assign binds var vi and re-evaluates what the binding changes.
 func (ts *tapeState) assign(vi int32, v uint64) {
 	ts.assigned[vi] = true
 	ts.avals[vi] = v
 	ts.amask[vi/64] |= 1 << uint(vi%64)
-	ts.recomputeWatch(vi)
+	ts.rebind(vi)
 }
 
-// unassign retracts var vi and re-evaluates its watched sub-tape.
+// unassign retracts var vi and re-evaluates what the retraction changes.
 func (ts *tapeState) unassign(vi int32) {
 	ts.assigned[vi] = false
 	ts.amask[vi/64] &^= 1 << uint(vi%64)
-	ts.recomputeWatch(vi)
+	ts.rebind(vi)
 }
 
-// recomputeWatch re-evaluates vi's watch list. On a tape that tracks
-// live sets it marks the list's live sets stale, to be refreshed when
-// the filter reads them (freshen): most values the search binds fail a
-// constraint at once and are replaced without a filter. A tape of more
-// than 64 variables pays the branch and nothing else.
-func (ts *tapeState) recomputeWatch(vi int32) {
-	for _, s := range ts.t.watch[vi] {
-		ts.recompute(s)
+// rebind re-evaluates from vi's own slot, the head of its watch list
+// (rewalk); a variable no constraint on the tape mentions has none. On a
+// tape that tracks live sets it marks vi's watch list's live sets stale,
+// to be refreshed when the filter reads them (freshen): most values the
+// search binds fail a constraint at once and are replaced without a
+// filter. A tape of more than 64 variables pays the branch and nothing
+// else.
+func (ts *tapeState) rebind(vi int32) {
+	if w := ts.t.watch[vi]; len(w) > 0 {
+		ts.rewalk(w[0])
 	}
 	if ts.t.tracksLive {
 		ts.stale |= 1 << uint(vi)
+	}
+}
+
+// rewalk re-evaluates slot s0 and every slot a change reaches: it pops
+// the dirty slots in ascending order, which is topological, and marks a
+// slot's readers dirty only when recompute changed the slot's result.
+// recompute is a pure function of its operands' results, so a slot none
+// of whose operands changed would come out as it is: the tape ends
+// exactly as re-evaluating the variable's whole watch list leaves it
+// (TestIncrementalRecomputeMatchesFullSweep), having evaluated only
+// what moved. Every reader sits above the slot it reads, so the words
+// below the one being popped are clear, and hi bounds the walk.
+func (ts *tapeState) rewalk(s0 int32) {
+	t, dirty := ts.t, ts.dirty
+	dirty[s0>>6] |= 1 << uint(s0&63)
+	hi := s0 >> 6
+	for w := s0 >> 6; w <= hi; w++ {
+		for dirty[w] != 0 {
+			s := w<<6 | int32(bits.TrailingZeros64(dirty[w]))
+			dirty[w] &= dirty[w] - 1
+			ts.evals++
+			if !ts.recompute(s) {
+				continue
+			}
+			users := t.users[t.userOff[s]:t.userOff[s+1]]
+			for _, u := range users {
+				dirty[u>>6] |= 1 << uint(u&63)
+			}
+			if len(users) > 0 {
+				hi = max(hi, users[len(users)-1]>>6)
+			}
+		}
 	}
 }
 
@@ -406,8 +501,10 @@ func (t *tape) mentions(ci int, vi int32) bool {
 	return t.cmasks[ci][vi/64]&(1<<uint(vi%64)) != 0
 }
 
-// recompute re-evaluates one slot from its operands' current results.
-func (ts *tapeState) recompute(s int32) {
+// recompute re-evaluates one slot from its operands' current results
+// and reports whether its result changed. An unknown result reads 0, so
+// a change is a change of what a reader can see.
+func (ts *tapeState) recompute(s int32) bool {
 	op := &ts.t.ops[s]
 	var known bool
 	var val uint64
@@ -479,9 +576,15 @@ func (ts *tapeState) recompute(s int32) {
 	}
 	if known {
 		val = ir.Mask(int(op.bits), val)
+	} else {
+		val = 0
+	}
+	if ts.known[s] == known && ts.val[s] == val {
+		return false
 	}
 	ts.known[s] = known
 	ts.val[s] = val
+	return true
 }
 
 // relive sets slot s's live set from its freshly recomputed result and

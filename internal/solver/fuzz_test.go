@@ -69,10 +69,10 @@ func buildFuzzDAG(b *expr.Builder, vs []*expr.Var, data []byte) []*expr.Expr {
 // constraint evaluator: on random expression DAGs and assignments, the
 // tape must agree with expr.Eval under full assignments and with
 // expr.PartialEvaluator (known-ness AND value) under partial ones,
-// including after retractions; and the unary filter's column kernel
-// must agree with the tape's committed path (checkFilterColumn). Two
-// goroutines share one compiled tape to assert the tape itself is
-// immutable (meaningful under -race).
+// bound with sibling values over one another, and after retractions;
+// and the unary filter's column kernel must agree with the tape's
+// committed path (checkFilterColumn). Two goroutines share one compiled
+// tape to assert the tape itself is immutable (meaningful under -race).
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(0x0f), uint64(12345))
 	f.Add([]byte{6, 2, 3, 1, 4, 4, 2, 9, 3, 0, 5, 5}, byte(0x03), uint64(999))
@@ -99,6 +99,18 @@ func FuzzCompiledEval(f *testing.F) {
 							val := (seed >> uint(8*vi)) & 0xff
 							asn[v] = val
 							ts.assign(int32(vi), val)
+						}
+					}
+					// Each bound byte takes two more values over the last,
+					// as the DFS binds siblings: a reader the walk misses,
+					// or a dirty bit it leaves, shows below.
+					for k := uint(1); k <= 2; k++ {
+						for vi, v := range tp.vars {
+							if _, ok := asn[v]; ok {
+								val := (seed >> uint(8*vi+13*int(k))) & 0xff
+								asn[v] = val
+								ts.assign(int32(vi), val)
+							}
 						}
 					}
 					pe := expr.NewPartialEvaluator(asn)

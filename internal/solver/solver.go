@@ -213,6 +213,9 @@ type Solver struct {
 	// reuseEvals counts the constraints modelSatisfies evaluated (test
 	// instrumentation: the probe must stay O(1) per model per branch).
 	reuseEvals int64
+	// commitEvals counts the slots assign and unassign evaluated (test
+	// instrumentation: a binding re-evaluates only what it changes).
+	commitEvals int64
 	// serial is the last model serial handed out; pending is
 	// modelSatisfies' scratch.
 	serial  uint64
@@ -570,7 +573,10 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 	// alone (domains, constraint order, variable order), so the verdict
 	// a group gets is independent of how constraints are evaluated.
 	var nodes, assigns int64
-	defer func() { s.Stats.Assignments += assigns }()
+	defer func() {
+		s.Stats.Assignments += assigns
+		s.commitEvals += ts.evals
+	}()
 	// The clock is read on the first check and then whenever another
 	// 1024 assignments have been tried since the last reading. (Checks
 	// run once per filtered constraint and per DFS node, between which
@@ -687,8 +693,9 @@ func (s *Solver) searchTape(t *tape, domains []domain, cfg searchConfig, maxAssi
 			}
 			assigns++
 			// Each sibling value is assigned over the last: assign
-			// re-evaluates all of vi's watch list, which is all a retract
-			// in between would have touched. One unassign after the loop.
+			// re-evaluates what moved from the last value, which a retract
+			// in between would only have doubled. One unassign after the
+			// loop.
 			ts.assign(vi, val)
 			if allHold() {
 				// Forward-check: refilter domains of remaining vars.

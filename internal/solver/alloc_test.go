@@ -88,6 +88,22 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 			t.Errorf("a second propagation run over %d slots allocated %v times, want 0", len(tp.ops), n)
 		}
 	}
+
+	// A run resumed from a prefix's snapshot restores the prefix's sets
+	// into the same storage: once warm, it allocates nothing either.
+	cs := cksumGroup(expr.NewBuilder())
+	snap := prefixSnapshot(cs, len(cs)-1)
+	whole := compileList(cs)
+	vs := varsOf(cs).Vars()
+	p := new(propagator)
+	if n := testing.AllocsPerRun(runs, func() {
+		copy(doms, full)
+		if !p.resume(whole, doms, vs, snap) {
+			t.Fatal("a resumed run refuted cksum's group")
+		}
+	}); n != 0 {
+		t.Errorf("a resumed propagation run over %d slots allocated %v times, want 0", len(whole.ops), n)
+	}
 }
 
 // TestBranchQueryAllocs pins what a branch query allocates outside the

@@ -184,14 +184,19 @@ func cksumGroup(bld *expr.Builder) []*expr.Expr {
 // BenchmarkPropagate measures one value-set propagation run from full
 // domains on a warm propagator: basename's last-slash group, where sets
 // stay finite and demands prune, and cksum's bit loop, where most
-// forward steps repeat. A warm run allocates nothing.
+// forward steps repeat; and, as extend, cksum's group resumed from the
+// fixpoint of all its constraints but the last. A warm run allocates
+// nothing.
 func BenchmarkPropagate(b *testing.B) {
+	cksum := cksumGroup(expr.NewBuilder())
 	for _, bc := range []struct {
 		name string
 		cs   []*expr.Expr
+		from int // constraints a snapshot covers; 0 runs from scratch
 	}{
-		{"lastslash", lastSlashPrune(expr.NewBuilder(), vars(3))},
-		{"cksum", cksumGroup(expr.NewBuilder())},
+		{"lastslash", lastSlashPrune(expr.NewBuilder(), vars(3)), 0},
+		{"cksum", cksum, 0},
+		{"extend", cksum, len(cksum) - 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			grp := PartitionOf(bc.cs).Groups()
@@ -200,12 +205,22 @@ func BenchmarkPropagate(b *testing.B) {
 			}
 			tp := compileGroup(grp[0])
 			doms := make([]domain, len(tp.vars))
+			var snap []byte
+			if bc.from > 0 {
+				snap = prefixSnapshot(bc.cs, bc.from)
+			}
 			var p propagator
 			run := func() {
 				for vi, v := range tp.vars {
 					doms[vi] = fullDomain(v.Bits)
 				}
-				if !p.run(tp, doms) {
+				var ok bool
+				if snap != nil {
+					ok = p.resume(tp, doms, grp[0].vs.Vars(), snap)
+				} else {
+					ok = p.run(tp, doms)
+				}
+				if !ok {
 					b.Fatal("propagation refuted a satisfiable group")
 				}
 			}

@@ -116,16 +116,6 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	t.vars = append(t.vars[:0], vs.Vars()...)
 	vars := t.vars
 	slices.SortFunc(vars, func(a, b *expr.Var) int { return cmp.Compare(a.Name, b.Name) })
-	// Var index by linear scan: groups have at most a handful of
-	// variables, so this beats a map and allocates nothing.
-	varIdx := func(v *expr.Var) int32 {
-		for i, w := range vars {
-			if w == v {
-				return int32(i)
-			}
-		}
-		panic("solver: variable missing from group set")
-	}
 	nwords := (len(vars) + 63) / 64
 	t.nwords = nwords
 	t.ops = t.ops[:0]
@@ -151,7 +141,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 		}
 		switch e.Kind {
 		case expr.KVar:
-			vi := varIdx(e.V)
+			vi := int32(t.varIndex(e.V))
 			op.vi = vi
 			dw[vi/64] |= 1 << uint(vi%64)
 		case expr.KConst:
@@ -221,7 +211,7 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 	for i, c := range cs {
 		mask := cmaskBacking[i*nwords : (i+1)*nwords]
 		for _, v := range c.VarSet().Vars() {
-			vi := varIdx(v)
+			vi := t.varIndex(v)
 			mask[vi/64] |= 1 << uint(vi%64)
 		}
 		t.cmasks[i] = mask
@@ -259,6 +249,17 @@ func (sc *tapeScratch) compile(vs *expr.VarSet, cs []*expr.Expr) *tape {
 		t.csub[ci] = sub
 	}
 	return t
+}
+
+// varIndex is v's index on the tape, by linear scan: groups have at most
+// a handful of variables, so this beats a map and allocates nothing.
+func (t *tape) varIndex(v *expr.Var) int {
+	for i, w := range t.vars {
+		if w == v {
+			return i
+		}
+	}
+	panic("solver: variable missing from group set")
 }
 
 // readers fills the tape's reader lists from the operands its slots

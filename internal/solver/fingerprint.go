@@ -7,7 +7,7 @@ package solver
 // 2^64, of its constraints' keys. A sum does not depend on constraint
 // order; merging groups adds their keys, with no id list kept and
 // nothing sorted; and the key of a prefix of a group's constraints is
-// the group's key less the keys of the rest (Solver.carriedSet).
+// the group's key less the keys of the rest (Solver.carried).
 //
 // Collisions. Hash-consing gives distinct constraints distinct ids, and
 // a group holds each constraint once (Extend drops a duplicate), so two

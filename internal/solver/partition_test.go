@@ -185,7 +185,7 @@ func TestFingerprintCanonical(t *testing.T) {
 		seen[fp] = true
 	}
 
-	// The key carriedSet finds for each prefix of a group's constraints,
+	// The key carried finds for each prefix of a group's constraints,
 	// by subtracting the keys of the constraints after it, is the key of
 	// that prefix partitioned from scratch: the sum of its groups' keys
 	// (one group when the prefix is connected, as the prefixes of a

@@ -1,12 +1,16 @@
 package solver
 
 import (
+	"encoding/binary"
+
 	"overify/internal/expr"
 	"overify/internal/ir"
 )
 
-// Bounded value-set propagation over a compiled tape, run once per
-// search before any backtracking. The per-variable enumeration the
+// Bounded value-set propagation over a compiled tape, run before a
+// search backtracks, from full domains or resumed from the fixpoint a
+// prefix of the group's constraints converged on (resume, at the end of
+// this file). The per-variable enumeration the
 // search does is blind to arithmetic structure: a constraint like
 //
 //	uge(sext(add(ite(...), 1)), 4)
@@ -185,6 +189,12 @@ type propagator struct {
 	tmp     [vsetCap]uint64 // backs the one temporary set alive at a time
 	changed bool
 	unsat   bool
+	// converged is set when the run ended on a round that changed
+	// nothing: its sets and domains are then a fixpoint (snapshot).
+	converged bool
+	// evals counts the run's concreteSlot calls (test instrumentation:
+	// a resumed run evaluates only what the added constraints change).
+	evals int64
 }
 
 // slotStamps are one slot's clock readings in the current run: when its
@@ -245,6 +255,7 @@ func init() {
 // mirroring tapeState.recompute with every operand known (which in
 // turn mirrors expr.Eval).
 func (p *propagator) concreteSlot(s int32, a, b, c uint64) uint64 {
+	p.evals++
 	op := &p.t.ops[s]
 	var val uint64
 	switch op.kind {
@@ -331,14 +342,16 @@ func (p *propagator) forward(s int32) {
 		}
 		if ia == nil || ib == nil || ic == nil || len(ia)*len(ib)*len(ic) > vsetPairCap {
 			f.top = true
-		} else {
-			for _, va := range ia {
-				for _, vb := range ib {
-					for _, vc := range ic {
-						f.add(p.concreteSlot(s, va, vb, vc), &p.arena)
-						if f.top {
-							break
-						}
+			break
+		}
+		// Once the set is top, add changes nothing and concreteSlot has no
+		// effect, so the rest of the product is not evaluated.
+	product:
+		for _, va := range ia {
+			for _, vb := range ib {
+				for _, vc := range ic {
+					if f.add(p.concreteSlot(s, va, vb, vc), &p.arena); f.top {
+						break product
 					}
 				}
 			}
@@ -594,11 +607,17 @@ func propagateDomains(t *tape, domains []domain) bool {
 // returns false when the group is proven unsatisfiable outright.
 func (p *propagator) run(t *tape, domains []domain) bool {
 	p.reset(t, domains)
+	return p.rounds()
+}
+
+// rounds sweeps every constraint until a round changes nothing or
+// propMaxRounds have run.
+func (p *propagator) rounds() bool {
 	defer p.arena.settle()
 	for round := 0; round < propMaxRounds; round++ {
 		p.enumerate()
 		p.changed = false
-		for ci := range t.roots {
+		for ci := range p.t.roots {
 			if p.constraintPass(ci); p.unsat {
 				return false
 			}
@@ -607,6 +626,7 @@ func (p *propagator) run(t *tape, domains []domain) bool {
 			return false
 		}
 		if !p.changed {
+			p.converged = true
 			break
 		}
 	}
@@ -616,7 +636,7 @@ func (p *propagator) run(t *tape, domains []domain) bool {
 // reset starts a run over t: every forward set empty, every demand top,
 // every stamp 0, over storage kept from earlier runs.
 func (p *propagator) reset(t *tape, domains []domain) {
-	p.t, p.domains, p.unsat = t, domains, false
+	p.t, p.domains, p.unsat, p.converged, p.evals = t, domains, false, false, 0
 	nslots := len(t.ops)
 	if cap(p.fwd) < nslots {
 		n := max(nslots, 2*cap(p.fwd))
@@ -630,18 +650,166 @@ func (p *propagator) reset(t *tape, domains []domain) {
 		p.varIter = append(p.varIter, make([]uint64, 0, maxValues))
 		p.varAt = append(p.varAt, 0)
 	}
+	for vi := range t.vars {
+		p.varIter[vi] = p.varIter[vi][:0]
+	}
 	clear(p.at)
 	clear(p.varAt)
 	p.clock = 0
 }
 
 // enumerate starts a round: each variable's enumeration is its domain as
-// the last round left it, stamped where it shrank.
+// the last round left it, stamped where it shrank. A domain only shrinks
+// from the enumeration it was last listed as, so one of the same size is
+// that enumeration and is not listed again.
 func (p *propagator) enumerate() {
 	for vi := range p.t.vars {
-		n := len(p.varIter[vi])
-		if p.varIter[vi] = p.domains[vi].appendValues(p.varIter[vi][:0]); len(p.varIter[vi]) != n {
+		if p.domains[vi].count() != len(p.varIter[vi]) {
+			p.varIter[vi] = p.domains[vi].appendValues(p.varIter[vi][:0])
 			p.varAt[vi] = p.tick()
 		}
 	}
+}
+
+// A satisfiable group's run is kept for the groups that extend it. The
+// search of G ∧ c would otherwise propagate G all over again: its tape
+// is G's tape with c's new slots after them (compile emits slots in
+// constraint order, so the tape of a prefix cs[:k] is the first slots of
+// the tape of cs), and every step over those slots is a step of G's run.
+// Every step only narrows, monotonically in its inputs, so an iteration
+// that settles ends on the greatest common fixpoint of its steps from
+// any start above that fixpoint; G's fixpoint lies above the extension's.
+// A run resumed from G's sets and domains therefore ends on the sets,
+// domains and verdict of a run from scratch, and the search that follows
+// tries the same assignments. Only a run that converged is kept: one cut
+// off by propMaxRounds is not a fixpoint.
+//
+// The snapshot is one byte slice, all little-endian: an 8-byte hash of
+// the constraint order (the cache key is a set hash, the tape prefix
+// needs the order), the slot count in 4 bytes, each variable's domain in
+// 32 bytes in the group's ordinal order, one length byte per slot for
+// its forward set and one for its demand set (snapTop for top), then the
+// sets' values, (bits+7)/8 bytes each.
+const (
+	snapHeader = 12
+	snapTop    = 255 // > vsetCap
+)
+
+// orderKey is an order-sensitive hash of a constraint list.
+func orderKey(cs []*expr.Expr) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, c := range cs {
+		h = mix64(h ^ uint64(c.ID()))
+	}
+	return h
+}
+
+// snapOrder is the orderKey a snapshot was taken under.
+func snapOrder(snap []byte) uint64 { return binary.LittleEndian.Uint64(snap) }
+
+// valueBytes is how many bytes a value of a bits-wide slot takes.
+func valueBytes(bits int32) int { return (int(bits) + 7) / 8 }
+
+// snapshot encodes the fixpoint the run converged on, for a run over an
+// extension of the group to resume from. vs is the group's variable set
+// in ordinal order and order its constraints' orderKey. At a fixpoint
+// each variable's enumeration is its domain (the last round pruned
+// nothing), so the domains are read from the enumerations, not from the
+// domains the search has consumed since.
+func (p *propagator) snapshot(vs []*expr.Var, order uint64) []byte {
+	t := p.t
+	n := snapHeader + len(vs)*len(domain{})*8 + 2*len(t.ops)
+	for s := range t.ops {
+		n += valueBytes(t.ops[s].bits) * (len(p.fwd[s].vals) + len(p.dem[s].vals))
+	}
+	b := make([]byte, 0, n)
+	b = binary.LittleEndian.AppendUint64(b, order)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.ops)))
+	for _, v := range vs {
+		var d domain
+		for _, x := range p.varIter[t.varIndex(v)] {
+			d[x/64] |= 1 << (x % 64)
+		}
+		for _, w := range d {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	for s := range t.ops {
+		b = append(b, snapLen(&p.fwd[s]), snapLen(&p.dem[s]))
+	}
+	for s := range t.ops {
+		w := valueBytes(t.ops[s].bits)
+		for _, set := range [2]*vset{&p.fwd[s], &p.dem[s]} {
+			for _, x := range set.vals {
+				for i := 0; i < w; i++ {
+					b = append(b, byte(x>>(8*i)))
+				}
+			}
+		}
+	}
+	return b
+}
+
+// snapLen is a set's length byte in a snapshot.
+func snapLen(s *vset) byte {
+	if s.top {
+		return snapTop
+	}
+	return byte(len(s.vals))
+}
+
+// resume is run over a tape whose first constraints form a group whose
+// converged run left snap: the prefix's slots, its variables' domains and
+// their enumerations start where that run ended, each stamped at clock 1,
+// so settled holds for every step of theirs until something the later
+// constraints narrow reaches it. The prefix's variables are those whose
+// slot is among its slots; the others start from the domains given.
+func (p *propagator) resume(t *tape, domains []domain, vs []*expr.Var, snap []byte) bool {
+	p.reset(t, domains)
+	nslots := int(binary.LittleEndian.Uint32(snap[8:]))
+	b := snap[snapHeader:]
+	for _, v := range vs {
+		vi := t.varIndex(v)
+		if w := t.watch[vi]; len(w) == 0 || w[0] >= int32(nslots) {
+			continue
+		}
+		for i := range domains[vi] {
+			domains[vi][i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		b = b[8*len(domain{}):]
+	}
+	for vi := range t.vars {
+		p.varIter[vi] = domains[vi].appendValues(p.varIter[vi][:0])
+		p.varAt[vi] = 1
+	}
+	lens, b := b[:2*nslots], b[2*nslots:]
+	for s := 0; s < nslots; s++ {
+		w := valueBytes(t.ops[s].bits)
+		b = p.restoreSet(&p.fwd[s], lens[2*s], b, w)
+		b = p.restoreSet(&p.dem[s], lens[2*s+1], b, w)
+		p.at[s] = slotStamps{fwd: 1, dem: 1, fwdRan: 1, demRan: 1}
+	}
+	p.clock = 1
+	return p.rounds()
+}
+
+// restoreSet decodes a set of n values, w bytes each, from the front of
+// b into s, returning the rest of b.
+func (p *propagator) restoreSet(s *vset, n byte, b []byte, w int) []byte {
+	if n == snapTop {
+		*s = vset{top: true}
+		return b
+	}
+	s.top, s.vals = false, s.vals[:0]
+	if n > 0 && s.vals == nil {
+		s.vals = p.arena.carve()
+	}
+	for range n {
+		var x uint64
+		for i := 0; i < w; i++ {
+			x |= uint64(b[i]) << (8 * i)
+		}
+		s.vals, b = append(s.vals, x), b[w:]
+	}
+	return b
 }

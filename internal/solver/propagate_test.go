@@ -276,10 +276,12 @@ func bufAt(b *expr.Builder, vs []*expr.Var, idx *expr.Expr) *expr.Expr {
 // exhaustive enumeration of all 65536 assignments. This is the guard
 // against propagation over-pruning (wrong unsat) that the conformance
 // suites cannot provide, since those only compare the solver with
-// itself across schedules. Each input is solved twice: whole, from
-// scratch; and prefix by prefix on one solver carrying the partition,
-// the way the engine grows a path condition — so searches seeded from a
-// carried solution set (Solver.carriedSet) answer to enumeration too.
+// itself across schedules. Each input is solved three times: whole,
+// from scratch; prefix by prefix on one solver carrying the partition,
+// the way the engine grows a path condition; and with every prefix's
+// groups decided on one solver, model reuse bypassed — so searches
+// seeded from a carried solution set or resuming propagation from a
+// prefix's fixpoint (Solver.carried) answer to enumeration too.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{6, 2, 3, 1, 4, 4, 2, 9, 3, 0, 5, 5})
@@ -341,6 +343,25 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			}
 			if want := k+1 <= satUpTo; got != want {
 				t.Fatalf("prefix %d: chained solver says sat=%v, brute force says %v for %v", k+1, got, want, cs[:k+1])
+			}
+		}
+
+		dec := New(Options{})
+	prefixes:
+		for k := 1; k <= len(cs); k++ {
+			got := true
+			for _, g := range PartitionOf(cs[:k]).Groups() {
+				e, err := dec.solveGroup(g)
+				if err != nil {
+					continue prefixes
+				}
+				if e.sat && !satisfies(g.cs, e.model) {
+					t.Fatalf("prefix %d: model %v does not satisfy its group", k, e.model)
+				}
+				got = got && e.sat
+			}
+			if want := k <= satUpTo; got != want {
+				t.Fatalf("prefix %d: solver deciding every prefix says sat=%v, brute force says %v for %v", k, got, want, cs[:k])
 			}
 		}
 	})

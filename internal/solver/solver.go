@@ -17,21 +17,27 @@
 // and since the query is its parent condition plus one constraint, only
 // that constraint is evaluated (modelSatisfies).
 //
-// The search pays for the constraints a branch added too, where that is
-// exact: for a satisfiable group over one variable the unary filter
+// The search pays only for the constraints a branch added, where that
+// is exact. For a satisfiable group over one variable the unary filter
 // leaves the group's whole solution set in the byte's domain, and the
 // decided entry stores it (256 bits beside {sat, model}, in the shared
-// cache). A later single-variable group looks up the prefixes of its
-// own constraint list in the cache, longest first, and from the first
-// one that holds a set filters only the constraints after it, starting
-// from that set (Solver.carriedSet, Solver.search). The prefix and not
-// the parent, because model reuse answers most branch sides without
-// deciding their groups, so the parent is usually undecided while an
-// ancestor a few constraints back is not. No propagation on that path:
-// the filter over the surviving values is already exact, and value-set
-// propagation over a narrow domain costs more than it saves. Same
-// verdict, same model, same stored set as the from-scratch search;
-// fewer assignments.
+// cache). For any satisfiable group whose value-set propagation
+// converged, the entry also stores that fixpoint: every slot's value
+// sets and every variable's domain, one byte slice. A later group looks
+// up the prefixes of its own constraint list in the cache, longest
+// first (Solver.carried, Solver.search). Over one variable it filters
+// only the constraints after the first prefix that holds a set, starting
+// from that set: no propagation on that path, the filter over the
+// surviving values is already exact, and value-set propagation over a
+// narrow domain costs more than it saves; same verdict, model and stored
+// set as the from-scratch search, fewer assignments. Over several it
+// resumes propagation from the first prefix that holds a fixpoint taken
+// in the same constraint order, re-running only the steps the later
+// constraints reach: the same domains as a run from scratch, so the same
+// search and the same assignments (propagate.go). The prefix and not the
+// parent, because model reuse answers most branch sides without deciding
+// their groups, so the parent is usually undecided while an ancestor a
+// few constraints back is not.
 //
 // The per-query constant factors are engineered away: variable sets are
 // interned on expression nodes at construction (expr.VarSet), the
@@ -46,7 +52,8 @@
 //
 // The search also skips the evaluations whose answer it already has,
 // each skip exact: value-set propagation re-runs a slot's step only when one
-// of its inputs changed since the step last ran (stamps, propagate.go);
+// of its inputs changed since the step last ran (stamps, propagate.go),
+// in a run resumed from a prefix's fixpoint as in one from scratch;
 // sibling values are assigned over one another, one watch-list walk
 // each; and the forward check after binding a byte skips the
 // constraints that do not mention it, which an ancestor node filtered by
@@ -91,7 +98,7 @@ type Options struct {
 	// the compiled tape) cannot flip a decided group to ErrBudget.
 	//
 	// A single-variable group searched from a carried solution set
-	// (Solver.carriedSet) is charged for the values in that set once per
+	// (Solver.carried) is charged for the values in that set once per
 	// constraint after the prefix, plus one — at most 257 when the prefix
 	// is the parent, against 256 per constraint from scratch — so under
 	// any budget that admits the from-scratch search of a byte it cannot
@@ -170,14 +177,17 @@ var errTooWide = errors.New("solver: variable wider than 8 bits")
 // apart (a stall starts a race, a deadline ends the query).
 var errDeadline = errors.New("solver: deadline passed")
 
-// cacheEntry is a group's decided verdict. For a satisfiable group over
-// one variable it also holds the group's exact solution set — what the
-// unary filter left of the byte's domain — which is what a later search
-// of an extension of the group starts from (Solver.carriedSet).
+// cacheEntry is a group's decided verdict. For a satisfiable group it
+// also holds what a later search of an extension of the group starts
+// from (Solver.carried): over one variable, the group's exact solution
+// set — what the unary filter left of the byte's domain; and when the
+// search propagated, the fixpoint that propagation converged on
+// (propagator.snapshot).
 type cacheEntry struct {
 	sat   bool
 	model expr.Model
 	set   domain // single-variable sat groups only; zero otherwise
+	prop  []byte // sat groups whose propagation converged; nil otherwise
 }
 
 // recentModel is a remembered model: a private copy, never written
@@ -216,6 +226,9 @@ type Solver struct {
 	// commitEvals counts the slots assign and unassign evaluated (test
 	// instrumentation: a binding re-evaluates only what it changes).
 	commitEvals int64
+	// propEvals counts the slots value-set propagation evaluated (test
+	// instrumentation: an extension re-propagates only what it changes).
+	propEvals int64
 	// serial is the last model serial handed out; pending is
 	// modelSatisfies' scratch.
 	serial  uint64
@@ -466,8 +479,8 @@ func (d *domain) count() int {
 // diverse configurations (portfolio.go); otherwise the default
 // configuration runs alone with the full work budget.
 //
-// A group over one variable for which carriedSet finds a start is not
-// searched from scratch: only the constraints after the prefix are
+// A group over one variable for which carried finds a solution set is
+// not searched from scratch: only the constraints after the prefix are
 // compiled, and the unary filter runs them over the prefix's solution
 // set instead of the full domain. Every value of that set already
 // satisfies the prefix, so what the filter leaves is exactly the group's
@@ -478,6 +491,10 @@ func (d *domain) count() int {
 // through every slot instead of widening to top) and runs the default
 // configuration before any portfolio race: its cost does not depend on
 // the value order.
+//
+// Any other group propagates first, resuming from a prefix's fixpoint
+// when carried finds one (propagator.resume): the same domains as a run
+// from scratch, so the same search.
 func (s *Solver) search(g *Group) (cacheEntry, error) {
 	vars := g.vs.Vars()
 	for _, v := range vars {
@@ -485,13 +502,14 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 			return cacheEntry{}, errTooWide
 		}
 	}
-	var k int // constraints already accounted for by seed
-	var seed domain
-	if len(vars) == 1 {
-		k, seed = s.carriedSet(g)
+	k, from := s.carried(g)
+	seeded := k > 0 && len(vars) == 1
+	cs := g.cs
+	if seeded {
+		cs = g.cs[k:]
 	}
 
-	t := s.scratch.compile(g.vs, g.cs[k:])
+	t := s.scratch.compile(g.vs, cs)
 	s.Stats.TapeCompiles++
 	s.Stats.TapeSlots += int64(len(t.ops))
 	if len(t.vars) > s.Stats.MaxGroupVars {
@@ -501,8 +519,8 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 	domains := make([]domain, len(t.vars))
 	var e cacheEntry
 	var err error
-	if k > 0 {
-		domains[0] = seed
+	if seeded {
+		domains[0] = from.set
 		e.sat, e.model, err = s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
 	} else {
 		for i, v := range t.vars {
@@ -512,13 +530,23 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 		// collapse domains without trying a single assignment, and its
 		// cost is a function of the tape, not of the search tree
 		// (propagate.go).
-		if !s.prop.run(t, domains) {
+		var ok bool
+		if k > 0 {
+			ok = s.prop.resume(t, domains, vars, from.prop)
+		} else {
+			ok = s.prop.run(t, domains)
+		}
+		s.propEvals += s.prop.evals
+		if !ok {
 			return cacheEntry{}, nil
 		}
 		if s.opts.Portfolio > 1 {
 			e.sat, e.model, err = s.searchPortfolio(t, domains)
 		} else {
 			e.sat, e.model, err = s.searchTape(t, domains, searchConfig{}, s.opts.MaxWork)
+		}
+		if err == nil && e.sat && s.prop.converged {
+			e.prop = s.prop.snapshot(vars, orderKey(g.cs))
 		}
 	}
 	if err == errDeadline {
@@ -536,28 +564,41 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 	return e, nil
 }
 
-// carriedSet finds where the search of a single-variable group can
-// start: the longest proper prefix of the group's constraints whose
-// solution set the shared cache holds, as (prefix length, set); 0 when
-// there is none. A group over one variable only ever grows by Extend
-// appending to it, so its prefixes are the canonical groups of the path
-// condition's ancestors — but nothing rests on that: the solution set of
-// any subset of the constraints contains the group's. The prefix is
-// searched for, not the parent alone, because model reuse answers one
-// side of most branches without deciding its group: the nearest decided
-// ancestor is usually a few constraints back. The lookups are peeks, so
-// the cache's hits and misses stay one per group looked up to be decided.
-// A prefix's key is the group's key less the keys of the constraints
-// after it (fingerprint.go), so the walk reads no id list.
-func (s *Solver) carriedSet(g *Group) (int, domain) {
+// carried finds where the search of a group can start: the longest
+// proper prefix of its constraints whose cache entry holds what the
+// search can start from, as (prefix length, entry); 0 when there is
+// none. A group over one variable starts from a solution set. Any other
+// group resumes propagation from a snapshot taken over the same
+// constraints in the same order: the cache key is a set hash, and the
+// tape prefix the snapshot describes is the prefix's in its order.
+//
+// A group only ever grows by Extend appending to it, or by merging
+// groups ahead of the constraint that merged them, so its prefixes are
+// mostly the groups of the path condition's ancestors — but nothing
+// rests on that: the solution set of any subset of the constraints
+// contains the group's, and a snapshot is resumed from only over the
+// constraint list it was taken on. The prefix is searched
+// for, not the parent alone, because model reuse answers one side of
+// most branches without deciding its group: the nearest decided ancestor
+// is usually a few constraints back. The lookups are peeks, so the
+// cache's hits and misses stay one per group looked up to be decided. A
+// prefix's key is the group's key less the keys of the constraints after
+// it (fingerprint.go), so the walk reads no id list.
+func (s *Solver) carried(g *Group) (int, *cacheEntry) {
+	single := len(g.vs.Vars()) == 1
 	fp := g.fp
 	for k := len(g.cs) - 1; k >= 1; k-- {
 		fp = fp.minus(idKey(g.cs[k].ID()))
-		if e := s.cache.peek(fp); e != nil && e.set != (domain{}) {
-			return k, e.set
+		e := s.cache.peek(fp)
+		switch {
+		case e == nil:
+		case single && e.set != (domain{}):
+			return k, e
+		case !single && e.prop != nil && snapOrder(e.prop) == orderKey(g.cs[:k]):
+			return k, e
 		}
 	}
-	return 0, domain{}
+	return 0, nil
 }
 
 // searchTape is one backtracking attempt over a compiled tape: the

@@ -22,7 +22,7 @@ import (
 // Assignments and TapeSlots. A single-variable group whose cache holds
 // the solution set of a prefix of its constraints is now searched from
 // that set, over a tape of the remaining constraints only
-// (Solver.carriedSet), so it tries fewer values and compiles fewer slots
+// (Solver.carried), so it tries fewer values and compiles fewer slots
 // — and the few such groups that propagation used to close without
 // trying a value now pay the filter over the carried set (tac +5,
 // basename +1, fieldparse +256, against stat -3,427 and od-x -4,590).
@@ -34,6 +34,16 @@ import (
 // select conditions are decided is filtered in the one byte it still
 // reads, before its other bytes are bound, so its group tries 255 fewer
 // values (73,417 → 73,162). Nodes and every other counter stand.
+//
+// basename -O3's Nodes and Assignments were re-cut a third time when a
+// converged propagation began splitting one small-set slot into cases
+// (refutation by cases, internal/solver/propagate.go): its "last
+// slash" group over three bytes — input[0] != 0, input[1] == 0, and the
+// bytes at s+1 and s+2 non-zero for the slash index s ∈ {-1, 0} — is
+// refuted in two case runs, one per value of s, where the search tried
+// 1,787 values over 2 nodes to prove it unsat (Nodes 38 → 36,
+// Assignments 73,162 → 71,375). The query count, every verdict, every
+// model and both render hashes stand.
 //
 // The od-x -OVERIFY cell is re-cut whole since -OVERIFY stopped
 // running unroll, unswitch, licm and jump threading: it compiles to
@@ -69,7 +79,7 @@ var pinnedCells = []pinnedCell{
 		render:     "7ef1500b7f3f1d8779b50ab902991796ca9936e7c53c05c0df09b98b0bf4ba41",
 		normalized: "7ef1500b7f3f1d8779b50ab902991796ca9936e7c53c05c0df09b98b0bf4ba41"},
 	{prog: "basename", level: pipeline.O3, n: 3,
-		stats:      solver.Stats{Queries: 56, CacheHits: 4, ModelReuseHits: 25, Sat: 37, Unsat: 19, Nodes: 38, Assignments: 73162, TapeCompiles: 31, TapeSlots: 987, MaxGroupVars: 3},
+		stats:      solver.Stats{Queries: 56, CacheHits: 4, ModelReuseHits: 25, Sat: 37, Unsat: 19, Nodes: 36, Assignments: 71375, TapeCompiles: 31, TapeSlots: 987, MaxGroupVars: 3},
 		render:     "8b7daa1c3720cd351c1c7ac79f30f7e019002207c65391b73fc9a81196a57ba8",
 		normalized: "8b7daa1c3720cd351c1c7ac79f30f7e019002207c65391b73fc9a81196a57ba8"},
 	{prog: "fieldparse", level: pipeline.O0, n: 6,

@@ -15,7 +15,8 @@ import (
 // of allocations whether the group has 3 constraints or 15 (five times
 // the slots), and whether the search binds a few hundred values or tens
 // of thousands; and value-set propagation, run a second time over a
-// tape of the same size, allocates nothing at all.
+// tape of the same size, allocates nothing at all, nor does a split
+// that refutes a group by cases.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	const runs = 10
 	shapes := []struct {
@@ -103,6 +104,28 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a resumed propagation run over %d slots allocated %v times, want 0", len(whole.ops), n)
+	}
+
+	// Refutation by cases runs its cases on the same storage, from one
+	// reused snapshot over scratch domains: once warm, a run that
+	// converges on basename's n=4 last-slash group and the split that
+	// refutes it allocate nothing.
+	cases := lastSlashCases(expr.NewBuilder(), vars(4), 2)
+	split := compileList(cases)
+	splitVars := varsOf(cases).Vars()
+	full4 := fullDomains(split)
+	doms4 := make([]domain, len(full4))
+	p = new(propagator)
+	if n := testing.AllocsPerRun(runs, func() {
+		copy(doms4, full4)
+		if !p.run(split, doms4) || !p.converged {
+			t.Fatal("propagation alone decided the last-slash group")
+		}
+		if _, refuted := p.refuteByCases(splitVars); !refuted {
+			t.Fatal("the split did not refute the last-slash group")
+		}
+	}); n != 0 {
+		t.Errorf("a run and a refuting split over %d slots allocated %v times, want 0", len(split.ops), n)
 	}
 }
 

@@ -270,18 +270,65 @@ func bufAt(b *expr.Builder, vs []*expr.Var, idx *expr.Expr) *expr.Expr {
 	return out
 }
 
+// buildIndexedDAG interprets data as constraints over basename's shape
+// shrunk to two bytes: an index the bytes compute, idx = ite(y == K1, 1,
+// ite(x == K0, 0, -1)) with K0, K1 the first two bytes of data, and
+// loads through an ite chain at idx+d over the buffer (x, y, x, 0...).
+// Each following pair compares x, y or such a load with a constant. The
+// index and the loads' conditions hold a few values each while the bytes
+// behind them hold up to 256, so propagation converges on groups that
+// only a case split on the index refutes: y == 0 with the loads at
+// idx+1 and idx+2 non-zero (indexedRefuted).
+func buildIndexedDAG(b *expr.Builder, vs []*expr.Var, data []byte) []*expr.Expr {
+	if len(data) < 2 {
+		return nil
+	}
+	x, y := b.Var(vs[0]), b.Var(vs[1])
+	idx := b.Select(b.Cmp(ir.OpEq, y, b.Const(8, uint64(data[0]))), b.Const(32, 1),
+		b.Select(b.Cmp(ir.OpEq, x, b.Const(8, uint64(data[1]))), b.Const(32, 0), b.Const(32, 0xFFFFFFFF)))
+	cmpOps := []ir.Op{ir.OpEq, ir.OpNe, ir.OpULt}
+	var cs []*expr.Expr
+	for i := 2; i+1 < len(data) && len(cs) < 8; i += 2 {
+		op, arg := data[i], uint64(data[i+1])
+		v := x
+		switch op % 3 {
+		case 1:
+			v = y
+		case 2:
+			at := b.Bin(ir.OpAdd, idx, b.Const(32, arg%3))
+			v = b.Select(b.Cmp(ir.OpEq, at, b.Const(32, 0)), x,
+				b.Select(b.Cmp(ir.OpEq, at, b.Const(32, 1)), y,
+					b.Select(b.Cmp(ir.OpEq, at, b.Const(32, 2)), x, b.Const(8, 0))))
+			arg /= 3
+		}
+		if c := b.Cmp(cmpOps[int(op/3)%len(cmpOps)], v, b.Const(8, arg)); c.Kind != expr.KConst {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// indexedRefuted is buildIndexedDAG's input for x != 0, y == 0 and the
+// loads at idx+1 and idx+2 non-zero, with K0 = K1 = '/': unsat, since
+// idx is -1 or 0 and y is the load at idx+2 for the one and at idx+1 for
+// the other; no set refutes it, each case of the index does.
+var indexedRefuted = []byte{47, 47, 3, 0, 1, 0, 5, 1, 5, 2}
+
 // FuzzSearchVsBruteForce is the ground-truth oracle for the whole
 // decision procedure — propagation plus backtracking search: on random
 // two-variable constraint DAGs the solver's verdict must match
 // exhaustive enumeration of all 65536 assignments. This is the guard
 // against propagation over-pruning (wrong unsat) that the conformance
 // suites cannot provide, since those only compare the solver with
-// itself across schedules. Each input is solved three times: whole,
-// from scratch; prefix by prefix on one solver carrying the partition,
-// the way the engine grows a path condition; and with every prefix's
-// groups decided on one solver, model reuse bypassed — so searches
-// seeded from a carried solution set or resuming propagation from a
-// prefix's fixpoint (Solver.carried) answer to enumeration too.
+// itself across schedules. Each input is read as two groups, a random
+// DAG (buildFuzzDAG) and an indexed load (buildIndexedDAG), where
+// refutation by cases fires; indexedRefuted must be refuted that way.
+// Each group is solved three times: whole, from scratch; prefix by prefix
+// on one solver carrying the partition, the way the engine grows a path
+// condition; and with every prefix's groups decided on one solver, model
+// reuse bypassed — so searches seeded from a carried solution set or
+// resuming propagation from a prefix's fixpoint (Solver.carried) answer
+// to enumeration too.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{6, 2, 3, 1, 4, 4, 2, 9, 3, 0, 5, 5})
@@ -290,79 +337,93 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 	// 90 < a, 110 <= a, 132 <= a: each excludes the model of the one
 	// before, so the second and third prefixes are seeded searches.
 	f.Add([]byte{1, 9, 3, 2, 0, 0, 1, 10, 3, 3, 0, 0, 1, 11, 3, 3})
+	f.Add(indexedRefuted)
+	// K1 = 3, K0 = '/', y == 0 and the load at idx+2 non-zero: satisfiable
+	// by idx = 0 (x = '/') alone, which is the last case of its split.
+	f.Add([]byte{3, 47, 1, 0, 5, 2})
+	s := New(Options{})
+	if sat, _, err := s.Sat(buildIndexedDAG(expr.NewBuilder(), vars(2), indexedRefuted)); sat || err != nil || s.caseRefuted != 1 || s.Stats.Assignments != 0 {
+		f.Fatalf("indexed seed: sat=%v err=%v, %d groups refuted by cases, %d assignments: want unsat, refuted by cases, 0",
+			sat, err, s.caseRefuted, s.Stats.Assignments)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := expr.NewBuilder()
 		vs := vars(2)
-		cs := buildFuzzDAG(b, vs, data)
-		if len(cs) == 0 {
-			return
-		}
-		// satUpTo is the longest prefix of cs some assignment satisfies:
-		// cs[:k] is satisfiable exactly when k <= satUpTo.
-		satUpTo := 0
-		asn := expr.Model{{Var: vs[0]}, {Var: vs[1]}}
-		ev := expr.NewEvaluator()
-	brute:
-		for a := uint64(0); a < 256; a++ {
-			for c := uint64(0); c < 256; c++ {
-				asn[0].Val, asn[1].Val = a, c
-				ev.Bind(asn)
-				k := 0
-				for k < len(cs) && ev.Eval(cs[k]) != 0 {
-					k++
-				}
-				if k > satUpTo {
-					if satUpTo = k; k == len(cs) {
-						break brute
-					}
-				}
-			}
-		}
-
-		s := New(Options{})
-		got, model, err := s.Sat(cs)
-		if err == nil { // budget exhaustion makes no verdict claim
-			if got && !satisfies(cs, model) {
-				t.Fatalf("model %v does not satisfy query", model)
-			}
-			if want := satUpTo == len(cs); got != want {
-				t.Fatalf("solver says sat=%v, brute force says %v for %v", got, want, cs)
-			}
-		}
-
-		chain := New(Options{})
-		var p *Partition
-		for k, c := range cs {
-			p = p.Extend(c)
-			got, model, err := chain.SatPartition(p)
-			if err != nil {
-				continue
-			}
-			if got && !satisfies(cs[:k+1], model) {
-				t.Fatalf("prefix %d: model %v does not satisfy it", k+1, model)
-			}
-			if want := k+1 <= satUpTo; got != want {
-				t.Fatalf("prefix %d: chained solver says sat=%v, brute force says %v for %v", k+1, got, want, cs[:k+1])
-			}
-		}
-
-		dec := New(Options{})
-	prefixes:
-		for k := 1; k <= len(cs); k++ {
-			got := true
-			for _, g := range PartitionOf(cs[:k]).Groups() {
-				e, err := dec.solveGroup(g)
-				if err != nil {
-					continue prefixes
-				}
-				if e.sat && !satisfies(g.cs, e.model) {
-					t.Fatalf("prefix %d: model %v does not satisfy its group", k, e.model)
-				}
-				got = got && e.sat
-			}
-			if want := k <= satUpTo; got != want {
-				t.Fatalf("prefix %d: solver deciding every prefix says sat=%v, brute force says %v for %v", k, got, want, cs[:k])
-			}
-		}
+		checkVsBruteForce(t, vs, buildFuzzDAG(expr.NewBuilder(), vs, data))
+		checkVsBruteForce(t, vs, buildIndexedDAG(expr.NewBuilder(), vs, data))
 	})
+}
+
+// checkVsBruteForce holds the solver's verdicts on cs and its prefixes,
+// over the two variables vs, to exhaustive enumeration.
+func checkVsBruteForce(t *testing.T, vs []*expr.Var, cs []*expr.Expr) {
+	if len(cs) == 0 {
+		return
+	}
+	// satUpTo is the longest prefix of cs some assignment satisfies:
+	// cs[:k] is satisfiable exactly when k <= satUpTo.
+	satUpTo := 0
+	asn := expr.Model{{Var: vs[0]}, {Var: vs[1]}}
+	ev := expr.NewEvaluator()
+brute:
+	for a := uint64(0); a < 256; a++ {
+		for c := uint64(0); c < 256; c++ {
+			asn[0].Val, asn[1].Val = a, c
+			ev.Bind(asn)
+			k := 0
+			for k < len(cs) && ev.Eval(cs[k]) != 0 {
+				k++
+			}
+			if k > satUpTo {
+				if satUpTo = k; k == len(cs) {
+					break brute
+				}
+			}
+		}
+	}
+
+	s := New(Options{})
+	got, model, err := s.Sat(cs)
+	if err == nil { // budget exhaustion makes no verdict claim
+		if got && !satisfies(cs, model) {
+			t.Fatalf("model %v does not satisfy query", model)
+		}
+		if want := satUpTo == len(cs); got != want {
+			t.Fatalf("solver says sat=%v, brute force says %v for %v", got, want, cs)
+		}
+	}
+
+	chain := New(Options{})
+	var p *Partition
+	for k, c := range cs {
+		p = p.Extend(c)
+		got, model, err := chain.SatPartition(p)
+		if err != nil {
+			continue
+		}
+		if got && !satisfies(cs[:k+1], model) {
+			t.Fatalf("prefix %d: model %v does not satisfy it", k+1, model)
+		}
+		if want := k+1 <= satUpTo; got != want {
+			t.Fatalf("prefix %d: chained solver says sat=%v, brute force says %v for %v", k+1, got, want, cs[:k+1])
+		}
+	}
+
+	dec := New(Options{})
+prefixes:
+	for k := 1; k <= len(cs); k++ {
+		got := true
+		for _, g := range PartitionOf(cs[:k]).Groups() {
+			e, err := dec.solveGroup(g)
+			if err != nil {
+				continue prefixes
+			}
+			if e.sat && !satisfies(g.cs, e.model) {
+				t.Fatalf("prefix %d: model %v does not satisfy its group", k, e.model)
+			}
+			got = got && e.sat
+		}
+		if want := k <= satUpTo; got != want {
+			t.Fatalf("prefix %d: solver deciding every prefix says sat=%v, brute force says %v for %v", k, got, want, cs[:k])
+		}
+	}
 }

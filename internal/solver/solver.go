@@ -39,6 +39,15 @@
 // their groups, so the parent is usually undecided while an ancestor a
 // few constraints back is not.
 //
+// A propagation over several variables that converges without a verdict
+// gets one exact step more before the search: refutation by cases. One
+// slot whose feasible set holds 2 to 4 values is split, and propagation
+// resumes from the fixpoint once per value; when every case ends unsat,
+// so does the group, with no search (basename's "last slash" groups,
+// which the search used to prove unsat value by value). Otherwise the
+// fixpoint is restored and the search runs as it would have
+// (propagate.go).
+//
 // The per-query constant factors are engineered away: variable sets are
 // interned on expression nodes at construction (expr.VarSet), the
 // independence partition is carried incrementally across a growing path
@@ -226,9 +235,14 @@ type Solver struct {
 	// commitEvals counts the slots assign and unassign evaluated (test
 	// instrumentation: a binding re-evaluates only what it changes).
 	commitEvals int64
-	// propEvals counts the slots value-set propagation evaluated (test
-	// instrumentation: an extension re-propagates only what it changes).
+	// propEvals counts the slots value-set propagation evaluated, case
+	// runs aside (test instrumentation: an extension re-propagates only
+	// what it changes).
 	propEvals int64
+	// caseSplits, caseRuns and caseRefuted count refutation by cases
+	// (test instrumentation): the converged runs split, the cases run and
+	// the groups every case refuted.
+	caseSplits, caseRuns, caseRefuted int64
 	// serial is the last model serial handed out; pending is
 	// modelSatisfies' scratch.
 	serial  uint64
@@ -494,7 +508,10 @@ func (d *domain) count() int {
 //
 // Any other group propagates first, resuming from a prefix's fixpoint
 // when carried finds one (propagator.resume): the same domains as a run
-// from scratch, so the same search.
+// from scratch, so the same search. A run over several variables that
+// converges is then refuted by cases where it can be
+// (propagator.refuteByCases), before any portfolio race; a group it
+// does not refute is searched from the fixpoint as before.
 func (s *Solver) search(g *Group) (cacheEntry, error) {
 	vars := g.vs.Vars()
 	for _, v := range vars {
@@ -537,6 +554,17 @@ func (s *Solver) search(g *Group) (cacheEntry, error) {
 			ok = s.prop.run(t, domains)
 		}
 		s.propEvals += s.prop.evals
+		if ok && s.prop.converged && len(vars) > 1 {
+			runs, refuted := s.prop.refuteByCases(vars)
+			if runs > 0 {
+				s.caseSplits++
+				s.caseRuns += int64(runs)
+			}
+			if refuted {
+				s.caseRefuted++
+				ok = false
+			}
+		}
 		if !ok {
 			return cacheEntry{}, nil
 		}

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	overifyd -listen /tmp/overifyd.sock [-verdict-cache DIR] [-max-jobs N]
+//	overifyd -listen /tmp/overifyd.sock [-verdict-cache DIR [-verdict-cap N]] [-max-jobs N]
 //	overifyd -listen /tmp/overifyd.sock -preload 'src/*.c'
 //	overifyd -stdio
 //
@@ -43,7 +43,7 @@ func main() {
 	stdio := flag.Bool("stdio", false, "serve a single connection on stdin/stdout (esbuild-style service mode)")
 	name := flag.String("name", "overifyd", "daemon name reported in handshakes and stats")
 	verdictDir := flag.String("verdict-cache", "", "content-addressed verdict store directory (empty = no verdict caching)")
-	verdictCap := flag.Int("verdict-cap", 0, "max verdict store entries, LRU-evicted (0 = unbounded)")
+	verdictCap := flag.Int("verdict-cap", 0, "max verdict store entries, the least recently used evicted first (0 = unbounded; negative is refused)")
 	maxJobs := flag.Int("max-jobs", 0, "max concurrent verify/compile jobs (0 = one per CPU); a request waits up to 30s for a slot before an overloaded rejection")
 	compileCap := flag.Int("compile-cache-cap", 0, "max cached compiled modules (0 = default 64, negative = unbounded); the cache remembers up to 16x as many sources' verdict keys with their verdict entries, so a repeat reads no store file, and a new module displaces a resident one only if its source has been requested at least as often")
 	preload := flag.String("preload", "", "glob of MiniC sources to compile into the module cache before accepting connections")
@@ -55,6 +55,10 @@ func main() {
 	}
 	if *maxJobs < 0 {
 		fmt.Fprintf(os.Stderr, "overifyd: -max-jobs %d: want 0 (one per CPU) or more\n", *maxJobs)
+		os.Exit(2)
+	}
+	if *verdictCap < 0 {
+		fmt.Fprintf(os.Stderr, "overifyd: -verdict-cap %d: want 0 (unbounded) or more\n", *verdictCap)
 		os.Exit(2)
 	}
 

@@ -416,7 +416,7 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 			s.SolverStats.Queries, s.SolverStats.CacheHits,
 			s.SolverStats.ModelReuseHits, s.SolverStats.Failures)
 		if store != nil {
-			fmt.Printf("  verdicts:       miss — outcome stored in %s (%d entries)\n", store.Dir(), store.Len())
+			fmt.Printf("  verdicts:       miss — outcome stored in %s (%d entries)\n", store.Dir(), store.Stats().Entries)
 		}
 	}
 	printBugs(rep)

@@ -89,8 +89,8 @@ func TestVerifyCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.VerdictCacheHits != 0 || store.Stores() != 1 {
-		t.Fatalf("cold run: hits=%d stores=%d", cold.Stats.VerdictCacheHits, store.Stores())
+	if cold.Stats.VerdictCacheHits != 0 || store.Stats().Stores != 1 {
+		t.Fatalf("cold run: hits=%d stores=%d", cold.Stats.VerdictCacheHits, store.Stats().Stores)
 	}
 	warm, err := c.Verify("umain", opts)
 	if err != nil {

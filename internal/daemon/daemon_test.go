@@ -368,7 +368,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := store.Hits(); got < int64(clients*rounds*len(progs)) {
+	if got := store.Stats().Hits; got < int64(clients*rounds*len(progs)) {
 		t.Errorf("verdict store hits = %d, want >= %d", got, clients*rounds*len(progs))
 	}
 }
@@ -377,7 +377,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 // working set, every layer churns — and verdicts stay byte-identical.
 // Eviction may cost time, never correctness. The warm state rotates on
 // either of its two limits, so the churn runs once with each set to 1:
-// builder nodes, then solver-cache entries.
+// builder nodes, then solver-cache bytes.
 func TestDaemonEvictionChurnIdentical(t *testing.T) {
 	progs := []string{"basename", "true", "echo"}
 	want := map[string]string{}
@@ -385,11 +385,11 @@ func TestDaemonEvictionChurnIdentical(t *testing.T) {
 		want[p] = cliRender(t, p, 2)
 	}
 	for _, tc := range []struct {
-		name                 string
-		maxNodes, maxEntries int64 // 0 keeps the daemon's limit
+		name                    string
+		maxNodes, maxCacheBytes int64 // 0 keeps the daemon's limit
 	}{
 		{"nodes", 1, 0},
-		{"entries", 0, 1},
+		{"bytes", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, err := verdicts.OpenLimited(t.TempDir(), 1)
@@ -400,7 +400,7 @@ func TestDaemonEvictionChurnIdentical(t *testing.T) {
 				Verdicts:        store,
 				CompileCacheCap: 1,
 				maxNodes:        tc.maxNodes,
-				maxEntries:      tc.maxEntries,
+				maxCacheBytes:   tc.maxCacheBytes,
 			})
 			var lastGen int64
 			for round := 0; round < 2; round++ {
@@ -425,10 +425,65 @@ func TestDaemonEvictionChurnIdentical(t *testing.T) {
 			if stats.Compiles.Evictions == 0 {
 				t.Error("compile cache never evicted despite cap 1 over 3 programs")
 			}
-			if store.Evictions() == 0 {
+			if store.Stats().Evictions == 0 {
 				t.Error("verdict store never evicted despite cap 1 over 3 programs")
 			}
 		})
+	}
+}
+
+// TestSolverCacheByteBudget: with a solver-cache budget of a few KB,
+// solver-heavy programs rotate the warm state on bytes. A run pins the
+// generation it starts in, so a generation can end past the budget by
+// what its last run charged; the rule the stats frames pin is that a
+// request starts a new generation exactly when the frame before it
+// shows the cache past its budget. Every render equals the CLI's.
+func TestSolverCacheByteBudget(t *testing.T) {
+	const budget = 8 << 10
+	type job struct {
+		prog string
+		n    int
+	}
+	jobs := []job{{"basename", 2}, {"sort", 2}, {"basename", 3}, {"sort", 3}}
+	want := map[job]string{}
+	for _, j := range jobs {
+		want[j] = cliRender(t, j.prog, j.n)
+	}
+	_, c := pipeServer(t, Config{maxCacheBytes: budget})
+	prev, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotations := 0
+	for round := 0; round < 3; round++ {
+		for _, j := range jobs {
+			reply, err := c.Verify(&VerifyRequest{Prog: j.prog, InputBytes: j.n})
+			if err != nil {
+				t.Fatalf("round %d %s n=%d: %v", round, j.prog, j.n, err)
+			}
+			if reply.Render != want[j] {
+				t.Errorf("round %d %s n=%d: render differs from the CLI's", round, j.prog, j.n)
+			}
+			over := prev.SolverCache.Bytes > budget
+			if rotated := reply.Generation != prev.Generation; rotated != over || reply.Generation > prev.Generation+1 {
+				t.Errorf("round %d %s n=%d: generation %d → %d with %d bytes charged of %d",
+					round, j.prog, j.n, prev.Generation, reply.Generation, prev.SolverCache.Bytes, budget)
+			}
+			if over {
+				rotations++
+			}
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Generation != reply.Generation {
+				t.Fatalf("stats frame reads generation %d after a run in %d", st.Generation, reply.Generation)
+			}
+			prev = st
+		}
+	}
+	if rotations == 0 {
+		t.Errorf("warm state never rotated under a %d-byte budget (generation %d)", budget, prev.Generation)
 	}
 }
 

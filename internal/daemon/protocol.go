@@ -26,7 +26,9 @@ import (
 	"io"
 
 	"overify/internal/core"
+	"overify/internal/lru"
 	"overify/internal/symex"
+	"overify/internal/verdicts"
 )
 
 // ProtocolVersion gates the handshake: client and server must agree
@@ -51,7 +53,10 @@ import (
 //	   peer names values a v9 module does not have, and back.
 //	10: distExplore gains module, the coordinator's module key, which
 //	   the worker checks against its own compile.
-const ProtocolVersion = 10
+//	11: the stats reply's three cache objects share one shape: each
+//	   gains bytes, and solverCache gains evictions; in a distExplore
+//	   reply's stats, SharedCache takes that shape (lower-case keys).
+const ProtocolVersion = 11
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -284,28 +289,19 @@ type StatsReply struct {
 		Rotation int64 `json:"rotations"`
 	} `json:"builder"`
 
-	SolverCache struct {
-		Entries int64 `json:"entries"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-	} `json:"solverCache"`
+	// The three caches report the one lru.Stats shape, flattened into
+	// each object. The solver cache never evicts; the verdict store and
+	// the compile cache charge no bytes.
+	SolverCache lru.Stats `json:"solverCache"`
 
 	Verdicts struct {
-		Dir       string `json:"dir"`
-		Entries   int    `json:"entries"`
-		Hits      int64  `json:"hits"`
-		Misses    int64  `json:"misses"`
-		Stores    int64  `json:"stores"`
-		Evictions int64  `json:"evictions"`
-		Limit     int    `json:"limit"`
+		Dir string `json:"dir"`
+		verdicts.Stats
 	} `json:"verdicts"`
 
 	Compiles struct {
-		Entries   int   `json:"entries"`
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Capacity  int   `json:"capacity"`
+		lru.Stats
+		Capacity int `json:"capacity"`
 	} `json:"compiles"`
 }
 

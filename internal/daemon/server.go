@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"overify/internal/core"
+	"overify/internal/lru"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
 )
@@ -43,34 +43,34 @@ type Config struct {
 	// optimize and keeps the per-function analysis results with it.
 	CompileCacheCap int
 
-	// queueWait, maxNodes and maxEntries hold the daemon's fixed limits
-	// (the constants below); only tests change them.
-	queueWait  time.Duration
-	maxNodes   int64
-	maxEntries int64
+	// queueWait, maxNodes and maxCacheBytes hold the daemon's fixed
+	// limits (the constants below); only tests change them.
+	queueWait     time.Duration
+	maxNodes      int64
+	maxCacheBytes int64
 }
 
 // The daemon's fixed limits.
 const (
 	// queueWait is how long a request may wait for a job slot.
 	queueWait = 30 * time.Second
-	// maxNodes and maxEntries retire the warm state: a new generation
-	// starts once the expression builder has built more than maxNodes
-	// nodes or the solver cache holds more than maxEntries decided
-	// groups. Rotation is the warm state's one eviction rule: the old
-	// generation stays alive for its in-flight runs and is
-	// garbage-collected when they finish, and no request observes a
-	// torn generation, since each run pins one symex.Warm for its whole
-	// lifetime.
+	// maxNodes and maxCacheBytes retire the warm state: a new
+	// generation starts once the expression builder has built more than
+	// maxNodes nodes or the solver cache charges more than maxCacheBytes.
+	// Rotation is the warm state's one eviction rule: the old generation
+	// stays alive for its in-flight runs and is garbage-collected when
+	// they finish, and no request observes a torn generation, since each
+	// run pins one symex.Warm for its whole lifetime.
 	//
-	// A cache entry is its 88-byte struct (a 96-byte allocation), its
-	// model, and for a satisfiable group whose propagation converged the
-	// fixpoint an extension resumes from: about half the entries on the
-	// ledger's workloads, 235–245 bytes each on average. That is about
-	// 145 bytes more an entry than the 64-byte entry before it, so up to
-	// some 150 MB more before the entry limit rotates a generation.
-	maxNodes   = 4 << 20
-	maxEntries = 1 << 20
+	// A byte of budget is a byte a decided group holds of the heap: its
+	// entry, its model, its propagation fixpoint and its share of the
+	// cache's map (solver.Cache's entryBytes). 64 MiB is what 1<<20
+	// entries of 64 bytes held when the cache was bounded by entry
+	// count. A run that starts under the budget finishes in its
+	// generation, so a generation ends past the budget by what its last
+	// runs added.
+	maxNodes      = 4 << 20
+	maxCacheBytes = 64 << 20
 )
 
 func (c Config) withDefaults() Config {
@@ -86,8 +86,8 @@ func (c Config) withDefaults() Config {
 	if c.maxNodes == 0 {
 		c.maxNodes = maxNodes
 	}
-	if c.maxEntries == 0 {
-		c.maxEntries = maxEntries
+	if c.maxCacheBytes == 0 {
+		c.maxCacheBytes = maxCacheBytes
 	}
 	switch {
 	case c.CompileCacheCap == 0:
@@ -155,7 +155,7 @@ func NewServer(cfg Config) *Server {
 func (s *Server) currentGen() *generation {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
-	if s.gen.Builder.NodesBuilt() > s.cfg.maxNodes || s.gen.Cache.Snapshot().Entries > s.cfg.maxEntries {
+	if s.gen.Builder.NodesBuilt() > s.cfg.maxNodes || s.gen.Cache.Snapshot().Bytes > s.cfg.maxCacheBytes {
 		s.gen = &generation{s.gen.id + 1, symex.NewWarm()}
 		s.rotations.Add(1)
 	}
@@ -606,25 +606,12 @@ func (s *Server) statsReply() *StatsReply {
 	r.Builder.Cap = s.cfg.maxNodes
 	r.Builder.Rotation = s.rotations.Load()
 
-	snap := gen.Cache.Snapshot()
-	r.SolverCache.Entries = snap.Entries
-	r.SolverCache.Hits = snap.Hits
-	r.SolverCache.Misses = snap.Misses
-
+	r.SolverCache = gen.Cache.Snapshot()
 	if v := s.cfg.Verdicts; v != nil {
 		r.Verdicts.Dir = v.Dir()
-		r.Verdicts.Entries = v.Len()
-		r.Verdicts.Hits = v.Hits()
-		r.Verdicts.Misses = v.Misses()
-		r.Verdicts.Stores = v.Stores()
-		r.Verdicts.Evictions = v.Evictions()
-		r.Verdicts.Limit = v.Limit()
+		r.Verdicts.Stats = v.Stats()
 	}
-
-	r.Compiles.Entries = s.compiles.len()
-	r.Compiles.Hits = s.compiles.hits.Load()
-	r.Compiles.Misses = s.compiles.misses.Load()
-	r.Compiles.Evictions = s.compiles.evictions.Load()
+	r.Compiles.Stats = s.compiles.stats()
 	r.Compiles.Capacity = s.compiles.cap
 	return r
 }
@@ -647,10 +634,9 @@ func decode(raw []byte, v any) error {
 // many slots, of at most maxSlotKeys entries each.
 type compileCache struct {
 	mu    sync.Mutex
-	cap   int // modules; 0 = unbounded
-	mods  int // slots holding a module
-	slots map[string]*list.Element
-	lru   *list.List // of *compileSlot; front = most recently touched
+	cap   int                              // modules; 0 = unbounded
+	slots *lru.Cache[string, *compileSlot] // every slot, at most slotsPerModule·cap
+	mods  *lru.Cache[string, *compileSlot] // the slots holding a module, at most cap
 
 	hits, misses, evictions atomic.Int64
 }
@@ -664,7 +650,6 @@ const slotsPerModule = 16
 const maxSlotKeys = 4
 
 type compileSlot struct {
-	key     string
 	c       *core.Compiled // nil once evicted
 	touches int64
 	keys    []slotKey
@@ -683,7 +668,11 @@ type slotKey struct {
 }
 
 func newCompileCache(cap int) *compileCache {
-	return &compileCache{cap: cap, slots: make(map[string]*list.Element), lru: list.New()}
+	return &compileCache{
+		cap:   cap,
+		slots: lru.New[string, *compileSlot](slotsPerModule * cap),
+		mods:  lru.New[string, *compileSlot](cap),
+	}
 }
 
 // touch counts one request on ck's slot, creating it if needed, and
@@ -692,17 +681,17 @@ func newCompileCache(cap int) *compileCache {
 func (cc *compileCache) touch(ck, tag string) (*core.Compiled, slotKey) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	el, ok := cc.slots[ck]
-	if ok {
-		cc.lru.MoveToFront(el)
-	} else {
-		el = cc.lru.PushFront(&compileSlot{key: ck})
-		cc.slots[ck] = el
-		for cc.cap > 0 && cc.lru.Len() > slotsPerModule*cc.cap {
-			cc.drop(cc.lru.Back())
+	sl, ok := cc.slots.Get(ck)
+	switch {
+	case !ok:
+		sl = &compileSlot{}
+		if oldCK, old, evicted := cc.slots.Add(ck, sl); evicted && old.c != nil {
+			cc.mods.Remove(oldCK)
+			cc.evictions.Add(1)
 		}
+	case sl.c != nil:
+		cc.mods.Get(ck)
 	}
-	sl := el.Value.(*compileSlot)
 	sl.touches++
 	for _, k := range sl.keys {
 		if k.tag == tag {
@@ -712,16 +701,6 @@ func (cc *compileCache) touch(ck, tag string) (*core.Compiled, slotKey) {
 	return sl.c, slotKey{}
 }
 
-// drop removes a slot from the table, evicting its module.
-func (cc *compileCache) drop(el *list.Element) {
-	sl := cc.lru.Remove(el).(*compileSlot)
-	delete(cc.slots, sl.key)
-	if sl.c != nil {
-		cc.mods--
-		cc.evictions.Add(1)
-	}
-}
-
 // put offers a freshly compiled module to ck's slot. When the module
 // tier is full it replaces the least recently touched resident module
 // only if its slot has been touched at least as often, so a source
@@ -729,26 +708,20 @@ func (cc *compileCache) drop(el *list.Element) {
 func (cc *compileCache) put(ck string, c *core.Compiled) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	el, ok := cc.slots[ck]
-	if !ok || el.Value.(*compileSlot).c != nil { // slot gone, or a concurrent compile won
+	sl, ok := cc.slots.Get(ck)
+	if !ok || sl.c != nil { // slot gone, or a concurrent compile won
 		return
 	}
-	sl := el.Value.(*compileSlot)
-	if cc.cap > 0 && cc.mods >= cc.cap {
-		victim := cc.lru.Back()
-		for victim.Value.(*compileSlot).c == nil {
-			victim = victim.Prev()
-		}
-		v := victim.Value.(*compileSlot)
-		if v.touches > sl.touches {
+	if cc.cap > 0 && cc.mods.Len() >= cc.cap {
+		if _, v, _ := cc.mods.Oldest(); v.touches > sl.touches {
 			return
 		}
-		v.c = nil
-		cc.mods--
-		cc.evictions.Add(1)
 	}
 	sl.c = c
-	cc.mods++
+	if _, v, evicted := cc.mods.Add(ck, sl); evicted {
+		v.c = nil
+		cc.evictions.Add(1)
+	}
 }
 
 // record remembers that ck's module led to k.key under k.tag, and
@@ -756,11 +729,10 @@ func (cc *compileCache) put(ck string, c *core.Compiled) {
 func (cc *compileCache) record(ck string, k slotKey) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	el, ok := cc.slots[ck]
+	sl, ok := cc.slots.Get(ck)
 	if !ok {
 		return
 	}
-	sl := el.Value.(*compileSlot)
 	for i := range sl.keys {
 		if old := &sl.keys[i]; old.tag == k.tag {
 			if old.key == k.key && k.entry != nil {
@@ -775,8 +747,16 @@ func (cc *compileCache) record(ck string, k slotKey) {
 	sl.keys = append(sl.keys, k)
 }
 
-func (cc *compileCache) len() int {
+// stats returns the cache's counters; Entries counts resident modules,
+// and the cache charges no bytes.
+func (cc *compileCache) stats() lru.Stats {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.mods
+	n := cc.mods.Len()
+	cc.mu.Unlock()
+	return lru.Stats{
+		Hits:      cc.hits.Load(),
+		Misses:    cc.misses.Load(),
+		Entries:   int64(n),
+		Evictions: cc.evictions.Load(),
+	}
 }

@@ -74,7 +74,8 @@ func TestSlotAnswersRepeatWithoutCompiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.compiles.mu.Lock()
-	s.compiles.slots[r.CompileKey()].Value.(*compileSlot).keys = nil
+	sl, _ := s.compiles.slots.Get(r.CompileKey())
+	sl.keys = nil
 	s.compiles.mu.Unlock()
 	compiled := mustVerify(t, c, req)
 	if got, want := untimed(slot), untimed(compiled); !reflect.DeepEqual(got, want) {
@@ -122,14 +123,14 @@ func TestRepeatAnsweredFromSlotMemory(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hits := store.Hits()
+	hits := store.Stats().Hits
 	again := mustVerify(t, c, req)
 	if !again.VerdictCacheHit || !again.CompileCacheHit || again.Render != cold.Render {
 		t.Errorf("repeat over a garbage file: verdictHit=%v compileHit=%v, render equal=%v",
 			again.VerdictCacheHit, again.CompileCacheHit, again.Render == cold.Render)
 	}
-	if store.Hits() != hits+1 {
-		t.Errorf("store hits %d → %d, want one more", hits, store.Hits())
+	if store.Stats().Hits != hits+1 {
+		t.Errorf("store hits %d → %d, want one more", hits, store.Stats().Hits)
 	}
 }
 
@@ -161,8 +162,8 @@ func TestSlotFallsBackWhenStoreEvicted(t *testing.T) {
 	a := &VerifyRequest{Prog: "true", InputBytes: 2}
 	first := mustVerify(t, c, a)
 	mustVerify(t, c, &VerifyRequest{Prog: "echo", InputBytes: 2})
-	if store.Evictions() != 1 {
-		t.Fatalf("store evictions = %d, want 1", store.Evictions())
+	if store.Stats().Evictions != 1 {
+		t.Fatalf("store evictions = %d, want 1", store.Stats().Evictions)
 	}
 	again := mustVerify(t, c, a)
 	if again.VerdictCacheHit || again.CompileCacheHit {
@@ -222,11 +223,11 @@ func TestSlotTableBounded(t *testing.T) {
 	}
 	s.compiles.mu.Lock()
 	defer s.compiles.mu.Unlock()
-	if n := s.compiles.lru.Len(); n != slotsPerModule || len(s.compiles.slots) != n {
-		t.Errorf("slot table holds %d slots (%d indexed), want %d", n, len(s.compiles.slots), slotsPerModule)
+	if n := s.compiles.slots.Len(); n != slotsPerModule {
+		t.Errorf("slot table holds %d slots, want %d", n, slotsPerModule)
 	}
-	if s.compiles.mods != 1 {
-		t.Errorf("%d modules resident, want 1", s.compiles.mods)
+	if n := s.compiles.mods.Len(); n != 1 {
+		t.Errorf("%d modules resident, want 1", n)
 	}
 }
 
@@ -258,10 +259,10 @@ func TestSlotConcurrentSameKey(t *testing.T) {
 	}
 	s.compiles.mu.Lock()
 	defer s.compiles.mu.Unlock()
-	if s.compiles.lru.Len() != 1 || s.compiles.mods != 1 {
-		t.Errorf("%d slots and %d modules after one key, want 1 and 1", s.compiles.lru.Len(), s.compiles.mods)
+	if s.compiles.slots.Len() != 1 || s.compiles.mods.Len() != 1 {
+		t.Errorf("%d slots and %d modules after one key, want 1 and 1", s.compiles.slots.Len(), s.compiles.mods.Len())
 	}
-	if keys := s.compiles.lru.Front().Value.(*compileSlot).keys; len(keys) != 1 {
-		t.Errorf("slot remembers %d verdict keys, want 1", len(keys))
+	if _, sl, _ := s.compiles.slots.Oldest(); len(sl.keys) != 1 {
+		t.Errorf("slot remembers %d verdict keys, want 1", len(sl.keys))
 	}
 }

@@ -3,9 +3,11 @@ package daemon
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
 	"overify/internal/core"
+	"overify/internal/verdicts"
 )
 
 const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
@@ -159,5 +161,44 @@ func TestRequestConstructorsCarryTheJob(t *testing.T) {
 	}
 	if !NewCompileRequest(full, true).IR {
 		t.Error("compile request lost ir")
+	}
+}
+
+// TestStatsReplyKeys: each cache object of the stats reply carries the
+// shared lru.Stats keys beside the keys it had before they shared a
+// shape, and nothing else.
+func TestStatsReplyKeys(t *testing.T) {
+	store, err := verdicts.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(NewServer(Config{Verdicts: store}).statsReply())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	shared := []string{"bytes", "entries", "evictions", "hits", "misses"}
+	for obj, own := range map[string][]string{
+		"solverCache": nil,
+		"verdicts":    {"dir", "limit", "stores"},
+		"compiles":    {"capacity"},
+	} {
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(m[obj], &keys); err != nil {
+			t.Fatalf("%s: %v", obj, err)
+		}
+		var got []string
+		for k := range keys {
+			got = append(got, k)
+		}
+		want := append(append([]string{}, shared...), own...)
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s keys %v, want %v", obj, got, want)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package solver
 import (
 	"sync"
 	"sync/atomic"
+
+	"overify/internal/lru"
 )
 
 // cacheShards is the number of lock stripes in a shared Cache. Power of
@@ -28,14 +30,26 @@ type cacheShard struct {
 //
 // A Cache is safe for concurrent use. It never evicts: it lives and is
 // retired with its builder, which is how a long-lived process bounds
-// both (the daemon replaces its symex.Warm once either grows past its
-// limit).
+// both (the daemon replaces its symex.Warm once the builder's nodes or
+// the bytes this cache charges pass their limit). Each resident entry
+// is charged entryBytes.
 type Cache struct {
 	shards [cacheShards]cacheShard
 
 	hits    atomic.Int64
 	misses  atomic.Int64
 	entries atomic.Int64
+	bytes   atomic.Int64
+}
+
+// entryBytes is what a resident entry holds of the heap: the cacheEntry
+// allocation (an 88-byte struct in a 96-byte size class), 16 bytes a
+// model binding, a byte a propagation-snapshot byte, and 40 bytes of
+// its shard's map (a 16-byte fingerprint, an 8-byte pointer and a
+// control byte a slot, at the two-thirds fill a doubling table
+// averages).
+func entryBytes(e *cacheEntry) int64 {
+	return 96 + 16*int64(cap(e.model)) + int64(cap(e.prop)) + 40
 }
 
 // NewCache returns an empty shared cache.
@@ -94,21 +108,16 @@ func (c *Cache) put(fp Fingerprint, e cacheEntry) *cacheEntry {
 	r := &e
 	sh.m[fp] = r
 	c.entries.Add(1)
+	c.bytes.Add(entryBytes(r))
 	return r
 }
 
-// CacheStats is a point-in-time snapshot of shared-cache effectiveness.
-type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Entries int64
-}
-
-// Snapshot returns the cache counters.
-func (c *Cache) Snapshot() CacheStats {
-	return CacheStats{
+// Snapshot returns the cache counters. Evictions is always 0.
+func (c *Cache) Snapshot() lru.Stats {
+	return lru.Stats{
 		Hits:    c.hits.Load(),
 		Misses:  c.misses.Load(),
 		Entries: c.entries.Load(),
+		Bytes:   c.bytes.Load(),
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"overify/internal/expr"
 	"overify/internal/ir"
+	"overify/internal/lru"
 	"overify/internal/solver"
 )
 
@@ -125,9 +126,9 @@ type Stats struct {
 	StatesExplored int64 // states whose execution began (initial + resumed forks)
 	CoveredBlocks  int   // distinct basic blocks executed on some path
 	MaxLiveStates  int
-	Workers        int               // exploration workers used
-	SolverStats    solver.Stats      // summed over all workers
-	SharedCache    solver.CacheStats // the cross-worker query cache
+	Workers        int          // exploration workers used
+	SolverStats    solver.Stats // summed over all workers
+	SharedCache    lru.Stats    // the cross-worker query cache
 	Elapsed        time.Duration
 	TimedOut       bool
 

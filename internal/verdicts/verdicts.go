@@ -22,7 +22,6 @@
 package verdicts
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"overify/internal/ir"
+	"overify/internal/lru"
 	"overify/internal/solver"
 	"overify/internal/symex"
 )
@@ -242,10 +242,11 @@ func Render(rep *symex.Report) string {
 // backs eviction is mutex-guarded; file IO itself runs outside the lock
 // (rename is atomic, and a reader racing an eviction simply misses).
 //
-// A bounded store (OpenLimited with maxEntries > 0) evicts its
-// least-recently-used entry on Put once the cap is exceeded. Eviction
-// can never change a verdict — the store is a pure cache over
-// deterministic outcomes — it only costs a future re-exploration.
+// A bounded store (OpenLimited with a cap > 0) evicts its
+// least-recently-used entry once an entry past the cap joins the
+// index. Eviction can never change a verdict — the store is a pure
+// cache over deterministic outcomes — it only costs a future
+// re-exploration.
 type Store struct {
 	dir string
 	max int // max entries; 0 = unbounded
@@ -255,11 +256,18 @@ type Store struct {
 	stores    atomic.Int64
 	evictions atomic.Int64
 
-	// mu guards the recency index. lru front = most recently used;
-	// index maps each resident key to its list element.
+	// mu guards the recency index of the keys this process has seen.
 	mu    sync.Mutex
-	lru   *list.List
-	index map[Key]*list.Element
+	index *lru.Cache[Key, struct{}]
+}
+
+// Stats is the store's counter snapshot: the shared cache shape
+// (Entries counts the recency index; the store charges no bytes) plus
+// the entries written and the cap.
+type Stats struct {
+	lru.Stats
+	Stores int64 `json:"stores"`
+	Limit  int   `json:"limit"` // the entry cap; 0 = unbounded
 }
 
 // DefaultDir is the conventional cache location.
@@ -271,26 +279,31 @@ func Open(dir string) (*Store, error) {
 	return OpenLimited(dir, 0)
 }
 
-// OpenLimited opens a store capped at maxEntries (0 = unbounded).
-// Entries already on disk are adopted into the recency index in file
-// modification-time order (oldest = coldest) and the cap is enforced
-// immediately, so a daemon restarted over a grown cache directory
-// trims it rather than inheriting an unbounded footprint.
-func OpenLimited(dir string, maxEntries int) (*Store, error) {
+// OpenLimited opens a store capped at limit entries (0 = unbounded; a
+// negative limit is an error). Entries already on disk are adopted into
+// the recency index in file modification-time order (oldest = coldest)
+// and the cap is enforced immediately, so a daemon restarted over a
+// grown cache directory trims it rather than inheriting an unbounded
+// footprint.
+func OpenLimited(dir string, limit int) (*Store, error) {
+	if limit < 0 {
+		return nil, fmt.Errorf("verdicts: entry cap %d: want 0 (unbounded) or more", limit)
+	}
 	if dir == "" {
 		dir = DefaultDir
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("verdicts: open store: %w", err)
 	}
-	s := &Store{dir: dir, max: maxEntries, lru: list.New(), index: make(map[Key]*list.Element)}
+	s := &Store{dir: dir, max: limit, index: lru.New[Key, struct{}](limit)}
 	s.adoptExisting()
 	return s, nil
 }
 
-// adoptExisting seeds the recency index from the directory contents and
-// enforces the cap. Failures are ignored — an unindexed entry still
-// serves Get; it just never gets evicted by this process.
+// adoptExisting seeds the recency index from the directory contents,
+// evicting past the cap as it goes. Failures are ignored — an
+// unindexed entry still serves Get; it just never gets evicted by this
+// process.
 func (s *Store) adoptExisting() {
 	matches, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
 	if err != nil {
@@ -310,63 +323,44 @@ func (s *Store) adoptExisting() {
 		entries = append(entries, aged{key, st.ModTime().UnixNano()})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].mod < entries[j].mod })
-	s.mu.Lock()
-	for _, e := range entries { // oldest first: each push lands in front of the older ones
-		s.index[e.key] = s.lru.PushFront(e.key)
+	for _, e := range entries { // oldest first: each lands in front of the older ones
+		s.touch(e.key)
 	}
-	s.mu.Unlock()
-	s.enforceCap()
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Limit returns the entry cap (0 = unbounded).
-func (s *Store) Limit() int { return s.max }
-
-// Hits, Misses, Stores and Evictions are point-in-time counter reads.
-func (s *Store) Hits() int64      { return s.hits.Load() }
-func (s *Store) Misses() int64    { return s.misses.Load() }
-func (s *Store) Stores() int64    { return s.stores.Load() }
-func (s *Store) Evictions() int64 { return s.evictions.Load() }
+// Stats returns the store's counters.
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	n := s.index.Len()
+	s.mu.Unlock()
+	return Stats{
+		Stats: lru.Stats{
+			Hits:      s.hits.Load(),
+			Misses:    s.misses.Load(),
+			Entries:   int64(n),
+			Evictions: s.evictions.Load(),
+		},
+		Stores: s.stores.Load(),
+		Limit:  s.max,
+	}
+}
 
 func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, string(k)+".json")
 }
 
 // touch marks k most-recently-used, inserting it if absent (e.g. an
-// entry written by another process sharing the directory).
+// entry written by another process sharing the directory), and evicts
+// the coldest entry when that takes the index past the cap.
 func (s *Store) touch(k Key) {
 	s.mu.Lock()
-	if el, ok := s.index[k]; ok {
-		s.lru.MoveToFront(el)
-	} else {
-		s.index[k] = s.lru.PushFront(k)
-	}
+	victim, _, evicted := s.index.Add(k, struct{}{})
 	s.mu.Unlock()
-}
-
-// enforceCap evicts least-recently-used entries until the index fits
-// the cap. File removal happens outside the lock.
-func (s *Store) enforceCap() {
-	if s.max <= 0 {
-		return
-	}
-	var victims []Key
-	s.mu.Lock()
-	for s.lru.Len() > s.max {
-		el := s.lru.Back()
-		if el == nil {
-			break
-		}
-		k := el.Value.(Key)
-		s.lru.Remove(el)
-		delete(s.index, k)
-		victims = append(victims, k)
-	}
-	s.mu.Unlock()
-	for _, k := range victims {
-		os.Remove(s.path(k))
+	if evicted { // the file goes outside the lock
+		os.Remove(s.path(victim))
 		s.evictions.Add(1)
 	}
 }
@@ -402,10 +396,7 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 // entry the caller holds is the outcome the key names.
 func (s *Store) Recall(k Key) bool {
 	s.mu.Lock()
-	el, ok := s.index[k]
-	if ok {
-		s.lru.MoveToFront(el)
-	}
+	_, ok := s.index.Get(k)
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
@@ -414,7 +405,7 @@ func (s *Store) Recall(k Key) bool {
 }
 
 // Put persists e under k atomically (temp file + rename), then evicts
-// cold entries if the store is over its cap. Errors are returned but
+// the coldest entry if the store is over its cap. Errors are returned but
 // safe to ignore: a failed write only loses warmth.
 func (s *Store) Put(k Key, e *Entry) error {
 	e.Schema, e.Key = Schema, string(k)
@@ -438,7 +429,6 @@ func (s *Store) Put(k Key, e *Entry) error {
 	}
 	s.stores.Add(1)
 	s.touch(k)
-	s.enforceCap()
 	return nil
 }
 
@@ -449,13 +439,4 @@ func errFirst(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// Len counts the entries currently on disk (test and reporting helper).
-func (s *Store) Len() int {
-	matches, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
-	if err != nil {
-		return 0
-	}
-	return len(matches)
 }

@@ -95,8 +95,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if r := verdicts.Render(got.Report()); r != verdicts.Render(rep) {
 		t.Errorf("round-trip render mismatch:\ncold: %swarm: %s", verdicts.Render(rep), r)
 	}
-	if store.Len() != 1 || store.Hits() != 1 || store.Stores() != 1 {
-		t.Errorf("counters: len=%d hits=%d stores=%d", store.Len(), store.Hits(), store.Stores())
+	if store.Len() != 1 || store.Stats().Hits != 1 || store.Stats().Stores != 1 {
+		t.Errorf("counters: len=%d hits=%d stores=%d", store.Len(), store.Stats().Hits, store.Stats().Stores)
 	}
 }
 
@@ -186,9 +186,9 @@ func TestStoreConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	gets := store.Hits() + store.Misses()
-	if gets == 0 || store.Stores() == 0 {
-		t.Errorf("counters lost updates: gets=%d stores=%d", gets, store.Stores())
+	gets := store.Stats().Hits + store.Stats().Misses
+	if gets == 0 || store.Stats().Stores == 0 {
+		t.Errorf("counters lost updates: gets=%d stores=%d", gets, store.Stats().Stores)
 	}
 	if n := store.Len(); n > 8 {
 		t.Errorf("bounded store holds %d entries, cap 8", n)
@@ -223,18 +223,18 @@ func TestStoreEviction(t *testing.T) {
 			put(0)
 			put(1)
 			// Use key 0 so key 1 is now the coldest.
-			if !use(store, key(0)) || store.Hits() != 1 {
-				t.Fatalf("resident entry missed, or its hit not counted (%d hits)", store.Hits())
+			if !use(store, key(0)) || store.Stats().Hits != 1 {
+				t.Fatalf("resident entry missed, or its hit not counted (%d hits)", store.Stats().Hits)
 			}
 			put(2) // over cap: evicts key 1
 			if store.Len() != 2 {
 				t.Fatalf("Len = %d after eviction, want 2", store.Len())
 			}
-			if store.Evictions() != 1 {
-				t.Errorf("Evictions = %d, want 1", store.Evictions())
+			if store.Stats().Evictions != 1 {
+				t.Errorf("Evictions = %d, want 1", store.Stats().Evictions)
 			}
-			if store.Recall(key(1)) || store.Hits() != 1 {
-				t.Errorf("evicted entry recalled, or counted (%d hits)", store.Hits())
+			if store.Recall(key(1)) || store.Stats().Hits != 1 {
+				t.Errorf("evicted entry recalled, or counted (%d hits)", store.Stats().Hits)
 			}
 			if _, ok := store.Get(key(1)); ok {
 				t.Error("evicted entry still served")
@@ -270,8 +270,8 @@ func TestOpenLimitedAdoptsExisting(t *testing.T) {
 	if bounded.Len() != 3 {
 		t.Errorf("reopened store holds %d entries, want 3", bounded.Len())
 	}
-	if bounded.Evictions() != 2 {
-		t.Errorf("Evictions = %d, want 2", bounded.Evictions())
+	if bounded.Stats().Evictions != 2 {
+		t.Errorf("Evictions = %d, want 2", bounded.Stats().Evictions)
 	}
 }
 
@@ -330,5 +330,17 @@ func TestCacheable(t *testing.T) {
 		if verdicts.Cacheable(r) {
 			t.Errorf("%s report marked cacheable", name)
 		}
+	}
+}
+
+// TestOpenLimitedRefusesNegativeCap: a negative cap is an error, not an
+// unbounded store that reports the negative number as its limit.
+func TestOpenLimitedRefusesNegativeCap(t *testing.T) {
+	if store, err := verdicts.OpenLimited(t.TempDir(), -5); err == nil {
+		t.Errorf("OpenLimited(-5) opened a store with limit %d", store.Stats().Limit)
+	}
+	store, err := verdicts.OpenLimited(t.TempDir(), 0)
+	if err != nil || store.Stats().Limit != 0 {
+		t.Fatalf("OpenLimited(0): %v", err)
 	}
 }

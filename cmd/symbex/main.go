@@ -415,8 +415,12 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 		fmt.Printf("  solver:         %d queries, %d cache hits, %d model reuses, %d failures\n",
 			s.SolverStats.Queries, s.SolverStats.CacheHits,
 			s.SolverStats.ModelReuseHits, s.SolverStats.Failures)
-		if store != nil {
+		switch {
+		case store == nil:
+		case verdicts.Cacheable(rep):
 			fmt.Printf("  verdicts:       miss — outcome stored in %s (%d entries)\n", store.Dir(), store.Stats().Entries)
+		default:
+			fmt.Printf("  verdicts:       miss — inconclusive, not stored\n")
 		}
 	}
 	printBugs(rep)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,5 +128,33 @@ func TestRunErrorExitsTwo(t *testing.T) {
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 			t.Errorf("symbex %v: %v, want exit status 2\n%s", args, err, out)
 		}
+	}
+}
+
+// TestInconclusiveRunIsNotStored: an inconclusive outcome stays out of
+// the verdict store (verdicts.Cacheable), so a run over a fresh store
+// must not say it stored one. hash.c at -O0 with 4 bytes is inconclusive
+// (TestUndecidedRunIsInconclusive): symbex exits 3 and prints no
+// "stored" line. The child is this test binary re-run as symbex, as in
+// TestRunErrorExitsTwo.
+func TestInconclusiveRunIsNotStored(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "symbex" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet("symbex", flag.ExitOnError)
+		main()
+		return
+	}
+	args := []string{"-n", "4", "-O", "-O0", "-verdict-cache", t.TempDir(), "../../internal/core/testdata/hash.c"}
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestInconclusiveRunIsNotStored$", "--", "symbex"}, args...)...)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+		t.Fatalf("symbex %v: %v, want exit status 3\n%s", args, err, out)
+	}
+	if strings.Contains(string(out), "stored in") {
+		t.Errorf("symbex %v claims an inconclusive outcome was stored:\n%s", args, out)
+	}
+	if !strings.Contains(string(out), "inconclusive, not stored") {
+		t.Errorf("symbex %v does not say the outcome was left out of the store:\n%s", args, out)
 	}
 }

@@ -65,6 +65,13 @@ func (ev *Evaluator) Bind(m Model) {
 	ev.gen++
 }
 
+// Reset unbinds the assignment and empties the memo, keeping its
+// storage, so an evaluator kept for reuse holds no expression alive.
+func (ev *Evaluator) Reset() {
+	ev.asn = nil
+	clear(ev.memo)
+}
+
 // Eval evaluates e under the bound assignment; semantics match the
 // package-level Eval exactly.
 func (ev *Evaluator) Eval(e *Expr) uint64 {

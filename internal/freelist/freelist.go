@@ -1,5 +1,6 @@
 // Package freelist keeps values for reuse: the compiler's scratch
-// tables, which a compile refills instead of allocating again.
+// tables, which a compile refills instead of allocating again, and a
+// released solver's search storage, which the next solver refills.
 //
 // A List is a plain mutex-guarded stack rather than a sync.Pool. A
 // sync.Pool drops what it holds at every collection (and at random

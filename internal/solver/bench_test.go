@@ -181,12 +181,33 @@ func cksumGroup(bld *expr.Builder) []*expr.Expr {
 	return cs
 }
 
+// orderGroup builds sort's shape over four bytes: each a lower-case
+// letter among the first eight, not 'b' at the front, in strictly
+// ascending order, the last compared signed against a zero-extended
+// bound — every constraint a comparison, of a byte with a constant or
+// with another byte.
+func orderGroup(bld *expr.Builder) []*expr.Expr {
+	vs := benchVars(4)
+	var cs []*expr.Expr
+	for i, v := range vs {
+		x := bld.Var(v)
+		cs = append(cs, bld.Cmp(ir.OpUGe, x, bld.Const(8, 'a')), bld.Cmp(ir.OpULe, x, bld.Const(8, 'h')))
+		if i > 0 {
+			cs = append(cs, bld.Cmp(ir.OpULt, bld.Var(vs[i-1]), x))
+		}
+	}
+	cs = append(cs, bld.Cmp(ir.OpNe, bld.Var(vs[0]), bld.Const(8, 'b')),
+		bld.Cmp(ir.OpSLt, bld.Cast(ir.OpZExt, bld.Var(vs[3]), 32), bld.Const(32, 'h')))
+	return cs
+}
+
 // BenchmarkPropagate measures one value-set propagation run from full
 // domains on a warm propagator: basename's last-slash group, where sets
 // stay finite and demands prune, and cksum's bit loop, where most
-// forward steps repeat; and, as extend, cksum's group resumed from the
-// fixpoint of all its constraints but the last. A warm run allocates
-// nothing.
+// forward steps repeat; as extend, cksum's group resumed from the
+// fixpoint of all its constraints but the last; and as compare, sort's
+// ascending bytes (orderGroup), where every step is a comparison kernel's.
+// A warm run allocates nothing.
 func BenchmarkPropagate(b *testing.B) {
 	cksum := cksumGroup(expr.NewBuilder())
 	for _, bc := range []struct {
@@ -197,6 +218,7 @@ func BenchmarkPropagate(b *testing.B) {
 		{"lastslash", lastSlashPrune(expr.NewBuilder(), vars(3)), 0},
 		{"cksum", cksum, 0},
 		{"extend", cksum, len(cksum) - 1},
+		{"compare", orderGroup(expr.NewBuilder()), 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			grp := PartitionOf(bc.cs).Groups()
@@ -229,6 +251,48 @@ func BenchmarkPropagate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run()
+			}
+		})
+	}
+}
+
+// BenchmarkFilterColumn measures one unary filter of a full byte domain
+// on a warm tape: as atomic, a zero-extended byte compared with a
+// constant, which the comparison mask answers; as chain, the byte
+// through a multiply-add and a table read before the comparison, which
+// takes the columns. A warm filter allocates nothing.
+func BenchmarkFilterColumn(b *testing.B) {
+	bld := expr.NewBuilder()
+	x := bld.Var(benchVars(1)[0])
+	wide := bld.Cast(ir.OpZExt, x, 32)
+	step := bld.Bin(ir.OpAdd, bld.Bin(ir.OpMul, wide, bld.Const(32, 37)), bld.Const(32, 11))
+	class := bld.Read(classTable(), 8, bld.Cast(ir.OpZExt, bld.Cast(ir.OpTrunc, step, 8), 64))
+	for _, bc := range []struct {
+		name   string
+		c      *expr.Expr
+		masked bool
+	}{
+		{"atomic", bld.Cmp(ir.OpULt, wide, bld.Const(32, 200)), true},
+		{"chain", bld.Cmp(ir.OpEq, class, bld.Const(8, 0)), false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tp := compileGroup(PartitionOf([]*expr.Expr{bc.c}).Groups()[0])
+			ts := newTapeState(tp)
+			var d domain
+			filter := func() {
+				d = fullDomain(8)
+				if ts.filterColumn(0, 0, &d) != maxValues || d.count() == 0 || d.count() == maxValues {
+					b.Fatalf("filter left %d values", d.count())
+				}
+			}
+			filter() // warm: the columns a filter of this size needs
+			if ts.col.masked != bc.masked {
+				b.Fatalf("masked=%v, want %v", ts.col.masked, bc.masked)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				filter()
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"slices"
+
 	"overify/internal/expr"
 	"overify/internal/ir"
 )
@@ -25,7 +27,19 @@ import (
 // TestFilterColumnMatchesCommitted holds it to. (On a tape that keeps no
 // live sets the test is the static one: every other variable under the
 // constraint is assigned, and every slot of it the byte reaches is a
-// column.)
+// column.) A committed operand is read as a scalar (binColumnK,
+// cmpColumnK), never broadcast into a column.
+//
+// The commonest constraint evaluates no column at all: the open byte, or
+// its zero-extension, compared with a committed value K, the comparison
+// or its negation at the root. Which byte values x make it hold follows
+// from K alone — x = K, x ≠ K, or one interval of keys x ^ flip, flip
+// being the comparison's sign bit for a signed order — so the filter is
+// one mask over the domain (filterCmp, cmpkernel.go). It removes the
+// values the columns would, and is charged the same count, so
+// assignments, nodes and models do not move; the test holds every such
+// shape, by every operator on either side, to the same value-by-value
+// reference and asserts the mask fired.
 
 // columnScratch is filterColumn's storage, reused across a solver's
 // searches with the rest of its tapeScratch.
@@ -33,9 +47,12 @@ type columnScratch struct {
 	off  []int32 // per slot: 1 + where its column starts in buf, 0 for a slot not listed
 	list []int32 // the last filter's slots: watch[vi] ∩ csub[ci] live in vi alone, topo-ordered
 	// buf is cut into columns of one word per value tried: the values
-	// themselves, three for committed operands broadcast, then one per
-	// listed slot.
+	// themselves, then one per listed slot.
 	buf []uint64
+	// masked is set when the last filter was a comparison mask
+	// (filterCmp), which lists the slots and evaluates no column (test
+	// instrumentation).
+	masked bool
 }
 
 // filterColumn removes from d every value of variable vi under which
@@ -60,11 +77,14 @@ func (ts *tapeState) filterColumn(ci int, vi int32, d *domain) int {
 		}
 	}
 	c.list = list
-	if need := (4 + len(list)) * n; cap(c.buf) < need {
+	if c.masked = ts.filterCmp(ci, list, d); c.masked {
+		return n
+	}
+	if need := (1 + len(list)) * n; cap(c.buf) < need {
 		c.buf = make([]uint64, max(need, 2*cap(c.buf)))
 	}
 	vals := d.appendValues(c.buf[:0])
-	next := 4 * n
+	next := n
 	for _, s := range list {
 		op := &t.ops[s]
 		if op.kind == expr.KCast && op.op == ir.OpZExt && op.bits >= t.ops[op.a0].bits {
@@ -90,55 +110,152 @@ func (ts *tapeState) filterColumn(ci int, vi int32, d *domain) int {
 		case expr.KVar:
 			copy(out, vals)
 		case expr.KBin:
-			binColumn(op.op, int(op.bits), m, out, ts.operand(op.a0, n, 0), ts.operand(op.a1, n, 1))
+			x, kx := ts.operand(op.a0, n)
+			y, ky := ts.operand(op.a1, n)
+			switch {
+			case x == nil:
+				binColumnK(op.op, int(op.bits), m, out, y, kx, true)
+			case y == nil:
+				binColumnK(op.op, int(op.bits), m, out, x, ky, false)
+			default:
+				binColumn(op.op, int(op.bits), m, out, x, y)
+			}
 		case expr.KCmp:
-			cmpColumn(op.op, int(t.ops[op.a0].bits), out, ts.operand(op.a0, n, 0), ts.operand(op.a1, n, 1))
+			bits := int(t.ops[op.a0].bits)
+			x, kx := ts.operand(op.a0, n)
+			y, ky := ts.operand(op.a1, n)
+			switch {
+			case x == nil:
+				cmpColumnK(op.op, bits, out, y, kx, true)
+			case y == nil:
+				cmpColumnK(op.op, bits, out, x, ky, false)
+			default:
+				cmpColumn(op.op, bits, out, x, y)
+			}
 		case expr.KSelect:
-			cond, x, y := ts.operand(op.a0, n, 0), ts.operand(op.a1, n, 1), ts.operand(op.a2, n, 2)
+			cond, kc := ts.operand(op.a0, n)
+			x, kx := ts.operand(op.a1, n)
+			y, ky := ts.operand(op.a2, n)
 			for i := range out {
-				if cond[i] != 0 {
-					out[i] = x[i] & m
+				if at(cond, kc, i) != 0 {
+					out[i] = at(x, kx, i) & m
 				} else {
-					out[i] = y[i] & m
+					out[i] = at(y, ky, i) & m
 				}
 			}
 		case expr.KCast:
 			from := int(t.ops[op.a0].bits)
-			for i, v := range ts.operand(op.a0, n, 0) {
-				out[i] = ir.EvalCast(op.op, from, int(op.bits), v) & m
+			x, k := ts.operand(op.a0, n)
+			for i := range out {
+				out[i] = ir.EvalCast(op.op, from, int(op.bits), at(x, k, i)) & m
 			}
 		case expr.KRead:
-			for i, idx := range ts.operand(op.a0, n, 0) {
+			x, k := ts.operand(op.a0, n)
+			for i := range out {
 				out[i] = 0
-				if idx < uint64(len(op.table)) {
+				if idx := at(x, k, i); idx < uint64(len(op.table)) {
 					out[i] = op.table[idx] & m
 				}
 			}
 		}
 	}
 	// ci mentions vi, so its root heads a column: the last one listed.
-	for i, r := range ts.operand(t.roots[ci], n, 0) {
-		if r == 0 {
-			d.clear(vals[i])
+	root, k := ts.operand(t.roots[ci], n)
+	for i, v := range vals {
+		if at(root, k, i) == 0 {
+			d.clear(v)
 		}
 	}
 	return n
 }
 
 // operand returns slot a's n values under the filter: its column when
-// the open byte reaches it, otherwise its committed result — known, by
-// the invariant above — broadcast into scratch column k.
-func (ts *tapeState) operand(a int32, n, k int) []uint64 {
+// the open byte reaches it (col), otherwise its committed result —
+// known, by the invariant above — as the scalar k, with col nil.
+func (ts *tapeState) operand(a int32, n int) (col []uint64, k uint64) {
 	c := ts.col
 	if o := int(c.off[a]); o > 0 {
-		return c.buf[o-1 : o-1+n]
+		return c.buf[o-1 : o-1+n], 0
 	}
-	v := ts.val[a]
-	out := c.buf[(1+k)*n : (2+k)*n]
-	for i := range out {
-		out[i] = v
+	return nil, ts.val[a]
+}
+
+// at is entry i of an operand as operand returns it: the column's
+// entry, or the scalar k.
+func at(col []uint64, k uint64, i int) uint64 {
+	if col != nil {
+		return col[i]
 	}
-	return out
+	return k
+}
+
+// filterCmp is filterColumn for the commonest constraint shape: its
+// columns are the open byte, optionally zero-extended, a comparison of
+// that with a committed value K, and at the root the comparison itself
+// or its negation (xor with a committed bit). The values the comparison
+// admits are then a point (eq, ne) or one key interval (the orders, with
+// the sign bit of the comparison's width flipped for a signed one), so
+// the filter is one mask over the domain (cmpSummary.mask, over K alone)
+// and evaluates no column. It reports whether the shape matched; the
+// caller charges the same count either way.
+func (ts *tapeState) filterCmp(ci int, list []int32, d *domain) bool {
+	t := ts.t
+	if len(list) < 2 || list[len(list)-1] != t.roots[ci] {
+		return false
+	}
+	neg := false
+	if root := &t.ops[t.roots[ci]]; root.kind == expr.KBin && root.op == ir.OpXor && root.bits == 1 {
+		c, k := root.a0, root.a1
+		if k == list[len(list)-2] {
+			c, k = k, c
+		}
+		if c != list[len(list)-2] || slices.Contains(list, k) {
+			return false
+		}
+		neg, list = ts.val[k]&1 != 0, list[:len(list)-1]
+	}
+	if len(list) < 2 || len(list) > 3 {
+		return false
+	}
+	v, x, cs := &t.ops[list[0]], list[len(list)-2], list[len(list)-1]
+	op := &t.ops[cs]
+	if op.kind != expr.KCmp || v.kind != expr.KVar {
+		return false
+	}
+	if len(list) == 3 {
+		z := &t.ops[x]
+		if z.kind != expr.KCast || z.op != ir.OpZExt || z.a0 != list[0] || z.bits < v.bits {
+			return false
+		}
+	}
+	r, signed := relOf(op.op)
+	k := op.a1
+	switch {
+	case op.a0 == x:
+	case op.a1 == x:
+		k, r = op.a0, r.swap()
+	default:
+		return false
+	}
+	w := t.ops[x].bits
+	if k == x || k == list[0] || t.ops[k].bits != w {
+		return false
+	}
+	if neg {
+		r = r.not()
+	}
+	var flip uint64
+	if signed {
+		flip = signBit(w)
+	}
+	kv := [1]uint64{ts.val[k]}
+	var other cmpSummary
+	other.fill(kv[:], signBit(w))
+	m := other.mask(r, signed, flip, v.bits)
+	for i := range d {
+		d[i] &= m[i]
+	}
+	return true
 }
 
 // binColumn is ir.EvalBin down a column, masked to the slot's width.
@@ -183,6 +300,56 @@ func binColumn(op ir.Op, bits int, m uint64, out, x, y []uint64) {
 	}
 }
 
+// binColumnK is binColumn with one operand the committed scalar k: the
+// first when kFirst, else the second.
+func binColumnK(op ir.Op, bits int, m uint64, out, x []uint64, k uint64, kFirst bool) {
+	x = x[:len(out)]
+	switch op {
+	case ir.OpAdd:
+		for i := range out {
+			out[i] = (x[i] + k) & m
+		}
+	case ir.OpSub:
+		if kFirst {
+			for i := range out {
+				out[i] = (k - x[i]) & m
+			}
+		} else {
+			for i := range out {
+				out[i] = (x[i] - k) & m
+			}
+		}
+	case ir.OpMul:
+		for i := range out {
+			out[i] = (x[i] * k) & m
+		}
+	case ir.OpAnd:
+		for i := range out {
+			out[i] = x[i] & k & m
+		}
+	case ir.OpOr:
+		for i := range out {
+			out[i] = (x[i] | k) & m
+		}
+	case ir.OpXor:
+		for i := range out {
+			out[i] = (x[i] ^ k) & m
+		}
+	default:
+		for i := range out {
+			a, b := x[i], k
+			if kFirst {
+				a, b = k, x[i]
+			}
+			r, ok := ir.EvalBin(op, bits, a, b)
+			if !ok {
+				r = 0
+			}
+			out[i] = r & m
+		}
+	}
+}
+
 // cmpColumn is ir.EvalCmp down a column at the operands' width (both
 // operands are that wide — expr.Builder refuses a mismatch — and already
 // masked to it). The ten predicates are four loops: a signed order is
@@ -217,6 +384,48 @@ func cmpColumn(op ir.Op, bits int, out, x, y []uint64) {
 		}
 	default:
 		panic("solver: cmpColumn: not a comparison: " + op.String())
+	}
+}
+
+// cmpColumnK is cmpColumn with one operand the committed scalar k: the
+// first when kFirst, else the second. With the column on the left the
+// ten predicates are six loops over keys (cmpkernel.go).
+func cmpColumnK(op ir.Op, bits int, out, x []uint64, k uint64, kFirst bool) {
+	x = x[:len(out)]
+	r, signed := relOf(op)
+	if kFirst {
+		r = r.swap()
+	}
+	var flip uint64
+	if signed {
+		flip = signBit(int32(bits))
+	}
+	k ^= flip
+	switch r {
+	case relEq:
+		for i := range out {
+			out[i] = b2u(x[i] == k)
+		}
+	case relNe:
+		for i := range out {
+			out[i] = b2u(x[i] != k)
+		}
+	case relLt:
+		for i := range out {
+			out[i] = b2u(x[i]^flip < k)
+		}
+	case relLe:
+		for i := range out {
+			out[i] = b2u(x[i]^flip <= k)
+		}
+	case relGt:
+		for i := range out {
+			out[i] = b2u(x[i]^flip > k)
+		}
+	case relGe:
+		for i := range out {
+			out[i] = b2u(x[i]^flip >= k)
+		}
 	}
 }
 

@@ -16,16 +16,20 @@ import (
 //
 //   - leave the domain that assign → root → unassign leaves, value by
 //     value, and charge the number of values it was given;
-//   - hold, for every listed slot and every value, the result the
-//     committed path computes for that slot — known, always;
-//   - read as a committed scalar only a slot that is known (the
-//     invariant the kernel rests on), where a select on a committed
-//     condition reads only its chosen arm on a tape that keeps live sets;
+//   - on the column path, hold, for every listed slot and every value,
+//     the result the committed path computes for that slot — known,
+//     always;
+//   - on the column path, read as a committed scalar only a slot that is
+//     known (the invariant the kernel rests on), where a select on a
+//     committed condition reads only its chosen arm on a tape that keeps
+//     live sets;
 //   - write nothing of the committed state.
 //
-// It reports with Errorf only, so the fuzz target's worker goroutines
-// may call it.
-func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
+// A filter answered by a comparison mask (filterCmp) evaluates no column,
+// so only its domain and charge are checked. It returns how many filters
+// took the mask and how many the columns. It reports with Errorf only, so
+// the fuzz target's worker goroutines may call it.
+func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) (masked, columns int) {
 	t.Helper()
 	tp := ts.t
 	known0, val0 := slices.Clone(ts.known), slices.Clone(ts.val)
@@ -48,13 +52,19 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 			n := ts.filterColumn(ci, vi, &f.got)
 			if n != len(vals) {
 				t.Errorf("%s: constraint %d var %d: charged %d for %d values", label, ci, vi, n, len(vals))
-				return
+				return masked, columns
 			}
 			if !slices.Equal(ts.known, known0) || !slices.Equal(ts.val, val0) {
 				t.Errorf("%s: constraint %d var %d: the filter wrote committed state", label, ci, vi)
-				return
+				return masked, columns
 			}
 			c := ts.col
+			if c.masked {
+				masked++
+				fs = append(fs, f)
+				continue
+			}
+			columns++
 			f.list = slices.Clone(c.list)
 			listed := 0
 			for _, off := range c.off {
@@ -65,7 +75,7 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 			for _, s := range f.list {
 				if c.off[s] == 0 || listed != len(f.list) {
 					t.Errorf("%s: constraint %d var %d: column offsets %v do not mark the list %v", label, ci, vi, c.off, f.list)
-					return
+					return masked, columns
 				}
 				op := &tp.ops[s]
 				reads := [3]int32{op.a0, op.a1, op.a2}
@@ -78,14 +88,14 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 					}
 					if c.off[s] != c.off[arm] {
 						t.Errorf("%s: constraint %d var %d: select slot %d on a committed condition is not its chosen arm %d", label, ci, vi, s, arm)
-						return
+						return masked, columns
 					}
 					reads = [3]int32{arm, -1, -1}
 				}
 				for _, a := range reads {
 					if a >= 0 && c.off[a] == 0 && !ts.known[a] {
 						t.Errorf("%s: constraint %d var %d: slot %d reads slot %d as a committed scalar, and it is unknown", label, ci, vi, s, a)
-						return
+						return masked, columns
 					}
 				}
 				f.cols = append(f.cols, slices.Clone(c.buf[c.off[s]-1:][:n]))
@@ -111,7 +121,7 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 					if !ts.known[s] || ts.val[s] != f.cols[li][i] {
 						t.Errorf("%s: constraint %d var %d=%d slot %d (%v %v i%d): column %d, committed (%v, %d)",
 							label, f.ci, vi, v, s, tp.ops[s].kind, tp.ops[s].op, tp.ops[s].bits, f.cols[li][i], ts.known[s], ts.val[s])
-						return
+						return masked, columns
 					}
 				}
 			}
@@ -123,6 +133,7 @@ func checkFilterColumn(t testing.TB, ts *tapeState, dom domain, label string) {
 			}
 		}
 	}
+	return masked, columns
 }
 
 // checkFilterColumnAllSubsets runs checkFilterColumn under every
@@ -238,6 +249,76 @@ func TestFilterColumnMatchesCommitted(t *testing.T) {
 				}
 			}
 		}
+	})
+
+	// The comparison mask's shapes: the open byte, or its zero-extension,
+	// compared with a committed value, by every operator on either side,
+	// at the byte's own width and wider — constants at the edges of the
+	// byte, of the signed range and past 256, and a second byte committed
+	// or open — and each comparison negated by a committed bit. Every
+	// filter must take the mask, and leave the domain the committed path
+	// leaves.
+	t.Run("atomic", func(t *testing.T) {
+		masked := 0
+		for _, vb := range []int{1, 8} {
+			x := &expr.Var{Name: "x", Bits: vb, Idx: 0}
+			y := &expr.Var{Name: "y", Bits: vb, Idx: 1}
+			xn := &expr.Expr{Kind: expr.KVar, Bits: vb, V: x}
+			yn := &expr.Expr{Kind: expr.KVar, Bits: vb, V: y}
+			vs := lit(expr.KBin, ir.OpAdd, vb, xn, yn).VarSet()
+			for _, w := range []int{vb, vb + 1, 16, 32, 64} {
+				a, b := xn, yn
+				if w > vb {
+					a, b = lit(expr.KCast, ir.OpZExt, w, xn), lit(expr.KCast, ir.OpZExt, w, yn)
+				}
+				others := []*expr.Expr{b}
+				for _, k := range []uint64{0, 1, 126, 127, 128, 129, 254, 255, 256, 1<<uint(w-1) - 1, 1 << uint(w-1), 1<<uint(w-1) + 1, ^uint64(0) - 1, ^uint64(0), 0x5a5a5a5a5a5a5a5a} {
+					others = append(others, litConst(w, k))
+				}
+				var cs []*expr.Expr
+				for _, k := range others {
+					for _, op := range allCmpOps {
+						for _, c := range []*expr.Expr{lit(expr.KCmp, op, 1, a, k), lit(expr.KCmp, op, 1, k, a)} {
+							// The comparison, and its negation by a committed bit.
+							cs = append(cs, c, lit(expr.KBin, ir.OpXor, 1, c, litConst(1, 1)), lit(expr.KBin, ir.OpXor, 1, litConst(1, 0), c))
+						}
+					}
+				}
+				tp := (&tapeScratch{}).compile(vs, cs)
+				full := fullDomain(vb)
+				sparse := domain{0x8000_0000_0000_0001, 0x5a5a_5a5a_5a5a_5a5a, 0xffff_0000_ffff_0000, 0x8000_0000_8000_0001}
+				for i := range sparse {
+					sparse[i] &= full[i]
+				}
+				yvs := []uint64{0, 1, 127, 128, 255}
+				if testing.Short() {
+					yvs = yvs[2:4]
+				}
+				for _, yv := range yvs {
+					for mask := 0; mask < 4; mask++ {
+						ts := newTapeState(tp)
+						if mask&1 != 0 {
+							ts.assign(0, ir.Mask(vb, yv+3))
+						}
+						if mask&2 != 0 {
+							ts.assign(1, ir.Mask(vb, yv))
+						}
+						for _, dom := range []domain{full, sparse} {
+							label := fmt.Sprintf("x:i%d at i%d y=%d mask %b dom %x", vb, w, yv, mask, dom)
+							m, c := checkFilterColumn(t, ts, dom, label)
+							if c != 0 {
+								t.Errorf("%s: %d comparisons of the open byte with a committed value took the columns", label, c)
+							}
+							masked += m
+						}
+					}
+				}
+			}
+		}
+		if masked == 0 {
+			t.Error("no filter took the comparison mask")
+		}
+		t.Logf("%d filters took the comparison mask", masked)
 	})
 
 	t.Run("fuzzdag", func(t *testing.T) {

@@ -79,6 +79,28 @@ import (
 // never demanded of, and never take one). A run resets the arena, not
 // frees it: a second run over a tape no larger allocates nothing.
 //
+// Comparisons — three quarters and more of the slots the steps evaluate
+// on the heavy cells — are not enumerated (cmpkernel.go). forward of a
+// comparison reads its operands' summaries (unsigned and signed extremes,
+// membership below 256): its set is the result of the first pair of the
+// product, then the other result if some pair gives it, which is the set
+// the product builds in the order it builds it. demand of either operand
+// keeps each of the target's values some value of the other side
+// supports, found from the other side's summary: a variable's kept values
+// are one mask ANDed into its domain (a point or its complement for eq
+// and ne, one key interval for an order); any other target's are its
+// enumeration filtered in order, the product's insertion order. The
+// kernels run exactly where the product would — the same enumerability
+// and vsetPairCap gates, so where the product widens to top so does the
+// kernel — and return what it returns, so the sets, the domains, every
+// snapshot byte and every later step are the product steps'
+// (TestComparisonKernelsMatchProduct against the product steps, called
+// directly; TestSnapshotsPinned on two heavy cells). A variable's summary
+// is taken where its enumeration is listed (list, from enumerate and
+// restore); another slot's is kept against its forward stamp and the
+// run's epoch, and taken again when either moved. evals counts the
+// product steps' evaluations only: the kernels make none.
+//
 // A run over several variables that converges without a verdict gets one
 // exact step more, refutation by cases (refuteByCases, at the end of this
 // file): one slot holding a few values is split, and the run resumes from
@@ -206,8 +228,14 @@ type propagator struct {
 	varAt   []uint32 // per variable: when varIter last changed
 	clock   uint32   // ticks once per change; 0 before a run's first
 	varIter [][]uint64
-	arena   vsetArena
-	tmp     [vsetCap]uint64 // backs the one temporary set alive at a time
+	// varSum[vi] summarises varIter[vi] for the comparison kernels, and
+	// sums[s] slot s's forward set as of its stamp (summary); epoch
+	// counts runs, so a summary from an earlier one reads as stale.
+	varSum []cmpSummary
+	sums   []cmpSummary
+	epoch  uint32
+	arena  vsetArena
+	tmp    [vsetCap]uint64 // backs the one temporary set alive at a time
 	// cons[consOff[s]:consOff[s+1]] are the constraints whose sub-DAG
 	// holds slot s (CSR, bind); dirty marks the constraints a round
 	// passes over (touch).
@@ -282,13 +310,12 @@ func (p *propagator) narrow(s int32, d *vset) {
 }
 
 // byteRange[:n] enumerates a narrow slot's full range, every value below n.
-var byteRange [vsetRangeCap]uint64
-
-func init() {
-	for i := range byteRange {
-		byteRange[i] = uint64(i)
+var byteRange = func() (r [vsetRangeCap]uint64) {
+	for i := range r {
+		r[i] = uint64(i)
 	}
-}
+	return r
+}()
 
 // concreteSlot evaluates one slot from concrete operand values,
 // mirroring tapeState.recompute with every operand known (which in
@@ -383,17 +410,10 @@ func (p *propagator) forward(s int32) {
 			f.top = true
 			break
 		}
-		// Once the set is top, add changes nothing and concreteSlot has no
-		// effect, so the rest of the product is not evaluated.
-	product:
-		for _, va := range ia {
-			for _, vb := range ib {
-				for _, vc := range ic {
-					if f.add(p.concreteSlot(s, va, vb, vc), &p.arena); f.top {
-						break product
-					}
-				}
-			}
+		if p.cmpKernel(op) {
+			p.forwardCmp(f, s, ia, ib)
+		} else {
+			p.forwardProduct(f, s, ia, ib, ic)
 		}
 	}
 	f.intersect(&p.dem[s], &p.arena)
@@ -409,6 +429,76 @@ func (p *propagator) forward(s int32) {
 }
 
 var one = []uint64{0}
+
+// forwardProduct adds to f the value of slot s at every combination of
+// its operands' values, row by row: the generic forward step.
+func (p *propagator) forwardProduct(f *vset, s int32, ia, ib, ic []uint64) {
+	// Once the set is top, add changes nothing and concreteSlot has no
+	// effect, so the rest of the product is not evaluated.
+	for _, va := range ia {
+		for _, vb := range ib {
+			for _, vc := range ic {
+				if f.add(p.concreteSlot(s, va, vb, vc), &p.arena); f.top {
+					return
+				}
+			}
+		}
+	}
+}
+
+// cmpKernel reports whether the comparison kernels answer for slot s: a
+// comparison whose operands are as wide as each other (expr.Builder
+// refuses a mismatch; a hand-built tape may not).
+func (p *propagator) cmpKernel(op *tapeOp) bool {
+	return op.kind == expr.KCmp && p.t.ops[op.a0].bits == p.t.ops[op.a1].bits
+}
+
+// forwardCmp is forwardProduct for a comparison, answered from the
+// operands' summaries: the result of the first pair, then the other
+// result if some pair gives it — the set the product builds, in the
+// order it builds it.
+func (p *propagator) forwardCmp(f *vset, s int32, ia, ib []uint64) {
+	if len(ia) == 0 || len(ib) == 0 {
+		return
+	}
+	op := &p.t.ops[s]
+	r, signed := relOf(op.op)
+	first := b2u(ir.EvalCmp(op.op, int(p.t.ops[op.a0].bits), ia[0], ib[0]))
+	f.add(first, &p.arena)
+	if first == 1 {
+		r = r.not()
+	}
+	if pairExists(r, signed, p.summary(op.a0), ia, p.summary(op.a1), ib) {
+		f.add(1-first, &p.arena)
+	}
+}
+
+// summary is the comparison kernels' summary of slot s's list, the one
+// opIter and iterable return: its forward set, taken again only when the
+// set's stamp moved; a variable's enumeration, taken where it is listed
+// (list); or the full range of a narrow slot.
+func (p *propagator) summary(s int32) *cmpSummary {
+	if f := &p.fwd[s]; !f.top {
+		c := &p.sums[s]
+		if c.epoch != p.epoch || c.at != p.at[s].fwd {
+			c.fill(f.vals, signBit(p.t.ops[s].bits))
+			c.epoch, c.at = p.epoch, p.at[s].fwd
+		}
+		return c
+	}
+	op := &p.t.ops[s]
+	if op.kind == expr.KVar {
+		return &p.varSum[op.vi]
+	}
+	return &rangeSums[op.bits]
+}
+
+// list sets variable vi's enumeration to the values of d, with its
+// summary.
+func (p *propagator) list(vi int, d *domain) {
+	p.varIter[vi] = d.appendValues(p.varIter[vi][:0])
+	p.varSum[vi].fillDomain(d, int32(p.t.vars[vi].Bits))
+}
 
 // opIter is iterable without the full-range fallback: forward widens a
 // slot to top rather than enumerate an operand's whole range.
@@ -453,31 +543,33 @@ func (p *propagator) demand(s int32, which int) {
 	if product > vsetPairCap {
 		return
 	}
+	if p.cmpKernel(op) {
+		p.demandCmp(s, which, tvals, others[1-which])
+	} else {
+		p.demandProduct(s, which, tvals, others)
+	}
+}
+
+// demandProduct narrows the target at operand position which of slot s
+// to the values of tvals, its enumeration, that some combination of the
+// other operands' values supports: the generic demand step.
+func (p *propagator) demandProduct(s int32, which int, tvals []uint64, others [3][]uint64) {
 	// The target's position enumerates the one value under test.
 	var held [1]uint64
 	others[which] = held[:]
+	target := p.operandAt(s, which)
 	// Variable targets are pruned in their domain bitset directly: a
 	// domain holds up to 256 values, so routing the kept set through a
 	// vset would widen exclusion demands like "anything but 0" to top
 	// and lose them.
-	top := &p.t.ops[target]
-	if top.kind == expr.KVar {
+	if p.t.ops[target].kind == expr.KVar {
 		var keep domain
 		for _, tv := range tvals {
 			if held[0] = tv; p.supported(s, &others) {
 				keep[tv/64] |= 1 << (tv % 64)
 			}
 		}
-		dom := &p.domains[top.vi]
-		for w := range dom {
-			if masked := dom[w] & keep[w]; masked != dom[w] {
-				dom[w] = masked
-				p.changed = true
-			}
-		}
-		if dom.count() == 0 {
-			p.unsat = true
-		}
+		p.keepDomain(target, &keep)
 		return
 	}
 	dm := vset{vals: p.tmp[:0]}
@@ -487,6 +579,72 @@ func (p *propagator) demand(s int32, which int) {
 		}
 	}
 	p.narrow(target, &dm)
+}
+
+// demandCmp is demandProduct for a comparison, answered from the other
+// operand's summary (its list is ovals): a value of the target is kept
+// when some value of the other side gives a result the comparison's
+// demand admits. A variable target's kept values are a mask over its
+// domain, one interval or point per result (cmpSummary.mask); any other
+// target's are tvals filtered in order, the set demandProduct builds.
+func (p *propagator) demandCmp(s int32, which int, tvals, ovals []uint64) {
+	op := &p.t.ops[s]
+	target, other := p.operandAt(s, which), p.operandAt(s, 1-which)
+	r, signed := relOf(op.op)
+	if which == 1 {
+		r = r.swap()
+	}
+	var flip uint64
+	if signed {
+		flip = signBit(p.t.ops[target].bits)
+	}
+	ds, os := &p.dem[s], p.summary(other)
+	want1, want0 := ds.has(1), ds.has(0)
+	if top := &p.t.ops[target]; top.kind == expr.KVar {
+		var keep domain
+		if want1 {
+			keep = os.mask(r, signed, flip, top.bits)
+		}
+		if want0 {
+			m := os.mask(r.not(), signed, flip, top.bits)
+			for w := range keep {
+				keep[w] |= m[w]
+			}
+		}
+		in := &p.summary(target).low
+		for w := range keep {
+			keep[w] &= in[w]
+		}
+		p.keepDomain(target, &keep)
+		return
+	}
+	dm := vset{vals: p.tmp[:0]}
+	for _, tv := range tvals {
+		if want1 && os.exists(r, signed, tv, tv^flip, ovals) || want0 && os.exists(r.not(), signed, tv, tv^flip, ovals) {
+			dm.add(tv, &p.arena)
+		}
+	}
+	p.narrow(target, &dm)
+}
+
+// operandAt is slot s's operand at position which.
+func (p *propagator) operandAt(s int32, which int) int32 {
+	op := &p.t.ops[s]
+	return [3]int32{op.a0, op.a1, op.a2}[which]
+}
+
+// keepDomain narrows the variable slot target's domain to keep.
+func (p *propagator) keepDomain(target int32, keep *domain) {
+	dom := &p.domains[p.t.ops[target].vi]
+	for w := range dom {
+		if masked := dom[w] & keep[w]; masked != dom[w] {
+			dom[w] = masked
+			p.changed = true
+		}
+	}
+	if dom.count() == 0 {
+		p.unsat = true
+	}
 }
 
 // supported reports whether some combination of the operands' values —
@@ -694,12 +852,13 @@ func (p *propagator) bind(t *tape) {
 	nslots := len(t.ops)
 	if cap(p.fwd) < nslots {
 		n := max(nslots, 2*cap(p.fwd))
-		p.fwd, p.dem, p.at = make([]vset, n), make([]vset, n), make([]slotStamps, n)
+		p.fwd, p.dem, p.at, p.sums = make([]vset, n), make([]vset, n), make([]slotStamps, n), make([]cmpSummary, n)
 	}
-	p.fwd, p.dem, p.at = p.fwd[:nslots], p.dem[:nslots], p.at[:nslots]
+	p.fwd, p.dem, p.at, p.sums = p.fwd[:nslots], p.dem[:nslots], p.at[:nslots], p.sums[:nslots]
 	for len(p.varIter) < len(t.vars) {
 		p.varIter = append(p.varIter, make([]uint64, 0, maxValues))
 		p.varAt = append(p.varAt, 0)
+		p.varSum = append(p.varSum, cmpSummary{})
 	}
 	p.dirty = zeroed(p.dirty, len(t.roots))
 	p.consOff = zeroed(p.consOff, nslots+1)
@@ -736,6 +895,12 @@ func (p *propagator) start(domains []domain) {
 	}
 	for vi := range p.t.vars {
 		p.varIter[vi] = p.varIter[vi][:0]
+		p.varSum[vi].fill(nil, 0)
+	}
+	if p.epoch++; p.epoch == 0 {
+		// Wrapped: no summary taken before may read as current.
+		clear(p.sums[:cap(p.sums)])
+		p.epoch = 1
 	}
 	clear(p.at)
 	clear(p.varAt)
@@ -753,7 +918,7 @@ func (p *propagator) start(domains []domain) {
 func (p *propagator) enumerate() {
 	for vi := range p.t.vars {
 		if p.domains[vi].count() != len(p.varIter[vi]) {
-			p.varIter[vi] = p.domains[vi].appendValues(p.varIter[vi][:0])
+			p.list(vi, &p.domains[vi])
 			p.varAt[vi] = p.tick()
 			for _, s := range p.t.watch[vi] {
 				if op := &p.t.ops[s]; op.kind == expr.KVar && op.vi == int32(vi) {
@@ -891,7 +1056,7 @@ func (p *propagator) restore(domains []domain, vs []*expr.Var, snap []byte) {
 		b = b[8*len(domain{}):]
 	}
 	for vi := range t.vars {
-		p.varIter[vi] = domains[vi].appendValues(p.varIter[vi][:0])
+		p.list(vi, &domains[vi])
 		p.varAt[vi] = 1
 	}
 	lens, b := b[:2*nslots], b[2*nslots:]

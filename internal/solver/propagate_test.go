@@ -274,7 +274,8 @@ func bufAt(b *expr.Builder, vs []*expr.Var, idx *expr.Expr) *expr.Expr {
 // shrunk to two bytes: an index the bytes compute, idx = ite(y == K1, 1,
 // ite(x == K0, 0, -1)) with K0, K1 the first two bytes of data, and
 // loads through an ite chain at idx+d over the buffer (x, y, x, 0...).
-// Each following pair compares x, y or such a load with a constant. The
+// Each following pair compares x, y or such a load with a constant, by
+// eq, ne, ult, slt, uge or sge (the first three for an op byte below 9). The
 // index and the loads' conditions hold a few values each while the bytes
 // behind them hold up to 256, so propagation converges on groups that
 // only a case split on the index refutes: y == 0 with the loads at
@@ -286,7 +287,7 @@ func buildIndexedDAG(b *expr.Builder, vs []*expr.Var, data []byte) []*expr.Expr 
 	x, y := b.Var(vs[0]), b.Var(vs[1])
 	idx := b.Select(b.Cmp(ir.OpEq, y, b.Const(8, uint64(data[0]))), b.Const(32, 1),
 		b.Select(b.Cmp(ir.OpEq, x, b.Const(8, uint64(data[1]))), b.Const(32, 0), b.Const(32, 0xFFFFFFFF)))
-	cmpOps := []ir.Op{ir.OpEq, ir.OpNe, ir.OpULt}
+	cmpOps := []ir.Op{ir.OpEq, ir.OpNe, ir.OpULt, ir.OpSLt, ir.OpUGe, ir.OpSGe}
 	var cs []*expr.Expr
 	for i := 2; i+1 < len(data) && len(cs) < 8; i += 2 {
 		op, arg := data[i], uint64(data[i+1])
@@ -341,6 +342,11 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 	// K1 = 3, K0 = '/', y == 0 and the load at idx+2 non-zero: satisfiable
 	// by idx = 0 (x = '/') alone, which is the last case of its split.
 	f.Add([]byte{3, 47, 1, 0, 5, 2})
+	// Order compares of a byte with the edges of the unsigned and signed
+	// byte: x < 128, y >= 127, x >= 0, y < 255; then x <s 0, y <s 127,
+	// x >=s -1, y >=s -128, y >=s 0 (the comparison kernels' boundaries).
+	f.Add([]byte{47, 3, 6, 128, 13, 127, 12, 0, 7, 255})
+	f.Add([]byte{47, 3, 9, 0, 10, 127, 15, 255, 16, 128, 16, 0})
 	s := New(Options{})
 	if sat, _, err := s.Sat(buildIndexedDAG(expr.NewBuilder(), vars(2), indexedRefuted)); sat || err != nil || s.caseRefuted != 1 || s.Stats.Assignments != 0 {
 		f.Fatalf("indexed seed: sat=%v err=%v, %d groups refuted by cases, %d assignments: want unsat, refuted by cases, 0",

@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"overify/internal/expr"
 	"overify/internal/pipeline"
 	"overify/internal/solver"
+	"overify/internal/symex"
 )
 
 // Captured corpus workload: wc's real exploration (serial, -OVERIFY,
@@ -23,7 +25,53 @@ var (
 
 // The package-internal memo tests replay the same stream; only this
 // external package may import what captures it.
-func init() { solver.CapturedWcQueries = wcQueries }
+func init() {
+	solver.CapturedWcQueries = wcQueries
+	solver.CapturedCellQueries = cellQueries
+}
+
+// cellQueries captures the query stream of one cell, explored serially
+// under the ledger's solver_hard budgets, once per test binary.
+func cellQueries(tb testing.TB, prog, level string, n int) [][]*expr.Expr {
+	tb.Helper()
+	key := fmt.Sprintf("%s %s %d", prog, level, n)
+	capturedMu.Lock()
+	defer capturedMu.Unlock()
+	if qs, ok := capturedCells[key]; ok {
+		return qs
+	}
+	lvl, err := pipeline.ParseLevel(level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, ok := coreutils.Get(prog)
+	if !ok {
+		tb.Fatalf("no corpus program %q", prog)
+	}
+	c, err := core.CompileProgram(p, lvl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var qs [][]*expr.Expr
+	solver.CaptureQuery = func(q []*expr.Expr) { qs = append(qs, append([]*expr.Expr(nil), q...)) }
+	defer func() { solver.CaptureQuery = nil }()
+	_, err = c.Verify("umain", core.VerifyOptions{InputBytes: n, Engine: symex.Options{
+		Workers: 1, MaxInstrs: 20_000_000, MaxAssignments: 4_000_000, Solver: solver.Options{MaxWork: 500_000},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(qs) == 0 {
+		tb.Fatalf("%s: no queries captured", key)
+	}
+	capturedCells[key] = qs
+	return qs
+}
+
+var (
+	capturedMu    sync.Mutex
+	capturedCells = map[string][][]*expr.Expr{}
+)
 
 func wcQueries(tb testing.TB) [][]*expr.Expr {
 	tb.Helper()

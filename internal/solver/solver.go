@@ -56,8 +56,13 @@
 // compiled flat tape (compile.go) rather than a memoized tree walk: one
 // scalar evaluator for the values it commits, one column evaluator for
 // the unary filter, which asks about every value of a byte at once
-// (column.go). Tape, columns, propagation sets and DFS stacks are the
-// solver's own scratch: a warm solver's search allocates what it returns.
+// (column.go). Comparisons, the commonest slots, are decided by bounds in
+// both of the solver's kernels: propagation and the filter answer a
+// comparison from the other side's extremes and membership, not by
+// enumerating pairs, with the same sets, domains and charges
+// (cmpkernel.go). Tape, columns, propagation sets and DFS stacks are the
+// solver's own scratch: a warm solver's search allocates what it returns,
+// and a released solver's scratch is the next solver's (Release).
 //
 // The search also skips the evaluations whose answer it already has,
 // each skip exact: value-set propagation re-runs a slot's step only when one
@@ -77,6 +82,7 @@ import (
 	"time"
 
 	"overify/internal/expr"
+	"overify/internal/freelist"
 )
 
 // The solver's fixed limits. A test that needs another value sets the
@@ -222,13 +228,12 @@ type Solver struct {
 	opts Options
 	// maxNodes, history and stall hold the package's fixed limits
 	// (maxNodes, modelHistory, portfolioStall); only tests change them.
-	maxNodes  int64
-	history   int
-	stall     int64
-	Stats     Stats
-	cache     *Cache
-	recent    []recentModel
-	reuseEval *expr.Evaluator
+	maxNodes int64
+	history  int
+	stall    int64
+	Stats    Stats
+	cache    *Cache
+	recent   []recentModel
 	// reuseEvals counts the constraints modelSatisfies evaluated (test
 	// instrumentation: the probe must stay O(1) per model per branch).
 	reuseEvals int64
@@ -243,15 +248,18 @@ type Solver struct {
 	// (test instrumentation): the converged runs split, the cases run and
 	// the groups every case refuted.
 	caseSplits, caseRuns, caseRefuted int64
-	// serial is the last model serial handed out; pending is
-	// modelSatisfies' scratch.
-	serial  uint64
-	pending []*reuseNode
-	// decided is SatPartition's scratch: the entries of the groups it
-	// has decided so far in the current query.
-	decided  []*cacheEntry
+	// serial is the last model serial handed out.
+	serial   uint64
 	deadline time.Time
-	// scratch is the compile/evaluation buffer set reused across this
+	*searchStore
+}
+
+// searchStore is the storage a solver reuses from query to query, and
+// from solver to solver: Release lists it, and NewWithCache takes a
+// listed one before it makes one. Buffers sized by the jobs before are
+// then refilled, not allocated again.
+type searchStore struct {
+	// scratch is the compile/evaluation buffer set reused across the
 	// solver's searches (solvers are single-goroutine); prop is value-set
 	// propagation's storage and rest/saved the DFS's per-depth stacks, on
 	// the same terms.
@@ -259,6 +267,45 @@ type Solver struct {
 	prop    propagator
 	rest    []int32
 	saved   []domain
+	// decided is SatPartition's scratch: the entries of the groups it
+	// has decided so far in the current query. pending is
+	// modelSatisfies'.
+	decided []*cacheEntry
+	pending []*reuseNode
+	// reuseEval evaluates constraints under a remembered model.
+	reuseEval *expr.Evaluator
+}
+
+// stores lists the search storage of released solvers.
+var stores freelist.List[searchStore]
+
+// drop clears every pointer the storage holds into a module's
+// expression DAG — a tape's variables and tables, the compile's slot
+// map, the propagator's tape and domains, the decided entries, the
+// reuse probe's partitions and the evaluator's model and memo — so a
+// listed store keeps no module alive.
+func (st *searchStore) drop() {
+	t := &st.scratch.t
+	clear(t.vars[:cap(t.vars)])
+	clear(t.ops[:cap(t.ops)])
+	clear(st.scratch.slotOf)
+	st.prop.t, st.prop.domains = nil, nil
+	clear(st.decided[:cap(st.decided)])
+	clear(st.pending[:cap(st.pending)])
+	st.reuseEval.Reset()
+}
+
+// Release lists the solver's search storage for the next solver
+// NewWithCache makes. Its Stats stay readable; no query may be asked of
+// it afterwards.
+func (s *Solver) Release() {
+	st := s.searchStore
+	if st == nil {
+		return
+	}
+	s.searchStore = nil
+	st.drop()
+	stores.Put(st)
 }
 
 // New returns a solver with the given options and a private cache.
@@ -268,7 +315,9 @@ func New(opts Options) *Solver {
 
 // NewWithCache returns a solver layered over a shared query cache. The
 // parallel engine creates one Cache per run and one Solver per worker,
-// so every worker benefits from every other worker's decided groups.
+// so every worker benefits from every other worker's decided groups. The
+// solver's search storage is a released solver's when one is listed
+// (Release).
 func NewWithCache(opts Options, cache *Cache) *Solver {
 	if opts.MaxWork == 0 {
 		opts.MaxWork = 8_000_000
@@ -276,13 +325,17 @@ func NewWithCache(opts Options, cache *Cache) *Solver {
 	if cache == nil {
 		cache = NewCache()
 	}
+	st := stores.Get()
+	if st.reuseEval == nil {
+		st.reuseEval = expr.NewEvaluator()
+	}
 	return &Solver{
-		opts:      opts,
-		maxNodes:  maxNodes,
-		history:   modelHistory,
-		stall:     portfolioStall,
-		cache:     cache,
-		reuseEval: expr.NewEvaluator(),
+		opts:        opts,
+		maxNodes:    maxNodes,
+		history:     modelHistory,
+		stall:       portfolioStall,
+		cache:       cache,
+		searchStore: st,
 	}
 }
 

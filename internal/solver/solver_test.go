@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"overify/internal/expr"
@@ -224,5 +225,66 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 	if s.Stats.Failures != 1 {
 		t.Errorf("failures = %d", s.Stats.Failures)
+	}
+}
+
+// TestReleasedStoreIsReused: a released solver's search storage is what
+// the next solver takes (the free list is last in, first out), and a
+// solver over storage another one used — for a larger group, then for
+// the same one — decides a group exactly as a solver over fresh storage
+// does: the same verdict, model, Stats and propagation snapshot. A
+// listed store holds no pointer into the DAG it last compiled.
+func TestReleasedStoreIsReused(t *testing.T) {
+	g := PartitionOf(coupledGroup(expr.NewBuilder(), 420, 0)).Groups()[0]
+	solve := func(s *Solver) (cacheEntry, Stats) {
+		t.Helper()
+		e, err := s.solveGroup(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *e, s.Stats
+	}
+	fresh := New(Options{})
+	fresh.searchStore = &searchStore{reuseEval: expr.NewEvaluator()}
+	want, wantStats := solve(fresh)
+	if !want.sat || want.prop == nil {
+		t.Fatalf("the group: sat=%v snapshot=%v, want a satisfiable group with a snapshot", want.sat, want.prop != nil)
+	}
+
+	big := New(Options{})
+	if _, err := big.solveGroup(PartitionOf(cksumGroup(expr.NewBuilder())).Groups()[0]); err != nil {
+		t.Fatal(err)
+	}
+	st := big.searchStore
+	big.Release()
+	if big.searchStore != nil {
+		t.Fatal("a released solver kept its store")
+	}
+	tp := &st.scratch.t
+	for _, v := range tp.vars[:cap(tp.vars)] {
+		if v != nil {
+			t.Fatal("a listed store still holds a tape variable")
+		}
+	}
+	for _, op := range tp.ops[:cap(tp.ops)] {
+		if op.table != nil {
+			t.Fatal("a listed store still holds a table")
+		}
+	}
+	if len(st.scratch.slotOf) != 0 || st.prop.t != nil || st.prop.domains != nil {
+		t.Fatal("a listed store still holds its slot map, tape or domains")
+	}
+
+	for i := 0; i < 2; i++ {
+		s := New(Options{})
+		if s.searchStore != st {
+			t.Fatalf("solver %d did not take the store released last", i)
+		}
+		got, gotStats := solve(s)
+		if got.sat != want.sat || !slices.Equal(got.model, want.model) || gotStats != wantStats || !slices.Equal(got.prop, want.prop) {
+			t.Errorf("solver %d over a released store: sat=%v model=%v stats=%+v, %d snapshot bytes; over fresh storage sat=%v model=%v stats=%+v, %d bytes",
+				i, got.sat, got.model, gotStats, len(got.prop), want.sat, want.model, wantStats, len(want.prop))
+		}
+		s.Release()
 	}
 }

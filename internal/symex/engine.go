@@ -446,6 +446,7 @@ func (e *Engine) RunStates(states []*State) *Report {
 	bugs := append([]Bug(nil), e.splitBugs...)
 	for _, w := range workers {
 		stats.SolverStats.Add(w.sol.Stats)
+		w.sol.Release()
 		bugs = append(bugs, w.bugs...)
 	}
 	return &Report{Stats: stats, Bugs: mergeBugs(bugs)}
@@ -488,6 +489,7 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 	}
 	w.flushInstrs()
 	e.splitStats.Add(w.sol.Stats)
+	w.sol.Release()
 	e.splitBugs = append(e.splitBugs, w.bugs...)
 	return queue, nil
 }

@@ -6,7 +6,6 @@
 package overify_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -128,30 +127,6 @@ func BenchmarkFigure4Corpus(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.ReportMetric(float64(rep.Stats.TotalPaths()), "paths")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelVerify measures t_verify at 1..N workers on the
-// fork-heavy -O0 build of wc (the worker-scaling study's hot cell):
-// per-level wall-clock at each worker count, verdicts independent of
-// the count.
-func BenchmarkParallelVerify(b *testing.B) {
-	for _, level := range []pipeline.Level{pipeline.O0, pipeline.OVerify} {
-		c, err := overify.Compile("wc", bench.WcSource, level)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", level, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rep, err := bench.VerifyWc(c, 6, symex.Options{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(rep.Stats.Paths), "paths")
 				}
 			})
 		}

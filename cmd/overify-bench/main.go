@@ -1,16 +1,16 @@
 // Command overify-bench regenerates the paper's tables and figures:
 //
-//	overify-bench -table1 [-n 10] [-words 50000] [-j workers] [-passes spec]
+//	overify-bench -table1 [-n 10] [-words 50000] [-j jobs] [-passes spec]
 //	overify-bench -table2 [-n 3]
 //	overify-bench -table3
-//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j workers] [-prog wc] [-json FILE]
+//	overify-bench -figure4 [-n 5] [-timeout 10s] [-j jobs] [-prog wc] [-json FILE]
 //	overify-bench -all
 //
 // -figure4 -json records the study machine-readably. -passes overrides
-// every level's pass pipeline for Table 1/Figure 4; -j sets the
-// symbolic-execution workers (and, in the Table 1/Figure 4 drivers,
-// compiles whole modules in parallel). Output is the text rendering
-// recorded in EXPERIMENTS.md.
+// every level's pass pipeline for Table 1/Figure 4; -j sets how many
+// of their modules compile at once (verification runs one cell at a
+// time either way). Output is the text rendering recorded in
+// EXPERIMENTS.md.
 //
 // Table 1 and Figure 4 build one core.Job per (program, level) cell,
 // with -passes as the job's Passes text, so Job.Resolve decides each
@@ -19,7 +19,8 @@
 //
 // The daemon, cluster, verdict-store and solver measurements live in
 // the ledger: `go run ./benchmark -workload served_mix|cluster_split|solver_hard`.
-// Slicing is `symbex -slice`; worker scaling is `symbex -j N`.
+// Slicing is `symbex -slice`; spreading one job over several cores is
+// `symbex -cluster` over local overifyd workers.
 //
 // Everywhere a -passes spec is accepted, the spelling @FILE loads the
 // spec from that file.
@@ -45,7 +46,7 @@ func main() {
 	n := flag.Int("n", 0, "symbolic input bytes (0 = per-experiment default)")
 	words := flag.Int("words", 0, "t_run word count for Table 1")
 	timeout := flag.Duration("timeout", 0, "per-run budget for Figure 4 / Table 1 verification")
-	workers := flag.Int("j", 0, "symbolic-execution workers for Table 1 / Figure 4 (0/1 serial, -1 = NumCPU)")
+	jobs := flag.Int("j", 0, "modules Table 1 / Figure 4 compile at once (0/1 one at a time, -1 = NumCPU)")
 	prog := flag.String("prog", "", "restrict Figure 4 to one corpus program")
 	jsonPath := flag.String("json", "", "write the -figure4 study as JSON to this path")
 	passSpec := flag.String("passes", "", "explicit pass pipeline for Table 1 / Figure 4 compiles")
@@ -71,7 +72,7 @@ func main() {
 	}
 
 	if *t1 {
-		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Workers: *workers, Passes: passes}
+		opts := bench.Table1Options{InputBytes: *n, RunWords: *words, VerifyTimeout: *timeout, Jobs: *jobs, Passes: passes}
 		rows, err := bench.Table1(opts)
 		check(err)
 		fmt.Println(bench.RenderTable1(rows, opts))
@@ -89,7 +90,7 @@ func main() {
 	}
 	if *f4 {
 		opts := bench.Figure4Options{
-			InputBytes: *n, Timeout: *timeout, Workers: *workers,
+			InputBytes: *n, Timeout: *timeout, Jobs: *jobs,
 			Passes: passes,
 		}
 		if *prog != "" {

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] [-j workers] file.c
-//	symbex [-O level] [-n bytes] [-j workers] -prog tr
+//	symbex [-O level] [-passes spec] [-n bytes] [-timeout d] file.c
+//	symbex [-O level] [-n bytes] -prog tr
 //	symbex -check div-by-zero,bounds -slice file.c
 //	symbex -daemon /tmp/overifyd.sock file.c
 //	symbex -cluster /tmp/w1.sock,/tmp/w2.sock -prog uniq
@@ -17,8 +17,7 @@
 //
 // -passes overrides the level's pass pipeline with an explicit spec,
 // e.g. "mem2reg,fixpoint:12(ifconvert,simplify,cse,simplifycfg,dce)";
-// the level still supplies the cost model. -j sets the number of
-// symbolic-execution workers.
+// the level still supplies the cost model.
 //
 // -daemon turns symbex into a thin client of a running overifyd: the
 // request is shipped over the daemon's socket and served from its warm
@@ -35,7 +34,8 @@
 // (counters + bug identities, witness bytes elided) instead of the
 // human report, so a serial and a cluster run of the same program can
 // be diffed byte-for-byte — the CI distributed-smoke job does exactly
-// that.
+// that. One exploration runs on one goroutine, so -cluster over local
+// overifyd workers is also how one job uses several cores.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // whole run (the memory profile samples allocations, for `go tool pprof
@@ -80,7 +80,6 @@ func main() {
 	passSpec := flag.String("passes", "", "explicit pass pipeline, e.g. mem2reg,fixpoint(ifconvert,simplify,cse,simplifycfg,dce)")
 	n := flag.Int("n", 4, "symbolic input bytes (the paper uses 2-10)")
 	timeout := flag.Duration("timeout", 60*time.Second, "exploration budget")
-	workers := flag.Int("j", 1, "exploration workers (-1 = one per CPU)")
 	progName := flag.String("prog", "", "verify a bundled corpus program")
 	entry := flag.String("entry", "umain", "entry function (signature: int f(unsigned char*, int))")
 	checkSpec := flag.String("check", "", "verify only these check kinds (comma-separated, e.g. div-by-zero,bounds; default all)")
@@ -105,8 +104,7 @@ func main() {
 	job := core.Job{
 		Level: *level, Entry: *entry,
 		InputBytes: *n, TimeoutMS: jobTimeoutMS(*timeout),
-		Workers: *workers,
-		Slice:   *sliceFlag, Checks: *checkSpec,
+		Slice: *sliceFlag, Checks: *checkSpec,
 		Portfolio:   *portfolio,
 		SplitStates: *splitStates,
 	}
@@ -398,7 +396,7 @@ func report(name string, lvl pipeline.Level, n int, c *core.Compiled, rep *symex
 		fmt.Printf("  verdicts:       cache hit — exploration skipped (%d paths, %d queries reproduced from %s)\n",
 			s.Paths, s.SolverStats.Queries, store.Dir())
 	} else {
-		fmt.Printf("%s at %s, %d symbolic input bytes, %d workers\n", name, lvl, n, s.Workers)
+		fmt.Printf("%s at %s, %d symbolic input bytes\n", name, lvl, n)
 		fmt.Printf("  compile:        %s  (%d pass invocations, %d skipped, %.0f%% analysis-cache hits)\n",
 			c.Result.CompileTime, c.Result.PassInvocations, c.Result.SkippedFuncRuns,
 			100*c.Result.Analysis.HitRate())

@@ -19,8 +19,9 @@ type Figure4Options struct {
 	// Timeout caps each (program, level) exploration — the paper's
 	// one-hour budget, scaled.
 	Timeout time.Duration
-	// Workers is the symbolic-execution worker count (0/1 serial).
-	Workers int
+	// Jobs is how many cells compile at once (0/1 one at a time, -1
+	// one per CPU).
+	Jobs int
 	// Programs restricts the corpus (default: all).
 	Programs []string
 	// Passes overrides every level's pass sequence, spelled as
@@ -81,7 +82,7 @@ func (o Figure4Options) normalized() Figure4Options {
 
 // Figure4 runs the corpus study: compile+verify every program at -O0,
 // -O3 and -OVERIFY. Phase 1 compiles every (program, level) module —
-// in parallel when Workers allows, results landing in index-addressed
+// in parallel when Jobs allows, results landing in index-addressed
 // slots so the study's ordering stays deterministic; phase 2 verifies
 // serially so the wall-clock columns are not perturbed by concurrent
 // compilation (each module's compile time was already measured inside
@@ -102,7 +103,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 	for i := range resolved {
 		job := core.Job{
 			Prog: names[i/nl], Level: Figure4Levels[i%nl].String(), Passes: opts.Passes,
-			InputBytes: opts.InputBytes, TimeoutMS: max(opts.Timeout.Milliseconds(), 1), Workers: opts.Workers,
+			InputBytes: opts.InputBytes, TimeoutMS: max(opts.Timeout.Milliseconds(), 1),
 		}
 		r, err := job.Resolve()
 		if err != nil {
@@ -114,7 +115,7 @@ func Figure4(opts Figure4Options) ([]Figure4Row, *Figure4Summary, error) {
 	// Phase 1: compile every cell, per-program × per-level parallelism.
 	compiled := make([]*core.Compiled, len(resolved))
 	cerrs := make([]error, len(resolved))
-	parallelDo(len(resolved), opts.Workers, func(i int) {
+	parallelDo(len(resolved), opts.Jobs, func(i int) {
 		compiled[i], cerrs[i] = resolved[i].Compile()
 	})
 
@@ -270,13 +271,13 @@ func Figure4JSON(rows []Figure4Row, s *Figure4Summary, opts Figure4Options) ([]b
 	out := struct {
 		InputBytes int
 		TimeoutMs  float64
-		Workers    int
+		Jobs       int
 		Rows       []rowJSON
 		Summary    *Figure4Summary
 	}{
 		InputBytes: opts.InputBytes,
 		TimeoutMs:  float64(opts.Timeout.Microseconds()) / 1000,
-		Workers:    opts.Workers,
+		Jobs:       opts.Jobs,
 		Summary:    s,
 	}
 	for _, row := range rows {

@@ -22,8 +22,9 @@ type Table1Options struct {
 	RunWords int
 	// VerifyTimeout caps each level's exploration.
 	VerifyTimeout time.Duration
-	// Workers is the symbolic-execution worker count (0/1 serial).
-	Workers int
+	// Jobs is how many levels compile at once (0/1 one at a time, -1
+	// one per CPU).
+	Jobs int
 	// Levels to measure (default: O0, O2, O3, OVerify — the paper's
 	// columns).
 	Levels []pipeline.Level
@@ -50,7 +51,7 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1: exhaustively explore wc for
 // strings up to InputBytes characters at each level, measure compile,
 // verify and concrete-run time. All levels compile up front — in
-// parallel when Workers allows — then verify and run serially so the
+// parallel when Jobs allows — then verify and run serially so the
 // timing columns are not perturbed by concurrent work.
 func Table1(opts Table1Options) ([]Table1Row, error) {
 	if opts.InputBytes == 0 {
@@ -69,7 +70,7 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 
 	compiled := make([]*core.Compiled, len(opts.Levels))
 	errs := make([]error, len(opts.Levels))
-	parallelDo(len(opts.Levels), opts.Workers, func(i int) {
+	parallelDo(len(opts.Levels), opts.Jobs, func(i int) {
 		job := core.Job{Name: "wc", Source: WcSource, Level: opts.Levels[i].String(), Passes: opts.Passes}
 		r, err := job.Resolve()
 		if err != nil {
@@ -87,7 +88,7 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 		c := compiled[i]
 		row := Table1Row{Level: level, CompileTime: c.Result.CompileTime}
 
-		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout, Workers: opts.Workers})
+		rep, err := VerifyWc(c, opts.InputBytes, symex.Options{Timeout: opts.VerifyTimeout})
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: verify: %w", level, err)
 		}

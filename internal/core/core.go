@@ -124,7 +124,7 @@ func (c *Compiled) Run(fn string, input []byte) (*RunResult, error) {
 type VerifyOptions struct {
 	// InputBytes is the symbolic input size (the paper uses 2–10).
 	InputBytes int
-	// Engine options (timeouts, limits, workers).
+	// Engine options (timeouts, limits).
 	Engine symex.Options
 	// Verdicts, when non-nil, is consulted before exploring: if the
 	// store holds an outcome for this exact content key (reachable IR +
@@ -144,17 +144,15 @@ func (opts VerifyOptions) normalized() VerifyOptions {
 }
 
 // verifyDesc renders the outcome-relevant verify configuration for the
-// content key. The worker count is deliberately absent: the
-// conformance suites pin merged reports as schedule-invariant, so it
-// cannot change a stored outcome. Budgets and limits can, so they are
-// in.
+// content key. Budgets and limits can change a stored outcome, so they
+// are in.
 func verifyDesc(opts VerifyOptions) string {
-	// maxpaths=0, cover=0, maxnodes=0 and history=0 stay in the key,
-	// though no path cap, coverage target, node bound or history length
-	// can be set any more, so that stored verdicts and pinned keys
-	// remain valid.
-	return fmt.Sprintf("entrybytes=%d|maxpaths=0|maxinstrs=%d|maxstates=%d|cover=0|maxnodes=0|maxwork=%d|history=0|verifychecks=%s",
-		opts.InputBytes, opts.Engine.MaxInstrs, opts.Engine.MaxStates,
+	// maxpaths=0, maxstates=0, cover=0, maxnodes=0 and history=0 stay in
+	// the key, though no path cap, state cap, coverage target, node
+	// bound or history length can be set any more, so that stored
+	// verdicts and pinned keys remain valid.
+	return fmt.Sprintf("entrybytes=%d|maxpaths=0|maxinstrs=%d|maxstates=0|cover=0|maxnodes=0|maxwork=%d|history=0|verifychecks=%s",
+		opts.InputBytes, opts.Engine.MaxInstrs,
 		opts.Engine.Solver.MaxWork, opts.Engine.Checks)
 }
 

@@ -35,7 +35,6 @@ func TestDeferredForkCellsWorkNoMoreThanO0(t *testing.T) {
 				t.Fatal(err)
 			}
 			vo := core.VerifyOptions{InputBytes: cell.n}
-			vo.Engine.Workers = 1
 			vo.Engine.MaxInstrs = 20_000_000
 			vo.Engine.MaxAssignments = 50_000_000
 			rep, err := c.Verify("umain", vo)

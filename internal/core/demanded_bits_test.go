@@ -5,7 +5,6 @@ import (
 
 	"overify/internal/core"
 	"overify/internal/coreutils"
-	"overify/internal/dist"
 	"overify/internal/pipeline"
 	"overify/internal/symex"
 )
@@ -18,8 +17,7 @@ import (
 // of one four-byte group. Every level then decides every query within
 // these budgets. When the terms named every byte shifted into acc,
 // every level ran out of its assignment budget (8,027,716 assignments
-// counted) and ended inconclusive with no completed path. The
-// normalized render does not depend on the worker count.
+// counted) and ended inconclusive with no completed path.
 func TestBase32DecidesAtN4(t *testing.T) {
 	p, _ := coreutils.Get("base32")
 	o3checks := pipeline.LevelConfig(pipeline.O3)
@@ -48,33 +46,21 @@ func TestBase32DecidesAtN4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var renders [2]string
-		for i, workers := range []int{1, 4} {
-			vo := core.VerifyOptions{InputBytes: cell.n}
-			vo.Engine.Workers = workers
-			vo.Engine.MaxInstrs = 20_000_000
-			vo.Engine.MaxAssignments = 4_000_000
-			rep, err := c.Verify("umain", vo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			renders[i] = dist.NormalizedRender(rep)
-			if workers != 1 {
-				continue
-			}
-			s := rep.Stats
-			if v, why := rep.Verdict(); v != symex.Verified {
-				t.Errorf("base32 %s n=%d: verdict %s %v, want verified", cell.level, cell.n, v, why)
-			}
-			if s.TotalPaths() != cell.paths || s.SolverStats.Failures != 0 || s.SolverStats.Assignments != cell.assignments {
-				t.Errorf("base32 %s n=%d: %d paths, %d solver failures, %d assignments; want %d, 0, %d",
-					cell.level, cell.n, s.TotalPaths(), s.SolverStats.Failures, s.SolverStats.Assignments,
-					cell.paths, cell.assignments)
-			}
+		vo := core.VerifyOptions{InputBytes: cell.n}
+		vo.Engine.MaxInstrs = 20_000_000
+		vo.Engine.MaxAssignments = 4_000_000
+		rep, err := c.Verify("umain", vo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if renders[0] != renders[1] {
-			t.Errorf("base32 %s n=%d: -j 4 render differs from -j 1:\n%s\nvs\n%s",
-				cell.level, cell.n, renders[1], renders[0])
+		s := rep.Stats
+		if v, why := rep.Verdict(); v != symex.Verified {
+			t.Errorf("base32 %s n=%d: verdict %s %v, want verified", cell.level, cell.n, v, why)
+		}
+		if s.TotalPaths() != cell.paths || s.SolverStats.Failures != 0 || s.SolverStats.Assignments != cell.assignments {
+			t.Errorf("base32 %s n=%d: %d paths, %d solver failures, %d assignments; want %d, 0, %d",
+				cell.level, cell.n, s.TotalPaths(), s.SolverStats.Failures, s.SolverStats.Assignments,
+				cell.paths, cell.assignments)
 		}
 	}
 }

@@ -32,26 +32,23 @@ func TestUndecidedBranchSideForks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			vo := core.VerifyOptions{InputBytes: 4}
-			vo.Engine.Workers = workers
-			vo.Engine.Solver.MaxWork = cell.maxWork
-			rep, err := c.Verify("umain", vo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := rep.Stats
-			if s.TotalPaths() != cell.paths || s.Instrs != cell.instrs {
-				t.Errorf("tail %s workers=%d: %d paths, %d instrs; want %d, %d",
-					cell.level, workers, s.TotalPaths(), s.Instrs, cell.paths, cell.instrs)
-			}
-			if len(rep.Bugs) != 0 {
-				t.Errorf("tail %s workers=%d: bugs %v on an undecided side", cell.level, workers, rep.Bugs)
-			}
-			if v, why := rep.Verdict(); v != symex.Inconclusive || s.SolverStats.Failures == 0 {
-				t.Errorf("tail %s workers=%d: verdict %s %v with %d undecided queries, want inconclusive",
-					cell.level, workers, v, why, s.SolverStats.Failures)
-			}
+		vo := core.VerifyOptions{InputBytes: 4}
+		vo.Engine.Solver.MaxWork = cell.maxWork
+		rep, err := c.Verify("umain", vo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rep.Stats
+		if s.TotalPaths() != cell.paths || s.Instrs != cell.instrs {
+			t.Errorf("tail %s: %d paths, %d instrs; want %d, %d",
+				cell.level, s.TotalPaths(), s.Instrs, cell.paths, cell.instrs)
+		}
+		if len(rep.Bugs) != 0 {
+			t.Errorf("tail %s: bugs %v on an undecided side", cell.level, rep.Bugs)
+		}
+		if v, why := rep.Verdict(); v != symex.Inconclusive || s.SolverStats.Failures == 0 {
+			t.Errorf("tail %s: verdict %s %v with %d undecided queries, want inconclusive",
+				cell.level, v, why, s.SolverStats.Failures)
 		}
 	}
 }

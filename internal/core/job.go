@@ -33,7 +33,6 @@ type Job struct {
 	InputBytes int   `json:"inputBytes,omitempty"` // symbolic input size (default 4)
 	TimeoutMS  int64 `json:"timeoutMs,omitempty"`  // exploration budget (0 = none)
 	MaxInstrs  int64 `json:"maxInstrs,omitempty"`  // instruction cap (0 = engine default)
-	Workers    int   `json:"workers,omitempty"`    // exploration workers (0/1 serial, -1 = one per CPU)
 
 	// Slice enables verification-aware slicing: the pipeline deletes
 	// whatever no kept check can observe before exploration.
@@ -127,7 +126,6 @@ func (j Job) Resolve() (*Resolved, error) {
 	vo := VerifyOptions{InputBytes: j.InputBytes}
 	vo.Engine.Timeout = time.Duration(j.TimeoutMS) * time.Millisecond
 	vo.Engine.MaxInstrs = j.MaxInstrs
-	vo.Engine.Workers = j.Workers
 	vo.Engine.Checks = checks
 	vo.Engine.Solver.Portfolio = j.Portfolio
 	r.Verify = vo.normalized()

@@ -49,7 +49,7 @@ func TestJobResolveDefaults(t *testing.T) {
 func TestJobResolveFields(t *testing.T) {
 	r, err := core.Job{
 		Name: "t.c", Source: trivialSrc, Level: "-O3", Passes: "mem2reg,dce", Entry: "f",
-		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99, Workers: 2,
+		InputBytes: 7, TimeoutMS: 1500, MaxInstrs: 99,
 		Slice: true, Checks: "div-by-zero", Portfolio: 4,
 	}.Resolve()
 	if err != nil {
@@ -59,7 +59,7 @@ func TestJobResolveFields(t *testing.T) {
 	e := r.Verify.Engine
 	if r.Name != "t.c" || r.Entry != "f" || r.Verify.InputBytes != 7 ||
 		e.Timeout != 1500*time.Millisecond || e.MaxInstrs != 99 ||
-		e.Workers != 2 || e.Checks != divOnly ||
+		e.Checks != divOnly ||
 		e.Solver.Portfolio != 4 {
 		t.Errorf("engine configuration lost a field: %+v (entry %q, name %q)", r.Verify, r.Entry, r.Name)
 	}

@@ -434,12 +434,16 @@ func TestDaemonEvictionChurnIdentical(t *testing.T) {
 
 // TestSolverCacheByteBudget: with a solver-cache budget of a few KB,
 // solver-heavy programs rotate the warm state on bytes. A run pins the
-// generation it starts in, so a generation can end past the budget by
-// what its last run charged; the rule the stats frames pin is that a
-// request starts a new generation exactly when the frame before it
-// shows the cache past its budget. Every render equals the CLI's.
+// generation it starts in, but the generation's cache stores no new
+// entry once it charges more than the budget, so no stats frame reads
+// more than one entry past it (basename n=3 took its generation to
+// 12,231 bytes when the cache stored every entry). A request starts a
+// new generation exactly when the frame before it shows the cache past
+// its budget. Every render equals the CLI's, whose cache is unbounded.
 func TestSolverCacheByteBudget(t *testing.T) {
 	const budget = 8 << 10
+	// An entry of these programs at n <= 3 charges at most 728 bytes.
+	const maxEntry = 1 << 10
 	type job struct {
 		prog string
 		n    int
@@ -478,6 +482,10 @@ func TestSolverCacheByteBudget(t *testing.T) {
 			}
 			if st.Generation != reply.Generation {
 				t.Fatalf("stats frame reads generation %d after a run in %d", st.Generation, reply.Generation)
+			}
+			if st.SolverCache.Bytes > budget+maxEntry {
+				t.Errorf("round %d %s n=%d: the cache charges %d bytes, more than one entry past its %d-byte budget",
+					round, j.prog, j.n, st.SolverCache.Bytes, budget)
 			}
 			prev = st
 		}

@@ -56,7 +56,10 @@ import (
 //	11: the stats reply's three cache objects share one shape: each
 //	   gains bytes, and solverCache gains evictions; in a distExplore
 //	   reply's stats, SharedCache takes that shape (lower-case keys).
-const ProtocolVersion = 11
+//	12: verify and distExplore lose workers, and engine stats lose
+//	   Workers: an engine explores on one goroutine. A distExplore state
+//	   frame (state codec v2) drops each frame's predecessor block.
+const ProtocolVersion = 12
 
 // MaxPacket bounds a single packet's payload (16 MiB): large enough
 // for any source file plus headroom, small enough that a corrupt
@@ -171,7 +174,6 @@ type DistExploreRequest struct {
 	Checks string `json:"checks,omitempty"`
 	Entry  string `json:"entry,omitempty"`
 
-	Workers   int   `json:"workers,omitempty"` // engine workers inside this daemon
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 	MaxInstrs int64 `json:"maxInstrs,omitempty"`
 
@@ -193,7 +195,6 @@ func NewDistExploreRequest(job core.Job, states []byte) *DistExploreRequest {
 		Name: job.Name, Source: job.Source, Prog: job.Prog,
 		Level: job.Level, Passes: job.Passes, Slice: job.Slice, Checks: job.Checks,
 		Entry:     job.Entry,
-		Workers:   job.Workers,
 		TimeoutMS: job.TimeoutMS, MaxInstrs: job.MaxInstrs,
 		Portfolio: job.Portfolio,
 		States:    states,
@@ -207,7 +208,6 @@ func (r *DistExploreRequest) Job() core.Job {
 		Name: r.Name, Source: r.Source, Prog: r.Prog,
 		Level: r.Level, Passes: r.Passes, Slice: r.Slice, Checks: r.Checks,
 		Entry:     r.Entry,
-		Workers:   r.Workers,
 		TimeoutMS: r.TimeoutMS, MaxInstrs: r.MaxInstrs,
 		Portfolio: r.Portfolio,
 	}

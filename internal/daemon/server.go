@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"overify/internal/core"
+	"overify/internal/expr"
 	"overify/internal/lru"
+	"overify/internal/solver"
 	"overify/internal/symex"
 	"overify/internal/verdicts"
 )
@@ -67,8 +69,9 @@ const (
 	// cache's map (solver.Cache's entryBytes). 64 MiB is what 1<<20
 	// entries of 64 bytes held when the cache was bounded by entry
 	// count. A run that starts under the budget finishes in its
-	// generation, so a generation ends past the budget by what its last
-	// runs added.
+	// generation, but the generation's cache stores no new entry once
+	// it charges more than the budget, so it ends at most one entry
+	// past it.
 	maxNodes      = 4 << 20
 	maxCacheBytes = 64 << 20
 )
@@ -146,8 +149,14 @@ func NewServer(cfg Config) *Server {
 		drainCh:  make(chan struct{}),
 		conns:    make(map[io.Closer]struct{}),
 	}
-	s.gen = &generation{1, symex.NewWarm()}
+	s.gen = s.newGeneration(1)
 	return s
+}
+
+// newGeneration starts warm state whose solver cache stops storing new
+// entries once it charges more than the byte budget.
+func (s *Server) newGeneration(id int64) *generation {
+	return &generation{id, &symex.Warm{Builder: expr.NewConcurrentBuilder(), Cache: solver.NewBoundedCache(s.cfg.maxCacheBytes)}}
 }
 
 // currentGen returns the generation new runs should pin, rotating
@@ -156,7 +165,7 @@ func (s *Server) currentGen() *generation {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
 	if s.gen.Builder.NodesBuilt() > s.cfg.maxNodes || s.gen.Cache.Snapshot().Bytes > s.cfg.maxCacheBytes {
-		s.gen = &generation{s.gen.id + 1, symex.NewWarm()}
+		s.gen = s.newGeneration(s.gen.id + 1)
 		s.rotations.Add(1)
 	}
 	return s.gen

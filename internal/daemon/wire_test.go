@@ -18,9 +18,9 @@ const wireSrc = `int umain(unsigned char *input, int len) { return 0; }`
 // gone), for v8 (the portfolioStall key is gone) and for v10
 // (distExplore gains the module key).
 const (
-	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"workers":2,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
+	goldenVerify      = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","entry":"umain","inputBytes":3,"timeoutMs":1500,"maxInstrs":1000000,"slice":true,"checks":"div-by-zero,bounds","noVerdicts":true}`
 	goldenVerifyProg  = `{"prog":"wc"}`
-	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","workers":2,"timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"module":"0123abcd","states":"T1ZTWA=="}`
+	goldenDistExplore = `{"name":"t.c","source":"int umain(unsigned char *input, int len) { return 0; }","level":"-O2","passes":"mem2reg,dce","slice":true,"checks":"div-by-zero","timeoutMs":1500,"maxInstrs":1000000,"portfolio":4,"module":"0123abcd","states":"T1ZTWA=="}`
 	goldenCompile     = `{"prog":"wc","level":"-O3","passes":"mem2reg","ir":true}`
 )
 
@@ -33,7 +33,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Entry: "umain",
-		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000, Workers: 2,
+		InputBytes: 3, TimeoutMS: 1500, MaxInstrs: 1000000,
 		Slice: true, Checks: "div-by-zero,bounds", NoVerdicts: true,
 	}); v != want {
 		t.Errorf("verify body decoded to\n%+v, want\n%+v", v, want)
@@ -53,7 +53,7 @@ func TestWireGoldenRequestsDecode(t *testing.T) {
 	}
 	if want := (core.Job{
 		Name: "t.c", Source: wireSrc, Level: "-O2", Passes: "mem2reg,dce", Slice: true, Checks: "div-by-zero",
-		Workers: 2, TimeoutMS: 1500, MaxInstrs: 1000000,
+		TimeoutMS: 1500, MaxInstrs: 1000000,
 		Portfolio: 4,
 	}); d.Job() != want {
 		t.Errorf("distExplore body decoded to job\n%+v, want\n%+v", d.Job(), want)
@@ -141,7 +141,7 @@ func TestRequestConstructorsCarryTheJob(t *testing.T) {
 		// A compile request compiles unsliced, so the entry and the
 		// kept checks, which only a slice reads, stay behind too.
 		{"compile", NewCompileRequest(full, true).Job(),
-			[]string{"Entry", "InputBytes", "TimeoutMS", "MaxInstrs", "Workers", "Slice", "Checks", "NoVerdicts", "Portfolio", "SplitStates"}},
+			[]string{"Entry", "InputBytes", "TimeoutMS", "MaxInstrs", "Slice", "Checks", "NoVerdicts", "Portfolio", "SplitStates"}},
 	} {
 		want := full
 		wv := reflect.ValueOf(&want).Elem()

@@ -4,9 +4,9 @@
 // merges the workers' schedule-invariant outcomes into a single report
 // that matches what a serial run of the same program would produce.
 //
-// The division of labor mirrors the in-process worker pool, one level
-// up: Engine.Split drives a breadth-first prefix of the exploration
-// until the frontier is wide enough, the state codec serializes the
+// An engine explores on one goroutine, so this is how one job uses
+// several cores: Engine.Split drives a breadth-first prefix of the
+// exploration until the frontier is wide enough, the state codec serializes the
 // pending states, and each worker drains its shard to exhaustion with
 // its own engine (and, optionally, its own solver portfolio). Because
 // every branch decision still happens exactly once in exactly one

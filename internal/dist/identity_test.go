@@ -19,7 +19,7 @@ func TestCoordinatorAndWorkerCompileTheSameModule(t *testing.T) {
 			for _, slice := range []bool{false, true} {
 				for _, checks := range []string{"", "div-by-zero", "div-by-zero,bounds"} {
 					for _, prog := range []bool{false, true} {
-						job := Options{Level: level, Passes: passes, Slice: slice, Checks: checks, Workers: 2}
+						job := Options{Level: level, Passes: passes, Slice: slice, Checks: checks}
 						if prog {
 							job.Prog = "echo"
 						} else {

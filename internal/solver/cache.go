@@ -9,7 +9,7 @@ import (
 
 // cacheShards is the number of lock stripes in a shared Cache. Power of
 // two so the shard index is a mask; 64 stripes keep contention
-// negligible even with dozens of workers.
+// negligible even with dozens of concurrent jobs.
 const cacheShards = 64
 
 // cacheShard is one lock stripe. Its entries are written once, before
@@ -20,19 +20,23 @@ type cacheShard struct {
 	m  map[Fingerprint]*cacheEntry
 }
 
-// Cache is a query-result cache shared between solvers: the parallel
-// symbolic-execution engine gives every worker its own Solver (the
-// search state is not concurrency-safe) but layers one Cache under all
-// of them, so a group decided by any worker is a hit for every other.
-// Keys are group fingerprints (set hashes of hash-consed expression
-// ids, fingerprint.go), so a Cache belongs to the one expr.Builder that
-// numbered those nodes (symex.Warm pairs the two).
+// Cache is a query-result cache shared between solvers: every Solver
+// keeps its own search state (it is not concurrency-safe) but layers
+// over one Cache, so a group one solver decided is a hit for the
+// others — a run's Split solver and its worker's, and a daemon's
+// concurrent jobs of one warm generation. Keys are group fingerprints
+// (set hashes of hash-consed expression ids, fingerprint.go), so a
+// Cache belongs to the one expr.Builder that numbered those nodes
+// (symex.Warm pairs the two).
 //
 // A Cache is safe for concurrent use. It never evicts: it lives and is
 // retired with its builder, which is how a long-lived process bounds
 // both (the daemon replaces its symex.Warm once the builder's nodes or
 // the bytes this cache charges pass their limit). Each resident entry
-// is charged entryBytes.
+// is charged entryBytes. A cache from NewBoundedCache stops storing
+// new entries once it charges more than its budget, so it ends at most
+// one entry past it; a query whose group is not stored still gets its
+// verdict.
 type Cache struct {
 	shards [cacheShards]cacheShard
 
@@ -40,6 +44,8 @@ type Cache struct {
 	misses  atomic.Int64
 	entries atomic.Int64
 	bytes   atomic.Int64
+
+	budget int64 // bytes past which no new entry is stored; 0 = unbounded
 }
 
 // entryBytes is what a resident entry holds of the heap: the cacheEntry
@@ -58,6 +64,14 @@ func NewCache() *Cache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[Fingerprint]*cacheEntry)
 	}
+	return c
+}
+
+// NewBoundedCache returns an empty shared cache that stops storing new
+// entries once it charges more than budget bytes.
+func NewBoundedCache(budget int64) *Cache {
+	c := NewCache()
+	c.budget = budget
 	return c
 }
 
@@ -95,9 +109,10 @@ func (c *Cache) peek(fp Fingerprint) *cacheEntry {
 	return e
 }
 
-// put records a decided group and returns the resident entry. First
-// writer wins; a concurrent duplicate decision of the same group is
-// identical anyway.
+// put records a decided group and returns the resident entry, or, when
+// a bounded cache is past its budget, the entry unstored. First writer
+// wins; a concurrent duplicate decision of the same group is identical
+// anyway.
 func (c *Cache) put(fp Fingerprint, e cacheEntry) *cacheEntry {
 	sh := c.shard(fp)
 	sh.mu.Lock()
@@ -106,10 +121,31 @@ func (c *Cache) put(fp Fingerprint, e cacheEntry) *cacheEntry {
 		return r
 	}
 	r := &e
+	if !c.charge(entryBytes(r)) {
+		return r
+	}
 	sh.m[fp] = r
 	c.entries.Add(1)
-	c.bytes.Add(entryBytes(r))
 	return r
+}
+
+// charge adds n to the bytes charged unless the cache is bounded and
+// already past its budget. The compare-and-swap lets only one entry,
+// across all shards, take the charge past the budget.
+func (c *Cache) charge(n int64) bool {
+	if c.budget == 0 {
+		c.bytes.Add(n)
+		return true
+	}
+	for {
+		b := c.bytes.Load()
+		if b > c.budget {
+			return false
+		}
+		if c.bytes.CompareAndSwap(b, b+n) {
+			return true
+		}
+	}
 }
 
 // Snapshot returns the cache counters. Evictions is always 0.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestCacheSharedAcrossSolvers is the deterministic form of the
-// cross-worker benefit: a group decided by one solver must be a cache
+// cross-solver benefit: a group decided by one solver must be a cache
 // hit for a second solver layered over the same Cache (expressions
 // from one shared builder, so the group keys agree).
 func TestCacheSharedAcrossSolvers(t *testing.T) {
@@ -90,5 +90,33 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if snap.Hits+snap.Misses != 8*500 {
 		t.Errorf("hits+misses = %d, want %d", snap.Hits+snap.Misses, 8*500)
+	}
+}
+
+// TestBoundedCacheStopsStoring: a bounded cache stores entries until it
+// charges more than its budget, then stores none — ending at most one
+// entry past the budget — while put still hands back the decided entry.
+// Concurrent puts cannot take it further past.
+func TestBoundedCacheStopsStoring(t *testing.T) {
+	const budget = 1000 // an entry without model or snapshot charges 136
+	c := NewBoundedCache(budget)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if e := c.put(idKey(int64(g*50+i)), cacheEntry{sat: true}); e == nil || !e.sat {
+					t.Errorf("put returned %v, want the decided entry", e)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if snap := c.Snapshot(); snap.Entries != 8 || snap.Bytes != 8*136 {
+		t.Errorf("bounded cache holds %d entries, %d bytes; want 8, %d (one entry past %d)", snap.Entries, snap.Bytes, 8*136, budget)
+	}
+	if NewCache().budget != 0 {
+		t.Error("NewCache is bounded")
 	}
 }

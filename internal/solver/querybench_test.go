@@ -56,7 +56,7 @@ func cellQueries(tb testing.TB, prog, level string, n int) [][]*expr.Expr {
 	solver.CaptureQuery = func(q []*expr.Expr) { qs = append(qs, append([]*expr.Expr(nil), q...)) }
 	defer func() { solver.CaptureQuery = nil }()
 	_, err = c.Verify("umain", core.VerifyOptions{InputBytes: n, Engine: symex.Options{
-		Workers: 1, MaxInstrs: 20_000_000, MaxAssignments: 4_000_000, Solver: solver.Options{MaxWork: 500_000},
+		MaxInstrs: 20_000_000, MaxAssignments: 4_000_000, Solver: solver.Options{MaxWork: 500_000},
 	}})
 	if err != nil {
 		tb.Fatal(err)

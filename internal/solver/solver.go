@@ -157,8 +157,8 @@ type Stats struct {
 	MaxGroupVars   int
 }
 
-// Add accumulates o into s; the parallel engine merges per-worker
-// solver stats with this after all workers have stopped.
+// Add accumulates o into s; the engine sums Split's solver and its
+// worker's with it, and MergeReports every process's.
 func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.CacheHits += o.CacheHits

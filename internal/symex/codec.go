@@ -47,7 +47,7 @@ import (
 
 const (
 	codecMagic   = "OVSX"
-	codecVersion = 1
+	codecVersion = 2
 )
 
 // codecExprVisits counts DAG-node expansions performed by encoders, the
@@ -342,11 +342,6 @@ func (enc *encoder) emitState(st *State) {
 func (enc *encoder) emitFrame(st *State, f *Frame) {
 	enc.w.s(f.Fn.Name)
 	enc.w.u(uint64(blockIndex(f.Fn, f.Block, enc)))
-	if f.Prev == nil {
-		enc.w.u(0)
-	} else {
-		enc.w.u(uint64(blockIndex(f.Fn, f.Prev, enc)) + 1)
-	}
 	enc.w.u(uint64(f.Idx))
 	if f.Caller == nil {
 		enc.w.b(0)
@@ -553,12 +548,7 @@ func (e *Engine) DecodeStates(data []byte) (states []*State, err error) {
 		}
 		maxID = max(maxID, st.ID)
 	}
-	for {
-		cur := e.nextState.Load()
-		if maxID < cur || e.nextState.CompareAndSwap(cur, maxID+1) {
-			break
-		}
-	}
+	e.nextState = max(e.nextState, maxID+1)
 	return states, nil
 }
 
@@ -831,7 +821,6 @@ func (d *decoder) readFrame(outer []*Frame) *Frame {
 		return nil
 	}
 	blk := pick(&d.r, fn.Blocks, 0, "block")
-	prev := pick(&d.r, fn.Blocks, 1, "prev block")
 	idx := d.r.u()
 	var caller *ir.Instr
 	if d.r.b() == 1 {
@@ -852,7 +841,7 @@ func (d *decoder) readFrame(outer []*Frame) *Frame {
 		return nil
 	}
 	f := d.e.newFrame(fn, caller)
-	f.Block, f.Prev, f.Idx = blk, prev, int(idx)
+	f.Block, f.Idx = blk, int(idx)
 
 	// Assigned registers, keyed by param index or (block, index).
 	for range d.r.count(2) {

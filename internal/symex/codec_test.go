@@ -545,23 +545,24 @@ func TestMergeBugsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestStateCodecGoldenV1 pins the wire format: "OVSX" version 1 frames
+// TestStateCodecGoldenV2 pins the wire format: "OVSX" version 2 frames
 // are what worker daemons of other builds decode, so a change to the
-// state representation must not move a byte. The sizes and digests were
-// measured at a38fe6b, when registers were a map the encoder sorted and
-// cells one slice per object. The od-x@-OVERIFY frame was re-cut when
-// -OVERIFY stopped running loop restructuring: the states it encodes
-// are of a different program, not in a different format.
-func TestStateCodecGoldenV1(t *testing.T) {
+// state representation must not move a byte. Version 2 is version 1
+// without each frame's predecessor block, which nothing read: every
+// frame is one byte shorter, and each batch below holds six one-frame
+// states. The version 1 pins (4743, 5304 and 3600 bytes) were measured
+// at a38fe6b, the od-x@-OVERIFY one re-cut when -OVERIFY stopped
+// running loop restructuring.
+func TestStateCodecGoldenV2(t *testing.T) {
 	for _, g := range []struct {
 		prog   string
 		level  pipeline.Level
 		size   int
 		sha256 string
 	}{
-		{"wc", pipeline.O0, 4743, "015339f5180ad4e90f4f85497e948d6dda1ceedecdedf668612db90d7e15cfaf"},
-		{"od-x", pipeline.O0, 5304, "6a289870d1235a25c8e2ff7b0d7c1f1207c92f92a827909378e1b57060c65f01"},
-		{"od-x", pipeline.OVerify, 3600, "cef5d6662e866f814029980e8ea67e95c58676151b15f90afe757ab40f41d060"},
+		{"wc", pipeline.O0, 4737, "5524ef50678948f972583aa8aace0cf7f7325e1c8562b1db2b9cfe8e88e4b402"},
+		{"od-x", pipeline.O0, 5298, "caa3822fc986e69e6bd9a174a8df8917bbcf2673d54e53f0b1894db15f457386"},
+		{"od-x", pipeline.OVerify, 3594, "864912bd3576f057f08f8cb85e4dcedf6f9f1329ad2dc211c36c0eba9495666b"},
 	} {
 		label := fmt.Sprintf("%s@%s", g.prog, g.level)
 		p, _ := coreutils.Get(g.prog)
@@ -695,5 +696,30 @@ func TestStateCodecFrameIndexRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "symex: codec:") {
 			t.Errorf("frame index %s: err = %v, want a symex: codec: error", tc.name, err)
 		}
+	}
+}
+
+// TestStateCodecRefusesV1: a version 1 frame, which still carries each
+// frame's predecessor block, is refused with the codec's version error
+// rather than misread as version 2.
+func TestStateCodecRefusesV1(t *testing.T) {
+	p, _ := coreutils.Get("wc")
+	c, err := core.CompileProgram(p, pipeline.O0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, args := newVerifyEngine(c, 3, symex.Options{})
+	states, err := eng.Split("umain", args, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := eng.EncodeStates(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len("OVSX")] = 1
+	_, err = symex.NewEngine(c.Mod, symex.Options{}).DecodeStates(blob)
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Errorf("decoding a version 1 frame: %v, want the codec's version error", err)
 	}
 }

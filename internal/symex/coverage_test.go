@@ -1,8 +1,6 @@
 package symex
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"overify/internal/ir"
@@ -43,10 +41,10 @@ func TestCoverageMap(t *testing.T) {
 	}
 }
 
-// FuzzCoverageMap checks the set's arithmetic under concurrent covers:
-// the number of covers reported as new — what the engine counts — is
-// the number of distinct blocks covered, and covered() agrees with the
-// ops.
+// FuzzCoverageMap checks the set's arithmetic: the number of covers
+// reported as new — what the engine counts — is the number of distinct
+// blocks covered, a second pass over the same ops reports none, and
+// covered() agrees with the ops.
 func FuzzCoverageMap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{9, 9, 9, 1})
@@ -54,28 +52,20 @@ func FuzzCoverageMap(f *testing.F) {
 		fn := coverFunc(130)
 		cov := newCoverage(fn)
 		pool := fn.Blocks
-		// Two goroutines race the same op stream; cover must stay
-		// idempotent and report each block new exactly once.
-		var n atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, op := range ops {
-					if cov.cover(pool[int(op)%len(pool)]) {
-						n.Add(1)
-					}
+		n := 0
+		for range 2 {
+			for _, op := range ops {
+				if cov.cover(pool[int(op)%len(pool)]) {
+					n++
 				}
-			}()
+			}
 		}
-		wg.Wait()
 		distinct := map[*ir.Block]bool{}
 		for _, op := range ops {
 			distinct[pool[int(op)%len(pool)]] = true
 		}
-		if n.Load() != int64(len(distinct)) {
-			t.Fatalf("count = %d, want %d distinct", n.Load(), len(distinct))
+		if n != len(distinct) {
+			t.Fatalf("count = %d, want %d distinct", n, len(distinct))
 		}
 		for _, b := range pool {
 			if cov.covered(b) != distinct[b] {

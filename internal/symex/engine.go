@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"overify/internal/expr"
@@ -20,7 +17,6 @@ import (
 // Options bound a symbolic-execution run.
 type Options struct {
 	MaxInstrs int64         // 0 = default 100M
-	MaxStates int           // live states cap; 0 = default 1M
 	Timeout   time.Duration // 0 = none
 	// MaxAssignments bounds total solver assignments tried across the
 	// run (0 = unlimited), checked after every solver query. A serial
@@ -28,10 +24,10 @@ type Options struct {
 	// work budget where Timeout is a load-dependent one.
 	MaxAssignments int64
 	Solver         solver.Options
-	// Workers is the number of exploration workers. 1 (or 0) explores
-	// serially; -1 uses one worker per CPU. Workers share one expression
-	// builder and one solver cache but hold private solvers and private
-	// frontier shards (work-stealing keeps them busy).
+	// Workers is never read: an engine explores on the calling
+	// goroutine. It stays declared only because the frozen
+	// benchmark/cold.go sets it; the next change to the benchmark drops
+	// it.
 	Workers int
 	// Warm, when non-nil, is the state this run shares with other runs
 	// instead of building its own; nil runs cold.
@@ -50,8 +46,8 @@ type Options struct {
 // fingerprints of builder-local node ids, so a Cache consulted under
 // any Builder but the one that filled it answers wrongly, not slowly.
 // Build both with NewWarm and retire both together. The builder is the
-// concurrent kind: every run and every worker sharing a Warm interns
-// through it.
+// concurrent kind: every run sharing a Warm interns through it, and a
+// daemon runs several at once.
 type Warm struct {
 	Builder *expr.Builder
 	Cache   *solver.Cache
@@ -60,18 +56,6 @@ type Warm struct {
 // NewWarm returns empty warm state.
 func NewWarm() *Warm {
 	return &Warm{Builder: expr.NewConcurrentBuilder(), Cache: solver.NewCache()}
-}
-
-// effectiveWorkers resolves the Workers option to a concrete count.
-func (o Options) effectiveWorkers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.NumCPU()
-	case o.Workers == 0:
-		return 1
-	default:
-		return o.Workers
-	}
 }
 
 // BugKind classifies a found defect.
@@ -126,9 +110,8 @@ type Stats struct {
 	StatesExplored int64 // states whose execution began (initial + resumed forks)
 	CoveredBlocks  int   // distinct basic blocks executed on some path
 	MaxLiveStates  int
-	Workers        int          // exploration workers used
-	SolverStats    solver.Stats // summed over all workers
-	SharedCache    lru.Stats    // the cross-worker query cache
+	SolverStats    solver.Stats // summed over Split's solver and the run's
+	SharedCache    lru.Stats    // the query cache the solvers share
 	Elapsed        time.Duration
 	TimedOut       bool
 
@@ -187,15 +170,15 @@ func (r *Report) Verdict() (Verdict, []string) {
 }
 
 // Engine symbolically executes one module. One Engine runs one
-// exploration; the per-run shared pieces (expression builder, solver
-// cache, counters) live here, while everything scheduling-dependent
-// lives in per-worker state.
+// exploration, on the calling goroutine; several engines may run at
+// once over one module and one Warm, each with its own counters and
+// coverage.
 type Engine struct {
 	Mod  *ir.Module
 	B    *expr.Builder
 	opts Options
 
-	cache     *solver.Cache // shared across all workers' solvers
+	cache     *solver.Cache // shared by Split's solver and the run's
 	layouts   map[*ir.Function]*frameLayout
 	globals   []*MemObject         // the module's globals, numbered in module order
 	globalNum map[*ir.Global]int32 // a global's number
@@ -203,56 +186,49 @@ type Engine struct {
 	buffers   [][]page             // cells of the entry buffers, numbered after the globals
 	inputVars []*expr.Var          // ordered; used to concretize bug inputs
 	deadline  time.Time
+	maxStates int // queued states beyond this many are evicted as truncated
 
 	// Split-phase residue: solver work and bugs accumulated by Split's
 	// breadth-first prefix driver, merged into the final report by
 	// RunStates (local continuation) or PartialReport (the distributed
-	// coordinator, whose frontier runs in other processes). Split runs
-	// single-threaded before any worker pool, so plain fields suffice.
+	// coordinator, whose frontier runs in other processes).
 	splitStats solver.Stats
 	splitBugs  []Bug
 
-	// Cross-worker counters. Paths counters are updated at path
-	// granularity (cheap); instruction counts are batched per worker and
-	// flushed every instrFlushStride instructions.
-	nextState     atomic.Int64
-	paths         atomic.Int64
-	errorPaths    atomic.Int64
-	truncated     atomic.Int64
-	forks         atomic.Int64
-	instrs        atomic.Int64
-	assigns       atomic.Int64 // solver assignments flushed so far (MaxAssignments accounting)
-	checksSkipped atomic.Int64
-	explored      atomic.Int64 // states whose execution began
-	covered       atomic.Int64 // distinct blocks executed (the layouts' coverage bits set)
-	timedOut      atomic.Bool
-	stopped       atomic.Bool // a global limit fired; all workers bail out
+	nextState     int64
+	paths         int64
+	errorPaths    int64
+	truncated     int64
+	forks         int64
+	instrs        int64 // instructions of the workers that have finished
+	checksSkipped int64
+	explored      int64 // states whose execution began
+	covered       int64 // distinct blocks executed (the layouts' coverage bits set)
+	timedOut      bool
+	stopped       bool // a limit fired: the worker bails out
 }
+
+// maxStates caps the queued states of a run.
+const maxStates = 1_000_000
 
 // NewEngine prepares an engine over mod.
 func NewEngine(mod *ir.Module, opts Options) *Engine {
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 100_000_000
 	}
-	if opts.MaxStates == 0 {
-		opts.MaxStates = 1_000_000
-	}
-	// A cold serial run gets the unsynchronized builder: the
-	// per-expression interning path is too hot to pay a concurrency tax
-	// for one worker.
+	// A cold run gets the unsynchronized builder: the per-expression
+	// interning path is too hot to pay a concurrency tax nothing needs.
 	warm := opts.Warm
 	if warm == nil {
 		warm = &Warm{Builder: expr.NewBuilder(), Cache: solver.NewCache()}
-		if opts.effectiveWorkers() > 1 {
-			warm.Builder = expr.NewConcurrentBuilder()
-		}
 	}
 	e := &Engine{
-		Mod:     mod,
-		B:       warm.Builder,
-		cache:   warm.Cache,
-		layouts: make(map[*ir.Function]*frameLayout, len(mod.Funcs)),
-		opts:    opts,
+		Mod:       mod,
+		B:         warm.Builder,
+		cache:     warm.Cache,
+		layouts:   make(map[*ir.Function]*frameLayout, len(mod.Funcs)),
+		opts:      opts,
+		maxStates: maxStates,
 	}
 	for i, fn := range mod.Funcs {
 		e.layouts[fn] = newFrameLayout(fn)
@@ -367,10 +343,7 @@ func (e *Engine) IntArg(t ir.IntType, v uint64) SymVal {
 }
 
 // Run explores fn(args) exhaustively from the given initial state (pass
-// nil for a fresh one) and returns the report. With Workers > 1 the
-// frontier is explored by a worker pool; the verdicts (bug set, path
-// counts, instruction count) are independent of the interleaving as
-// long as no budget limit fires mid-run.
+// nil for a fresh one) and returns the report.
 func (e *Engine) Run(fnName string, args []SymVal, init *State) (*Report, error) {
 	st, err := e.initialState(fnName, args, init)
 	if err != nil {
@@ -410,46 +383,28 @@ func (e *Engine) armDeadline() {
 	}
 }
 
-// RunStates explores the given frontier states to completion with the
-// configured worker pool and returns the report, including any
-// split-phase work this engine accumulated earlier. It is Run's engine
-// room, and the entry point a distributed worker process feeds decoded
-// remote states into.
+// RunStates explores the given frontier states to completion,
+// depth-first on the calling goroutine, and returns the report,
+// including any split-phase work this engine accumulated earlier. It is
+// Run's engine room, and the entry point a distributed worker process
+// feeds decoded remote states into.
 func (e *Engine) RunStates(states []*State) *Report {
 	start := time.Now()
 	e.armDeadline()
 
-	n := e.opts.effectiveWorkers()
-	fr := newFrontier(n, e.opts.MaxStates)
-	fr.put(0, states)
+	s := &stack{max: e.maxStates}
+	e.truncated += s.push(states, 0)
+	w := e.newWorker()
+	w.run(s)
+	// A limit that fired between paths leaves states queued.
+	e.truncated += s.drain()
 
-	workers := make([]*worker, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		w := e.newWorker(i, fr)
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run()
-		}()
-	}
-	wg.Wait()
-	// Collect truncation residue the workers did not fold in: states
-	// still queued when the pool stopped (e.g. published after the
-	// stopping worker drained).
-	e.truncated.Add(fr.drain())
-
+	solverStats := w.finish()
 	stats := e.snapshot()
-	stats.MaxLiveStates = fr.maxLive
+	stats.SolverStats.Add(solverStats)
+	stats.MaxLiveStates = s.maxLive
 	stats.Elapsed = time.Since(start)
-	bugs := append([]Bug(nil), e.splitBugs...)
-	for _, w := range workers {
-		stats.SolverStats.Add(w.sol.Stats)
-		w.sol.Release()
-		bugs = append(bugs, w.bugs...)
-	}
-	return &Report{Stats: stats, Bugs: mergeBugs(bugs)}
+	return &Report{Stats: stats, Bugs: mergeBugs(append(append([]Bug(nil), e.splitBugs...), w.bugs...))}
 }
 
 // Split executes a bounded breadth-first prefix of fn(args)'s
@@ -467,18 +422,18 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 		return nil, err
 	}
 	e.armDeadline()
-	w := e.newWorker(0, nil)
+	w := e.newWorker()
 	queue := []*State{st}
 	for len(queue) > 0 && len(queue) < want {
 		cur := queue[0]
 		queue = queue[1:]
-		e.explored.Add(1)
+		e.explored++
 		stop, forked := w.step(cur)
 		if stop {
-			// A global limit fired during the prefix: everything still
-			// queued is truncated, exactly as the worker pool would record.
-			e.requestStop()
-			e.truncated.Add(int64(len(queue)) + int64(len(forked)) + 1)
+			// A limit fired during the prefix: everything still queued
+			// is truncated, and so is the state being run.
+			e.stopped = true
+			e.truncated += int64(len(queue)) + 1
 			queue = nil
 			break
 		}
@@ -487,9 +442,7 @@ func (e *Engine) Split(fnName string, args []SymVal, init *State, want int) ([]*
 			w.drop(cur)
 		}
 	}
-	w.flushInstrs()
-	e.splitStats.Add(w.sol.Stats)
-	w.sol.Release()
+	e.splitStats.Add(w.finish())
 	e.splitBugs = append(e.splitBugs, w.bugs...)
 	return queue, nil
 }
@@ -503,30 +456,29 @@ func (e *Engine) PartialReport() *Report {
 	return &Report{Stats: e.snapshot(), Bugs: mergeBugs(append([]Bug(nil), e.splitBugs...))}
 }
 
-// snapshot reads the engine-wide counters into a Stats; SolverStats
+// snapshot reads the engine's counters into a Stats; SolverStats
 // starts from the split-phase residue, for the caller to add its
-// workers' solvers to.
+// worker's solver to.
 func (e *Engine) snapshot() Stats {
 	return Stats{
-		Paths:          e.paths.Load(),
-		ErrorPaths:     e.errorPaths.Load(),
-		TruncatedPaths: e.truncated.Load(),
-		Forks:          e.forks.Load(),
-		Instrs:         e.instrs.Load(),
-		ChecksSkipped:  e.checksSkipped.Load(),
-		StatesExplored: e.explored.Load(),
-		CoveredBlocks:  int(e.covered.Load()),
-		Workers:        e.opts.effectiveWorkers(),
+		Paths:          e.paths,
+		ErrorPaths:     e.errorPaths,
+		TruncatedPaths: e.truncated,
+		Forks:          e.forks,
+		Instrs:         e.instrs,
+		ChecksSkipped:  e.checksSkipped,
+		StatesExplored: e.explored,
+		CoveredBlocks:  int(e.covered),
 		SolverStats:    e.splitStats,
 		SharedCache:    e.cache.Snapshot(),
-		TimedOut:       e.timedOut.Load(),
+		TimedOut:       e.timedOut,
 	}
 }
 
-// newWorker builds one exploration worker: a private solver over the
-// shared cache, bound to the run's deadline. Call after armDeadline.
-func (e *Engine) newWorker(id int, fr *frontier) *worker {
-	w := &worker{e: e, id: id, B: e.B, fr: fr, sol: solver.NewWithCache(e.opts.Solver, e.cache),
+// newWorker builds a worker: a solver over the engine's cache, bound to
+// the run's deadline. Call after armDeadline.
+func (e *Engine) newWorker() *worker {
+	w := &worker{e: e, B: e.B, sol: solver.NewWithCache(e.opts.Solver, e.cache),
 		free: make([][]*Frame, len(e.Mod.Funcs))}
 	w.sol.SetDeadline(e.deadline) // zero = none
 	return w
@@ -579,7 +531,6 @@ func MergeReports(parts ...*Report) *Report {
 		if r.Stats.Elapsed > out.Stats.Elapsed {
 			out.Stats.Elapsed = r.Stats.Elapsed
 		}
-		out.Stats.Workers += r.Stats.Workers
 		out.Stats.TimedOut = out.Stats.TimedOut || r.Stats.TimedOut
 		bugs = append(bugs, r.Bugs...)
 	}
@@ -589,8 +540,8 @@ func MergeReports(parts ...*Report) *Report {
 
 // mergeBugs produces the deterministic, deduplicated bug list: sorted
 // by (kind, message, location, input) and collapsed to one report per
-// defect site, so the output is reproducible regardless of which worker
-// found which bug first.
+// defect site, so the output is reproducible regardless of which
+// process found which bug first.
 func mergeBugs(bugs []Bug) []Bug {
 	slices.SortFunc(bugs, func(a, b Bug) int {
 		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Msg, b.Msg),
@@ -608,9 +559,6 @@ func mergeBugs(bugs []Bug) []Bug {
 	}
 	return out
 }
-
-// requestStop asks every worker to bail out at its next limit check.
-func (e *Engine) requestStop() { e.stopped.Store(true) }
 
 // satResult is a solver verdict: yes, no, or budget-exhausted unknown.
 type satResult int

@@ -21,7 +21,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 		f := st.top()
 		w.coverBlock(f)
 		in := f.Block.Instrs[f.Idx]
-		w.countInstr()
+		w.instrs++
 
 		switch in.Op {
 		case ir.OpBr:
@@ -68,7 +68,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 			caller := st.pop()
 			if caller == nil {
 				w.recycle(f)
-				w.e.paths.Add(1)
+				w.e.paths++
 				return false, nil
 			}
 			if o := rv.Obj; o != nil && !o.ReadOnly && o.num >= f.base {
@@ -90,7 +90,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				return w.endWithBug(st, BugPtrDomain, "call to undefined function @"+callee.Name)
 			}
 			if len(st.Frames) >= maxCallDepth {
-				w.e.truncated.Add(1)
+				w.e.truncated++
 				return false, nil
 			}
 			nf := w.newFrame(callee, in)
@@ -108,7 +108,7 @@ func (w *worker) step(st *State) (stop bool, forked []*State) {
 				// neither reports nor constrains — the path continues as
 				// if the check were absent, so a filtered baseline run and
 				// a run on a program sliced for the same subset agree.
-				w.e.checksSkipped.Add(1)
+				w.e.checksSkipped++
 				f.Idx++
 				continue
 			}
@@ -161,7 +161,7 @@ func (w *worker) jump(st *State, f *Frame, target *ir.Block) {
 					phi.Ref(), target.Name, f.Block.Name))
 			}
 			vals = append(vals, w.ev(st, f, v))
-			w.countInstr()
+			w.instrs++
 		}
 		for i, phi := range phis {
 			*f.reg(phi) = vals[i]
@@ -169,7 +169,6 @@ func (w *worker) jump(st *State, f *Frame, target *ir.Block) {
 		clear(vals) // the scratch must not keep a finished state's objects alive
 		w.phiVals = vals[:0]
 	}
-	f.Prev = f.Block
 	f.Block = target
 	f.Idx = len(phis)
 }
@@ -228,7 +227,7 @@ func (w *worker) branch(st *State, c *expr.Expr) (pT, pF *solver.Partition, take
 func (w *worker) guard(st *State, bad *expr.Expr, kind BugKind, msg func() string) bool {
 	if res, model := w.satP(st.Part.Extend(bad)); res == satYes {
 		w.reportBug(st, kind, msg(), model)
-		w.e.errorPaths.Add(1)
+		w.e.errorPaths++
 	}
 	ok := st.Part.Extend(w.B.Not(bad))
 	if res, _ := w.satP(ok); res == satNo {
@@ -243,7 +242,7 @@ func (w *worker) guard(st *State, bad *expr.Expr, kind BugKind, msg func() strin
 func (w *worker) endWithBug(st *State, kind BugKind, msg string) (bool, []*State) {
 	_, model := w.satP(st.Part)
 	w.reportBug(st, kind, msg, model)
-	w.e.errorPaths.Add(1)
+	w.e.errorPaths++
 	return false, nil
 }
 
@@ -481,7 +480,7 @@ func (w *worker) loadCell(st *State, obj *MemObject, off *expr.Expr) (SymVal, ex
 	if !w.boundsCheck(st, obj, off, "load") {
 		return SymVal{}, execEnd
 	}
-	if t := obj.table.Load(); t != nil { // cell widths agree; the scan below also ends on the last
+	if t := obj.table; t != nil { // cell widths agree; the scan below also ends on the last
 		return SymVal{E: w.B.Read(*t, st.Cell(obj, obj.Count-1).E.Bits, off)}, execOK
 	}
 	// All cells must be integers for a symbolic read.
@@ -505,9 +504,9 @@ func (w *worker) loadCell(st *State, obj *MemObject, off *expr.Expr) (SymVal, ex
 			table[i], _ = st.Cell(obj, int64(i)).E.IsConst()
 		}
 		if obj.ReadOnly {
-			// Never written and shared by every state and worker: build
-			// the table once. Racing builders publish equal tables.
-			obj.table.Store(&table)
+			// Never written and shared by every state: build the table
+			// once.
+			obj.table = &table
 		}
 		return SymVal{E: w.B.Read(table, bits, off)}, execOK
 	}

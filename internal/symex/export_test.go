@@ -22,3 +22,6 @@ func TableCells(st *State) [][]SymVal {
 // Number returns writable object o's number in the table of a state
 // that holds it.
 func Number(o *MemObject) int { return int(o.num) }
+
+// SetMaxStates lowers e's cap on queued states, for tests that evict.
+func SetMaxStates(e *Engine, n int) { e.maxStates = n }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -34,9 +33,9 @@ func lowerAt(tb testing.TB, src string, level pipeline.Level) *ir.Module {
 	return mod
 }
 
-// testWorker is a worker outside any pool, the way Split builds one.
+// testWorker is a worker outside any run, the way Split builds one.
 func testWorker(e *Engine) *worker {
-	return e.newWorker(0, nil)
+	return e.newWorker()
 }
 
 // objRef is a memory object as one state holds it: equal across states
@@ -250,11 +249,11 @@ func forkIsolation(w *worker, parent *State, k *expr.Expr) (*State, map[string]b
 // other; nor does a fork's pointer, in a register or in a cell, name a
 // parent's object. Checked on a state mid-path, on forks of forks
 // (whose pages are by then part owned, part shared), on states that
-// crossed the wire, and with the two sides of a fork on two goroutines,
-// as two workers hold them under -j 4: what they share is only read.
+// crossed the wire, and with the two sides of a fork each run to the
+// end by a worker of its own: what they share is only read.
 func TestForkIsolation(t *testing.T) {
 	mod := lowerAt(t, forkSrc, pipeline.O0)
-	eng := NewEngine(mod, Options{Workers: 2}) // the concurrent builder
+	eng := NewEngine(mod, Options{Warm: NewWarm()}) // a warm engine, as the daemon runs
 	states, err := eng.Split("umain", eng.InputArgs(3), nil, 2)
 	if err != nil || len(states) != 2 {
 		t.Fatalf("split: %d states, %v", len(states), err)
@@ -299,17 +298,11 @@ func TestForkIsolation(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
 	for _, st := range []*State{states[1], w.fork(states[1])} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := generations(testWorker(eng), st, k); err != nil {
-				t.Errorf("state %d on its own goroutine: %v", st.ID, err)
-			}
-		}()
+		if _, err := generations(testWorker(eng), st, k); err != nil {
+			t.Errorf("state %d on a worker of its own: %v", st.ID, err)
+		}
 	}
-	wg.Wait()
 }
 
 const calleeForkSrc = `
@@ -330,14 +323,13 @@ int umain(unsigned char *input, int len) {
 
 // TestForkIsolationAcrossFrames: a fork inside a callee copies every
 // frame, so the two sides hold distinct caller frames with equal
-// contents. Each side then returns into its own frame on its own
-// goroutine, as two workers would: each must see only its own return
-// value and its own write through the pointer it was passed. Both sides
-// then run to the end of every path, handing their frames back for
-// reuse.
+// contents. Each side then returns into its own frame on a worker of
+// its own: each must see only its own return value and its own write
+// through the pointer it was passed. Both sides then run to the end of
+// every path, handing their frames back for reuse.
 func TestForkIsolationAcrossFrames(t *testing.T) {
 	mod := lowerAt(t, calleeForkSrc, pipeline.O0)
-	eng := NewEngine(mod, Options{Workers: 2}) // the concurrent builder
+	eng := NewEngine(mod, Options{Warm: NewWarm()}) // a warm engine, as the daemon runs
 	st, err := eng.initialState("umain", eng.InputArgs(3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -367,34 +359,28 @@ func TestForkIsolationAcrossFrames(t *testing.T) {
 	}
 	// forked[1] took the branch (input[0] == 'x'), forked[0] did not.
 	want := map[*State][2]uint64{forked[1]: {8, 11}, forked[0]: {9, 22}}
-	var wg sync.WaitGroup
 	for side := range want {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := testWorker(eng)
-			_, next := w.step(side) // returns into umain, then forks on input[1]
-			if len(next) != 2 {
-				t.Errorf("state %d: %d states after the return, want 2", side.ID, len(next))
-				return
+		w := testWorker(eng)
+		_, next := w.step(side) // returns into umain, then forks on input[1]
+		if len(next) != 2 {
+			t.Errorf("state %d: %d states after the return, want 2", side.ID, len(next))
+			continue
+		}
+		for _, s := range next {
+			f := s.top()
+			ret, cell := f.reg(call).E, s.Cell(f.reg(arr).Obj, 0).E
+			if f.Fn != umain || ret != eng.B.Const(32, want[side][0]) || cell != eng.B.Const(32, want[side][1]) {
+				t.Errorf("state %d in %s: pick returned %v, a[0] = %v; want %d, %d", s.ID, f.Fn.Name, ret, cell, want[side][0], want[side][1])
 			}
-			for _, s := range next {
-				f := s.top()
-				ret, cell := f.reg(call).E, s.Cell(f.reg(arr).Obj, 0).E
-				if f.Fn != umain || ret != eng.B.Const(32, want[side][0]) || cell != eng.B.Const(32, want[side][1]) {
-					t.Errorf("state %d in %s: pick returned %v, a[0] = %v; want %d, %d", s.ID, f.Fn.Name, ret, cell, want[side][0], want[side][1])
-				}
+		}
+		for len(next) > 0 {
+			s := next[len(next)-1]
+			_, more := w.step(s)
+			if next = append(next[:len(next)-1], more...); len(more) == 0 {
+				w.drop(s)
 			}
-			for len(next) > 0 {
-				s := next[len(next)-1]
-				_, more := w.step(s)
-				if next = append(next[:len(next)-1], more...); len(more) == 0 {
-					w.drop(s)
-				}
-			}
-		}()
+		}
 	}
-	wg.Wait()
 }
 
 // TestObjectTableBounded: testdata/lifetimes.c calls a function with an
@@ -501,13 +487,12 @@ func TestStateLayout(t *testing.T) {
 }
 
 // TestReadOnlyTableBuiltOnce: a symbolic-offset load of a read-only
-// object reuses one constant table however many states and workers
-// load from it (every state shares the object), builds the same Read
+// object reuses one constant table however many states load from it (every state shares the object), builds the same Read
 // node the fresh table did, and leaves writable objects — whose cells
 // can change under the table — on the table-per-load path.
 func TestReadOnlyTableBuiltOnce(t *testing.T) {
 	mod := lowerAt(t, forkSrc, pipeline.O0)
-	eng := NewEngine(mod, Options{Workers: 2})
+	eng := NewEngine(mod, Options{Warm: NewWarm()})
 	st, err := eng.initialState("umain", eng.InputArgs(3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -516,28 +501,22 @@ func TestReadOnlyTableBuiltOnce(t *testing.T) {
 	tab, g := eng.global("TAB"), eng.global("G")
 	forks := []*State{testWorker(eng).fork(st), testWorker(eng).fork(st)}
 	loaded := make([]SymVal, len(forks))
-	var wg sync.WaitGroup
 	for i, c := range forks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			loaded[i], _ = testWorker(eng).loadCell(c, tab, k)
-		}()
+		loaded[i], _ = testWorker(eng).loadCell(c, tab, k)
 	}
-	wg.Wait()
 	want := eng.B.Read([]uint64{7, 8, 9, 10}, 8, k)
 	if loaded[0].E != want || loaded[1].E != want {
 		t.Errorf("loads of TAB[k] built %v and %v, want %v", loaded[0].E, loaded[1].E, want)
 	}
-	first := tab.table.Load()
+	first := tab.table
 	if first == nil {
 		t.Fatalf("no table memoized on the read-only object")
 	}
-	if again, _ := testWorker(eng).loadCell(st, tab, k); again.E != want || tab.table.Load() != first {
+	if again, _ := testWorker(eng).loadCell(st, tab, k); again.E != want || tab.table != first {
 		t.Errorf("a later load rebuilt the table or built a different node")
 	}
-	if v, res := testWorker(eng).loadCell(st, g, k); res != execOK || v.E.Kind != expr.KRead || g.table.Load() != nil {
-		t.Errorf("load of writable G[k]: %v, result %v, memoized table %v", v.E, res, g.table.Load())
+	if v, res := testWorker(eng).loadCell(st, g, k); res != execOK || v.E.Kind != expr.KRead || g.table != nil {
+		t.Errorf("load of writable G[k]: %v, result %v, memoized table %v", v.E, res, g.table)
 	}
 }
 

@@ -44,27 +44,21 @@ func TestNullPointerSemantics(t *testing.T) {
 		if want[level.String()] == "" {
 			t.Fatalf("%s: no golden render", level)
 		}
-		for _, workers := range []int{1, 4} {
-			c, err := core.CompileProgram(prog, level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, args := newVerifyEngine(c, n, symex.Options{Workers: workers})
-			rep, err := eng.Run("umain", args, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep.Stats.CoveredBlocks = len(eng.CoveredBlockNames())
-			if got := dist.NormalizedRender(rep); got != want[level.String()] {
-				t.Errorf("%s -j %d:\n%s\nwant\n%s", level, workers, got, want[level.String()])
-			}
-		}
-
 		c, err := core.CompileProgram(prog, level)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng, args := newVerifyEngine(c, n, symex.Options{})
+		rep, err := eng.Run("umain", args, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Stats.CoveredBlocks = len(eng.CoveredBlockNames())
+		if got := dist.NormalizedRender(rep); got != want[level.String()] {
+			t.Errorf("%s:\n%s\nwant\n%s", level, got, want[level.String()])
+		}
+
+		eng, args = newVerifyEngine(c, n, symex.Options{})
 		states, err := eng.Split("umain", args, nil, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +83,7 @@ func TestNullPointerSemantics(t *testing.T) {
 			t.Errorf("%s: null cells before the wire %v, after %v", level, holdsNullCell(states), holdsNullCell(decoded))
 		}
 		nullCells = nullCells || holdsNullCell(decoded)
-		rep := symex.MergeReports(eng.PartialReport(), engW.RunStates(decoded))
+		rep = symex.MergeReports(eng.PartialReport(), engW.RunStates(decoded))
 		covered := make(map[string]bool)
 		for _, names := range [][]string{eng.CoveredBlockNames(), engW.CoveredBlockNames()} {
 			for _, name := range names {
@@ -164,20 +158,18 @@ func TestUndecidedSelectFollowsBranchRule(t *testing.T) {
 		if ir := c.Mod.String(); !strings.Contains(ir, tc.op) {
 			t.Fatalf("%s: no %q in the -OVERIFY module:\n%s", tc.name, tc.op, ir)
 		}
-		for _, workers := range []int{1, 4} {
-			eng, args := newVerifyEngine(c, 4, symex.Options{Workers: workers, Solver: solver.Options{MaxWork: 100}})
-			rep, err := eng.Run("umain", args, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := rep.Stats
-			if s.TotalPaths() != 1 || s.Forks != 0 || s.SolverStats.Failures != 2 || len(rep.Bugs) != 0 {
-				t.Errorf("%s -j %d: %d paths, %d forks, %d undecided queries, bugs %v; want 1 path, no fork, 2 undecided, no bugs",
-					tc.name, workers, s.TotalPaths(), s.Forks, s.SolverStats.Failures, rep.Bugs)
-			}
-			if v, _ := rep.Verdict(); v != symex.Inconclusive {
-				t.Errorf("%s -j %d: verdict %s, want inconclusive", tc.name, workers, v)
-			}
+		eng, args := newVerifyEngine(c, 4, symex.Options{Solver: solver.Options{MaxWork: 100}})
+		rep, err := eng.Run("umain", args, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rep.Stats
+		if s.TotalPaths() != 1 || s.Forks != 0 || s.SolverStats.Failures != 2 || len(rep.Bugs) != 0 {
+			t.Errorf("%s: %d paths, %d forks, %d undecided queries, bugs %v; want 1 path, no fork, 2 undecided, no bugs",
+				tc.name, s.TotalPaths(), s.Forks, s.SolverStats.Failures, rep.Bugs)
+		}
+		if v, _ := rep.Verdict(); v != symex.Inconclusive {
+			t.Errorf("%s: verdict %s, want inconclusive", tc.name, v)
 		}
 	}
 }

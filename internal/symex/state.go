@@ -9,7 +9,6 @@ package symex
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"overify/internal/expr"
 	"overify/internal/ir"
@@ -56,7 +55,7 @@ type page struct {
 // pointer names its object by this descriptor, so forks share pointers
 // as they are. A writable object's cells are per state, in the state's
 // object table under the object's number; a read-only object's cells
-// are here, shared by every state and worker.
+// are here, shared by every state.
 type MemObject struct {
 	Name     string
 	Elem     ir.Type
@@ -67,8 +66,9 @@ type MemObject struct {
 	pages []page // a read-only object's cells
 
 	// table memoizes a read-only object's constant cells for symbolic-
-	// offset loads; every state and worker shares the object, hence atomic.
-	table atomic.Pointer[[]uint64]
+	// offset loads; every state of the engine shares the object. A
+	// pointer keeps the descriptor, which every alloca makes, small.
+	table *[]uint64
 }
 
 // paginate cuts cells into owned pages without copying them.
@@ -205,7 +205,7 @@ func (st *State) release(base int32) {
 type frameLayout struct {
 	slot    []int32  // by Instr.ID: register index + 1; 0 for void instructions
 	allocas []string // one per register: an alloca's object name, "" for anything else
-	id      int      // the function's index in the module: its workers' free-frame list
+	id      int      // the function's index in the module: a worker's free-frame list
 	cov     coverage // the function's blocks this engine has executed
 }
 
@@ -240,7 +240,6 @@ func newFrameLayout(fn *ir.Function) *frameLayout {
 type Frame struct {
 	Fn     *ir.Function
 	Block  *ir.Block
-	Prev   *ir.Block // predecessor block, for phi evaluation
 	Idx    int       // index of the next instruction in Block
 	Regs   []SymVal  // register file in layout order; the zero SymVal is "not yet assigned"
 	Caller *ir.Instr // call instruction awaiting the return value
@@ -313,7 +312,7 @@ func (st *State) clone(nextID int64, w *worker) *State {
 // function, and returns it.
 func (f *Frame) copyOf(g *Frame) *Frame {
 	copy(f.Regs, g.Regs)
-	*f = Frame{Fn: g.Fn, Block: g.Block, Prev: g.Prev, Idx: g.Idx, Regs: f.Regs, Caller: g.Caller, lay: g.lay, base: g.base}
+	*f = Frame{Fn: g.Fn, Block: g.Block, Idx: g.Idx, Regs: f.Regs, Caller: g.Caller, lay: g.lay, base: g.base}
 	return f
 }
 

@@ -8,30 +8,71 @@ import (
 	"overify/internal/solver"
 )
 
-// instrFlushStride is how many locally counted instructions a worker
-// accumulates before flushing into the engine-wide total and checking
-// global limits. Batching keeps the shared counter off the per-
-// instruction hot path; the stride bounds how far the global count and
-// the limit checks can lag.
-const instrFlushStride = 1024
+// limitStride is how many instructions a worker runs between checks of
+// the instruction budget and the deadline; the checks fall when its
+// count since it started is a multiple of the stride.
+const limitStride = 1024
 
-// worker is one exploration goroutine: a private solver (the search
-// state is not concurrency-safe) over the shared query cache, a private
-// bug list (merged deterministically after the run), and a local
-// instruction counter batched into the engine totals.
+// worker explores one engine's states on the calling goroutine: a
+// solver over the engine's query cache, the bugs it found (merged after
+// the run), and the instructions it ran, folded into the engine's total
+// when it stops.
 type worker struct {
 	e   *Engine
-	id  int
 	B   *expr.Builder
-	fr  *frontier
 	sol *solver.Solver
 
-	bugs        []Bug
-	localInstrs int64      // not yet flushed to e.instrs
-	lastAssigns int64      // solver assignments already flushed to e.assigns
-	lastBlock   *ir.Block  // last block marked covered
-	phiVals     []SymVal   // jump's batch of phi values, reused per jump
-	free        [][]*Frame // returned frames by function, for the next call to reuse
+	bugs      []Bug
+	instrs    int64      // instructions run since the worker started
+	lastBlock *ir.Block  // last block marked covered
+	phiVals   []SymVal   // jump's batch of phi values, reused per jump
+	free      [][]*Frame // returned frames by function, for the next call to reuse
+}
+
+// stack is the pending states. The worker pops the newest, so
+// exploration is depth-first and children run right after the parent
+// whose constraint prefix they share.
+type stack struct {
+	states  []*State
+	max     int // queued states beyond this many evict the oldest
+	maxLive int // high-water mark of queued states plus the one held
+}
+
+// push queues states while held states are being run and returns how
+// many of the oldest it evicted to stay under the cap; the caller
+// counts those as truncated.
+func (s *stack) push(states []*State, held int) (evicted int64) {
+	if len(states) == 0 {
+		return 0
+	}
+	s.states = append(s.states, states...)
+	s.maxLive = max(s.maxLive, len(s.states)+held)
+	if n := len(s.states) - s.max; n > 0 {
+		clear(s.states[:n])
+		s.states = s.states[n:]
+		evicted = int64(n)
+	}
+	return evicted
+}
+
+// pop removes and returns the newest state, or nil.
+func (s *stack) pop() *State {
+	n := len(s.states)
+	if n == 0 {
+		return nil
+	}
+	st := s.states[n-1]
+	s.states[n-1] = nil
+	s.states = s.states[:n-1]
+	return st
+}
+
+// drain empties the stack (a limit fired) and returns how many states
+// it discarded, for truncation accounting.
+func (s *stack) drain() int64 {
+	n := len(s.states)
+	s.states = nil
+	return int64(n)
 }
 
 // frame returns a blank frame of lay's function, reusing a returned
@@ -67,63 +108,40 @@ func (w *worker) drop(st *State) {
 	st.Frames = nil
 }
 
-// run is the worker loop: take a state, explore its whole subtree
-// depth-first (publishing the other side of each fork), repeat.
-func (w *worker) run() {
-	defer w.flushInstrs()
-	for {
-		st := w.fr.take(w.id, w.e.stopped.Load)
+// run pops states until the stack is empty or a limit fired,
+// exploring each one's subtree.
+func (w *worker) run(s *stack) {
+	for !w.e.stopped {
+		st := s.pop()
 		if st == nil {
 			return
 		}
-		w.e.explored.Add(1)
-		w.explore(st)
+		w.explore(st, s)
 	}
 }
 
-// explore drives one held state to the end of its path, following the
+// explore drives one state to the end of its path, following the
 // deepest continuation of each fork immediately (depth-first keeps the
-// constraint prefix hot) and publishing the rest for stealing.
-func (w *worker) explore(st *State) {
+// constraint prefix hot) and queueing the rest.
+func (w *worker) explore(st *State, s *stack) {
 	for {
+		w.e.explored++
 		stop, forked := w.step(st)
 		if stop {
-			// A global limit fired: drain pending work as truncated and
-			// count the state this worker was holding. Other workers
-			// observe e.stopped at their next check and do the same for
-			// theirs.
-			w.e.requestStop()
-			w.e.truncated.Add(w.fr.drain() + int64(len(forked)) + 1)
-			w.fr.release()
+			// A limit fired: everything queued is truncated, and so is
+			// the state this worker was holding.
+			w.e.stopped = true
+			w.e.truncated += s.drain() + 1
 			return
 		}
 		if len(forked) == 0 {
 			// Path ended (completed, errored, or pruned inside step).
 			w.drop(st)
-			w.fr.release()
 			return
 		}
-		// Continue with the deepest continuation (step returns it last),
-		// publish the rest for stealing.
+		// Continue with the deepest continuation (step returns it last).
 		st = forked[len(forked)-1]
-		w.e.explored.Add(1)
-		w.e.truncated.Add(w.fr.put(w.id, forked[:len(forked)-1]))
-	}
-}
-
-// countInstr counts one interpreted instruction, flushing the batch to
-// the engine-wide counter on stride boundaries.
-func (w *worker) countInstr() {
-	w.localInstrs++
-	if w.localInstrs >= instrFlushStride {
-		w.flushInstrs()
-	}
-}
-
-func (w *worker) flushInstrs() {
-	if w.localInstrs > 0 {
-		w.e.instrs.Add(w.localInstrs)
-		w.localInstrs = 0
+		w.e.truncated += s.push(forked[:len(forked)-1], 1)
 	}
 }
 
@@ -135,46 +153,56 @@ func (w *worker) coverBlock(f *Frame) {
 	}
 	w.lastBlock = f.Block
 	if f.lay.cov.cover(f.Block) {
-		w.e.covered.Add(1)
+		w.e.covered++
 	}
 }
 
-// overLimit checks the global stop conditions at batch granularity:
-// another worker requested a stop, the instruction budget is spent, or
-// the wall-clock deadline passed.
+// overLimit checks the stop conditions: a limit already fired, or, on
+// stride boundaries, the instruction budget is spent or the deadline
+// passed.
 func (w *worker) overLimit() bool {
-	if w.e.stopped.Load() {
+	if w.e.stopped {
 		return true
 	}
-	if w.localInstrs == 0 { // just flushed: global count is fresh
-		if max := w.e.opts.MaxInstrs; max > 0 && w.e.instrs.Load() >= max {
-			w.e.timedOut.Store(true)
+	if w.instrs%limitStride == 0 {
+		if max := w.e.opts.MaxInstrs; max > 0 && w.e.instrs+w.instrs >= max {
+			w.e.timedOut = true
 			return true
 		}
 		if !w.e.deadline.IsZero() && time.Now().After(w.e.deadline) {
-			w.e.timedOut.Store(true)
+			w.e.timedOut = true
 			return true
 		}
 	}
 	return false
 }
 
+// finish folds the worker's instructions and solver work into the
+// engine and returns its solver's stats.
+func (w *worker) finish() solver.Stats {
+	w.e.instrs += w.instrs
+	w.instrs = 0
+	w.sol.Release()
+	return w.sol.Stats
+}
+
 // fork clones st for the other side of a branch.
 func (w *worker) fork(st *State) *State {
-	w.e.forks.Add(1)
-	return st.clone(w.e.nextState.Add(1), w)
+	w.e.forks++
+	w.e.nextState++
+	return st.clone(w.e.nextState, w)
 }
 
 // reportBug records a defect with a concretized input from the model;
 // with no model (the query that should have found one was undecided) it
 // records none.
 // Deduplication here is per-worker at site granularity (kind, message
-// AND location): every distinct site survives until the cross-worker
-// merge, where mergeBugs collapses to one report per (kind, message)
-// by picking the smallest location. Deduplicating on (kind, message)
-// already here would keep whichever site this worker's schedule
-// reached first — and make the surviving report depend on the worker
-// count.
+// AND location): every distinct site survives until the merge with
+// Split's bugs and other processes' reports, where mergeBugs collapses
+// to one report per (kind, message) by picking the smallest location.
+// Deduplicating on (kind, message) already here would keep whichever
+// site this worker reached first — and make the surviving report
+// depend on how the job was split.
 func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model) {
 	bug := Bug{Kind: kind, Msg: msg, Where: st.Where()}
 	if model != nil {
@@ -191,25 +219,16 @@ func (w *worker) reportBug(st *State, kind BugKind, msg string, model expr.Model
 	w.bugs = append(w.bugs, bug)
 }
 
-// checkAssignBudget flushes this worker's solver-assignment count into
-// the engine total after a query and requests a stop once the
-// MaxAssignments budget is spent. Queries are the enforcement boundary:
-// assignments accrue thousands-per-instruction inside the solver, far
-// below the instruction-flush stride overLimit polls at, so a
+// checkAssignBudget stops the run once the MaxAssignments budget,
+// counted over Split's solver and this one, is spent. Queries are the
+// enforcement boundary: assignments accrue thousands-per-instruction
+// inside the solver, far below the stride overLimit polls at, so a
 // stride-based check could miss the whole budget inside one hot query
-// burst. Serial runs stop at the same query on every machine.
+// burst. A run stops at the same query on every machine.
 func (w *worker) checkAssignBudget() {
-	max := w.e.opts.MaxAssignments
-	if max <= 0 {
-		return
-	}
-	if d := w.sol.Stats.Assignments - w.lastAssigns; d != 0 {
-		w.e.assigns.Add(d)
-		w.lastAssigns = w.sol.Stats.Assignments
-	}
-	if w.e.assigns.Load() >= max {
-		w.e.timedOut.Store(true)
-		w.e.requestStop()
+	if max := w.e.opts.MaxAssignments; max > 0 && w.e.splitStats.Assignments+w.sol.Stats.Assignments >= max {
+		w.e.timedOut = true
+		w.e.stopped = true
 	}
 }
 

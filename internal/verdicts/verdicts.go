@@ -127,7 +127,7 @@ type Bug struct {
 // Entry is one persisted verify outcome: the merged bug reports plus
 // the schedule-invariant counters the conformance suites gate (paths,
 // instructions, coverage, solver verdict counts). Wall-clock times and
-// schedule-dependent counters (forks, states explored, per-worker
+// schedule-dependent counters (forks, states explored, per-process
 // stats) are deliberately absent — they could not be reproduced on a
 // warm hit.
 type Entry struct {
